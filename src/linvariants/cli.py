@@ -12,10 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import linv, phin, plethysm, weylhecke
-from .exactlin import DimensionMismatchError, rational
+from .exactlin import rational
 from .sl2rep import InternalConsistencyError
 
 
@@ -25,13 +24,8 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _frac_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _monomial_json(m: phin.EigenMonomial) -> dict:
-    return {sym: _frac_str(e) for sym, e in sorted(m.exponents)}
+    return {sym: str(e) for sym, e in sorted(m.exponents)}
 
 
 def _monomial_from_json(obj: dict) -> phin.EigenMonomial:
@@ -79,22 +73,22 @@ def _cmd_cg(args):
                 for w in range(p + 1):
                     value = table.coefficient(u, v, w)
                     if value:
-                        rows.append((u, v, w, _frac_str(value)))
+                        rows.append((u, v, w, str(value)))
         return {"m": m, "n": n, "p": p, "rows": rows}, "u,v,w,value", rows
     if args.u is None or args.v is None or args.w is None:
         raise CliError("either --table or all of --u --v --w are required")
     value = plethysm.cg_coefficient(m, n, p, args.u, args.v, args.w)
-    return {"value": _frac_str(value)}, None, None
+    return {"value": str(value)}, None, None
 
 
 def _cmd_bcoeff(args):
     if args.i is not None:
         value = plethysm.b_coefficient(args.n, args.k, args.i)
-        rows = [(args.n, args.k, args.i, _frac_str(value))]
-        return {"value": _frac_str(value)}, "n,k,i,value", rows
+        rows = [(args.n, args.k, args.i, str(value))]
+        return {"value": str(value)}, "n,k,i,value", rows
     row = plethysm.b_row(args.n, args.k)
-    rows = [(args.n, args.k, i, _frac_str(x)) for i, x in enumerate(row)]
-    return {"values": [_frac_str(x) for x in row]}, "n,k,i,value", rows
+    rows = [(args.n, args.k, i, str(x)) for i, x in enumerate(row)]
+    return {"values": [str(x) for x in row]}, "n,k,i,value", rows
 
 
 def _cmd_project_endo(args) -> tuple[dict, str | None]:
@@ -105,8 +99,8 @@ def _cmd_project_endo(args) -> tuple[dict, str | None]:
         args.n, args.k, [rational(x) for x in diag]
     )
     return {
-        "middle": _frac_str(result.middle),
-        "tail": [_frac_str(x) for x in result.tail],
+        "middle": str(result.middle),
+        "tail": [str(x) for x in result.tail],
     }, None, None
 
 
@@ -126,7 +120,7 @@ def _cmd_phin(args) -> tuple[dict, str | None]:
         "phi": [_monomial_json(lam) for lam in module.phi],
     }
     if module.l_invariant is not None:
-        payload["L"] = _frac_str(module.l_invariant)
+        payload["L"] = str(module.l_invariant)
     if args.all_submodules:
         payload["stable_submodules"] = [
             _subspace_json(module, s) for s in phin.stable_submodules(module)
@@ -236,16 +230,14 @@ def _cmd_linv(args) -> tuple[dict, str | None]:
     direction_obj = obj["direction"]
     direction = linv.Direction.make(direction_obj["u"], direction_obj.get("u0", 0))
     if args.compare_theorem:
-        if linv.THEOREM_FAMILY[args.compare_theorem] != family:
+        theorem_family = linv.THEOREMS[args.compare_theorem][0]
+        if theorem_family != family:
             raise CliError(
                 f"theorem {args.compare_theorem} belongs to family "
-                f"{linv.THEOREM_FAMILY[args.compare_theorem]}, not {family}"
+                f"{theorem_family}, not {family}"
             )
-        data = linv.data_for_theorem(
-            args.compare_theorem,
-            n=params.get("n") or params.get("g"),
-            places=len(places_obj),
-        )
+        theorem_n = params.get("n") or params.get("g")
+        data = linv.data_for_theorem(args.compare_theorem, n=theorem_n, places=len(places_obj))
     else:
         data = linv.family_data(
             family,
@@ -261,14 +253,14 @@ def _cmd_linv(args) -> tuple[dict, str | None]:
         )
     pairs = linv.per_place_pairs(data, direction, assignments)
     payload: dict = {
-        "value": _frac_str(linv.rank1_combine(pairs)),
+        "value": str(linv.rank1_combine(pairs)),
         "per_place": [
-            {"a": _frac_str(a), "b": _frac_str(b), "value": _frac_str(a / b)}
+            {"a": str(a), "b": str(b), "value": str(a / b)}
             for a, b in pairs
         ],
     }
     if args.compare_theorem:
-        comparison = linv.compare_to_theorem(args.compare_theorem, n=params.get("n") or params.get("g"))
+        comparison = linv.compare_to_theorem(args.compare_theorem, n=theorem_n)
         payload["classification"] = comparison.to_json()
     return payload, None, None
 
@@ -362,18 +354,15 @@ def main(argv=None) -> int:
         print(_emit(payload, args.format, csv_header, csv_rows))
         return 0
     except linv.SingularDirectionError as err:
-        print(json.dumps({"error": {"code": "singular_direction", "place": err.place,
-                                    "message": str(err)}}, sort_keys=True))
-        return 3
+        error, code = {"code": "singular_direction", "place": err.place, "message": str(err)}, 3
     except CliError as err:
-        print(json.dumps({"error": {"code": "input", "message": str(err)}}, sort_keys=True))
-        return err.exit_code
-    except (ValueError, KeyError, TypeError, DimensionMismatchError, ZeroDivisionError) as err:
-        print(json.dumps({"error": {"code": "domain", "message": str(err)}}, sort_keys=True))
-        return 2
+        error, code = {"code": "input", "message": str(err)}, err.exit_code
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as err:
+        error, code = {"code": "domain", "message": str(err)}, 2
     except InternalConsistencyError as err:
-        print(json.dumps({"error": {"code": "internal", "message": str(err)}}, sort_keys=True))
-        return 2
+        error, code = {"code": "internal", "message": str(err)}, 2
+    print(_emit({"error": error}, "json"))
+    return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ canonical form: two subspaces are equal iff their stored bases are equal.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -26,13 +25,19 @@ class DimensionMismatchError(ValueError):
 
 
 def rational(value) -> Fraction:
-    """Coerce ints, strings like '3/4' and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4' and Fractions to Fraction.
+
+    bool is refused although it is an int: a JSON true is not a scalar.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
@@ -248,10 +253,6 @@ class LinearSolution:
         return not self.kernel
 
 
-def solve(a: Matrix, b: Sequence) -> LinearSolution | None:
-    return a.solve(b)
-
-
 class Subspace:
     """Subspace of Q^n stored by its canonical RREF basis."""
 
@@ -389,15 +390,3 @@ def _kernel_of_rows(rows: list[Vector], dim: int) -> list[Vector]:
     if not rows:
         return [tuple(row) for row in Matrix.identity(dim).entries]
     return Matrix(rows).kernel()
-
-
-def subspace_sum_dim_identity(u: Subspace, w: Subspace) -> bool:
-    """dim(U+W) + dim(U^W) == dim U + dim W, for tests."""
-    return (u + w).dim + u.intersect(w).dim == u.dim + w.dim
-
-
-def all_coordinate_subspaces(ambient_dim: int):
-    """All 2^n coordinate spans, in subset order."""
-    for r in range(ambient_dim + 1):
-        for combo in itertools.combinations(range(ambient_dim), r):
-            yield Subspace.coordinate(ambient_dim, combo)

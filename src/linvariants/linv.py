@@ -32,7 +32,7 @@ a proportionality the tests assert with the single scalar left free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
@@ -41,7 +41,15 @@ from .exactlin import DimensionMismatchError, rational
 from .plethysm import b_row
 
 FAMILIES = ("hilbert", "gsp4_spin", "gsp_std", "unitary")
-THEOREMS = ("A", "B", "C", "D1", "D2")
+#: theorem -> (family, B-row rule); the rule maps n to the (n, k) of the row
+#: when the theorem does not use the family's default row
+THEOREMS = {
+    "A": ("hilbert", None),
+    "B": ("gsp4_spin", None),
+    "C": ("gsp_std", None),
+    "D1": ("unitary", None),
+    "D2": ("unitary", lambda n: (4 * n - 1, 4 * n - 3)),
+}
 
 
 class SingularDirectionError(ValueError):
@@ -237,16 +245,12 @@ def family_data(
 
 
 def per_place_pairs(
-    data: TriangulationData,
-    direction: Direction,
-    assignments: Sequence[Sequence],
-    b_row_selector: tuple[int, int] | None = None,
+    data: TriangulationData, direction: Direction, assignments: Sequence[Sequence]
 ) -> list[tuple[Fraction, Fraction]]:
     """Per-place (a_v, b_v) with a_v/b_v the place's L-invariant factor."""
     if len(assignments) != data.places:
         raise DimensionMismatchError("one gradient assignment per place is required")
-    row_n, row_k = b_row_selector or data.b_row
-    row = b_row(row_n, row_k)
+    row = b_row(*data.b_row)
     if len(row) != data.m + 1:
         raise DimensionMismatchError("B-row length must match the graded pieces")
     pairs = []
@@ -275,13 +279,10 @@ def rank1_combine(pairs: Sequence[tuple]) -> Fraction:
 
 
 def generic_l_invariant(
-    data: TriangulationData,
-    direction: Direction,
-    assignments: Sequence[Sequence],
-    b_row_selector: tuple[int, int] | None = None,
+    data: TriangulationData, direction: Direction, assignments: Sequence[Sequence]
 ) -> Fraction:
     """The product formula; raises SingularDirectionError on a zero denominator."""
-    return rank1_combine(per_place_pairs(data, direction, assignments, b_row_selector))
+    return rank1_combine(per_place_pairs(data, direction, assignments))
 
 
 def thm_c_coefficient(n: int, i: int) -> Fraction:
@@ -378,16 +379,9 @@ class SymbolicLInvariant:
     den: tuple[Fraction, ...]  # coefficients of u_1..u_g, then u_0
 
 
-def symbolic_specialize(
-    family: str,
-    *,
-    g: int | None = None,
-    n: int | None = None,
-    b_row_selector: tuple[int, int] | None = None,
-) -> SymbolicLInvariant:
-    """Expand the generic formula symbolically for a single place."""
-    data = family_data(family, places=1, g=g, n=n)
-    row = b_row(*(b_row_selector or data.b_row))
+def symbolic_specialize(data: TriangulationData) -> SymbolicLInvariant:
+    """Expand the generic formula symbolically for the first place of `data`."""
+    row = b_row(*data.b_row)
     spec = data.graded[0]
     num = [Fraction(0)] * data.num_hecke
     coords = len(spec[0][0].u_coeffs)
@@ -435,8 +429,8 @@ def compare_to_theorem(which: str, n: int | None = None) -> TheoremComparison:
     up to a global -1; proportional: equal up to another global scalar;
     mismatch: not proportional.
     """
+    generic = symbolic_specialize(data_for_theorem(which, n))
     if which == "A":
-        generic = symbolic_specialize("hilbert")
         # pin the direction (1; -1) the sym^2 statement uses
         den_value = generic.den[0] * 1 + generic.den[1] * -1
         if den_value == 0:
@@ -444,14 +438,6 @@ def compare_to_theorem(which: str, n: int | None = None) -> TheoremComparison:
         generic_vec = tuple(x / den_value for x in generic.num)
         scalar = _parallel_scalar(generic_vec, (Fraction(-2),))
         return _classify(scalar)
-    family, kwargs = {
-        "B": ("gsp4_spin", {}),
-        "C": ("gsp_std", {"g": n}),
-        "D1": ("unitary", {"n": n}),
-        "D2": ("unitary", {"n": n}),
-    }[which]
-    selector = (4 * n - 1, 4 * n - 3) if which == "D2" else None
-    generic = symbolic_specialize(family, b_row_selector=selector, **kwargs)
     theorem_num, theorem_den = _theorem_forms(which, n)
     padded_den = tuple(theorem_den) + (Fraction(0),) * (len(generic.den) - len(theorem_den))
     s_num = _parallel_scalar(generic.num, theorem_num)
@@ -471,28 +457,8 @@ def _classify(scalar) -> TheoremComparison:
     return TheoremComparison("proportional", scalar)
 
 
-THEOREM_FAMILY = {
-    "A": "hilbert",
-    "B": "gsp4_spin",
-    "C": "gsp_std",
-    "D1": "unitary",
-    "D2": "unitary",
-}
-
-
 def data_for_theorem(which: str, n: int | None = None, places: int = 1) -> TriangulationData:
     """TriangulationData whose generic evaluation matches theorem `which`."""
-    family = THEOREM_FAMILY[which]
-    if which == "A":
-        return family_data("hilbert", places=places)
-    if which == "B":
-        return family_data("gsp4_spin", places=places)
-    if which == "C":
-        return family_data("gsp_std", places=places, g=n)
-    data = family_data("unitary", places=places, n=n)
-    if which == "D2":
-        size = 4 * n
-        return TriangulationData(
-            data.family, data.m, (size - 1, size - 3), data.graded, data.num_hecke
-        )
-    return data
+    family, row_rule = THEOREMS[which]
+    data = family_data(family, places=places, g=n, n=n)
+    return data if row_rule is None else replace(data, b_row=row_rule(n))

@@ -81,12 +81,6 @@ class EigenMonomial:
     def p_power(cls, exponent) -> "EigenMonomial":
         return cls.symbol("p", exponent)
 
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(sorted(self.exponents))
-
-    def exponent_of(self, sym: str) -> Fraction:
-        return dict(self.exponents).get(sym, Fraction(0))
-
     def __mul__(self, other: "EigenMonomial") -> "EigenMonomial":
         exps = dict(self.exponents)
         for sym, e in other.exponents:
@@ -358,16 +352,3 @@ def gr1_data(module: PhiNModule, d: Subspace) -> tuple[int, EigenMonomial | None
     )
     (position,) = new
     return 1, module.phi[position]
-
-
-def module_from_json(obj: dict) -> PhiNModule:
-    """Build a module from {"case": ..., "n": ..., "L"?: ..., "weight"?: ...}."""
-    case = obj["case"]
-    n = int(obj["n"])
-    l_invariant = obj.get("L")
-    if l_invariant is not None:
-        l_invariant = rational(l_invariant)
-    weight = obj.get("weight")
-    if weight is not None:
-        weight = int(weight)
-    return build_case(case, n, l_invariant=l_invariant, weight=weight)

@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .exactlin import DimensionMismatchError, rational
-from .sl2rep import DualRepVector, EndoElement, RepVector, duality_iso_inverse
+from .sl2rep import EndoElement, RepVector
 
 
 class InvalidWeightTripleError(ValueError):
@@ -116,6 +116,8 @@ def b_coefficient(n: int, k: int, i: int) -> Fraction:
 
 
 def b_row(n: int, k: int) -> tuple[Fraction, ...]:
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     return tuple(b_coefficient(n, k, i) for i in range(n + 1))
 
 
@@ -171,17 +173,6 @@ def project_endomorphism(t: EndoElement, k: int) -> RepVector:
                 if coeff:
                     out[w] += scale * coeff
     return RepVector(2 * k, tuple(out))
-
-
-def untensor_dual(t: EndoElement) -> EndoElement:
-    """Apply 1 (x) phi_n^{-1} rowwise; mainly for equivariance tests."""
-    n = t.n
-    out = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        image = duality_iso_inverse(DualRepVector(n, t.grid[i]))
-        for j, val in enumerate(image.coeffs):
-            out[i][j] = val
-    return EndoElement(n, tuple(tuple(r) for r in out))
 
 
 @dataclass(frozen=True)

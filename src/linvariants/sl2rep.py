@@ -40,7 +40,7 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class RepVector:
-    """Element of Sym^m V in the basis (g_{m,0}, ..., g_{m,m})."""
+    """Element of Sym^m V in the basis (g_{m,i}), or of its dual in (g_{m,i}^v)."""
 
     m: int
     coeffs: tuple[Fraction, ...]
@@ -65,34 +65,6 @@ class RepVector:
     def scale(self, c) -> "RepVector":
         c = rational(c)
         return RepVector(self.m, tuple(c * a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-
-@dataclass(frozen=True)
-class DualRepVector:
-    """Element of (Sym^m V)^v in the dual basis (g_{m,0}^v, ..., g_{m,m}^v)."""
-
-    m: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.m + 1:
-            raise DimensionMismatchError("coefficient vector has wrong length")
-
-    @classmethod
-    def basis(cls, m: int, i: int) -> "DualRepVector":
-        return cls(m, tuple(Fraction(int(j == i)) for j in range(m + 1)))
-
-    def __add__(self, other: "DualRepVector") -> "DualRepVector":
-        if self.m != other.m:
-            raise DimensionMismatchError("weights differ")
-        return DualRepVector(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c) -> "DualRepVector":
-        c = rational(c)
-        return DualRepVector(self.m, tuple(c * a for a in self.coeffs))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -183,11 +155,6 @@ class EndoElement:
             ),
         )
 
-    def is_upper_triangular(self) -> bool:
-        return all(
-            not self.grid[i][j] for i in range(self.n + 1) for j in range(i)
-        )
-
 
 def lower(v: RepVector) -> RepVector:
     """L g_{m,i} = (m - i) g_{m,i+1}."""
@@ -209,37 +176,37 @@ def raise_(v: RepVector) -> RepVector:
     return RepVector(m, tuple(out))
 
 
-def lower_dual(v: DualRepVector) -> DualRepVector:
+def lower_dual(v: RepVector) -> RepVector:
     """L g_i^v = -(m + 1 - i) g_{i-1}^v."""
     m = v.m
     out = [Fraction(0)] * (m + 1)
     for i, c in enumerate(v.coeffs):
         if c and i - 1 >= 0:
             out[i - 1] += -c * (m + 1 - i)
-    return DualRepVector(m, tuple(out))
+    return RepVector(m, tuple(out))
 
 
-def raise_dual(v: DualRepVector) -> DualRepVector:
+def raise_dual(v: RepVector) -> RepVector:
     """R g_i^v = -(i + 1) g_{i+1}^v."""
     m = v.m
     out = [Fraction(0)] * (m + 1)
     for i, c in enumerate(v.coeffs):
         if c and i + 1 <= m:
             out[i + 1] += -c * (i + 1)
-    return DualRepVector(m, tuple(out))
+    return RepVector(m, tuple(out))
 
 
-def duality_iso(v: RepVector) -> DualRepVector:
+def duality_iso(v: RepVector) -> RepVector:
     """Equivariant iso Sym^n V -> (Sym^n V)^v, g_{n,i} -> (-1)^(n-i) C(n,i)^-1 g_{n,n-i}^v."""
     n = v.m
     out = [Fraction(0)] * (n + 1)
     for i, c in enumerate(v.coeffs):
         if c:
             out[n - i] += c * Fraction((-1) ** (n - i), comb(n, i))
-    return DualRepVector(n, tuple(out))
+    return RepVector(n, tuple(out))
 
 
-def duality_iso_inverse(v: DualRepVector) -> RepVector:
+def duality_iso_inverse(v: RepVector) -> RepVector:
     """g_{n,j}^v -> (-1)^j C(n,j) g_{n,n-j}."""
     n = v.m
     out = [Fraction(0)] * (n + 1)

@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import ceil, factorial, floor
 from typing import Iterable, Sequence
 
 from .exactlin import rational
@@ -347,18 +347,10 @@ def slope_check_hilbert(k_weights: Sequence[int], w_weight: int, slopes: Sequenc
     return lhs < min(k_weights) - 1
 
 
-def slope_check_gsp(
-    mu_per_place: Sequence[Sequence],
-    mu0,
-    t: TorusExponent,
-    slopes: Sequence,
-) -> bool:
-    """Noncritical-slope inequality for GSp(2g) over all places above p.
-
-    LHS = sum_v (v_p(lambda_v(t)) + v_p(alpha_{v,t})); RHS = the minimum of
-    (mu_{v,i} - mu_{v,i+1} + 1)(a_i - a_{i+1}) over i < g and places, and
-    2(2 mu_{v,g} + 1) a_g.  t must be dominant.
-    """
+def _slope_sides(
+    mu_per_place: Sequence[Sequence], mu0, t: TorusExponent, slopes: Sequence
+) -> tuple[Fraction, Fraction]:
+    """(LHS, RHS) of the GSp(2g) noncritical-slope inequality; validates the input."""
     if not t.is_dominant():
         raise NonDominantError("need a_1 >= ... >= a_g >= a_0/2")
     if len(mu_per_place) != len(slopes):
@@ -375,7 +367,23 @@ def slope_check_gsp(
         for i in range(g - 1):
             bounds.append((mu[i] - mu[i + 1] + 1) * (t.a[i] - t.a[i + 1]))
         bounds.append(2 * (2 * mu[g - 1] + 1) * t.a[g - 1])
-    return lhs < min(bounds)
+    return lhs, min(bounds)
+
+
+def slope_check_gsp(
+    mu_per_place: Sequence[Sequence],
+    mu0,
+    t: TorusExponent,
+    slopes: Sequence,
+) -> bool:
+    """Noncritical-slope inequality for GSp(2g) over all places above p.
+
+    LHS = sum_v (v_p(lambda_v(t)) + v_p(alpha_{v,t})); RHS = the minimum of
+    (mu_{v,i} - mu_{v,i+1} + 1)(a_i - a_{i+1}) over i < g and places, and
+    2(2 mu_{v,g} + 1) a_g.  t must be dominant.
+    """
+    lhs, rhs = _slope_sides(mu_per_place, mu0, t, slopes)
+    return lhs < rhs
 
 
 def twist_search(
@@ -383,24 +391,22 @@ def twist_search(
     mu0,
     t: TorusExponent,
     slopes: Sequence,
-    max_abs_twist: int = 100000,
 ) -> int:
     """Smallest |m| such that the |.|^m twist has noncritical slope.
 
     Twisting shifts the similitude weight mu_0 by m and every slope by
-    -m a_0 while the right-hand side stays fixed, so for a_0 != 0 the
-    search terminates.
+    -m a_0, so each place's left-hand side moves by -m a_0 / 2 while the
+    right-hand side stays fixed.  The twist succeeds exactly when
+    m (places a_0 / 2) > LHS - RHS, which one division solves.
     """
-    mu0 = rational(mu0)
-    slopes = [rational(s) for s in slopes]
-    for m in range(max_abs_twist + 1):
-        for signed in ((m,) if m == 0 else (m, -m)):
-            twisted_slopes = [s - signed * t.a0 for s in slopes]
-            if slope_check_gsp(mu_per_place, mu0 + signed, t, twisted_slopes):
-                return signed
-        if m == 0 and t.a0 == 0:
-            raise ValueError("a_0 = 0: twisting cannot change the slope")
-    raise RuntimeError("twist bound exceeded")  # unreachable for a_0 != 0
+    lhs, rhs = _slope_sides(mu_per_place, mu0, t, slopes)
+    if lhs < rhs:
+        return 0
+    if t.a0 == 0:
+        raise ValueError("a_0 = 0: twisting cannot change the slope")
+    ratio = (lhs - rhs) / (len(slopes) * t.a0 / 2)
+    # branch on the sign of a_0: at LHS = RHS the ratio is 0 and m is still +-1
+    return floor(ratio) + 1 if t.a0 > 0 else ceil(ratio) - 1
 
 
 def _divisors(n: int) -> set[int]:

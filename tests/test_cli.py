@@ -234,14 +234,32 @@ def test_malformed_json_exit_2(capsys):
     assert payload["error"]["code"] == "input"
 
 
-def test_outputs_reparse_and_are_stable(capsys):
-    for args in (
-        ("bcoeff", "--n", "4", "--k", "2"),
-        ("hecke", "--g", "2", "--t", '{"a": [1, 0], "a0": -2}', "--all"),
-        ("obstruction", "--exponents", "2,1,0"),
+def test_linv_bool_gradient_exit_2(tmp_path, capsys):
+    path = linv_input(tmp_path, ["1"], "-1", [[True]])
+    code, payload = run_json(capsys, "linv", "--family", "hilbert", "--input", path)
+    assert code == 2
+    assert payload["error"]["code"] == "domain"
+
+
+def test_phin_zero_denominator_names_the_input(capsys):
+    code, payload = run_json(capsys, "phin", "--case", "steinberg", "--n", "2", "--L", "1/0")
+    assert code == 2
+    assert "1/0" in payload["error"]["message"]
+
+
+def test_outputs_reparse_and_are_stable(tmp_path, capsys):
+    singular = linv_input(tmp_path, ["2", "1"], "5", [["1", "1"]])
+    for expected, args in (
+        (0, ("bcoeff", "--n", "4", "--k", "2")),
+        (0, ("hecke", "--g", "2", "--t", '{"a": [1, 0], "a0": -2}', "--all")),
+        (0, ("obstruction", "--exponents", "2,1,0")),
+        (2, ("project-endo", "--n", "1", "--k", "1", "--diag", "[1, 2")),
+        (3, ("linv", "--family", "gsp4_spin", "--input", singular)),
+        (2, ("bcoeff", "--n", "-1", "--k", "0")),
     ):
         code1, out1 = run(capsys, *args)
         code2, out2 = run(capsys, *args)
-        assert code1 == code2 == 0
+        assert code1 == code2 == expected
         assert out1 == out2
-        json.loads(out1)
+        # success and error lines share one compact, key-sorted encoding
+        assert out1 == json.dumps(json.loads(out1), sort_keys=True, separators=(",", ":"))

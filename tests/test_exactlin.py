@@ -1,5 +1,6 @@
 """Exact linear algebra: solving, subspace lattice, canonical forms."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -10,9 +11,21 @@ from linvariants.exactlin import (
     DimensionMismatchError,
     Matrix,
     Subspace,
-    all_coordinate_subspaces,
-    subspace_sum_dim_identity,
+    rational,
 )
+
+
+def subspace_sum_dim_identity(u: Subspace, w: Subspace) -> bool:
+    """dim(U+W) + dim(U^W) == dim U + dim W."""
+    return (u + w).dim + u.intersect(w).dim == u.dim + w.dim
+
+
+def all_coordinate_subspaces(ambient_dim: int):
+    """All 2^n coordinate spans, in subset order."""
+    for r in range(ambient_dim + 1):
+        for combo in itertools.combinations(range(ambient_dim), r):
+            yield Subspace.coordinate(ambient_dim, combo)
+
 
 small_fractions = st.builds(
     F, st.integers(-9, 9), st.integers(1, 4)
@@ -149,6 +162,24 @@ def test_coordinate_support():
 
 def test_all_coordinate_subspaces_count():
     assert len(list(all_coordinate_subspaces(3))) == 8
+
+
+def test_rational_coerces_exact_scalars():
+    assert rational(3) == F(3)
+    assert rational("-3/4") == F(-3, 4)
+    assert rational(F(1, 2)) == F(1, 2)
+
+
+def test_rational_refuses_bool():
+    # bool is an int subclass; a JSON true must not pass as 1
+    for value in (True, False):
+        with pytest.raises(TypeError):
+            rational(value)
+
+
+def test_rational_zero_denominator_names_the_input():
+    with pytest.raises(ValueError, match="1/0"):
+        rational("1/0")
 
 
 def test_rank_and_kernel():

@@ -202,7 +202,7 @@ def test_evaluator_singular_direction():
 
 
 def test_symbolic_specialize_hilbert():
-    symbolic = symbolic_specialize("hilbert")
+    symbolic = symbolic_specialize(family_data("hilbert"))
     assert symbolic.num == (F(2),)  # -(B_0(-1) + B_1(1)) = 2
     assert symbolic.den == (F(-1), F(0))  # sum B grad kappa = -u_1
 

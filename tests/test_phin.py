@@ -18,7 +18,6 @@ from linvariants.phin import (
     build_case,
     canonical_regular_submodule,
     gr1_data,
-    module_from_json,
     regular_submodules,
     stable_submodules,
     steinberg_fil0,
@@ -251,13 +250,6 @@ def test_steinberg_fil0_membership(n):
         top = [F(0)] * (2 * n + 1)
         top[0] = F(1)  # f_n = e1^{2n}
         assert not fil0.contains(top)
-
-
-def test_module_from_json():
-    module = module_from_json({"case": "steinberg", "n": 2, "L": "3/7"})
-    assert module.l_invariant == F(3, 7)
-    module = module_from_json({"case": "crystalline_split", "n": 1, "weight": 6})
-    assert module.weight == 6
 
 
 def test_unknown_case_rejected():

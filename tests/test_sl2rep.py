@@ -7,7 +7,6 @@ import pytest
 
 from linvariants.exactlin import Matrix
 from linvariants.sl2rep import (
-    DualRepVector,
     EndoElement,
     RepVector,
     act_on_end,
@@ -48,18 +47,18 @@ def test_lower_displayed_action():
 
 
 def test_dual_actions():
-    assert lower_dual(DualRepVector.basis(4, 0)).is_zero()
-    assert lower_dual(DualRepVector.basis(2, 1)) == DualRepVector.basis(2, 0).scale(-2)
-    assert raise_dual(DualRepVector.basis(2, 1)) == DualRepVector.basis(2, 2).scale(-2)
+    assert lower_dual(RepVector.basis(4, 0)).is_zero()
+    assert lower_dual(RepVector.basis(2, 1)) == RepVector.basis(2, 0).scale(-2)
+    assert raise_dual(RepVector.basis(2, 1)) == RepVector.basis(2, 2).scale(-2)
 
 
 def test_duality_iso_rank_one():
     # e1 -> -e2^v
-    assert duality_iso(RepVector.basis(1, 0)) == DualRepVector.basis(1, 1).scale(-1)
+    assert duality_iso(RepVector.basis(1, 0)) == RepVector.basis(1, 1).scale(-1)
 
 
 def test_duality_iso_weight_two():
-    assert duality_iso(RepVector.basis(2, 1)) == DualRepVector.basis(2, 1).scale(F(-1, 2))
+    assert duality_iso(RepVector.basis(2, 1)) == RepVector.basis(2, 1).scale(F(-1, 2))
 
 
 @pytest.mark.parametrize("m", range(0, 7))
@@ -80,9 +79,9 @@ def test_sl2_bracket_on_rep(m):
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_sl2_bracket_on_dual(m):
-    v = DualRepVector(m, tuple(F(rng.randint(-9, 9)) for _ in range(m + 1)))
+    v = RepVector(m, tuple(F(rng.randint(-9, 9)) for _ in range(m + 1)))
     bracket = raise_dual(lower_dual(v)) + lower_dual(raise_dual(v)).scale(-1)
-    expected = DualRepVector(m, tuple(-(m - 2 * i) * c for i, c in enumerate(v.coeffs)))
+    expected = RepVector(m, tuple(-(m - 2 * i) * c for i, c in enumerate(v.coeffs)))
     assert bracket == expected
 
 

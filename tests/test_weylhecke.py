@@ -25,6 +25,7 @@ from linvariants.weylhecke import (
     slope_check_hilbert,
     twist_search,
     upi_eigenvalue_display,
+    weight_exponent,
     weyl_conjugate,
     weyl_group,
 )
@@ -220,27 +221,58 @@ def test_slope_gsp_dominance_precondition():
         slope_check_gsp([[3, 2]], 0, TorusExponent.make([2, 1], 4), [0])
 
 
+def _random_twist_case(gen, places, slope_hi, fractional):
+    g = gen.choice([2, 3])
+    a0 = gen.choice([-3, -2, -1, 1, 2, 3])
+    tail = max(0, -(-a0 // 2))  # ceil(a0/2) clipped at 0
+    a = sorted((gen.randint(tail, tail + 5) for _ in range(g)), reverse=True)
+    t = TorusExponent.make(a, a0)
+    mus = [sorted((gen.randint(0, 8) for _ in range(g)), reverse=True) for _ in range(places)]
+    mu0 = gen.randint(-4, 4)
+    slopes = [
+        F(gen.randint(0, slope_hi), gen.choice([1, 2, 3, 7]) if fractional else 1)
+        for _ in range(places)
+    ]
+    return mus, mu0, t, slopes
+
+
+def _assert_minimal_twist(mus, mu0, t, slopes) -> int:
+    m = twist_search(mus, mu0, t, slopes)
+    twisted_slopes = [F(s) - m * t.a0 for s in slopes]
+    assert slope_check_gsp(mus, F(mu0) + m, t, twisted_slopes)
+    # minimality of |m|
+    for smaller in range(-abs(m) + 1, abs(m)):
+        shifted = [F(s) - smaller * t.a0 for s in slopes]
+        assert not slope_check_gsp(mus, F(mu0) + smaller, t, shifted)
+    return m
+
+
 def test_twist_search_shifts_to_success():
+    gen = random.Random(61)
     count_nonzero = 0
-    for _ in range(50):
-        g = rng.choice([2, 3])
-        a0 = rng.choice([-3, -2, -1, 1, 2, 3])
-        tail = max(0, -(-a0 // 2))  # ceil(a0/2) clipped at 0
-        a = sorted((rng.randint(tail, tail + 5) for _ in range(g)), reverse=True)
-        t = TorusExponent.make(a, a0)
-        places = rng.choice([1, 2])
-        mus = [sorted((rng.randint(0, 8) for _ in range(g)), reverse=True) for _ in range(places)]
-        mu0 = rng.randint(-4, 4)
-        slopes = [rng.randint(0, 10) for _ in range(places)]
-        m = twist_search(mus, mu0, t, slopes)
-        count_nonzero += m != 0
-        twisted_slopes = [F(s) - m * t.a0 for s in slopes]
-        assert slope_check_gsp(mus, F(mu0) + m, t, twisted_slopes)
-        # minimality of |m|
-        for smaller in range(-abs(m) + 1, abs(m)):
-            shifted = [F(s) - smaller * t.a0 for s in slopes]
-            assert not slope_check_gsp(mus, F(mu0) + smaller, t, shifted)
+    for _ in range(80):
+        places = gen.choice([1, 2, 3])
+        case = _random_twist_case(gen, places, gen.choice([10, 300]), gen.random() < 0.5)
+        count_nonzero += _assert_minimal_twist(*case) != 0
     assert count_nonzero > 0
+
+
+def test_twist_search_at_equality_moves_one_step():
+    # choose the last slope so that LHS = RHS exactly at m = 0: the check
+    # fails there and the smallest twist is one step in the sign of a_0
+    gen = random.Random(62)
+    for _ in range(30):
+        places = gen.choice([1, 2, 3])
+        mus, mu0, t, slopes = _random_twist_case(gen, places, 300, True)
+        g = t.g
+        rhs = min(
+            [(mu[i] - mu[i + 1] + 1) * (t.a[i] - t.a[i + 1]) for mu in mus for i in range(g - 1)]
+            + [2 * (2 * mu[g - 1] + 1) * t.a[g - 1] for mu in mus]
+        )
+        lhs = sum(weight_exponent(mu, mu0, t) for mu in mus) + sum(slopes)
+        slopes[-1] += rhs - lhs
+        assert not slope_check_gsp(mus, mu0, t, slopes)
+        assert _assert_minimal_twist(mus, mu0, t, slopes) == (1 if t.a0 > 0 else -1)
 
 
 def test_twist_search_zero_a0_rejected():
