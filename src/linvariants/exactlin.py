@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class DimensionMismatchError(ValueError):
@@ -220,38 +221,6 @@ class Matrix:
             basis.append(tuple(v))
         return basis
 
-    def solve(self, b: Sequence) -> "LinearSolution | None":
-        """Solve A x = b.  Returns None when the system is inconsistent."""
-        b = vector(b)
-        if len(b) != self.rows:
-            raise DimensionMismatchError("rhs length differs from rows")
-        augmented = [list(row) + [rhs] for row, rhs in zip(self.entries, b)]
-        if not augmented:
-            return LinearSolution((), [])
-        reduced, pivots = _rref(augmented)
-        if self.cols in pivots:
-            return None
-        x = [Fraction(0)] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = reduced[r][self.cols]
-        return LinearSolution(tuple(x), self.kernel())
-
-
-class LinearSolution:
-    """One solution of a consistent linear system plus the kernel basis."""
-
-    __slots__ = ("solution", "kernel")
-
-    def __init__(self, solution: Vector, kernel: list[Vector]):
-        object.__setattr__(self, "solution", solution)
-        object.__setattr__(self, "kernel", kernel)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearSolution is immutable")
-
-    def is_unique(self) -> bool:
-        return not self.kernel
-
 
 class Subspace:
     """Subspace of Q^n stored by its canonical RREF basis."""
@@ -281,12 +250,6 @@ class Subspace:
         return cls(ambient_dim, ())
 
     @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(
-            ambient_dim, Matrix.identity(ambient_dim).entries
-        )
-
-    @classmethod
     def coordinate(cls, ambient_dim: int, positions: Iterable[int]) -> "Subspace":
         # sorted unit vectors are already in reduced row-echelon form
         basis = []
@@ -294,7 +257,7 @@ class Subspace:
             if not 0 <= pos < ambient_dim:
                 raise DimensionMismatchError("coordinate position out of range")
             basis.append(
-                tuple(Fraction(int(j == pos)) for j in range(ambient_dim))
+                tuple(_ONE if j == pos else _ZERO for j in range(ambient_dim))
             )
         return cls(ambient_dim, tuple(basis))
 
@@ -318,24 +281,6 @@ class Subspace:
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimensions differ")
-
-    def contains(self, v: Sequence) -> bool:
-        v = vector(v)
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError("vector has wrong length")
-        # reduce v against the echelon basis
-        residue = list(v)
-        for row in self.basis:
-            pivot = next(i for i, x in enumerate(row) if x == 1)
-            factor = residue[pivot]
-            if factor:
-                for j in range(pivot, self.ambient_dim):
-                    residue[j] -= factor * row[j]
-        return not any(residue)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.contains(v) for v in other.basis)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

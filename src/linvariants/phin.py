@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 from math import comb
 
 from .exactlin import Matrix, Subspace, rational
@@ -271,6 +270,13 @@ def _distinct_eigenvalues(module: PhiNModule) -> None:
         raise UnsupportedInputError("repeated Frobenius eigenvalues")
 
 
+def _monodromy_raises_f_index(module: PhiNModule) -> None:
+    # N must be strictly upper triangular in the coordinate order
+    entries = module.monodromy.entries
+    if any(entries[row][col] for col in range(module.dim) for row in range(col, module.dim)):
+        raise UnsupportedInputError("monodromy must raise the f-index")
+
+
 def is_stable(module: PhiNModule, space: Subspace) -> bool:
     """phi- and N-stability; phi-stable subspaces are coordinate spans here.
 
@@ -289,27 +295,38 @@ def is_stable(module: PhiNModule, space: Subspace) -> bool:
 
 
 def stable_submodules(module: PhiNModule) -> list[Subspace]:
-    """All (phi, N)-stable submodules, sorted by dimension."""
+    """All (phi, N)-stable submodules, sorted by dimension.
+
+    They are the coordinate sets closed under the support of N.  N is
+    strictly upper triangular, so the rows a column maps to all come before
+    it: taking the columns in ascending order, a column extends exactly the
+    closed sets built so far that hold its targets.
+    """
     _distinct_eigenvalues(module)
-    dim = module.dim
-    found = []
-    for r in range(dim + 1):
-        for combo in combinations(range(dim), r):
-            space = Subspace.coordinate(dim, combo)
-            if is_stable(module, space):
-                found.append(space)
-    found.sort(key=lambda s: (s.dim, s.coordinate_support()))
-    return found
+    _monodromy_raises_f_index(module)
+    entries = module.monodromy.entries
+    closed: list[tuple[int, ...]] = [()]
+    for col in range(module.dim):
+        targets = {row for row in range(col) if entries[row][col]}
+        closed += [s + (col,) for s in closed if targets.issubset(s)]
+    closed.sort(key=lambda s: (len(s), s))
+    return [Subspace.coordinate(module.dim, s) for s in closed]
 
 
 def regular_submodules(module: PhiNModule) -> list[Subspace]:
-    """Stable submodules D of dimension n with D ^ Fil^0 = 0."""
-    n = module.n
-    return [
-        space
-        for space in stable_submodules(module)
-        if space.dim == n and space.intersect(module.fil0).dim == 0
-    ]
+    """Stable submodules D of dimension n with D ^ Fil^0 = 0.
+
+    D ^ Fil^0 is the kernel of the projection of Fil^0 onto the coordinates
+    outside D, so it is zero exactly when that projection has full rank.
+    """
+    fil0 = module.fil0.basis
+
+    def misses_fil0(space: Subspace) -> bool:
+        inside = space.coordinate_support()
+        outside = [c for c in range(module.dim) if c not in inside]
+        return Matrix([[v[c] for c in outside] for v in fil0]).rank() == len(fil0)
+
+    return [s for s in stable_submodules(module) if s.dim == module.n and misses_fil0(s)]
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,6 @@ class CGTable:
             raise ValueError(f"indices out of range for V_{self.m} x V_{self.n} -> V_{self.p}")
         return self.values.get((u, v, w), Fraction(0))
 
-    def stratum_offset(self) -> int:
-        return (self.m + self.n - self.p) // 2
-
 
 @lru_cache(maxsize=None)
 def cg_table(m: int, n: int, p: int) -> CGTable:

@@ -116,14 +116,6 @@ class EndoElement:
             ),
         )
 
-    @classmethod
-    def from_matrix(cls, mat: Matrix) -> "EndoElement":
-        return cls(mat.rows - 1, mat.entries)
-
-    def to_matrix(self) -> Matrix:
-        """The grid is the matrix of the endomorphism in the g-basis."""
-        return Matrix(self.grid)
-
     def __add__(self, other: "EndoElement") -> "EndoElement":
         if self.n != other.n:
             raise DimensionMismatchError("weights differ")
@@ -144,16 +136,6 @@ class EndoElement:
 
     def flatten(self) -> tuple[Fraction, ...]:
         return tuple(x for row in self.grid for x in row)
-
-    def weight_component(self, w: int) -> "EndoElement":
-        """Restrict to grid positions (i, j) with 2(j - i) == w."""
-        return EndoElement(
-            self.n,
-            tuple(
-                tuple(x if 2 * (j - i) == w else Fraction(0) for j, x in enumerate(row))
-                for i, row in enumerate(self.grid)
-            ),
-        )
 
 
 def lower(v: RepVector) -> RepVector:

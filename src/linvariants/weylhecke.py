@@ -127,17 +127,14 @@ class TorusExponent:
 
     @classmethod
     def make(cls, a: Iterable, a0) -> "TorusExponent":
-        return cls(tuple(rational(x) for x in a), rational(a0))
+        a = tuple(rational(x) for x in a)
+        if not a:
+            raise ValueError("torus exponent needs g >= 1 entries a_1..a_g")
+        return cls(a, rational(a0))
 
     @property
     def g(self) -> int:
         return len(self.a)
-
-    def combine(self, other: "TorusExponent") -> "TorusExponent":
-        """Exponents of t * t'."""
-        return TorusExponent(
-            tuple(x + y for x, y in zip(self.a, other.a)), self.a0 + other.a0
-        )
 
     def is_dominant(self) -> bool:
         pairs_ok = all(self.a[i] >= self.a[i + 1] for i in range(self.g - 1))
@@ -254,6 +251,8 @@ def upi_eigenvalue_display(chi: CharacterData, i: int, w: WeylElement) -> EigenM
 def weight_exponent(mu: Sequence[Fraction], mu0: Fraction, t: TorusExponent) -> Fraction:
     """v_p of the highest-weight character (mu_1..mu_g; mu_0) at t."""
     mu = [rational(x) for x in mu]
+    if len(mu) != t.g:
+        raise ValueError("weight length must equal g")
     mu0 = rational(mu0)
     return sum(m * a for m, a in zip(mu, t.a)) + (mu0 - sum(mu)) * t.a0 / 2
 
@@ -361,8 +360,6 @@ def _slope_sides(
     bounds = []
     for mu, slope in zip(mu_per_place, slopes):
         mu = [rational(x) for x in mu]
-        if len(mu) != g:
-            raise ValueError("weight length must equal g")
         lhs += weight_exponent(mu, mu0, t) + rational(slope)
         for i in range(g - 1):
             bounds.append((mu[i] - mu[i + 1] + 1) * (t.a[i] - t.a[i + 1]))

@@ -247,6 +247,32 @@ def test_phin_zero_denominator_names_the_input(capsys):
     assert "1/0" in payload["error"]["message"]
 
 
+def test_empty_torus_exponent_exit_2(capsys):
+    code, payload = run_json(capsys, "hecke", "--g", "0", "--t", '{"a": [], "a0": 0}')
+    assert code == 2
+    assert payload["error"]["code"] == "domain"
+
+
+def test_slope_gsp_empty_torus_exponent_exit_2(tmp_path, capsys):
+    path = tmp_path / "slope.json"
+    path.write_text(
+        json.dumps({"weights": [[]], "mu0": 0, "t": {"a": [], "a0": 0}, "slopes": [0]})
+    )
+    code, payload = run_json(capsys, "slope", "--family", "gsp", "--input", str(path))
+    assert code == 2
+    assert payload["error"]["code"] == "domain"
+
+
+def test_recover_chi_wrong_weight_length_exit_2(capsys):
+    code, payload = run_json(
+        capsys, "recover-chi", "--g", "2",
+        "--eigs", '[{"p": "-2"}, {"p": "-3/2"}]',
+        "--weights", '{"mu": [1], "mu0": 0}',
+    )
+    assert code == 2
+    assert payload["error"]["message"] == "weight length must equal g"
+
+
 def test_outputs_reparse_and_are_stable(tmp_path, capsys):
     singular = linv_input(tmp_path, ["2", "1"], "5", [["1", "1"]])
     for expected, args in (

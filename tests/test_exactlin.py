@@ -1,4 +1,4 @@
-"""Exact linear algebra: solving, subspace lattice, canonical forms."""
+"""Exact linear algebra: RREF and kernels, subspace lattice, canonical forms."""
 
 import itertools
 from fractions import Fraction as F
@@ -41,31 +41,36 @@ def matrices(rows, cols):
 
 
 def test_solve_identity():
-    assert Matrix.identity(1).solve([5]).solution == (F(5),)
+    # A x = b is solved by the RREF of the augmented matrix [A | b]
+    assert Matrix([[1, 5]]).rref() == (((F(1), F(5)),), (0,))
+    assert Matrix.identity(3).kernel() == []
 
 
 def test_solve_zero_map():
-    result = Matrix.zero(2, 2).solve([0, 0])
-    assert result.solution == (F(0), F(0))
-    assert len(result.kernel) == 2
+    zero = Matrix.zero(2, 2)
+    assert zero.rank() == 0
+    assert zero.kernel() == [(F(1), F(0)), (F(0), F(1))]
 
 
 def test_solve_two_by_two():
-    result = Matrix([[1, 2], [3, 4]]).solve([5, 11])
-    assert result.solution == (F(1), F(2))
-    assert result.is_unique()
+    reduced, pivots = Matrix([[1, 2, 5], [3, 4, 11]]).rref()
+    assert pivots == (0, 1)
+    assert [row[-1] for row in reduced] == [F(1), F(2)]
+    assert Matrix([[1, 2], [3, 4]]).kernel() == []
 
 
-def test_solve_inconsistent_returns_none():
-    assert Matrix([[1, 1], [1, 1]]).solve([0, 1]) is None
+def test_solve_inconsistent_pivots_on_rhs():
+    # x + y = 0 and x + y = 1: the augmented RREF has a pivot in the rhs column
+    assert Matrix([[1, 1, 0], [1, 1, 1]]).rref()[1] == (0, 2)
 
 
 def test_solve_underdetermined_kernel():
-    result = Matrix([[1, 1, 0]]).solve([3])
-    assert result is not None and len(result.kernel) == 2
     a = Matrix([[1, 1, 0]])
-    for basis_vector in result.kernel:
+    kernel = a.kernel()
+    assert len(kernel) == 2
+    for basis_vector in kernel:
         assert a.apply(basis_vector) == (F(0),)
+    assert Matrix([[1, 1, 0, 3]]).rref()[1] == (0,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,9 +83,13 @@ def test_solve_underdetermined_kernel():
 def test_solve_then_substitute(data):
     a, x = data
     b = a.apply(x)
-    result = a.solve(b)
-    assert result is not None
-    assert a.apply(result.solution) == tuple(b)
+    # a consistent system has no pivot in the rhs column
+    augmented = Matrix([row + (rhs,) for row, rhs in zip(a.entries, b)])
+    assert a.cols not in augmented.rref()[1]
+    kernel = a.kernel()
+    assert a.rank() + len(kernel) == a.cols
+    for v in kernel:
+        assert not any(a.apply(v))
 
 
 @settings(max_examples=50, deadline=None)
@@ -142,8 +151,8 @@ def test_image_under():
 
 def test_membership():
     space = Subspace.from_vectors(3, [[1, 0, 1], [0, 1, 1]])
-    assert space.contains([1, 1, 2])
-    assert not space.contains([1, 1, 1])
+    assert space + Subspace.from_vectors(3, [[1, 1, 2]]) == space
+    assert space + Subspace.from_vectors(3, [[1, 1, 1]]) != space
 
 
 def test_ambient_mismatch_raises():

@@ -1,7 +1,9 @@
 """Filtered (phi,N)-modules: cases, submodules, the three-step filtration."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -18,12 +20,39 @@ from linvariants.phin import (
     build_case,
     canonical_regular_submodule,
     gr1_data,
+    is_stable,
     regular_submodules,
     stable_submodules,
     steinberg_fil0,
 )
 
 rng = random.Random(313)
+
+
+def contains(space, other):
+    return space + other == space
+
+
+def stable_submodules_oracle(module):
+    """Subset search: every coordinate span that is_stable accepts."""
+    dim = module.dim
+    found = []
+    for r in range(dim + 1):
+        for combo in combinations(range(dim), r):
+            space = Subspace.coordinate(dim, combo)
+            if is_stable(module, space):
+                found.append(space)
+    found.sort(key=lambda s: (s.dim, s.coordinate_support()))
+    return found
+
+
+def regular_by_intersection(module, stable):
+    """The n-dimensional spans in `stable` whose intersection with Fil^0 is zero."""
+    return [
+        space
+        for space in stable
+        if space.dim == module.n and space.intersect(module.fil0).dim == 0
+    ]
 
 
 def test_monomial_algebra():
@@ -111,10 +140,34 @@ def test_stable_submodules_exhaustive_oracle():
         positions = [pos for pos in range(3) if mask >> pos & 1]
         space = Subspace.coordinate(3, positions)
         image = space.image_under(module.monodromy)
-        if space.contains_subspace(image):
+        if contains(space, image):
             oracle.append(space)
     assert set(oracle) == set(stable_submodules(module))
     assert len(oracle) == 4
+
+
+@pytest.mark.parametrize(
+    "case, n",
+    [(case, n) for case in CASES for n in range(1, 5)]
+    + [(STEINBERG, n) for n in range(5, 9)],
+)
+def test_submodules_match_subset_search(case, n):
+    module = build_case(case, n)
+    stable = stable_submodules_oracle(module)
+    assert stable_submodules(module) == stable
+    assert regular_submodules(module) == regular_by_intersection(module, stable)
+
+
+def test_steinberg_chain_at_large_n():
+    # 2^61 coordinate subsets; the closure construction builds the 62 tails
+    assert len(stable_submodules(build_case(STEINBERG, 30))) == 62
+
+
+def test_monodromy_lowering_f_index_rejected():
+    module = build_case(STEINBERG, 2)
+    lowering = dataclasses.replace(module, monodromy=module.monodromy.transpose())
+    with pytest.raises(UnsupportedInputError):
+        stable_submodules(lowering)
 
 
 def test_crystalline_stable_submodules_are_all_subsets():
@@ -135,10 +188,10 @@ def test_split_unique_regular(n):
     assert regular_submodules(module) == [module.f_span(range(1, n + 1))]
 
 
-@pytest.mark.parametrize("n", range(1, 4))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_nonsplit_every_subset_regular(n):
-    # exhaustive intersection test: all C(2n+1, n) coordinate n-subsets
-    # miss Fil^0
+    # positivity of the binomial Fil^0: all C(2n+1, n) coordinate n-subsets
+    # miss it
     module = build_case(CRYSTALLINE_NONSPLIT, n)
     regular = regular_submodules(module)
     assert len(regular) == comb(2 * n + 1, n)
@@ -180,10 +233,10 @@ def test_filtration_monotone_and_stable(case, n):
     module = build_case(case, n)
     d = canonical_regular_submodule(module)
     filtration = benois_filtration(module, d)
-    assert filtration.d_0.contains_subspace(filtration.d_minus1)
-    assert filtration.d_1.contains_subspace(filtration.d_0)
+    assert contains(filtration.d_0, filtration.d_minus1)
+    assert contains(filtration.d_1, filtration.d_0)
     for space in (filtration.d_minus1, filtration.d_0, filtration.d_1):
-        assert space.contains_subspace(space.image_under(module.monodromy))
+        assert contains(space, space.image_under(module.monodromy))
         assert space.coordinate_support() is not None  # phi-stable
 
 
@@ -223,8 +276,6 @@ def test_steinberg_suite_at_random_l_values(n):
 
 def test_repeated_eigenvalues_rejected():
     base = build_case(CRYSTALLINE_NONSPLIT, 1)
-    import dataclasses
-
     broken = dataclasses.replace(base, phi=(base.phi[0],) * 3)
     with pytest.raises(UnsupportedInputError):
         stable_submodules(broken)
@@ -246,10 +297,10 @@ def test_steinberg_fil0_membership(n):
         vec = [F(0)] * (2 * n + 1)
         for t in range(2 * n + 1):
             vec[2 * n - t] = F(comb(2 * n, t)) * (-l_value) ** t
-        assert fil0.contains(vec)
+        assert contains(fil0, Subspace.from_vectors(2 * n + 1, [vec]))
         top = [F(0)] * (2 * n + 1)
         top[0] = F(1)  # f_n = e1^{2n}
-        assert not fil0.contains(top)
+        assert not contains(fil0, Subspace.from_vectors(2 * n + 1, [top]))
 
 
 def test_unknown_case_rejected():

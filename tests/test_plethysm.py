@@ -34,7 +34,7 @@ def test_invalid_triple_rejected():
 
 def test_off_stratum_vanishes():
     table = cg_table(3, 3, 4)
-    offset = table.stratum_offset()
+    offset = (3 + 3 - 4) // 2
     for u in range(4):
         for v in range(4):
             for w in range(5):
