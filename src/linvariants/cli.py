@@ -28,27 +28,35 @@ def _monomial_json(m: phin.EigenMonomial) -> dict:
     return {sym: str(e) for sym, e in sorted(m.exponents)}
 
 
-def _monomial_from_json(obj: dict) -> phin.EigenMonomial:
-    return phin.EigenMonomial.from_dict({sym: rational(e) for sym, e in obj.items()})
+def _json_object(value, label: str) -> dict:
+    if not isinstance(value, dict):
+        raise CliError(f"{label} must be a JSON object, not {value!r}")
+    return value
+
+
+def _monomial_from_json(obj) -> phin.EigenMonomial:
+    return phin.EigenMonomial.from_dict(_json_object(obj, "a monomial"))
 
 
 def _parse_json_arg(text: str, label: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise CliError(f"malformed JSON for {label}: {err}") from err
 
 
 def _load_input(args) -> dict:
     if args.input == "-":
-        return _parse_json_arg(sys.stdin.read(), "--input")
-    try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as err:
-        raise CliError(f"cannot read input file: {err}") from err
-    except json.JSONDecodeError as err:
-        raise CliError(f"malformed JSON in input file: {err}") from err
+        obj = _parse_json_arg(sys.stdin.read(), "--input")
+    else:
+        try:
+            with open(args.input, "r", encoding="utf-8") as handle:
+                obj = json.load(handle)
+        except OSError as err:
+            raise CliError(f"cannot read input file: {err}") from err
+        except (json.JSONDecodeError, RecursionError) as err:
+            raise CliError(f"malformed JSON in input file: {err}") from err
+    return _json_object(obj, "--input")
 
 
 def _emit(payload, fmt: str, csv_header: str | None = None, csv_rows=None) -> str:
@@ -63,7 +71,7 @@ def _emit(payload, fmt: str, csv_header: str | None = None, csv_rows=None) -> st
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _cmd_cg(args):
+def _cmd_cg(args) -> tuple[dict, str | None, list | None]:
     m, n, p = args.m, args.n, args.p
     if args.table:
         table = plethysm.cg_table(m, n, p)
@@ -81,7 +89,7 @@ def _cmd_cg(args):
     return {"value": str(value)}, None, None
 
 
-def _cmd_bcoeff(args):
+def _cmd_bcoeff(args) -> tuple[dict, str | None, list | None]:
     if args.i is not None:
         value = plethysm.b_coefficient(args.n, args.k, args.i)
         rows = [(args.n, args.k, args.i, str(value))]
@@ -91,7 +99,7 @@ def _cmd_bcoeff(args):
     return {"values": [str(x) for x in row]}, "n,k,i,value", rows
 
 
-def _cmd_project_endo(args) -> tuple[dict, str | None]:
+def _cmd_project_endo(args) -> tuple[dict, str | None, list | None]:
     diag = _parse_json_arg(args.diag, "--diag")
     if not isinstance(diag, list):
         raise CliError("--diag must be a JSON array of rationals")
@@ -108,7 +116,7 @@ def _subspace_json(module: phin.PhiNModule, space) -> list[int]:
     return list(module.f_indices_of(space))
 
 
-def _cmd_phin(args) -> tuple[dict, str | None]:
+def _cmd_phin(args) -> tuple[dict, str | None, list | None]:
     module = phin.build_case(
         args.case, args.n, l_invariant=args.L, weight=args.weight
     )
@@ -153,7 +161,7 @@ def _weyl_from_args(args, g: int) -> weylhecke.WeylElement:
     return weylhecke.WeylElement.from_json(_parse_json_arg(args.weyl, "--weyl"))
 
 
-def _cmd_hecke(args) -> tuple[dict, str | None]:
+def _cmd_hecke(args) -> tuple[dict, str | None, list | None]:
     g = args.g
     t_obj = _parse_json_arg(args.t, "--t")
     t = weylhecke.TorusExponent.make(t_obj["a"], t_obj["a0"])
@@ -174,7 +182,7 @@ def _cmd_hecke(args) -> tuple[dict, str | None]:
     return {"g": g, "weyl": w.to_json(), "value": _monomial_json(value)}, None, None
 
 
-def _cmd_recover_chi(args) -> tuple[dict, str | None]:
+def _cmd_recover_chi(args) -> tuple[dict, str | None, list | None]:
     g = args.g
     eigs = _parse_json_arg(args.eigs, "--eigs")
     weights = _parse_json_arg(args.weights, "--weights")
@@ -192,7 +200,7 @@ def _cmd_recover_chi(args) -> tuple[dict, str | None]:
     }, None, None
 
 
-def _cmd_slope(args) -> tuple[dict, str | None]:
+def _cmd_slope(args) -> tuple[dict, str | None, list | None]:
     obj = _load_input(args)
     if args.family == "hilbert":
         ok = weylhecke.slope_check_hilbert(obj["k"], obj["w"], obj["slopes"])
@@ -210,7 +218,7 @@ def _cmd_slope(args) -> tuple[dict, str | None]:
     return payload, None, None
 
 
-def _cmd_obstruction(args) -> tuple[dict, str | None]:
+def _cmd_obstruction(args) -> tuple[dict, str | None, list | None]:
     exponents = [int(x) for x in args.exponents.split(",") if x.strip() != ""]
     orders = weylhecke.refinement_obstruction_orders(exponents)
     payload: dict = {"orders": sorted(orders)}
@@ -222,10 +230,10 @@ def _cmd_obstruction(args) -> tuple[dict, str | None]:
     return payload, None, None
 
 
-def _cmd_linv(args) -> tuple[dict, str | None]:
+def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
     obj = _load_input(args)
     family = args.family
-    params = obj.get("params", {})
+    params = _json_object(obj.get("params", {}), "params")
     places_obj = obj["places"]
     direction_obj = obj["direction"]
     direction = linv.Direction.make(direction_obj["u"], direction_obj.get("u0", 0))

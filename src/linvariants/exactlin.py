@@ -8,6 +8,9 @@ numerators and denominators blow up independently.
 
 Subspaces are stored by their reduced row-echelon basis, which is a
 canonical form: two subspaces are equal iff their stored bases are equal.
+`Subspace.intersect`, `image_under`, `preimage_under` and
+`coordinate_support` have no caller in the library: they are the
+linear-algebra oracle the tests check `phin`'s coordinate sets against.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ def rational(value) -> Fraction:
 
 
 def vector(values: Iterable) -> Vector:
+    if isinstance(values, str):
+        raise TypeError(f"not a sequence of exact scalars: {values!r}")
     return tuple(rational(v) for v in values)
 
 

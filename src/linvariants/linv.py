@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .exactlin import DimensionMismatchError, rational
+from .exactlin import DimensionMismatchError, rational, vector
 from .plethysm import b_row
 
 FAMILIES = ("hilbert", "gsp4_spin", "gsp_std", "unitary")
@@ -69,7 +69,7 @@ class Direction:
 
     @classmethod
     def make(cls, u: Iterable, u0) -> "Direction":
-        return cls(tuple(rational(x) for x in u), rational(u0))
+        return cls(vector(u), rational(u0))
 
     def scale(self, c) -> "Direction":
         c = rational(c)
@@ -89,9 +89,6 @@ class WeightLinearForm:
         return cls(
             tuple(rational(x) for x in u_coeffs), rational(u0_coeff), rational(constant)
         )
-
-    def evaluate(self, direction: Direction) -> Fraction:
-        return self.gradient(direction) + self.constant
 
     def gradient(self, direction: Direction) -> Fraction:
         """Directional derivative: the constant term drops."""

@@ -25,6 +25,10 @@ and regular submodules and the filtration
 
 whose graded piece D_1/D_0 must come out one-dimensional with trivial
 Frobenius eigenvalue in every regular case.
+
+Distinct eigenvalues and N phi = p phi N, checked at construction, make
+every (phi, N)-stable space a span of f-basis vectors.  It is stored as the
+sorted tuple of its coordinates, and the filtration is read off N's map.
 """
 
 from __future__ import annotations
@@ -135,6 +139,16 @@ class PhiNModule:
     l_invariant: Fraction | None = None
     weight: int | None = None
 
+    def __post_init__(self):
+        # The standing hypotheses.  Together they leave at most one nonzero
+        # entry per column of N and no two columns with the same target row.
+        if len(set(self.phi)) != self.dim:
+            raise UnsupportedInputError("repeated Frobenius eigenvalues")
+        for row, entries in enumerate(self.monodromy.entries):
+            for col, x in enumerate(entries):
+                if x and (row >= col or self.phi[row] != P_INVERSE * self.phi[col]):
+                    raise UnsupportedInputError("monodromy must raise the f-index, N phi = p phi N")
+
     @property
     def dim(self) -> int:
         return 2 * self.n + 1
@@ -147,21 +161,19 @@ class PhiNModule:
     def f_index(self, coordinate: int) -> int:
         return self.n - coordinate
 
-    def f_span(self, f_indices) -> Subspace:
-        return Subspace.coordinate(self.dim, [self.coordinate(i) for i in f_indices])
+    def f_span(self, f_indices) -> tuple[int, ...]:
+        return tuple(sorted(self.coordinate(i) for i in f_indices))
 
-    def f_indices_of(self, space: Subspace) -> tuple[int, ...]:
-        support = space.coordinate_support()
-        if support is None:
-            raise UnsupportedInputError("subspace is not spanned by eigenvectors")
-        return tuple(sorted((self.f_index(c) for c in support), reverse=True))
+    def f_indices_of(self, span: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sorted((self.f_index(c) for c in span), reverse=True))
 
     def eigenvalue(self, f_index: int) -> EigenMonomial:
         return self.phi[self.coordinate(f_index)]
 
-    def eigenspace(self, value: EigenMonomial) -> Subspace:
-        positions = [c for c, lam in enumerate(self.phi) if lam == value]
-        return Subspace.coordinate(self.dim, positions)
+    def monodromy_target(self, col: int) -> int | None:
+        """The coordinate N maps coordinate `col` onto, or None if N kills it."""
+        entries = self.monodromy.entries
+        return next((row for row in range(col) if entries[row][col]), None)
 
 
 def _poly_to_f_coordinates(n: int, e1_coeffs: dict[int, Fraction]) -> tuple[Fraction, ...]:
@@ -260,60 +272,33 @@ def build_case(case: str, n: int, l_invariant=None, weight: int | None = None) -
     return module
 
 
-def canonical_regular_submodule(module: PhiNModule) -> Subspace:
+def canonical_regular_submodule(module: PhiNModule) -> tuple[int, ...]:
     """<f_n, ..., f_1>: the regular submodule every case singles out."""
     return module.f_span(range(1, module.n + 1))
 
 
-def _distinct_eigenvalues(module: PhiNModule) -> None:
-    if len(set(module.phi)) != module.dim:
-        raise UnsupportedInputError("repeated Frobenius eigenvalues")
+def is_stable(module: PhiNModule, span: tuple[int, ...]) -> bool:
+    """N-stability of a coordinate span; phi-stability is automatic."""
+    return all(module.monodromy_target(c) in (None, *span) for c in span)
 
 
-def _monodromy_raises_f_index(module: PhiNModule) -> None:
-    # N must be strictly upper triangular in the coordinate order
-    entries = module.monodromy.entries
-    if any(entries[row][col] for col in range(module.dim) for row in range(col, module.dim)):
-        raise UnsupportedInputError("monodromy must raise the f-index")
-
-
-def is_stable(module: PhiNModule, space: Subspace) -> bool:
-    """phi- and N-stability; phi-stable subspaces are coordinate spans here.
-
-    For a coordinate span N-stability reduces to a column-support check.
-    """
-    support = space.coordinate_support()
-    if support is None:
-        return False
-    inside = set(support)
-    entries = module.monodromy.entries
-    for col in support:
-        for row in range(module.dim):
-            if entries[row][col] and row not in inside:
-                return False
-    return True
-
-
-def stable_submodules(module: PhiNModule) -> list[Subspace]:
+def stable_submodules(module: PhiNModule) -> list[tuple[int, ...]]:
     """All (phi, N)-stable submodules, sorted by dimension.
 
-    They are the coordinate sets closed under the support of N.  N is
-    strictly upper triangular, so the rows a column maps to all come before
-    it: taking the columns in ascending order, a column extends exactly the
-    closed sets built so far that hold its targets.
+    They are the coordinate sets closed under N's coordinate map.  N raises
+    the f-index, so a column maps to an earlier coordinate: taking the
+    columns in ascending order, a column extends exactly the closed sets
+    built so far that hold its target.
     """
-    _distinct_eigenvalues(module)
-    _monodromy_raises_f_index(module)
-    entries = module.monodromy.entries
     closed: list[tuple[int, ...]] = [()]
     for col in range(module.dim):
-        targets = {row for row in range(col) if entries[row][col]}
-        closed += [s + (col,) for s in closed if targets.issubset(s)]
+        target = module.monodromy_target(col)
+        closed += [s + (col,) for s in closed if target is None or target in s]
     closed.sort(key=lambda s: (len(s), s))
-    return [Subspace.coordinate(module.dim, s) for s in closed]
+    return closed
 
 
-def regular_submodules(module: PhiNModule) -> list[Subspace]:
+def regular_submodules(module: PhiNModule) -> list[tuple[int, ...]]:
     """Stable submodules D of dimension n with D ^ Fil^0 = 0.
 
     D ^ Fil^0 is the kernel of the projection of Fil^0 onto the coordinates
@@ -321,51 +306,42 @@ def regular_submodules(module: PhiNModule) -> list[Subspace]:
     """
     fil0 = module.fil0.basis
 
-    def misses_fil0(space: Subspace) -> bool:
-        inside = space.coordinate_support()
-        outside = [c for c in range(module.dim) if c not in inside]
+    def misses_fil0(span: tuple[int, ...]) -> bool:
+        outside = [c for c in range(module.dim) if c not in span]
         return Matrix([[v[c] for c in outside] for v in fil0]).rank() == len(fil0)
 
-    return [s for s in stable_submodules(module) if s.dim == module.n and misses_fil0(s)]
+    return [s for s in stable_submodules(module) if len(s) == module.n and misses_fil0(s)]
 
 
 @dataclass(frozen=True)
 class BenoisFiltration:
-    d_minus1: Subspace
-    d_0: Subspace
-    d_1: Subspace
+    d_minus1: tuple[int, ...]
+    d_0: tuple[int, ...]
+    d_1: tuple[int, ...]
 
 
-def benois_filtration(module: PhiNModule, d: Subspace) -> BenoisFiltration:
-    """The three-step filtration attached to a stable submodule D."""
+def benois_filtration(module: PhiNModule, d: tuple[int, ...]) -> BenoisFiltration:
+    """The three-step filtration attached to a stable submodule D.
+
+    1 - p^{-1} phi^{-1} kills exactly the phi = p^{-1} line; N maps the
+    phi = 1 line onto a phi = p^{-1} line or kills it.
+    """
     if not is_stable(module, d):
         raise UnsupportedInputError("D must be phi- and N-stable")
-    dim = module.dim
-    one = EigenMonomial.one()
-
-    # (1 - p^{-1} phi^{-1}) D: on the eigenvector f with phi f = lambda f the
-    # operator is the scalar 1 - p^{-1} lambda^{-1}, zero iff lambda = p^{-1}.
-    support = d.coordinate_support()
-    surviving = [c for c in support if module.phi[c] != P_INVERSE]
-    part1 = Subspace.coordinate(dim, surviving)
-    d_phi_one = d.intersect(module.eigenspace(one))
-    d_minus1 = part1 + d_phi_one.image_under(module.monodromy)
-
-    d_phi_pinv = d.intersect(module.eigenspace(P_INVERSE))
-    d_1 = d + module.eigenspace(one).intersect(
-        d_phi_pinv.preimage_under(module.monodromy)
-    )
-    return BenoisFiltration(d_minus1, d, d_1)
+    kept = {c for c in d if module.phi[c] != P_INVERSE}
+    images = {module.monodromy_target(c) for c in d if module.phi[c].is_one()} - {None}
+    lifted = {
+        c for c in range(module.dim)
+        if module.phi[c].is_one() and module.monodromy_target(c) in (None, *d)
+    }
+    return BenoisFiltration(tuple(sorted(kept | images)), d, tuple(sorted(lifted.union(d))))
 
 
-def gr1_data(module: PhiNModule, d: Subspace) -> tuple[int, EigenMonomial | None]:
+def gr1_data(module: PhiNModule, d: tuple[int, ...]) -> tuple[int, EigenMonomial | None]:
     """(dim D_1/D_0, Frobenius eigenvalue on the quotient line when rank 1)."""
     filtration = benois_filtration(module, d)
-    rank = filtration.d_1.dim - filtration.d_0.dim
-    if rank != 1:
-        return rank, None
-    new = set(filtration.d_1.coordinate_support()) - set(
-        filtration.d_0.coordinate_support()
-    )
+    new = set(filtration.d_1) - set(filtration.d_0)
+    if len(new) != 1:
+        return len(new), None
     (position,) = new
     return 1, module.phi[position]

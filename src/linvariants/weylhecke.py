@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import ceil, factorial, floor
 from typing import Iterable, Sequence
 
-from .exactlin import rational
+from .exactlin import rational, vector
 from .phin import EigenMonomial, monomial_product
 
 
@@ -127,7 +127,7 @@ class TorusExponent:
 
     @classmethod
     def make(cls, a: Iterable, a0) -> "TorusExponent":
-        a = tuple(rational(x) for x in a)
+        a = vector(a)
         if not a:
             raise ValueError("torus exponent needs g >= 1 entries a_1..a_g")
         return cls(a, rational(a0))
@@ -250,7 +250,7 @@ def upi_eigenvalue_display(chi: CharacterData, i: int, w: WeylElement) -> EigenM
 
 def weight_exponent(mu: Sequence[Fraction], mu0: Fraction, t: TorusExponent) -> Fraction:
     """v_p of the highest-weight character (mu_1..mu_g; mu_0) at t."""
-    mu = [rational(x) for x in mu]
+    mu = vector(mu)
     if len(mu) != t.g:
         raise ValueError("weight length must equal g")
     mu0 = rational(mu0)
@@ -290,7 +290,7 @@ def recover_characters(
         raise ValueError("character recovery needs g >= 2")
     if len(normalized_eigenvalues) != g:
         raise ValueError("need exactly g eigenvalues")
-    mu = [rational(x) for x in mu]
+    mu = vector(mu)
     mu0 = rational(mu0)
     alphas = [
         EigenMonomial.p_power(-weight_exponent(mu, mu0, beta(g, g - i)))
@@ -340,7 +340,7 @@ def slope_check_hilbert(k_weights: Sequence[int], w_weight: int, slopes: Sequenc
         if (k - w_weight) % 2:
             raise ValueError("weights must be congruent to w mod 2")
     lhs = sum(
-        (Fraction(w_weight + k - 2, 2) + rational(s) for k, s in zip(k_weights, slopes)),
+        (Fraction(w_weight + k - 2, 2) + s for k, s in zip(k_weights, vector(slopes))),
         Fraction(0),
     )
     return lhs < min(k_weights) - 1
@@ -358,9 +358,9 @@ def _slope_sides(
     mu0 = rational(mu0)
     lhs = Fraction(0)
     bounds = []
-    for mu, slope in zip(mu_per_place, slopes):
-        mu = [rational(x) for x in mu]
-        lhs += weight_exponent(mu, mu0, t) + rational(slope)
+    for mu, slope in zip(mu_per_place, vector(slopes)):
+        mu = vector(mu)
+        lhs += weight_exponent(mu, mu0, t) + slope
         for i in range(g - 1):
             bounds.append((mu[i] - mu[i + 1] + 1) * (t.a[i] - t.a[i + 1]))
         bounds.append(2 * (2 * mu[g - 1] + 1) * t.a[g - 1])

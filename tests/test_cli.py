@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON/CSV shapes, determinism."""
 
+import io
 import json
 
 import pytest
@@ -289,3 +290,79 @@ def test_outputs_reparse_and_are_stable(tmp_path, capsys):
         assert out1 == out2
         # success and error lines share one compact, key-sorted encoding
         assert out1 == json.dumps(json.loads(out1), sort_keys=True, separators=(",", ":"))
+
+
+def write_json(tmp_path, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hecke", "--g", "2", "--t", '{"a": "10", "a0": 0}'),
+        (
+            "recover-chi", "--g", "2",
+            "--eigs", '[{"p": "-2"}, {"p": "-3/2"}]',
+            "--weights", '{"mu": "10", "mu0": 0}',
+        ),
+    ],
+)
+def test_string_as_vector_argument_exit_2(capsys, argv):
+    # a JSON string used to be read as a list of its characters
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert payload["error"]["code"] == "domain"
+
+
+@pytest.mark.parametrize(
+    "family, obj",
+    [
+        (
+            "gsp",
+            {"weights": [[5, 3]], "mu0": 0, "t": {"a": [0, 0], "a0": -1}, "slopes": "3"},
+        ),
+        (
+            "gsp",
+            {"weights": [[5, 3]], "mu0": 0, "t": {"a": "10", "a0": -1}, "slopes": [0]},
+        ),
+        ("hilbert", {"k": [2], "w": 0, "slopes": "1"}),
+    ],
+)
+def test_slope_string_as_vector_exit_2(tmp_path, capsys, family, obj):
+    path = write_json(tmp_path, obj)
+    code, payload = run_json(capsys, "slope", "--family", family, "--input", path)
+    assert code == 2
+    assert payload["error"]["code"] == "domain"
+
+
+def test_linv_string_direction_exit_2(tmp_path, capsys):
+    path = linv_input(tmp_path, "12", "1", [["1", "2"]])
+    code, payload = run_json(capsys, "linv", "--family", "gsp4_spin", "--input", path)
+    assert code == 2
+    assert payload["error"]["code"] == "domain"
+
+
+def test_recover_chi_non_object_monomial_exit_2(capsys):
+    code, payload = run_json(
+        capsys, "recover-chi", "--g", "2",
+        "--eigs", '["x", "y"]', "--weights", '{"mu": [0, 0], "mu0": 0}',
+    )
+    assert code == 2
+    assert payload["error"]["code"] == "input"
+
+
+def test_linv_non_object_input_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[]"))
+    code, payload = run_json(capsys, "linv", "--family", "hilbert", "--input", "-")
+    assert code == 2
+    assert payload["error"]["code"] == "input"
+
+
+def test_deeply_nested_json_exit_2(capsys):
+    # the JSON decoder runs out of recursion depth on this input
+    deep = "[" * 100000 + "]" * 100000
+    code, payload = run_json(capsys, "project-endo", "--n", "1", "--k", "1", "--diag", deep)
+    assert code == 2
+    assert payload["error"]["code"] == "input"

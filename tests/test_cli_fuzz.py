@@ -1,0 +1,240 @@
+"""Fuzz the CLI boundary: any argv the parser accepts ends in one JSON line.
+
+Every subcommand is driven in-process with generated options and JSON
+payloads.  Each JSON node is mostly well-formed, so the requests reach the
+computations, and otherwise any JSON value at all: strings, bools, floats,
+null, nested lists and objects.  Sizes stay small (n <= 4, g <= 3, at most
+8 exponents, cg and bcoeff sizes <= 30), so the run takes a few seconds.
+"""
+
+import contextlib
+import io
+import json
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linvariants.cli import main
+from linvariants.linv import THEOREMS
+from linvariants.phin import CASES
+
+anything = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 5)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+    | st.sampled_from(["1/0", "x", ""]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def mostly(valid):
+    """Mostly `valid`, sometimes any JSON value; shrinks towards `valid`."""
+    return st.integers(0, 4).flatmap(lambda i: anything if i == 4 else valid)
+
+
+scalar = mostly(st.integers(-4, 4) | st.sampled_from(["1/2", "-3", "5/3"]))
+
+
+def vector(length):
+    return mostly(st.lists(scalar, min_size=length, max_size=length))
+
+
+def obj(**fields):
+    return mostly(st.fixed_dictionaries(fields))
+
+
+def json_text(values):
+    """Serialized `values`, now and then cut short."""
+    return st.tuples(values.map(json.dumps), st.integers(0, 9)).map(
+        lambda pair: pair[0][: len(pair[0]) // 2] if pair[1] == 9 else pair[0]
+    )
+
+
+def command(name, *options, stdin=None):
+    """(argv, stdin) from (key, values) options.
+
+    A value of None leaves the option out and True gives a bare flag; any
+    other value is passed as `--key=value`, so that it may start with '-'.
+    A command reading `--input -` gets `stdin` as its standard input.
+    """
+
+    def argv(chosen):
+        out = [name]
+        for key, value in chosen:
+            if value is True:
+                out.append(f"--{key}")
+            elif value is not None:
+                out.append(f"--{key}={value}")
+        return out
+
+    chosen = st.tuples(*(values.map(lambda v, k=key: (k, v)) for key, values in options))
+    if stdin is None:
+        return chosen.map(lambda c: (argv(c), None))
+    return st.tuples(chosen.map(lambda c: argv(c) + ["--input=-"]), json_text(stdin))
+
+
+flag = st.sampled_from([None, True])
+size = st.integers(-2, 30)
+
+
+def maybe(values):
+    return st.none() | values
+
+
+def weyl(g):
+    return obj(
+        nu=mostly(st.permutations(range(1, g + 1))),
+        eps=mostly(st.lists(st.sampled_from([-1, 1]), min_size=g, max_size=g)),
+    )
+
+
+def torus(g):
+    dominant = st.lists(st.integers(0, 4), min_size=g, max_size=g).map(sorted).map(
+        lambda a: a[::-1]
+    )
+    return obj(a=mostly(dominant), a0=scalar)
+
+
+def hecke(g):
+    return command(
+        "hecke",
+        ("g", st.just(g)),
+        ("t", json_text(torus(max(g, 0)))),
+        ("weyl", maybe(json_text(weyl(max(g, 0))))),
+        ("all", flag),
+    )
+
+
+monomial = mostly(
+    st.dictionaries(st.sampled_from(["p", "chi_1", "chi_2", "sigma"]), scalar, max_size=3)
+)
+
+
+def recover_chi(g):
+    n = max(g, 0)
+    return command(
+        "recover-chi",
+        ("g", st.just(g)),
+        ("eigs", json_text(mostly(st.lists(monomial, min_size=n, max_size=n)))),
+        ("weights", json_text(obj(mu=vector(n), mu0=scalar))),
+        ("weyl", maybe(json_text(weyl(n)))),
+    )
+
+
+def slope_hilbert(places):
+    return command(
+        "slope",
+        ("family", st.just("hilbert")),
+        stdin=obj(
+            k=mostly(st.lists(st.sampled_from([2, 4, 12]), min_size=places, max_size=places)),
+            w=mostly(st.sampled_from([0, 2, -10])),
+            slopes=vector(places),
+        ),
+    )
+
+
+def slope_gsp(g, places):
+    return command(
+        "slope",
+        ("family", st.just("gsp")),
+        stdin=obj(
+            weights=mostly(st.lists(vector(g), min_size=places, max_size=places)),
+            mu0=scalar,
+            t=torus(g),
+            slopes=vector(places),
+            find_twist=mostly(st.booleans()),
+        ),
+    )
+
+
+#: (family, params, places, direction length, Hecke symbols per place)
+linv_shapes = st.one_of(
+    st.integers(1, 2).map(lambda places: ("hilbert", {}, places, places, 1)),
+    st.integers(1, 2).map(lambda places: ("gsp4_spin", {}, places, 2, 2)),
+    st.integers(2, 3).map(lambda g: ("gsp_std", {"g": g}, 1, g, g)),
+    st.just(("unitary", {"n": 1}, 1, 4, 4)),
+)
+
+
+def linv(family, params, places, length, symbols):
+    own_theorems = st.sampled_from([t for t, (f, _) in THEOREMS.items() if f == family])
+    gradients = st.fixed_dictionaries({f"a_{j}": scalar for j in range(1, symbols + 1)})
+    return command(
+        "linv",
+        ("family", st.just(family)),
+        ("compare-theorem", maybe(own_theorems | st.sampled_from(sorted(THEOREMS)))),
+        stdin=obj(
+            params=mostly(st.just(params)),
+            direction=obj(u=vector(length), u0=scalar),
+            places=mostly(
+                st.lists(obj(gradients=mostly(gradients)), min_size=places, max_size=places)
+            ),
+        ),
+    )
+
+
+argvs = st.one_of(
+    command(
+        "cg",
+        ("m", size),
+        ("n", size),
+        ("p", size),
+        ("table", flag),
+        ("u", maybe(size)),
+        ("v", maybe(size)),
+        ("w", maybe(size)),
+    ),
+    command("bcoeff", ("n", size), ("k", size), ("i", maybe(size))),
+    st.integers(-1, 8).flatmap(
+        lambda n: command(
+            "project-endo",
+            ("n", st.just(n)),
+            ("k", st.integers(-1, 8)),
+            ("diag", json_text(vector(max(n + 1, 0)))),
+        )
+    ),
+    command(
+        "phin",
+        ("case", st.sampled_from(CASES)),
+        ("n", st.integers(-1, 4)),
+        ("L", maybe(st.sampled_from(["1", "-2/3", "0", "1/0", "x", ""]))),
+        ("weight", maybe(st.integers(-1, 6))),
+        ("all-submodules", flag),
+        ("benois", flag),
+        ("gr1", flag),
+    ),
+    st.integers(-1, 3).flatmap(hecke),
+    st.integers(-1, 3).flatmap(recover_chi),
+    st.integers(1, 3).flatmap(slope_hilbert),
+    st.tuples(st.integers(1, 3), st.integers(1, 2)).flatmap(lambda gp: slope_gsp(*gp)),
+    command(
+        "obstruction",
+        (
+            "exponents",
+            st.lists(st.integers(-20, 20), max_size=8).map(lambda xs: ",".join(map(str, xs)))
+            | st.text(max_size=6),
+        ),
+        ("check-N", maybe(st.integers(-3, 60))),
+    ),
+    linv_shapes.flatmap(lambda shape: linv(*shape)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs)
+def test_every_accepted_argv_ends_in_one_json_line(case):
+    argv, stdin = case
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin or "")):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 2, 3), (argv, stdin, code)
+    text = out.getvalue()
+    assert text.endswith("\n") and text.count("\n") == 1, (argv, stdin, text)
+    payload = json.loads(text)
+    assert (code == 0) == ("error" not in payload), (argv, stdin, payload)

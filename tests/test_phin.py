@@ -8,11 +8,12 @@ from math import comb
 
 import pytest
 
-from linvariants.exactlin import Subspace
+from linvariants.exactlin import Matrix, Subspace
 from linvariants.phin import (
     CASES,
     CRYSTALLINE_NONSPLIT,
     CRYSTALLINE_SPLIT,
+    P_INVERSE,
     STEINBERG,
     EigenMonomial,
     UnsupportedInputError,
@@ -33,26 +34,45 @@ def contains(space, other):
     return space + other == space
 
 
+def dense(module, span):
+    return Subspace.coordinate(module.dim, span)
+
+
 def stable_submodules_oracle(module):
-    """Subset search: every coordinate span that is_stable accepts."""
-    dim = module.dim
-    found = []
-    for r in range(dim + 1):
-        for combo in combinations(range(dim), r):
-            space = Subspace.coordinate(dim, combo)
-            if is_stable(module, space):
-                found.append(space)
-    found.sort(key=lambda s: (s.dim, s.coordinate_support()))
+    """Subset search: every coordinate set that is_stable accepts."""
+    found = [
+        combo
+        for r in range(module.dim + 1)
+        for combo in combinations(range(module.dim), r)
+        if is_stable(module, combo)
+    ]
+    found.sort(key=lambda s: (len(s), s))
     return found
 
 
 def regular_by_intersection(module, stable):
     """The n-dimensional spans in `stable` whose intersection with Fil^0 is zero."""
     return [
-        space
-        for space in stable
-        if space.dim == module.n and space.intersect(module.fil0).dim == 0
+        span
+        for span in stable
+        if len(span) == module.n and dense(module, span).intersect(module.fil0).dim == 0
     ]
+
+
+def benois_by_linear_algebra(module, d):
+    """D_{-1}, D_0, D_1 by intersections, images and preimages of dense subspaces."""
+
+    def eigenspace(value):
+        return dense(module, [c for c, lam in enumerate(module.phi) if lam == value])
+
+    space, one = dense(module, d), eigenspace(EigenMonomial.one())
+    # (1 - p^{-1} phi^{-1}) is the scalar 1 - p^{-1} lambda^{-1} on the
+    # lambda-eigenline, zero iff lambda = p^{-1}
+    surviving = dense(module, [c for c in d if module.phi[c] != P_INVERSE])
+    d_minus1 = surviving + space.intersect(one).image_under(module.monodromy)
+    d_phi_pinv = space.intersect(eigenspace(P_INVERSE))
+    d_1 = space + one.intersect(d_phi_pinv.preimage_under(module.monodromy))
+    return tuple(x.coordinate_support() for x in (d_minus1, space, d_1))
 
 
 def test_monomial_algebra():
@@ -137,11 +157,11 @@ def test_stable_submodules_exhaustive_oracle():
     module = build_case(STEINBERG, 1)
     oracle = []
     for mask in range(8):
-        positions = [pos for pos in range(3) if mask >> pos & 1]
+        positions = tuple(pos for pos in range(3) if mask >> pos & 1)
         space = Subspace.coordinate(3, positions)
         image = space.image_under(module.monodromy)
         if contains(space, image):
-            oracle.append(space)
+            oracle.append(positions)
     assert set(oracle) == set(stable_submodules(module))
     assert len(oracle) == 4
 
@@ -165,9 +185,37 @@ def test_steinberg_chain_at_large_n():
 
 def test_monodromy_lowering_f_index_rejected():
     module = build_case(STEINBERG, 2)
-    lowering = dataclasses.replace(module, monodromy=module.monodromy.transpose())
     with pytest.raises(UnsupportedInputError):
-        stable_submodules(lowering)
+        dataclasses.replace(module, monodromy=module.monodromy.transpose())
+
+
+def test_steinberg_monodromy_on_unrelated_eigenvalues_rejected():
+    # the steinberg N raises the f-index, but N phi = p phi N fails for the
+    # eigenvalues r^i
+    nonsplit = build_case(CRYSTALLINE_NONSPLIT, 2)
+    steinberg = build_case(STEINBERG, 2)
+    with pytest.raises(UnsupportedInputError):
+        dataclasses.replace(nonsplit, monodromy=steinberg.monodromy)
+
+
+def test_monodromy_with_two_targets_in_one_column_rejected():
+    module = build_case(STEINBERG, 2)
+    entries = [list(row) for row in module.monodromy.entries]
+    entries[0][2] = F(1)  # f_0 now maps to both f_1 and f_2
+    with pytest.raises(UnsupportedInputError):
+        dataclasses.replace(module, monodromy=Matrix(entries))
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("n", range(1, 3))
+def test_is_stable_matches_image_containment(case, n):
+    module = build_case(case, n)
+    for r in range(module.dim + 1):
+        for combo in combinations(range(module.dim), r):
+            space = dense(module, combo)
+            assert is_stable(module, combo) == contains(
+                space, space.image_under(module.monodromy)
+            )
 
 
 def test_crystalline_stable_submodules_are_all_subsets():
@@ -201,9 +249,9 @@ def test_nonsplit_every_subset_regular(n):
 def test_regular_submodules_properties(n):
     for case in CASES:
         module = build_case(case, n)
-        for space in regular_submodules(module):
-            assert space.dim == n
-            assert space.intersect(module.fil0).dim == 0
+        for span in regular_submodules(module):
+            assert len(span) == n
+            assert dense(module, span).intersect(module.fil0).dim == 0
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -233,11 +281,28 @@ def test_filtration_monotone_and_stable(case, n):
     module = build_case(case, n)
     d = canonical_regular_submodule(module)
     filtration = benois_filtration(module, d)
-    assert contains(filtration.d_0, filtration.d_minus1)
-    assert contains(filtration.d_1, filtration.d_0)
-    for space in (filtration.d_minus1, filtration.d_0, filtration.d_1):
+    spans = (filtration.d_minus1, filtration.d_0, filtration.d_1)
+    assert spans == benois_by_linear_algebra(module, d)
+    d_minus1, d_0, d_1 = (dense(module, span) for span in spans)
+    assert contains(d_0, d_minus1)
+    assert contains(d_1, d_0)
+    for space in (d_minus1, d_0, d_1):
         assert contains(space, space.image_under(module.monodromy))
-        assert space.coordinate_support() is not None  # phi-stable
+
+
+@pytest.mark.parametrize(
+    "case, n",
+    [(case, n) for case in CASES for n in range(1, 4)]
+    + [(STEINBERG, n) for n in range(4, 7)],
+)
+def test_filtration_matches_linear_algebra_for_every_stable_d(case, n):
+    module = build_case(case, n)
+    for d in stable_submodules(module):
+        filtration = benois_filtration(module, d)
+        spans = (filtration.d_minus1, filtration.d_0, filtration.d_1)
+        assert spans == benois_by_linear_algebra(module, d)
+        rank, _ = gr1_data(module, d)
+        assert rank == len(filtration.d_1) - len(filtration.d_0)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -276,16 +341,16 @@ def test_steinberg_suite_at_random_l_values(n):
 
 def test_repeated_eigenvalues_rejected():
     base = build_case(CRYSTALLINE_NONSPLIT, 1)
-    broken = dataclasses.replace(base, phi=(base.phi[0],) * 3)
     with pytest.raises(UnsupportedInputError):
-        stable_submodules(broken)
+        dataclasses.replace(base, phi=(base.phi[0],) * 3)
 
 
 def test_benois_filtration_requires_stable_input():
+    # <f_1> is not N-closed: N f_1 = f_2
     module = build_case(STEINBERG, 2)
-    slanted = Subspace.from_vectors(5, [[1, 1, 0, 0, 0]])
+    assert not is_stable(module, module.f_span([1]))
     with pytest.raises(UnsupportedInputError):
-        benois_filtration(module, slanted)
+        benois_filtration(module, module.f_span([1]))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
