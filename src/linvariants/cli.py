@@ -169,6 +169,8 @@ def _cmd_hecke(args) -> tuple[dict, str | None, list | None]:
         raise CliError("torus exponent length differs from g")
     chi = weylhecke.CharacterData.generic(g)
     if args.all:
+        if args.weyl is not None:
+            raise CliError("--weyl and --all exclude each other")
         entries = [
             {
                 "weyl": w.to_json(),

@@ -8,9 +8,6 @@ numerators and denominators blow up independently.
 
 Subspaces are stored by their reduced row-echelon basis, which is a
 canonical form: two subspaces are equal iff their stored bases are equal.
-`Subspace.intersect`, `image_under`, `preimage_under` and
-`coordinate_support` have no caller in the library: they are the
-linear-algebra oracle the tests check `phin`'s coordinate sets against.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -145,10 +141,6 @@ class Matrix:
         return cls([[0] * cols for _ in range(rows)])
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
         return cls(list(zip(*cols))) if cols else cls([])
 
@@ -161,46 +153,11 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({[[str(x) for x in row] for row in self.entries]})"
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return self.entries[i][j]
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatchError("matrix shapes differ")
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.entries])
-
-    def scale(self, c) -> "Matrix":
-        c = rational(c)
-        return Matrix([[c * a for a in row] for row in self.entries])
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionMismatchError("inner dimensions differ")
-        cols = list(zip(*other.entries))
-        return Matrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
-        )
-
     def apply(self, v: Sequence) -> Vector:
         v = vector(v)
         if len(v) != self.cols:
             raise DimensionMismatchError("vector length differs from cols")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.entries))) if self.rows else Matrix([])
 
     def rref(self) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
         cached = self._rref
@@ -209,34 +166,16 @@ class Matrix:
             object.__setattr__(self, "_rref", cached)
         return cached
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def kernel(self) -> list[Vector]:
-        """Basis of the right kernel, one vector per free column."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v[c] = -reduced[r][f]
-            basis.append(tuple(v))
-        return basis
-
 
 class Subspace:
     """Subspace of Q^n stored by its canonical RREF basis."""
 
-    __slots__ = ("ambient_dim", "basis", "_ann")
+    __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, basis: tuple[Vector, ...]):
         # trusted constructor; use from_vectors for arbitrary spans
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_ann", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -249,10 +188,6 @@ class Subspace:
                 raise DimensionMismatchError("spanning vector has wrong length")
         basis, _ = _rref(rows)
         return cls(ambient_dim, basis)
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
 
     @classmethod
     def coordinate(cls, ambient_dim: int, positions: Iterable[int]) -> "Subspace":
@@ -282,61 +217,3 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-    def _check_ambient(self, other: "Subspace") -> None:
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatchError("ambient dimensions differ")
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
-
-    def annihilator_rows(self) -> list[Vector]:
-        """Functionals cutting out the subspace; empty for the full space."""
-        cached = self._ann
-        if cached is None:
-            if not self.basis:
-                cached = [
-                    tuple(row) for row in Matrix.identity(self.ambient_dim).entries
-                ]
-            else:
-                cached = Matrix(self.basis).kernel()
-            object.__setattr__(self, "_ann", cached)
-        return cached
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        constraints = self.annihilator_rows() + other.annihilator_rows()
-        return Subspace.from_vectors(
-            self.ambient_dim, _kernel_of_rows(constraints, self.ambient_dim)
-        )
-
-    def image_under(self, t: Matrix) -> "Subspace":
-        if t.cols != self.ambient_dim:
-            raise DimensionMismatchError("map domain differs from ambient")
-        return Subspace.from_vectors(t.rows, [t.apply(v) for v in self.basis])
-
-    def preimage_under(self, t: Matrix) -> "Subspace":
-        """{v : t(v) in self}."""
-        if t.rows != self.ambient_dim:
-            raise DimensionMismatchError("map codomain differs from ambient")
-        transposed = t.transpose()
-        constraints = [transposed.apply(f) for f in self.annihilator_rows()]
-        return Subspace.from_vectors(t.cols, _kernel_of_rows(constraints, t.cols))
-
-    def coordinate_support(self) -> tuple[int, ...] | None:
-        """Positions spanned, if this is a coordinate subspace; else None."""
-        support = []
-        for row in self.basis:
-            nonzero = [i for i, x in enumerate(row) if x]
-            if len(nonzero) != 1:
-                return None
-            support.append(nonzero[0])
-        return tuple(support)
-
-
-def _kernel_of_rows(rows: list[Vector], dim: int) -> list[Vector]:
-    """Kernel of the linear system given by `rows` inside Q^dim."""
-    if not rows:
-        return [tuple(row) for row in Matrix.identity(dim).entries]
-    return Matrix(rows).kernel()

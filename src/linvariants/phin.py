@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import comb
 
 from .exactlin import Matrix, Subspace, rational
@@ -222,6 +223,8 @@ def build_case(case: str, n: int, l_invariant=None, weight: int | None = None) -
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if weight is not None and case != CRYSTALLINE_SPLIT:
+        raise ValueError("weight only applies to the crystalline_split case")
     dim = 2 * n + 1
     if case == STEINBERG:
         l_value = rational(1 if l_invariant is None else l_invariant)
@@ -299,18 +302,29 @@ def stable_submodules(module: PhiNModule) -> list[tuple[int, ...]]:
 
 
 def regular_submodules(module: PhiNModule) -> list[tuple[int, ...]]:
-    """Stable submodules D of dimension n with D ^ Fil^0 = 0.
+    """Stable submodules D of dimension n with D ^ Fil^0 = 0, in closed form.
 
-    D ^ Fil^0 is the kernel of the projection of Fil^0 onto the coordinates
-    outside D, so it is zero exactly when that projection has full rank.
+    D misses Fil^0 exactly when the Fil^0 rows, restricted to the n + 1
+    coordinates outside D, are independent.  For the Fil^0 that `build_case`
+    builds this gives, per case:
+
+    * steinberg: the tail <f_n..f_1>, the only stable n-set; outside it the
+      row of (e2 - L e1)^n e1^a e2^(n-a) starts with 1 at e1-degree a, so
+      the restriction is unitriangular for every L;
+    * crystalline_split: the tail, since Fil^0 = <f_0..f_{-n}>;
+    * crystalline_nonsplit: every coordinate n-set.  By e1-degree, row a is
+      x^a (1+x)^n, and a minor of this banded Toeplitz matrix counts
+      non-crossing lattice paths (Lindstrom-Gessel-Viennot), so it is
+      positive exactly when its diagonal entries are: the matrix is almost
+      strictly totally positive (Gasca-Micchelli-Pena 1992).  The e1-degrees
+      c_0 < ... < c_n outside an n-set have a <= c_a <= a + n, so every
+      diagonal entry C(n, c_a - a) is positive.
+
+    The list is in the (len, positions) order of `stable_submodules`.
     """
-    fil0 = module.fil0.basis
-
-    def misses_fil0(span: tuple[int, ...]) -> bool:
-        outside = [c for c in range(module.dim) if c not in span]
-        return Matrix([[v[c] for c in outside] for v in fil0]).rank() == len(fil0)
-
-    return [s for s in stable_submodules(module) if len(s) == module.n and misses_fil0(s)]
+    if module.case == CRYSTALLINE_NONSPLIT:
+        return list(combinations(range(module.dim), module.n))
+    return [canonical_regular_submodule(module)]
 
 
 @dataclass(frozen=True)

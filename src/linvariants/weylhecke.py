@@ -54,6 +54,9 @@ class WeylElement:
     eps: tuple[int, ...]
 
     def __post_init__(self):
+        # bool and float equal to an int would pass the checks below
+        if not set(map(type, (*self.nu, *self.eps))) <= {int}:
+            raise TypeError("nu and eps entries must be integers")
         g = len(self.nu)
         if sorted(self.nu) != list(range(1, g + 1)):
             raise ValueError("nu is not a permutation of 1..g")

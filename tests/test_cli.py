@@ -102,6 +102,16 @@ def test_phin_zero_l_rejected(capsys):
     assert payload["error"]["code"] == "domain"
 
 
+@pytest.mark.parametrize(
+    "case, weight", [("steinberg", "7"), ("crystalline_nonsplit", "2")]
+)
+def test_phin_weight_outside_split_exit_2(capsys, case, weight):
+    # the weight used to be ignored outside crystalline_split
+    code, payload = run_json(capsys, "phin", "--case", case, "--n", "1", "--weight", weight)
+    assert code == 2
+    assert payload["error"]["code"] == "domain"
+
+
 def test_hecke_beta0(capsys):
     code, payload = run_json(
         capsys, "hecke", "--g", "2", "--t", '{"a": [0, 0], "a0": -1}'
@@ -116,6 +126,28 @@ def test_hecke_all_weyl(capsys):
     )
     assert code == 0
     assert len(payload["eigenvalues"]) == 8
+
+
+def test_hecke_weyl_with_all_exit_2(capsys):
+    # --weyl used to go unparsed under --all
+    code, payload = run_json(
+        capsys, "hecke", "--g", "2", "--t", '{"a": [1, 0], "a0": 0}',
+        "--weyl", "garbage", "--all",
+    )
+    assert code == 2
+    assert payload["error"]["code"] == "input"
+
+
+@pytest.mark.parametrize(
+    "weyl", ['{"nu": [true, 2], "eps": [1, 1]}', '{"nu": [1, 2], "eps": [1.0, 1]}']
+)
+def test_hecke_non_integer_weyl_exit_2(capsys, weyl):
+    # true == 1 and 1.0 == 1 used to pass as indices and signs
+    code, payload = run_json(
+        capsys, "hecke", "--g", "2", "--t", '{"a": [1, 0], "a0": 0}', "--weyl", weyl
+    )
+    assert code == 2
+    assert payload["error"]["code"] == "domain"
 
 
 def test_recover_chi_round_trip(capsys):
