@@ -2,10 +2,10 @@
 
 Submodules:
 
-* exactlin  -- rational matrices, fraction-free elimination, subspaces
+* exactlin  -- exact scalars, rational matrices, fraction-free elimination
 * sl2rep    -- sl(2) actions on Sym^m V and End(Sym^n V), brute-force oracle
 * plethysm  -- inverse Clebsch-Gordan tables and the B_{n,k,i} rows
-* phin      -- filtered (phi,N)-modules, regular submodules, the 3-step filtration
+* phin      -- (phi,N)-modules, N as a coordinate map, the 3-step filtration
 * weylhecke -- GSp(2g) Weyl combinatorics, Hecke eigenvalues, slope bounds
 * linv      -- triangulation data and the L-invariant closed forms
 * cli       -- JSON/CSV command-line interface

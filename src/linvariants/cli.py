@@ -18,6 +18,13 @@ from .exactlin import rational
 from .sl2rep import InternalConsistencyError
 
 
+#: largest sizes whose exponential listings are computed: `hecke --all`
+#: prints 2^g g! rows, `phin --all-submodules` without monodromy 2^(2n+1)
+#: stable sets; one step past each cap costs over 200 MB
+HECKE_ALL_MAX_G = 6
+ALL_SUBMODULES_MAX_N = 8
+
+
 class CliError(Exception):
     def __init__(self, message: str, exit_code: int = 2):
         super().__init__(message)
@@ -117,6 +124,11 @@ def _subspace_json(module: phin.PhiNModule, space) -> list[int]:
 
 
 def _cmd_phin(args) -> tuple[dict, str | None, list | None]:
+    if args.all_submodules and args.case != phin.STEINBERG and args.n > ALL_SUBMODULES_MAX_N:
+        raise CliError(
+            f"--all-submodules lists 2^(2n+1) sets in case {args.case}; "
+            f"n > {ALL_SUBMODULES_MAX_N} is refused"
+        )
     module = phin.build_case(
         args.case, args.n, l_invariant=args.L, weight=args.weight
     )
@@ -124,7 +136,9 @@ def _cmd_phin(args) -> tuple[dict, str | None, list | None]:
         "case": module.case,
         "n": module.n,
         "dim": module.dim,
-        "fil0_dim": module.fil0.dim,
+        # Fil^0 is the multiples of a nonzero degree-n form, and multiplying
+        # by it is injective on the n+1 monomials of degree n
+        "fil0_dim": module.n + 1,
         "phi": [_monomial_json(lam) for lam in module.phi],
     }
     if module.l_invariant is not None:
@@ -163,6 +177,8 @@ def _weyl_from_args(args, g: int) -> weylhecke.WeylElement:
 
 def _cmd_hecke(args) -> tuple[dict, str | None, list | None]:
     g = args.g
+    if args.all and g > HECKE_ALL_MAX_G:
+        raise CliError(f"--all lists 2^g g! Weyl elements; g > {HECKE_ALL_MAX_G} is refused")
     t_obj = _parse_json_arg(args.t, "--t")
     t = weylhecke.TorusExponent.make(t_obj["a"], t_obj["a0"])
     if t.g != g:

@@ -1,13 +1,11 @@
-"""Exact rational linear algebra: dense matrices and subspaces over Q.
+"""Exact rational linear algebra: scalars, vectors and dense matrices over Q.
 
 Everything is computed with `fractions.Fraction`, so results are exact.
 The elimination core is fraction-free (Bareiss): rows are scaled to
 integers and the forward pass uses the two-term minor update, which keeps
 intermediate entries bounded by minors of the input instead of letting
-numerators and denominators blow up independently.
-
-Subspaces are stored by their reduced row-echelon basis, which is a
-canonical form: two subspaces are equal iff their stored bases are equal.
+numerators and denominators blow up independently.  Its one library
+caller is `sl2rep`'s brute-force change of basis, through `Matrix.rref`.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class DimensionMismatchError(ValueError):
@@ -137,10 +134,6 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
         return cls(list(zip(*cols))) if cols else cls([])
 
@@ -165,55 +158,3 @@ class Matrix:
             cached = _rref(self.entries)
             object.__setattr__(self, "_rref", cached)
         return cached
-
-
-class Subspace:
-    """Subspace of Q^n stored by its canonical RREF basis."""
-
-    __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim: int, basis: tuple[Vector, ...]):
-        # trusted constructor; use from_vectors for arbitrary spans
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
-
-    @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [vector(v) for v in vectors]
-        for v in rows:
-            if len(v) != ambient_dim:
-                raise DimensionMismatchError("spanning vector has wrong length")
-        basis, _ = _rref(rows)
-        return cls(ambient_dim, basis)
-
-    @classmethod
-    def coordinate(cls, ambient_dim: int, positions: Iterable[int]) -> "Subspace":
-        # sorted unit vectors are already in reduced row-echelon form
-        basis = []
-        for pos in sorted(set(positions)):
-            if not 0 <= pos < ambient_dim:
-                raise DimensionMismatchError("coordinate position out of range")
-            basis.append(
-                tuple(_ONE if j == pos else _ZERO for j in range(ambient_dim))
-            )
-        return cls(ambient_dim, tuple(basis))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

@@ -6,12 +6,18 @@ i = n, n-1, ..., -n (that descending order indexes coordinates here).
 Three local shapes occur:
 
 * steinberg: phi(f_i) = p^{-i}, monodromy N f_i = (n-i) f_{i+1} (the
-  derivation extending N e2 = e1), Fil^0 spanned by the expansions of
-  (e2 - L e1)^n e1^a e2^(n-a) for a nonzero Fontaine-Mazur parameter L;
+  derivation extending N e2 = e1);
 * crystalline_split (ordinary): phi(f_i) = alpha^{2i} p^{i(k-1)} with
-  v_p(alpha) = 0, N = 0, Fil^0 = <f_0, ..., f_{-n}>;
+  v_p(alpha) = 0, N = 0;
 * crystalline_nonsplit: phi(f_i) = r^i for the formal eigenvalue ratio
-  r = alpha/beta, N = 0, Fil^0 spanned by (e1 + e2)^n e1^a e2^(n-a).
+  r = alpha/beta, N = 0.
+
+Fil^0 is fixed by (case, n, L): it is the (n+1)-dimensional space of
+degree-2n polynomials divisible by (c1 e1 + c2 e2)^n, spanned by
+(c1 e1 + c2 e2)^n e1^a e2^(n-a) for a = 0..n, with root (c1, c2) = (-L, 1)
+for steinberg, (0, 1) for crystalline_split (so Fil^0 = <f_0, ..., f_{-n}>)
+and (1, 1) for crystalline_nonsplit.  The library reads it only through
+`regular_submodules`, whose per-case answer is proved for these roots.
 
 Frobenius eigenvalues live in a free multiplicative monomial group
 (EigenMonomial): equality against 1 or p^{-1} is exponent comparison,
@@ -27,8 +33,10 @@ whose graded piece D_1/D_0 must come out one-dimensional with trivial
 Frobenius eigenvalue in every regular case.
 
 Distinct eigenvalues and N phi = p phi N, checked at construction, make
-every (phi, N)-stable space a span of f-basis vectors.  It is stored as the
-sorted tuple of its coordinates, and the filtration is read off N's map.
+N a coordinate map: each f-basis vector goes onto a multiple of one other,
+or to 0.  So every (phi, N)-stable space is a span of f-basis vectors.  It
+is stored as the sorted tuple of its coordinates, and the filtration is
+read off N's map.
 """
 
 from __future__ import annotations
@@ -37,17 +45,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import comb
 
-from .exactlin import Matrix, Subspace, rational
+from .exactlin import rational
 
 STEINBERG = "steinberg"
 CRYSTALLINE_SPLIT = "crystalline_split"
 CRYSTALLINE_NONSPLIT = "crystalline_nonsplit"
 CASES = (STEINBERG, CRYSTALLINE_SPLIT, CRYSTALLINE_NONSPLIT)
-
-#: default p-adic valuations of the formal symbols
-SYMBOL_VALUATIONS = {"p": Fraction(1)}
 
 
 class UnsupportedInputError(ValueError):
@@ -104,13 +108,6 @@ class EigenMonomial:
     def is_one(self) -> bool:
         return not self.exponents
 
-    def valuation(self, symbol_valuations: dict[str, Fraction] | None = None) -> Fraction:
-        """Additive valuation from declared per-symbol valuations (default v_p(p)=1)."""
-        vals = SYMBOL_VALUATIONS if symbol_valuations is None else symbol_valuations
-        return sum(
-            (e * vals.get(sym, Fraction(0)) for sym, e in self.exponents), Fraction(0)
-        )
-
     def __repr__(self) -> str:
         if not self.exponents:
             return "1"
@@ -126,29 +123,29 @@ P_INVERSE = EigenMonomial.p_power(-1)
 
 @dataclass(frozen=True)
 class PhiNModule:
-    """Diagonal-Frobenius filtered (phi, N)-module in the f-basis.
+    """Diagonal-Frobenius (phi, N)-module in the f-basis.
 
     Coordinates follow the descending index order f_n, ..., f_{-n}; the
-    f-index i sits at coordinate n - i.
+    f-index i sits at coordinate n - i.  `monodromy[c]` is the coordinate
+    N sends coordinate c onto, or None where N kills it.
     """
 
     case: str
     n: int
     phi: tuple[EigenMonomial, ...]  # eigenvalue of f at each coordinate
-    monodromy: Matrix
-    fil0: Subspace
+    monodromy: tuple[int | None, ...]
     l_invariant: Fraction | None = None
-    weight: int | None = None
 
     def __post_init__(self):
-        # The standing hypotheses.  Together they leave at most one nonzero
-        # entry per column of N and no two columns with the same target row.
+        # The standing hypotheses.  With distinct eigenvalues, N phi = p phi N
+        # leaves no two coordinates with the same target.
         if len(set(self.phi)) != self.dim:
             raise UnsupportedInputError("repeated Frobenius eigenvalues")
-        for row, entries in enumerate(self.monodromy.entries):
-            for col, x in enumerate(entries):
-                if x and (row >= col or self.phi[row] != P_INVERSE * self.phi[col]):
-                    raise UnsupportedInputError("monodromy must raise the f-index, N phi = p phi N")
+        for col, row in enumerate(self.monodromy):
+            if row is not None and not (
+                0 <= row < col and self.phi[row] == P_INVERSE * self.phi[col]
+            ):
+                raise UnsupportedInputError("monodromy must raise the f-index, N phi = p phi N")
 
     @property
     def dim(self) -> int:
@@ -168,52 +165,6 @@ class PhiNModule:
     def f_indices_of(self, span: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted((self.f_index(c) for c in span), reverse=True))
 
-    def eigenvalue(self, f_index: int) -> EigenMonomial:
-        return self.phi[self.coordinate(f_index)]
-
-    def monodromy_target(self, col: int) -> int | None:
-        """The coordinate N maps coordinate `col` onto, or None if N kills it."""
-        entries = self.monodromy.entries
-        return next((row for row in range(col) if entries[row][col]), None)
-
-
-def _poly_to_f_coordinates(n: int, e1_coeffs: dict[int, Fraction]) -> tuple[Fraction, ...]:
-    """Degree-2n homogeneous polynomial, keyed by e1-degree, to f-coordinates."""
-    out = [Fraction(0)] * (2 * n + 1)
-    for a, c in e1_coeffs.items():
-        # e1^a e2^(2n-a) = f_{a-n} at coordinate n - (a - n) = 2n - a
-        out[2 * n - a] = c
-    return tuple(out)
-
-
-def _filtration_span(n: int, root: tuple[Fraction, Fraction]) -> Subspace:
-    """Span of (c1 e1 + c2 e2)^n e1^a e2^(n-a), a = 0..n, in f-coordinates.
-
-    With root = (c1, c2) this is the space of degree-2n polynomials
-    divisible by (c1 e1 + c2 e2)^n, which is (n+1)-dimensional.
-    """
-    c1, c2 = root
-    base = {t: Fraction(comb(n, t)) * c1**t * c2 ** (n - t) for t in range(n + 1)}
-    vectors = []
-    for a in range(n + 1):
-        shifted = {t + a: c for t, c in base.items()}
-        vectors.append(_poly_to_f_coordinates(n, shifted))
-    return Subspace.from_vectors(2 * n + 1, vectors)
-
-
-def steinberg_fil0(n: int, l_value: Fraction) -> Subspace:
-    """Fil^0 for the semistable case: multiples of (e2 - L e1)^n."""
-    return _filtration_span(n, (-l_value, Fraction(1)))
-
-
-def _monodromy_matrix(n: int) -> Matrix:
-    """N f_i = (n - i) f_{i+1}: derivation extending N e2 = e1, N e1 = 0."""
-    dim = 2 * n + 1
-    entries = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(-n, n):
-        entries[n - (i + 1)][n - i] = Fraction(n - i)
-    return Matrix(entries)
-
 
 def build_case(case: str, n: int, l_invariant=None, weight: int | None = None) -> PhiNModule:
     """Construct one of the three local module shapes for Sym^{2n}.
@@ -225,54 +176,26 @@ def build_case(case: str, n: int, l_invariant=None, weight: int | None = None) -
         raise ValueError("n must be at least 1")
     if weight is not None and case != CRYSTALLINE_SPLIT:
         raise ValueError("weight only applies to the crystalline_split case")
-    dim = 2 * n + 1
+    if l_invariant is not None and case != STEINBERG:
+        raise ValueError("L-parameter only applies to the steinberg case")
+    indices = range(n, -n - 1, -1)
+    killed = (None,) * (2 * n + 1)
     if case == STEINBERG:
         l_value = rational(1 if l_invariant is None else l_invariant)
         if l_value == 0:
             raise ValueError("steinberg case requires a nonzero L-parameter")
-        phi = tuple(EigenMonomial.p_power(-i) for i in range(n, -n - 1, -1))
-        module = PhiNModule(
-            case=case,
-            n=n,
-            phi=phi,
-            monodromy=_monodromy_matrix(n),
-            fil0=steinberg_fil0(n, l_value),
-            l_invariant=l_value,
-        )
-    elif case == CRYSTALLINE_SPLIT:
-        if l_invariant is not None:
-            raise ValueError("L-parameter only applies to the steinberg case")
+        phi = tuple(EigenMonomial.p_power(-i) for i in indices)
+        # N f_i = (n - i) f_{i+1}: coordinate c goes onto c - 1, f_n is killed
+        return PhiNModule(case, n, phi, (None, *range(2 * n)), l_invariant=l_value)
+    if case == CRYSTALLINE_SPLIT:
         k = 2 if weight is None else weight
         if k < 2:
             raise ValueError("weight must be at least 2")
-        phi = tuple(
-            EigenMonomial.from_dict({"alpha": 2 * i, "p": i * (k - 1)})
-            for i in range(n, -n - 1, -1)
-        )
-        module = PhiNModule(
-            case=case,
-            n=n,
-            phi=phi,
-            monodromy=Matrix.zero(dim, dim),
-            fil0=Subspace.coordinate(dim, range(n, dim)),  # f_0, ..., f_{-n}
-            weight=k,
-        )
-    elif case == CRYSTALLINE_NONSPLIT:
-        if l_invariant is not None:
-            raise ValueError("L-parameter only applies to the steinberg case")
-        phi = tuple(EigenMonomial.symbol("r", i) for i in range(n, -n - 1, -1))
-        module = PhiNModule(
-            case=case,
-            n=n,
-            phi=phi,
-            monodromy=Matrix.zero(dim, dim),
-            fil0=_filtration_span(n, (Fraction(1), Fraction(1))),
-        )
-    else:
-        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-    if module.fil0.dim != n + 1:
-        raise UnsupportedInputError("Fil^0 is not (n+1)-dimensional")
-    return module
+        phi = tuple(EigenMonomial.from_dict({"alpha": 2 * i, "p": i * (k - 1)}) for i in indices)
+        return PhiNModule(case, n, phi, killed)
+    if case == CRYSTALLINE_NONSPLIT:
+        return PhiNModule(case, n, tuple(EigenMonomial.symbol("r", i) for i in indices), killed)
+    raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
 
 
 def canonical_regular_submodule(module: PhiNModule) -> tuple[int, ...]:
@@ -282,7 +205,7 @@ def canonical_regular_submodule(module: PhiNModule) -> tuple[int, ...]:
 
 def is_stable(module: PhiNModule, span: tuple[int, ...]) -> bool:
     """N-stability of a coordinate span; phi-stability is automatic."""
-    return all(module.monodromy_target(c) in (None, *span) for c in span)
+    return all(module.monodromy[c] in (None, *span) for c in span)
 
 
 def stable_submodules(module: PhiNModule) -> list[tuple[int, ...]]:
@@ -295,7 +218,7 @@ def stable_submodules(module: PhiNModule) -> list[tuple[int, ...]]:
     """
     closed: list[tuple[int, ...]] = [()]
     for col in range(module.dim):
-        target = module.monodromy_target(col)
+        target = module.monodromy[col]
         closed += [s + (col,) for s in closed if target is None or target in s]
     closed.sort(key=lambda s: (len(s), s))
     return closed
@@ -305,8 +228,8 @@ def regular_submodules(module: PhiNModule) -> list[tuple[int, ...]]:
     """Stable submodules D of dimension n with D ^ Fil^0 = 0, in closed form.
 
     D misses Fil^0 exactly when the Fil^0 rows, restricted to the n + 1
-    coordinates outside D, are independent.  For the Fil^0 that `build_case`
-    builds this gives, per case:
+    coordinates outside D, are independent.  For Fil^0 as the module
+    docstring fixes it this gives, per case:
 
     * steinberg: the tail <f_n..f_1>, the only stable n-set; outside it the
       row of (e2 - L e1)^n e1^a e2^(n-a) starts with 1 at e1-degree a, so
@@ -343,10 +266,10 @@ def benois_filtration(module: PhiNModule, d: tuple[int, ...]) -> BenoisFiltratio
     if not is_stable(module, d):
         raise UnsupportedInputError("D must be phi- and N-stable")
     kept = {c for c in d if module.phi[c] != P_INVERSE}
-    images = {module.monodromy_target(c) for c in d if module.phi[c].is_one()} - {None}
+    images = {module.monodromy[c] for c in d if module.phi[c].is_one()} - {None}
     lifted = {
         c for c in range(module.dim)
-        if module.phi[c].is_one() and module.monodromy_target(c) in (None, *d)
+        if module.phi[c].is_one() and module.monodromy[c] in (None, *d)
     }
     return BenoisFiltration(tuple(sorted(kept | images)), d, tuple(sorted(lifted.union(d))))
 

@@ -222,15 +222,6 @@ def act_on_end(x: str, t: EndoElement) -> EndoElement:
     return EndoElement(n, tuple(tuple(row) for row in out))
 
 
-def rep_action_matrix(x: str, m: int) -> Matrix:
-    """Matrix of L or R on Sym^m V in the g-basis."""
-    cols = []
-    for i in range(m + 1):
-        image = (lower if x == LOWER else raise_)(RepVector.basis(m, i))
-        cols.append(image.coeffs)
-    return Matrix.from_columns(cols)
-
-
 def highest_weight_vector(n: int, k: int) -> EndoElement:
     """v_{2k} = sum_i C(k+i, i) g_{n,i} (x) g_{n,k+i}^v, killed by R, weight 2k."""
     if not 0 <= k <= n:

@@ -2,19 +2,83 @@
 
 The library keeps only the elimination it calls (`exactlin._rref` and its
 forward Bareiss pass).  The tests check `phin`'s closed forms and coordinate
-formulas against the plain definitions below, built on the same elimination.
+formulas against the plain definitions below, built on the same elimination:
+dense subspaces, and a module's N and Fil^0 built from the paper's formulas
+rather than read from the module.
 """
 
 from fractions import Fraction
+from math import comb
+from typing import Iterable, Sequence
 
 from linvariants.exactlin import (
     DimensionMismatchError,
     Matrix,
-    Subspace,
     Vector,
     _bareiss_echelon,
+    _rref,
     _to_integer_rows,
+    vector,
 )
+from linvariants.phin import CRYSTALLINE_NONSPLIT, CRYSTALLINE_SPLIT, STEINBERG
+
+
+class Subspace:
+    """Subspace of Q^n stored by its canonical RREF basis.
+
+    Reduced row-echelon form is canonical: two subspaces are equal iff
+    their stored bases are equal.
+    """
+
+    __slots__ = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: tuple[Vector, ...]):
+        # trusted constructor; use from_vectors for arbitrary spans
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Subspace is immutable")
+
+    @classmethod
+    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
+        rows = [vector(v) for v in vectors]
+        for v in rows:
+            if len(v) != ambient_dim:
+                raise DimensionMismatchError("spanning vector has wrong length")
+        basis, _ = _rref(rows)
+        return cls(ambient_dim, basis)
+
+    @classmethod
+    def coordinate(cls, ambient_dim: int, positions: Iterable[int]) -> "Subspace":
+        # sorted unit vectors are already in reduced row-echelon form
+        basis = []
+        for pos in sorted(set(positions)):
+            if not 0 <= pos < ambient_dim:
+                raise DimensionMismatchError("coordinate position out of range")
+            basis.append(tuple(Fraction(int(j == pos)) for j in range(ambient_dim)))
+        return cls(ambient_dim, tuple(basis))
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Subspace)
+            and self.ambient_dim == other.ambient_dim
+            and self.basis == other.basis
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self) -> str:
+        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def zero_matrix(rows: int, cols: int) -> Matrix:
+    return Matrix([[0] * cols for _ in range(rows)])
 
 
 def identity(n: int) -> Matrix:
@@ -121,13 +185,48 @@ def coordinate_support(u: Subspace) -> tuple[int, ...] | None:
     return tuple(support)
 
 
+def monodromy_matrix(module) -> Matrix:
+    """Dense N in the f-basis: N f_i = (n - i) f_{i+1} for steinberg, else 0.
+
+    This is the derivation extending N e2 = e1, N e1 = 0.
+    """
+    n, dim = module.n, module.dim
+    entries = [[Fraction(0)] * dim for _ in range(dim)]
+    if module.case == STEINBERG:
+        for i in range(-n, n):
+            entries[n - (i + 1)][n - i] = Fraction(n - i)
+    return Matrix(entries)
+
+
+def fil0_space(module) -> Subspace:
+    """Span of (c1 e1 + c2 e2)^n e1^a e2^(n-a), a = 0..n, in f-coordinates.
+
+    The root (c1, c2) is (-L, 1) for steinberg, (0, 1) for crystalline_split
+    and (1, 1) for crystalline_nonsplit.  The monomial e1^a e2^(2n-a) is
+    f_{a-n}, at coordinate 2n - a.
+    """
+    n = module.n
+    if module.case == STEINBERG:
+        c1, c2 = -module.l_invariant, 1
+    else:
+        c1, c2 = {CRYSTALLINE_SPLIT: (0, 1), CRYSTALLINE_NONSPLIT: (1, 1)}[module.case]
+    base = [Fraction(comb(n, t) * c1**t * c2 ** (n - t)) for t in range(n + 1)]
+    vectors = []
+    for a in range(n + 1):
+        row = [Fraction(0)] * (2 * n + 1)
+        for t, c in enumerate(base):
+            row[2 * n - (t + a)] = c
+        vectors.append(row)
+    return Subspace.from_vectors(2 * n + 1, vectors)
+
+
 def regular_by_rank(module, stable) -> list[tuple[int, ...]]:
     """The n-dimensional spans in `stable` that miss Fil^0, by one rank test each.
 
     D ^ Fil^0 is the kernel of the projection of Fil^0 onto the coordinates
     outside D, so it is zero exactly when that projection has full rank.
     """
-    fil0 = _to_integer_rows(module.fil0.basis)
+    fil0 = _to_integer_rows(fil0_space(module).basis)
 
     def misses_fil0(span):
         outside = [c for c in range(module.dim) if c not in span]

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -110,6 +111,35 @@ def test_phin_weight_outside_split_exit_2(capsys, case, weight):
     code, payload = run_json(capsys, "phin", "--case", case, "--n", "1", "--weight", weight)
     assert code == 2
     assert payload["error"]["code"] == "domain"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hecke", "--g", "7", "--t", '{"a": [7, 6, 5, 4, 3, 2, 1], "a0": 0}', "--all"],
+        ["hecke", "--g", "8", "--t", '{"a": [0, 0, 0, 0, 0, 0, 0, 0], "a0": 1}', "--all"],
+        ["phin", "--case", "crystalline_split", "--n", "9", "--all-submodules"],
+        ["phin", "--case", "crystalline_nonsplit", "--n", "10", "--all-submodules", "--gr1"],
+    ],
+)
+def test_exponential_listing_past_its_cap_exits_2_at_once(capsys, argv):
+    # 2^g g! Weyl elements, 2^(2n+1) stable sets: refused before enumerating
+    start = time.perf_counter()
+    code, payload = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 0.2
+    assert code == 2
+    assert payload["error"]["code"] == "input"
+
+
+def test_caps_refuse_only_exponential_listings(capsys):
+    # steinberg has 2n+2 stable sets, and one Weyl element is one row
+    code, payload = run_json(capsys, "phin", "--case", "steinberg", "--n", "40", "--all-submodules")
+    assert code == 0 and len(payload["stable_submodules"]) == 82
+    code, payload = run_json(
+        capsys, "hecke", "--g", "8", "--t", '{"a": [0, 0, 0, 0, 0, 0, 0, 0], "a0": 1}', "--weyl",
+        '{"nu": [8, 7, 6, 5, 4, 3, 2, 1], "eps": [1, -1, 1, -1, 1, -1, 1, -1]}',
+    )
+    assert code == 0 and payload["weyl"]["nu"] == [8, 7, 6, 5, 4, 3, 2, 1]
 
 
 def test_hecke_beta0(capsys):

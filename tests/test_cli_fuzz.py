@@ -3,21 +3,28 @@
 Every subcommand is driven in-process with generated options and JSON
 payloads.  Each JSON node is mostly well-formed, so the requests reach the
 computations, and otherwise any JSON value at all: strings, bools, floats,
-null, nested lists and objects.  Sizes stay small (n <= 4, g <= 3, at most
-8 exponents, cg and bcoeff sizes <= 30), so the run takes a few seconds.
+null, nested lists and objects.  Sizes cross the caps on exponential
+listings (phin n <= 10, hecke g <= 8) and otherwise stay small (g <= 3
+elsewhere, at most 8 exponents, cg and bcoeff sizes <= 30).  Every example
+must finish within `EXAMPLE_SECONDS`.
 """
 
 import contextlib
 import io
 import json
+import time
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linvariants.cli import main
 from linvariants.linv import THEOREMS
 from linvariants.phin import CASES
+
+#: wall-time bound per request; the slowest requests allowed here, phin
+#: --all-submodules in a crystalline case at n = 8, take about 1.5 s
+EXAMPLE_SECONDS = 5
 
 anything = st.recursive(
     st.none()
@@ -201,14 +208,16 @@ argvs = st.one_of(
     command(
         "phin",
         ("case", st.sampled_from(CASES)),
-        ("n", st.integers(-1, 4)),
+        ("n", st.integers(-1, 10)),
         ("L", maybe(st.sampled_from(["1", "-2/3", "0", "1/0", "x", ""]))),
         ("weight", maybe(st.integers(-1, 6))),
         ("all-submodules", flag),
         ("benois", flag),
         ("gr1", flag),
     ),
-    st.integers(-1, 3).flatmap(hecke),
+    # g = 6 is left out: its --all listing, the largest allowed, takes about
+    # 10 s, which the cost table in CHANGES.md records
+    (st.integers(-1, 5) | st.integers(7, 8)).flatmap(hecke),
     st.integers(-1, 3).flatmap(recover_chi),
     st.integers(1, 3).flatmap(slope_hilbert),
     st.tuples(st.integers(1, 3), st.integers(1, 2)).flatmap(lambda gp: slope_gsp(*gp)),
@@ -227,12 +236,19 @@ argvs = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(argvs)
+# both sides of each cap, whatever the draw
+@example((["phin", "--case=crystalline_nonsplit", "--n=8", "--all-submodules", "--gr1"], None))
+@example((["phin", "--case=crystalline_split", "--n=10", "--all-submodules"], None))
+@example((["hecke", "--g=7", '--t={"a": [0, 0, 0, 0, 0, 0, 0], "a0": 1}', "--all"], None))
+@example((["hecke", "--g=8", '--t={"a": [1, 1, 1, 1, 1, 1, 1, 1], "a0": 0}', "--all"], None))
 def test_every_accepted_argv_ends_in_one_json_line(case):
     argv, stdin = case
     out = io.StringIO()
+    start = time.perf_counter()
     with mock.patch("sys.stdin", io.StringIO(stdin or "")):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
+    assert time.perf_counter() - start < EXAMPLE_SECONDS, (argv, stdin)
     assert code in (0, 2, 3), (argv, stdin, code)
     text = out.getvalue()
     assert text.endswith("\n") and text.count("\n") == 1, (argv, stdin, text)

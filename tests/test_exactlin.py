@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linalg_oracle import (
+    Subspace,
     coordinate_support,
     identity,
     image_under,
@@ -16,12 +17,12 @@ from linalg_oracle import (
     preimage_under,
     rank,
     span_sum,
+    zero_matrix,
     zero_space,
 )
 from linvariants.exactlin import (
     DimensionMismatchError,
     Matrix,
-    Subspace,
     rational,
 )
 
@@ -58,7 +59,7 @@ def test_solve_identity():
 
 
 def test_solve_zero_map():
-    zero = Matrix.zero(2, 2)
+    zero = zero_matrix(2, 2)
     assert rank(zero) == 0
     assert kernel(zero) == [(F(1), F(0)), (F(0), F(1))]
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb
@@ -9,16 +10,17 @@ from math import comb
 import pytest
 
 from linalg_oracle import (
+    Subspace,
     contains,
     coordinate_support,
+    fil0_space,
     image_under,
     intersect,
+    monodromy_matrix,
     preimage_under,
     regular_by_rank,
     span_sum,
-    transpose,
 )
-from linvariants.exactlin import Matrix, Subspace
 from linvariants.phin import (
     CASES,
     CRYSTALLINE_NONSPLIT,
@@ -34,10 +36,21 @@ from linvariants.phin import (
     is_stable,
     regular_submodules,
     stable_submodules,
-    steinberg_fil0,
 )
 
 rng = random.Random(313)
+
+#: p-adic valuations of the formal symbols: only p carries one, v_p(alpha) = 0
+SYMBOL_VALUATIONS = {"p": F(1)}
+
+
+def valuation(monomial, symbol_valuations=SYMBOL_VALUATIONS):
+    """Additive valuation of a monomial from declared per-symbol valuations."""
+    return sum((e * symbol_valuations.get(sym, F(0)) for sym, e in monomial.exponents), F(0))
+
+
+def eigenvalue(module, f_index):
+    return module.phi[module.coordinate(f_index)]
 
 
 def dense(module, span):
@@ -58,10 +71,11 @@ def stable_submodules_oracle(module):
 
 def regular_by_intersection(module, stable):
     """The n-dimensional spans in `stable` whose intersection with Fil^0 is zero."""
+    fil0 = fil0_space(module)
     return [
         span
         for span in stable
-        if len(span) == module.n and intersect(dense(module, span), module.fil0).dim == 0
+        if len(span) == module.n and intersect(dense(module, span), fil0).dim == 0
     ]
 
 
@@ -72,12 +86,13 @@ def benois_by_linear_algebra(module, d):
         return dense(module, [c for c, lam in enumerate(module.phi) if lam == value])
 
     space, one = dense(module, d), eigenspace(EigenMonomial.one())
+    n_matrix = monodromy_matrix(module)
     # (1 - p^{-1} phi^{-1}) is the scalar 1 - p^{-1} lambda^{-1} on the
     # lambda-eigenline, zero iff lambda = p^{-1}
     surviving = dense(module, [c for c in d if module.phi[c] != P_INVERSE])
-    d_minus1 = span_sum(surviving, image_under(intersect(space, one), module.monodromy))
+    d_minus1 = span_sum(surviving, image_under(intersect(space, one), n_matrix))
     d_phi_pinv = intersect(space, eigenspace(P_INVERSE))
-    d_1 = span_sum(space, intersect(one, preimage_under(d_phi_pinv, module.monodromy)))
+    d_1 = span_sum(space, intersect(one, preimage_under(d_phi_pinv, n_matrix)))
     return tuple(coordinate_support(x) for x in (d_minus1, space, d_1))
 
 
@@ -88,8 +103,8 @@ def test_monomial_algebra():
     assert (p * r) ** 3 == EigenMonomial.from_dict({"p": 6, "r": 3})
     assert p != r
     assert EigenMonomial.from_dict({"r": 0}) == EigenMonomial.one()
-    assert (p * r).valuation() == 2  # only p carries valuation by default
-    assert p.valuation({"p": F(1, 2)}) == 1
+    assert valuation(p * r) == 2  # only p carries valuation by default
+    assert valuation(p, {"p": F(1, 2)}) == 1
 
 
 def test_steinberg_rejects_zero_parameter():
@@ -101,7 +116,7 @@ def test_steinberg_monodromy_superdiagonal():
     # n=1 on (f_1, f_0, f_-1): entries (1, 2) down the superdiagonal, i.e.
     # (2n, ..., 1) when listed by ascending f-index
     module = build_case(STEINBERG, 1, l_invariant=1)
-    n_matrix = module.monodromy.entries
+    n_matrix = monodromy_matrix(module).entries
     assert n_matrix[0][1] == 1 and n_matrix[1][2] == 2
     assert all(
         n_matrix[i][j] == 0
@@ -119,13 +134,13 @@ def test_monodromy_shifts_frobenius_by_p(n):
     p = EigenMonomial.p_power(1)
     for i in range(-n, n):
         # N f_i lands in the f_{i+1} line whose eigenvalue is p^{-1} times f_i's
-        assert module.eigenvalue(i) == p * module.eigenvalue(i + 1)
+        assert eigenvalue(module, i) == p * eigenvalue(module, i + 1)
 
 
 def test_crystalline_nonsplit_eigenvalues():
     module = build_case(CRYSTALLINE_NONSPLIT, 2)
     r = EigenMonomial.symbol("r")
-    assert tuple(module.eigenvalue(i) for i in (2, 1, 0, -1, -2)) == (
+    assert tuple(eigenvalue(module, i) for i in (2, 1, 0, -1, -2)) == (
         r**2,
         r,
         EigenMonomial.one(),
@@ -136,17 +151,36 @@ def test_crystalline_nonsplit_eigenvalues():
 
 def test_crystalline_split_eigenvalues_and_weight():
     module = build_case(CRYSTALLINE_SPLIT, 1, weight=4)
-    assert module.eigenvalue(1) == EigenMonomial.from_dict({"alpha": 2, "p": 3})
-    assert module.eigenvalue(1).valuation() == 3  # v_p(alpha) = 0 declared
+    assert eigenvalue(module, 1) == EigenMonomial.from_dict({"alpha": 2, "p": 3})
+    assert valuation(eigenvalue(module, 1)) == 3  # v_p(alpha) = 0 declared
     with pytest.raises(ValueError):
         build_case(CRYSTALLINE_SPLIT, 1, weight=1)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_monodromy_map_is_support_of_dense_oracle(n):
+    for case in CASES:
+        module = build_case(case, n)
+        columns = list(zip(*monodromy_matrix(module).entries))
+        support = tuple(
+            next((row for row, x in enumerate(column) if x), None) for column in columns
+        )
+        assert module.monodromy == support
+        assert all(sum(1 for x in column if x) <= 1 for column in columns)
+
+
 @pytest.mark.parametrize("case", CASES)
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_fil0_dimension(case, n):
-    module = build_case(case, n)
-    assert module.fil0.dim == n + 1
+    # the rank of the n+1 spanning rows, which the CLI reports as n+1
+    assert fil0_space(build_case(case, n)).dim == n + 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_split_fil0_is_the_lower_half(n):
+    # the (0, 1) root: multiples of e2^n are <f_0, ..., f_{-n}>
+    module = build_case(CRYSTALLINE_SPLIT, n)
+    assert fil0_space(module) == Subspace.coordinate(module.dim, range(n, module.dim))
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -165,7 +199,7 @@ def test_stable_submodules_exhaustive_oracle():
     for mask in range(8):
         positions = tuple(pos for pos in range(3) if mask >> pos & 1)
         space = Subspace.coordinate(3, positions)
-        image = image_under(space, module.monodromy)
+        image = image_under(space, monodromy_matrix(module))
         if contains(space, image):
             oracle.append(positions)
     assert set(oracle) == set(stable_submodules(module))
@@ -184,15 +218,35 @@ def test_submodules_match_subset_search(case, n):
     assert regular_submodules(module) == regular_by_intersection(module, stable)
 
 
+def test_steinberg_at_n_40_with_a_64_bit_parameter():
+    # Fil^0's entries grow like L^n, so no step may eliminate on them
+    start = time.perf_counter()
+    module = build_case(STEINBERG, 40, l_invariant=F(18446744073709551629, 12157665459056928801))
+    assert len(stable_submodules(module)) == 82
+    (d,) = regular_submodules(module)
+    assert d == module.f_span(range(1, 41))
+    filtration = benois_filtration(module, d)
+    assert filtration.d_minus1 == module.f_span(range(2, 41))
+    assert filtration.d_1 == module.f_span(range(0, 41))
+    assert gr1_data(module, d) == (1, EigenMonomial.one())
+    assert time.perf_counter() - start < 5
+
+
 def test_steinberg_chain_at_large_n():
     # 2^61 coordinate subsets; the closure construction builds the 62 tails
     assert len(stable_submodules(build_case(STEINBERG, 30))) == 62
 
 
 def test_monodromy_lowering_f_index_rejected():
+    # the transposed map: coordinate c onto c + 1, which lowers the f-index
     module = build_case(STEINBERG, 2)
+    transposed = tuple(
+        next((col for col, row in enumerate(module.monodromy) if row == c), None)
+        for c in range(module.dim)
+    )
+    assert transposed == (1, 2, 3, 4, None)
     with pytest.raises(UnsupportedInputError):
-        dataclasses.replace(module, monodromy=transpose(module.monodromy))
+        dataclasses.replace(module, monodromy=transposed)
 
 
 def test_steinberg_monodromy_on_unrelated_eigenvalues_rejected():
@@ -204,24 +258,23 @@ def test_steinberg_monodromy_on_unrelated_eigenvalues_rejected():
         dataclasses.replace(nonsplit, monodromy=steinberg.monodromy)
 
 
-def test_monodromy_with_two_targets_in_one_column_rejected():
+def test_monodromy_with_two_columns_onto_one_row_rejected():
+    # f_1 and f_0 both onto f_2: with distinct eigenvalues N phi = p phi N
+    # allows one of them at most
     module = build_case(STEINBERG, 2)
-    entries = [list(row) for row in module.monodromy.entries]
-    entries[0][2] = F(1)  # f_0 now maps to both f_1 and f_2
     with pytest.raises(UnsupportedInputError):
-        dataclasses.replace(module, monodromy=Matrix(entries))
+        dataclasses.replace(module, monodromy=(None, 0, 0, 2, 3))
 
 
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("n", range(1, 3))
 def test_is_stable_matches_image_containment(case, n):
     module = build_case(case, n)
+    n_matrix = monodromy_matrix(module)
     for r in range(module.dim + 1):
         for combo in combinations(range(module.dim), r):
             space = dense(module, combo)
-            assert is_stable(module, combo) == contains(
-                space, image_under(space, module.monodromy)
-            )
+            assert is_stable(module, combo) == contains(space, image_under(space, n_matrix))
 
 
 def test_crystalline_stable_submodules_are_all_subsets():
@@ -298,7 +351,7 @@ def test_filtration_monotone_and_stable(case, n):
     assert contains(d_0, d_minus1)
     assert contains(d_1, d_0)
     for space in (d_minus1, d_0, d_1):
-        assert contains(space, image_under(space, module.monodromy))
+        assert contains(space, image_under(space, monodromy_matrix(module)))
 
 
 @pytest.mark.parametrize(
@@ -368,7 +421,7 @@ def test_benois_filtration_requires_stable_input():
 def test_steinberg_fil0_membership(n):
     for _ in range(3):
         l_value = F(rng.randint(1, 30), rng.randint(1, 9))
-        fil0 = steinberg_fil0(n, l_value)
+        fil0 = fil0_space(build_case(STEINBERG, n, l_invariant=l_value))
         # (e2 - L e1)^{2n} expanded: e1-degree t coefficient C(2n,t)(-L)^t
         vec = [F(0)] * (2 * n + 1)
         for t in range(2 * n + 1):

@@ -19,7 +19,6 @@ from linvariants.sl2rep import (
     lower_dual,
     raise_,
     raise_dual,
-    rep_action_matrix,
 )
 
 rng = random.Random(20240811)
@@ -27,6 +26,12 @@ rng = random.Random(20240811)
 
 def random_rep(m):
     return RepVector(m, tuple(F(rng.randint(-9, 9)) for _ in range(m + 1)))
+
+
+def rep_action_matrix(x, m):
+    """Matrix of L or R on Sym^m V in the g-basis."""
+    act = lower if x == "L" else raise_
+    return Matrix.from_columns([act(RepVector.basis(m, i)).coeffs for i in range(m + 1)])
 
 
 def random_endo(n):
