@@ -3,11 +3,11 @@
 Submodules:
 
 * exactlin  -- exact scalars, rational matrices, fraction-free elimination
-* sl2rep    -- sl(2) actions on Sym^m V and End(Sym^n V), brute-force oracle
+* sl2rep    -- the sl(2) action on End(Sym^n V), brute-force oracle
 * plethysm  -- inverse Clebsch-Gordan tables and the B_{n,k,i} rows
 * phin      -- (phi,N)-modules, N as a coordinate map, the 3-step filtration
 * weylhecke -- GSp(2g) Weyl combinatorics, Hecke eigenvalues, slope bounds
-* linv      -- triangulation data and the L-invariant closed forms
+* linv      -- triangulation rows, one pair of linear forms per place
 * cli       -- JSON/CSV command-line interface
 """
 

@@ -23,6 +23,14 @@ from .sl2rep import InternalConsistencyError
 #: stable sets; one step past each cap costs over 200 MB
 HECKE_ALL_MAX_G = 6
 ALL_SUBMODULES_MAX_N = 8
+#: largest sizes of the polynomial-cost tables, each about 10 s and 100 MB
+#: at most (the cost table is in CHANGES.md): `bcoeff` n, every index of
+#: `cg`, `project-endo` n, and per `linv` family the `params` key of its
+#: rank with that rank's cap
+BCOEFF_MAX_N = 600
+CG_MAX_INDEX = 150
+PROJECT_ENDO_MAX_N = 250
+LINV_RANK_CAPS = {"gsp_std": ("g", 200), "unitary": ("n", 100)}
 
 
 class CliError(Exception):
@@ -78,8 +86,14 @@ def _emit(payload, fmt: str, csv_header: str | None = None, csv_rows=None) -> st
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _cap(value: int, cap: int, what: str) -> None:
+    if value > cap:
+        raise CliError(f"{what} > {cap} is refused")
+
+
 def _cmd_cg(args) -> tuple[dict, str | None, list | None]:
     m, n, p = args.m, args.n, args.p
+    _cap(max(m, n, p), CG_MAX_INDEX, "cg --m, --n or --p")
     if args.table:
         table = plethysm.cg_table(m, n, p)
         rows = []
@@ -97,6 +111,7 @@ def _cmd_cg(args) -> tuple[dict, str | None, list | None]:
 
 
 def _cmd_bcoeff(args) -> tuple[dict, str | None, list | None]:
+    _cap(args.n, BCOEFF_MAX_N, "bcoeff --n")
     if args.i is not None:
         value = plethysm.b_coefficient(args.n, args.k, args.i)
         rows = [(args.n, args.k, args.i, str(value))]
@@ -107,6 +122,7 @@ def _cmd_bcoeff(args) -> tuple[dict, str | None, list | None]:
 
 
 def _cmd_project_endo(args) -> tuple[dict, str | None, list | None]:
+    _cap(args.n, PROJECT_ENDO_MAX_N, "project-endo --n")
     diag = _parse_json_arg(args.diag, "--diag")
     if not isinstance(diag, list):
         raise CliError("--diag must be a JSON array of rationals")
@@ -255,22 +271,22 @@ def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
     places_obj = obj["places"]
     direction_obj = obj["direction"]
     direction = linv.Direction.make(direction_obj["u"], direction_obj.get("u0", 0))
-    if args.compare_theorem:
-        theorem_family = linv.THEOREMS[args.compare_theorem][0]
-        if theorem_family != family:
-            raise CliError(
-                f"theorem {args.compare_theorem} belongs to family "
-                f"{theorem_family}, not {family}"
-            )
-        theorem_n = params.get("n") or params.get("g")
-        data = linv.data_for_theorem(args.compare_theorem, n=theorem_n, places=len(places_obj))
-    else:
-        data = linv.family_data(
-            family,
-            places=len(places_obj),
-            g=params.get("g"),
-            n=params.get("n"),
+    which = args.compare_theorem
+    if which and linv.THEOREMS[which][0] != family:
+        raise CliError(
+            f"theorem {which} belongs to family {linv.THEOREMS[which][0]}, not {family}"
         )
+    rank = None
+    if family in LINV_RANK_CAPS:
+        key, cap = LINV_RANK_CAPS[family]
+        rank = params.get(key)
+        if isinstance(rank, int):
+            _cap(rank, cap, f"linv --family {family} {key}")
+    data = linv.family_data(
+        family, places=len(places_obj), g=params.get("g"), n=params.get("n")
+    )
+    if which:
+        data = linv.theorem_row(which, data)
     assignments = []
     for place in places_obj:
         gradients = place["gradients"]
@@ -285,9 +301,8 @@ def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
             for a, b in pairs
         ],
     }
-    if args.compare_theorem:
-        comparison = linv.compare_to_theorem(args.compare_theorem, n=theorem_n)
-        payload["classification"] = comparison.to_json()
+    if which:
+        payload["classification"] = linv.compare_to_theorem(which, n=rank).to_json()
     return payload, None, None
 
 

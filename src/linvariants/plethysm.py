@@ -130,6 +130,9 @@ def b_special(n: int, k: int, i: int) -> Fraction:
     C(i,2)(n-2)!n! - C(i,1)C(n-i,1)((n-1)!)^2 + C(n-i,2)n!(n-2)!
     collapses to (n-2)!(n-1)!(n^3 - (4i+1)n^2 + (4i^2+2i)n - 2i^2)/2;
     note the /2, which the usual simplified form of this cubic omits.
+
+    A paper display the README names, kept as a named oracle: no CLI path
+    calls it, and the tests check it against `b_coefficient`.
     """
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")

@@ -1,4 +1,4 @@
-"""Concrete sl(2) actions on Sym^m(V), its dual, and End(Sym^n V).
+"""The sl(2) action on End(Sym^n V) and its decomposition oracle.
 
 Conventions.  V has basis (e1, e2) with L e1 = e2, R e2 = e1.  Sym^m V has
 basis g_{m,i} = e1^(m-i) e2^i for i = 0..m, on which
@@ -9,8 +9,9 @@ with out-of-range basis vectors read as 0.  On the dual basis g_{m,i}^v,
 
     L g_i^v = -(m+1-i) g_{i-1}^v,       R g_i^v = -(i+1) g_{i+1}^v,
 
-which is the action (X f)(w) = f(-X w).  An endomorphism of Sym^n V is a
-coefficient grid on g_{n,i} (x) g_{n,j}^v; that tensor has weight 2(j-i),
+which is the action (X f)(w) = f(-X w); the tests build both actions and
+the duality isomorphism from these formulas.  An endomorphism of Sym^n V
+is a coefficient grid on g_{n,i} (x) g_{n,j}^v; that tensor has weight 2(j-i),
 and the grid is literally the matrix of the endomorphism in the g-basis,
 so the Leibniz action on tensors must agree with the matrix commutator
 [rho(X), T] -- the test suite pins the sign conventions that way.
@@ -48,10 +49,6 @@ class RepVector:
     def __post_init__(self):
         if len(self.coeffs) != self.m + 1:
             raise DimensionMismatchError("coefficient vector has wrong length")
-
-    @classmethod
-    def basis(cls, m: int, i: int) -> "RepVector":
-        return cls(m, tuple(Fraction(int(j == i)) for j in range(m + 1)))
 
     @classmethod
     def zero(cls, m: int) -> "RepVector":
@@ -136,66 +133,6 @@ class EndoElement:
 
     def flatten(self) -> tuple[Fraction, ...]:
         return tuple(x for row in self.grid for x in row)
-
-
-def lower(v: RepVector) -> RepVector:
-    """L g_{m,i} = (m - i) g_{m,i+1}."""
-    m = v.m
-    out = [Fraction(0)] * (m + 1)
-    for i, c in enumerate(v.coeffs):
-        if c and i + 1 <= m:
-            out[i + 1] += c * (m - i)
-    return RepVector(m, tuple(out))
-
-
-def raise_(v: RepVector) -> RepVector:
-    """R g_{m,i} = i g_{m,i-1}."""
-    m = v.m
-    out = [Fraction(0)] * (m + 1)
-    for i, c in enumerate(v.coeffs):
-        if c and i - 1 >= 0:
-            out[i - 1] += c * i
-    return RepVector(m, tuple(out))
-
-
-def lower_dual(v: RepVector) -> RepVector:
-    """L g_i^v = -(m + 1 - i) g_{i-1}^v."""
-    m = v.m
-    out = [Fraction(0)] * (m + 1)
-    for i, c in enumerate(v.coeffs):
-        if c and i - 1 >= 0:
-            out[i - 1] += -c * (m + 1 - i)
-    return RepVector(m, tuple(out))
-
-
-def raise_dual(v: RepVector) -> RepVector:
-    """R g_i^v = -(i + 1) g_{i+1}^v."""
-    m = v.m
-    out = [Fraction(0)] * (m + 1)
-    for i, c in enumerate(v.coeffs):
-        if c and i + 1 <= m:
-            out[i + 1] += -c * (i + 1)
-    return RepVector(m, tuple(out))
-
-
-def duality_iso(v: RepVector) -> RepVector:
-    """Equivariant iso Sym^n V -> (Sym^n V)^v, g_{n,i} -> (-1)^(n-i) C(n,i)^-1 g_{n,n-i}^v."""
-    n = v.m
-    out = [Fraction(0)] * (n + 1)
-    for i, c in enumerate(v.coeffs):
-        if c:
-            out[n - i] += c * Fraction((-1) ** (n - i), comb(n, i))
-    return RepVector(n, tuple(out))
-
-
-def duality_iso_inverse(v: RepVector) -> RepVector:
-    """g_{n,j}^v -> (-1)^j C(n,j) g_{n,n-j}."""
-    n = v.m
-    out = [Fraction(0)] * (n + 1)
-    for j, c in enumerate(v.coeffs):
-        if c:
-            out[n - j] += c * Fraction((-1) ** j * comb(n, j))
-    return RepVector(n, tuple(out))
 
 
 def act_on_end(x: str, t: EndoElement) -> EndoElement:

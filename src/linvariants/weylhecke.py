@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, factorial, floor
+from math import ceil, floor
 from typing import Iterable, Sequence
 
 from .exactlin import rational, vector
@@ -82,17 +82,6 @@ class WeylElement:
     def nu_inverse(self, i: int) -> int:
         return self.nu.index(i) + 1
 
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """Product w1 * w2 with (w1 * w2) . t = w1 . (w2 . t)."""
-        if self.g != other.g:
-            raise ValueError("ranks differ")
-        g = self.g
-        nu = tuple(other.permute(self.permute(j)) for j in range(1, g + 1))
-        eps = tuple(
-            other.sign(i) * self.sign(other.nu_inverse(i)) for i in range(1, g + 1)
-        )
-        return WeylElement(nu, eps)
-
     def to_json(self) -> dict:
         return {"nu": list(self.nu), "eps": list(self.eps)}
 
@@ -109,16 +98,6 @@ def weyl_group(g: int) -> tuple[WeylElement, ...]:
         for eps in itertools.product((1, -1), repeat=g):
             elements.append(WeylElement(nu, eps))
     return tuple(elements)
-
-
-def element_order(w: WeylElement) -> int:
-    power = w
-    identity = WeylElement.identity(w.g)
-    for k in range(1, 2**w.g * factorial(w.g) + 1):
-        if power == identity:
-            return k
-        power = power.compose(w)
-    raise RuntimeError("order not found")  # unreachable
 
 
 @dataclass(frozen=True)
@@ -231,6 +210,9 @@ def upi_eigenvalue_display(chi: CharacterData, i: int, w: WeylElement) -> EigenM
     For i < g:  p^{c_i} sigma^{-2} prod_{nu(j)>i} chi_j^{-1}
                 prod_{nu(j)<=i, eps(nu(j))=-1} chi_j^{-2};
     for i = g:  p^{c_g} sigma^{-1} prod_{eps(nu(j))=-1} chi_j^{-1}.
+
+    A paper display the README names, kept as a named oracle: no CLI path
+    calls it, and the tests check it against `hecke_diagonal`.
     """
     g = chi.g
     if not 1 <= i <= g:

@@ -238,12 +238,12 @@ def test_criterion_9_l_invariant_consistency():
             if which == "A":
                 direction = linv.Direction.make([1], -1)
             else:
-                dim_u = len(data.graded[0][0][0].u_coeffs)
+                dim_u = len(data.graded[0][0][0]) - 1
                 direction = linv.Direction.make(
                     [F(rng.randint(-7, 7)) for _ in range(dim_u)], F(rng.randint(-7, 7))
                 )
             try:
-                generic = linv.generic_l_invariant(data, direction, assignments)
+                generic = linv.rank1_combine(linv.per_place_pairs(data, direction, assignments))
             except linv.SingularDirectionError:
                 if which != "A":
                     # denominator forms are proportional, so the literal
@@ -259,7 +259,7 @@ def test_criterion_9_l_invariant_consistency():
             hits += 1
     hilbert = linv.family_data("hilbert")
     try:
-        linv.generic_l_invariant(hilbert, linv.Direction.make([0], 1), [[F(1)]])
+        linv.per_place_pairs(hilbert, linv.Direction.make([0], 1), [[F(1)]])
         ok = False
     except linv.SingularDirectionError:
         pass

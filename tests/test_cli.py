@@ -131,6 +131,44 @@ def test_exponential_listing_past_its_cap_exits_2_at_once(capsys, argv):
     assert payload["error"]["code"] == "input"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bcoeff", "--n", "601", "--k", "300"),
+        ("bcoeff", "--n", "1000000", "--k", "1", "--i", "0"),
+        ("cg", "--m", "151", "--n", "151", "--p", "150", "--table"),
+        ("cg", "--m", "1", "--n", "1000", "--p", "1000", "--u", "0", "--v", "0", "--w", "0"),
+        ("project-endo", "--n", "251", "--k", "1", "--diag", "[1]"),
+    ],
+)
+def test_table_past_its_size_cap_exits_2_at_once(capsys, argv):
+    # refused before any table is built
+    start = time.perf_counter()
+    code, payload = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 0.2
+    assert code == 2
+    assert payload["error"]["code"] == "input"
+
+
+@pytest.mark.parametrize(
+    "family, params, theorem",
+    [
+        ("unitary", {"n": 101}, None),
+        ("unitary", {"n": 101}, "D2"),
+        ("gsp_std", {"g": 201}, None),
+        ("gsp_std", {"g": 201}, "C"),
+    ],
+)
+def test_linv_rank_past_its_cap_exits_2_at_once(tmp_path, capsys, family, params, theorem):
+    path = linv_input(tmp_path, ["1"], "1", [["1"]], params=params)
+    argv = ["linv", "--family", family, "--input", path]
+    start = time.perf_counter()
+    code, payload = run_json(capsys, *argv, *(["--compare-theorem", theorem] if theorem else []))
+    assert time.perf_counter() - start < 0.2
+    assert code == 2
+    assert payload["error"]["code"] == "input"
+
+
 def test_caps_refuse_only_exponential_listings(capsys):
     # steinberg has 2n+2 stable sets, and one Weyl element is one row
     code, payload = run_json(capsys, "phin", "--case", "steinberg", "--n", "40", "--all-submodules")
@@ -280,6 +318,25 @@ def test_linv_unitary_d2_row(tmp_path, capsys):
     )
     assert code == 0
     assert payload["classification"]["kind"] == "sign_flip"
+
+
+@pytest.mark.parametrize(
+    "family, theorem, params, length",
+    [
+        # a JSON true is not the rank 1
+        ("unitary", "D1", {"n": True}, 4),
+        # gsp_std reads its rank from g, with or without a theorem
+        ("gsp_std", "C", {"n": 2}, 2),
+    ],
+)
+@pytest.mark.parametrize("compare", [False, True])
+def test_linv_rank_is_read_one_way_exit_2(tmp_path, capsys, family, theorem, params, length,
+                                          compare):
+    path = linv_input(tmp_path, ["1"] * length, "1", [["1"] * length], params=params)
+    argv = ["linv", "--family", family, "--input", path]
+    code, payload = run_json(capsys, *argv, *(["--compare-theorem", theorem] if compare else []))
+    assert code == 2
+    assert payload["error"]["code"] == "domain"
 
 
 def test_linv_singular_direction_exit_3(tmp_path, capsys):

@@ -5,7 +5,8 @@ payloads.  Each JSON node is mostly well-formed, so the requests reach the
 computations, and otherwise any JSON value at all: strings, bools, floats,
 null, nested lists and objects.  Sizes cross the caps on exponential
 listings (phin n <= 10, hecke g <= 8) and otherwise stay small (g <= 3
-elsewhere, at most 8 exponents, cg and bcoeff sizes <= 30).  Every example
+elsewhere, at most 8 exponents, cg and bcoeff sizes <= 30); fixed examples
+step one past each table's size cap.  Every example
 must finish within `EXAMPLE_SECONDS`.
 """
 
@@ -241,6 +242,10 @@ argvs = st.one_of(
 @example((["phin", "--case=crystalline_split", "--n=10", "--all-submodules"], None))
 @example((["hecke", "--g=7", '--t={"a": [0, 0, 0, 0, 0, 0, 0], "a0": 1}', "--all"], None))
 @example((["hecke", "--g=8", '--t={"a": [1, 1, 1, 1, 1, 1, 1, 1], "a0": 0}', "--all"], None))
+# one past each table's size cap
+@example((["bcoeff", "--n=601", "--k=300"], None))
+@example((["cg", "--m=151", "--n=151", "--p=150", "--table"], None))
+@example((["project-endo", "--n=251", "--k=1", "--diag=[1]"], None))
 def test_every_accepted_argv_ends_in_one_json_line(case):
     argv, stdin = case
     out = io.StringIO()

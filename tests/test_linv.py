@@ -5,17 +5,19 @@ from fractions import Fraction as F
 
 import pytest
 
+from linvariants import linv
+from linvariants.exactlin import DimensionMismatchError
 from linvariants.linv import (
     Direction,
+    PlaceForms,
     SingularDirectionError,
     TriangulationData,
     compare_to_theorem,
     data_for_theorem,
     family_data,
-    generic_l_invariant,
     per_place_pairs,
+    place_forms,
     rank1_combine,
-    symbolic_specialize,
     theorem_evaluator,
     thm_c_coefficient,
 )
@@ -32,35 +34,75 @@ def random_direction(dim):
     return Direction.make([rand_frac() for _ in range(dim)], rand_frac())
 
 
+def dot(row, values):
+    return sum((F(c) * F(x) for c, x in zip(row, values)), F(0))
+
+
+def generic_l_invariant(data, direction, assignments):
+    """The product formula through the library's per-place forms."""
+    return rank1_combine(per_place_pairs(data, direction, assignments))
+
+
+def generic_by_pieces(data, direction, assignments, row=None):
+    """The product formula piece by piece, the oracle for the contraction.
+
+    Per place, -sum_i B_i (F_i . grads) / sum_i B_i (kappa_i . (u; u_0)),
+    each graded piece evaluated before it is weighted by its B_i; None when
+    a denominator vanishes.
+    """
+    row = b_row(*data.b_row) if row is None else row
+    coords = direction.u + (direction.u0,)
+    value = F(1)
+    for pieces, assignment in zip(data.graded, assignments):
+        num = sum(c * dot(logf, assignment) for c, (_, logf) in zip(row, pieces))
+        den = sum(c * dot(kappa, coords) for c, (kappa, _) in zip(row, pieces))
+        if den == 0:
+            return None
+        value *= -num / den
+    return value
+
+
+def scaled(direction, c):
+    return Direction(tuple(c * x for x in direction.u), c * direction.u0)
+
+
 def test_family_shapes():
-    assert family_data("hilbert", places=3).m + 1 == 2
-    assert family_data("gsp4_spin").m + 1 == 4
-    assert family_data("gsp_std", g=3).m + 1 == 7
-    assert family_data("unitary", n=2).m + 1 == 8
+    assert len(family_data("hilbert", places=3).graded[0]) == 2
+    assert len(family_data("gsp4_spin").graded[0]) == 4
+    assert len(family_data("gsp_std", g=3).graded[0]) == 7
+    assert len(family_data("unitary", n=2).graded[0]) == 8
     with pytest.raises(ValueError):
         family_data("gsp_std", g=1)
     with pytest.raises(ValueError):
         family_data("siegel")
 
 
+@pytest.mark.parametrize("family, rank", [("unitary", {"n": True}), ("gsp_std", {"g": True}),
+                                          ("unitary", {"n": 1.0}), ("gsp_std", {"g": "3"})])
+def test_family_refuses_a_rank_that_is_not_an_int(family, rank):
+    # a JSON true used to be read as 1
+    with pytest.raises(ValueError, match="needs an integer"):
+        family_data(family, **rank)
+
+
 def test_hilbert_log_forms():
     data = family_data("hilbert")
     ((kappa1, f1), (kappa2, f2)) = data.graded[0]
-    assert f1.coeffs == (-1,) and f2.coeffs == (1,)
+    assert f1 == (-1,) and f2 == (1,)
     # kappa_2 - kappa_1 = k_v - 1: gradient difference is u_v
-    d = Direction.make([F(5)], F(3))
-    assert kappa2.gradient(d) - kappa1.gradient(d) == 5
+    coords = (F(5), F(3))
+    assert dot(kappa2, coords) - dot(kappa1, coords) == 5
 
 
 def test_gsp4_log_forms_match_proof():
     data = family_data("gsp4_spin")
-    logfs = [lf.coeffs for _, lf in data.graded[0]]
+    logfs = [lf for _, lf in data.graded[0]]
     assert logfs == [(0, -1), (-1, 1), (1, -1), (0, 1)]
 
 
 def test_unitary_log_forms():
     data = family_data("unitary", n=1)
-    logfs = [lf.coeffs for _, lf in data.graded[0]]
+    logfs = [lf for _, lf in data.graded[0]]
     assert logfs == [tuple(int(i == j) for j in range(4)) for i in range(4)]
 
 
@@ -95,7 +137,10 @@ def test_per_place_pairs_consistent_with_value():
     direction = Direction.make([5, 2, 1], 1)
     assignments = [[1, 2, 3], [5, -1, 2]]
     pairs = per_place_pairs(data, direction, assignments)
-    assert rank1_combine(pairs) == generic_l_invariant(data, direction, assignments)
+    assert rank1_combine(pairs) == generic_by_pieces(data, direction, assignments)
+    one_place = family_data("gsp_std", g=3)
+    for (a, b), assignment in zip(pairs, assignments):
+        assert a / b == generic_by_pieces(one_place, direction, [assignment])
 
 
 def test_scale_invariance_of_b_row():
@@ -107,10 +152,10 @@ def test_scale_invariance_of_b_row():
     base = generic_l_invariant(data, direction, assignments)
     row = b_row(3, 3)
     for scale in (F(2), F(-5, 3)):
-        scaled = tuple(scale * x for x in row)
-        num = sum(c * lf.value([F(x) for x in assignments[0]]) for c, (k, lf) in zip(scaled, data.graded[0]))
-        den = sum(c * k.gradient(direction) for c, (k, lf) in zip(scaled, data.graded[0]))
-        assert -num / den == base
+        scaled_row = tuple(scale * x for x in row)
+        assert generic_by_pieces(data, direction, assignments, scaled_row) == base
+        a, b = place_forms(data, 0, scaled_row).pair(0, assignments[0], direction)
+        assert a / b == base
 
 
 def test_direction_homogeneity():
@@ -119,7 +164,7 @@ def test_direction_homogeneity():
     assignments = [[1, 2], [3, 4]]
     base = generic_l_invariant(data, direction, assignments)
     c = F(5, 7)
-    assert generic_l_invariant(data, direction.scale(c), assignments) == base / c**2
+    assert generic_l_invariant(data, scaled(direction, c), assignments) == base / c**2
 
 
 def test_multiplicative_over_places():
@@ -185,7 +230,7 @@ def test_evaluator_agrees_with_generic(which, n):
             if which == "A":
                 direction = Direction.make([1] * places, -1)
             else:
-                dim_u = len(data.graded[0][0][0].u_coeffs)
+                dim_u = len(data.graded[0][0][0]) - 1
                 direction = random_direction(dim_u)
             try:
                 generic = generic_l_invariant(data, direction, assignments)
@@ -201,10 +246,10 @@ def test_evaluator_singular_direction():
         theorem_evaluator("B", Direction.make([2, 1], 9), [[1, 1]])
 
 
-def test_symbolic_specialize_hilbert():
-    symbolic = symbolic_specialize(family_data("hilbert"))
-    assert symbolic.num == (F(2),)  # -(B_0(-1) + B_1(1)) = 2
-    assert symbolic.den == (F(-1), F(0))  # sum B grad kappa = -u_1
+def test_place_forms_hilbert():
+    forms = place_forms(family_data("hilbert"), 0, b_row(1, 1))
+    assert forms.num == (F(2),)  # -(B_0(-1) + B_1(1)) = 2
+    assert forms.den == (F(-1), F(0))  # sum B grad kappa = -u_1
 
 
 def test_data_for_theorem_d2_selects_lower_row():
@@ -213,6 +258,63 @@ def test_data_for_theorem_d2_selects_lower_row():
 
 
 def test_triangulation_data_validates_count():
+    # the B-row length check in the contraction refuses a short place
     data = family_data("gsp4_spin")
-    with pytest.raises(Exception):
-        TriangulationData("gsp4_spin", 3, (3, 3), (data.graded[0][:3],), 2)
+    short = TriangulationData("gsp4_spin", (3, 3), (data.graded[0][:3],))
+    with pytest.raises(DimensionMismatchError, match="B-row length"):
+        per_place_pairs(short, Direction.make([1, 2], 0), [[1, 2]])
+
+
+def test_pair_checks_in_order():
+    forms = PlaceForms((F(1), F(2)), (F(1), F(-1), F(0)))
+    singular = Direction.make([1, 1], 5)
+    with pytest.raises(DimensionMismatchError, match="gradient assignment has wrong length"):
+        forms.pair(0, [1], Direction.make([1], 0))
+    with pytest.raises(DimensionMismatchError, match="direction has wrong length"):
+        forms.pair(0, [1, 1], Direction.make([1], 0))
+    with pytest.raises(SingularDirectionError) as err:
+        forms.pair(4, [1, 1], singular)
+    assert err.value.place == 4
+    assert forms.pair(0, ["1/2", 3], Direction.make([3, 1], 9)) == (F(13, 2), F(2))
+
+
+def test_per_place_pairs_computes_the_b_row_once(monkeypatch):
+    calls = []
+
+    def counting_b_row(n, k):
+        calls.append((n, k))
+        return b_row(n, k)
+
+    monkeypatch.setattr(linv, "b_row", counting_b_row)
+    data = family_data("gsp_std", g=2, places=3)
+    per_place_pairs(data, Direction.make([3, 1], 2), [[1, 2], [3, 4], [5, 6]])
+    assert calls == [(4, 3)]
+
+
+#: (label, data) for all four families at 1-3 places and each theorem's data
+ORACLE_CASES = (
+    [(f"{family}-{places}", family_data(family, places=places, g=3, n=1))
+     for family in ("hilbert", "gsp4_spin", "gsp_std", "unitary") for places in (1, 2, 3)]
+    + [(f"gsp_std-g2-{places}", family_data("gsp_std", places=places, g=2)) for places in (1, 3)]
+    + [(f"unitary-n2-{places}", family_data("unitary", places=places, n=2)) for places in (1, 2)]
+    + [(f"{which}-{n}-{places}", data_for_theorem(which, n=n, places=places))
+       for which, n in [("A", None), ("B", None), ("C", 2), ("C", 4), ("D1", 1), ("D2", 1),
+                        ("D2", 2)]
+       for places in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("data", [d for _, d in ORACLE_CASES], ids=[i for i, _ in ORACLE_CASES])
+def test_per_place_pairs_matches_the_piece_by_piece_oracle(data):
+    dim_u = len(data.graded[0][0][0]) - 1
+    hits = 0
+    while hits < 25:
+        direction = random_direction(dim_u)
+        assignments = [[rand_frac() for _ in range(data.num_hecke)] for _ in range(data.places)]
+        expected = generic_by_pieces(data, direction, assignments)
+        if expected is None:
+            with pytest.raises(SingularDirectionError):
+                per_place_pairs(data, direction, assignments)
+            continue
+        assert generic_l_invariant(data, direction, assignments) == expected
+        hits += 1

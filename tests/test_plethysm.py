@@ -19,7 +19,8 @@ from linvariants.plethysm import (
     project_endomorphism_diagonal,
     valid_triple,
 )
-from linvariants.sl2rep import EndoElement, act_on_end, lower
+from linvariants.sl2rep import EndoElement, act_on_end
+from test_sl2rep import lower
 
 rng = random.Random(97)
 
