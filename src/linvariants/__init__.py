@@ -2,8 +2,8 @@
 
 Submodules:
 
-* exactlin  -- exact scalars, rational matrices, fraction-free elimination
-* sl2rep    -- the sl(2) action on End(Sym^n V), brute-force oracle
+* exactlin  -- exact scalars and vectors, fraction-free row reduction
+* sl2rep    -- the sl(2) action on End(Sym^n V), weight-graded brute-force oracle
 * plethysm  -- inverse Clebsch-Gordan tables and the B_{n,k,i} rows
 * phin      -- (phi,N)-modules, N as a coordinate map, the 3-step filtration
 * weylhecke -- GSp(2g) Weyl combinatorics, Hecke eigenvalues, slope bounds

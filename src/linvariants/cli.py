@@ -95,6 +95,8 @@ def _cmd_cg(args) -> tuple[dict, str | None, list | None]:
     m, n, p = args.m, args.n, args.p
     _cap(max(m, n, p), CG_MAX_INDEX, "cg --m, --n or --p")
     if args.table:
+        if (args.u, args.v, args.w) != (None, None, None):
+            raise CliError("--table and --u, --v, --w exclude each other")
         table = plethysm.cg_table(m, n, p)
         rows = []
         for u in range(m + 1):

@@ -1,11 +1,12 @@
-"""Exact rational linear algebra: scalars, vectors and dense matrices over Q.
+"""Exact rational linear algebra: scalars, vectors and row reduction over Q.
 
 Everything is computed with `fractions.Fraction`, so results are exact.
-The elimination core is fraction-free (Bareiss): rows are scaled to
-integers and the forward pass uses the two-term minor update, which keeps
-intermediate entries bounded by minors of the input instead of letting
-numerators and denominators blow up independently.  Its one library
-caller is `sl2rep`'s brute-force change of basis, through `Matrix.rref`.
+A matrix is a sequence of rows.  The elimination core is fraction-free
+(Bareiss): rows are scaled to integers and the forward pass uses the
+two-term minor update, which keeps intermediate entries bounded by minors
+of the input instead of letting numerators and denominators blow up
+independently.  Its one library caller is `sl2rep`'s brute-force change
+of basis, which inverts one weight block per `_rref`.
 """
 
 from __future__ import annotations
@@ -114,47 +115,3 @@ def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Vector, ...], tuple
                 for j in range(pivots[r], len(row)):
                     target[j] -= factor * row[j]
     return tuple(tuple(row) for row in frac_rows), tuple(pivots)
-
-
-class Matrix:
-    """Immutable dense matrix over Fraction."""
-
-    __slots__ = ("rows", "cols", "entries", "_rref")
-
-    def __init__(self, entries: Iterable[Iterable]):
-        grid = tuple(tuple(rational(x) for x in row) for row in entries)
-        if grid and any(len(row) != len(grid[0]) for row in grid):
-            raise DimensionMismatchError("ragged rows")
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", len(grid[0]) if grid else 0)
-        object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "_rref", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
-        return cls(list(zip(*cols))) if cols else cls([])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"Matrix({[[str(x) for x in row] for row in self.entries]})"
-
-    def apply(self, v: Sequence) -> Vector:
-        v = vector(v)
-        if len(v) != self.cols:
-            raise DimensionMismatchError("vector length differs from cols")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
-    def rref(self) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-        cached = self._rref
-        if cached is None:
-            cached = _rref(self.entries)
-            object.__setattr__(self, "_rref", cached)
-        return cached

@@ -182,9 +182,6 @@ class DiagonalProjection:
     middle: Fraction
     tail: tuple[Fraction, ...]
 
-    def tail_is_zero(self) -> bool:
-        return not any(self.tail)
-
 
 def project_endomorphism_diagonal(n: int, k: int, diag) -> DiagonalProjection:
     """Project the diagonal endomorphism with entries diag onto Sym^{2k} V.

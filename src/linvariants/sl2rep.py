@@ -19,7 +19,8 @@ so the Leibniz action on tensors must agree with the matrix commutator
 The module also carries the decomposition machinery that everything else
 is checked against: the highest-weight vectors v_{2k} of the Sym^{2k}
 constituents of End(Sym^n V), and a brute-force projector that expresses
-an endomorphism in the basis {L^i v_{2k}} by solving a linear system.
+an endomorphism in the basis {L^i v_{2k}} by solving one linear system per
+weight.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .exactlin import DimensionMismatchError, Matrix, rational
+from .exactlin import DimensionMismatchError, _rref, rational
 
 LOWER = "L"
 RAISE = "R"
@@ -50,22 +51,6 @@ class RepVector:
         if len(self.coeffs) != self.m + 1:
             raise DimensionMismatchError("coefficient vector has wrong length")
 
-    @classmethod
-    def zero(cls, m: int) -> "RepVector":
-        return cls(m, (Fraction(0),) * (m + 1))
-
-    def __add__(self, other: "RepVector") -> "RepVector":
-        if self.m != other.m:
-            raise DimensionMismatchError("weights differ")
-        return RepVector(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c) -> "RepVector":
-        c = rational(c)
-        return RepVector(self.m, tuple(c * a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
 
 @dataclass(frozen=True)
 class EndoElement:
@@ -79,29 +64,6 @@ class EndoElement:
             raise DimensionMismatchError("grid has wrong shape")
 
     @classmethod
-    def zero(cls, n: int) -> "EndoElement":
-        return cls(n, tuple((Fraction(0),) * (n + 1) for _ in range(n + 1)))
-
-    @classmethod
-    def basis(cls, n: int, i: int, j: int) -> "EndoElement":
-        return cls(
-            n,
-            tuple(
-                tuple(Fraction(int(a == i and b == j)) for b in range(n + 1))
-                for a in range(n + 1)
-            ),
-        )
-
-    @classmethod
-    def identity(cls, n: int) -> "EndoElement":
-        return cls(
-            n,
-            tuple(
-                tuple(Fraction(int(a == b)) for b in range(n + 1)) for a in range(n + 1)
-            ),
-        )
-
-    @classmethod
     def diagonal(cls, diag) -> "EndoElement":
         diag = [rational(d) for d in diag]
         n = len(diag) - 1
@@ -112,27 +74,6 @@ class EndoElement:
                 for a in range(n + 1)
             ),
         )
-
-    def __add__(self, other: "EndoElement") -> "EndoElement":
-        if self.n != other.n:
-            raise DimensionMismatchError("weights differ")
-        return EndoElement(
-            self.n,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.grid, other.grid)
-            ),
-        )
-
-    def scale(self, c) -> "EndoElement":
-        c = rational(c)
-        return EndoElement(self.n, tuple(tuple(c * a for a in row) for row in self.grid))
-
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.grid)
-
-    def flatten(self) -> tuple[Fraction, ...]:
-        return tuple(x for row in self.grid for x in row)
 
 
 def act_on_end(x: str, t: EndoElement) -> EndoElement:
@@ -170,40 +111,55 @@ def highest_weight_vector(n: int, k: int) -> EndoElement:
 
 
 @lru_cache(maxsize=None)
-def _brute_force_data(n: int):
-    """Basis {L^i v_{2j}} of End(Sym^n V) and the inverse change of basis.
+def _brute_force_data(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Inverse of the weight-2d block of the change of basis to {L^i v_{2j}}.
 
-    The basis has sum_j (2j+1) = (n+1)^2 members; singularity of the
-    assembled matrix would contradict the decomposition and raises.
+    L^i v_{2j} has weight 2(j-i) and g_{n,a} (x) g_{n,b}^v has weight 2(b-a),
+    so the change of basis is block diagonal.  The weight-2d block has the
+    members L^(j-d) v_{2j}, j = |d|..n, as columns and the coordinates
+    (a, a+d) as rows: it is square of size n+1-|d|.  Singularity would
+    contradict the decomposition and raises.
     """
-    vectors: list[tuple[Fraction, ...]] = []
-    blocks: list[tuple[int, int]] = []  # (j, i) per basis member
-    for j in range(n + 1):
+    size = n + 1 - abs(d)
+    columns = []
+    for j in range(abs(d), n + 1):
         v = highest_weight_vector(n, j)
-        for i in range(2 * j + 1):
-            vectors.append(v.flatten())
-            blocks.append((j, i))
+        for _ in range(j - d):
             v = act_on_end(LOWER, v)
-    basis_matrix = Matrix.from_columns(vectors)
-    dim = (n + 1) ** 2
-    if len(vectors) != dim:
-        raise InternalConsistencyError("basis count is not (n+1)^2")
-    augmented = Matrix(
-        [list(row) + [Fraction(int(r == c)) for c in range(dim)]
-         for r, row in enumerate(basis_matrix.entries)]
-    )
-    reduced, pivots = augmented.rref()
-    if pivots != tuple(range(dim)):
-        raise InternalConsistencyError("assembled {L^i v_2j} basis is singular")
-    inverse = Matrix([row[dim:] for row in reduced])
-    return blocks, inverse
+        columns.append(_diagonal(v, d))
+    augmented = [
+        list(row) + [Fraction(int(r == c)) for c in range(size)]
+        for r, row in enumerate(zip(*columns))
+    ]
+    reduced, pivots = _rref(augmented)
+    if pivots != tuple(range(size)):
+        raise InternalConsistencyError(f"weight-{2 * d} block of {{L^i v_2j}} is singular")
+    return tuple(row[size:] for row in reduced)
+
+
+def _diagonal(t: EndoElement, d: int) -> list[Fraction]:
+    """The entries at (a, a+d), the weight-2d coordinates of t."""
+    low = max(0, -d)
+    return [t.grid[a][a + d] for a in range(low, low + t.n + 1 - abs(d))]
 
 
 def brute_force_coordinates(t: EndoElement) -> dict[tuple[int, int], Fraction]:
-    """Coordinates of t in the basis {L^i v_{2j}}, keyed by (j, i)."""
-    blocks, inverse = _brute_force_data(t.n)
-    coords = inverse.apply(t.flatten())
-    return dict(zip(blocks, coords))
+    """Coordinates of t in the basis {L^i v_{2j}}, keyed by (j, i).
+
+    Solved one weight block at a time; a zero diagonal of t has zero
+    coordinates, and its block is not solved.
+    """
+    n = t.n
+    coords: dict[tuple[int, int], Fraction] = {}
+    for d in range(-n, n + 1):
+        keys = [(j, j - d) for j in range(abs(d), n + 1)]
+        x = _diagonal(t, d)
+        if not any(x):
+            coords.update(dict.fromkeys(keys, Fraction(0)))
+            continue
+        inverse = _brute_force_data(n, d)
+        coords.update(zip(keys, (sum(a * b for a, b in zip(row, x)) for row in inverse)))
+    return coords
 
 
 def brute_force_project(t: EndoElement, k: int) -> tuple[Fraction, ...]:

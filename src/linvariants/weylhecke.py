@@ -319,6 +319,8 @@ def slope_check_hilbert(k_weights: Sequence[int], w_weight: int, slopes: Sequenc
         raise ValueError("one slope per infinite place is required")
     if not k_weights:
         raise ValueError("at least one place is required")
+    if not isinstance(w_weight, int) or isinstance(w_weight, bool):
+        raise ValueError(f"w must be an integer, not {w_weight!r}")
     for k in k_weights:
         if k < 2:
             raise ValueError("weights must be at least 2")
@@ -426,4 +428,6 @@ def refinement_obstruction_orders(exponents: Iterable[int]) -> set[int]:
 
 def exclusion_sufficient(orders: Iterable[int], n: int) -> bool:
     """Whether excluding mu_n kills every obstruction (all orders divide n)."""
+    if n < 1:
+        raise ValueError(f"N must be at least 1, got {n}")
     return all(n % d == 0 for d in orders)

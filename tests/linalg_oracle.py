@@ -1,10 +1,11 @@
 """Linear-algebra oracles for the tests: rank, kernel and the subspace lattice.
 
 The library keeps only the elimination it calls (`exactlin._rref` and its
-forward Bareiss pass).  The tests check `phin`'s closed forms and coordinate
-formulas against the plain definitions below, built on the same elimination:
-dense subspaces, and a module's N and Fil^0 built from the paper's formulas
-rather than read from the module.
+forward Bareiss pass), which takes a matrix as a sequence of rows.  The tests
+check `phin`'s closed forms and coordinate formulas against the plain
+definitions below, built on the same elimination: matrix arithmetic on row
+tuples, dense subspaces, and a module's N and Fil^0 built from the paper's
+formulas rather than read from the module.
 """
 
 from fractions import Fraction
@@ -13,7 +14,6 @@ from typing import Iterable, Sequence
 
 from linvariants.exactlin import (
     DimensionMismatchError,
-    Matrix,
     Vector,
     _bareiss_echelon,
     _rref,
@@ -21,6 +21,9 @@ from linvariants.exactlin import (
     vector,
 )
 from linvariants.phin import CRYSTALLINE_NONSPLIT, CRYSTALLINE_SPLIT, STEINBERG
+
+#: a matrix is a tuple of rows, as `exactlin._rref` takes and returns them
+Rows = tuple[Vector, ...]
 
 
 class Subspace:
@@ -77,29 +80,48 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return Matrix([[0] * cols for _ in range(rows)])
+def matrix(entries: Iterable[Iterable]) -> Rows:
+    """A matrix as a tuple of rows of exact scalars; ragged rows are refused."""
+    rows = tuple(vector(row) for row in entries)
+    if rows and any(len(row) != len(rows[0]) for row in rows):
+        raise DimensionMismatchError("ragged rows")
+    return rows
 
 
-def identity(n: int) -> Matrix:
-    return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
+def columns(a: Rows) -> int:
+    return len(a[0]) if a else 0
 
 
-def transpose(a: Matrix) -> Matrix:
-    return Matrix(list(zip(*a.entries))) if a.rows else Matrix([])
+def apply(a: Rows, v: Sequence) -> Vector:
+    v = vector(v)
+    if len(v) != columns(a):
+        raise DimensionMismatchError("vector length differs from cols")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def sub(a: Matrix, b: Matrix) -> Matrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
+def zero_matrix(rows: int, cols: int) -> Rows:
+    return matrix([[0] * cols for _ in range(rows)])
+
+
+def identity(n: int) -> Rows:
+    return matrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def transpose(a: Rows) -> Rows:
+    return tuple(zip(*a))
+
+
+def sub(a: Rows, b: Rows) -> Rows:
+    if (len(a), columns(a)) != (len(b), columns(b)):
         raise DimensionMismatchError("matrix shapes differ")
-    return Matrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)])
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
+def mul(a: Rows, b: Rows) -> Rows:
+    if columns(a) != len(b):
         raise DimensionMismatchError("inner dimensions differ")
-    cols = list(zip(*b.entries))
-    return Matrix([[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries])
+    cols = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
 def integer_rank(rows: list[list[int]]) -> int:
@@ -107,17 +129,18 @@ def integer_rank(rows: list[list[int]]) -> int:
     return len(_bareiss_echelon(rows)[1])
 
 
-def rank(a: Matrix) -> int:
-    return integer_rank(_to_integer_rows(a.entries))
+def rank(a: Rows) -> int:
+    return integer_rank(_to_integer_rows(a))
 
 
-def kernel(a: Matrix) -> list[Vector]:
+def kernel(a: Rows) -> list[Vector]:
     """Basis of the right kernel, one vector per free column."""
-    reduced, pivots = a.rref()
-    free = [c for c in range(a.cols) if c not in pivots]
+    reduced, pivots = _rref(a)
+    cols = columns(a)
+    free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * a.cols
+        v = [Fraction(0)] * cols
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
             v[c] = -reduced[r][f]
@@ -127,7 +150,7 @@ def kernel(a: Matrix) -> list[Vector]:
 
 def kernel_of_rows(rows: list[Vector], dim: int) -> list[Vector]:
     """Kernel of the linear system given by `rows` inside Q^dim."""
-    return kernel(Matrix(rows)) if rows else list(identity(dim).entries)
+    return kernel(matrix(rows)) if rows else list(identity(dim))
 
 
 def zero_space(ambient_dim: int) -> Subspace:
@@ -159,19 +182,19 @@ def intersect(u: Subspace, w: Subspace) -> Subspace:
     return Subspace.from_vectors(u.ambient_dim, kernel_of_rows(constraints, u.ambient_dim))
 
 
-def image_under(u: Subspace, t: Matrix) -> Subspace:
-    if t.cols != u.ambient_dim:
+def image_under(u: Subspace, t: Rows) -> Subspace:
+    if columns(t) != u.ambient_dim:
         raise DimensionMismatchError("map domain differs from ambient")
-    return Subspace.from_vectors(t.rows, [t.apply(v) for v in u.basis])
+    return Subspace.from_vectors(len(t), [apply(t, v) for v in u.basis])
 
 
-def preimage_under(u: Subspace, t: Matrix) -> Subspace:
+def preimage_under(u: Subspace, t: Rows) -> Subspace:
     """{v : t(v) in u}."""
-    if t.rows != u.ambient_dim:
+    if len(t) != u.ambient_dim:
         raise DimensionMismatchError("map codomain differs from ambient")
     transposed = transpose(t)
-    constraints = [transposed.apply(f) for f in annihilator_rows(u)]
-    return Subspace.from_vectors(t.cols, kernel_of_rows(constraints, t.cols))
+    constraints = [apply(transposed, f) for f in annihilator_rows(u)]
+    return Subspace.from_vectors(columns(t), kernel_of_rows(constraints, columns(t)))
 
 
 def coordinate_support(u: Subspace) -> tuple[int, ...] | None:
@@ -185,7 +208,7 @@ def coordinate_support(u: Subspace) -> tuple[int, ...] | None:
     return tuple(support)
 
 
-def monodromy_matrix(module) -> Matrix:
+def monodromy_matrix(module) -> Rows:
     """Dense N in the f-basis: N f_i = (n - i) f_{i+1} for steinberg, else 0.
 
     This is the derivation extending N e2 = e1, N e1 = 0.
@@ -195,7 +218,7 @@ def monodromy_matrix(module) -> Matrix:
     if module.case == STEINBERG:
         for i in range(-n, n):
             entries[n - (i + 1)][n - i] = Fraction(n - i)
-    return Matrix(entries)
+    return matrix(entries)
 
 
 def fil0_space(module) -> Subspace:

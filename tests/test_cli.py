@@ -67,6 +67,15 @@ def test_cg_invalid_triple_exit_2(capsys):
     assert "error" in payload
 
 
+@pytest.mark.parametrize("index", ["--u", "--v", "--w"])
+def test_cg_table_with_an_index_exit_2(capsys, index):
+    # the indices used to be ignored under --table
+    code, payload = run_json(capsys, "cg", "--m", "2", "--n", "2", "--p", "2",
+                             "--table", index, "0")
+    assert code == 2
+    assert payload["error"]["code"] == "input"
+
+
 def test_project_endo(capsys):
     code, payload = run_json(
         capsys, "project-endo", "--n", "1", "--k", "1", "--diag", '["3", "5"]'
@@ -238,6 +247,16 @@ def test_slope_hilbert(tmp_path, capsys):
     assert payload == {"noncritical": True}
 
 
+@pytest.mark.parametrize("w", [True, False, 2.0, "2"])
+def test_slope_hilbert_non_integer_w_exit_2(tmp_path, capsys, w):
+    # a JSON true used to be read as the weight 1
+    path = tmp_path / "slope.json"
+    path.write_text(json.dumps({"k": [3], "w": w, "slopes": ["0"]}))
+    code, payload = run_json(capsys, "slope", "--family", "hilbert", "--input", str(path))
+    assert code == 2
+    assert "error" in payload
+
+
 def test_slope_gsp_with_twist(tmp_path, capsys):
     path = tmp_path / "slope.json"
     path.write_text(
@@ -264,6 +283,16 @@ def test_obstruction(capsys):
     assert code == 0
     assert payload["orders"] == [1, 2, 3, 4]
     assert payload["check_N"] == {"N": 60, "sufficient": True}
+
+
+@pytest.mark.parametrize("check_n", ["0", "-60"])
+def test_obstruction_check_n_below_one_exit_2(capsys, check_n):
+    # every order divides 0 and -60, so both used to read as sufficient
+    code, payload = run_json(
+        capsys, "obstruction", "--exponents", "3,2,1,0", "--check-N", check_n
+    )
+    assert code == 2
+    assert "at least 1" in payload["error"]["message"]
 
 
 def linv_input(tmp_path, direction_u, direction_u0, gradients_list, params=None):

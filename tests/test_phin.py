@@ -116,7 +116,7 @@ def test_steinberg_monodromy_superdiagonal():
     # n=1 on (f_1, f_0, f_-1): entries (1, 2) down the superdiagonal, i.e.
     # (2n, ..., 1) when listed by ascending f-index
     module = build_case(STEINBERG, 1, l_invariant=1)
-    n_matrix = monodromy_matrix(module).entries
+    n_matrix = monodromy_matrix(module)
     assert n_matrix[0][1] == 1 and n_matrix[1][2] == 2
     assert all(
         n_matrix[i][j] == 0
@@ -161,7 +161,7 @@ def test_crystalline_split_eigenvalues_and_weight():
 def test_monodromy_map_is_support_of_dense_oracle(n):
     for case in CASES:
         module = build_case(case, n)
-        columns = list(zip(*monodromy_matrix(module).entries))
+        columns = list(zip(*monodromy_matrix(module)))
         support = tuple(
             next((row for row, x in enumerate(column) if x), None) for column in columns
         )

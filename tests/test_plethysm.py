@@ -168,7 +168,7 @@ def test_diagonal_projection_identity_has_no_higher_component():
         for k in range(1, n + 1):
             result = project_endomorphism_diagonal(n, k, [1] * (n + 1))
             assert result.middle == 0
-            assert result.tail_is_zero()
+            assert not any(result.tail)
 
 
 def test_diagonal_projection_rank_one():
