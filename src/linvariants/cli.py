@@ -98,13 +98,7 @@ def _cmd_cg(args) -> tuple[dict, str | None, list | None]:
         if (args.u, args.v, args.w) != (None, None, None):
             raise CliError("--table and --u, --v, --w exclude each other")
         table = plethysm.cg_table(m, n, p)
-        rows = []
-        for u in range(m + 1):
-            for v in range(n + 1):
-                for w in range(p + 1):
-                    value = table.coefficient(u, v, w)
-                    if value:
-                        rows.append((u, v, w, str(value)))
+        rows = [(*key, str(table[key])) for key in sorted(table)]
         return {"m": m, "n": n, "p": p, "rows": rows}, "u,v,w,value", rows
     if args.u is None or args.v is None or args.w is None:
         raise CliError("either --table or all of --u --v --w are required")
@@ -256,6 +250,8 @@ def _cmd_slope(args) -> tuple[dict, str | None, list | None]:
 
 def _cmd_obstruction(args) -> tuple[dict, str | None, list | None]:
     exponents = [int(x) for x in args.exponents.split(",") if x.strip() != ""]
+    if not exponents:
+        raise CliError("--exponents needs at least one exponent")
     orders = weylhecke.refinement_obstruction_orders(exponents)
     payload: dict = {"orders": sorted(orders)}
     if args.check_N is not None:

@@ -11,7 +11,8 @@ with the raising-operator recurrence
 
     C^{u,v,w} = (u C^{u-1,v,w-1} + v C^{u,v-1,w-1}) / w        (w >= 1)
 
-fills the whole table.  The lowering-operator recurrence
+fills the whole table; unrolled down to w = 0 it gives one entry as an
+O(w) sum (`cg_coefficient`).  The lowering-operator recurrence
 
     (p-w) C^{u,v,w} = (m-u) C^{u+1,v,w+1} + (n-v) C^{u,v+1,w+1}
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .exactlin import DimensionMismatchError, rational
 from .sl2rep import EndoElement, RepVector
@@ -47,23 +48,9 @@ def valid_triple(m: int, n: int, p: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class CGTable:
-    """All C_{m,n,p}^{u,v,w} for one weight triple, keyed on the stratum."""
-
-    m: int
-    n: int
-    p: int
-    values: dict[tuple[int, int, int], Fraction]
-
-    def coefficient(self, u: int, v: int, w: int) -> Fraction:
-        if not (0 <= u <= self.m and 0 <= v <= self.n and 0 <= w <= self.p):
-            raise ValueError(f"indices out of range for V_{self.m} x V_{self.n} -> V_{self.p}")
-        return self.values.get((u, v, w), Fraction(0))
-
-
 @lru_cache(maxsize=None)
-def cg_table(m: int, n: int, p: int) -> CGTable:
+def cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], Fraction]:
+    """The nonzero C_{m,n,p}^{u,v,w} of one weight triple, keyed (u, v, w)."""
     if not valid_triple(m, n, p):
         raise InvalidWeightTripleError(f"V_{p} does not occur in V_{m} (x) V_{n}")
     s0 = (m + n - p) // 2
@@ -85,11 +72,29 @@ def cg_table(m: int, n: int, p: int) -> CGTable:
                 acc += v * values.get((u, v - 1, w - 1), Fraction(0))
             if acc:
                 values[(u, v, w)] = acc / w
-    return CGTable(m, n, p, values)
+    return values
 
 
 def cg_coefficient(m: int, n: int, p: int, u: int, v: int, w: int) -> Fraction:
-    return cg_table(m, n, p).coefficient(u, v, w)
+    """One C_{m,n,p}^{u,v,w}: the raising recurrence unrolled down to w = 0,
+
+        C^{u,v,w} = (1/w!) sum_a C(w,a) u!/(u-a)! v!/(v-w+a)! C^{u-a, v-w+a, 0},
+
+    a of the w steps lowering u, with C^{u',v',0} = (-1)^{u'} (m-u')! (n-v')!
+    and 0 off the stratum.  `cg_table` is its oracle in the tests.
+    """
+    if not valid_triple(m, n, p):
+        raise InvalidWeightTripleError(f"V_{p} does not occur in V_{m} (x) V_{n}")
+    if not (0 <= u <= m and 0 <= v <= n and 0 <= w <= p):
+        raise ValueError(f"indices out of range for V_{m} x V_{n} -> V_{p}")
+    if u + v - w != (m + n - p) // 2:
+        return Fraction(0)
+    total = sum(
+        comb(w, a) * perm(u, a) * perm(v, w - a)
+        * (-1) ** (u - a) * factorial(m - u + a) * factorial(n - v + w - a)
+        for a in range(max(0, w - v), min(u, w) + 1)
+    )
+    return Fraction(total, factorial(w))
 
 
 def b_coefficient(n: int, k: int, i: int) -> Fraction:
@@ -169,7 +174,7 @@ def project_endomorphism(t: EndoElement, k: int) -> RepVector:
                 continue
             scale = c * (-1) ** j * comb(n, j)
             for w in range(2 * k + 1):
-                coeff = table.values.get((i, n - j, w))
+                coeff = table.get((i, n - j, w))
                 if coeff:
                     out[w] += scale * coeff
     return RepVector(2 * k, tuple(out))

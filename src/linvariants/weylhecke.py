@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor
+from math import ceil, comb, floor, isqrt
 from typing import Iterable, Sequence
 
 from .exactlin import rational, vector
@@ -136,10 +136,8 @@ def weyl_conjugate(w: WeylElement, t: TorusExponent) -> TorusExponent:
     """Exponents of the conjugated torus element: slot j carries a'_{nu(j)}."""
     if w.g != t.g:
         raise ValueError("ranks differ")
-    flipped = [
-        t.a[i - 1] if w.sign(i) == 1 else t.a0 - t.a[i - 1] for i in range(1, w.g + 1)
-    ]
-    return TorusExponent(tuple(flipped[w.permute(j) - 1] for j in range(1, w.g + 1)), t.a0)
+    flipped = [a if e == 1 else t.a0 - a for a, e in zip(t.a, w.eps)]
+    return TorusExponent(tuple(flipped[i - 1] for i in w.nu), t.a0)
 
 
 @dataclass(frozen=True)
@@ -171,13 +169,13 @@ def hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> Eige
     if t.g != g or w.g != g:
         raise ValueError("ranks differ")
     s = weyl_conjugate(w, t)
-    p_exp = Fraction(g * (g + 1), 4) * t.a0 - sum(
-        (g + 1 - j) * s.a[j - 1] for j in range(1, g + 1)
-    )
-    value = EigenMonomial.p_power(p_exp) * chi.sigma**t.a0
-    for j in range(1, g + 1):
-        value = value * chi.chi[j - 1] ** s.a[j - 1]
-    return value
+    # one exponent map for p^{p_exp} sigma^{a_0} prod_j chi_j^{a'_{nu(j)}}
+    p_exp = Fraction(g * (g + 1), 4) * t.a0 - sum((g + 1 - j) * a for j, a in enumerate(s.a, 1))
+    exps = {"p": p_exp}
+    for value, power in ((chi.sigma, t.a0), *zip(chi.chi, s.a)):
+        for sym, e in value.exponents:
+            exps[sym] = exps.get(sym, 0) + e * power
+    return EigenMonomial.from_dict(exps)
 
 
 def c_constant(g: int, i: int, w: WeylElement) -> Fraction:
@@ -393,36 +391,64 @@ def twist_search(
     return floor(ratio) + 1 if t.a0 > 0 else ceil(ratio) - 1
 
 
+#: budget of `refinement_obstruction_orders`, about 4 s and 60 MB at most
+#: (the cost table is in CHANGES.md): the summed size bounds of its
+#: subset-sum sets, and the trial divisions of its differences
+OBSTRUCTION_MAX_SUMS = 2**18
+OBSTRUCTION_MAX_TRIALS = 10**8
+
+
 def _divisors(n: int) -> set[int]:
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return out
+    small = [d for d in range(1, isqrt(n) + 1) if not n % d]
+    return {*small, *(n // d for d in small)}
 
 
 def refinement_obstruction_orders(exponents: Iterable[int]) -> set[int]:
     """Orders d such that r^d = 1 collides the leading refinement.
 
     exponents are the r-exponents of the Frobenius eigenvalues, leading
-    refinement first after sorting; for each cardinality i the top-i sum is
-    compared with every other i-element subset sum, and each divisor of a
-    nonzero difference is an obstruction order.  Distinct exponents make
-    the top sum strictly maximal, so all differences are positive.
+    refinement first after sorting; for each cardinality i the top-i sum
+    top_i is compared with every other i-element subset sum s, and each
+    divisor of top_i - s is an obstruction order.  Distinct exponents make
+    top_i strictly maximal, so the differences are positive.
+
+    One pass keeps the set S_i of i-subset sums for i <= m/2; complements
+    give the (m-i)-subsets, with differences s - bot_i (bot_i the bottom-i
+    sum).  Up front, |S_i| <= min(C(m, i), top_i - bot_i + 1), and each of
+    the at most min(2 sum |S_i|, D) differences takes isqrt(D) trial
+    divisions, D = top_i - bot_i at i = m/2 the widest; a request past
+    either budget is refused.  Enumerating all subsets is the test oracle.
     """
     exps = sorted(exponents, reverse=True)
     if len(set(exps)) != len(exps):
         raise ValueError("exponents must be pairwise distinct")
+    m, half = len(exps), len(exps) // 2
+    tops = list(itertools.accumulate(exps[:half]))
+    bots = list(itertools.accumulate(exps[::-1][:half]))
+    sizes = 0
+    for i, (top, bot) in enumerate(zip(tops, bots), 1):
+        sizes += min(comb(m, i), top - bot + 1)
+        if sizes > OBSTRUCTION_MAX_SUMS:
+            raise ValueError(f"obstruction needs over {OBSTRUCTION_MAX_SUMS} subset sums; refused")
+    widest = tops[-1] - bots[-1] if half else 0
+    trials = min(2 * sizes, widest) * isqrt(widest)
+    if trials > OBSTRUCTION_MAX_TRIALS:
+        raise ValueError(
+            f"obstruction exponents {widest} apart need up to {trials} trial divisions; "
+            f"more than {OBSTRUCTION_MAX_TRIALS} is refused"
+        )
+    sums = [{0}] + [set() for _ in range(half)]  # sums[i]: i-subset sums so far
+    for k, x in enumerate(exps):
+        for i in range(min(k + 1, half), 0, -1):
+            sums[i] |= {s + x for s in sums[i - 1]}
+    diffs = set()
+    for top, bot, reached in zip(tops, bots, sums[1:]):
+        diffs.update(top - s for s in reached)
+        diffs.update(s - bot for s in reached)
+    diffs.discard(0)
     orders: set[int] = set()
-    for i in range(1, len(exps)):
-        top = sum(exps[:i])
-        for subset in itertools.combinations(exps, i):
-            diff = top - sum(subset)
-            if diff:
-                orders |= _divisors(abs(diff))
+    for diff in diffs:
+        orders |= _divisors(diff)
     return orders
 
 

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from linvariants.cli import main
+from linvariants.cli import build_parser, main
+from linvariants.plethysm import cg_table, valid_triple
 
 
 def run(capsys, *argv):
@@ -58,6 +59,30 @@ def test_cg_table_deterministic(capsys):
     assert out1 == out2
     rows = json.loads(out1)["rows"]
     assert rows == sorted(rows), "lexicographic index order"
+
+
+def cube_scan_rows(m, n, p):
+    """The nonzero entries of the whole (m+1)(n+1)(p+1) cube, in index order."""
+    table = cg_table(m, n, p)
+    rows = []
+    for u in range(m + 1):
+        for v in range(n + 1):
+            for w in range(p + 1):
+                value = table.get((u, v, w), 0)
+                if value:
+                    rows.append((u, v, w, str(value)))
+    return rows
+
+
+def test_cg_table_rows_equal_cube_scan():
+    parser = build_parser()
+    for m in range(11):
+        for n in range(11):
+            for p in range(abs(m - n), m + n + 1, 2):
+                assert valid_triple(m, n, p)
+                args = parser.parse_args(["cg", f"--m={m}", f"--n={n}", f"--p={p}", "--table"])
+                payload, _, rows = args.func(args)
+                assert rows == payload["rows"] == cube_scan_rows(m, n, p), (m, n, p)
 
 
 def test_cg_invalid_triple_exit_2(capsys):
@@ -283,6 +308,40 @@ def test_obstruction(capsys):
     assert code == 0
     assert payload["orders"] == [1, 2, 3, 4]
     assert payload["check_N"] == {"N": 60, "sufficient": True}
+
+
+@pytest.mark.parametrize("exponents", ["", ",,,", " , "])
+def test_obstruction_without_exponents_exit_2(capsys, exponents):
+    # an empty eigenvalue list used to print {"orders":[]} and exit 0
+    code, payload = run_json(capsys, "obstruction", f"--exponents={exponents}")
+    assert code == 2
+    assert payload["error"]["message"] == "--exponents needs at least one exponent"
+
+
+def test_obstruction_single_and_negative_exponents(capsys):
+    assert run_json(capsys, "obstruction", "--exponents", "7") == (0, {"orders": []})
+    # argparse reads "--exponents -5,..." as an option: negatives need "="
+    code, payload = run_json(capsys, "obstruction", "--exponents=-5,-3,-1")
+    assert code == 0
+    assert payload["orders"] == [1, 2, 4]
+
+
+@pytest.mark.parametrize(
+    "exponents, message",
+    [
+        (",".join(map(str, [*range(144), 258])), "subset sums"),
+        (",".join(str(2**j) for j in range(40)), "subset sums"),
+        (f"{25_000_001**2},0", "trial divisions"),
+        (f"{10**1000},0", "trial divisions"),
+    ],
+)
+def test_obstruction_past_its_budget_exits_2_at_once(capsys, exponents, message):
+    # refused on bounds read off the sorted exponents, before any subset sum
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "obstruction", f"--exponents={exponents}")
+    assert time.perf_counter() - start < 0.2
+    assert code == 2
+    assert message in payload["error"]["message"]
 
 
 @pytest.mark.parametrize("check_n", ["0", "-60"])

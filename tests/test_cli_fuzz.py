@@ -6,8 +6,8 @@ computations, and otherwise any JSON value at all: strings, bools, floats,
 null, nested lists and objects.  Sizes cross the caps on exponential
 listings (phin n <= 10, hecke g <= 8) and otherwise stay small (g <= 3
 elsewhere, at most 8 exponents, cg and bcoeff sizes <= 30); fixed examples
-step one past each table's size cap.  Every example
-must finish within `EXAMPLE_SECONDS`.
+step one past each table's size cap and each `obstruction` budget.  Every
+example must finish within `EXAMPLE_SECONDS`.
 """
 
 import contextlib
@@ -246,6 +246,10 @@ argvs = st.one_of(
 @example((["bcoeff", "--n=601", "--k=300"], None))
 @example((["cg", "--m=151", "--n=151", "--p=150", "--table"], None))
 @example((["project-endo", "--n=251", "--k=1", "--diag=[1]"], None))
+# one past each obstruction budget: the subset-sum bound (262206 > 2^18, and
+# 262135 with 257 on top) and the trial divisions of a gap (4 isqrt(gap) > 10^8)
+@example((["obstruction", "--exponents=" + ",".join(map(str, [*range(144), 258]))], None))
+@example((["obstruction", f"--exponents={25_000_001**2},0"], None))
 def test_every_accepted_argv_ends_in_one_json_line(case):
     argv, stdin = case
     out = io.StringIO()

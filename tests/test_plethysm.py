@@ -7,7 +7,6 @@ from math import comb, factorial
 import pytest
 
 from linvariants.plethysm import (
-    CGTable,
     DiagonalProjection,
     InvalidWeightTripleError,
     b_coefficient,
@@ -40,7 +39,27 @@ def test_off_stratum_vanishes():
         for v in range(4):
             for w in range(5):
                 if u + v - w != offset:
-                    assert table.coefficient(u, v, w) == 0
+                    assert (u, v, w) not in table
+
+
+@pytest.mark.parametrize("m", range(0, 13))
+def test_closed_coefficient_equals_table(m):
+    for n in range(13):
+        for p in range(abs(m - n), min(m + n, 12) + 1, 2):
+            table = cg_table(m, n, p)
+            for u in range(m + 1):
+                for v in range(n + 1):
+                    for w in range(p + 1):
+                        expected = table.get((u, v, w), F(0))
+                        assert cg_coefficient(m, n, p, u, v, w) == expected
+
+
+def test_closed_coefficient_errors():
+    with pytest.raises(InvalidWeightTripleError, match=r"V_3 does not occur in V_2 \(x\) V_2"):
+        cg_coefficient(2, 2, 3, 0, 0, 0)
+    for u, v, w in ((3, 0, 0), (0, -1, 0), (0, 0, 5)):
+        with pytest.raises(ValueError, match="indices out of range for V_2 x V_2 -> V_4"):
+            cg_coefficient(2, 2, 4, u, v, w)
 
 
 def test_initial_value_example():
@@ -60,7 +79,7 @@ def test_both_recurrences_hold(m, n, p):
 
     def c(u, v, w):
         if 0 <= u <= m and 0 <= v <= n and 0 <= w <= p:
-            return table.coefficient(u, v, w)
+            return table.get((u, v, w), F(0))
         return F(0)
 
     for u in range(m + 1):

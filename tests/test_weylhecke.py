@@ -1,5 +1,6 @@
 """Hyperoctahedral combinatorics, Hecke eigenvalues, slopes, obstructions."""
 
+import itertools
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -8,6 +9,8 @@ import pytest
 
 from linvariants.phin import EigenMonomial, monomial_product
 from linvariants.weylhecke import (
+    OBSTRUCTION_MAX_SUMS,
+    OBSTRUCTION_MAX_TRIALS,
     CharacterData,
     NonDominantError,
     TorusExponent,
@@ -165,6 +168,36 @@ def random_consistent_character(g):
     return CharacterData(chis, sigma), mu, mu0
 
 
+def product_hecke_diagonal(chi, t, w):
+    """`hecke_diagonal` as a product of one EigenMonomial per factor."""
+    g = chi.g
+    s = weyl_conjugate(w, t)
+    p_exp = F(g * (g + 1), 4) * t.a0 - sum((g + 1 - j) * s.a[j - 1] for j in range(1, g + 1))
+    value = EigenMonomial.p_power(p_exp) * chi.sigma**t.a0
+    for j in range(1, g + 1):
+        value = value * chi.chi[j - 1] ** s.a[j - 1]
+    return value
+
+
+@pytest.mark.parametrize("g", range(1, 5))
+def test_hecke_diagonal_equals_monomial_product(g):
+    x = EigenMonomial.symbol("x")
+    # x cancels between chi_1 and chi_2 wherever a'_{nu(1)} = a'_{nu(2)}
+    cancelling = (x * EigenMonomial.p_power(1), x.inverse()) + (EigenMonomial.one(),) * (g - 2)
+    characters = [CharacterData.generic(g), CharacterData(cancelling[:g], x ** F(1, 2))]
+    for _ in range(2):
+        chi, mu, mu0 = random_consistent_character(g)
+        characters.append(chi)
+        if g >= 2:
+            w = rng.choice(weyl_group(g))
+            thetas = [normalized_eigenvalue(chi, mu, mu0, i, w) for i in range(1, g + 1)]
+            characters.append(recover_characters(g, thetas, mu, mu0, w))
+    for chi in characters:
+        for t in (random_torus(g), TorusExponent.make([F(1, 2)] * g, F(-3, 2))):
+            for w in weyl_group(g):
+                assert hecke_diagonal(chi, t, w) == product_hecke_diagonal(chi, t, w)
+
+
 @pytest.mark.parametrize("g", (2, 3))
 def test_recover_characters_round_trip(g):
     elements = weyl_group(g)
@@ -313,6 +346,64 @@ def test_obstruction_standard_finite(n):
     orders = refinement_obstruction_orders(range(-n, n + 1))
     assert orders
     assert all(d > 0 for d in orders)
+
+
+def trial_divisors(n):
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return out
+
+
+def enumerated_obstruction_orders(exponents):
+    """Every i-subset sum against the top-i sum, all 2^m subsets enumerated."""
+    exps = sorted(exponents, reverse=True)
+    orders = set()
+    for i in range(1, len(exps)):
+        top = sum(exps[:i])
+        for subset in itertools.combinations(exps, i):
+            diff = top - sum(subset)
+            if diff:
+                orders |= trial_divisors(diff)
+    return orders
+
+
+@pytest.mark.parametrize("m", range(0, 15))
+def test_obstruction_subset_sums_equal_enumeration(m):
+    gen = random.Random(1000 + m)
+    # dense and sparse sums, and gaps up to about 6 * 10^6
+    for spread in (20, 200, 10**6 if m <= 6 else 2000):
+        exps = gen.sample(range(-spread, spread + 1), m)
+        assert refinement_obstruction_orders(exps) == enumerated_obstruction_orders(exps)
+
+
+def test_obstruction_sum_set_budget():
+    # powers of two have pairwise distinct subset sums: C(m, i) sums per i
+    with pytest.raises(ValueError, match="subset sums"):
+        refinement_obstruction_orders([2**j for j in range(20)])
+    # 0..143 with 257 on top bounds the sum sets by 262135, with 258 by 262206
+    assert OBSTRUCTION_MAX_SUMS == 2**18
+    with pytest.raises(ValueError, match="subset sums"):
+        refinement_obstruction_orders([*range(144), 258])
+
+
+def test_obstruction_trial_division_budget():
+    # two exponents: 4 isqrt(gap) trial divisions at most
+    assert OBSTRUCTION_MAX_TRIALS == 10**8
+    with pytest.raises(ValueError, match="trial divisions"):
+        refinement_obstruction_orders([25_000_001**2, 0])
+    assert refinement_obstruction_orders([-(10**12), 0]) == {
+        2**a * 5**b for a in range(13) for b in range(13)
+    }
+
+
+def test_obstruction_single_exponent_has_no_orders():
+    assert refinement_obstruction_orders([7]) == set()
+    assert refinement_obstruction_orders([]) == set()
 
 
 def test_obstruction_requires_distinct():
