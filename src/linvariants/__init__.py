@@ -9,7 +9,12 @@ Submodules:
 * weylhecke -- GSp(2g) Weyl combinatorics, Hecke eigenvalues, slope bounds
 * linv      -- triangulation rows, one pair of linear forms per place
 * cli       -- JSON/CSV command-line interface
+
+`linvariants.<name>` imports a submodule on first use.  The registries
+live here so that the CLI's parser reads them without importing the maths.
 """
+
+import importlib
 
 __all__ = [
     "exactlin",
@@ -22,3 +27,23 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+#: the local shapes of `phin`
+CASES = ("steinberg", "crystalline_split", "crystalline_nonsplit")
+#: the triangulated families of `linv`
+FAMILIES = ("hilbert", "gsp4_spin", "gsp_std", "unitary")
+#: theorem -> (family, B-row rule); the rule maps the family's row (n, k)
+#: to the theorem's when the theorem does not use the family's own row
+THEOREMS = {
+    "A": ("hilbert", None),
+    "B": ("gsp4_spin", None),
+    "C": ("gsp_std", None),
+    "D1": ("unitary", None),
+    "D2": ("unitary", lambda n, k: (n, n - 2)),
+}
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,6 +5,9 @@ output).  Rationals are serialized as "num/den" strings so no consumer
 ever sees a rounded value.  Exit codes: 0 success, 2 malformed input or
 domain/precondition error, 3 mathematical singularity (zero denominator
 at the chosen direction).
+
+Each request is a fresh process, so a subcommand imports its maths module
+only when it runs.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ import argparse
 import json
 import sys
 
-from . import linv, phin, plethysm, weylhecke
+from . import CASES, FAMILIES, THEOREMS
 from .exactlin import rational
-from .sl2rep import InternalConsistencyError
 
 
 #: largest sizes whose exponential listings are computed: `hecke --all`
@@ -25,21 +27,25 @@ HECKE_ALL_MAX_G = 6
 ALL_SUBMODULES_MAX_N = 8
 #: largest sizes of the polynomial-cost tables, each about 10 s and 100 MB
 #: at most (the cost table is in CHANGES.md): `bcoeff` n, every index of
-#: `cg`, `project-endo` n, and per `linv` family the `params` key of its
-#: rank with that rank's cap
+#: `cg`, `project-endo` n, `recover-chi` g, and per `linv` family the
+#: `params` key of its rank with that rank's cap
 BCOEFF_MAX_N = 600
 CG_MAX_INDEX = 150
 PROJECT_ENDO_MAX_N = 250
+RECOVER_CHI_MAX_G = 500
 LINV_RANK_CAPS = {"gsp_std": ("g", 200), "unitary": ("n", 100)}
 
 
 class CliError(Exception):
-    def __init__(self, message: str, exit_code: int = 2):
+    """A refused request; `error` is the JSON object printed for it."""
+
+    def __init__(self, message: str, exit_code: int = 2, **fields):
         super().__init__(message)
         self.exit_code = exit_code
+        self.error = {"code": "input", **fields, "message": message}
 
 
-def _monomial_json(m: phin.EigenMonomial) -> dict:
+def _monomial_json(m) -> dict:
     return {sym: str(e) for sym, e in sorted(m.exponents)}
 
 
@@ -47,10 +53,6 @@ def _json_object(value, label: str) -> dict:
     if not isinstance(value, dict):
         raise CliError(f"{label} must be a JSON object, not {value!r}")
     return value
-
-
-def _monomial_from_json(obj) -> phin.EigenMonomial:
-    return phin.EigenMonomial.from_dict(_json_object(obj, "a monomial"))
 
 
 def _parse_json_arg(text: str, label: str):
@@ -92,6 +94,7 @@ def _cap(value: int, cap: int, what: str) -> None:
 
 
 def _cmd_cg(args) -> tuple[dict, str | None, list | None]:
+    from . import plethysm
     m, n, p = args.m, args.n, args.p
     _cap(max(m, n, p), CG_MAX_INDEX, "cg --m, --n or --p")
     if args.table:
@@ -107,6 +110,7 @@ def _cmd_cg(args) -> tuple[dict, str | None, list | None]:
 
 
 def _cmd_bcoeff(args) -> tuple[dict, str | None, list | None]:
+    from . import plethysm
     _cap(args.n, BCOEFF_MAX_N, "bcoeff --n")
     if args.i is not None:
         value = plethysm.b_coefficient(args.n, args.k, args.i)
@@ -118,6 +122,7 @@ def _cmd_bcoeff(args) -> tuple[dict, str | None, list | None]:
 
 
 def _cmd_project_endo(args) -> tuple[dict, str | None, list | None]:
+    from . import plethysm
     _cap(args.n, PROJECT_ENDO_MAX_N, "project-endo --n")
     diag = _parse_json_arg(args.diag, "--diag")
     if not isinstance(diag, list):
@@ -131,11 +136,12 @@ def _cmd_project_endo(args) -> tuple[dict, str | None, list | None]:
     }, None, None
 
 
-def _subspace_json(module: phin.PhiNModule, space) -> list[int]:
+def _subspace_json(module, space) -> list[int]:
     return list(module.f_indices_of(space))
 
 
 def _cmd_phin(args) -> tuple[dict, str | None, list | None]:
+    from . import phin
     if args.all_submodules and args.case != phin.STEINBERG and args.n > ALL_SUBMODULES_MAX_N:
         raise CliError(
             f"--all-submodules lists 2^(2n+1) sets in case {args.case}; "
@@ -181,13 +187,15 @@ def _cmd_phin(args) -> tuple[dict, str | None, list | None]:
     return payload, None, None
 
 
-def _weyl_from_args(args, g: int) -> weylhecke.WeylElement:
+def _weyl_from_args(args, g: int):
+    from .weylhecke import WeylElement
     if args.weyl is None:
-        return weylhecke.WeylElement.identity(g)
-    return weylhecke.WeylElement.from_json(_parse_json_arg(args.weyl, "--weyl"))
+        return WeylElement.identity(g)
+    return WeylElement.from_json(_parse_json_arg(args.weyl, "--weyl"))
 
 
 def _cmd_hecke(args) -> tuple[dict, str | None, list | None]:
+    from . import weylhecke
     g = args.g
     if args.all and g > HECKE_ALL_MAX_G:
         raise CliError(f"--all lists 2^g g! Weyl elements; g > {HECKE_ALL_MAX_G} is refused")
@@ -213,13 +221,15 @@ def _cmd_hecke(args) -> tuple[dict, str | None, list | None]:
 
 
 def _cmd_recover_chi(args) -> tuple[dict, str | None, list | None]:
+    from . import weylhecke
     g = args.g
+    _cap(g, RECOVER_CHI_MAX_G, "recover-chi --g")
     eigs = _parse_json_arg(args.eigs, "--eigs")
     weights = _parse_json_arg(args.weights, "--weights")
     w = _weyl_from_args(args, g)
     recovered = weylhecke.recover_characters(
         g,
-        [_monomial_from_json(e) for e in eigs],
+        [weylhecke.EigenMonomial.from_dict(_json_object(e, "a monomial")) for e in eigs],
         weights["mu"],
         weights["mu0"],
         w,
@@ -231,6 +241,7 @@ def _cmd_recover_chi(args) -> tuple[dict, str | None, list | None]:
 
 
 def _cmd_slope(args) -> tuple[dict, str | None, list | None]:
+    from . import weylhecke
     obj = _load_input(args)
     if args.family == "hilbert":
         ok = weylhecke.slope_check_hilbert(obj["k"], obj["w"], obj["slopes"])
@@ -249,6 +260,7 @@ def _cmd_slope(args) -> tuple[dict, str | None, list | None]:
 
 
 def _cmd_obstruction(args) -> tuple[dict, str | None, list | None]:
+    from . import weylhecke
     exponents = [int(x) for x in args.exponents.split(",") if x.strip() != ""]
     if not exponents:
         raise CliError("--exponents needs at least one exponent")
@@ -263,6 +275,7 @@ def _cmd_obstruction(args) -> tuple[dict, str | None, list | None]:
 
 
 def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
+    from . import linv
     obj = _load_input(args)
     family = args.family
     params = _json_object(obj.get("params", {}), "params")
@@ -270,9 +283,9 @@ def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
     direction_obj = obj["direction"]
     direction = linv.Direction.make(direction_obj["u"], direction_obj.get("u0", 0))
     which = args.compare_theorem
-    if which and linv.THEOREMS[which][0] != family:
+    if which and THEOREMS[which][0] != family:
         raise CliError(
-            f"theorem {which} belongs to family {linv.THEOREMS[which][0]}, not {family}"
+            f"theorem {which} belongs to family {THEOREMS[which][0]}, not {family}"
         )
     rank = None
     if family in LINV_RANK_CAPS:
@@ -291,7 +304,10 @@ def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
         assignments.append(
             [rational(gradients[f"a_{j}"]) for j in range(1, data.num_hecke + 1)]
         )
-    pairs = linv.per_place_pairs(data, direction, assignments)
+    try:
+        pairs = linv.per_place_pairs(data, direction, assignments)
+    except linv.SingularDirectionError as err:
+        raise CliError(str(err), 3, code="singular_direction", place=err.place) from err
     payload: dict = {
         "value": str(linv.rank1_combine(pairs)),
         "per_place": [
@@ -339,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     project.set_defaults(func=_cmd_project_endo)
 
     phin_cmd = sub.add_parser("phin", help="filtered (phi,N)-module analysis")
-    phin_cmd.add_argument("--case", choices=phin.CASES, required=True)
+    phin_cmd.add_argument("--case", choices=CASES, required=True)
     phin_cmd.add_argument("--n", type=int, required=True)
     phin_cmd.add_argument("--L", help="Fontaine-Mazur parameter (steinberg)")
     phin_cmd.add_argument("--weight", type=int, help="motivic weight (split case)")
@@ -375,9 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     obstruction.set_defaults(func=_cmd_obstruction)
 
     linv_cmd = sub.add_parser("linv", help="evaluate the L-invariant formulas")
-    linv_cmd.add_argument("--family", choices=linv.FAMILIES, required=True)
+    linv_cmd.add_argument("--family", choices=FAMILIES, required=True)
     linv_cmd.add_argument("--input", required=True, help="JSON file path or - for stdin")
-    linv_cmd.add_argument("--compare-theorem", choices=linv.THEOREMS)
+    linv_cmd.add_argument("--compare-theorem", choices=THEOREMS)
     linv_cmd.set_defaults(func=_cmd_linv)
     return parser
 
@@ -392,14 +408,10 @@ def main(argv=None) -> int:
         payload, csv_header, csv_rows = args.func(args)
         print(_emit(payload, args.format, csv_header, csv_rows))
         return 0
-    except linv.SingularDirectionError as err:
-        error, code = {"code": "singular_direction", "place": err.place, "message": str(err)}, 3
     except CliError as err:
-        error, code = {"code": "input", "message": str(err)}, err.exit_code
+        error, code = err.error, err.exit_code
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as err:
         error, code = {"code": "domain", "message": str(err)}, 2
-    except InternalConsistencyError as err:
-        error, code = {"code": "internal", "message": str(err)}, 2
     print(_emit({"error": error}, "json"))
     return code
 

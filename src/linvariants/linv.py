@@ -32,19 +32,9 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
+from . import FAMILIES, THEOREMS
 from .exactlin import DimensionMismatchError, rational, vector
 from .plethysm import b_row
-
-FAMILIES = ("hilbert", "gsp4_spin", "gsp_std", "unitary")
-#: theorem -> (family, B-row rule); the rule maps the family's row (n, k)
-#: to the theorem's when the theorem does not use the family's own row
-THEOREMS = {
-    "A": ("hilbert", None),
-    "B": ("gsp4_spin", None),
-    "C": ("gsp_std", None),
-    "D1": ("unitary", None),
-    "D2": ("unitary", lambda n, k: (n, n - 2)),
-}
 
 
 class SingularDirectionError(ValueError):

@@ -46,12 +46,10 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
+from . import CASES
 from .exactlin import rational
 
-STEINBERG = "steinberg"
-CRYSTALLINE_SPLIT = "crystalline_split"
-CRYSTALLINE_NONSPLIT = "crystalline_nonsplit"
-CASES = (STEINBERG, CRYSTALLINE_SPLIT, CRYSTALLINE_NONSPLIT)
+STEINBERG, CRYSTALLINE_SPLIT, CRYSTALLINE_NONSPLIT = CASES
 
 
 class UnsupportedInputError(ValueError):

@@ -41,18 +41,6 @@ class InternalConsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RepVector:
-    """Element of Sym^m V in the basis (g_{m,i}), or of its dual in (g_{m,i}^v)."""
-
-    m: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.m + 1:
-            raise DimensionMismatchError("coefficient vector has wrong length")
-
-
-@dataclass(frozen=True)
 class EndoElement:
     """Element of End(Sym^n V); grid[i][j] is the g_{n,i} (x) g_{n,j}^v coefficient."""
 

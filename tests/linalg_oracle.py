@@ -1,13 +1,17 @@
-"""Linear-algebra oracles for the tests: rank, kernel and the subspace lattice.
+"""Linear-algebra oracles for the tests: rank, kernel, the subspace lattice
+and the full projection End(Sym^n V) -> Sym^{2k} V.
 
 The library keeps only the elimination it calls (`exactlin._rref` and its
 forward Bareiss pass), which takes a matrix as a sequence of rows.  The tests
 check `phin`'s closed forms and coordinate formulas against the plain
 definitions below, built on the same elimination: matrix arithmetic on row
 tuples, dense subspaces, and a module's N and Fil^0 built from the paper's
-formulas rather than read from the module.
+formulas rather than read from the module.  They check `plethysm`'s
+closed-form diagonal projection against `project_endomorphism`, which
+assembles the whole projection from the inverse Clebsch-Gordan table.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
@@ -21,6 +25,8 @@ from linvariants.exactlin import (
     vector,
 )
 from linvariants.phin import CRYSTALLINE_NONSPLIT, CRYSTALLINE_SPLIT, STEINBERG
+from linvariants.plethysm import cg_table
+from linvariants.sl2rep import EndoElement
 
 #: a matrix is a tuple of rows, as `exactlin._rref` takes and returns them
 Rows = tuple[Vector, ...]
@@ -256,3 +262,38 @@ def regular_by_rank(module, stable) -> list[tuple[int, ...]]:
         return integer_rank([[row[c] for c in outside] for row in fil0]) == len(fil0)
 
     return [span for span in stable if len(span) == module.n and misses_fil0(span)]
+
+
+@dataclass(frozen=True)
+class RepVector:
+    """Element of Sym^m V in the basis (g_{m,i}), or of its dual in (g_{m,i}^v)."""
+
+    m: int
+    coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if len(self.coeffs) != self.m + 1:
+            raise DimensionMismatchError("coefficient vector has wrong length")
+
+
+def project_endomorphism(t: EndoElement, k: int) -> RepVector:
+    """Projection End(Sym^n V) -> Sym^{2k} V through psi_{n,n,2k} o (1 (x) phi_n^{-1}).
+
+    g_{n,i} (x) g_{n,j}^v maps to (-1)^j C(n,j) sum_w C_{n,n,2k}^{i,n-j,w} g_{2k,w}.
+    """
+    n = t.n
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    table = cg_table(n, n, 2 * k)
+    out = [Fraction(0)] * (2 * k + 1)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            c = t.grid[i][j]
+            if not c:
+                continue
+            scale = c * (-1) ** j * comb(n, j)
+            for w in range(2 * k + 1):
+                coeff = table.get((i, n - j, w))
+                if coeff:
+                    out[w] += scale * coeff
+    return RepVector(2 * k, tuple(out))

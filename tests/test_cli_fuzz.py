@@ -6,8 +6,8 @@ computations, and otherwise any JSON value at all: strings, bools, floats,
 null, nested lists and objects.  Sizes cross the caps on exponential
 listings (phin n <= 10, hecke g <= 8) and otherwise stay small (g <= 3
 elsewhere, at most 8 exponents, cg and bcoeff sizes <= 30); fixed examples
-step one past each table's size cap and each `obstruction` budget.  Every
-example must finish within `EXAMPLE_SECONDS`.
+step one past each table's size cap, the `recover-chi --g` cap and each
+`obstruction` budget.  Every example must finish within `EXAMPLE_SECONDS`.
 """
 
 import contextlib
@@ -242,10 +242,12 @@ argvs = st.one_of(
 @example((["phin", "--case=crystalline_split", "--n=10", "--all-submodules"], None))
 @example((["hecke", "--g=7", '--t={"a": [0, 0, 0, 0, 0, 0, 0], "a0": 1}', "--all"], None))
 @example((["hecke", "--g=8", '--t={"a": [1, 1, 1, 1, 1, 1, 1, 1], "a0": 0}', "--all"], None))
-# one past each table's size cap
+# one past each table's size cap and the recover-chi cap
 @example((["bcoeff", "--n=601", "--k=300"], None))
 @example((["cg", "--m=151", "--n=151", "--p=150", "--table"], None))
 @example((["project-endo", "--n=251", "--k=1", "--diag=[1]"], None))
+@example((["recover-chi", "--g=501", "--eigs=" + json.dumps([{}] * 501),
+           "--weights=" + json.dumps({"mu": [0] * 501, "mu0": 0})], None))
 # one past each obstruction budget: the subset-sum bound (262206 > 2^18, and
 # 262135 with 257 on top) and the trial divisions of a gap (4 isqrt(gap) > 10^8)
 @example((["obstruction", "--exponents=" + ",".join(map(str, [*range(144), 258]))], None))

@@ -14,10 +14,11 @@ from linvariants.plethysm import (
     b_special,
     cg_coefficient,
     cg_table,
-    project_endomorphism,
     project_endomorphism_diagonal,
     valid_triple,
 )
+from linalg_oracle import project_endomorphism
+from linvariants.cli import PROJECT_ENDO_MAX_N
 from linvariants.sl2rep import EndoElement, act_on_end
 from test_sl2rep import lower
 
@@ -198,6 +199,35 @@ def test_diagonal_projection_rank_one():
 def test_diagonal_projection_length_mismatch():
     with pytest.raises(Exception):
         project_endomorphism_diagonal(2, 1, [1, 2])
+
+
+def test_diagonal_projection_errors_in_order():
+    # the length first, then B's range check; only n = -1 reaches the k check
+    with pytest.raises(ValueError, match=r"^diagonal must have length 3$"):
+        project_endomorphism_diagonal(2, 5, [1, 2])
+    with pytest.raises(ValueError, match=r"^need 0 <= k, i <= n, got k=3, i=0, n=2$"):
+        project_endomorphism_diagonal(2, 3, [1, 2, 3])
+    with pytest.raises(ValueError, match=r"^need 0 <= k <= n, got k=0, n=-1$"):
+        project_endomorphism_diagonal(-1, 0, [])
+
+
+def full_projection_of_diagonal(n, k, diag):
+    full = project_endomorphism(EndoElement.diagonal(diag), k).coeffs
+    assert not any(full[:k])  # weight 0: only g_{2k,k} and the tail can be nonzero
+    return DiagonalProjection(full[k], full[k + 1 :])
+
+
+@pytest.mark.parametrize("n", range(31))
+def test_diagonal_projection_equals_the_full_projection(n):
+    for k in range(n + 1):
+        diag = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n + 1)]
+        assert project_endomorphism_diagonal(n, k, diag) == full_projection_of_diagonal(n, k, diag)
+
+
+def test_diagonal_projection_equals_the_full_projection_at_the_cap():
+    n, k = PROJECT_ENDO_MAX_N, PROJECT_ENDO_MAX_N // 2
+    diag = [F(rng.randint(-9, 9)) for _ in range(n + 1)]
+    assert project_endomorphism_diagonal(n, k, diag) == full_projection_of_diagonal(n, k, diag)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -6,13 +6,12 @@ from math import comb
 
 import pytest
 
-from linalg_oracle import apply, mul, sub, transpose
+from linalg_oracle import RepVector, apply, mul, sub, transpose
 from linvariants import sl2rep
 from linvariants.exactlin import _rref
 from linvariants.sl2rep import (
     EndoElement,
     InternalConsistencyError,
-    RepVector,
     act_on_end,
     brute_force_coordinates,
     brute_force_project,
