@@ -62,6 +62,15 @@ def _parse_json_arg(text: str, label: str):
         raise CliError(f"malformed JSON for {label}: {err}") from err
 
 
+def _json_keys(text: str, label: str, *keys: str) -> dict:
+    """The JSON object argument `label`, which must hold every one of `keys`."""
+    obj = _json_object(_parse_json_arg(text, label), label)
+    for key in keys:
+        if key not in obj:
+            raise CliError(f"{label} needs the key {key!r}")
+    return obj
+
+
 def _load_input(args) -> dict:
     if args.input == "-":
         obj = _parse_json_arg(sys.stdin.read(), "--input")
@@ -191,7 +200,7 @@ def _weyl_from_args(args, g: int):
     from .weylhecke import WeylElement
     if args.weyl is None:
         return WeylElement.identity(g)
-    return WeylElement.from_json(_parse_json_arg(args.weyl, "--weyl"))
+    return WeylElement.from_json(_json_keys(args.weyl, "--weyl", "nu", "eps"))
 
 
 def _cmd_hecke(args) -> tuple[dict, str | None, list | None]:
@@ -199,7 +208,7 @@ def _cmd_hecke(args) -> tuple[dict, str | None, list | None]:
     g = args.g
     if args.all and g > HECKE_ALL_MAX_G:
         raise CliError(f"--all lists 2^g g! Weyl elements; g > {HECKE_ALL_MAX_G} is refused")
-    t_obj = _parse_json_arg(args.t, "--t")
+    t_obj = _json_keys(args.t, "--t", "a", "a0")
     t = weylhecke.TorusExponent.make(t_obj["a"], t_obj["a0"])
     if t.g != g:
         raise CliError("torus exponent length differs from g")
@@ -207,12 +216,10 @@ def _cmd_hecke(args) -> tuple[dict, str | None, list | None]:
     if args.all:
         if args.weyl is not None:
             raise CliError("--weyl and --all exclude each other")
+        ws = weylhecke.weyl_group(g)
         entries = [
-            {
-                "weyl": w.to_json(),
-                "value": _monomial_json(weylhecke.hecke_diagonal(chi, t, w)),
-            }
-            for w in weylhecke.weyl_group(g)
+            {"weyl": w.to_json(), "value": _monomial_json(value)}
+            for w, value in zip(ws, weylhecke.hecke_diagonals(chi, t, ws))
         ]
         return {"g": g, "eigenvalues": entries}, None, None
     w = _weyl_from_args(args, g)
@@ -225,7 +232,7 @@ def _cmd_recover_chi(args) -> tuple[dict, str | None, list | None]:
     g = args.g
     _cap(g, RECOVER_CHI_MAX_G, "recover-chi --g")
     eigs = _parse_json_arg(args.eigs, "--eigs")
-    weights = _parse_json_arg(args.weights, "--weights")
+    weights = _json_keys(args.weights, "--weights", "mu", "mu0")
     w = _weyl_from_args(args, g)
     recovered = weylhecke.recover_characters(
         g,

@@ -41,6 +41,7 @@ read off N's map.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -203,7 +204,8 @@ def canonical_regular_submodule(module: PhiNModule) -> tuple[int, ...]:
 
 def is_stable(module: PhiNModule, span: tuple[int, ...]) -> bool:
     """N-stability of a coordinate span; phi-stability is automatic."""
-    return all(module.monodromy[c] in (None, *span) for c in span)
+    members = {None, *span}
+    return all(module.monodromy[c] in members for c in span)
 
 
 def stable_submodules(module: PhiNModule) -> list[tuple[int, ...]]:
@@ -212,14 +214,20 @@ def stable_submodules(module: PhiNModule) -> list[tuple[int, ...]]:
     They are the coordinate sets closed under N's coordinate map.  N raises
     the f-index, so a column maps to an earlier coordinate: taking the
     columns in ascending order, a column extends exactly the closed sets
-    built so far that hold its target.
+    built so far that hold its target.  A closed set is a sorted tuple, so
+    whether it holds the target is one bisection.
     """
     closed: list[tuple[int, ...]] = [()]
     for col in range(module.dim):
         target = module.monodromy[col]
-        closed += [s + (col,) for s in closed if target is None or target in s]
+        closed += [s + (col,) for s in closed if target is None or _holds(s, target)]
     closed.sort(key=lambda s: (len(s), s))
     return closed
+
+
+def _holds(span: tuple[int, ...], c: int) -> bool:
+    i = bisect_left(span, c)
+    return i < len(span) and span[i] == c
 
 
 def regular_submodules(module: PhiNModule) -> list[tuple[int, ...]]:
@@ -265,9 +273,10 @@ def benois_filtration(module: PhiNModule, d: tuple[int, ...]) -> BenoisFiltratio
         raise UnsupportedInputError("D must be phi- and N-stable")
     kept = {c for c in d if module.phi[c] != P_INVERSE}
     images = {module.monodromy[c] for c in d if module.phi[c].is_one()} - {None}
+    members = {None, *d}
     lifted = {
         c for c in range(module.dim)
-        if module.phi[c].is_one() and module.monodromy[c] in (None, *d)
+        if module.phi[c].is_one() and module.monodromy[c] in members
     }
     return BenoisFiltration(tuple(sorted(kept | images)), d, tuple(sorted(lifted.union(d))))
 

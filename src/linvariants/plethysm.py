@@ -49,28 +49,34 @@ def valid_triple(m: int, n: int, p: int) -> bool:
 
 @lru_cache(maxsize=None)
 def cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], Fraction]:
-    """The nonzero C_{m,n,p}^{u,v,w} of one weight triple, keyed (u, v, w)."""
+    """The nonzero C_{m,n,p}^{u,v,w} of one weight triple, keyed (u, v, w).
+
+    T = w! C obeys T^{u,v,w} = u T^{u-1,v,w-1} + v T^{u,v-1,w-1}, which has
+    no division, so each layer w is built in integers from the one before
+    and divided by w! once per stored entry.
+    """
     if not valid_triple(m, n, p):
         raise InvalidWeightTripleError(f"V_{p} does not occur in V_{m} (x) V_{n}")
     s0 = (m + n - p) // 2
     values: dict[tuple[int, int, int], Fraction] = {}
-    for u in range(m + 1):
-        v = s0 - u
-        if 0 <= v <= n:
-            values[(u, v, 0)] = Fraction((-1) ** u * factorial(m - u) * factorial(n - v))
+    # layer[u] = T^{u, s0 + w - u, w} on the stratum, 0 elsewhere
+    layer = [0] * (m + 1)
+    for u in range(max(0, s0 - n), min(m, s0) + 1):
+        layer[u] = (-1) ** u * factorial(m - u) * factorial(n - s0 + u)
+        values[(u, s0 - u, 0)] = Fraction(layer[u])
+    w_factorial = 1
     for w in range(1, p + 1):
         target = s0 + w
-        for u in range(m + 1):
+        w_factorial *= w
+        below, layer = layer, [0] * (m + 1)
+        for u in range(max(0, target - n), min(m, target) + 1):
             v = target - u
-            if not 0 <= v <= n:
-                continue
-            acc = Fraction(0)
-            if u >= 1:
-                acc += u * values.get((u - 1, v, w - 1), Fraction(0))
-            if v >= 1:
-                acc += v * values.get((u, v - 1, w - 1), Fraction(0))
+            # T^{u-1,v,w-1} is below[u-1] and T^{u,v-1,w-1} is below[u]; at
+            # u = 0 or v = 0 the factor in front is 0
+            acc = u * below[u - 1] + v * below[u]
             if acc:
-                values[(u, v, w)] = acc / w
+                layer[u] = acc
+                values[(u, v, w)] = Fraction(acc, w_factorial)
     return values
 
 

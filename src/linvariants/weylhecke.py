@@ -31,8 +31,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, floor, isqrt
-from typing import Iterable, Sequence
+from math import ceil, comb, floor, isqrt, lcm
+from typing import Iterable, Iterator, Sequence
 
 from .exactlin import rational, vector
 from .phin import EigenMonomial, monomial_product
@@ -132,14 +132,6 @@ def beta(g: int, j: int) -> TorusExponent:
     return TorusExponent.make([0] * (g - j) + [-1] * j, -2)
 
 
-def weyl_conjugate(w: WeylElement, t: TorusExponent) -> TorusExponent:
-    """Exponents of the conjugated torus element: slot j carries a'_{nu(j)}."""
-    if w.g != t.g:
-        raise ValueError("ranks differ")
-    flipped = [a if e == 1 else t.a0 - a for a, e in zip(t.a, w.eps)]
-    return TorusExponent(tuple(flipped[i - 1] for i in w.nu), t.a0)
-
-
 @dataclass(frozen=True)
 class CharacterData:
     """Values chi_j(p) and sigma(p) of an unramified character of the torus."""
@@ -163,19 +155,59 @@ class CharacterData:
         return monomial_product(self.chi) * self.sigma**2
 
 
+def hecke_diagonals(
+    chi: CharacterData, t: TorusExponent, ws: Iterable[WeylElement]
+) -> Iterator[EigenMonomial]:
+    """Yield the diagonal eigenvalues of U_t on the basis vectors indexed by ws.
+
+    They come one at a time, in the order of ws, so that a caller printing
+    2^g g! of them never holds them all.
+
+    Every exponent is kept as an integer numerator over D^2, D the lcm of 4
+    and every denominator in t, chi and sigma.  Slot j of the conjugated
+    torus holds s = a_i or a_0 - a_i for i = nu(j), as eps(i) says, and
+    brings p^{-(g+1-j) s} chi_j^s.  So the g slot rows and the 2g values s
+    are built once per (chi, t), and each w adds its g rows, scaled by their
+    values, to p^{g(g+1)/4 a_0} sigma^{a_0}.
+    """
+    g = chi.g
+    if t.g != g:
+        raise ValueError("ranks differ")
+    denominators = [x.denominator for x in (*t.a, t.a0)]
+    for value in (chi.sigma, *chi.chi):
+        denominators += [e.denominator for _, e in value.exponents]
+    d = lcm(4, *denominators)
+
+    def numerator(x) -> int:
+        return x.numerator * (d // x.denominator)
+
+    def add(exps: dict, value: EigenMonomial, power: int) -> dict:
+        for sym, e in value.exponents:
+            exps[sym] = exps.get(sym, 0) + numerator(e) * power
+        return exps
+
+    a0 = numerator(t.a0)
+    base = add({"p": g * (g + 1) * (d // 4) * a0}, chi.sigma, a0)
+    slots = [
+        tuple(add({"p": -(g + 1 - j) * d}, chi_j, 1).items())
+        for j, chi_j in enumerate(chi.chi, 1)
+    ]
+    sources = [{1: numerator(a), -1: a0 - numerator(a)} for a in t.a]
+    exponent = lru_cache(maxsize=None)(lambda x: Fraction(x, d * d))
+    for w in ws:
+        if w.g != g:
+            raise ValueError("ranks differ")
+        exps = dict(base)
+        for slot, i in zip(slots, w.nu):
+            s = sources[i - 1][w.eps[i - 1]]
+            for sym, c in slot:
+                exps[sym] = exps.get(sym, 0) + c * s
+        yield EigenMonomial(frozenset((sym, exponent(x)) for sym, x in exps.items() if x))
+
+
 def hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> EigenMonomial:
     """Diagonal eigenvalue of U_t on the basis vector indexed by w."""
-    g = chi.g
-    if t.g != g or w.g != g:
-        raise ValueError("ranks differ")
-    s = weyl_conjugate(w, t)
-    # one exponent map for p^{p_exp} sigma^{a_0} prod_j chi_j^{a'_{nu(j)}}
-    p_exp = Fraction(g * (g + 1), 4) * t.a0 - sum((g + 1 - j) * a for j, a in enumerate(s.a, 1))
-    exps = {"p": p_exp}
-    for value, power in ((chi.sigma, t.a0), *zip(chi.chi, s.a)):
-        for sym, e in value.exponents:
-            exps[sym] = exps.get(sym, 0) + e * power
-    return EigenMonomial.from_dict(exps)
+    return next(hecke_diagonals(chi, t, (w,)))
 
 
 def c_constant(g: int, i: int, w: WeylElement) -> Fraction:

@@ -1,13 +1,16 @@
 """CLI contract: exit codes, JSON/CSV shapes, determinism."""
 
 import io
+import itertools
 import json
 import time
 
 import pytest
 
+from kernel_oracles import fraction_cg_table, fraction_hecke_diagonal
 from linvariants.cli import build_parser, main
 from linvariants.plethysm import cg_table, valid_triple
+from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement
 
 
 def run(capsys, *argv):
@@ -240,6 +243,82 @@ def test_hecke_weyl_with_all_exit_2(capsys):
     )
     assert code == 2
     assert payload["error"]["code"] == "input"
+
+
+def compact(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("g", range(1, 5))
+def test_hecke_all_stdout_equals_the_fraction_loop(capsys, g):
+    a, a0 = [g - j for j in range(g)], -1 - g % 2
+    chi, t = CharacterData.generic(g), TorusExponent.make(a, a0)
+    rows = []
+    for nu in itertools.permutations(range(1, g + 1)):
+        for eps in itertools.product((1, -1), repeat=g):
+            value = fraction_hecke_diagonal(chi, t, WeylElement(nu, eps))
+            rows.append({
+                "weyl": {"nu": list(nu), "eps": list(eps)},
+                "value": {sym: str(e) for sym, e in sorted(value.exponents)},
+            })
+    argv = ["hecke", "--g", str(g), "--t", json.dumps({"a": a, "a0": a0}), "--all"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == compact({"g": g, "eigenvalues": rows})
+
+
+@pytest.mark.parametrize("m, n, p", [(2, 2, 2), (7, 4, 5), (12, 12, 0), (25, 18, 21), (40, 40, 38)])
+def test_cg_table_stdout_equals_the_fraction_recurrence(capsys, m, n, p):
+    table = fraction_cg_table(m, n, p)
+    rows = [[u, v, w, str(table[u, v, w])] for u, v, w in sorted(table)]
+    argv = ["cg", "--m", str(m), "--n", str(n), "--p", str(p), "--table"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == compact({"m": m, "n": n, "p": p, "rows": rows})
+    assert main(["--format", "csv", *argv]) == 0
+    csv = "\n".join(["u,v,w,value", *(",".join(map(str, row)) for row in rows)]) + "\n"
+    assert capsys.readouterr().out == csv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("hecke", "--g", "2", "--t", '{"a": [1, 0]}'), "--t needs the key 'a0'"),
+        (("hecke", "--g", "2", "--t", '{"a0": 0}'), "--t needs the key 'a'"),
+        (("hecke", "--g", "2", "--t", "[1, 2]"), "--t must be a JSON object, not [1, 2]"),
+        (
+            ("hecke", "--g", "2", "--t", '{"a": [1, 0], "a0": 0}', "--weyl", '{"nu": [1, 2]}'),
+            "--weyl needs the key 'eps'",
+        ),
+        (
+            ("hecke", "--g", "2", "--t", '{"a": [1, 0], "a0": 0}', "--weyl", "[[1, 2], [1, 1]]"),
+            "--weyl must be a JSON object, not [[1, 2], [1, 1]]",
+        ),
+        (
+            ("recover-chi", "--g", "2", "--eigs", '[{"p": "-2"}, {"p": "-3/2"}]',
+             "--weights", "{}"),
+            "--weights needs the key 'mu'",
+        ),
+        (
+            ("recover-chi", "--g", "2", "--eigs", '[{"p": "-2"}, {"p": "-3/2"}]',
+             "--weights", '{"mu": [0, 0]}'),
+            "--weights needs the key 'mu0'",
+        ),
+        (
+            ("recover-chi", "--g", "2", "--eigs", '[{"p": "-2"}, {"p": "-3/2"}]',
+             "--weights", "[0, 0]"),
+            "--weights must be a JSON object, not [0, 0]",
+        ),
+        (
+            ("recover-chi", "--g", "2", "--eigs", '[{"p": "-2"}, {"p": "-3/2"}]',
+             "--weights", '{"mu": [0, 0], "mu0": 0}', "--weyl", '{"eps": [1, 1]}'),
+            "--weyl needs the key 'nu'",
+        ),
+    ],
+)
+def test_ill_shaped_json_argument_names_it(capsys, argv, message):
+    # a missing key used to print only the key, a list a TypeError, as "domain"
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert payload == {"error": {"code": "input", "message": message}}
 
 
 @pytest.mark.parametrize(

@@ -69,6 +69,30 @@ def stable_submodules_oracle(module):
     return found
 
 
+def tuple_is_stable(module, span):
+    """`is_stable` looking each target up in the tuple (None, *span)."""
+    return all(module.monodromy[c] in (None, *span) for c in span)
+
+
+def tuple_stable_submodules(module):
+    """`stable_submodules` testing `target in s` on each closed tuple."""
+    closed = [()]
+    for col in range(module.dim):
+        target = module.monodromy[col]
+        closed += [s + (col,) for s in closed if target is None or target in s]
+    closed.sort(key=lambda s: (len(s), s))
+    return closed
+
+
+def tuple_lifted_d1(module, d):
+    """D_1 of `benois_filtration`, looking each target up in the tuple (None, *d)."""
+    lifted = {
+        c for c in range(module.dim)
+        if module.phi[c].is_one() and module.monodromy[c] in (None, *d)
+    }
+    return tuple(sorted(lifted.union(d)))
+
+
 def regular_by_intersection(module, stable):
     """The n-dimensional spans in `stable` whose intersection with Fil^0 is zero."""
     fil0 = fil0_space(module)
@@ -216,6 +240,36 @@ def test_submodules_match_subset_search(case, n):
     stable = stable_submodules_oracle(module)
     assert stable_submodules(module) == stable
     assert regular_submodules(module) == regular_by_intersection(module, stable)
+
+
+@pytest.mark.parametrize(
+    "case, n", [(case, n) for case in CASES for n in range(1, 7)] + [(STEINBERG, 60)]
+)
+def test_set_membership_equals_tuple_membership(case, n):
+    assert_membership_equals_tuple_membership(build_case(case, n))
+
+
+def test_set_membership_with_monodromy_onto_far_coordinates():
+    # N sends coordinate 3 onto 0 and 4 onto 1, so a closed set can hold
+    # coordinates above the target but not the target itself
+    x, y, w = (EigenMonomial.symbol(s) for s in ("x", "y", "w"))
+    phi = (P_INVERSE * x, P_INVERSE * w, y, x, w)
+    module = dataclasses.replace(
+        build_case(STEINBERG, 2), phi=phi, monodromy=(None, None, None, 0, 1)
+    )
+    assert len(stable_submodules(module)) == 18
+    assert_membership_equals_tuple_membership(module)
+
+
+def assert_membership_equals_tuple_membership(module):
+    stable = stable_submodules(module)
+    assert stable == tuple_stable_submodules(module)
+    for d in stable:
+        assert is_stable(module, d)
+        assert benois_filtration(module, d).d_1 == tuple_lifted_d1(module, d)
+    for _ in range(200):
+        span = tuple(sorted(rng.sample(range(module.dim), rng.randint(0, module.dim))))
+        assert is_stable(module, span) == tuple_is_stable(module, span)
 
 
 def test_steinberg_at_n_40_with_a_64_bit_parameter():

@@ -17,6 +17,7 @@ from linvariants.plethysm import (
     project_endomorphism_diagonal,
     valid_triple,
 )
+from kernel_oracles import fraction_cg_table
 from linalg_oracle import project_endomorphism
 from linvariants.cli import PROJECT_ENDO_MAX_N
 from linvariants.sl2rep import EndoElement, act_on_end
@@ -41,6 +42,25 @@ def test_off_stratum_vanishes():
             for w in range(5):
                 if u + v - w != offset:
                     assert (u, v, w) not in table
+
+
+def assert_same_table(m, n, p):
+    table, oracle = cg_table(m, n, p), fraction_cg_table(m, n, p)
+    assert table.keys() == oracle.keys(), (m, n, p)
+    assert table == oracle, (m, n, p)
+    assert all(type(x) is F and x for x in table.values())
+
+
+@pytest.mark.parametrize("m", range(0, 17))
+def test_integer_table_equals_fraction_recurrence(m):
+    for n in range(17):
+        for p in range(abs(m - n), m + n + 1, 2):
+            assert_same_table(m, n, p)
+
+
+@pytest.mark.parametrize("m, n, p", [(150, 150, 150), (150, 149, 1), (78, 78, 76)])
+def test_integer_table_equals_fraction_recurrence_at_large_sizes(m, n, p):
+    assert_same_table(m, n, p)
 
 
 @pytest.mark.parametrize("m", range(0, 13))

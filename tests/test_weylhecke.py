@@ -20,6 +20,7 @@ from linvariants.weylhecke import (
     c_g_constant,
     exclusion_sufficient,
     hecke_diagonal,
+    hecke_diagonals,
     normalized_eigenvalue,
     recover_characters,
     refinement_obstruction_orders,
@@ -28,9 +29,9 @@ from linvariants.weylhecke import (
     twist_search,
     upi_eigenvalue_display,
     weight_exponent,
-    weyl_conjugate,
     weyl_group,
 )
+from kernel_oracles import fraction_hecke_diagonal, weyl_conjugate
 
 rng = random.Random(60)
 
@@ -179,23 +180,97 @@ def product_hecke_diagonal(chi, t, w):
     return value
 
 
-@pytest.mark.parametrize("g", range(1, 5))
+def random_rational_torus(g):
+    """Rational exponents, a_0 never integral."""
+    a = [F(rng.randint(-12, 12), rng.choice((1, 2, 3, 6))) for _ in range(g)]
+    return TorusExponent.make(a, F(2 * rng.randint(-6, 6) + 1, rng.choice((2, 3, 4))))
+
+
+def non_generic_characters(g):
+    """Rational exponents, a p factor in chi_j, a multi-symbol sigma and cancellations."""
+    x, y, p = (EigenMonomial.symbol(s) for s in ("x", "y", "p"))
+    rational = CharacterData(
+        tuple(
+            EigenMonomial.from_dict(
+                {"x": F(rng.randint(-4, 4), rng.choice((1, 2, 5))), "p": F(rng.randint(-3, 3), 2),
+                 f"chi_{j}": F(rng.randint(1, 3), rng.choice((1, 3)))}
+            )
+            for j in range(1, g + 1)
+        ),
+        EigenMonomial.from_dict({"sigma": F(1, 2), "x": F(-3, 4), "p": F(5, 6)}),
+    )
+    # like the `cancelling` character of the test below, with a p and a y in
+    # chi_1 and chi_2 that sigma's p and y can cancel
+    cancelling = CharacterData(
+        ((x * p ** F(1, 3), x.inverse() * y) + (p ** F(-1, 2),) * g)[:g],
+        x ** F(1, 2) * y ** F(-2, 3) * p,
+    )
+    return [rational, cancelling]
+
+
+@pytest.mark.parametrize("g", range(1, 6))
 def test_hecke_diagonal_equals_monomial_product(g):
+    # the integer sweep over every Weyl element against the Fraction loop and
+    # the EigenMonomial product; at g = 5 one character and one torus
+    elements = weyl_group(g)
     x = EigenMonomial.symbol("x")
     # x cancels between chi_1 and chi_2 wherever a'_{nu(1)} = a'_{nu(2)}
     cancelling = (x * EigenMonomial.p_power(1), x.inverse()) + (EigenMonomial.one(),) * (g - 2)
-    characters = [CharacterData.generic(g), CharacterData(cancelling[:g], x ** F(1, 2))]
+    characters = [
+        CharacterData.generic(g),
+        CharacterData(cancelling[:g], x ** F(1, 2)),
+        *non_generic_characters(g),
+    ]
     for _ in range(2):
         chi, mu, mu0 = random_consistent_character(g)
         characters.append(chi)
         if g >= 2:
-            w = rng.choice(weyl_group(g))
+            w = rng.choice(elements)
             thetas = [normalized_eigenvalue(chi, mu, mu0, i, w) for i in range(1, g + 1)]
             characters.append(recover_characters(g, thetas, mu, mu0, w))
-    for chi in characters:
-        for t in (random_torus(g), TorusExponent.make([F(1, 2)] * g, F(-3, 2))):
-            for w in weyl_group(g):
-                assert hecke_diagonal(chi, t, w) == product_hecke_diagonal(chi, t, w)
+    tori = [
+        random_torus(g),
+        TorusExponent.make([F(1, 2)] * g, F(-3, 2)),
+        random_rational_torus(g),
+        TorusExponent.make([0] * g, 0),  # every exponent cancels
+    ]
+    cases = [(chi, t) for chi in characters for t in tori]
+    if g == 5:
+        cases = [(characters[2], tori[2])]
+    for chi, t in cases:
+        values = list(hecke_diagonals(chi, t, elements))
+        assert len(values) == len(elements)
+        for w, value in zip(elements, values):
+            assert value == fraction_hecke_diagonal(chi, t, w) == product_hecke_diagonal(chi, t, w)
+            assert all(e for _, e in value.exponents), "zero exponents are dropped"
+        w = rng.choice(elements)
+        assert hecke_diagonal(chi, t, w) == fraction_hecke_diagonal(chi, t, w)
+
+
+def test_hecke_diagonals_at_g6():
+    # the largest `hecke --all` sweeps all 46080 elements; the Fraction loop
+    # checks every permutation with a random sign vector, and every sign
+    # vector of the identity and of the reversal
+    g = 6
+    elements = weyl_group(g)
+    chi = non_generic_characters(g)[0]
+    t = random_rational_torus(g)
+    values = dict(zip(elements, hecke_diagonals(chi, t, elements)))
+    signs = list(itertools.product((1, -1), repeat=g))
+    sample = [WeylElement(nu, rng.choice(signs)) for nu in itertools.permutations(range(1, g + 1))]
+    for nu in ((1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1)):
+        sample += [WeylElement(nu, eps) for eps in signs]
+    for w in sample:
+        assert values[w] == fraction_hecke_diagonal(chi, t, w)
+
+
+def test_hecke_diagonals_rank_checks():
+    chi = CharacterData.generic(2)
+    with pytest.raises(ValueError, match="ranks differ"):
+        list(hecke_diagonals(chi, TorusExponent.make([0, 0, 0], 0), ()))
+    with pytest.raises(ValueError, match="ranks differ"):
+        list(hecke_diagonals(chi, TorusExponent.make([0, 0], 0), (WeylElement.identity(3),)))
+    assert list(hecke_diagonals(chi, TorusExponent.make([0, 0], 0), ())) == []
 
 
 @pytest.mark.parametrize("g", (2, 3))
