@@ -46,7 +46,7 @@ class CliError(Exception):
 
 
 def _monomial_json(m) -> dict:
-    return {sym: str(e) for sym, e in sorted(m.exponents)}
+    return {sym: str(e) for sym, e in m.exponents}
 
 
 def _json_object(value, label: str) -> dict:

@@ -22,8 +22,13 @@ class DimensionMismatchError(ValueError):
     """Operands live in different ambient dimensions."""
 
 
+#: largest |e| of a decimal string 'xEe' (10^e has 33k bits at the cap);
+#: Fraction('1e100000000') would build 10^(10^8), which takes minutes
+MAX_DECIMAL_EXPONENT = 10**4
+
+
 def rational(value) -> Fraction:
-    """Coerce ints, strings like '3/4' and Fractions to Fraction.
+    """Coerce ints, strings like '3/4' or '1.5e-3' and Fractions to Fraction.
 
     bool is refused although it is an int: a JSON true is not a scalar.
     """
@@ -32,6 +37,9 @@ def rational(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        digits = value.upper().partition("E")[2].strip().lstrip("+-").replace("_", "")
+        if digits.isdigit() and int(digits) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent over {MAX_DECIMAL_EXPONENT} in {value!r}")
         try:
             return Fraction(value)
         except ZeroDivisionError:

@@ -27,10 +27,9 @@ sign convention; the README records the classifications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import FAMILIES, THEOREMS
 from .exactlin import DimensionMismatchError, rational, vector
@@ -45,8 +44,7 @@ class SingularDirectionError(ValueError):
         self.place = place
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(NamedTuple):
     """Direction (u_1..u_g; u_0) in the weight space."""
 
     u: tuple[Fraction, ...]
@@ -61,8 +59,7 @@ def _dot(coeffs: Sequence, values: Sequence[Fraction]) -> Fraction:
     return sum((c * x for c, x in zip(coeffs, values) if c), Fraction(0))
 
 
-@dataclass(frozen=True)
-class PlaceForms:
+class PlaceForms(NamedTuple):
     """One place's factor a_v / b_v as two linear forms.
 
     a_v = num . (grad~ a_1..grad~ a_r), with the formula's leading minus
@@ -91,8 +88,7 @@ class PlaceForms:
 Piece = tuple[tuple[Fraction, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class TriangulationData:
+class TriangulationData(NamedTuple):
     """Per place, the graded pieces, plus the plethysm row selector (n, k)."""
 
     family: str
@@ -298,8 +294,7 @@ def theorem_evaluator(
     return rank1_combine([forms.pair(v, a, direction) for v, a in enumerate(assignments)])
 
 
-@dataclass(frozen=True)
-class TheoremComparison:
+class TheoremComparison(NamedTuple):
     kind: str  # exact | sign_flip | proportional | mismatch
     scalar: Fraction | None
 
@@ -350,7 +345,7 @@ def _classify(scalar: Fraction | None) -> TheoremComparison:
 def theorem_row(which: str, data: TriangulationData) -> TriangulationData:
     """`data` with theorem `which`'s B-row in place of the family's own."""
     rule = THEOREMS[which][1]
-    return data if rule is None else replace(data, b_row=rule(*data.b_row))
+    return data if rule is None else data._replace(b_row=rule(*data.b_row))
 
 
 def data_for_theorem(which: str, n: int | None = None, places: int = 1) -> TriangulationData:

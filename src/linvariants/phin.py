@@ -42,10 +42,10 @@ read off N's map.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from typing import NamedTuple
 
 from . import CASES
 from .exactlin import rational
@@ -57,28 +57,34 @@ class UnsupportedInputError(ValueError):
     """Input outside the standing hypotheses (e.g. repeated eigenvalues)."""
 
 
-@dataclass(frozen=True)
 class EigenMonomial:
     """Laurent monomial in formal symbols with exact rational exponents.
 
     Two monomials are equal iff their exponent maps are equal: the symbols
-    satisfy no hidden multiplicative relations.
+    satisfy no hidden multiplicative relations.  `exponents` is the one
+    canonical form of that map, the tuple of (symbol, Fraction) pairs with
+    nonzero exponents, sorted by symbol.
     """
 
-    exponents: frozenset = field(default_factory=frozenset)  # of (symbol, Fraction)
+    __slots__ = ("exponents",)
+
+    def __init__(self, exponents: tuple = ()):
+        self.exponents = exponents
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EigenMonomial) and self.exponents == other.exponents
+
+    def __hash__(self) -> int:
+        return hash(self.exponents)
 
     @classmethod
     def from_dict(cls, exps: dict) -> "EigenMonomial":
-        items = []
-        for sym, e in exps.items():
-            e = rational(e)
-            if e:
-                items.append((sym, e))
-        return cls(frozenset(items))
+        items = [(sym, rational(e)) for sym, e in exps.items()]
+        return cls(tuple(sorted(item for item in items if item[1])))
 
     @classmethod
     def one(cls) -> "EigenMonomial":
-        return cls(frozenset())
+        return cls()
 
     @classmethod
     def symbol(cls, name: str, exponent=1) -> "EigenMonomial":
@@ -110,7 +116,7 @@ class EigenMonomial:
     def __repr__(self) -> str:
         if not self.exponents:
             return "1"
-        return "*".join(f"{s}^{e}" for s, e in sorted(self.exponents))
+        return "*".join(f"{s}^{e}" for s, e in self.exponents)
 
 
 def monomial_product(factors) -> EigenMonomial:
@@ -120,31 +126,36 @@ def monomial_product(factors) -> EigenMonomial:
 P_INVERSE = EigenMonomial.p_power(-1)
 
 
-@dataclass(frozen=True)
 class PhiNModule:
     """Diagonal-Frobenius (phi, N)-module in the f-basis.
 
     Coordinates follow the descending index order f_n, ..., f_{-n}; the
-    f-index i sits at coordinate n - i.  `monodromy[c]` is the coordinate
-    N sends coordinate c onto, or None where N kills it.
+    f-index i sits at coordinate n - i.  `phi[c]` is the eigenvalue of f at
+    coordinate c, and `monodromy[c]` the coordinate N sends c onto, or None
+    where N kills it.
     """
 
-    case: str
-    n: int
-    phi: tuple[EigenMonomial, ...]  # eigenvalue of f at each coordinate
-    monodromy: tuple[int | None, ...]
-    l_invariant: Fraction | None = None
+    __slots__ = ("case", "n", "phi", "monodromy", "l_invariant")
 
-    def __post_init__(self):
+    def __init__(self, case: str, n: int, phi: tuple, monodromy: tuple, l_invariant=None):
+        self.case, self.n, self.phi, self.monodromy = case, n, phi, monodromy
+        self.l_invariant: Fraction | None = l_invariant
         # The standing hypotheses.  With distinct eigenvalues, N phi = p phi N
         # leaves no two coordinates with the same target.
-        if len(set(self.phi)) != self.dim:
+        if len(set(phi)) != self.dim:
             raise UnsupportedInputError("repeated Frobenius eigenvalues")
-        for col, row in enumerate(self.monodromy):
-            if row is not None and not (
-                0 <= row < col and self.phi[row] == P_INVERSE * self.phi[col]
-            ):
+        for col, row in enumerate(monodromy):
+            if row is not None and not (0 <= row < col and phi[row] == P_INVERSE * phi[col]):
                 raise UnsupportedInputError("monodromy must raise the f-index, N phi = p phi N")
+
+    def _key(self) -> tuple:
+        return self.case, self.n, self.phi, self.monodromy, self.l_invariant
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PhiNModule) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def dim(self) -> int:
@@ -256,8 +267,7 @@ def regular_submodules(module: PhiNModule) -> list[tuple[int, ...]]:
     return [canonical_regular_submodule(module)]
 
 
-@dataclass(frozen=True)
-class BenoisFiltration:
+class BenoisFiltration(NamedTuple):
     d_minus1: tuple[int, ...]
     d_0: tuple[int, ...]
     d_1: tuple[int, ...]

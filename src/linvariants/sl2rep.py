@@ -25,7 +25,6 @@ weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -40,16 +39,21 @@ class InternalConsistencyError(RuntimeError):
     """An invariant that should hold by theory failed; indicates a bug."""
 
 
-@dataclass(frozen=True)
 class EndoElement:
     """Element of End(Sym^n V); grid[i][j] is the g_{n,i} (x) g_{n,j}^v coefficient."""
 
-    n: int
-    grid: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("n", "grid")
 
-    def __post_init__(self):
-        if len(self.grid) != self.n + 1 or any(len(r) != self.n + 1 for r in self.grid):
+    def __init__(self, n: int, grid: tuple[tuple[Fraction, ...], ...]):
+        if len(grid) != n + 1 or any(len(r) != n + 1 for r in grid):
             raise DimensionMismatchError("grid has wrong shape")
+        self.n, self.grid = n, grid
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EndoElement) and (self.n, self.grid) == (other.n, other.grid)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.grid))
 
     @classmethod
     def diagonal(cls, diag) -> "EndoElement":

@@ -28,11 +28,10 @@ exponents of the EigenMonomial symbol 'p'; no square roots are adjoined.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, floor, isqrt, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exactlin import rational, vector
 from .phin import EigenMonomial, monomial_product
@@ -46,22 +45,14 @@ class NonDominantError(ValueError):
     """The torus exponent is not dominant (a_1 >= ... >= a_g >= a_0/2)."""
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """(nu, eps) with nu in one-line notation on {1..g} and eps: {1..g} -> {-1,1}."""
+class WeylElement(NamedTuple):
+    """(nu, eps) with nu in one-line notation on {1..g} and eps: {1..g} -> {-1,1}.
+
+    Built from trusted tuples; `from_json` checks what comes from outside.
+    """
 
     nu: tuple[int, ...]
     eps: tuple[int, ...]
-
-    def __post_init__(self):
-        # bool and float equal to an int would pass the checks below
-        if not set(map(type, (*self.nu, *self.eps))) <= {int}:
-            raise TypeError("nu and eps entries must be integers")
-        g = len(self.nu)
-        if sorted(self.nu) != list(range(1, g + 1)):
-            raise ValueError("nu is not a permutation of 1..g")
-        if len(self.eps) != g or any(e not in (-1, 1) for e in self.eps):
-            raise ValueError("eps must be a vector of +-1 of length g")
 
     @property
     def g(self) -> int:
@@ -87,7 +78,15 @@ class WeylElement:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeylElement":
-        return cls(tuple(obj["nu"]), tuple(obj["eps"]))
+        nu, eps = tuple(obj["nu"]), tuple(obj["eps"])
+        # bool and float equal to an int would pass the checks below
+        if not set(map(type, (*nu, *eps))) <= {int}:
+            raise TypeError("nu and eps entries must be integers")
+        if sorted(nu) != list(range(1, len(nu) + 1)):
+            raise ValueError("nu is not a permutation of 1..g")
+        if len(eps) != len(nu) or any(e not in (-1, 1) for e in eps):
+            raise ValueError("eps must be a vector of +-1 of length g")
+        return cls(nu, eps)
 
 
 @lru_cache(maxsize=None)
@@ -100,8 +99,7 @@ def weyl_group(g: int) -> tuple[WeylElement, ...]:
     return tuple(elements)
 
 
-@dataclass(frozen=True)
-class TorusExponent:
+class TorusExponent(NamedTuple):
     """t = (p^{a_1}, ..., p^{a_g}; p^{a_0}) stored by its exponents."""
 
     a: tuple[Fraction, ...]
@@ -132,8 +130,7 @@ def beta(g: int, j: int) -> TorusExponent:
     return TorusExponent.make([0] * (g - j) + [-1] * j, -2)
 
 
-@dataclass(frozen=True)
-class CharacterData:
+class CharacterData(NamedTuple):
     """Values chi_j(p) and sigma(p) of an unramified character of the torus."""
 
     chi: tuple[EigenMonomial, ...]
@@ -202,7 +199,7 @@ def hecke_diagonals(
             s = sources[i - 1][w.eps[i - 1]]
             for sym, c in slot:
                 exps[sym] = exps.get(sym, 0) + c * s
-        yield EigenMonomial(frozenset((sym, exponent(x)) for sym, x in exps.items() if x))
+        yield EigenMonomial(tuple((sym, exponent(x)) for sym, x in sorted(exps.items()) if x))
 
 
 def hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> EigenMonomial:

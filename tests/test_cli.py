@@ -322,15 +322,34 @@ def test_ill_shaped_json_argument_names_it(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "weyl", ['{"nu": [true, 2], "eps": [1, 1]}', '{"nu": [1, 2], "eps": [1.0, 1]}']
+    "weyl",
+    [
+        '{"nu": [true, 2], "eps": [1, 1]}',
+        '{"nu": [1, 2], "eps": [1.0, 1]}',
+        '{"nu": [1, 1], "eps": [1, 1]}',
+        '{"nu": [1, 2], "eps": [1]}',
+        '{"nu": [1, 2], "eps": [1, 2]}',
+    ],
 )
 def test_hecke_non_integer_weyl_exit_2(capsys, weyl):
-    # true == 1 and 1.0 == 1 used to pass as indices and signs
+    # true == 1 and 1.0 == 1 used to pass as indices and signs; the last
+    # three are integers but no Weyl element
     code, payload = run_json(
         capsys, "hecke", "--g", "2", "--t", '{"a": [1, 0], "a0": 0}', "--weyl", weyl
     )
     assert code == 2
     assert payload["error"]["code"] == "domain"
+
+
+@pytest.mark.parametrize("value", ["1e100000000", "-1.5E-100000000", "1e100_001"])
+def test_huge_decimal_exponent_exits_2_at_once(capsys, value):
+    # Fraction(value) would build 10^|e| before any size check could see it
+    start = time.perf_counter()
+    code, out = run(capsys, "hecke", "--g", "1", "--t", json.dumps({"a": [value], "a0": 0}))
+    assert time.perf_counter() - start < 0.2
+    assert code == 2
+    (line,) = out.splitlines()
+    assert json.loads(line)["error"]["message"].startswith("decimal exponent over")
 
 
 def test_recover_chi_round_trip(capsys):

@@ -23,6 +23,7 @@ from linalg_oracle import (
     zero_space,
 )
 from linvariants.exactlin import (
+    MAX_DECIMAL_EXPONENT,
     DimensionMismatchError,
     _rref,
     rational,
@@ -193,6 +194,21 @@ def test_rational_coerces_exact_scalars():
     assert rational(3) == F(3)
     assert rational("-3/4") == F(-3, 4)
     assert rational(F(1, 2)) == F(1, 2)
+
+
+def test_rational_reads_decimal_exponents_exactly():
+    assert rational("1e3") == 1000
+    assert rational("1.5e-3") == F(3, 2000)
+    assert rational(f"-2E+{MAX_DECIMAL_EXPONENT}") == -2 * 10**MAX_DECIMAL_EXPONENT
+    assert rational(f" 1e-{MAX_DECIMAL_EXPONENT} ") == F(1, 10**MAX_DECIMAL_EXPONENT)
+
+
+@pytest.mark.parametrize(
+    "text", [f"1e{MAX_DECIMAL_EXPONENT + 1}", f"-2.5E-{MAX_DECIMAL_EXPONENT + 1}"]
+)
+def test_rational_refuses_a_decimal_exponent_past_the_cap(text):
+    with pytest.raises(ValueError, match="decimal exponent over"):
+        rational(text)
 
 
 def test_rational_refuses_bool():

@@ -29,16 +29,31 @@ def fresh(code: str):
     return json.loads(out.splitlines()[-1])
 
 
+#: costly standard modules no request needs: `dataclasses` imports `inspect`,
+#: which imports `ast`, `dis` and `tokenize`
+HEAVY = ("dataclasses", "inspect")
 LOADED = (
     "print(json.dumps([sorted(m for m in sys.modules if m.startswith('linvariants.')),"
-    " 'dataclasses' in sys.modules]))"
+    f" sorted(set({HEAVY!r}) & set(sys.modules))]))"
 )
 
 
+def request(argv, stdin: str = ""):
+    """(linvariants modules, heavy modules) loaded by one in-process request."""
+    return fresh(
+        "import contextlib, io, json, sys\n"
+        "from linvariants.cli import main\n"
+        f"sys.stdin = io.StringIO({stdin!r})\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        f"{LOADED}"
+    )
+
+
 def test_cli_import_loads_no_maths():
-    loaded, dataclasses = fresh(f"import json, sys\nimport linvariants.cli\n{LOADED}")
+    loaded, heavy = fresh(f"import json, sys\nimport linvariants.cli\n{LOADED}")
     assert not {f"linvariants.{m}" for m in MATHS} & set(loaded)
-    assert not dataclasses
+    assert heavy == []
 
 
 @pytest.mark.parametrize(
@@ -51,15 +66,56 @@ def test_cli_import_loads_no_maths():
     ],
 )
 def test_plethysm_requests_load_only_plethysm(argv):
-    loaded, dataclasses = fresh(
-        "import contextlib, io, json, sys\n"
-        "from linvariants.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0\n"
-        f"{LOADED}"
-    )
+    loaded, heavy = request(argv)
     assert loaded == ["linvariants.cli", "linvariants.exactlin", "linvariants.plethysm"]
-    assert not dataclasses
+    assert heavy == []
+
+
+WEYLHECKE = ["linvariants.cli", "linvariants.exactlin", "linvariants.phin", "linvariants.weylhecke"]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, modules",
+    [
+        pytest.param(
+            ["phin", "--case", "steinberg", "--n", "2", "--all-submodules", "--benois", "--gr1"],
+            "", ["linvariants.cli", "linvariants.exactlin", "linvariants.phin"], id="phin",
+        ),
+        pytest.param(
+            ["hecke", "--g", "2", "--t", '{"a": [1, 0], "a0": 0}', "--all"], "", WEYLHECKE,
+            id="hecke",
+        ),
+        pytest.param(
+            ["recover-chi", "--g", "2", "--eigs", '[{"p": "-2"}, {"p": "-3/2"}]',
+             "--weights", '{"mu": [0, 0], "mu0": 0}'], "", WEYLHECKE, id="recover-chi",
+        ),
+        pytest.param(
+            ["slope", "--family", "hilbert", "--input", "-"],
+            '{"k": [3], "w": 1, "slopes": ["0"]}', WEYLHECKE, id="slope",
+        ),
+        pytest.param(
+            ["obstruction", "--exponents", "3,2,1,0", "--check-N", "6"], "", WEYLHECKE,
+            id="obstruction",
+        ),
+        pytest.param(
+            ["linv", "--family", "gsp4_spin", "--input", "-", "--compare-theorem", "B"],
+            '{"places": [{"gradients": {"a_1": "1", "a_2": "2"}}], "direction": {"u": [1, 2]}}',
+            ["linvariants.cli", "linvariants.exactlin", "linvariants.linv", "linvariants.plethysm"],
+            id="linv",
+        ),
+    ],
+)
+def test_maths_requests_load_no_dataclasses(argv, stdin, modules):
+    loaded, heavy = request(argv, stdin)
+    assert loaded == modules
+    assert heavy == []
+
+
+def test_oracle_import_loads_no_dataclasses():
+    # the brute-force oracle's entry point imports `sl2rep` and nothing else
+    loaded, heavy = fresh(f"import json, sys\nimport linvariants.sl2rep\n{LOADED}")
+    assert loaded == ["linvariants.exactlin", "linvariants.sl2rep"]
+    assert heavy == []
 
 
 def test_every_submodule_is_an_attribute_of_the_package():

@@ -1,10 +1,9 @@
 """Filtered (phi,N)-modules: cases, submodules, the three-step filtration."""
 
-import dataclasses
 import random
 import time
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -28,6 +27,7 @@ from linvariants.phin import (
     P_INVERSE,
     STEINBERG,
     EigenMonomial,
+    PhiNModule,
     UnsupportedInputError,
     benois_filtration,
     build_case,
@@ -254,9 +254,7 @@ def test_set_membership_with_monodromy_onto_far_coordinates():
     # coordinates above the target but not the target itself
     x, y, w = (EigenMonomial.symbol(s) for s in ("x", "y", "w"))
     phi = (P_INVERSE * x, P_INVERSE * w, y, x, w)
-    module = dataclasses.replace(
-        build_case(STEINBERG, 2), phi=phi, monodromy=(None, None, None, 0, 1)
-    )
+    module = PhiNModule(STEINBERG, 2, phi, (None, None, None, 0, 1), l_invariant=F(1))
     assert len(stable_submodules(module)) == 18
     assert_membership_equals_tuple_membership(module)
 
@@ -300,7 +298,7 @@ def test_monodromy_lowering_f_index_rejected():
     )
     assert transposed == (1, 2, 3, 4, None)
     with pytest.raises(UnsupportedInputError):
-        dataclasses.replace(module, monodromy=transposed)
+        PhiNModule(module.case, module.n, module.phi, transposed)
 
 
 def test_steinberg_monodromy_on_unrelated_eigenvalues_rejected():
@@ -309,7 +307,7 @@ def test_steinberg_monodromy_on_unrelated_eigenvalues_rejected():
     nonsplit = build_case(CRYSTALLINE_NONSPLIT, 2)
     steinberg = build_case(STEINBERG, 2)
     with pytest.raises(UnsupportedInputError):
-        dataclasses.replace(nonsplit, monodromy=steinberg.monodromy)
+        PhiNModule(nonsplit.case, nonsplit.n, nonsplit.phi, steinberg.monodromy)
 
 
 def test_monodromy_with_two_columns_onto_one_row_rejected():
@@ -317,7 +315,7 @@ def test_monodromy_with_two_columns_onto_one_row_rejected():
     # allows one of them at most
     module = build_case(STEINBERG, 2)
     with pytest.raises(UnsupportedInputError):
-        dataclasses.replace(module, monodromy=(None, 0, 0, 2, 3))
+        PhiNModule(module.case, module.n, module.phi, (None, 0, 0, 2, 3))
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -457,10 +455,24 @@ def test_steinberg_suite_at_random_l_values(n):
         assert gr1_data(module, regular[0]) == (1, EigenMonomial.one())
 
 
+def test_eigen_monomial_has_one_canonical_form():
+    exps = {"p": F(-1, 2), "chi_10": 3, "alpha": "2/3", "r": 0, "chi_2": -1}
+    orders = [dict(items) for items in permutations(exps.items())]
+    monomials = [EigenMonomial.from_dict(order) for order in orders]
+    assert len(set(monomials)) == 1
+    assert len({hash(m) for m in monomials}) == 1
+    (m,) = set(monomials)
+    # zero exponents dropped, symbols sorted as strings
+    assert m.exponents == (("alpha", F(2, 3)), ("chi_10", F(3)), ("chi_2", F(-1)), ("p", F(-1, 2)))
+    assert repr(m) == "alpha^2/3*chi_10^3*chi_2^-1*p^-1/2"
+    assert m * m.inverse() == EigenMonomial.one() == EigenMonomial.from_dict({"x": 0})
+    assert (m * EigenMonomial.symbol("r", 5)).exponents[-1] == ("r", F(5))
+
+
 def test_repeated_eigenvalues_rejected():
     base = build_case(CRYSTALLINE_NONSPLIT, 1)
     with pytest.raises(UnsupportedInputError):
-        dataclasses.replace(base, phi=(base.phi[0],) * 3)
+        PhiNModule(base.case, base.n, (base.phi[0],) * 3, base.monodromy)
 
 
 def test_benois_filtration_requires_stable_input():

@@ -8,7 +8,7 @@ import pytest
 
 from linalg_oracle import RepVector, apply, mul, sub, transpose
 from linvariants import sl2rep
-from linvariants.exactlin import _rref
+from linvariants.exactlin import DimensionMismatchError, _rref
 from linvariants.sl2rep import (
     EndoElement,
     InternalConsistencyError,
@@ -214,6 +214,21 @@ def test_highest_weight_vectors_killed_by_raising(n):
         v = highest_weight_vector(n, k)
         assert not any(any(row) for row in act_on_end("R", v).grid)
         assert weight_component(v, 2 * k) == v
+
+
+@pytest.mark.parametrize(
+    "grid", [((F(0),) * 3,) * 2, ((F(0),) * 2,) * 3, ((F(0),) * 3, (F(0),) * 3, (F(0),) * 2)]
+)
+def test_endo_element_refuses_a_wrong_shape(grid):
+    with pytest.raises(DimensionMismatchError, match="wrong shape"):
+        EndoElement(2, grid)
+
+
+def test_endo_element_equality_is_by_value():
+    grid = ((F(1), F(0)), (F(0), F(2)))
+    assert EndoElement(1, grid) == EndoElement.diagonal([1, 2])
+    assert hash(EndoElement(1, grid)) == hash(EndoElement.diagonal(["1", "2"]))
+    assert EndoElement(1, grid) != EndoElement.diagonal([2, 1])
 
 
 def test_highest_weight_vector_range_error():

@@ -62,6 +62,29 @@ def test_weyl_group_size(g):
     assert len(set(elements)) == len(elements)
 
 
+@pytest.mark.parametrize("g", range(1, 5))
+def test_weyl_group_elements_pass_the_json_checks(g):
+    # weyl_group builds its elements unchecked; each is valid by construction
+    for w in weyl_group(g):
+        assert WeylElement.from_json(w.to_json()) == w
+
+
+@pytest.mark.parametrize(
+    "obj, error, message",
+    [
+        ({"nu": [True, 2], "eps": [1, 1]}, TypeError, "must be integers"),
+        ({"nu": [1, 2], "eps": [1, False]}, TypeError, "must be integers"),
+        ({"nu": [1, 1], "eps": [1, 1]}, ValueError, "not a permutation"),
+        ({"nu": [0, 1], "eps": [1, 1]}, ValueError, "not a permutation"),
+        ({"nu": [1, 2], "eps": [1]}, ValueError, "length g"),
+        ({"nu": [1, 2], "eps": [1, 0]}, ValueError, "length g"),
+    ],
+)
+def test_weyl_element_from_json_refuses_non_elements(obj, error, message):
+    with pytest.raises(error, match=message):
+        WeylElement.from_json(obj)
+
+
 @pytest.mark.parametrize("g", (2, 3, 4))
 def test_weyl_action_is_action(g):
     elements = weyl_group(g)
