@@ -4,17 +4,16 @@ Every subcommand is deterministic (identical inputs give byte-identical
 output).  Rationals are serialized as "num/den" strings so no consumer
 ever sees a rounded value.  Exit codes: 0 success, 2 malformed input or
 domain/precondition error, 3 mathematical singularity (zero denominator
-at the chosen direction).
+at the chosen direction); every error, a parse error too, prints one JSON line.
 
-Each request is a fresh process, so a subcommand imports its maths module
-only when it runs.
+Each request is a fresh process, so options are read from one table, not
+argparse, and a subcommand imports its maths module only when it runs.
 """
 
-from __future__ import annotations
-
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import CASES, FAMILIES, THEOREMS
 from .exactlin import rational
@@ -91,9 +90,7 @@ def _emit(payload, fmt: str, csv_header: str | None = None, csv_rows=None) -> st
     if fmt == "csv":
         if csv_header is None or csv_rows is None:
             raise CliError("csv output is only available for table commands")
-        lines = [csv_header]
-        lines += [",".join(str(x) for x in row) for row in csv_rows]
-        return "\n".join(lines)
+        return "\n".join([csv_header, *(",".join(str(x) for x in row) for row in csv_rows)])
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
@@ -327,93 +324,96 @@ def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
     return payload, None, None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="linvariants",
-        description="Exact tables, module analysis and L-invariant evaluation.",
-    )
-    parser.add_argument(
-        "--format", choices=("json", "csv", "pretty"), default="json"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+#: subcommand -> (handler, option -> (type, required)); the type is int, str, a tuple of
+#: choices or None for a flag.  `--check-N` sets `args.check_N`; no name begins another.
+COMMANDS = {
+    "cg": (_cmd_cg, {"m": (int, True), "n": (int, True), "p": (int, True), "table": (None, False),
+                     "u": (int, False), "v": (int, False), "w": (int, False)}),
+    "bcoeff": (_cmd_bcoeff, {"n": (int, True), "k": (int, True), "i": (int, False)}),
+    "project-endo": (_cmd_project_endo, {"n": (int, True), "k": (int, True), "diag": (str, True)}),
+    "phin": (_cmd_phin, {"case": (CASES, True), "n": (int, True), "L": (str, False),
+                         "weight": (int, False), "all-submodules": (None, False),
+                         "benois": (None, False), "gr1": (None, False)}),
+    "hecke": (_cmd_hecke, {"g": (int, True), "t": (str, True), "weyl": (str, False),
+                           "all": (None, False)}),
+    "recover-chi": (_cmd_recover_chi, {"g": (int, True), "eigs": (str, True),
+                                       "weights": (str, True), "weyl": (str, False)}),
+    "slope": (_cmd_slope, {"family": (("hilbert", "gsp"), True), "input": (str, True)}),
+    "obstruction": (_cmd_obstruction, {"exponents": (str, True), "check-N": (int, False)}),
+    "linv": (_cmd_linv, {"family": (FAMILIES, True), "input": (str, True),
+                         "compare-theorem": (tuple(THEOREMS), False)}),
+}
 
-    cg = sub.add_parser("cg", help="inverse Clebsch-Gordan coefficients")
-    cg.add_argument("--m", type=int, required=True)
-    cg.add_argument("--n", type=int, required=True)
-    cg.add_argument("--p", type=int, required=True)
-    cg.add_argument("--table", action="store_true")
-    cg.add_argument("--u", type=int)
-    cg.add_argument("--v", type=int)
-    cg.add_argument("--w", type=int)
-    cg.set_defaults(func=_cmd_cg)
 
-    bcoeff = sub.add_parser("bcoeff", help="projection coefficients B_{n,k,i}")
-    bcoeff.add_argument("--n", type=int, required=True)
-    bcoeff.add_argument("--k", type=int, required=True)
-    bcoeff.add_argument("--i", type=int)
-    bcoeff.set_defaults(func=_cmd_bcoeff)
+def _option(token: str, options: dict) -> tuple:
+    """(name, text after "=" or None) of `token`; the name is None for a value, "" if unknown.
 
-    project = sub.add_parser(
-        "project-endo", help="project a diagonal endomorphism onto Sym^2k"
-    )
-    project.add_argument("--n", type=int, required=True)
-    project.add_argument("--k", type=int, required=True)
-    project.add_argument("--diag", required=True, help="JSON array of rationals")
-    project.set_defaults(func=_cmd_project_endo)
+    A unique prefix names its option, and `-h` is `--help`.  A token that
+    begins with "-" is a value only when it is "-", a negative number or holds a space.
+    """
+    token = "--help" + token[2:] if token[:2] == "-h" else token
+    if token[:2] == "--" and token != "--":
+        name, eq, text = token[2:].partition("=")
+        names = [o for o in (*options, "help") if o.startswith(name)]
+        if len(names) > 1:
+            raise CliError(f"{token} is ambiguous: it could be --" + ", --".join(names))
+        if names:
+            return names[0], text if eq else None
+    value = token[:1] != "-" or token == "-" or " " in token or re.match(r"-\d*\.?\d+$", token)
+    return None if value else "", None
 
-    phin_cmd = sub.add_parser("phin", help="filtered (phi,N)-module analysis")
-    phin_cmd.add_argument("--case", choices=CASES, required=True)
-    phin_cmd.add_argument("--n", type=int, required=True)
-    phin_cmd.add_argument("--L", help="Fontaine-Mazur parameter (steinberg)")
-    phin_cmd.add_argument("--weight", type=int, help="motivic weight (split case)")
-    phin_cmd.add_argument("--all-submodules", action="store_true")
-    phin_cmd.add_argument("--benois", action="store_true")
-    phin_cmd.add_argument("--gr1", action="store_true")
-    phin_cmd.set_defaults(func=_cmd_phin)
 
-    hecke = sub.add_parser("hecke", help="Iwahori-Hecke diagonal eigenvalues")
-    hecke.add_argument("--g", type=int, required=True)
-    hecke.add_argument("--t", required=True, help='JSON {"a": [...], "a0": ...}')
-    hecke.add_argument("--weyl", help='JSON {"nu": [...], "eps": [...]}')
-    hecke.add_argument("--all", action="store_true")
-    hecke.set_defaults(func=_cmd_hecke)
-
-    recover = sub.add_parser("recover-chi", help="Satake character recovery")
-    recover.add_argument("--g", type=int, required=True)
-    recover.add_argument("--eigs", required=True, help="JSON list of monomials")
-    recover.add_argument("--weights", required=True, help='JSON {"mu": [...], "mu0": ...}')
-    recover.add_argument("--weyl")
-    recover.set_defaults(func=_cmd_recover_chi)
-
-    slope = sub.add_parser("slope", help="noncritical slope checks")
-    slope.add_argument("--family", choices=("hilbert", "gsp"), required=True)
-    slope.add_argument("--input", required=True, help="JSON file path or - for stdin")
-    slope.set_defaults(func=_cmd_slope)
-
-    obstruction = sub.add_parser(
-        "obstruction", help="root-of-unity regularity obstruction orders"
-    )
-    obstruction.add_argument("--exponents", required=True, help="comma list")
-    obstruction.add_argument("--check-N", type=int, dest="check_N")
-    obstruction.set_defaults(func=_cmd_obstruction)
-
-    linv_cmd = sub.add_parser("linv", help="evaluate the L-invariant formulas")
-    linv_cmd.add_argument("--family", choices=FAMILIES, required=True)
-    linv_cmd.add_argument("--input", required=True, help="JSON file path or - for stdin")
-    linv_cmd.add_argument("--compare-theorem", choices=THEOREMS)
-    linv_cmd.set_defaults(func=_cmd_linv)
-    return parser
+def parse_args(argv):
+    """The attributes `argv` sets, or None once --help printed usage; refusals raise CliError."""
+    values, command, i = {"format": "json"}, None, 0
+    options = {"format": (("json", "csv", "pretty"), False)}
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        name, text = _option(token, options)
+        kind = options[name][0] if name in options else None
+        if name is None and command is None and token in COMMANDS:
+            command, (func, options) = token, COMMANDS[token]
+        elif not name:
+            raise CliError(f"{command or 'linvariants'} does not know {token!r}")
+        elif kind is None and text is not None:
+            raise CliError(f"--{name} takes no value, not {text!r}")
+        elif name == "help":
+            print(f"usage: linvariants {command or '[--format FORMAT] SUBCOMMAND'} [options]")
+            if command is None:
+                print("subcommands: " + ", ".join(COMMANDS))
+            for o, (kind, required) in options.items():
+                shown = kind.__name__ if kind in (int, str) else kind and "{%s}" % ",".join(kind)
+                print(f"  --{o} {shown or ''}".rstrip() + ("  (required)" if required else ""))
+            return None
+        elif kind is None:
+            values[name] = True
+        else:
+            if text is None:
+                if i == len(argv) or _option(argv[i], options)[0] is not None:
+                    raise CliError(f"--{name} needs a value")
+                text, i = argv[i], i + 1
+            if isinstance(kind, tuple) and text not in kind:
+                raise CliError(f"--{name} must be one of {', '.join(kind)}, not {text!r}")
+            try:
+                values[name] = int(text) if kind is int else text
+            except ValueError:
+                raise CliError(f"--{name} needs an integer, not {text!r}") from None
+    if command is None:
+        raise CliError("a subcommand is required: " + ", ".join(COMMANDS))
+    args = SimpleNamespace(command=command, func=func, format=values["format"])
+    for option, (kind, required) in options.items():
+        if required and option not in values:
+            raise CliError(f"{command} needs --{option}")
+        setattr(args, option.replace("-", "_"), values.get(option, None if kind else False))
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return 2 if err.code not in (0, None) else 0
-    try:
-        payload, csv_header, csv_rows = args.func(args)
-        print(_emit(payload, args.format, csv_header, csv_rows))
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is not None:
+            payload, csv_header, csv_rows = args.func(args)
+            print(_emit(payload, args.format, csv_header, csv_rows))
         return 0
     except CliError as err:
         error, code = err.error, err.exit_code

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from kernel_oracles import fraction_cg_table, fraction_hecke_diagonal
-from linvariants.cli import build_parser, main
+from linvariants.cli import main, parse_args
 from linvariants.plethysm import cg_table, valid_triple
 from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement
 
@@ -78,14 +78,37 @@ def cube_scan_rows(m, n, p):
 
 
 def test_cg_table_rows_equal_cube_scan():
-    parser = build_parser()
     for m in range(11):
         for n in range(11):
             for p in range(abs(m - n), m + n + 1, 2):
                 assert valid_triple(m, n, p)
-                args = parser.parse_args(["cg", f"--m={m}", f"--n={n}", f"--p={p}", "--table"])
+                args = parse_args(["cg", f"--m={m}", f"--n={n}", f"--p={p}", "--table"])
                 payload, _, rows = args.func(args)
                 assert rows == payload["rows"] == cube_scan_rows(m, n, p), (m, n, p)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(["nosuch", "--n", "3"], "'nosuch'", id="unknown-subcommand"),
+        pytest.param(["bcoeff", "--n", "3", "--k", "1", "--ab"], "--ab", id="unknown-option"),
+        pytest.param(["bcoeff", "--n", "3"], "--k", id="missing-required"),
+        pytest.param(["bcoeff", "--n", "x", "--k", "1"], "--n", id="bad-int"),
+        pytest.param(["phin", "--case", "nosuch", "--n", "1"], "--case", id="bad-choice"),
+        pytest.param(["phin", "--case", "steinberg", "--n"], "--n", id="missing-value"),
+        pytest.param(["cg", "--m=1", "--n=1", "--p=0", "--table=yes"], "--table",
+                     id="flag-with-value"),
+        pytest.param(["bcoeff", "--n", "3", "--k", "1", "--"], "'--'", id="double-dash"),
+    ],
+)
+def test_parse_error_prints_one_json_line(capsys, argv, named):
+    # argparse printed its usage to stderr and nothing to stdout
+    code, out = run(capsys, *argv)
+    assert code == 2
+    (line,) = out.splitlines()
+    error = json.loads(line)["error"]
+    assert error["code"] == "input"
+    assert named in error["message"]
 
 
 def test_cg_invalid_triple_exit_2(capsys):
@@ -420,7 +443,8 @@ def test_obstruction_without_exponents_exit_2(capsys, exponents):
 
 def test_obstruction_single_and_negative_exponents(capsys):
     assert run_json(capsys, "obstruction", "--exponents", "7") == (0, {"orders": []})
-    # argparse reads "--exponents -5,..." as an option: negatives need "="
+    # "-5,-3,-1" is no negative number and holds no space, so as a separate
+    # token it reads as an option: such a value needs "="
     code, payload = run_json(capsys, "obstruction", "--exponents=-5,-3,-1")
     assert code == 0
     assert payload["orders"] == [1, 2, 4]

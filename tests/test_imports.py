@@ -30,8 +30,9 @@ def fresh(code: str):
 
 
 #: costly standard modules no request needs: `dataclasses` imports `inspect`,
-#: which imports `ast`, `dis` and `tokenize`
-HEAVY = ("dataclasses", "inspect")
+#: which imports `ast`, `dis` and `tokenize`; `argparse` imports `gettext`,
+#: whose translations import `locale`
+HEAVY = ("dataclasses", "inspect", "argparse", "gettext", "locale")
 LOADED = (
     "print(json.dumps([sorted(m for m in sys.modules if m.startswith('linvariants.')),"
     f" sorted(set({HEAVY!r}) & set(sys.modules))]))"
