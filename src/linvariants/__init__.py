@@ -2,13 +2,17 @@
 
 Submodules:
 
-* exactlin  -- exact scalars and vectors, fraction-free row reduction
+* exactlin  -- exact scalars and vectors
+* monomial  -- the free monomial group of Frobenius and Hecke eigenvalues
 * sl2rep    -- the sl(2) action on End(Sym^n V), weight-graded brute-force oracle
+  with its fraction-free row reduction
 * plethysm  -- inverse Clebsch-Gordan tables and the B_{n,k,i} rows
 * phin      -- (phi,N)-modules, N as a coordinate map, the 3-step filtration
 * weylhecke -- GSp(2g) Weyl combinatorics, Hecke eigenvalues, slope bounds
 * linv      -- triangulation rows, one pair of linear forms per place
-* cli       -- JSON/CSV command-line interface
+* cli       -- JSON/CSV command-line interface; each subcommand's handler
+  lives in its maths module above
+* cliargs   -- the CLI's refusal and JSON argument readers
 
 `linvariants.<name>` imports a submodule on first use.  The registries
 live here so that the CLI's parser reads them without importing the maths.
@@ -18,12 +22,14 @@ import importlib
 
 __all__ = [
     "exactlin",
+    "monomial",
     "sl2rep",
     "plethysm",
     "phin",
     "weylhecke",
     "linv",
     "cli",
+    "cliargs",
 ]
 
 __version__ = "0.1.0"

@@ -352,3 +352,45 @@ def data_for_theorem(which: str, n: int | None = None, places: int = 1) -> Trian
     """TriangulationData whose generic evaluation matches theorem `which`."""
     family = THEOREMS[which][0]
     return theorem_row(which, family_data(family, places=places, g=n, n=n))
+
+
+#: per family, the `params` key of its rank and that rank's cap, each about
+#: 10 s and 100 MB at most (the cost table is in CHANGES.md)
+LINV_RANK_CAPS = {"gsp_std": ("g", 200), "unitary": ("n", 100)}
+
+
+def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
+    from .cliargs import CliError, _cap, _json_object, _load_input
+    obj = _load_input(args)
+    family = args.family
+    params = _json_object(obj.get("params", {}), "params")
+    places_obj = obj["places"]
+    direction_obj = obj["direction"]
+    direction = Direction.make(direction_obj["u"], direction_obj.get("u0", 0))
+    which = args.compare_theorem
+    if which and THEOREMS[which][0] != family:
+        raise CliError(f"theorem {which} belongs to family {THEOREMS[which][0]}, not {family}")
+    rank = None
+    if family in LINV_RANK_CAPS:
+        key, cap = LINV_RANK_CAPS[family]
+        rank = params.get(key)
+        if isinstance(rank, int):
+            _cap(rank, cap, f"linv --family {family} {key}")
+    data = family_data(family, places=len(places_obj), g=params.get("g"), n=params.get("n"))
+    if which:
+        data = theorem_row(which, data)
+    assignments = []
+    for place in places_obj:
+        gradients = place["gradients"]
+        assignments.append([rational(gradients[f"a_{j}"]) for j in range(1, data.num_hecke + 1)])
+    try:
+        pairs = per_place_pairs(data, direction, assignments)
+    except SingularDirectionError as err:
+        raise CliError(str(err), 3, code="singular_direction", place=err.place) from err
+    payload: dict = {
+        "value": str(rank1_combine(pairs)),
+        "per_place": [{"a": str(a), "b": str(b), "value": str(a / b)} for a, b in pairs],
+    }
+    if which:
+        payload["classification"] = compare_to_theorem(which, n=rank).to_json()
+    return payload, None, None

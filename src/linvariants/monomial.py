@@ -1,0 +1,75 @@
+"""The free multiplicative monomial group of the Frobenius and Hecke eigenvalues.
+
+`phin` and `weylhecke` both build on it, and neither imports the other.
+"""
+
+from fractions import Fraction
+from functools import reduce
+
+from .exactlin import rational
+
+
+class EigenMonomial:
+    """Laurent monomial in formal symbols with exact rational exponents.
+
+    Two monomials are equal iff their exponent maps are equal: the symbols
+    satisfy no hidden multiplicative relations.  `exponents` is the one
+    canonical form of that map, the tuple of (symbol, Fraction) pairs with
+    nonzero exponents, sorted by symbol.
+    """
+
+    __slots__ = ("exponents",)
+
+    def __init__(self, exponents: tuple = ()):
+        self.exponents = exponents
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EigenMonomial) and self.exponents == other.exponents
+
+    def __hash__(self) -> int:
+        return hash(self.exponents)
+
+    @classmethod
+    def from_dict(cls, exps: dict) -> "EigenMonomial":
+        items = [(sym, rational(e)) for sym, e in exps.items()]
+        return cls(tuple(sorted(item for item in items if item[1])))
+
+    @classmethod
+    def one(cls) -> "EigenMonomial":
+        return cls()
+
+    @classmethod
+    def symbol(cls, name: str, exponent=1) -> "EigenMonomial":
+        return cls.from_dict({name: rational(exponent)})
+
+    @classmethod
+    def p_power(cls, exponent) -> "EigenMonomial":
+        return cls.symbol("p", exponent)
+
+    def __mul__(self, other: "EigenMonomial") -> "EigenMonomial":
+        exps = dict(self.exponents)
+        for sym, e in other.exponents:
+            exps[sym] = exps.get(sym, Fraction(0)) + e
+        return EigenMonomial.from_dict(exps)
+
+    def __pow__(self, e) -> "EigenMonomial":
+        e = rational(e)
+        return EigenMonomial.from_dict({s: x * e for s, x in self.exponents})
+
+    def inverse(self) -> "EigenMonomial":
+        return self ** -1
+
+    def __truediv__(self, other: "EigenMonomial") -> "EigenMonomial":
+        return self * other.inverse()
+
+    def is_one(self) -> bool:
+        return not self.exponents
+
+    def __repr__(self) -> str:
+        if not self.exponents:
+            return "1"
+        return "*".join(f"{s}^{e}" for s, e in self.exponents)
+
+
+def monomial_product(factors) -> EigenMonomial:
+    return reduce(lambda a, b: a * b, factors, EigenMonomial.one())

@@ -20,7 +20,7 @@ and (1, 1) for crystalline_nonsplit.  The library reads it only through
 `regular_submodules`, whose per-case answer is proved for these roots.
 
 Frobenius eigenvalues live in a free multiplicative monomial group
-(EigenMonomial): equality against 1 or p^{-1} is exponent comparison,
+(`monomial.EigenMonomial`): equality against 1 or p^{-1} is exponent comparison,
 which is exactly the strength of the standing no-multiplicative-relations
 hypothesis on alpha/beta.  On top of this the module computes the stable
 and regular submodules and the filtration
@@ -43,84 +43,18 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from typing import NamedTuple
 
 from . import CASES
 from .exactlin import rational
+from .monomial import EigenMonomial, monomial_product  # noqa: F401 (phin re-exports both)
 
 STEINBERG, CRYSTALLINE_SPLIT, CRYSTALLINE_NONSPLIT = CASES
 
 
 class UnsupportedInputError(ValueError):
     """Input outside the standing hypotheses (e.g. repeated eigenvalues)."""
-
-
-class EigenMonomial:
-    """Laurent monomial in formal symbols with exact rational exponents.
-
-    Two monomials are equal iff their exponent maps are equal: the symbols
-    satisfy no hidden multiplicative relations.  `exponents` is the one
-    canonical form of that map, the tuple of (symbol, Fraction) pairs with
-    nonzero exponents, sorted by symbol.
-    """
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents: tuple = ()):
-        self.exponents = exponents
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EigenMonomial) and self.exponents == other.exponents
-
-    def __hash__(self) -> int:
-        return hash(self.exponents)
-
-    @classmethod
-    def from_dict(cls, exps: dict) -> "EigenMonomial":
-        items = [(sym, rational(e)) for sym, e in exps.items()]
-        return cls(tuple(sorted(item for item in items if item[1])))
-
-    @classmethod
-    def one(cls) -> "EigenMonomial":
-        return cls()
-
-    @classmethod
-    def symbol(cls, name: str, exponent=1) -> "EigenMonomial":
-        return cls.from_dict({name: rational(exponent)})
-
-    @classmethod
-    def p_power(cls, exponent) -> "EigenMonomial":
-        return cls.symbol("p", exponent)
-
-    def __mul__(self, other: "EigenMonomial") -> "EigenMonomial":
-        exps = dict(self.exponents)
-        for sym, e in other.exponents:
-            exps[sym] = exps.get(sym, Fraction(0)) + e
-        return EigenMonomial.from_dict(exps)
-
-    def __pow__(self, e) -> "EigenMonomial":
-        e = rational(e)
-        return EigenMonomial.from_dict({s: x * e for s, x in self.exponents})
-
-    def inverse(self) -> "EigenMonomial":
-        return self ** -1
-
-    def __truediv__(self, other: "EigenMonomial") -> "EigenMonomial":
-        return self * other.inverse()
-
-    def is_one(self) -> bool:
-        return not self.exponents
-
-    def __repr__(self) -> str:
-        if not self.exponents:
-            return "1"
-        return "*".join(f"{s}^{e}" for s, e in self.exponents)
-
-
-def monomial_product(factors) -> EigenMonomial:
-    return reduce(lambda a, b: a * b, factors, EigenMonomial.one())
 
 
 P_INVERSE = EigenMonomial.p_power(-1)
@@ -299,3 +233,57 @@ def gr1_data(module: PhiNModule, d: tuple[int, ...]) -> tuple[int, EigenMonomial
         return len(new), None
     (position,) = new
     return 1, module.phi[position]
+
+
+#: largest n whose `--all-submodules` listing runs without monodromy: 2^(2n+1)
+#: stable sets; one step past the cap costs over 200 MB
+ALL_SUBMODULES_MAX_N = 8
+
+
+def _subspace_json(module, space) -> list[int]:
+    return list(module.f_indices_of(space))
+
+
+def _cmd_phin(args) -> tuple[dict, str | None, list | None]:
+    from .cliargs import CliError, _monomial_json
+    if args.all_submodules and args.case != STEINBERG and args.n > ALL_SUBMODULES_MAX_N:
+        raise CliError(
+            f"--all-submodules lists 2^(2n+1) sets in case {args.case}; "
+            f"n > {ALL_SUBMODULES_MAX_N} is refused"
+        )
+    module = build_case(args.case, args.n, l_invariant=args.L, weight=args.weight)
+    payload: dict = {
+        "case": module.case,
+        "n": module.n,
+        "dim": module.dim,
+        # Fil^0 is the multiples of a nonzero degree-n form, and multiplying
+        # by it is injective on the n+1 monomials of degree n
+        "fil0_dim": module.n + 1,
+        "phi": [_monomial_json(lam) for lam in module.phi],
+    }
+    if module.l_invariant is not None:
+        payload["L"] = str(module.l_invariant)
+    if args.all_submodules:
+        payload["stable_submodules"] = [
+            _subspace_json(module, s) for s in stable_submodules(module)
+        ]
+        payload["regular_submodules"] = [
+            _subspace_json(module, s) for s in regular_submodules(module)
+        ]
+    if args.benois or args.gr1:
+        d = canonical_regular_submodule(module)
+        payload["D"] = _subspace_json(module, d)
+        if args.benois:
+            filtration = benois_filtration(module, d)
+            payload["benois"] = {
+                "D_minus1": _subspace_json(module, filtration.d_minus1),
+                "D_0": _subspace_json(module, filtration.d_0),
+                "D_1": _subspace_json(module, filtration.d_1),
+            }
+        if args.gr1:
+            rank, eigenvalue = gr1_data(module, d)
+            payload["gr1"] = {
+                "rank": rank,
+                "eigenvalue": None if eigenvalue is None else _monomial_json(eigenvalue),
+            }
+    return payload, None, None

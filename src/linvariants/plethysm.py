@@ -184,3 +184,49 @@ def project_endomorphism_diagonal(n: int, k: int, diag) -> DiagonalProjection:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     return DiagonalProjection(middle, (Fraction(0),) * k)
+
+
+#: largest sizes of the polynomial-cost tables, each about 10 s and 100 MB
+#: at most (the cost table is in CHANGES.md): every index of `cg`, `bcoeff` n
+#: and `project-endo` n
+CG_MAX_INDEX = 150
+BCOEFF_MAX_N = 600
+PROJECT_ENDO_MAX_N = 250
+
+
+def _cmd_cg(args) -> tuple[dict, str | None, list | None]:
+    from .cliargs import CliError, _cap
+    m, n, p = args.m, args.n, args.p
+    _cap(max(m, n, p), CG_MAX_INDEX, "cg --m, --n or --p")
+    if args.table:
+        if (args.u, args.v, args.w) != (None, None, None):
+            raise CliError("--table and --u, --v, --w exclude each other")
+        table = cg_table(m, n, p)
+        rows = [(*key, str(table[key])) for key in sorted(table)]
+        return {"m": m, "n": n, "p": p, "rows": rows}, "u,v,w,value", rows
+    if args.u is None or args.v is None or args.w is None:
+        raise CliError("either --table or all of --u --v --w are required")
+    value = cg_coefficient(m, n, p, args.u, args.v, args.w)
+    return {"value": str(value)}, None, None
+
+
+def _cmd_bcoeff(args) -> tuple[dict, str | None, list | None]:
+    from .cliargs import _cap
+    _cap(args.n, BCOEFF_MAX_N, "bcoeff --n")
+    if args.i is not None:
+        value = str(b_coefficient(args.n, args.k, args.i))
+        return {"value": value}, "n,k,i,value", [(args.n, args.k, args.i, value)]
+    # each value is converted to a string once, for the JSON and the CSV alike
+    values = [str(x) for x in b_row(args.n, args.k)]
+    rows = [(args.n, args.k, i, x) for i, x in enumerate(values)]
+    return {"values": values}, "n,k,i,value", rows
+
+
+def _cmd_project_endo(args) -> tuple[dict, str | None, list | None]:
+    from .cliargs import CliError, _cap, _parse_json_arg
+    _cap(args.n, PROJECT_ENDO_MAX_N, "project-endo --n")
+    diag = _parse_json_arg(args.diag, "--diag")
+    if not isinstance(diag, list):
+        raise CliError("--diag must be a JSON array of rationals")
+    result = project_endomorphism_diagonal(args.n, args.k, [rational(x) for x in diag])
+    return {"middle": str(result.middle), "tail": [str(x) for x in result.tail]}, None, None

@@ -20,16 +20,20 @@ The module also carries the decomposition machinery that everything else
 is checked against: the highest-weight vectors v_{2k} of the Sym^{2k}
 constituents of End(Sym^n V), and a brute-force projector that expresses
 an endomorphism in the basis {L^i v_{2k}} by solving one linear system per
-weight.
+weight.  Each block is inverted by fraction-free (Bareiss) elimination:
+rows are scaled to integers and the forward pass uses the two-term minor
+update, which keeps intermediate entries bounded by minors of the input
+instead of letting numerators and denominators blow up independently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
+from typing import Sequence
 
-from .exactlin import DimensionMismatchError, _rref, rational
+from .exactlin import DimensionMismatchError, Vector, rational
 
 LOWER = "L"
 RAISE = "R"
@@ -160,3 +164,75 @@ def brute_force_project(t: EndoElement, k: int) -> tuple[Fraction, ...]:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={t.n}")
     coords = brute_force_coordinates(t)
     return tuple(coords[(k, i)] for i in range(2 * k + 1))
+
+
+def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free forward elimination on integer rows (in place).
+
+    Returns the echelon rows and the pivot column list.  After step k every
+    entry is a (k+1)x(k+1) minor of the input, so the exact divisions below
+    never truncate.
+    """
+    if not rows:
+        return rows, []
+    n_cols = len(rows[0])
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(n_cols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        p = rows[r][c]
+        for i in range(r + 1, len(rows)):
+            row_i = rows[i]
+            head = row_i[c]
+            for j in range(c, n_cols):
+                row_i[j] = (row_i[j] * p - head * rows[r][j]) // prev
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _to_integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    out = []
+    for row in rows:
+        scale = lcm(*(f.denominator for f in row)) if row else 1
+        ints = [int(f * scale) for f in row]
+        g = 0
+        for x in ints:
+            g = gcd(g, x)
+        if g > 1:
+            ints = [x // g for x in ints]
+        out.append(ints)
+    return out
+
+
+def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """Reduced row echelon form; zero rows are dropped."""
+    work = _to_integer_rows(rows)
+    work, pivots = _bareiss_echelon(work)
+    # Back-substitute over Fraction; the forward pass already paid the
+    # expensive part, this touches O(rank * cols) entries.
+    frac_rows: list[list[Fraction]] = []
+    for r, c in enumerate(pivots):
+        p = Fraction(work[r][c])
+        frac_rows.append([Fraction(x) / p for x in work[r]])
+    for r in range(len(pivots) - 1, -1, -1):
+        row = frac_rows[r]
+        for above in range(r):
+            factor = frac_rows[above][pivots[r]]
+            if factor:
+                target = frac_rows[above]
+                for j in range(pivots[r], len(row)):
+                    target[j] -= factor * row[j]
+    return tuple(tuple(row) for row in frac_rows), tuple(pivots)

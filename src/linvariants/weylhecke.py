@@ -34,7 +34,7 @@ from math import ceil, comb, floor, isqrt, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exactlin import rational, vector
-from .phin import EigenMonomial, monomial_product
+from .monomial import EigenMonomial, monomial_product
 
 
 class InversionError(ValueError):
@@ -486,3 +486,88 @@ def exclusion_sufficient(orders: Iterable[int], n: int) -> bool:
     if n < 1:
         raise ValueError(f"N must be at least 1, got {n}")
     return all(n % d == 0 for d in orders)
+
+
+#: `hecke --all` prints 2^g g! rows; one step past the cap costs over 200 MB
+HECKE_ALL_MAX_G = 6
+#: largest `recover-chi` g, about 10 s and 100 MB (the cost table is in CHANGES.md)
+RECOVER_CHI_MAX_G = 500
+
+
+def _weyl_from_args(args, g: int) -> WeylElement:
+    from .cliargs import _json_keys
+    if args.weyl is None:
+        return WeylElement.identity(g)
+    return WeylElement.from_json(_json_keys(args.weyl, "--weyl", "nu", "eps"))
+
+
+def _cmd_hecke(args) -> tuple[dict, str | None, list | None]:
+    from .cliargs import CliError, _json_keys, _monomial_json
+    g = args.g
+    if args.all and g > HECKE_ALL_MAX_G:
+        raise CliError(f"--all lists 2^g g! Weyl elements; g > {HECKE_ALL_MAX_G} is refused")
+    t_obj = _json_keys(args.t, "--t", "a", "a0")
+    t = TorusExponent.make(t_obj["a"], t_obj["a0"])
+    if t.g != g:
+        raise CliError("torus exponent length differs from g")
+    chi = CharacterData.generic(g)
+    if args.all:
+        if args.weyl is not None:
+            raise CliError("--weyl and --all exclude each other")
+        ws = weyl_group(g)
+        entries = [
+            {"weyl": w.to_json(), "value": _monomial_json(value)}
+            for w, value in zip(ws, hecke_diagonals(chi, t, ws))
+        ]
+        return {"g": g, "eigenvalues": entries}, None, None
+    w = _weyl_from_args(args, g)
+    value = hecke_diagonal(chi, t, w)
+    return {"g": g, "weyl": w.to_json(), "value": _monomial_json(value)}, None, None
+
+
+def _cmd_recover_chi(args) -> tuple[dict, str | None, list | None]:
+    from .cliargs import _cap, _json_keys, _json_object, _monomial_json, _parse_json_arg
+    g = args.g
+    _cap(g, RECOVER_CHI_MAX_G, "recover-chi --g")
+    eigs = _parse_json_arg(args.eigs, "--eigs")
+    weights = _json_keys(args.weights, "--weights", "mu", "mu0")
+    w = _weyl_from_args(args, g)
+    recovered = recover_characters(
+        g,
+        [EigenMonomial.from_dict(_json_object(e, "a monomial")) for e in eigs],
+        weights["mu"],
+        weights["mu0"],
+        w,
+    )
+    return {
+        "chi": [_monomial_json(c) for c in recovered.chi],
+        "sigma": _monomial_json(recovered.sigma),
+    }, None, None
+
+
+def _cmd_slope(args) -> tuple[dict, str | None, list | None]:
+    from .cliargs import _load_input
+    obj = _load_input(args)
+    if args.family == "hilbert":
+        ok = slope_check_hilbert(obj["k"], obj["w"], obj["slopes"])
+        return {"noncritical": ok}, None, None
+    t = TorusExponent.make(obj["t"]["a"], obj["t"]["a0"])
+    payload: dict = {"noncritical": slope_check_gsp(obj["weights"], obj["mu0"], t, obj["slopes"])}
+    if obj.get("find_twist"):
+        payload["twist"] = twist_search(obj["weights"], obj["mu0"], t, obj["slopes"])
+    return payload, None, None
+
+
+def _cmd_obstruction(args) -> tuple[dict, str | None, list | None]:
+    from .cliargs import CliError
+    exponents = [int(x) for x in args.exponents.split(",") if x.strip() != ""]
+    if not exponents:
+        raise CliError("--exponents needs at least one exponent")
+    orders = refinement_obstruction_orders(exponents)
+    payload: dict = {"orders": sorted(orders)}
+    if args.check_N is not None:
+        payload["check_N"] = {
+            "N": args.check_N,
+            "sufficient": exclusion_sufficient(orders, args.check_N),
+        }
+    return payload, None, None

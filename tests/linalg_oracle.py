@@ -1,7 +1,7 @@
 """Linear-algebra oracles for the tests: rank, kernel, the subspace lattice
 and the full projection End(Sym^n V) -> Sym^{2k} V.
 
-The library keeps only the elimination it calls (`exactlin._rref` and its
+The library keeps only the elimination it calls (`sl2rep._rref` and its
 forward Bareiss pass), which takes a matrix as a sequence of rows.  The tests
 check `phin`'s closed forms and coordinate formulas against the plain
 definitions below, built on the same elimination: matrix arithmetic on row
@@ -16,19 +16,12 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from linvariants.exactlin import (
-    DimensionMismatchError,
-    Vector,
-    _bareiss_echelon,
-    _rref,
-    _to_integer_rows,
-    vector,
-)
+from linvariants.exactlin import DimensionMismatchError, Vector, vector
 from linvariants.phin import CRYSTALLINE_NONSPLIT, CRYSTALLINE_SPLIT, STEINBERG
 from linvariants.plethysm import cg_table
-from linvariants.sl2rep import EndoElement
+from linvariants.sl2rep import EndoElement, _bareiss_echelon, _rref, _to_integer_rows
 
-#: a matrix is a tuple of rows, as `exactlin._rref` takes and returns them
+#: a matrix is a tuple of rows, as `sl2rep._rref` takes and returns them
 Rows = tuple[Vector, ...]
 
 

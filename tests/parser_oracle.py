@@ -9,17 +9,10 @@ attributes, and refuses what it refuses.
 import argparse
 
 from linvariants import CASES, FAMILIES, THEOREMS
-from linvariants.cli import (
-    _cmd_bcoeff,
-    _cmd_cg,
-    _cmd_hecke,
-    _cmd_linv,
-    _cmd_obstruction,
-    _cmd_phin,
-    _cmd_project_endo,
-    _cmd_recover_chi,
-    _cmd_slope,
-)
+from linvariants.linv import _cmd_linv
+from linvariants.phin import _cmd_phin
+from linvariants.plethysm import _cmd_bcoeff, _cmd_cg, _cmd_project_endo
+from linvariants.weylhecke import _cmd_hecke, _cmd_obstruction, _cmd_recover_chi, _cmd_slope
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,6 +10,7 @@ values, "--", and `--format` before and after the subcommand.
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import sys
@@ -159,6 +160,13 @@ def test_the_table_names_the_options_argparse_had():
                 assert kind == tuple(action.choices), (command, name)
             else:
                 assert kind is (action.type or str), (command, name)
+
+
+def test_every_command_resolves_to_a_handler():
+    for command, (handler, _) in COMMANDS.items():
+        module, _, name = handler.partition(".")
+        assert name.startswith("_cmd_"), command
+        assert callable(getattr(importlib.import_module(f"linvariants.{module}"), name)), command
 
 
 def test_no_option_name_begins_another():

@@ -22,12 +22,8 @@ from linalg_oracle import (
     zero_matrix,
     zero_space,
 )
-from linvariants.exactlin import (
-    MAX_DECIMAL_EXPONENT,
-    DimensionMismatchError,
-    _rref,
-    rational,
-)
+from linvariants.exactlin import MAX_DECIMAL_EXPONENT, DimensionMismatchError, rational
+from linvariants.sl2rep import _rref
 
 
 def subspace_sum_dim_identity(u: Subspace, w: Subspace) -> bool:

@@ -17,6 +17,8 @@ import linvariants
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 MATHS = ("linv", "phin", "plethysm", "weylhecke", "sl2rep")
+#: what every request loads besides its maths: the parser and the handlers' readers
+CLI = ["linvariants.cli", "linvariants.cliargs"]
 
 
 def fresh(code: str):
@@ -54,7 +56,38 @@ def request(argv, stdin: str = ""):
 def test_cli_import_loads_no_maths():
     loaded, heavy = fresh(f"import json, sys\nimport linvariants.cli\n{LOADED}")
     assert not {f"linvariants.{m}" for m in MATHS} & set(loaded)
+    assert loaded == CLI
     assert heavy == []
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["phin", "--help"], 0),
+        (["bcoeff", "--n", "x", "--k", "1"], 2),
+        (["hecke", "--g", "2"], 2),
+        (["nosuch"], 2),
+    ],
+)
+def test_help_and_parse_errors_load_no_maths(argv, code):
+    # the handler's module is imported only once the table has accepted argv
+    loaded, heavy = fresh(
+        "import contextlib, io, json, sys\n"
+        "from linvariants.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == {code}\n"
+        f"{LOADED}"
+    )
+    assert loaded == CLI
+    assert heavy == []
+
+
+@pytest.mark.parametrize("module", ["plethysm", "linv"])
+def test_library_import_loads_no_cli(module):
+    # the oracle and `linv` import `plethysm` as a library; its handlers load the CLI only when run
+    loaded, _ = fresh(f"import json, sys\nimport linvariants.{module}\n{LOADED}")
+    assert not set(CLI) & set(loaded)
 
 
 @pytest.mark.parametrize(
@@ -68,11 +101,12 @@ def test_cli_import_loads_no_maths():
 )
 def test_plethysm_requests_load_only_plethysm(argv):
     loaded, heavy = request(argv)
-    assert loaded == ["linvariants.cli", "linvariants.exactlin", "linvariants.plethysm"]
+    assert loaded == [*CLI, "linvariants.exactlin", "linvariants.plethysm"]
     assert heavy == []
 
 
-WEYLHECKE = ["linvariants.cli", "linvariants.exactlin", "linvariants.phin", "linvariants.weylhecke"]
+#: `weylhecke` shares the monomial group with `phin` and loads no `phin`
+WEYLHECKE = [*CLI, "linvariants.exactlin", "linvariants.monomial", "linvariants.weylhecke"]
 
 
 @pytest.mark.parametrize(
@@ -80,7 +114,8 @@ WEYLHECKE = ["linvariants.cli", "linvariants.exactlin", "linvariants.phin", "lin
     [
         pytest.param(
             ["phin", "--case", "steinberg", "--n", "2", "--all-submodules", "--benois", "--gr1"],
-            "", ["linvariants.cli", "linvariants.exactlin", "linvariants.phin"], id="phin",
+            "", [*CLI, "linvariants.exactlin", "linvariants.monomial", "linvariants.phin"],
+            id="phin",
         ),
         pytest.param(
             ["hecke", "--g", "2", "--t", '{"a": [1, 0], "a0": 0}', "--all"], "", WEYLHECKE,
@@ -101,7 +136,7 @@ WEYLHECKE = ["linvariants.cli", "linvariants.exactlin", "linvariants.phin", "lin
         pytest.param(
             ["linv", "--family", "gsp4_spin", "--input", "-", "--compare-theorem", "B"],
             '{"places": [{"gradients": {"a_1": "1", "a_2": "2"}}], "direction": {"u": [1, 2]}}',
-            ["linvariants.cli", "linvariants.exactlin", "linvariants.linv", "linvariants.plethysm"],
+            [*CLI, "linvariants.exactlin", "linvariants.linv", "linvariants.plethysm"],
             id="linv",
         ),
     ],
@@ -110,6 +145,29 @@ def test_maths_requests_load_no_dataclasses(argv, stdin, modules):
     loaded, heavy = request(argv, stdin)
     assert loaded == modules
     assert heavy == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bcoeff", "--n", "601", "--k", "1"],
+        ["phin", "--case", "crystalline_split", "--n", "9", "--all-submodules"],
+        ["hecke", "--all", "--g", "7", "--t", '{"a": [0, 0, 0, 0, 0, 0, 0], "a0": 0}'],
+        ["linv", "--family", "hilbert", "--input", "no-such-file.json"],
+    ],
+    ids=["plethysm", "phin", "weylhecke", "linv"],
+)
+def test_handler_refusals_exit_2_through_the_entry_point(tmp_path, argv):
+    # run as `__main__`, cli must catch the CliError its handlers raise: one
+    # copy of the class, from `cliargs`, not a second one from a re-imported cli
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "linvariants.cli", *argv], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (2, "")
+    (line,) = done.stdout.splitlines()
+    assert json.loads(line)["error"]["code"] == "input"
 
 
 def test_oracle_import_loads_no_dataclasses():

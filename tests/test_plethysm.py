@@ -7,6 +7,7 @@ from math import comb, factorial
 import pytest
 
 from linvariants.plethysm import (
+    PROJECT_ENDO_MAX_N,
     DiagonalProjection,
     InvalidWeightTripleError,
     b_coefficient,
@@ -19,7 +20,6 @@ from linvariants.plethysm import (
 )
 from kernel_oracles import fraction_cg_table
 from linalg_oracle import project_endomorphism
-from linvariants.cli import PROJECT_ENDO_MAX_N
 from linvariants.sl2rep import EndoElement, act_on_end
 from test_sl2rep import lower
 

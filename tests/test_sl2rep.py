@@ -8,10 +8,11 @@ import pytest
 
 from linalg_oracle import RepVector, apply, mul, sub, transpose
 from linvariants import sl2rep
-from linvariants.exactlin import DimensionMismatchError, _rref
+from linvariants.exactlin import DimensionMismatchError
 from linvariants.sl2rep import (
     EndoElement,
     InternalConsistencyError,
+    _rref,
     act_on_end,
     brute_force_coordinates,
     brute_force_project,
