@@ -34,6 +34,9 @@ def _parse_json_arg(text: str, label: str):
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as err:
         raise CliError(f"malformed JSON for {label}: {err}") from err
+    except ValueError as err:  # the one other: an int past Python's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise CliError(f"{label} holds an int past Python's limit of {limit} digits") from err
 
 
 def _json_keys(text: str, label: str, *keys: str) -> dict:
@@ -56,6 +59,9 @@ def _load_input(args) -> dict:
             raise CliError(f"cannot read input file: {err}") from err
         except (json.JSONDecodeError, RecursionError) as err:
             raise CliError(f"malformed JSON in input file: {err}") from err
+        except ValueError as err:
+            limit = sys.get_int_max_str_digits()
+            raise CliError(f"--input holds an int past Python's limit of {limit} digits") from err
     return _json_object(obj, "--input")
 
 

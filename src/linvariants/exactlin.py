@@ -6,6 +6,8 @@ The row reduction lives in `sl2rep`, beside its one caller.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable
 
@@ -31,6 +33,10 @@ def rational(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        # Python reads no int of more digits: reading one takes quadratic time
+        limit = sys.get_int_max_str_digits()
+        if len(value) > limit > 0 and re.search(r"\d{%d}" % (limit + 1), value.replace("_", "")):
+            raise ValueError(f"{value[:20]}... holds an int past Python's limit of {limit} digits")
         digits = value.upper().partition("E")[2].strip().lstrip("+-").replace("_", "")
         if digits.isdigit() and int(digits) > MAX_DECIMAL_EXPONENT:
             raise ValueError(f"decimal exponent over {MAX_DECIMAL_EXPONENT} in {value!r}")

@@ -22,13 +22,18 @@ B_{n,k,i} is the coefficient of g_{2k,k} in the projection to Sym^{2k} V of
 the diagonal endomorphism g_{n,i} (x) g_{n,i}^v; for an upper-triangular
 endomorphism with diagonal (a_0..a_n) the g_{2k,k} coefficient of the
 projection is sum_i B_{n,k,i} a_i and everything past the middle vanishes.
+B_{n,k,i} sums T_i(a) = (-1)^a C(n,i) C(i,a) C(n-i,k-a) (n-i+a)! (i+k-a)! over
+max(0, i-n+k) <= a <= min(i, k).  T is hypergeometric in a and in i, so each
+term is the one before times a ratio of small integers, and swapping a with
+k-a and i with n-i gives B_{n,k,n-i} = (-1)^k B_{n,k,i}: a row sums i <= n/2.
+The tables hold integers: B itself, and each C as its reduced pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, gcd, perm
 from typing import NamedTuple
 
 from .exactlin import DimensionMismatchError, rational
@@ -48,22 +53,23 @@ def valid_triple(m: int, n: int, p: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], Fraction]:
-    """The nonzero C_{m,n,p}^{u,v,w} of one weight triple, keyed (u, v, w).
+def cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], tuple[int, int]]:
+    """The nonzero C_{m,n,p}^{u,v,w} of one weight triple, keyed (u, v, w),
+    each as its reduced pair (numerator, denominator > 0).
 
     T = w! C obeys T^{u,v,w} = u T^{u-1,v,w-1} + v T^{u,v-1,w-1}, which has
     no division, so each layer w is built in integers from the one before
-    and divided by w! once per stored entry.
+    and reduced against w! once per stored entry.
     """
     if not valid_triple(m, n, p):
         raise InvalidWeightTripleError(f"V_{p} does not occur in V_{m} (x) V_{n}")
     s0 = (m + n - p) // 2
-    values: dict[tuple[int, int, int], Fraction] = {}
+    values: dict[tuple[int, int, int], tuple[int, int]] = {}
     # layer[u] = T^{u, s0 + w - u, w} on the stratum, 0 elsewhere
     layer = [0] * (m + 1)
     for u in range(max(0, s0 - n), min(m, s0) + 1):
         layer[u] = (-1) ** u * factorial(m - u) * factorial(n - s0 + u)
-        values[(u, s0 - u, 0)] = Fraction(layer[u])
+        values[(u, s0 - u, 0)] = (layer[u], 1)
     w_factorial = 1
     for w in range(1, p + 1):
         target = s0 + w
@@ -76,7 +82,8 @@ def cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], Fraction]:
             acc = u * below[u - 1] + v * below[u]
             if acc:
                 layer[u] = acc
-                values[(u, v, w)] = Fraction(acc, w_factorial)
+                common = gcd(acc, w_factorial)
+                values[(u, v, w)] = (acc // common, w_factorial // common)
     return values
 
 
@@ -102,64 +109,40 @@ def cg_coefficient(m: int, n: int, p: int, u: int, v: int, w: int) -> Fraction:
     return Fraction(total, factorial(w))
 
 
-def b_coefficient(n: int, k: int, i: int) -> Fraction:
-    """Closed form sum_{a+b=k} (-1)^a C(n,i) C(i,a) C(n-i,b) (n-i+a)! (i+b)!."""
+def _b_sum(n: int, k: int, i: int, term: int) -> int:
+    """B_{n,k,i} from `term`, T_i at the first a, each next T_i by its ratio."""
+    total = 0
+    for a in range(max(0, i - n + k), min(i, k)):
+        total += term
+        num = -(i - a) * (k - a) * (n - i + a + 1)
+        term = term * num // ((a + 1) * (n - i - k + a + 1) * (i + k - a))
+    return total + term
+
+
+def b_coefficient(n: int, k: int, i: int) -> int:
+    """B_{n,k,i}, the first T_i in closed form."""
     if not (0 <= k <= n and 0 <= i <= n):
         raise ValueError(f"need 0 <= k, i <= n, got k={k}, i={i}, n={n}")
-    total = 0
-    for a in range(k + 1):
-        b = k - a
-        if a > i or b > n - i:
-            continue
-        total += (
-            (-1) ** a
-            * comb(n, i)
-            * comb(i, a)
-            * comb(n - i, b)
-            * factorial(n - i + a)
-            * factorial(i + b)
-        )
-    return Fraction(total)
+    a = max(0, i - n + k)
+    return _b_sum(n, k, i, (-1) ** a * comb(n, i) * comb(i, a) * comb(n - i, k - a)
+                  * factorial(n - i + a) * factorial(i + k - a))
 
 
-def b_row(n: int, k: int) -> tuple[Fraction, ...]:
+def b_row(n: int, k: int) -> tuple[int, ...]:
+    """B_{n,k,0..n}: each first T_i by its ratio across i, the upper half by reflection."""
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
-    return tuple(b_coefficient(n, k, i) for i in range(n + 1))
-
-
-def b_special(n: int, k: int, i: int) -> Fraction:
-    """Special-value closed forms for k in {n, n-1, n-2}.
-
-    The k = n sum has a single term and the k = n-1 sum two, giving
-
-        B_{n,n,i}   = (-1)^i (n!)^2 C(n,i),
-        B_{n,n-1,i} = (-1)^i n! (n-1)! C(n,i) (n - 2i).
-
-    For k = n-2 the three-term sum
-    C(i,2)(n-2)!n! - C(i,1)C(n-i,1)((n-1)!)^2 + C(n-i,2)n!(n-2)!
-    collapses to (n-2)!(n-1)!(n^3 - (4i+1)n^2 + (4i^2+2i)n - 2i^2)/2;
-    note the /2, which the usual simplified form of this cubic omits.
-
-    A paper display the README names, kept as a named oracle: no CLI path
-    calls it, and the tests check it against `b_coefficient`.
-    """
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    sign = (-1) ** i
-    if k == n:
-        return Fraction(sign * factorial(n) ** 2 * comb(n, i))
-    if k == n - 1:
-        return Fraction(sign * factorial(n) * factorial(n - 1) * comb(n, i) * (n - 2 * i))
-    if k == n - 2:
-        poly = (
-            n**3
-            - (4 * i + 1) * n**2
-            + (4 * i**2 + 2 * i) * n
-            - 2 * i**2
-        )
-        return Fraction(sign * comb(n, i) * factorial(n - 2) * factorial(n - 1) * poly, 2)
-    raise ValueError(f"special values exist only for k in {{n, n-1, n-2}}, got k={k}")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k, i <= n, got k={k}, i=0, n={n}")
+    c, first, half = n - k, comb(n, k) * factorial(n) * factorial(k), []
+    for i in range(n // 2 + 1):
+        half.append(_b_sum(n, k, i, first))
+        if i < c:
+            first = first * ((c - i) * (i + k + 1)) // ((i + 1) * (n - i))
+        else:
+            first = first * (i - n) // (i + 1 - c)
+    sign = (-1) ** k
+    return (*half, *(sign * x for x in reversed(half[: (n + 1) // 2])))
 
 
 class DiagonalProjection(NamedTuple):
@@ -179,10 +162,9 @@ def project_endomorphism_diagonal(n: int, k: int, diag) -> DiagonalProjection:
     diag = [rational(d) for d in diag]
     if len(diag) != n + 1:
         raise DimensionMismatchError(f"diagonal must have length {n + 1}")
-    middle = sum((b_coefficient(n, k, i) * d for i, d in enumerate(diag)), Fraction(0))
-    # b_coefficient refuses a bad k first unless n = -1 left the sum empty
-    if not 0 <= k <= n:
+    if n < 0:  # n = -1, the one negative n the length check lets through
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    middle = sum((b * d for b, d in zip(b_row(n, k), diag)), Fraction(0))
     return DiagonalProjection(middle, (Fraction(0),) * k)
 
 
@@ -201,8 +183,8 @@ def _cmd_cg(args) -> tuple[dict, str | None, list | None]:
     if args.table:
         if (args.u, args.v, args.w) != (None, None, None):
             raise CliError("--table and --u, --v, --w exclude each other")
-        table = cg_table(m, n, p)
-        rows = [(*key, str(table[key])) for key in sorted(table)]
+        table = sorted(cg_table(m, n, p).items())
+        rows = [(*key, f"{x}/{d}" if d > 1 else str(x)) for key, (x, d) in table]
         return {"m": m, "n": n, "p": p, "rows": rows}, "u,v,w,value", rows
     if args.u is None or args.v is None or args.w is None:
         raise CliError("either --table or all of --u --v --w are required")
@@ -216,8 +198,13 @@ def _cmd_bcoeff(args) -> tuple[dict, str | None, list | None]:
     if args.i is not None:
         value = str(b_coefficient(args.n, args.k, args.i))
         return {"value": value}, "n,k,i,value", [(args.n, args.k, args.i, value)]
-    # each value is converted to a string once, for the JSON and the CSV alike
-    values = [str(x) for x in b_row(args.n, args.k)]
+    # each value is converted to a string once, for the JSON and the CSV alike,
+    # and only the lower half: B_{n,k,n-i} = (-1)^k B_{n,k,i}
+    half = [str(x) for x in b_row(args.n, args.k)[: args.n // 2 + 1]]
+    upper = half[: (args.n + 1) // 2][::-1]
+    if args.k % 2:
+        upper = [x[1:] if x[0] == "-" else x if x == "0" else "-" + x for x in upper]
+    values = half + upper
     rows = [(args.n, args.k, i, x) for i, x in enumerate(values)]
     return {"values": values}, "n,k,i,value", rows
 

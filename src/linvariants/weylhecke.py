@@ -30,8 +30,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, floor, isqrt, lcm
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from math import ceil, comb, floor, gcd, isqrt, lcm
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exactlin import rational, vector
 from .monomial import EigenMonomial, monomial_product
@@ -152,16 +152,13 @@ class CharacterData(NamedTuple):
         return monomial_product(self.chi) * self.sigma**2
 
 
-def hecke_diagonals(
-    chi: CharacterData, t: TorusExponent, ws: Iterable[WeylElement]
-) -> Iterator[EigenMonomial]:
-    """Yield the diagonal eigenvalues of U_t on the basis vectors indexed by ws.
+def hecke_numerators(chi: CharacterData, t: TorusExponent) -> tuple[int, Callable]:
+    """(D^2, numerators): numerators(w) lists the nonzero (symbol, exponent
+    times D^2) pairs, sorted by symbol, of the diagonal eigenvalue of U_t on
+    the basis vector indexed by w.
 
-    They come one at a time, in the order of ws, so that a caller printing
-    2^g g! of them never holds them all.
-
-    Every exponent is kept as an integer numerator over D^2, D the lcm of 4
-    and every denominator in t, chi and sigma.  Slot j of the conjugated
+    D is the lcm of 4 and every denominator in t, chi and sigma, so every
+    exponent is an integer numerator over D^2.  Slot j of the conjugated
     torus holds s = a_i or a_0 - a_i for i = nu(j), as eps(i) says, and
     brings p^{-(g+1-j) s} chi_j^s.  So the g slot rows and the 2g values s
     are built once per (chi, t), and each w adds its g rows, scaled by their
@@ -185,21 +182,36 @@ def hecke_diagonals(
 
     a0 = numerator(t.a0)
     base = add({"p": g * (g + 1) * (d // 4) * a0}, chi.sigma, a0)
-    slots = [
-        tuple(add({"p": -(g + 1 - j) * d}, chi_j, 1).items())
-        for j, chi_j in enumerate(chi.chi, 1)
-    ]
+    slot_maps = [add({"p": -(g + 1 - j) * d}, chi_j, 1) for j, chi_j in enumerate(chi.chi, 1)]
     sources = [{1: numerator(a), -1: a0 - numerator(a)} for a in t.a]
-    exponent = lru_cache(maxsize=None)(lambda x: Fraction(x, d * d))
-    for w in ws:
+    # each symbol has a fixed place, so each w adds into a list in symbol order
+    symbols = sorted(set(base).union(*slot_maps))
+    place = {sym: n for n, sym in enumerate(symbols)}
+    start = [base.get(sym, 0) for sym in symbols]
+    slots = [[(place[sym], c) for sym, c in slot.items()] for slot in slot_maps]
+
+    def numerators(w: WeylElement) -> list[tuple[str, int]]:
         if w.g != g:
             raise ValueError("ranks differ")
-        exps = dict(base)
+        exps = start[:]
         for slot, i in zip(slots, w.nu):
             s = sources[i - 1][w.eps[i - 1]]
-            for sym, c in slot:
-                exps[sym] = exps.get(sym, 0) + c * s
-        yield EigenMonomial(tuple((sym, exponent(x)) for sym, x in sorted(exps.items()) if x))
+            for n, c in slot:
+                exps[n] += c * s
+        return [(sym, x) for sym, x in zip(symbols, exps) if x]
+
+    return d * d, numerators
+
+
+def hecke_diagonals(
+    chi: CharacterData, t: TorusExponent, ws: Iterable[WeylElement]
+) -> Iterator[EigenMonomial]:
+    """Yield the diagonal eigenvalues of U_t on the basis vectors indexed by ws,
+    one at a time and in the order of ws, from `hecke_numerators`."""
+    d2, numerators = hecke_numerators(chi, t)
+    exponent = lru_cache(maxsize=None)(lambda x: Fraction(x, d2))
+    for w in ws:
+        yield EigenMonomial(tuple((sym, exponent(x)) for sym, x in numerators(w)))
 
 
 def hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> EigenMonomial:
@@ -269,28 +281,36 @@ def weight_exponent(mu: Sequence[Fraction], mu0: Fraction, t: TorusExponent) -> 
     return sum(m * a for m, a in zip(mu, t.a)) + (mu0 - sum(mu)) * t.a0 / 2
 
 
-def normalized_eigenvalue(
-    chi: CharacterData,
-    mu: Sequence,
-    mu0,
-    i: int,
-    w: WeylElement,
-) -> EigenMonomial:
-    """theta(U_{p,i}): the raw eigenvalue rescaled by |lambda(beta_{g-i})|_p^{-1}."""
+def _beta_weight_exponents(g: int, mu: Sequence[Fraction], mu0: Fraction) -> list[Fraction]:
+    """weight_exponent(mu, mu0, beta(g, g-i)), i = 1..g, in O(g): beta(g, j) is -1 in
+    its last j slots with a_0 = -2, which gives sum(mu) - mu_0 - (the last j of mu
+    summed), and beta(g, 0) is 0 with a_0 = -1, which gives half of sum(mu) - mu_0."""
+    if len(mu) != g:
+        raise ValueError("weight length must equal g")
+    suffix = list(itertools.accumulate(reversed(mu)))
+    excess = suffix[-1] - mu0
+    return [excess - suffix[g - i - 1] for i in range(1, g)] + [excess / 2]
+
+
+def normalized_eigenvalues(chi: CharacterData, mu: Sequence, mu0, w: WeylElement) -> list:
+    """theta(U_{p,i}) for i = 1..g: the raw eigenvalues rescaled by
+    |lambda(beta_{g-i})|_p^{-1}."""
     g = chi.g
-    t = beta(g, g - i)
-    shift = weight_exponent(mu, mu0, t)
-    return EigenMonomial.p_power(shift) * hecke_diagonal(chi, t, w)
+    shifts = _beta_weight_exponents(g, vector(mu), rational(mu0))
+    return [
+        EigenMonomial.p_power(shift) * hecke_diagonal(chi, beta(g, g - i), w)
+        for i, shift in enumerate(shifts, 1)
+    ]
 
 
 def recover_characters(
     g: int,
-    normalized_eigenvalues: Sequence[EigenMonomial],
+    thetas: Sequence[EigenMonomial],
     mu: Sequence,
     mu0,
     w: WeylElement,
 ) -> CharacterData:
-    """Solve the U_{p,i} eigenvalue system for (chi_1..chi_g, sigma).
+    """Solve the U_{p,i} eigenvalue system thetas for (chi_1..chi_g, sigma).
 
     Successive eigenvalue ratios isolate chi_{nu^{-1}(i)}^{eps(i)} for
     i = 2..g, the determinant relation det = p^{mu_0} pins the i = 1
@@ -300,14 +320,13 @@ def recover_characters(
     """
     if g < 2:
         raise ValueError("character recovery needs g >= 2")
-    if len(normalized_eigenvalues) != g:
+    if len(thetas) != g:
         raise ValueError("need exactly g eigenvalues")
     mu = vector(mu)
     mu0 = rational(mu0)
     alphas = [
-        EigenMonomial.p_power(-weight_exponent(mu, mu0, beta(g, g - i)))
-        * normalized_eigenvalues[i - 1]
-        for i in range(1, g + 1)
+        EigenMonomial.p_power(-shift) * theta
+        for shift, theta in zip(_beta_weight_exponents(g, mu, mu0), thetas)
     ]
 
     constants = {i: c_constant(g, i, w) for i in range(1, g)}
@@ -332,9 +351,9 @@ def recover_characters(
             sigma = sigma * chi_values[j - 1].inverse()
     recovered = CharacterData(chi_values, sigma)
 
-    for i in range(1, g + 1):
-        if normalized_eigenvalue(recovered, mu, mu0, i, w) != normalized_eigenvalues[i - 1]:
-            raise InversionError(f"eigenvalue {i} does not round-trip")
+    for i, (theta, given) in enumerate(zip(normalized_eigenvalues(recovered, mu, mu0, w), thetas)):
+        if theta != given:
+            raise InversionError(f"eigenvalue {i + 1} does not round-trip")
     if recovered.determinant() != EigenMonomial.p_power(mu0):
         raise InversionError("determinant relation fails for the recovered data")
     return recovered
@@ -514,10 +533,16 @@ def _cmd_hecke(args) -> tuple[dict, str | None, list | None]:
     if args.all:
         if args.weyl is not None:
             raise CliError("--weyl and --all exclude each other")
-        ws = weyl_group(g)
+        d2, numerators = hecke_numerators(chi, t)
+
+        @lru_cache(maxsize=None)
+        def text(x: int) -> str:  # str(Fraction(x, d2)), made once per numerator
+            common = gcd(x, d2)
+            return f"{x // common}/{d2 // common}" if common < d2 else str(x // common)
+
         entries = [
-            {"weyl": w.to_json(), "value": _monomial_json(value)}
-            for w, value in zip(ws, hecke_diagonals(chi, t, ws))
+            {"weyl": w.to_json(), "value": {sym: text(x) for sym, x in numerators(w)}}
+            for w in weyl_group(g)
         ]
         return {"g": g, "eigenvalues": entries}, None, None
     w = _weyl_from_args(args, g)

@@ -1,16 +1,28 @@
 """CLI contract: exit codes, JSON/CSV shapes, determinism."""
 
+import functools
 import io
 import itertools
 import json
+import random
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from kernel_oracles import fraction_cg_table, fraction_hecke_diagonal
+from kernel_oracles import fraction_b_coefficient, fraction_cg_table, fraction_hecke_diagonal
 from linvariants.cli import main, parse_args
-from linvariants.plethysm import cg_table, valid_triple
+from linvariants.plethysm import (
+    BCOEFF_MAX_N,
+    PROJECT_ENDO_MAX_N,
+    cg_table,
+    project_endomorphism_diagonal,
+    valid_triple,
+)
 from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement
+
+rng = random.Random(16)
 
 
 def run(capsys, *argv):
@@ -71,7 +83,7 @@ def cube_scan_rows(m, n, p):
     for u in range(m + 1):
         for v in range(n + 1):
             for w in range(p + 1):
-                value = table.get((u, v, w), 0)
+                value = Fraction(*table.get((u, v, w), (0, 1)))
                 if value:
                     rows.append((u, v, w, str(value)))
     return rows
@@ -212,6 +224,41 @@ def test_table_past_its_size_cap_exits_2_at_once(capsys, argv):
     assert payload["error"]["code"] == "input"
 
 
+LONG = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hecke", "--g", "1", "--t", json.dumps({"a": [LONG], "a0": 0})),
+        ("hecke", "--g", "1", "--t", '{"a": [%s], "a0": 0}' % LONG),
+        ("project-endo", "--n", "1", "--k", "1", "--diag", json.dumps([LONG + "/3", "1"])),
+    ],
+    ids=["rational-string", "json-integer", "diag-entry"],
+)
+def test_integer_past_the_digit_limit_is_refused_by_name(capsys, argv):
+    # Python refuses to read an int of over sys.get_int_max_str_digits() digits
+    # (parsing one takes quadratic time); the refusal names that bound
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.2
+    assert code == 2
+    (line,) = out.splitlines()
+    message = json.loads(line)["error"]["message"]
+    assert f"Python's limit of {sys.get_int_max_str_digits()} digits" in message
+    assert "sys.set_int_max_str_digits" not in message
+
+
+def test_input_file_integer_past_the_digit_limit_is_refused_by_name(tmp_path, capsys):
+    path = tmp_path / "slope.json"
+    path.write_text('{"k": [%s], "w": 0, "slopes": [0]}' % LONG)
+    code, out = run(capsys, "slope", "--family", "hilbert", "--input", str(path))
+    assert code == 2
+    (line,) = out.splitlines()
+    message = json.loads(line)["error"]["message"]
+    assert message == f"--input holds an int past Python's limit of {sys.get_int_max_str_digits()} digits"
+
+
 @pytest.mark.parametrize(
     "family, params, theorem",
     [
@@ -272,9 +319,16 @@ def compact(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@pytest.mark.parametrize("g", range(1, 5))
-def test_hecke_all_stdout_equals_the_fraction_loop(capsys, g):
-    a, a0 = [g - j for j in range(g)], -1 - g % 2
+#: integer tori for g = 1..4 (common denominator 4), and a rational one with
+#: denominators 3 and 2, so that the exponents are numerators over 12^2
+HECKE_ALL_TORI = {g: ([g - j for j in range(g)], -1 - g % 2) for g in range(1, 5)}
+HECKE_ALL_TORI["rational"] = (["5/3", "2/3", "1/2"], "-1/2")
+
+
+@pytest.mark.parametrize("torus", HECKE_ALL_TORI)
+def test_hecke_all_stdout_equals_the_fraction_loop(capsys, torus):
+    a, a0 = HECKE_ALL_TORI[torus]
+    g = len(a)
     chi, t = CharacterData.generic(g), TorusExponent.make(a, a0)
     rows = []
     for nu in itertools.permutations(range(1, g + 1)):
@@ -299,6 +353,59 @@ def test_cg_table_stdout_equals_the_fraction_recurrence(capsys, m, n, p):
     assert main(["--format", "csv", *argv]) == 0
     csv = "\n".join(["u,v,w,value", *(",".join(map(str, row)) for row in rows)]) + "\n"
     assert capsys.readouterr().out == csv
+
+
+@functools.cache
+def term_sum_row(n, k):
+    return [fraction_b_coefficient(n, k, i) for i in range(n + 1)]
+
+
+def assert_b_outputs_equal_the_term_sum(capsys, n, k, indices):
+    """bcoeff rows in JSON and CSV, bcoeff --i and the project-endo middle."""
+    row = term_sum_row(n, k)
+    argv = ["bcoeff", "--n", str(n), "--k", str(k)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == compact({"values": [str(x) for x in row]})
+    assert main(["--format", "csv", *argv]) == 0
+    csv = "\n".join(["n,k,i,value", *(f"{n},{k},{i},{x}" for i, x in enumerate(row))]) + "\n"
+    assert capsys.readouterr().out == csv
+    for i in indices:
+        assert main([*argv, "--i", str(i)]) == 0
+        assert capsys.readouterr().out == compact({"value": str(row[i])})
+    diag = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n + 1)]
+    middle = sum((b * d for b, d in zip(row, diag)), Fraction(0))
+    if n <= PROJECT_ENDO_MAX_N:
+        argv = ["project-endo", "--n", str(n), "--k", str(k), "--diag", json.dumps(list(map(str, diag)))]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == compact({"middle": str(middle), "tail": ["0"] * k})
+    else:
+        assert project_endomorphism_diagonal(n, k, diag) == (middle, (Fraction(0),) * k)
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_b_outputs_equal_the_term_sum(capsys, n):
+    for k in range(n + 1):
+        assert_b_outputs_equal_the_term_sum(capsys, n, k, range(n + 1))
+
+
+@pytest.mark.parametrize("n, k", [(300, 150), (600, 0), (600, 300), (600, 600)])
+def test_b_outputs_equal_the_term_sum_at_large_sizes(capsys, n, k):
+    # every row entry, and --i at both ends, around the middle and at random
+    indices = {0, 1, n // 2 - 1, n // 2, n // 2 + 1, n - 1, n, *rng.sample(range(n + 1), 6)}
+    assert_b_outputs_equal_the_term_sum(capsys, n, k, sorted(indices))
+
+
+def test_bcoeff_at_its_cap(capsys):
+    # the middle row in well under the 10 s rule; B_{n,n,i} = (-1)^i (n!)^2 C(n,i), the
+    # longest values, stay below the digit limit that stops printing an int
+    n = BCOEFF_MAX_N
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "bcoeff", "--n", str(n), "--k", str(n // 2))
+    assert time.perf_counter() - start < 2
+    assert code == 0 and len(payload["values"]) == n + 1
+    code, payload = run_json(capsys, "bcoeff", "--n", str(n), "--k", str(n))
+    assert code == 0
+    assert max(len(x.lstrip("-")) for x in payload["values"]) < sys.get_int_max_str_digits()
 
 
 @pytest.mark.parametrize(

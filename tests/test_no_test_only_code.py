@@ -20,7 +20,7 @@ SRC = sorted((ROOT / "src" / "linvariants").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 #: paper displays the README names, checked by the tests, with no CLI caller
-NAMED_ORACLES = {"b_special", "upi_eigenvalue_display", "theorem_evaluator"}
+NAMED_ORACLES = {"upi_eigenvalue_display", "theorem_evaluator"}
 
 
 def _used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:

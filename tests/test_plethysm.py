@@ -2,23 +2,25 @@
 
 import random
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linvariants.plethysm import (
+    BCOEFF_MAX_N,
     PROJECT_ENDO_MAX_N,
     DiagonalProjection,
     InvalidWeightTripleError,
     b_coefficient,
     b_row,
-    b_special,
     cg_coefficient,
     cg_table,
     project_endomorphism_diagonal,
     valid_triple,
 )
-from kernel_oracles import fraction_cg_table
+from kernel_oracles import b_special, fraction_cg_table
 from linalg_oracle import project_endomorphism
 from linvariants.sl2rep import EndoElement, act_on_end
 from test_sl2rep import lower
@@ -44,11 +46,18 @@ def test_off_stratum_vanishes():
                     assert (u, v, w) not in table
 
 
+def fraction_table(m, n, p):
+    """cg_table with each (numerator, denominator) pair as a Fraction."""
+    return {key: F(*pair) for key, pair in cg_table(m, n, p).items()}
+
+
 def assert_same_table(m, n, p):
     table, oracle = cg_table(m, n, p), fraction_cg_table(m, n, p)
     assert table.keys() == oracle.keys(), (m, n, p)
-    assert table == oracle, (m, n, p)
-    assert all(type(x) is F and x for x in table.values())
+    assert fraction_table(m, n, p) == oracle, (m, n, p)
+    # each pair is the reduced fraction: a nonzero int over a coprime positive int
+    assert all(type(x) is type(d) is int and x and d > 0 and gcd(x, d) == 1
+               for x, d in table.values())
 
 
 @pytest.mark.parametrize("m", range(0, 17))
@@ -67,7 +76,7 @@ def test_integer_table_equals_fraction_recurrence_at_large_sizes(m, n, p):
 def test_closed_coefficient_equals_table(m):
     for n in range(13):
         for p in range(abs(m - n), min(m + n, 12) + 1, 2):
-            table = cg_table(m, n, p)
+            table = fraction_table(m, n, p)
             for u in range(m + 1):
                 for v in range(n + 1):
                     for w in range(p + 1):
@@ -96,7 +105,7 @@ def test_one_recurrence_step_example():
     [(m, n, p) for m in range(0, 6) for n in range(0, 6) for p in range(abs(m - n), m + n + 1, 2)],
 )
 def test_both_recurrences_hold(m, n, p):
-    table = cg_table(m, n, p)
+    table = fraction_table(m, n, p)
 
     def c(u, v, w):
         if 0 <= u <= m and 0 <= v <= n and 0 <= w <= p:
@@ -155,11 +164,43 @@ def test_b_special_matches_closed_form(n):
             assert b_special(n, k, i) == b_coefficient(n, k, i)
 
 
+@pytest.mark.parametrize("n", [100, 301, BCOEFF_MAX_N])
+def test_b_row_equals_the_special_values_at_large_n(n):
+    for k in (n, n - 1, n - 2):
+        assert b_row(n, k) == tuple(b_special(n, k, i) for i in range(n + 1))
+
+
 def test_b_coefficient_range_errors():
     with pytest.raises(ValueError):
         b_coefficient(3, 4, 0)
     with pytest.raises(ValueError):
         b_coefficient(3, 0, 5)
+
+
+def test_b_row_uses_only_plain_ints():
+    # no Fraction per entry: the rows are the integers themselves
+    assert all(type(x) is int for n in range(12) for k in range(n + 1) for x in b_row(n, k))
+    assert type(b_coefficient(7, 3, 2)) is int
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 90).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n), st.integers(0, n))))
+def test_b_reflection_identity(nki):
+    # B_{n,k,n-i} = (-1)^k B_{n,k,i}: swap a <-> b and i <-> n-i in the sum.
+    # b_coefficient walks each sum on its own, so this does not assume the
+    # reflection b_row uses for its upper half
+    n, k, i = nki
+    assert b_coefficient(n, k, n - i) == (-1) ** k * b_coefficient(n, k, i)
+    assert b_row(n, k)[n - i] == b_coefficient(n, k, n - i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 120).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_b_row_sums_to_zero_past_k_zero(nk):
+    # the identity endomorphism projects to 0 on every V_{2k}, k >= 1; the
+    # k = 0 row is constant n!
+    n, k = nk
+    assert sum(b_row(n, k)) == (0 if k else (n + 1) * factorial(n))
 
 
 def proportional(xs, ys):

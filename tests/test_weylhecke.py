@@ -21,7 +21,7 @@ from linvariants.weylhecke import (
     exclusion_sufficient,
     hecke_diagonal,
     hecke_diagonals,
-    normalized_eigenvalue,
+    normalized_eigenvalues,
     recover_characters,
     refinement_obstruction_orders,
     slope_check_gsp,
@@ -249,7 +249,7 @@ def test_hecke_diagonal_equals_monomial_product(g):
         characters.append(chi)
         if g >= 2:
             w = rng.choice(elements)
-            thetas = [normalized_eigenvalue(chi, mu, mu0, i, w) for i in range(1, g + 1)]
+            thetas = normalized_eigenvalues(chi, mu, mu0, w)
             characters.append(recover_characters(g, thetas, mu, mu0, w))
     tori = [
         random_torus(g),
@@ -302,15 +302,33 @@ def test_recover_characters_round_trip(g):
     for _ in range(100):
         w = rng.choice(elements)
         chi, mu, mu0 = random_consistent_character(g)
-        thetas = [normalized_eigenvalue(chi, mu, mu0, i, w) for i in range(1, g + 1)]
+        thetas = normalized_eigenvalues(chi, mu, mu0, w)
         recovered = recover_characters(g, thetas, mu, mu0, w)
         assert recovered == chi
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_normalized_eigenvalues_equal_the_weight_exponent_at_each_beta(g):
+    # the suffix sums of mu against weight_exponent at beta(g, g - i), one i at a time
+    for _ in range(20):
+        chi = CharacterData.generic(g)
+        w = rng.choice(weyl_group(g)) if g <= 4 else WeylElement.identity(g)
+        mu = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(g)]
+        mu0 = F(rng.randint(-9, 9), rng.randint(1, 3))
+        expected = [
+            EigenMonomial.p_power(weight_exponent(mu, mu0, beta(g, g - i)))
+            * hecke_diagonal(chi, beta(g, g - i), w)
+            for i in range(1, g + 1)
+        ]
+        assert normalized_eigenvalues(chi, mu, mu0, w) == expected
+    with pytest.raises(ValueError, match="^weight length must equal g$"):
+        normalized_eigenvalues(CharacterData.generic(g), [0] * (g + 1), 0, WeylElement.identity(g))
 
 
 def test_recover_trivial_characters():
     chi = CharacterData((EigenMonomial.one(),) * 2, EigenMonomial.one())
     w = WeylElement.identity(2)
-    thetas = [normalized_eigenvalue(chi, [0, 0], 0, i, w) for i in (1, 2)]
+    thetas = normalized_eigenvalues(chi, [0, 0], 0, w)
     for theta in thetas:
         assert set(dict(theta.exponents)) <= {"p"}  # pure p-powers
     assert recover_characters(2, thetas, [0, 0], 0, w) == chi
