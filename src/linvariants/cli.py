@@ -20,7 +20,7 @@ from importlib import import_module
 from types import SimpleNamespace
 
 from . import CASES, FAMILIES, THEOREMS
-from .cliargs import CliError
+from .cliargs import CliError, _int
 
 
 def _emit(payload, fmt: str, csv_header: str | None = None, csv_rows=None) -> str:
@@ -107,7 +107,7 @@ def parse_args(argv):
             if isinstance(kind, tuple) and text not in kind:
                 raise CliError(f"--{name} must be one of {', '.join(kind)}, not {text!r}")
             try:
-                values[name] = int(text) if kind is int else text
+                values[name] = _int(text, f"--{name}") if kind is int else text
             except ValueError:
                 raise CliError(f"--{name} needs an integer, not {text!r}") from None
     if command is None:
@@ -134,6 +134,10 @@ def main(argv=None) -> int:
         error, code = err.error, err.exit_code
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as err:
         error, code = {"code": "domain", "message": str(err)}, 2
+        if str(err).startswith("Exceeds the limit"):  # CPython's, met printing an exact result
+            limit = sys.get_int_max_str_digits()
+            error = {"code": "output", "message": f"the result holds an int past Python's "
+                     f"limit of {limit} digits for printing; refused"}
     print(_emit({"error": error}, "json"))
     return code
 

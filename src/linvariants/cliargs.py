@@ -7,6 +7,7 @@ copy of it, whose refusals `main` would not catch.
 """
 
 import json
+import re
 import sys
 
 
@@ -17,6 +18,14 @@ class CliError(Exception):
         super().__init__(message)
         self.exit_code = exit_code
         self.error = {"code": "input", **fields, "message": message}
+
+
+def _int(text: str, label: str) -> int:
+    """int(text); a digit run past Python's limit is refused by name, other ValueErrors pass."""
+    limit = sys.get_int_max_str_digits()
+    if len(text) > limit > 0 and re.search(r"\d{%d}" % (limit + 1), text.replace("_", "")):
+        raise CliError(f"{label} {text[:20]}... holds an int past Python's limit of {limit} digits")
+    return int(text)
 
 
 def _monomial_json(m) -> dict:

@@ -10,14 +10,16 @@ where grad~ F = (grad_u F)/F is a logarithmic directional derivative,
 grad_u kappa is the directional derivative of the weight form (constant
 terms drop), and B is the plethysm projection row.  Pure p-power factors
 inside F_i never survive grad~, so each graded piece is stored as two
-rows: grad_u kappa_i over the direction coordinates (u_1..u_g; u_0), and
-grad~ F_i as integers over the per-place symbols grad~ a_{v,1..r}.
+rows: grad_u kappa_i over the direction coordinates (u_1..u_g; u_0), or
+(u_v; u_0) at a hilbert place v, and grad~ F_i as integers over the
+per-place symbols grad~ a_{v,1..r}.  Every place has the same pieces.
 
 Once the B-row is fixed, a place's factor is a ratio of two linear forms,
-`PlaceForms(num, den)`: `place_forms` contracts a place's pieces with the
-B-row, and `PlaceForms.pair` evaluates (a_v, b_v) at a gradient
-assignment and a direction.  The generic formula, the literal theorem
-displays and their symbolic comparison all go through that pair.
+`PlaceForms(num, den)`: `place_forms` contracts the pieces with the B-row
+once per request, and `PlaceForms.pair` evaluates (a_v, b_v) at each
+place's gradient assignment and the direction.  The generic formula, the
+literal theorem displays and their symbolic comparison all go through
+that pair.
 
 The closed forms of the sym^2 / sym^6 / sym^{4n-2} / sym^{8n-2} /
 sym^{8n-6} theorems are compared against the generic formula, reporting
@@ -89,19 +91,15 @@ Piece = tuple[tuple[Fraction, ...], tuple[int, ...]]
 
 
 class TriangulationData(NamedTuple):
-    """Per place, the graded pieces, plus the plethysm row selector (n, k)."""
+    """A family's graded pieces, the same at every place, and the plethysm row selector (n, k)."""
 
     family: str
     b_row: tuple[int, int]
-    graded: tuple[tuple[Piece, ...], ...]
-
-    @property
-    def places(self) -> int:
-        return len(self.graded)
+    pieces: tuple[Piece, ...]
 
     @property
     def num_hecke(self) -> int:
-        return len(self.graded[0][0][1])
+        return len(self.pieces[0][1])
 
 
 def _unit(length: int, pos: int, scale) -> tuple[Fraction, ...]:
@@ -110,19 +108,19 @@ def _unit(length: int, pos: int, scale) -> tuple[Fraction, ...]:
     return tuple(row)
 
 
-def _hilbert_place(place: int, places: int) -> tuple[Piece, ...]:
+def _hilbert_pieces() -> tuple[Piece, ...]:
     half = Fraction(1, 2)
-    return tuple((_unit(places, place, s * half) + (half,), (s,)) for s in (-1, 1))
+    return tuple(((s * half, half), (s,)) for s in (-1, 1))
 
 
-def _gsp4_spin_place() -> tuple[Piece, ...]:
+def _gsp4_spin_pieces() -> tuple[Piece, ...]:
     half = Fraction(1, 2)
     signs = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
     logfs = [(0, -1), (-1, 1), (1, -1), (0, 1)]
     return tuple(((s1 * half, s2 * half, half), f) for (s1, s2), f in zip(signs, logfs))
 
 
-def _gsp_std_place(g: int) -> tuple[Piece, ...]:
+def _gsp_std_pieces(g: int) -> tuple[Piece, ...]:
     pieces: list[Piece | None] = [None] * (2 * g + 1)
     mid = g  # 0-based middle index
     pieces[mid] = ((Fraction(0),) * (g + 1), (0,) * g)
@@ -138,7 +136,7 @@ def _gsp_std_place(g: int) -> tuple[Piece, ...]:
     return tuple(pieces)
 
 
-def _unitary_place(size: int) -> tuple[Piece, ...]:
+def _unitary_pieces(size: int) -> tuple[Piece, ...]:
     return tuple(
         (_unit(size + 1, i, -1), tuple(int(j == i) for j in range(size)))
         for i in range(size)
@@ -154,35 +152,30 @@ def _rank(family: str, name: str, value, least: int) -> int:
     return value
 
 
-def family_data(
-    family: str, *, places: int = 1, g: int | None = None, n: int | None = None
-) -> TriangulationData:
+def family_data(family: str, *, g: int | None = None, n: int | None = None) -> TriangulationData:
     """Triangulation data (kappa_i, grad~ F_i) for one of the four families.
 
-    hilbert: Sym^1 shape, one Hecke symbol a_v per place, per-place weight
-    coordinates (u_1..u_d; u_0).  gsp4_spin: the four spin pieces for
-    GSp(4) at the (id, +1) refinement.  gsp_std: the 2g+1 standard pieces
-    for GSp(2g).  unitary: 4n pieces with grad~ F_i = grad~ a_{v,i}.
+    hilbert: Sym^1 shape, one Hecke symbol a_v per place, weight rows over
+    (u_v; u_0).  gsp4_spin: the four spin pieces for GSp(4) at the (id, +1)
+    refinement.  gsp_std: the 2g+1 standard pieces for GSp(2g).  unitary:
+    4n pieces with grad~ F_i = grad~ a_{v,i}.
     """
-    if places < 1:
-        raise ValueError("need at least one place")
     if family == "hilbert":
-        graded = tuple(_hilbert_place(v, places) for v in range(places))
-        return TriangulationData("hilbert", (1, 1), graded)
+        return TriangulationData("hilbert", (1, 1), _hilbert_pieces())
     if family == "gsp4_spin":
-        return TriangulationData("gsp4_spin", (3, 3), (_gsp4_spin_place(),) * places)
+        return TriangulationData("gsp4_spin", (3, 3), _gsp4_spin_pieces())
     if family == "gsp_std":
         g = _rank("gsp_std", "g", g, 2)
-        return TriangulationData("gsp_std", (2 * g, 2 * g - 1), (_gsp_std_place(g),) * places)
+        return TriangulationData("gsp_std", (2 * g, 2 * g - 1), _gsp_std_pieces(g))
     if family == "unitary":
         size = 4 * _rank("unitary", "n", n, 1)
-        return TriangulationData("unitary", (size - 1, size - 1), (_unitary_place(size),) * places)
+        return TriangulationData("unitary", (size - 1, size - 1), _unitary_pieces(size))
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def place_forms(data: TriangulationData, place: int, row: Sequence) -> PlaceForms:
-    """Contract one place's graded pieces with the B-row `row`."""
-    pieces = data.graded[place]
+def place_forms(data: TriangulationData, row: Sequence) -> PlaceForms:
+    """Contract the graded pieces with the B-row `row`: the forms of every place."""
+    pieces = data.pieces
     if len(row) != len(pieces):
         raise DimensionMismatchError("B-row length must match the graded pieces")
     num = [Fraction(0)] * len(pieces[0][1])
@@ -200,13 +193,19 @@ def place_forms(data: TriangulationData, place: int, row: Sequence) -> PlaceForm
 def per_place_pairs(
     data: TriangulationData, direction: Direction, assignments: Sequence[Sequence]
 ) -> list[tuple[Fraction, Fraction]]:
-    """Per-place (a_v, b_v) with a_v/b_v the place's L-invariant factor."""
-    if len(assignments) != data.places:
-        raise DimensionMismatchError("one gradient assignment per place is required")
-    row = b_row(*data.b_row)
+    """Per-place (a_v, b_v) with a_v/b_v the place's L-invariant factor, one place per
+    gradient assignment; the pieces are contracted once for all places.
+
+    A hilbert place v reads (u_v; u_0), so the direction needs one u per
+    place; with any other length place 0 fails as the wrong length.
+    """
+    forms = place_forms(data, b_row(*data.b_row))
+    if data.family != "hilbert":
+        return [forms.pair(v, a, direction) for v, a in enumerate(assignments)]
+    fits = len(direction.u) == len(assignments)
     return [
-        place_forms(data, place, row).pair(place, assignment, direction)
-        for place, assignment in enumerate(assignments)
+        forms.pair(v, a, Direction(direction.u[v : v + 1] if fits else (), direction.u0))
+        for v, a in enumerate(assignments)
     ]
 
 
@@ -321,7 +320,7 @@ def compare_to_theorem(which: str, n: int | None = None) -> TheoremComparison:
     mismatch: not proportional.
     """
     data = data_for_theorem(which, n)
-    generic = place_forms(data, 0, b_row(*data.b_row))
+    generic = place_forms(data, b_row(*data.b_row))
     if which == "A":
         # pin the direction (1; -1) the sym^2 statement uses
         den_value = generic.den[0] - generic.den[1]
@@ -348,10 +347,10 @@ def theorem_row(which: str, data: TriangulationData) -> TriangulationData:
     return data if rule is None else data._replace(b_row=rule(*data.b_row))
 
 
-def data_for_theorem(which: str, n: int | None = None, places: int = 1) -> TriangulationData:
+def data_for_theorem(which: str, n: int | None = None) -> TriangulationData:
     """TriangulationData whose generic evaluation matches theorem `which`."""
     family = THEOREMS[which][0]
-    return theorem_row(which, family_data(family, places=places, g=n, n=n))
+    return theorem_row(which, family_data(family, g=n, n=n))
 
 
 #: per family, the `params` key of its rank and that rank's cap, each about
@@ -376,7 +375,9 @@ def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
         rank = params.get(key)
         if isinstance(rank, int):
             _cap(rank, cap, f"linv --family {family} {key}")
-    data = family_data(family, places=len(places_obj), g=params.get("g"), n=params.get("n"))
+    if len(places_obj) < 1:
+        raise ValueError("need at least one place")
+    data = family_data(family, g=params.get("g"), n=params.get("n"))
     if which:
         data = theorem_row(which, data)
     assignments = []

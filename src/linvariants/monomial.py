@@ -3,9 +3,6 @@
 `phin` and `weylhecke` both build on it, and neither imports the other.
 """
 
-from fractions import Fraction
-from functools import reduce
-
 from .exactlin import rational
 
 
@@ -35,10 +32,6 @@ class EigenMonomial:
         return cls(tuple(sorted(item for item in items if item[1])))
 
     @classmethod
-    def one(cls) -> "EigenMonomial":
-        return cls()
-
-    @classmethod
     def symbol(cls, name: str, exponent=1) -> "EigenMonomial":
         return cls.from_dict({name: rational(exponent)})
 
@@ -47,10 +40,7 @@ class EigenMonomial:
         return cls.symbol("p", exponent)
 
     def __mul__(self, other: "EigenMonomial") -> "EigenMonomial":
-        exps = dict(self.exponents)
-        for sym, e in other.exponents:
-            exps[sym] = exps.get(sym, Fraction(0)) + e
-        return EigenMonomial.from_dict(exps)
+        return monomial_product((self, other))
 
     def __pow__(self, e) -> "EigenMonomial":
         e = rational(e)
@@ -72,4 +62,9 @@ class EigenMonomial:
 
 
 def monomial_product(factors) -> EigenMonomial:
-    return reduce(lambda a, b: a * b, factors, EigenMonomial.one())
+    """The product of `factors`, summed into one exponent map."""
+    exps: dict = {}
+    for factor in factors:
+        for sym, e in factor.exponents:
+            exps[sym] = exps[sym] + e if sym in exps else e
+    return EigenMonomial.from_dict(exps)

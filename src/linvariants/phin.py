@@ -82,15 +82,6 @@ class PhiNModule:
             if row is not None and not (0 <= row < col and phi[row] == P_INVERSE * phi[col]):
                 raise UnsupportedInputError("monodromy must raise the f-index, N phi = p phi N")
 
-    def _key(self) -> tuple:
-        return self.case, self.n, self.phi, self.monodromy, self.l_invariant
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PhiNModule) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     @property
     def dim(self) -> int:
         return 2 * self.n + 1

@@ -53,12 +53,6 @@ class EndoElement:
             raise DimensionMismatchError("grid has wrong shape")
         self.n, self.grid = n, grid
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EndoElement) and (self.n, self.grid) == (other.n, other.grid)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.grid))
-
     @classmethod
     def diagonal(cls, diag) -> "EndoElement":
         diag = [rational(d) for d in diag]

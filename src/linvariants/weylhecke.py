@@ -70,9 +70,6 @@ class WeylElement(NamedTuple):
         """eps(i) for 1-based i."""
         return self.eps[i - 1]
 
-    def nu_inverse(self, i: int) -> int:
-        return self.nu.index(i) + 1
-
     def to_json(self) -> dict:
         return {"nu": list(self.nu), "eps": list(self.eps)}
 
@@ -149,7 +146,7 @@ class CharacterData(NamedTuple):
 
     def determinant(self) -> EigenMonomial:
         """chi_1 ... chi_g sigma^2 (p)."""
-        return monomial_product(self.chi) * self.sigma**2
+        return monomial_product((*self.chi, self.sigma**2))
 
 
 def hecke_numerators(chi: CharacterData, t: TorusExponent) -> tuple[int, Callable]:
@@ -329,27 +326,20 @@ def recover_characters(
         for shift, theta in zip(_beta_weight_exponents(g, mu, mu0), thetas)
     ]
 
-    constants = {i: c_constant(g, i, w) for i in range(1, g)}
-    cg = c_g_constant(g, w)
-    chis: dict[int, EigenMonomial] = {}
-    for i in range(2, g):
-        ratio = EigenMonomial.p_power(constants[i - 1] - constants[i]) * (
-            alphas[i - 1] / alphas[i - 2]
-        )
-        chis[w.nu_inverse(i)] = ratio ** w.sign(i)
-    ratio_g = EigenMonomial.p_power(constants[g - 1] - 2 * cg) * (
-        alphas[g - 1] ** 2 / alphas[g - 2]
-    )
-    chis[w.nu_inverse(g)] = ratio_g ** w.sign(g)
-    first = EigenMonomial.p_power(mu0 - constants[1]) * alphas[0]
-    chis[w.nu_inverse(1)] = first ** w.sign(1)
-
-    chi_values = tuple(chis[j] for j in range(1, g + 1))
-    sigma = EigenMonomial.p_power(cg) * alphas[g - 1].inverse()
-    for j in range(1, g + 1):
-        if w.sign(w.permute(j)) == -1:
-            sigma = sigma * chi_values[j - 1].inverse()
-    recovered = CharacterData(chi_values, sigma)
+    # with alpha_0 = p^{-mu_0} and i = nu(j), chi_j = (p^{eps(i)(g+1-j)} r_i)^{eps(i)},
+    # where r_i = alpha_i / alpha_{i-1}, with alpha_g squared at i = g; eps(i)(g+1-j)
+    # is the step c_{i-1} - c_i of the eigenvalue constants (c_0 = 0), or c_{g-1} - 2 c_g
+    alphas.insert(0, EigenMonomial.p_power(-mu0))
+    chi_values = []
+    for j, i in enumerate(w.nu, 1):
+        r = (alphas[i] ** 2 if i == g else alphas[i]) / alphas[i - 1]
+        e = w.eps[i - 1]
+        chi_values.append((EigenMonomial.p_power(e * (g + 1 - j)) * r) ** e)
+    sigma = monomial_product([
+        EigenMonomial.p_power(c_g_constant(g, w)), alphas[g].inverse(),
+        *(chi.inverse() for chi, i in zip(chi_values, w.nu) if w.eps[i - 1] == -1),
+    ])
+    recovered = CharacterData(tuple(chi_values), sigma)
 
     for i, (theta, given) in enumerate(zip(normalized_eigenvalues(recovered, mu, mu0, w), thetas)):
         if theta != given:
@@ -584,8 +574,8 @@ def _cmd_slope(args) -> tuple[dict, str | None, list | None]:
 
 
 def _cmd_obstruction(args) -> tuple[dict, str | None, list | None]:
-    from .cliargs import CliError
-    exponents = [int(x) for x in args.exponents.split(",") if x.strip() != ""]
+    from .cliargs import CliError, _int
+    exponents = [_int(x, "--exponents") for x in args.exponents.split(",") if x.strip() != ""]
     if not exponents:
         raise CliError("--exponents needs at least one exponent")
     orders = refinement_obstruction_orders(exponents)

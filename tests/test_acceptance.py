@@ -133,7 +133,7 @@ def test_criterion_6_phi_n_suite():
         filtration = phin.benois_filtration(steinberg, regular[0])
         ok = ok and filtration.d_minus1 == steinberg.f_span(range(2, n + 1))
         ok = ok and filtration.d_1 == steinberg.f_span(range(0, n + 1))
-        ok = ok and phin.gr1_data(steinberg, regular[0]) == (1, phin.EigenMonomial.one())
+        ok = ok and phin.gr1_data(steinberg, regular[0]) == (1, phin.EigenMonomial())
         for case in (phin.CRYSTALLINE_SPLIT, phin.CRYSTALLINE_NONSPLIT):
             module = phin.build_case(case, n)
             d = phin.canonical_regular_submodule(module)
@@ -142,7 +142,7 @@ def test_criterion_6_phi_n_suite():
             filtration = phin.benois_filtration(module, d)
             ok = ok and filtration.d_minus1 == d and filtration.d_0 == d
             ok = ok and filtration.d_1 == module.f_span(range(0, n + 1))
-            ok = ok and phin.gr1_data(module, d) == (1, phin.EigenMonomial.one())
+            ok = ok and phin.gr1_data(module, d) == (1, phin.EigenMonomial())
     report(6, ok, "regular submodules and Benois filtration per case, n <= 6")
 
 
@@ -227,7 +227,7 @@ def test_criterion_9_l_invariant_consistency():
             ok = ok and first.kind in allowed and first.scalar in (F(1), F(-1))
     for which, n in [("A", None), ("B", None), ("C", 2), ("C", 4), ("D1", 1), ("D2", 1)]:
         comparison = linv.compare_to_theorem(which, n=n)
-        data = linv.data_for_theorem(which, n=n, places=1)
+        data = linv.data_for_theorem(which, n=n)
         hits = 0
         while hits < 100:
             assignments = [
@@ -236,7 +236,7 @@ def test_criterion_9_l_invariant_consistency():
             if which == "A":
                 direction = linv.Direction.make([1], -1)
             else:
-                dim_u = len(data.graded[0][0][0]) - 1
+                dim_u = len(data.pieces[0][0]) - 1
                 direction = linv.Direction.make(
                     [F(rng.randint(-7, 7)) for _ in range(dim_u)], F(rng.randint(-7, 7))
                 )

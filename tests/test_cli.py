@@ -260,6 +260,61 @@ def test_input_file_integer_past_the_digit_limit_is_refused_by_name(tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("obstruction", "--exponents", "1," + LONG),
+        ("bcoeff", "--n", LONG, "--k", "1"),
+        ("hecke", "--g", LONG, "--t", '{"a": [0], "a0": 0}'),
+    ],
+    ids=["obstruction-exponent", "int-option", "hecke-g"],
+)
+def test_integer_argument_past_the_digit_limit_is_refused_by_name(capsys, argv):
+    # the one integer reader of cliargs names the limit and echoes a short prefix
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.2
+    assert code == 2
+    (line,) = out.splitlines()
+    assert len(line.encode()) < 300
+    error = json.loads(line)["error"]
+    assert error["code"] == "input"
+    assert f"holds an int past Python's limit of {sys.get_int_max_str_digits()} digits" in error["message"]
+
+
+def test_integer_argument_that_is_no_integer_keeps_its_message(capsys):
+    code, payload = run_json(capsys, "bcoeff", "--n", "x", "--k", "1")
+    assert (code, payload["error"]["message"]) == (2, "--n needs an integer, not 'x'")
+    code, payload = run_json(capsys, "obstruction", "--exponents", "1,x")
+    assert code == 2 and payload["error"]["code"] == "domain"
+
+
+def test_result_past_the_digit_limit_is_refused_by_name(tmp_path, capsys):
+    # an exact result too long to print is refused with one JSON line naming the limit
+    diag = json.dumps(["1" + "0" * 4000] + ["0"] * 250)
+    places = [["99999999"]] * 1000  # each place is small, their product is not
+    argvs = [
+        ("project-endo", "--n", "250", "--k", "125", "--diag", diag),
+        ("linv", "--family", "hilbert", "--input", linv_input(tmp_path, ["1"] * 1000, "0", places)),
+    ]
+    for argv in argvs:
+        code, out = run(capsys, *argv)
+        assert code == 2
+        (line,) = out.splitlines()
+        limit = sys.get_int_max_str_digits()
+        assert json.loads(line) == {"error": {"code": "output", "message": (
+            f"the result holds an int past Python's limit of {limit} digits for printing; refused")}}
+
+
+@pytest.mark.parametrize("params", [{}, {"g": 1}, {"g": True}])
+def test_linv_without_places_exit_2(tmp_path, capsys, params):
+    # the place count is checked before the family's rank
+    path = linv_input(tmp_path, ["1", "2"], "1", [], params=params)
+    code, payload = run_json(capsys, "linv", "--family", "gsp_std", "--input", path)
+    assert code == 2
+    assert payload == {"error": {"code": "domain", "message": "need at least one place"}}
+
+
+@pytest.mark.parametrize(
     "family, params, theorem",
     [
         ("unitary", {"n": 101}, None),

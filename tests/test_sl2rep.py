@@ -194,9 +194,9 @@ def test_act_on_end_shifts_weight(n):
     for w in range(-2 * n, 2 * n + 1, 2):
         piece = weight_component(t, w)
         lowered = act_on_end("L", piece)
-        assert weight_component(lowered, w - 2) == lowered
+        assert weight_component(lowered, w - 2).grid == lowered.grid
         raised = act_on_end("R", piece)
-        assert weight_component(raised, w + 2) == raised
+        assert weight_component(raised, w + 2).grid == raised.grid
 
 
 def test_highest_weight_vector_top_is_corner():
@@ -214,7 +214,7 @@ def test_highest_weight_vectors_killed_by_raising(n):
     for k in range(n + 1):
         v = highest_weight_vector(n, k)
         assert not any(any(row) for row in act_on_end("R", v).grid)
-        assert weight_component(v, 2 * k) == v
+        assert weight_component(v, 2 * k).grid == v.grid
 
 
 @pytest.mark.parametrize(
@@ -223,13 +223,6 @@ def test_highest_weight_vectors_killed_by_raising(n):
 def test_endo_element_refuses_a_wrong_shape(grid):
     with pytest.raises(DimensionMismatchError, match="wrong shape"):
         EndoElement(2, grid)
-
-
-def test_endo_element_equality_is_by_value():
-    grid = ((F(1), F(0)), (F(0), F(2)))
-    assert EndoElement(1, grid) == EndoElement.diagonal([1, 2])
-    assert hash(EndoElement(1, grid)) == hash(EndoElement.diagonal(["1", "2"]))
-    assert EndoElement(1, grid) != EndoElement.diagonal([2, 1])
 
 
 def test_highest_weight_vector_range_error():

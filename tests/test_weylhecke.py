@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from linvariants import weylhecke
 from linvariants.phin import EigenMonomial, monomial_product
 from linvariants.weylhecke import (
     OBSTRUCTION_MAX_SUMS,
@@ -40,7 +41,7 @@ def compose(w1, w2):
     """Product w1 * w2 with (w1 * w2) . t = w1 . (w2 . t)."""
     g = w1.g
     nu = tuple(w2.permute(w1.permute(j)) for j in range(1, g + 1))
-    eps = tuple(w2.sign(i) * w1.sign(w2.nu_inverse(i)) for i in range(1, g + 1))
+    eps = tuple(w2.sign(i) * w1.sign(w2.nu.index(i) + 1) for i in range(1, g + 1))
     return WeylElement(nu, eps)
 
 
@@ -238,7 +239,7 @@ def test_hecke_diagonal_equals_monomial_product(g):
     elements = weyl_group(g)
     x = EigenMonomial.symbol("x")
     # x cancels between chi_1 and chi_2 wherever a'_{nu(1)} = a'_{nu(2)}
-    cancelling = (x * EigenMonomial.p_power(1), x.inverse()) + (EigenMonomial.one(),) * (g - 2)
+    cancelling = (x * EigenMonomial.p_power(1), x.inverse()) + (EigenMonomial(),) * (g - 2)
     characters = [
         CharacterData.generic(g),
         CharacterData(cancelling[:g], x ** F(1, 2)),
@@ -325,8 +326,30 @@ def test_normalized_eigenvalues_equal_the_weight_exponent_at_each_beta(g):
         normalized_eigenvalues(CharacterData.generic(g), [0] * (g + 1), 0, WeylElement.identity(g))
 
 
+@pytest.mark.parametrize("g", range(1, 5))
+def test_constant_steps_are_one_term(g):
+    # with c_0 = 0 and q_i = g + 1 - nu^{-1}(i): c_{i-1} - c_i = eps(i) q_i, and
+    # c_{g-1} - 2 c_g = eps(g) q_g; recover_characters reads the constants off these
+    for w in weyl_group(g):
+        c = [F(0)] + [c_constant(g, i, w) for i in range(1, g + 1)]
+        q = [None] + [g + 1 - (w.nu.index(i) + 1) for i in range(1, g + 1)]
+        for i in range(1, g):
+            assert c[i - 1] - c[i] == w.sign(i) * q[i]
+        assert c[g - 1] - 2 * c_g_constant(g, w) == w.sign(g) * q[g]
+
+
+def test_recover_characters_computes_no_c_constant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("c_constant called")
+
+    monkeypatch.setattr(weylhecke, "c_constant", refuse)
+    for w in weyl_group(3):
+        chi, mu, mu0 = random_consistent_character(3)
+        assert recover_characters(3, normalized_eigenvalues(chi, mu, mu0, w), mu, mu0, w) == chi
+
+
 def test_recover_trivial_characters():
-    chi = CharacterData((EigenMonomial.one(),) * 2, EigenMonomial.one())
+    chi = CharacterData((EigenMonomial(),) * 2, EigenMonomial())
     w = WeylElement.identity(2)
     thetas = normalized_eigenvalues(chi, [0, 0], 0, w)
     for theta in thetas:
@@ -336,9 +359,9 @@ def test_recover_trivial_characters():
 
 def test_recover_characters_input_validation():
     with pytest.raises(ValueError):
-        recover_characters(2, [EigenMonomial.one()], [0, 0], 0, WeylElement.identity(2))
+        recover_characters(2, [EigenMonomial()], [0, 0], 0, WeylElement.identity(2))
     with pytest.raises(ValueError):
-        recover_characters(1, [EigenMonomial.one()], [0], 0, WeylElement.identity(1))
+        recover_characters(1, [EigenMonomial()], [0], 0, WeylElement.identity(1))
 
 
 def test_slope_hilbert_matches_classical_definition():
