@@ -6,9 +6,12 @@ Submodules:
 * monomial  -- the free monomial group of Frobenius and Hecke eigenvalues
 * sl2rep    -- the sl(2) action on End(Sym^n V), weight-graded brute-force oracle
   with its fraction-free row reduction
-* plethysm  -- inverse Clebsch-Gordan tables and the B_{n,k,i} rows
+* cg        -- single inverse Clebsch-Gordan coefficients and the `cg` subcommand
+* plethysm  -- the B_{n,k,i} rows, the diagonal projection and the whole
+  inverse Clebsch-Gordan table
 * phin      -- (phi,N)-modules, N as a coordinate map, the 3-step filtration
-* weylhecke -- GSp(2g) Weyl combinatorics, Hecke eigenvalues, slope bounds
+* weylhecke -- GSp(2g) Weyl combinatorics, Hecke eigenvalues, character recovery
+* slopes    -- slope bounds, the twist search and the obstruction orders
 * linv      -- triangulation rows, one pair of linear forms per place
 * cli       -- JSON/CSV command-line interface; each subcommand's handler
   lives in its maths module above
@@ -24,9 +27,11 @@ __all__ = [
     "exactlin",
     "monomial",
     "sl2rep",
+    "cg",
     "plethysm",
     "phin",
     "weylhecke",
+    "slopes",
     "linv",
     "cli",
     "cliargs",

@@ -7,8 +7,8 @@ domain/precondition error, 3 mathematical singularity (zero denominator
 at the chosen direction); every error, a parse error too, prints one JSON line.
 
 Each request is a fresh process, so options are read from one table, not
-argparse.  Each subcommand's handler lives beside its maths (`_cmd_cg` in
-`plethysm`, say) and is imported only once the table has accepted the
+argparse.  Each subcommand's handler lives beside its maths (`_cmd_bcoeff`
+in `plethysm`, say) and is imported only once the table has accepted the
 command line, so a request compiles only its own handler and `--help`
 loads no maths module.
 """
@@ -36,9 +36,9 @@ def _emit(payload, fmt: str, csv_header: str | None = None, csv_rows=None) -> st
 #: subcommand -> ("module._cmd_handler", option -> (type, required)); the type is int, str, a
 #: tuple of choices or None for a flag.  `--check-N` sets `args.check_N`; no name begins another.
 COMMANDS = {
-    "cg": ("plethysm._cmd_cg", {"m": (int, True), "n": (int, True), "p": (int, True),
-                                "table": (None, False), "u": (int, False), "v": (int, False),
-                                "w": (int, False)}),
+    "cg": ("cg._cmd_cg", {"m": (int, True), "n": (int, True), "p": (int, True),
+                          "table": (None, False), "u": (int, False), "v": (int, False),
+                          "w": (int, False)}),
     "bcoeff": ("plethysm._cmd_bcoeff", {"n": (int, True), "k": (int, True), "i": (int, False)}),
     "project-endo": ("plethysm._cmd_project_endo",
                      {"n": (int, True), "k": (int, True), "diag": (str, True)}),
@@ -49,9 +49,8 @@ COMMANDS = {
                                        "all": (None, False)}),
     "recover-chi": ("weylhecke._cmd_recover_chi", {"g": (int, True), "eigs": (str, True),
                                                    "weights": (str, True), "weyl": (str, False)}),
-    "slope": ("weylhecke._cmd_slope", {"family": (("hilbert", "gsp"), True), "input": (str, True)}),
-    "obstruction": ("weylhecke._cmd_obstruction",
-                    {"exponents": (str, True), "check-N": (int, False)}),
+    "slope": ("slopes._cmd_slope", {"family": (("hilbert", "gsp"), True), "input": (str, True)}),
+    "obstruction": ("slopes._cmd_obstruction", {"exponents": (str, True), "check-N": (int, False)}),
     "linv": ("linv._cmd_linv", {"family": (FAMILIES, True), "input": (str, True),
                                 "compare-theorem": (tuple(THEOREMS), False)}),
 }

@@ -48,13 +48,18 @@ def _parse_json_arg(text: str, label: str):
         raise CliError(f"{label} holds an int past Python's limit of {limit} digits") from err
 
 
-def _json_keys(text: str, label: str, *keys: str) -> dict:
-    """The JSON object argument `label`, which must hold every one of `keys`."""
-    obj = _json_object(_parse_json_arg(text, label), label)
+def _has_keys(value, label: str, *keys: str) -> dict:
+    """`value`, which must be a JSON object holding every one of `keys`."""
+    obj = _json_object(value, label)
     for key in keys:
         if key not in obj:
             raise CliError(f"{label} needs the key {key!r}")
     return obj
+
+
+def _json_keys(text: str, label: str, *keys: str) -> dict:
+    """The JSON object argument `label`, which must hold every one of `keys`."""
+    return _has_keys(_parse_json_arg(text, label), label, *keys)
 
 
 def _load_input(args) -> dict:

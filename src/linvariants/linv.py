@@ -17,9 +17,10 @@ per-place symbols grad~ a_{v,1..r}.  Every place has the same pieces.
 Once the B-row is fixed, a place's factor is a ratio of two linear forms,
 `PlaceForms(num, den)`: `place_forms` contracts the pieces with the B-row
 once per request, and `PlaceForms.pair` evaluates (a_v, b_v) at each
-place's gradient assignment and the direction.  The generic formula, the
-literal theorem displays and their symbolic comparison all go through
-that pair.
+place's gradient assignment and the direction.  The generic formula and
+the symbolic comparison with the theorem displays go through that pair,
+and so does the literal evaluation of the displays in
+`tests/paper_displays.py`.
 
 The closed forms of the sym^2 / sym^6 / sym^{4n-2} / sym^{8n-2} /
 sym^{8n-6} theorems are compared against the generic formula, reporting
@@ -268,29 +269,6 @@ def _theorem_forms(which: str, n: int | None) -> PlaceForms:
         ]
         return _display(coeffs, coeffs)
     raise ValueError(f"no closed form registered for theorem {which!r}")
-
-
-def theorem_evaluator(
-    which: str, direction: Direction, assignments: Sequence[Sequence], n: int | None = None
-) -> Fraction:
-    """Literal evaluation of the published closed forms.
-
-    A paper display the README names, kept as a named oracle: no CLI path
-    calls it, and the tests check it against the generic formula.
-
-    A: prod_v (-2 grad~ a_v), stated at the direction (1,...,1; -1); the
-    direction argument is ignored for A.  B, C, D1, D2 evaluate the
-    displayed ratio at the given direction and raise SingularDirectionError
-    when its denominator vanishes.
-    """
-    if which == "A":
-        result = Fraction(1)
-        for assignment in assignments:
-            (grad,) = [rational(x) for x in assignment]
-            result *= -2 * grad
-        return result
-    forms = _theorem_forms(which, n)
-    return rank1_combine([forms.pair(v, a, direction) for v, a in enumerate(assignments)])
 
 
 class TheoremComparison(NamedTuple):

@@ -229,6 +229,13 @@ def gr1_data(module: PhiNModule, d: tuple[int, ...]) -> tuple[int, EigenMonomial
 #: largest n whose `--all-submodules` listing runs without monodromy: 2^(2n+1)
 #: stable sets; one step past the cap costs over 200 MB
 ALL_SUBMODULES_MAX_N = 8
+#: largest n, and largest `--weight`, of any case (the module has 2n+1 eigenvalues,
+#: and the split case's p-exponents grow with the weight), and largest n of the
+#: steinberg listing, whose 2n+2 stable sets hold about n^2 coordinates; each
+#: about 1 s and 90 MB at most (the cost table is in the README)
+PHIN_MAX_N = 30000
+PHIN_MAX_WEIGHT = 10**6
+STEINBERG_ALL_SUBMODULES_MAX_N = 500
 
 
 def _subspace_json(module, space) -> list[int]:
@@ -236,12 +243,17 @@ def _subspace_json(module, space) -> list[int]:
 
 
 def _cmd_phin(args) -> tuple[dict, str | None, list | None]:
-    from .cliargs import CliError, _monomial_json
+    from .cliargs import CliError, _cap, _monomial_json
     if args.all_submodules and args.case != STEINBERG and args.n > ALL_SUBMODULES_MAX_N:
         raise CliError(
             f"--all-submodules lists 2^(2n+1) sets in case {args.case}; "
             f"n > {ALL_SUBMODULES_MAX_N} is refused"
         )
+    if args.all_submodules:
+        _cap(args.n, STEINBERG_ALL_SUBMODULES_MAX_N, "phin --all-submodules --n")
+    _cap(args.n, PHIN_MAX_N, "phin --n")
+    if args.weight is not None:
+        _cap(args.weight, PHIN_MAX_WEIGHT, "phin --weight")
     module = build_case(args.case, args.n, l_invariant=args.L, weight=args.weight)
     payload: dict = {
         "case": module.case,

@@ -1,4 +1,4 @@
-"""Weyl group of GSp(2g), Iwahori-Hecke diagonal eigenvalues, slope bounds.
+"""Weyl group of GSp(2g), Iwahori-Hecke diagonal eigenvalues, character recovery.
 
 The Weyl group is S_g x (Z/2)^g; an element w = (nu, eps) acts on torus
 exponents t = (p^{a_1}, ..., p^{a_g}; p^{a_0}) by first replacing a_i with
@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, floor, gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exactlin import rational, vector
@@ -39,10 +39,6 @@ from .monomial import EigenMonomial, monomial_product
 
 class InversionError(ValueError):
     """Character recovery failed its round trip: inconsistent eigenvalues."""
-
-
-class NonDominantError(ValueError):
-    """The torus exponent is not dominant (a_1 >= ... >= a_g >= a_0/2)."""
 
 
 class WeylElement(NamedTuple):
@@ -112,10 +108,6 @@ class TorusExponent(NamedTuple):
     @property
     def g(self) -> int:
         return len(self.a)
-
-    def is_dominant(self) -> bool:
-        pairs_ok = all(self.a[i] >= self.a[i + 1] for i in range(self.g - 1))
-        return pairs_ok and self.a[-1] >= self.a0 / 2
 
 
 def beta(g: int, j: int) -> TorusExponent:
@@ -216,20 +208,6 @@ def hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> Eige
     return next(hecke_diagonals(chi, t, (w,)))
 
 
-def c_constant(g: int, i: int, w: WeylElement) -> Fraction:
-    """c_{i,nu,eps} = sum_{nu(j)>i}(g+1-j) + 2 sum_{nu(j)<=i, eps(nu(j))=-1}(g+1-j) - g(g+1)/2."""
-    if not 1 <= i <= g:
-        raise ValueError("need 1 <= i <= g")
-    total = Fraction(0)
-    for j in range(1, g + 1):
-        image = w.permute(j)
-        if image > i:
-            total += g + 1 - j
-        elif w.sign(image) == -1:
-            total += 2 * (g + 1 - j)
-    return total - Fraction(g * (g + 1), 2)
-
-
 def c_g_constant(g: int, w: WeylElement) -> Fraction:
     """c_{g,nu,eps} = sum_{eps(nu(j))=-1}(g+1-j) - g(g+1)/4."""
     total = sum(
@@ -240,46 +218,8 @@ def c_g_constant(g: int, w: WeylElement) -> Fraction:
     return total - Fraction(g * (g + 1), 4)
 
 
-def upi_eigenvalue_display(chi: CharacterData, i: int, w: WeylElement) -> EigenMonomial:
-    """The closed U_{p,i} = [Iw beta_{g-i} Iw] eigenvalue families.
-
-    For i < g:  p^{c_i} sigma^{-2} prod_{nu(j)>i} chi_j^{-1}
-                prod_{nu(j)<=i, eps(nu(j))=-1} chi_j^{-2};
-    for i = g:  p^{c_g} sigma^{-1} prod_{eps(nu(j))=-1} chi_j^{-1}.
-
-    A paper display the README names, kept as a named oracle: no CLI path
-    calls it, and the tests check it against `hecke_diagonal`.
-    """
-    g = chi.g
-    if not 1 <= i <= g:
-        raise ValueError("need 1 <= i <= g")
-    if i == g:
-        value = EigenMonomial.p_power(c_g_constant(g, w)) * chi.sigma**-1
-        for j in range(1, g + 1):
-            if w.sign(w.permute(j)) == -1:
-                value = value * chi.chi[j - 1] ** -1
-        return value
-    value = EigenMonomial.p_power(c_constant(g, i, w)) * chi.sigma**-2
-    for j in range(1, g + 1):
-        image = w.permute(j)
-        if image > i:
-            value = value * chi.chi[j - 1] ** -1
-        elif w.sign(image) == -1:
-            value = value * chi.chi[j - 1] ** -2
-    return value
-
-
-def weight_exponent(mu: Sequence[Fraction], mu0: Fraction, t: TorusExponent) -> Fraction:
-    """v_p of the highest-weight character (mu_1..mu_g; mu_0) at t."""
-    mu = vector(mu)
-    if len(mu) != t.g:
-        raise ValueError("weight length must equal g")
-    mu0 = rational(mu0)
-    return sum(m * a for m, a in zip(mu, t.a)) + (mu0 - sum(mu)) * t.a0 / 2
-
-
 def _beta_weight_exponents(g: int, mu: Sequence[Fraction], mu0: Fraction) -> list[Fraction]:
-    """weight_exponent(mu, mu0, beta(g, g-i)), i = 1..g, in O(g): beta(g, j) is -1 in
+    """`slopes.weight_exponent`(mu, mu0, beta(g, g-i)), i = 1..g, in O(g): beta(g, j) is -1 in
     its last j slots with a_0 = -2, which gives sum(mu) - mu_0 - (the last j of mu
     summed), and beta(g, 0) is 0 with a_0 = -1, which gives half of sum(mu) - mu_0."""
     if len(mu) != g:
@@ -349,154 +289,6 @@ def recover_characters(
     return recovered
 
 
-def slope_check_hilbert(k_weights: Sequence[int], w_weight: int, slopes: Sequence) -> bool:
-    """sum_i ((w + k_i - 2)/2 + v_p(alpha_i)) < min(k_i) - 1, evaluated exactly."""
-    if len(k_weights) != len(slopes):
-        raise ValueError("one slope per infinite place is required")
-    if not k_weights:
-        raise ValueError("at least one place is required")
-    if not isinstance(w_weight, int) or isinstance(w_weight, bool):
-        raise ValueError(f"w must be an integer, not {w_weight!r}")
-    for k in k_weights:
-        if k < 2:
-            raise ValueError("weights must be at least 2")
-        if (k - w_weight) % 2:
-            raise ValueError("weights must be congruent to w mod 2")
-    lhs = sum(
-        (Fraction(w_weight + k - 2, 2) + s for k, s in zip(k_weights, vector(slopes))),
-        Fraction(0),
-    )
-    return lhs < min(k_weights) - 1
-
-
-def _slope_sides(
-    mu_per_place: Sequence[Sequence], mu0, t: TorusExponent, slopes: Sequence
-) -> tuple[Fraction, Fraction]:
-    """(LHS, RHS) of the GSp(2g) noncritical-slope inequality; validates the input."""
-    if not t.is_dominant():
-        raise NonDominantError("need a_1 >= ... >= a_g >= a_0/2")
-    if len(mu_per_place) != len(slopes):
-        raise ValueError("one slope per place is required")
-    g = t.g
-    mu0 = rational(mu0)
-    lhs = Fraction(0)
-    bounds = []
-    for mu, slope in zip(mu_per_place, vector(slopes)):
-        mu = vector(mu)
-        lhs += weight_exponent(mu, mu0, t) + slope
-        for i in range(g - 1):
-            bounds.append((mu[i] - mu[i + 1] + 1) * (t.a[i] - t.a[i + 1]))
-        bounds.append(2 * (2 * mu[g - 1] + 1) * t.a[g - 1])
-    return lhs, min(bounds)
-
-
-def slope_check_gsp(
-    mu_per_place: Sequence[Sequence],
-    mu0,
-    t: TorusExponent,
-    slopes: Sequence,
-) -> bool:
-    """Noncritical-slope inequality for GSp(2g) over all places above p.
-
-    LHS = sum_v (v_p(lambda_v(t)) + v_p(alpha_{v,t})); RHS = the minimum of
-    (mu_{v,i} - mu_{v,i+1} + 1)(a_i - a_{i+1}) over i < g and places, and
-    2(2 mu_{v,g} + 1) a_g.  t must be dominant.
-    """
-    lhs, rhs = _slope_sides(mu_per_place, mu0, t, slopes)
-    return lhs < rhs
-
-
-def twist_search(
-    mu_per_place: Sequence[Sequence],
-    mu0,
-    t: TorusExponent,
-    slopes: Sequence,
-) -> int:
-    """Smallest |m| such that the |.|^m twist has noncritical slope.
-
-    Twisting shifts the similitude weight mu_0 by m and every slope by
-    -m a_0, so each place's left-hand side moves by -m a_0 / 2 while the
-    right-hand side stays fixed.  The twist succeeds exactly when
-    m (places a_0 / 2) > LHS - RHS, which one division solves.
-    """
-    lhs, rhs = _slope_sides(mu_per_place, mu0, t, slopes)
-    if lhs < rhs:
-        return 0
-    if t.a0 == 0:
-        raise ValueError("a_0 = 0: twisting cannot change the slope")
-    ratio = (lhs - rhs) / (len(slopes) * t.a0 / 2)
-    # branch on the sign of a_0: at LHS = RHS the ratio is 0 and m is still +-1
-    return floor(ratio) + 1 if t.a0 > 0 else ceil(ratio) - 1
-
-
-#: budget of `refinement_obstruction_orders`, about 4 s and 60 MB at most
-#: (the cost table is in CHANGES.md): the summed size bounds of its
-#: subset-sum sets, and the trial divisions of its differences
-OBSTRUCTION_MAX_SUMS = 2**18
-OBSTRUCTION_MAX_TRIALS = 10**8
-
-
-def _divisors(n: int) -> set[int]:
-    small = [d for d in range(1, isqrt(n) + 1) if not n % d]
-    return {*small, *(n // d for d in small)}
-
-
-def refinement_obstruction_orders(exponents: Iterable[int]) -> set[int]:
-    """Orders d such that r^d = 1 collides the leading refinement.
-
-    exponents are the r-exponents of the Frobenius eigenvalues, leading
-    refinement first after sorting; for each cardinality i the top-i sum
-    top_i is compared with every other i-element subset sum s, and each
-    divisor of top_i - s is an obstruction order.  Distinct exponents make
-    top_i strictly maximal, so the differences are positive.
-
-    One pass keeps the set S_i of i-subset sums for i <= m/2; complements
-    give the (m-i)-subsets, with differences s - bot_i (bot_i the bottom-i
-    sum).  Up front, |S_i| <= min(C(m, i), top_i - bot_i + 1), and each of
-    the at most min(2 sum |S_i|, D) differences takes isqrt(D) trial
-    divisions, D = top_i - bot_i at i = m/2 the widest; a request past
-    either budget is refused.  Enumerating all subsets is the test oracle.
-    """
-    exps = sorted(exponents, reverse=True)
-    if len(set(exps)) != len(exps):
-        raise ValueError("exponents must be pairwise distinct")
-    m, half = len(exps), len(exps) // 2
-    tops = list(itertools.accumulate(exps[:half]))
-    bots = list(itertools.accumulate(exps[::-1][:half]))
-    sizes = 0
-    for i, (top, bot) in enumerate(zip(tops, bots), 1):
-        sizes += min(comb(m, i), top - bot + 1)
-        if sizes > OBSTRUCTION_MAX_SUMS:
-            raise ValueError(f"obstruction needs over {OBSTRUCTION_MAX_SUMS} subset sums; refused")
-    widest = tops[-1] - bots[-1] if half else 0
-    trials = min(2 * sizes, widest) * isqrt(widest)
-    if trials > OBSTRUCTION_MAX_TRIALS:
-        raise ValueError(
-            f"obstruction exponents {widest} apart need up to {trials} trial divisions; "
-            f"more than {OBSTRUCTION_MAX_TRIALS} is refused"
-        )
-    sums = [{0}] + [set() for _ in range(half)]  # sums[i]: i-subset sums so far
-    for k, x in enumerate(exps):
-        for i in range(min(k + 1, half), 0, -1):
-            sums[i] |= {s + x for s in sums[i - 1]}
-    diffs = set()
-    for top, bot, reached in zip(tops, bots, sums[1:]):
-        diffs.update(top - s for s in reached)
-        diffs.update(s - bot for s in reached)
-    diffs.discard(0)
-    orders: set[int] = set()
-    for diff in diffs:
-        orders |= _divisors(diff)
-    return orders
-
-
-def exclusion_sufficient(orders: Iterable[int], n: int) -> bool:
-    """Whether excluding mu_n kills every obstruction (all orders divide n)."""
-    if n < 1:
-        raise ValueError(f"N must be at least 1, got {n}")
-    return all(n % d == 0 for d in orders)
-
-
 #: `hecke --all` prints 2^g g! rows; one step past the cap costs over 200 MB
 HECKE_ALL_MAX_G = 6
 #: largest `recover-chi` g, about 10 s and 100 MB (the cost table is in CHANGES.md)
@@ -558,31 +350,3 @@ def _cmd_recover_chi(args) -> tuple[dict, str | None, list | None]:
         "chi": [_monomial_json(c) for c in recovered.chi],
         "sigma": _monomial_json(recovered.sigma),
     }, None, None
-
-
-def _cmd_slope(args) -> tuple[dict, str | None, list | None]:
-    from .cliargs import _load_input
-    obj = _load_input(args)
-    if args.family == "hilbert":
-        ok = slope_check_hilbert(obj["k"], obj["w"], obj["slopes"])
-        return {"noncritical": ok}, None, None
-    t = TorusExponent.make(obj["t"]["a"], obj["t"]["a0"])
-    payload: dict = {"noncritical": slope_check_gsp(obj["weights"], obj["mu0"], t, obj["slopes"])}
-    if obj.get("find_twist"):
-        payload["twist"] = twist_search(obj["weights"], obj["mu0"], t, obj["slopes"])
-    return payload, None, None
-
-
-def _cmd_obstruction(args) -> tuple[dict, str | None, list | None]:
-    from .cliargs import CliError, _int
-    exponents = [_int(x, "--exponents") for x in args.exponents.split(",") if x.strip() != ""]
-    if not exponents:
-        raise CliError("--exponents needs at least one exponent")
-    orders = refinement_obstruction_orders(exponents)
-    payload: dict = {"orders": sorted(orders)}
-    if args.check_N is not None:
-        payload["check_N"] = {
-            "N": args.check_N,
-            "sufficient": exclusion_sufficient(orders, args.check_N),
-        }
-    return payload, None, None

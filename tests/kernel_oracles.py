@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from linvariants.phin import EigenMonomial
-from linvariants.plethysm import InvalidWeightTripleError, valid_triple
+from linvariants.cg import InvalidWeightTripleError, valid_triple
 from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement
 
 

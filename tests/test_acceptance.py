@@ -12,8 +12,9 @@ from math import comb, factorial
 
 import pytest
 
-from linvariants import linv, phin, plethysm, sl2rep, weylhecke
+from linvariants import cg, linv, phin, plethysm, sl2rep, slopes, weylhecke
 from kernel_oracles import b_special
+from paper_displays import theorem_evaluator, upi_eigenvalue_display
 from linalg_oracle import Subspace, fil0_space, intersect, project_endomorphism
 
 rng = random.Random(0xACCE)
@@ -47,7 +48,7 @@ def test_criterion_1_closed_form_equals_recurrence():
         for k in range(n + 1):
             for i in range(n + 1):
                 closed = plethysm.b_coefficient(n, k, i)
-                recurrence = F((-1) ** i * comb(n, i)) * plethysm.cg_coefficient(
+                recurrence = F((-1) ** i * comb(n, i)) * cg.cg_coefficient(
                     n, n, 2 * k, i, n - i, k
                 )
                 ok = ok and closed == recurrence
@@ -155,7 +156,7 @@ def test_criterion_7_hecke_suite():
         for w in weylhecke.weyl_group(g):
             for i in range(1, g + 1):
                 direct = weylhecke.hecke_diagonal(chi, weylhecke.beta(g, g - i), w)
-                ok = ok and direct == weylhecke.upi_eigenvalue_display(chi, i, w)
+                ok = ok and direct == upi_eigenvalue_display(chi, i, w)
     trials = 0
     for g in (2, 3):
         elements = weylhecke.weyl_group(g)
@@ -186,7 +187,7 @@ def test_criterion_8_slope_suite():
     ok = True
     for k in range(2, 21):
         for v in range(0, 21):
-            ok = ok and weylhecke.slope_check_hilbert([k], 2 - k, [v]) == (v < k - 1)
+            ok = ok and slopes.slope_check_hilbert([k], 2 - k, [v]) == (v < k - 1)
     found = 0
     while found < 50:
         g = rng.choice([2, 3])
@@ -200,10 +201,10 @@ def test_criterion_8_slope_suite():
             for _ in range(places)
         ]
         mu0 = rng.randint(-4, 4)
-        slopes = [rng.randint(0, 10) for _ in range(places)]
-        m = weylhecke.twist_search(mus, mu0, t, slopes)
-        twisted = [F(s) - m * t.a0 for s in slopes]
-        ok = ok and weylhecke.slope_check_gsp(mus, F(mu0) + m, t, twisted)
+        raw = [rng.randint(0, 10) for _ in range(places)]
+        m = slopes.twist_search(mus, mu0, t, raw)
+        twisted = [F(s) - m * t.a0 for s in raw]
+        ok = ok and slopes.slope_check_gsp(mus, F(mu0) + m, t, twisted)
         found += 1
     report(8, ok, "classical-slope equivalence grid; 50 finite twist searches")
 
@@ -247,12 +248,12 @@ def test_criterion_9_l_invariant_consistency():
                     # denominator forms are proportional, so the literal
                     # evaluator must refuse too, never answer
                     try:
-                        linv.theorem_evaluator(which, direction, assignments, n=n)
+                        theorem_evaluator(which, direction, assignments, n=n)
                         ok = False
                     except linv.SingularDirectionError:
                         pass
                 continue
-            literal = linv.theorem_evaluator(which, direction, assignments, n=n)
+            literal = theorem_evaluator(which, direction, assignments, n=n)
             ok = ok and literal == comparison.scalar * generic
             hits += 1
     hilbert = linv.family_data("hilbert")
@@ -265,9 +266,9 @@ def test_criterion_9_l_invariant_consistency():
 
 
 def test_criterion_10_obstruction_suite():
-    spin = weylhecke.refinement_obstruction_orders([3, 2, 1, 0])
-    ok = weylhecke.exclusion_sufficient(spin, 60)
+    spin = slopes.refinement_obstruction_orders([3, 2, 1, 0])
+    ok = slopes.exclusion_sufficient(spin, 60)
     for n in range(1, 6):
-        orders = weylhecke.refinement_obstruction_orders(range(-n, n + 1))
+        orders = slopes.refinement_obstruction_orders(range(-n, n + 1))
         ok = ok and len(orders) > 0 and all(isinstance(d, int) and d > 0 for d in orders)
     report(10, ok, "spin orders divide 60; standard exponent orders finite, n <= 5")

@@ -13,12 +13,12 @@ import pytest
 
 from kernel_oracles import fraction_b_coefficient, fraction_cg_table, fraction_hecke_diagonal
 from linvariants.cli import main, parse_args
+from linvariants.cg import valid_triple
 from linvariants.plethysm import (
     BCOEFF_MAX_N,
     PROJECT_ENDO_MAX_N,
     cg_table,
     project_endomorphism_diagonal,
-    valid_triple,
 )
 from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement
 
@@ -213,6 +213,12 @@ def test_exponential_listing_past_its_cap_exits_2_at_once(capsys, argv):
         ("project-endo", "--n", "251", "--k", "1", "--diag", "[1]"),
         ("recover-chi", "--g", "501", "--eigs", json.dumps([{"p": "0"}] * 501),
          "--weights", json.dumps({"mu": [0] * 501, "mu0": 0})),
+        # 2n+1 eigenvalues in each case, about n^2 coordinates in the steinberg listing
+        ("phin", "--case", "steinberg", "--n", "30001", "--gr1"),
+        ("phin", "--case", "crystalline_split", "--n", "200000"),
+        ("phin", "--case", "crystalline_nonsplit", "--n", "10000000000", "--benois"),
+        ("phin", "--case", "steinberg", "--n", "501", "--all-submodules"),
+        ("phin", "--case", "crystalline_split", "--n", "1", "--weight", "1000001"),
     ],
 )
 def test_table_past_its_size_cap_exits_2_at_once(capsys, argv):
@@ -828,6 +834,44 @@ def test_slope_string_as_vector_exit_2(tmp_path, capsys, family, obj):
     code, payload = run_json(capsys, "slope", "--family", family, "--input", path)
     assert code == 2
     assert payload["error"]["code"] == "domain"
+
+
+GSP_SLOPE = {"weights": [[5, 3]], "mu0": 0, "t": {"a": [0, 0], "a0": -1}, "slopes": [0]}
+
+
+@pytest.mark.parametrize(
+    "family, obj, message",
+    [
+        # any truthy value used to run the twist search and exit 0
+        ("gsp", {**GSP_SLOPE, "find_twist": "no"}, "find_twist must be true or false, not 'no'"),
+        ("gsp", {**GSP_SLOPE, "find_twist": 1}, "find_twist must be true or false, not 1"),
+        # min() of no bounds used to speak for the code
+        ("gsp", {**GSP_SLOPE, "weights": [], "slopes": []}, "at least one place is required"),
+        # the TypeError of comparing or adding a non-integer weight used to leak
+        ("hilbert", {"k": ["4"], "w": 0, "slopes": [0]}, "k must hold integers, not '4'"),
+        ("hilbert", {"k": [2.0], "w": 0, "slopes": [0]}, "k must hold integers, not 2.0"),
+        ("hilbert", {"k": [True], "w": 1, "slopes": [0]}, "k must hold integers, not True"),
+        # a missing key used to print only its quoted name
+        ("hilbert", {"k": [4], "slopes": [0]}, "--input needs the key 'w'"),
+        ("gsp", {"mu0": 0, "t": GSP_SLOPE["t"], "slopes": [0]}, "--input needs the key 'weights'"),
+        ("gsp", {**GSP_SLOPE, "t": {"a": [0, 0]}}, "t needs the key 'a0'"),
+        # indexing a list by "a" used to print Python's own complaint
+        ("gsp", {**GSP_SLOPE, "t": [1]}, "t must be a JSON object, not [1]"),
+    ],
+    ids=["find-twist-string", "find-twist-int", "no-places", "k-string", "k-float", "k-bool",
+         "missing-w", "missing-weights", "missing-a0", "t-list"],
+)
+def test_slope_input_refusals_name_the_field(tmp_path, capsys, family, obj, message):
+    path = write_json(tmp_path, obj)
+    code, out = run(capsys, "slope", "--family", family, "--input", path)
+    assert code == 2
+    (line,) = out.splitlines()
+    assert json.loads(line)["error"]["message"] == message
+
+
+def test_slope_find_twist_false_is_no_search(tmp_path, capsys):
+    path = write_json(tmp_path, {**GSP_SLOPE, "find_twist": False})
+    assert run_json(capsys, "slope", "--family", "gsp", "--input", path) == (0, {"noncritical": False})
 
 
 def test_linv_string_direction_exit_2(tmp_path, capsys):

@@ -5,6 +5,8 @@ paid on every request.  These checks run in fresh interpreters, since the
 test process itself has imported every module long before.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -15,8 +17,9 @@ import pytest
 
 import linvariants
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-MATHS = ("linv", "phin", "plethysm", "weylhecke", "sl2rep")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+MATHS = ("cg", "linv", "phin", "plethysm", "weylhecke", "slopes", "sl2rep")
 #: what every request loads besides its maths: the parser and the handlers' readers
 CLI = ["linvariants.cli", "linvariants.cliargs"]
 
@@ -83,9 +86,9 @@ def test_help_and_parse_errors_load_no_maths(argv, code):
     assert heavy == []
 
 
-@pytest.mark.parametrize("module", ["plethysm", "linv"])
+@pytest.mark.parametrize("module", ["plethysm", "linv", "cg", "slopes"])
 def test_library_import_loads_no_cli(module):
-    # the oracle and `linv` import `plethysm` as a library; its handlers load the CLI only when run
+    # the oracle and `linv` import `plethysm` as a library; the handlers load the CLI only when run
     loaded, _ = fresh(f"import json, sys\nimport linvariants.{module}\n{LOADED}")
     assert not set(CLI) & set(loaded)
 
@@ -94,19 +97,22 @@ def test_library_import_loads_no_cli(module):
     "argv",
     [
         ["bcoeff", "--n", "4", "--k", "2"],
-        ["cg", "--m", "2", "--n", "2", "--p", "2", "--table"],
-        ["cg", "--m", "2", "--n", "2", "--p", "2", "--u", "1", "--v", "1", "--w", "1"],
+        ["bcoeff", "--n", "4", "--k", "2", "--i", "1"],
+        ["--format", "csv", "bcoeff", "--n", "3", "--k", "1"],
         ["project-endo", "--n", "2", "--k", "1", "--diag", "[1, 2, 3]"],
     ],
 )
 def test_plethysm_requests_load_only_plethysm(argv):
+    # no `cg`: the B rows need none of the Clebsch-Gordan code
     loaded, heavy = request(argv)
     assert loaded == [*CLI, "linvariants.exactlin", "linvariants.plethysm"]
     assert heavy == []
 
 
-#: `weylhecke` shares the monomial group with `phin` and loads no `phin`
+#: `weylhecke` shares the monomial group with `phin` and loads no `phin`, nor `slopes`
 WEYLHECKE = [*CLI, "linvariants.exactlin", "linvariants.monomial", "linvariants.weylhecke"]
+#: the slope checks and obstruction orders use no Weyl group and no monomial
+SLOPES = [*CLI, "linvariants.exactlin", "linvariants.slopes"]
 
 
 @pytest.mark.parametrize(
@@ -127,11 +133,25 @@ WEYLHECKE = [*CLI, "linvariants.exactlin", "linvariants.monomial", "linvariants.
         ),
         pytest.param(
             ["slope", "--family", "hilbert", "--input", "-"],
-            '{"k": [3], "w": 1, "slopes": ["0"]}', WEYLHECKE, id="slope",
+            '{"k": [3], "w": 1, "slopes": ["0"]}', SLOPES, id="slope",
         ),
         pytest.param(
-            ["obstruction", "--exponents", "3,2,1,0", "--check-N", "6"], "", WEYLHECKE,
+            ["slope", "--family", "gsp", "--input", "-"],
+            '{"weights": [[5, 3]], "mu0": 0, "t": {"a": [0, 0], "a0": -1}, "slopes": [0],'
+            ' "find_twist": true}', SLOPES, id="slope-gsp",
+        ),
+        pytest.param(
+            ["obstruction", "--exponents", "3,2,1,0", "--check-N", "6"], "", SLOPES,
             id="obstruction",
+        ),
+        pytest.param(
+            ["cg", "--m", "2", "--n", "2", "--p", "2", "--u", "1", "--v", "1", "--w", "1"], "",
+            ["linvariants.cg", *CLI], id="cg",
+        ),
+        pytest.param(
+            # the whole table is `plethysm.cg_table`, where the benchmark's tracer reads its cache
+            ["cg", "--m", "2", "--n", "2", "--p", "2", "--table"], "",
+            ["linvariants.cg", *CLI, "linvariants.exactlin", "linvariants.plethysm"], id="cg-table",
         ),
         pytest.param(
             ["linv", "--family", "gsp4_spin", "--input", "-", "--compare-theorem", "B"],
@@ -154,8 +174,10 @@ def test_maths_requests_load_no_dataclasses(argv, stdin, modules):
         ["phin", "--case", "crystalline_split", "--n", "9", "--all-submodules"],
         ["hecke", "--all", "--g", "7", "--t", '{"a": [0, 0, 0, 0, 0, 0, 0], "a0": 0}'],
         ["linv", "--family", "hilbert", "--input", "no-such-file.json"],
+        ["cg", "--m", "151", "--n", "1", "--p", "1", "--u", "0", "--v", "0", "--w", "0"],
+        ["obstruction", "--exponents", ","],
     ],
-    ids=["plethysm", "phin", "weylhecke", "linv"],
+    ids=["plethysm", "phin", "weylhecke", "linv", "cg", "slopes"],
 )
 def test_handler_refusals_exit_2_through_the_entry_point(tmp_path, argv):
     # run as `__main__`, cli must catch the CliError its handlers raise: one
@@ -175,6 +197,35 @@ def test_oracle_import_loads_no_dataclasses():
     loaded, heavy = fresh(f"import json, sys\nimport linvariants.sl2rep\n{LOADED}")
     assert loaded == ["linvariants.exactlin", "linvariants.sl2rep"]
     assert heavy == []
+
+
+def _benchmark_names():
+    """(module, name) pairs the benchmark reads from `linvariants`: the attributes
+    perfbench/oracle.py calls on `plethysm` and `sl2rep`, and the tracer's caches."""
+    oracle = ast.parse((ROOT / "perfbench" / "oracle.py").read_text())
+    names = {
+        (node.value.id, node.attr) for node in ast.walk(oracle)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in ("plethysm", "sl2rep")
+    }
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    (caches,) = [node.value for node in tracing.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["CACHES"]]
+    return names, set(ast.literal_eval(caches))
+
+
+def test_the_names_the_benchmark_reads_stay_in_their_modules():
+    # the tracer finds a cache only in the module it names, and a traced
+    # request whose cache is missing writes no spans
+    calls, caches = _benchmark_names()
+    assert ("plethysm", "project_endomorphism_diagonal") in calls
+    assert ("sl2rep", "brute_force_project") in calls
+    assert ("plethysm", "cg_table") in caches
+    for module, name in calls | caches:
+        value = getattr(importlib.import_module(f"linvariants.{module}"), name)
+        assert value.__module__ == f"linvariants.{module}", (module, name)
+    for module, name in caches:
+        getattr(importlib.import_module(f"linvariants.{module}"), name).cache_info()
 
 
 def test_every_submodule_is_an_attribute_of_the_package():

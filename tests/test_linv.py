@@ -18,10 +18,10 @@ from linvariants.linv import (
     per_place_pairs,
     place_forms,
     rank1_combine,
-    theorem_evaluator,
     thm_c_coefficient,
 )
 from linvariants.plethysm import b_row
+from paper_displays import theorem_evaluator
 
 rng = random.Random(1009)
 

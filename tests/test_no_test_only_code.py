@@ -4,7 +4,7 @@ Each public top-level function and class of `src/linvariants/*.py` must be
 used somewhere besides its own definition, in `src/` or in the benchmark's
 `perfbench/*.py` (read only).  A use is an `ast.Name` or `ast.Attribute`
 node, so a mention in a docstring or comment does not count.  The paper
-displays the README names are kept in the library as named oracles.
+displays the README names are test code, in `tests/paper_displays.py`.
 
 Each public non-dunder method of a class in `src/` must likewise have an
 `ast.Attribute` use of its name outside its own definition.  The check goes
@@ -18,9 +18,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "linvariants").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
-
-#: paper displays the README names, checked by the tests, with no CLI caller
-NAMED_ORACLES = {"upi_eigenvalue_display", "theorem_evaluator"}
 
 
 def _used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -52,8 +49,6 @@ def test_every_public_src_definition_has_a_use():
     unused = []
     for path in SRC:
         for node in _public_definitions(trees[path]):
-            if node.name in NAMED_ORACLES:
-                continue
             if node.name not in uses_elsewhere[path] | _used_names(trees[path], skip=node):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == [], "public definitions with no use outside the tests: " + ", ".join(unused)
@@ -90,19 +85,6 @@ def test_every_public_src_method_has_a_use():
             if node.name not in elsewhere | _attribute_names(trees[path], skip=node):
                 unused.append(f"{path.name}:{node.lineno} {cls.name}.{node.name}")
     assert unused == [], "public methods with no use outside the tests: " + ", ".join(unused)
-
-
-def test_named_oracles_exist_and_have_no_src_caller():
-    # a named oracle that gains a caller no longer needs the exception
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in SRC}
-    defined = {node.name for tree in trees.values() for node in _public_definitions(tree)}
-    assert NAMED_ORACLES <= defined
-    for path, tree in trees.items():
-        for node in _public_definitions(tree):
-            if node.name in NAMED_ORACLES:
-                used = _used_names(tree, skip=node).union(
-                    *(_used_names(t) for p, t in trees.items() if p != path))
-                assert node.name not in used, node.name
 
 
 def test_guard_sees_through_docstrings():

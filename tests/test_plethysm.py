@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linvariants.cg import InvalidWeightTripleError, cg_coefficient, valid_triple
 from linvariants.plethysm import (
     BCOEFF_MAX_N,
     PROJECT_ENDO_MAX_N,
     DiagonalProjection,
-    InvalidWeightTripleError,
     b_coefficient,
     b_row,
-    cg_coefficient,
     cg_table,
     project_endomorphism_diagonal,
-    valid_triple,
 )
 from kernel_oracles import b_special, fraction_cg_table
 from linalg_oracle import project_endomorphism

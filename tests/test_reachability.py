@@ -27,9 +27,6 @@ SRC = Path(linvariants.__file__).parent  # as imported, so that it matches co_fi
 ALLOWED = {
     ("__init__.py", "__getattr__"): "the lazy submodule import of `linvariants.<name>`, "
     "which perfbench/traced.py and library users go through",
-    ("linv.py", "theorem_evaluator"): "a paper display kept as a named oracle",
-    ("weylhecke.py", "upi_eigenvalue_display"): "a paper display kept as a named oracle",
-    ("weylhecke.py", "c_constant"): "the constants of upi_eigenvalue_display",
     ("monomial.py", "EigenMonomial.__repr__"): "the monomial in test failure messages",
 }
 
