@@ -75,8 +75,7 @@ def _cmd_cg(args) -> tuple[dict, str | None, list | None]:
         if (args.u, args.v, args.w) != (None, None, None):
             raise CliError("--table and --u, --v, --w exclude each other")
         from .plethysm import cg_table
-        table = sorted(cg_table(m, n, p).items())
-        rows = [(*key, f"{x}/{d}" if d > 1 else str(x)) for key, (x, d) in table]
+        rows = [(*key, str(x)) for key, x in cg_table(m, n, p).items()]
         return {"m": m, "n": n, "p": p, "rows": rows}, "u,v,w,value", rows
     if args.u is None or args.v is None or args.w is None:
         raise CliError("either --table or all of --u --v --w are required")

@@ -13,53 +13,51 @@ k-a and i with n-i gives B_{n,k,n-i} = (-1)^k B_{n,k,i}: a row sums i <= n/2.
 C_{m,n,p}^{u,v,w} by the raising recurrence stated in `cg`, which holds a
 single entry, the triple check and the `cg` subcommand.  The table stays
 here because the benchmark's tracer reads its cache counters as
-`plethysm.cg_table`.  The tables hold integers: B itself, and each C as
-its reduced pair.
+`plethysm.cg_table`.  The tables hold integers: B itself, and each C, by
+the integrality identity in `cg_table`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial
 from typing import NamedTuple
 
 from .exactlin import DimensionMismatchError, rational
 
 
 @lru_cache(maxsize=None)
-def cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], tuple[int, int]]:
-    """The nonzero C_{m,n,p}^{u,v,w} of one weight triple, keyed (u, v, w),
-    each as its reduced pair (numerator, denominator > 0).
+def cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], int]:
+    """The nonzero C_{m,n,p}^{u,v,w} of one weight triple, keyed (u, v, w) in
+    sorted order.
 
-    T = w! C obeys T^{u,v,w} = u T^{u-1,v,w-1} + v T^{u,v-1,w-1}, which has
-    no division, so each layer w is built in integers from the one before
-    and reduced against w! once per stored entry.
+    Each C is an integer: unrolled, the recurrence gives the sum over a of
+    (-1)^{u-a} C(u,a) C(v,w-a) (m-u+a)! (n-v+w-a)!, as C(w,a) u!/(u-a)!
+    v!/(v-w+a)! / w! = C(u,a) C(v,w-a).  So (u C^{u-1,v,w-1} + v C^{u,v-1,w-1})
+    // w is exact.  It needs column u - 1 and the entry below in column u, so
+    the columns are filled in turn, each up in w: on the stratum, key order.
     """
     from .cg import InvalidWeightTripleError, valid_triple
     if not valid_triple(m, n, p):
         raise InvalidWeightTripleError(f"V_{p} does not occur in V_{m} (x) V_{n}")
     s0 = (m + n - p) // 2
-    values: dict[tuple[int, int, int], tuple[int, int]] = {}
-    # layer[u] = T^{u, s0 + w - u, w} on the stratum, 0 elsewhere
-    layer = [0] * (m + 1)
-    for u in range(max(0, s0 - n), min(m, s0) + 1):
-        layer[u] = (-1) ** u * factorial(m - u) * factorial(n - s0 + u)
-        values[(u, s0 - u, 0)] = (layer[u], 1)
-    w_factorial = 1
-    for w in range(1, p + 1):
-        target = s0 + w
-        w_factorial *= w
-        below, layer = layer, [0] * (m + 1)
-        for u in range(max(0, target - n), min(m, target) + 1):
-            v = target - u
-            # T^{u-1,v,w-1} is below[u-1] and T^{u,v-1,w-1} is below[u]; at
+    values: dict[tuple[int, int, int], int] = {}
+    # column[w] = C^{u, s0 + w - u, w} on the stratum, 0 elsewhere
+    column = [0] * (p + 1)
+    for u in range(m + 1):
+        left, column = column, [0] * (p + 1)
+        for w in range(max(0, u - s0), min(p, n + u - s0) + 1):
+            v = s0 + w - u
+            # C^{u-1,v,w-1} is left[w-1] and C^{u,v-1,w-1} is column[w-1]; at
             # u = 0 or v = 0 the factor in front is 0
-            acc = u * below[u - 1] + v * below[u]
-            if acc:
-                layer[u] = acc
-                common = gcd(acc, w_factorial)
-                values[(u, v, w)] = (acc // common, w_factorial // common)
+            if w:
+                c = (u * left[w - 1] + v * column[w - 1]) // w
+            else:
+                c = (-1) ** u * factorial(m - u) * factorial(n - v)
+            if c:
+                column[w] = c
+                values[(u, v, w)] = c
     return values
 
 

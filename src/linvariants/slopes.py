@@ -177,21 +177,30 @@ def exclusion_sufficient(orders: Iterable[int], n: int) -> bool:
 
 def _cmd_slope(args) -> tuple[dict, str | None, list | None]:
     from .cliargs import CliError, _has_keys, _load_input
+
+    def array(value, label: str) -> list:  # a domain error, as vector() gives for a string
+        if not isinstance(value, list):
+            raise TypeError(f"{label} must be a JSON array, not {value!r}")
+        return value
+
     if args.family == "hilbert":
         obj = _has_keys(_load_input(args), "--input", "k", "w", "slopes")
-        return {"noncritical": slope_check_hilbert(obj["k"], obj["w"], obj["slopes"])}, None, None
+        k, slopes = array(obj["k"], "k"), array(obj["slopes"], "slopes")
+        return {"noncritical": slope_check_hilbert(k, obj["w"], slopes)}, None, None
     obj = _has_keys(_load_input(args), "--input", "weights", "mu0", "t", "slopes")
     find_twist = obj.get("find_twist", False)
     if not isinstance(find_twist, bool):
         raise CliError(f"find_twist must be true or false, not {find_twist!r}")
+    weights = [array(mu, "each entry of weights") for mu in array(obj["weights"], "weights")]
+    slopes = array(obj["slopes"], "slopes")
     t_obj = _has_keys(obj["t"], "t", "a", "a0")
-    a = vector(t_obj["a"])
+    a = vector(array(t_obj["a"], "t.a"))
     if not a:
         raise ValueError("torus exponent needs g >= 1 entries a_1..a_g")
     t = (a, rational(t_obj["a0"]))
-    payload: dict = {"noncritical": slope_check_gsp(obj["weights"], obj["mu0"], t, obj["slopes"])}
+    payload: dict = {"noncritical": slope_check_gsp(weights, obj["mu0"], t, slopes)}
     if find_twist:
-        payload["twist"] = twist_search(obj["weights"], obj["mu0"], t, obj["slopes"])
+        payload["twist"] = twist_search(weights, obj["mu0"], t, slopes)
     return payload, None, None
 
 

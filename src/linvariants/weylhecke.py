@@ -23,15 +23,17 @@ chi_1...chi_g sigma^2 (p) = p^{mu_0}) and is contracted to round-trip.
 
 Half-integer p-exponents (the g(g+1)/4 term) are ordinary rational
 exponents of the EigenMonomial symbol 'p'; no square roots are adjoined.
+Both `hecke_diagonal` and the `hecke --all` sweep evaluate this closed form
+in integers over one denominator; the sweep adds up p's exponent by doubling.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exactlin import rational, vector
 from .monomial import EigenMonomial, monomial_product
@@ -84,12 +86,11 @@ class WeylElement(NamedTuple):
 
 @lru_cache(maxsize=None)
 def weyl_group(g: int) -> tuple[WeylElement, ...]:
-    """All 2^g g! elements, permutations in lexicographic order."""
-    elements = []
-    for nu in itertools.permutations(range(1, g + 1)):
-        for eps in itertools.product((1, -1), repeat=g):
-            elements.append(WeylElement(nu, eps))
-    return tuple(elements)
+    """All 2^g g! elements: permutations in lexicographic order, each with the sign
+    vectors of product((1, -1), repeat=g), built without a Python call apiece."""
+    pairs = itertools.product(itertools.permutations(range(1, g + 1)),
+                              itertools.product((1, -1), repeat=g))
+    return tuple(map(partial(tuple.__new__, WeylElement), pairs))
 
 
 class TorusExponent(NamedTuple):
@@ -141,71 +142,34 @@ class CharacterData(NamedTuple):
         return monomial_product((*self.chi, self.sigma**2))
 
 
-def hecke_numerators(chi: CharacterData, t: TorusExponent) -> tuple[int, Callable]:
-    """(D^2, numerators): numerators(w) lists the nonzero (symbol, exponent
-    times D^2) pairs, sorted by symbol, of the diagonal eigenvalue of U_t on
-    the basis vector indexed by w.
-
-    D is the lcm of 4 and every denominator in t, chi and sigma, so every
-    exponent is an integer numerator over D^2.  Slot j of the conjugated
-    torus holds s = a_i or a_0 - a_i for i = nu(j), as eps(i) says, and
-    brings p^{-(g+1-j) s} chi_j^s.  So the g slot rows and the 2g values s
-    are built once per (chi, t), and each w adds its g rows, scaled by their
-    values, to p^{g(g+1)/4 a_0} sigma^{a_0}.
-    """
-    g = chi.g
-    if t.g != g:
-        raise ValueError("ranks differ")
-    denominators = [x.denominator for x in (*t.a, t.a0)]
-    for value in (chi.sigma, *chi.chi):
-        denominators += [e.denominator for _, e in value.exponents]
-    d = lcm(4, *denominators)
-
-    def numerator(x) -> int:
-        return x.numerator * (d // x.denominator)
-
-    def add(exps: dict, value: EigenMonomial, power: int) -> dict:
-        for sym, e in value.exponents:
-            exps[sym] = exps.get(sym, 0) + numerator(e) * power
-        return exps
-
-    a0 = numerator(t.a0)
-    base = add({"p": g * (g + 1) * (d // 4) * a0}, chi.sigma, a0)
-    slot_maps = [add({"p": -(g + 1 - j) * d}, chi_j, 1) for j, chi_j in enumerate(chi.chi, 1)]
-    sources = [{1: numerator(a), -1: a0 - numerator(a)} for a in t.a]
-    # each symbol has a fixed place, so each w adds into a list in symbol order
-    symbols = sorted(set(base).union(*slot_maps))
-    place = {sym: n for n, sym in enumerate(symbols)}
-    start = [base.get(sym, 0) for sym in symbols]
-    slots = [[(place[sym], c) for sym, c in slot.items()] for slot in slot_maps]
-
-    def numerators(w: WeylElement) -> list[tuple[str, int]]:
-        if w.g != g:
-            raise ValueError("ranks differ")
-        exps = start[:]
-        for slot, i in zip(slots, w.nu):
-            s = sources[i - 1][w.eps[i - 1]]
-            for n, c in slot:
-                exps[n] += c * s
-        return [(sym, x) for sym, x in zip(symbols, exps) if x]
-
-    return d * d, numerators
-
-
-def hecke_diagonals(
-    chi: CharacterData, t: TorusExponent, ws: Iterable[WeylElement]
-) -> Iterator[EigenMonomial]:
-    """Yield the diagonal eigenvalues of U_t on the basis vectors indexed by ws,
-    one at a time and in the order of ws, from `hecke_numerators`."""
-    d2, numerators = hecke_numerators(chi, t)
-    exponent = lru_cache(maxsize=None)(lambda x: Fraction(x, d2))
-    for w in ws:
-        yield EigenMonomial(tuple((sym, exponent(x)) for sym, x in numerators(w)))
+def _torus_numerators(t: TorusExponent, d: int) -> tuple[int, list[tuple[int, int]]]:
+    """a_0 and, for each i, the pair (a_i, a_0 - a_i) that eps(i) = 1, -1 picks,
+    as numerators over d: slot j of (nu, eps) . t holds one of them, i = nu(j).
+    With 4 | a_0 the p-exponent g(g+1)/4 a_0 - sum_j (g+1-j) s_j is one too."""
+    a0 = t.a0.numerator * (d // t.a0.denominator)
+    return a0, [(x, a0 - x) for x in (a.numerator * (d // a.denominator) for a in t.a)]
 
 
 def hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> EigenMonomial:
-    """Diagonal eigenvalue of U_t on the basis vector indexed by w."""
-    return next(hecke_diagonals(chi, t, (w,)))
+    """Diagonal eigenvalue of U_t on the basis vector indexed by w.
+
+    The closed form's exponent vector (s_1..s_g, a_0 and the p-exponent) is
+    taken over d = 4 lcm(every denominator in t, chi and sigma), and chi and
+    sigma, over d too, carry it onto their symbols as numerators over d^2.
+    """
+    g = chi.g
+    if t.g != g or w.g != g:
+        raise ValueError("ranks differ")
+    exponents = [e for value in (chi.sigma, *chi.chi) for _, e in value.exponents]
+    d = 4 * lcm(*(x.denominator for x in (*t.a, t.a0, *exponents)))
+    a0, pairs = _torus_numerators(t, d)
+    s = [pairs[i - 1][w.eps[i - 1] < 0] for i in w.nu]
+    exps = {"p": (g * (g + 1) * (a0 // 4) - sum(q * x for q, x in zip(range(g, 0, -1), s))) * d}
+    for value, power in ((chi.sigma, a0), *zip(chi.chi, s)):
+        for sym, e in value.exponents:
+            exps[sym] = exps.get(sym, 0) + e.numerator * (d // e.denominator) * power
+    exponent = lru_cache(maxsize=None)(lambda x: Fraction(x, d * d))
+    return EigenMonomial(tuple(sorted((sym, exponent(x)) for sym, x in exps.items() if x)))
 
 
 def c_g_constant(g: int, w: WeylElement) -> Fraction:
@@ -289,8 +253,10 @@ def recover_characters(
     return recovered
 
 
-#: `hecke --all` prints 2^g g! rows; one step past the cap costs over 200 MB
+#: `hecke --all` prints 2^g g! rows, at g = 6 in about 0.6 s and 65 MB; indented
+#: they take over 200 MB to print, so pretty stops at g = 5 (costs in the README)
 HECKE_ALL_MAX_G = 6
+HECKE_ALL_PRETTY_MAX_G = 5
 #: largest `recover-chi` g, about 10 s and 100 MB (the cost table is in CHANGES.md)
 RECOVER_CHI_MAX_G = 500
 
@@ -302,31 +268,59 @@ def _weyl_from_args(args, g: int) -> WeylElement:
     return WeylElement.from_json(_json_keys(args.weyl, "--weyl", "nu", "eps"))
 
 
+def hecke_table(t: TorusExponent) -> list[dict]:
+    """The `hecke --all` entries of the generic character, in `weyl_group` order.
+
+    Every exponent is a numerator over d = 4 lcm(denominators of t): chi_j's
+    is one of the 2g values s = a_i, a_0 - a_i, whose strings are made once,
+    sigma's is a_0, and only p's is a sum, built per permutation by doubling.
+    """
+    g = t.g
+    d = 4 * lcm(*(x.denominator for x in (*t.a, t.a0)))
+    a0, pairs = _torus_numerators(t, d)
+
+    @lru_cache(maxsize=None)
+    def text(x: int) -> str:  # str(Fraction(x, d))
+        common = gcd(x, d)
+        return f"{x // common}/{d // common}" if common < d else str(x // common)
+
+    # the chi exponents of each sign vector in sign order i, then sigma's; which are nonzero
+    texts = list(itertools.product(*[(text(x), text(y)) for x, y in pairs], [text(a0)]))
+    nonzero = [[x != "0" for x in row] for row in texts]
+    eps_json = [list(eps) for eps in itertools.product((1, -1), repeat=g)]
+    elements, entries = weyl_group(g), []
+    for start in range(0, len(elements), 2**g):
+        nu = elements[start].nu
+        ps, names, nu_json = [g * (g + 1) * (a0 // 4)], [], list(nu)
+        for i, j in sorted(zip(nu, range(1, g + 1))):  # sign i picks s_j, nu(j) = i
+            names.append(f"chi_{j}")
+            terms = [(g + 1 - j) * y for y in pairs[i - 1]]
+            ps = [x - y for x in ps for y in terms]  # so the last sign changes fastest
+        names.append("sigma")
+        for row, keep, p, eps in zip(texts, nonzero, ps, eps_json):
+            value = dict(itertools.compress(zip(names, row), keep))
+            if p:
+                value["p"] = text(p)
+            entries.append({"weyl": {"nu": nu_json, "eps": eps}, "value": value})
+    return entries
+
+
 def _cmd_hecke(args) -> tuple[dict, str | None, list | None]:
     from .cliargs import CliError, _json_keys, _monomial_json
     g = args.g
     if args.all and g > HECKE_ALL_MAX_G:
         raise CliError(f"--all lists 2^g g! Weyl elements; g > {HECKE_ALL_MAX_G} is refused")
+    if args.all and args.format == "pretty" and g > HECKE_ALL_PRETTY_MAX_G:
+        raise CliError(f"--all with --format pretty at g > {HECKE_ALL_PRETTY_MAX_G} is refused")
     t_obj = _json_keys(args.t, "--t", "a", "a0")
     t = TorusExponent.make(t_obj["a"], t_obj["a0"])
     if t.g != g:
         raise CliError("torus exponent length differs from g")
-    chi = CharacterData.generic(g)
     if args.all:
         if args.weyl is not None:
             raise CliError("--weyl and --all exclude each other")
-        d2, numerators = hecke_numerators(chi, t)
-
-        @lru_cache(maxsize=None)
-        def text(x: int) -> str:  # str(Fraction(x, d2)), made once per numerator
-            common = gcd(x, d2)
-            return f"{x // common}/{d2 // common}" if common < d2 else str(x // common)
-
-        entries = [
-            {"weyl": w.to_json(), "value": {sym: text(x) for sym, x in numerators(w)}}
-            for w in weyl_group(g)
-        ]
-        return {"g": g, "eigenvalues": entries}, None, None
+        return {"g": g, "eigenvalues": hecke_table(t)}, None, None
+    chi = CharacterData.generic(g)
     w = _weyl_from_args(args, g)
     value = hecke_diagonal(chi, t, w)
     return {"g": g, "weyl": w.to_json(), "value": _monomial_json(value)}, None, None

@@ -1,22 +1,35 @@
 """The `Fraction` loops the integer kernels replaced, kept as test oracles.
 
-`weylhecke.hecke_numerators` sums integer numerators over one common
-denominator for many Weyl elements at once, `plethysm.cg_table` runs the
-raising recurrence on w! C in integers, and `plethysm.b_row` walks the
-B_{n,k,i} sum by its term ratios.  The functions below compute the same
-values the plain way, one `Fraction` operation at a time: the Weyl action on
-torus exponents, the diagonal eigenvalue of one Weyl element from it, the
-recurrence on C itself with one division per entry, and every summand of B
-from its binomials and factorials.  `b_special`, the paper's special values
+`weylhecke.weyl_group` builds its elements from one product of iterators,
+`weylhecke.hecke_diagonal` and `hecke --all` sum integer numerators over one
+common denominator (the sweep doubling its p-exponents once per sign),
+`plethysm.cg_table` runs the raising recurrence on C in integers with exact
+floor divisions, and `plethysm.b_row` walks the B_{n,k,i} sum by its term
+ratios.  The functions below compute the same values the plain way, one
+`Fraction` operation at a time: the Weyl group by nested loops, the Weyl
+action on torus exponents, the diagonal eigenvalue of one Weyl element from
+it, the recurrence on C with one `Fraction` division per entry, and every
+summand of B from its binomials and factorials.  `b_special`, the paper's special values
 of B for k >= n-2, is the second oracle of the B rows.
 """
 
+import itertools
 from fractions import Fraction
 from math import comb, factorial
 
 from linvariants.phin import EigenMonomial
 from linvariants.cg import InvalidWeightTripleError, valid_triple
 from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement
+
+
+def nested_loop_weyl_group(g: int) -> tuple[WeylElement, ...]:
+    """All 2^g g! elements: for each permutation in lexicographic order, every
+    sign vector of product((1, -1), repeat=g)."""
+    elements = []
+    for nu in itertools.permutations(range(1, g + 1)):
+        for eps in itertools.product((1, -1), repeat=g):
+            elements.append(WeylElement(nu, eps))
+    return tuple(elements)
 
 
 def weyl_conjugate(w: WeylElement, t: TorusExponent) -> TorusExponent:

@@ -288,5 +288,5 @@ def project_endomorphism(t: EndoElement, k: int) -> RepVector:
             for w in range(2 * k + 1):
                 coeff = table.get((i, n - j, w))
                 if coeff:
-                    out[w] += scale * Fraction(*coeff)
+                    out[w] += scale * coeff
     return RepVector(2 * k, tuple(out))

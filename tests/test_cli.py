@@ -83,7 +83,7 @@ def cube_scan_rows(m, n, p):
     for u in range(m + 1):
         for v in range(n + 1):
             for w in range(p + 1):
-                value = Fraction(*table.get((u, v, w), (0, 1)))
+                value = table.get((u, v, w), 0)
                 if value:
                     rows.append((u, v, w, str(value)))
     return rows
@@ -209,6 +209,7 @@ def test_exponential_listing_past_its_cap_exits_2_at_once(capsys, argv):
         ("bcoeff", "--n", "601", "--k", "300"),
         ("bcoeff", "--n", "1000000", "--k", "1", "--i", "0"),
         ("cg", "--m", "151", "--n", "151", "--p", "150", "--table"),
+        ("--format", "pretty", "hecke", "--g", "6", "--t", json.dumps({"a": [1] * 6, "a0": 0}), "--all"),
         ("cg", "--m", "1", "--n", "1000", "--p", "1000", "--u", "0", "--v", "0", "--w", "0"),
         ("project-endo", "--n", "251", "--k", "1", "--diag", "[1]"),
         ("recover-chi", "--g", "501", "--eigs", json.dumps([{"p": "0"}] * 501),
@@ -380,15 +381,18 @@ def compact(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-#: integer tori for g = 1..4 (common denominator 4), and a rational one with
-#: denominators 3 and 2, so that the exponents are numerators over 12^2
+#: integer tori for g = 1..4 (common denominator 4), a rational one with
+#: denominators 3 and 2, and at g = 5 one with a_0 = 0 (sigma drops out), one
+#: with an entry past 2^64 and a rational one
 HECKE_ALL_TORI = {g: ([g - j for j in range(g)], -1 - g % 2) for g in range(1, 5)}
 HECKE_ALL_TORI["rational"] = (["5/3", "2/3", "1/2"], "-1/2")
+HECKE_ALL_TORI["g5-a0-zero"] = ([3, 1, 0, -2, -5], 0)
+HECKE_ALL_TORI["g5-past-2^64"] = ([str(2**70 + 3), "-7/2", 0, 5, str(-(2**65))], str(2**66 + 1))
+HECKE_ALL_TORI["g5-rational"] = (["9/4", "-5/6", "1/3", "0", "7/10"], "-3/5")
 
 
-@pytest.mark.parametrize("torus", HECKE_ALL_TORI)
-def test_hecke_all_stdout_equals_the_fraction_loop(capsys, torus):
-    a, a0 = HECKE_ALL_TORI[torus]
+def fraction_loop_payload(a, a0) -> dict:
+    """The `hecke --all` payload, one `fraction_hecke_diagonal` per Weyl element."""
     g = len(a)
     chi, t = CharacterData.generic(g), TorusExponent.make(a, a0)
     rows = []
@@ -399,9 +403,40 @@ def test_hecke_all_stdout_equals_the_fraction_loop(capsys, torus):
                 "weyl": {"nu": list(nu), "eps": list(eps)},
                 "value": {sym: str(e) for sym, e in sorted(value.exponents)},
             })
-    argv = ["hecke", "--g", str(g), "--t", json.dumps({"a": a, "a0": a0}), "--all"]
+    return {"g": g, "eigenvalues": rows}
+
+
+@pytest.mark.parametrize("torus", HECKE_ALL_TORI)
+def test_hecke_all_stdout_equals_the_fraction_loop(capsys, torus):
+    a, a0 = HECKE_ALL_TORI[torus]
+    argv = ["hecke", "--g", str(len(a)), "--t", json.dumps({"a": a, "a0": a0}), "--all"]
     assert main(argv) == 0
-    assert capsys.readouterr().out == compact({"g": g, "eigenvalues": rows})
+    assert capsys.readouterr().out == compact(fraction_loop_payload(a, a0))
+
+
+def test_hecke_all_pretty_stdout_equals_the_fraction_loop(capsys):
+    a, a0 = HECKE_ALL_TORI["g5-rational"]
+    argv = ["--format", "pretty", "hecke", "--g", "5", "--t", json.dumps({"a": a, "a0": a0}), "--all"]
+    assert main(argv) == 0
+    payload = fraction_loop_payload(a, a0)
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_hecke_all_at_g6_equals_the_fraction_loop_on_a_sample(capsys):
+    # all 46080 rows in order; the Fraction loop checks every permutation with
+    # a random sign vector, and every sign vector of the identity and the reversal
+    g = 6
+    a, a0 = ["7/2", "-1/3", "5", "0", "-9/4", "2/5"], "-7/6"
+    assert main(["hecke", "--g", "6", "--t", json.dumps({"a": a, "a0": a0}), "--all"]) == 0
+    rows = json.loads(capsys.readouterr().out)["eigenvalues"]
+    signs = list(itertools.product((1, -1), repeat=g))
+    elements = [(nu, eps) for nu in itertools.permutations(range(1, g + 1)) for eps in signs]
+    assert [(tuple(r["weyl"]["nu"]), tuple(r["weyl"]["eps"])) for r in rows] == elements
+    chi, t = CharacterData.generic(g), TorusExponent.make(a, a0)
+    sample = [k * 64 + rng.randrange(64) for k in range(720)] + [*range(64), *range(719 * 64, 720 * 64)]
+    for k in sample:
+        value = fraction_hecke_diagonal(chi, t, WeylElement(*elements[k]))
+        assert rows[k]["value"] == {sym: str(e) for sym, e in value.exponents}
 
 
 @pytest.mark.parametrize("m, n, p", [(2, 2, 2), (7, 4, 5), (12, 12, 0), (25, 18, 21), (40, 40, 38)])
@@ -857,9 +892,18 @@ GSP_SLOPE = {"weights": [[5, 3]], "mu0": 0, "t": {"a": [0, 0], "a0": -1}, "slope
         ("gsp", {**GSP_SLOPE, "t": {"a": [0, 0]}}, "t needs the key 'a0'"),
         # indexing a list by "a" used to print Python's own complaint
         ("gsp", {**GSP_SLOPE, "t": [1]}, "t must be a JSON object, not [1]"),
+        # len() or iteration of a non-array used to print Python's own complaint
+        ("hilbert", {"k": 4, "w": 0, "slopes": [0]}, "k must be a JSON array, not 4"),
+        ("hilbert", {"k": [4], "w": 0, "slopes": 0}, "slopes must be a JSON array, not 0"),
+        ("gsp", {**GSP_SLOPE, "weights": [5]}, "each entry of weights must be a JSON array, not 5"),
+        ("gsp", {**GSP_SLOPE, "weights": {"mu": [5, 3]}},
+         "weights must be a JSON array, not {'mu': [5, 3]}"),
+        ("gsp", {**GSP_SLOPE, "slopes": "0"}, "slopes must be a JSON array, not '0'"),
+        ("gsp", {**GSP_SLOPE, "t": {"a": 0, "a0": -1}}, "t.a must be a JSON array, not 0"),
     ],
     ids=["find-twist-string", "find-twist-int", "no-places", "k-string", "k-float", "k-bool",
-         "missing-w", "missing-weights", "missing-a0", "t-list"],
+         "missing-w", "missing-weights", "missing-a0", "t-list", "k-int", "hilbert-slopes-int",
+         "weights-entry-int", "weights-object", "gsp-slopes-string", "t-a-int"],
 )
 def test_slope_input_refusals_name_the_field(tmp_path, capsys, family, obj, message):
     path = write_json(tmp_path, obj)

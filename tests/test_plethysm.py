@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as F
-from math import comb, factorial, gcd
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -44,18 +44,21 @@ def test_off_stratum_vanishes():
                     assert (u, v, w) not in table
 
 
-def fraction_table(m, n, p):
-    """cg_table with each (numerator, denominator) pair as a Fraction."""
-    return {key: F(*pair) for key, pair in cg_table(m, n, p).items()}
-
-
 def assert_same_table(m, n, p):
     table, oracle = cg_table(m, n, p), fraction_cg_table(m, n, p)
     assert table.keys() == oracle.keys(), (m, n, p)
-    assert fraction_table(m, n, p) == oracle, (m, n, p)
-    # each pair is the reduced fraction: a nonzero int over a coprime positive int
-    assert all(type(x) is type(d) is int and x and d > 0 and gcd(x, d) == 1
-               for x, d in table.values())
+    assert table == oracle, (m, n, p)
+    # every entry is a nonzero int, and `cg --table` prints them in the table's order
+    assert all(type(x) is int and x for x in table.values())
+    assert list(table) == sorted(table), (m, n, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 30), st.integers(0, 30))
+def test_cg_table_holds_ints_in_sorted_key_order(m, n):
+    # C(w,a) u!/(u-a)! v!/(v-w+a)! / w! = C(u,a) C(v,w-a): no entry has a denominator
+    for p in range(abs(m - n), m + n + 1, 2):
+        assert_same_table(m, n, p)
 
 
 @pytest.mark.parametrize("m", range(0, 17))
@@ -74,11 +77,11 @@ def test_integer_table_equals_fraction_recurrence_at_large_sizes(m, n, p):
 def test_closed_coefficient_equals_table(m):
     for n in range(13):
         for p in range(abs(m - n), min(m + n, 12) + 1, 2):
-            table = fraction_table(m, n, p)
+            table = cg_table(m, n, p)
             for u in range(m + 1):
                 for v in range(n + 1):
                     for w in range(p + 1):
-                        expected = table.get((u, v, w), F(0))
+                        expected = table.get((u, v, w), 0)
                         assert cg_coefficient(m, n, p, u, v, w) == expected
 
 
@@ -103,12 +106,12 @@ def test_one_recurrence_step_example():
     [(m, n, p) for m in range(0, 6) for n in range(0, 6) for p in range(abs(m - n), m + n + 1, 2)],
 )
 def test_both_recurrences_hold(m, n, p):
-    table = fraction_table(m, n, p)
+    table = cg_table(m, n, p)
 
     def c(u, v, w):
         if 0 <= u <= m and 0 <= v <= n and 0 <= w <= p:
-            return table.get((u, v, w), F(0))
-        return F(0)
+            return table.get((u, v, w), 0)
+        return 0
 
     for u in range(m + 1):
         for v in range(n + 1):

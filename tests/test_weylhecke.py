@@ -27,12 +27,11 @@ from linvariants.weylhecke import (
     beta,
     c_g_constant,
     hecke_diagonal,
-    hecke_diagonals,
     normalized_eigenvalues,
     recover_characters,
     weyl_group,
 )
-from kernel_oracles import fraction_hecke_diagonal, weyl_conjugate
+from kernel_oracles import fraction_hecke_diagonal, nested_loop_weyl_group, weyl_conjugate
 from paper_displays import c_constant, upi_eigenvalue_display
 
 rng = random.Random(60)
@@ -62,6 +61,15 @@ def test_weyl_group_size(g):
     elements = weyl_group(g)
     assert len(elements) == 2**g * factorial(g)
     assert len(set(elements)) == len(elements)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_weyl_group_equals_the_nested_loops(g):
+    # same elements in the same order, each a WeylElement of int tuples
+    elements, oracle = weyl_group(g), nested_loop_weyl_group(g)
+    assert type(elements) is tuple and elements == oracle
+    assert all(type(w) is WeylElement for w in elements)
+    assert all(type(w.nu) is tuple and type(w.eps) is tuple for w in elements)
 
 
 @pytest.mark.parametrize("g", range(1, 5))
@@ -235,8 +243,8 @@ def non_generic_characters(g):
 
 @pytest.mark.parametrize("g", range(1, 6))
 def test_hecke_diagonal_equals_monomial_product(g):
-    # the integer sweep over every Weyl element against the Fraction loop and
-    # the EigenMonomial product; at g = 5 one character and one torus
+    # the integer exponent vector at every Weyl element against the Fraction
+    # loop and the EigenMonomial product; at g = 5 one character and one torus
     elements = weyl_group(g)
     x = EigenMonomial.symbol("x")
     # x cancels between chi_1 and chi_2 wherever a'_{nu(1)} = a'_{nu(2)}
@@ -263,39 +271,33 @@ def test_hecke_diagonal_equals_monomial_product(g):
     if g == 5:
         cases = [(characters[2], tori[2])]
     for chi, t in cases:
-        values = list(hecke_diagonals(chi, t, elements))
-        assert len(values) == len(elements)
-        for w, value in zip(elements, values):
+        for w in elements:
+            value = hecke_diagonal(chi, t, w)
             assert value == fraction_hecke_diagonal(chi, t, w) == product_hecke_diagonal(chi, t, w)
             assert all(e for _, e in value.exponents), "zero exponents are dropped"
-        w = rng.choice(elements)
-        assert hecke_diagonal(chi, t, w) == fraction_hecke_diagonal(chi, t, w)
 
 
-def test_hecke_diagonals_at_g6():
-    # the largest `hecke --all` sweeps all 46080 elements; the Fraction loop
-    # checks every permutation with a random sign vector, and every sign
-    # vector of the identity and of the reversal
+def test_hecke_diagonal_at_g6():
+    # a non-generic character at g = 6: the Fraction loop checks every
+    # permutation with a random sign vector, and every sign vector of the
+    # identity and of the reversal (the `hecke --all` sweep is checked in test_cli)
     g = 6
-    elements = weyl_group(g)
     chi = non_generic_characters(g)[0]
     t = random_rational_torus(g)
-    values = dict(zip(elements, hecke_diagonals(chi, t, elements)))
     signs = list(itertools.product((1, -1), repeat=g))
     sample = [WeylElement(nu, rng.choice(signs)) for nu in itertools.permutations(range(1, g + 1))]
     for nu in ((1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1)):
         sample += [WeylElement(nu, eps) for eps in signs]
     for w in sample:
-        assert values[w] == fraction_hecke_diagonal(chi, t, w)
+        assert hecke_diagonal(chi, t, w) == fraction_hecke_diagonal(chi, t, w)
 
 
-def test_hecke_diagonals_rank_checks():
+def test_hecke_diagonal_rank_checks():
     chi = CharacterData.generic(2)
     with pytest.raises(ValueError, match="ranks differ"):
-        list(hecke_diagonals(chi, TorusExponent.make([0, 0, 0], 0), ()))
+        hecke_diagonal(chi, TorusExponent.make([0, 0, 0], 0), WeylElement.identity(2))
     with pytest.raises(ValueError, match="ranks differ"):
-        list(hecke_diagonals(chi, TorusExponent.make([0, 0], 0), (WeylElement.identity(3),)))
-    assert list(hecke_diagonals(chi, TorusExponent.make([0, 0], 0), ())) == []
+        hecke_diagonal(chi, TorusExponent.make([0, 0], 0), WeylElement.identity(3))
 
 
 @pytest.mark.parametrize("g", (2, 3))
