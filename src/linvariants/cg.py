@@ -12,8 +12,8 @@ with the raising-operator recurrence
     C^{u,v,w} = (u C^{u-1,v,w-1} + v C^{u,v-1,w-1}) / w        (w >= 1)
 
 fills the whole table (`plethysm.cg_table`); unrolled down to w = 0 it
-gives one entry as an O(w) sum (`cg_coefficient`).  The lowering-operator
-recurrence
+gives one entry as an O(w) sum of integers (`cg_coefficient`).  The
+lowering-operator recurrence
 
     (p-w) C^{u,v,w} = (m-u) C^{u+1,v,w+1} + (n-v) C^{u,v+1,w+1}
 
@@ -23,8 +23,7 @@ A single entry loads no `plethysm`; `cg --table` loads it for the table.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial
 
 
 class InvalidWeightTripleError(ValueError):
@@ -40,30 +39,30 @@ def valid_triple(m: int, n: int, p: int) -> bool:
     )
 
 
-def cg_coefficient(m: int, n: int, p: int, u: int, v: int, w: int) -> Fraction:
+def cg_coefficient(m: int, n: int, p: int, u: int, v: int, w: int) -> int:
     """One C_{m,n,p}^{u,v,w}: the raising recurrence unrolled down to w = 0,
 
-        C^{u,v,w} = (1/w!) sum_a C(w,a) u!/(u-a)! v!/(v-w+a)! C^{u-a, v-w+a, 0},
+        C^{u,v,w} = sum_a (-1)^{u-a} C(u,a) C(v,w-a) (m-u+a)! (n-v+w-a)!,
 
-    a of the w steps lowering u, with C^{u',v',0} = (-1)^{u'} (m-u')! (n-v')!
-    and 0 off the stratum.  `plethysm.cg_table` is its oracle in the tests.
+    a of the w steps lowering u, from C^{u',v',0} = (-1)^{u'} (m-u')! (n-v')!:
+    the a-th term's C(w,a) u!/(u-a)! v!/(v-w+a)! / w! is C(u,a) C(v,w-a).  It
+    is 0 off the stratum.  `plethysm.cg_table` is its oracle in the tests.
     """
     if not valid_triple(m, n, p):
         raise InvalidWeightTripleError(f"V_{p} does not occur in V_{m} (x) V_{n}")
     if not (0 <= u <= m and 0 <= v <= n and 0 <= w <= p):
         raise ValueError(f"indices out of range for V_{m} x V_{n} -> V_{p}")
     if u + v - w != (m + n - p) // 2:
-        return Fraction(0)
-    total = sum(
-        comb(w, a) * perm(u, a) * perm(v, w - a)
-        * (-1) ** (u - a) * factorial(m - u + a) * factorial(n - v + w - a)
+        return 0
+    return sum(
+        (-1) ** (u - a) * comb(u, a) * comb(v, w - a)
+        * factorial(m - u + a) * factorial(n - v + w - a)
         for a in range(max(0, w - v), min(u, w) + 1)
     )
-    return Fraction(total, factorial(w))
 
 
 #: largest index of `cg`, about 10 s and 100 MB at most (the cost table is
-#: in CHANGES.md)
+#: in the README)
 CG_MAX_INDEX = 150
 
 

@@ -24,12 +24,18 @@ from .cliargs import CliError, _int
 
 
 def _emit(payload, fmt: str, csv_header: str | None = None, csv_rows=None) -> str:
-    if fmt == "json":
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """`payload` in `fmt`; a payload that is a string is already compact, key-sorted JSON text."""
     if fmt == "csv":
         if csv_header is None or csv_rows is None:
             raise CliError("csv output is only available for table commands")
         return "\n".join([csv_header, *(",".join(str(x) for x in row) for row in csv_rows)])
+    if isinstance(payload, str):
+        if fmt == "json":
+            return payload
+        payload = json.loads(payload)
+    if fmt == "json":
+        # every payload is a tree built for this request, so no cycle check
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)
     return json.dumps(payload, sort_keys=True, indent=2)
 
 

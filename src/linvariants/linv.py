@@ -332,7 +332,7 @@ def data_for_theorem(which: str, n: int | None = None) -> TriangulationData:
 
 
 #: per family, the `params` key of its rank and that rank's cap, each about
-#: 10 s and 100 MB at most (the cost table is in CHANGES.md)
+#: 10 s and 100 MB at most (the cost table is in the README)
 LINV_RANK_CAPS = {"gsp_std": ("g", 200), "unitary": ("n", 100)}
 
 

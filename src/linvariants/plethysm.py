@@ -14,17 +14,18 @@ C_{m,n,p}^{u,v,w} by the raising recurrence stated in `cg`, which holds a
 single entry, the triple check and the `cg` subcommand.  The table stays
 here because the benchmark's tracer reads its cache counters as
 `plethysm.cg_table`.  The tables hold integers: B itself, and each C, by
-the integrality identity in `cg_table`.
+the integrality identity in `cg_table`.  Only the diagonal projection takes
+rationals, so only it imports `fractions` and `exactlin`, when it runs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .exactlin import DimensionMismatchError, rational
+if TYPE_CHECKING:  # the integer requests load no `fractions`
+    from fractions import Fraction
 
 
 @lru_cache(maxsize=None)
@@ -111,6 +112,8 @@ def project_endomorphism_diagonal(n: int, k: int, diag) -> DiagonalProjection:
     coefficient sum_i B_{n,k,i} diag_i, and the k coefficients of g_{2k,u},
     u > k, are 0.  The tests check this against the full projection.
     """
+    from fractions import Fraction
+    from .exactlin import DimensionMismatchError, rational
     diag = [rational(d) for d in diag]
     if len(diag) != n + 1:
         raise DimensionMismatchError(f"diagonal must have length {n + 1}")
@@ -121,7 +124,7 @@ def project_endomorphism_diagonal(n: int, k: int, diag) -> DiagonalProjection:
 
 
 #: largest sizes of the polynomial-cost tables, each about 10 s and 100 MB
-#: at most (the cost table is in CHANGES.md): `bcoeff` n and `project-endo` n
+#: at most (the cost table is in the README): `bcoeff` n and `project-endo` n
 BCOEFF_MAX_N = 600
 PROJECT_ENDO_MAX_N = 250
 
@@ -145,6 +148,7 @@ def _cmd_bcoeff(args) -> tuple[dict, str | None, list | None]:
 
 def _cmd_project_endo(args) -> tuple[dict, str | None, list | None]:
     from .cliargs import CliError, _cap, _parse_json_arg
+    from .exactlin import rational
     _cap(args.n, PROJECT_ENDO_MAX_N, "project-endo --n")
     diag = _parse_json_arg(args.diag, "--diag")
     if not isinstance(diag, list):

@@ -3,18 +3,19 @@
 None of this needs the Weyl group or a Hecke eigenvalue.  A slope check
 reads the torus exponent t = (p^{a_1}, ..., p^{a_g}; p^{a_0}) as the pair
 (a, a_0) of its exponents, which a `weylhecke.TorusExponent` is too, and
-the obstruction orders read integer exponents.  So a `slope` or an
-`obstruction` request compiles this module and `exactlin` only.
+the obstruction orders read integer exponents.  So a `slope` request
+compiles this module and `exactlin` only, and an `obstruction` request this
+module alone: the slope functions import `fractions` and `exactlin` when they run.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import ceil, comb, floor, isqrt
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .exactlin import rational, vector
+if TYPE_CHECKING:  # the integer requests load no `fractions`
+    from fractions import Fraction
 
 
 class NonDominantError(ValueError):
@@ -23,6 +24,7 @@ class NonDominantError(ValueError):
 
 def weight_exponent(mu: Sequence[Fraction], mu0: Fraction, t) -> Fraction:
     """v_p of the highest-weight character (mu_1..mu_g; mu_0) at t = (a, a_0)."""
+    from .exactlin import rational, vector
     a, a0 = t
     mu = vector(mu)
     if len(mu) != len(a):
@@ -33,6 +35,8 @@ def weight_exponent(mu: Sequence[Fraction], mu0: Fraction, t) -> Fraction:
 
 def slope_check_hilbert(k_weights: Sequence[int], w_weight: int, slopes: Sequence) -> bool:
     """sum_i ((w + k_i - 2)/2 + v_p(alpha_i)) < min(k_i) - 1, evaluated exactly."""
+    from fractions import Fraction
+    from .exactlin import vector
     if len(k_weights) != len(slopes):
         raise ValueError("one slope per infinite place is required")
     if not k_weights:
@@ -57,6 +61,8 @@ def _slope_sides(
     mu_per_place: Sequence[Sequence], mu0, t, slopes: Sequence
 ) -> tuple[Fraction, Fraction]:
     """(LHS, RHS) of the GSp(2g) noncritical-slope inequality; validates the input."""
+    from fractions import Fraction
+    from .exactlin import rational, vector
     a, a0 = t
     if not (all(x >= y for x, y in zip(a, a[1:])) and a[-1] >= a0 / 2):
         raise NonDominantError("need a_1 >= ... >= a_g >= a_0/2")
@@ -108,7 +114,7 @@ def twist_search(mu_per_place: Sequence[Sequence], mu0, t, slopes: Sequence) -> 
 
 
 #: budget of `refinement_obstruction_orders`, about 4 s and 60 MB at most
-#: (the cost table is in CHANGES.md): the summed size bounds of its
+#: (the cost table is in the README): the summed size bounds of its
 #: subset-sum sets, and the trial divisions of its differences
 OBSTRUCTION_MAX_SUMS = 2**18
 OBSTRUCTION_MAX_TRIALS = 10**8
@@ -177,6 +183,7 @@ def exclusion_sufficient(orders: Iterable[int], n: int) -> bool:
 
 def _cmd_slope(args) -> tuple[dict, str | None, list | None]:
     from .cliargs import CliError, _has_keys, _load_input
+    from .exactlin import rational, vector
 
     def array(value, label: str) -> list:  # a domain error, as vector() gives for a string
         if not isinstance(value, list):

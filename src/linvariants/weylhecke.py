@@ -253,11 +253,11 @@ def recover_characters(
     return recovered
 
 
-#: `hecke --all` prints 2^g g! rows, at g = 6 in about 0.6 s and 65 MB; indented
-#: they take over 200 MB to print, so pretty stops at g = 5 (costs in the README)
+#: `hecke --all` prints 2^g g! rows, at g = 6 in about 0.2 s and 45 MB; indented
+#: they take over 250 MB to print, so pretty stops at g = 5 (costs in the README)
 HECKE_ALL_MAX_G = 6
 HECKE_ALL_PRETTY_MAX_G = 5
-#: largest `recover-chi` g, about 10 s and 100 MB (the cost table is in CHANGES.md)
+#: largest `recover-chi` g, about 10 s and 100 MB (the cost table is in the README)
 RECOVER_CHI_MAX_G = 500
 
 
@@ -268,44 +268,51 @@ def _weyl_from_args(args, g: int) -> WeylElement:
     return WeylElement.from_json(_json_keys(args.weyl, "--weyl", "nu", "eps"))
 
 
-def hecke_table(t: TorusExponent) -> list[dict]:
-    """The `hecke --all` entries of the generic character, in `weyl_group` order.
+def hecke_table(t: TorusExponent) -> str:
+    """The `hecke --all` entries of the generic character as compact JSON text, in
+    `weyl_group` order, each object's keys sorted as `json.dumps(sort_keys=True)` sorts them.
 
     Every exponent is a numerator over d = 4 lcm(denominators of t): chi_j's
-    is one of the 2g values s = a_i, a_0 - a_i, whose strings are made once,
-    sigma's is a_0, and only p's is a sum, built per permutation by doubling.
+    is one of the 2g values s = a_i, a_0 - a_i, sigma's is a_0, and only p's
+    is a sum, built per permutation by doubling.  So each `,"key":"value"`
+    fragment is made once, "" for a zero exponent: chi_j's for each slot and
+    sign, sigma's, and p's for each exponent.  An element joins its fragments
+    and drops the first comma.
     """
     g = t.g
     d = 4 * lcm(*(x.denominator for x in (*t.a, t.a0)))
     a0, pairs = _torus_numerators(t, d)
 
-    @lru_cache(maxsize=None)
-    def text(x: int) -> str:  # str(Fraction(x, d))
+    def fragment(key: str, x: int) -> str:  # its value is str(Fraction(x, d))
         common = gcd(x, d)
-        return f"{x // common}/{d // common}" if common < d else str(x // common)
+        text = f"{x // common}/{d // common}" if common < d else str(x // common)
+        return f',"{key}":"{text}"' if x else ""
 
-    # the chi exponents of each sign vector in sign order i, then sigma's; which are nonzero
-    texts = list(itertools.product(*[(text(x), text(y)) for x, y in pairs], [text(a0)]))
-    nonzero = [[x != "0" for x in row] for row in texts]
-    eps_json = [list(eps) for eps in itertools.product((1, -1), repeat=g)]
+    # chi[j][i - 1]: slot j's fragments when it holds sign i, for eps(i) = 1 and -1
+    chi = {j: [[fragment(f"chi_{j}", x) for x in pair] for pair in pairs] for j in range(1, g + 1)}
+    keys = sorted(chi, key=str)  # the slots in the string order of their keys
+    bit = {j: 2 ** (g - 1 - k) for k, j in enumerate(keys)}  # slot j's bit when doubled in that order
+    p_fragment = lru_cache(maxsize=None)(partial(fragment, "p"))
+    sigma = fragment("sigma", a0)
+    eps_json = ["[%s]" % ",".join(map(str, eps)) for eps in itertools.product((1, -1), repeat=g)]
     elements, entries = weyl_group(g), []
     for start in range(0, len(elements), 2**g):
         nu = elements[start].nu
-        ps, names, nu_json = [g * (g + 1) * (a0 // 4)], [], list(nu)
+        ps, chis, order = [g * (g + 1) * (a0 // 4)], [""], [0]
         for i, j in sorted(zip(nu, range(1, g + 1))):  # sign i picks s_j, nu(j) = i
-            names.append(f"chi_{j}")
             terms = [(g + 1 - j) * y for y in pairs[i - 1]]
             ps = [x - y for x in ps for y in terms]  # so the last sign changes fastest
-        names.append("sigma")
-        for row, keep, p, eps in zip(texts, nonzero, ps, eps_json):
-            value = dict(itertools.compress(zip(names, row), keep))
-            if p:
-                value["p"] = text(p)
-            entries.append({"weyl": {"nu": nu_json, "eps": eps}, "value": value})
-    return entries
+            order = [x + y for x in order for y in (0, bit[j])]  # its chi text in `chis`
+        for j in keys:
+            chis = [x + y for x in chis for y in chi[j][nu[j - 1] - 1]]
+        nu_json = "[%s]" % ",".join(map(str, nu))
+        for k, p, eps in zip(order, ps, eps_json):
+            value = chis[k] + p_fragment(p) + sigma
+            entries.append(f'{{"value":{{{value[1:]}}},"weyl":{{"eps":{eps},"nu":{nu_json}}}}}')
+    return "[%s]" % ",".join(entries)
 
 
-def _cmd_hecke(args) -> tuple[dict, str | None, list | None]:
+def _cmd_hecke(args) -> tuple[dict | str, str | None, list | None]:
     from .cliargs import CliError, _json_keys, _monomial_json
     g = args.g
     if args.all and g > HECKE_ALL_MAX_G:
@@ -319,7 +326,7 @@ def _cmd_hecke(args) -> tuple[dict, str | None, list | None]:
     if args.all:
         if args.weyl is not None:
             raise CliError("--weyl and --all exclude each other")
-        return {"g": g, "eigenvalues": hecke_table(t)}, None, None
+        return f'{{"eigenvalues":{hecke_table(t)},"g":{g}}}', None, None
     chi = CharacterData.generic(g)
     w = _weyl_from_args(args, g)
     value = hecke_diagonal(chi, t, w)

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON/CSV shapes, determinism."""
 
+import contextlib
 import functools
 import io
 import itertools
@@ -10,6 +11,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kernel_oracles import fraction_b_coefficient, fraction_cg_table, fraction_hecke_diagonal
 from linvariants.cli import main, parse_args
@@ -20,7 +23,7 @@ from linvariants.plethysm import (
     cg_table,
     project_endomorphism_diagonal,
 )
-from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement
+from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement, hecke_table
 
 rng = random.Random(16)
 
@@ -437,6 +440,44 @@ def test_hecke_all_at_g6_equals_the_fraction_loop_on_a_sample(capsys):
     for k in sample:
         value = fraction_hecke_diagonal(chi, t, WeylElement(*elements[k]))
         assert rows[k]["value"] == {sym: str(e) for sym, e in value.exponents}
+
+
+#: a torus entry as the JSON text of --t takes it: zero, a small or a past-2^64
+#: integer, or a rational
+TORUS_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.integers(2**64, 2**72).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.fractions(-10, 10, max_denominator=12).map(str),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda g: st.lists(TORUS_ENTRIES, min_size=g, max_size=g)),
+       TORUS_ENTRIES)
+@example([3, "-1/2", 0], 0)
+@example([2**70, "5/3"], -(2**65) - 1)
+def test_hecke_all_json_text_equals_the_fraction_loop(a, a0):
+    # the listing is written as text; json.dumps of the Fraction loop's payload is its oracle
+    payload = fraction_loop_payload(a, a0)
+    argv = ["hecke", "--g", str(len(a)), "--t", json.dumps({"a": a, "a0": a0}), "--all"]
+    for fmt, expected in (("json", compact(payload)),
+                          ("pretty", json.dumps(payload, sort_keys=True, indent=2) + "\n")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["--format", fmt, *argv]) == 0
+        assert out.getvalue() == expected
+
+
+@pytest.mark.parametrize("g", (1, 3))
+def test_hecke_table_on_the_zero_and_the_sigma_torus(g):
+    zero, sigma = (hecke_table(TorusExponent.make([0] * g, a0)) for a0 in (0, 3))
+    assert all(entry["value"] == {} for entry in json.loads(zero))
+    # at the identity only sigma^3 and the half-modulus power of p, no chi
+    assert json.loads(sigma)[0]["value"] == {"p": str(Fraction(3 * g * (g + 1), 4)), "sigma": "3"}
+    for text, a0 in ((zero, 0), (sigma, 3)):
+        expected = fraction_loop_payload([0] * g, a0)["eigenvalues"]
+        assert text == json.dumps(expected, sort_keys=True, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("m, n, p", [(2, 2, 2), (7, 4, 5), (12, 12, 0), (25, 18, 21), (40, 40, 38)])

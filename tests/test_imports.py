@@ -103,15 +103,43 @@ def test_library_import_loads_no_cli(module):
     ],
 )
 def test_plethysm_requests_load_only_plethysm(argv):
-    # no `cg`: the B rows need none of the Clebsch-Gordan code
+    # no `cg`: the B rows need none of the Clebsch-Gordan code, and only the
+    # projection of a rational diagonal needs `exactlin`
     loaded, heavy = request(argv)
-    assert loaded == [*CLI, "linvariants.exactlin", "linvariants.plethysm"]
+    exact = ["linvariants.exactlin"] if "project-endo" in argv else []
+    assert loaded == [*CLI, *exact, "linvariants.plethysm"]
     assert heavy == []
+
+
+#: requests whose every value is an integer
+INTEGER_REQUESTS = [
+    ["bcoeff", "--n", "4", "--k", "2"],
+    ["bcoeff", "--n", "4", "--k", "2", "--i", "1"],
+    ["--format", "csv", "bcoeff", "--n", "3", "--k", "1"],
+    ["obstruction", "--exponents", "3,2,1,0", "--check-N", "6"],
+    ["cg", "--m", "2", "--n", "2", "--p", "2", "--u", "1", "--v", "1", "--w", "1"],
+    ["cg", "--m", "2", "--n", "2", "--p", "2", "--table"],
+]
+
+
+@pytest.mark.parametrize("argv", INTEGER_REQUESTS)
+def test_integer_requests_load_no_fractions(argv):
+    # `fractions` imports `decimal` and `numbers`, which a fresh interpreter has not loaded
+    loaded = fresh(
+        "import contextlib, io, json, sys\n"
+        "from linvariants.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(json.dumps(sorted({'fractions', 'decimal', 'numbers', 'linvariants.exactlin'}"
+        " & set(sys.modules))))"
+    )
+    assert loaded == []
 
 
 #: `weylhecke` shares the monomial group with `phin` and loads no `phin`, nor `slopes`
 WEYLHECKE = [*CLI, "linvariants.exactlin", "linvariants.monomial", "linvariants.weylhecke"]
-#: the slope checks and obstruction orders use no Weyl group and no monomial
+#: the slope checks use no Weyl group and no monomial; the obstruction orders,
+#: integers alone, not even `exactlin`
 SLOPES = [*CLI, "linvariants.exactlin", "linvariants.slopes"]
 
 
@@ -141,8 +169,8 @@ SLOPES = [*CLI, "linvariants.exactlin", "linvariants.slopes"]
             ' "find_twist": true}', SLOPES, id="slope-gsp",
         ),
         pytest.param(
-            ["obstruction", "--exponents", "3,2,1,0", "--check-N", "6"], "", SLOPES,
-            id="obstruction",
+            ["obstruction", "--exponents", "3,2,1,0", "--check-N", "6"], "",
+            [*CLI, "linvariants.slopes"], id="obstruction",
         ),
         pytest.param(
             ["cg", "--m", "2", "--n", "2", "--p", "2", "--u", "1", "--v", "1", "--w", "1"], "",
@@ -151,7 +179,7 @@ SLOPES = [*CLI, "linvariants.exactlin", "linvariants.slopes"]
         pytest.param(
             # the whole table is `plethysm.cg_table`, where the benchmark's tracer reads its cache
             ["cg", "--m", "2", "--n", "2", "--p", "2", "--table"], "",
-            ["linvariants.cg", *CLI, "linvariants.exactlin", "linvariants.plethysm"], id="cg-table",
+            ["linvariants.cg", *CLI, "linvariants.plethysm"], id="cg-table",
         ),
         pytest.param(
             ["linv", "--family", "gsp4_spin", "--input", "-", "--compare-theorem", "B"],
