@@ -20,10 +20,12 @@ The module also carries the decomposition machinery that everything else
 is checked against: the highest-weight vectors v_{2k} of the Sym^{2k}
 constituents of End(Sym^n V), and a brute-force projector that expresses
 an endomorphism in the basis {L^i v_{2k}} by solving one linear system per
-weight.  Each block is inverted by fraction-free (Bareiss) elimination:
-rows are scaled to integers and the forward pass uses the two-term minor
-update, which keeps intermediate entries bounded by minors of the input
-instead of letting numerators and denominators blow up independently.
+weight.  Every entry of a block is an integer, so the block is built as ints
+and inverted by fraction-free Gauss-Jordan elimination: each pivot clears
+its column above and below by the two-term minor update, which keeps every
+entry a minor of the input instead of letting numerators and denominators
+blow up independently.  Only the reduced rows become Fractions, each entry
+once, over the last pivot.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def act_on_end(x: str, t: EndoElement) -> EndoElement:
     if x not in (LOWER, RAISE):
         raise ValueError(f"operator must be {LOWER!r} or {RAISE!r}")
     n = t.n
-    out = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    out = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(n + 1):
         for j in range(n + 1):
             c = t.grid[i][j]
@@ -94,9 +96,9 @@ def highest_weight_vector(n: int, k: int) -> EndoElement:
     """v_{2k} = sum_i C(k+i, i) g_{n,i} (x) g_{n,k+i}^v, killed by R, weight 2k."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    out = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    out = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(n - k + 1):
-        out[i][k + i] = Fraction(comb(k + i, i))
+        out[i][k + i] = comb(k + i, i)
     return EndoElement(n, tuple(tuple(row) for row in out))
 
 
@@ -118,7 +120,7 @@ def _brute_force_data(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
             v = act_on_end(LOWER, v)
         columns.append(_diagonal(v, d))
     augmented = [
-        list(row) + [Fraction(int(r == c)) for c in range(size)]
+        list(row) + [int(r == c) for c in range(size)]
         for r, row in enumerate(zip(*columns))
     ]
     reduced, pivots = _rref(augmented)
@@ -161,34 +163,29 @@ def brute_force_project(t: EndoElement, k: int) -> tuple[Fraction, ...]:
 
 
 def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination on integer rows (in place).
+    """Fraction-free Gauss-Jordan elimination on integer rows (in place).
 
-    Returns the echelon rows and the pivot column list.  After step k every
-    entry is a (k+1)x(k+1) minor of the input, so the exact divisions below
-    never truncate.
+    Returns the reduced rows and the pivot column list.  Each pivot clears
+    its column in every other row, above and below, by the two-term update
+    row_i = (row_i * p - row_i[c] * pivot_row) // prev.  After step k every
+    entry is a (k+1)x(k+1) minor of the input, so the divisions never
+    truncate, and every pivot equals the last one, the determinant of the
+    pivot block.  Rows past the rank end as zero rows.
     """
-    if not rows:
-        return rows, []
-    n_cols = len(rows[0])
     pivots: list[int] = []
     prev = 1
     r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
+    for c in range(len(rows[0]) if rows else 0):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        p = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            row_i = rows[i]
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i, row_i in enumerate(rows):
             head = row_i[c]
-            for j in range(c, n_cols):
-                row_i[j] = (row_i[j] * p - head * rows[r][j]) // prev
+            if i != r and (head or prev != p):
+                rows[i] = [(x * p - head * y) // prev for x, y in zip(row_i, top)]
         prev = p
         pivots.append(c)
         r += 1
@@ -213,20 +210,8 @@ def _to_integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
 
 def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     """Reduced row echelon form; zero rows are dropped."""
-    work = _to_integer_rows(rows)
-    work, pivots = _bareiss_echelon(work)
-    # Back-substitute over Fraction; the forward pass already paid the
-    # expensive part, this touches O(rank * cols) entries.
-    frac_rows: list[list[Fraction]] = []
-    for r, c in enumerate(pivots):
-        p = Fraction(work[r][c])
-        frac_rows.append([Fraction(x) / p for x in work[r]])
-    for r in range(len(pivots) - 1, -1, -1):
-        row = frac_rows[r]
-        for above in range(r):
-            factor = frac_rows[above][pivots[r]]
-            if factor:
-                target = frac_rows[above]
-                for j in range(pivots[r], len(row)):
-                    target[j] -= factor * row[j]
-    return tuple(tuple(row) for row in frac_rows), tuple(pivots)
+    work, pivots = _bareiss_echelon(_to_integer_rows(rows))
+    # every pivot equals the last one, so each reduced row is its integer
+    # row over that one pivot: one Fraction per entry, no back-substitution
+    p = work[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return tuple(tuple(Fraction(x, p) for x in work[r]) for r in range(len(pivots))), tuple(pivots)

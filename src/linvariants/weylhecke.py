@@ -195,13 +195,27 @@ def _beta_weight_exponents(g: int, mu: Sequence[Fraction], mu0: Fraction) -> lis
 
 def normalized_eigenvalues(chi: CharacterData, mu: Sequence, mu0, w: WeylElement) -> list:
     """theta(U_{p,i}) for i = 1..g: the raw eigenvalues rescaled by
-    |lambda(beta_{g-i})|_p^{-1}."""
+    |lambda(beta_{g-i})|_p^{-1}.
+
+    One pass over i, from beta(g, g), which is -1 in every slot: beta(g, g-i)
+    is 0 in slots 1..i and -1 after them, with a_0 = -2, so from i-1 to i only
+    slot i changes, and only s_j with nu(j) = i moves, by eps(i).  That moves
+    p's exponent by -(g+1-j) eps(i) and chi_j's by eps(i) times chi_j's.
+    beta(g, 0) has a_0 = -1 and is evaluated apart.
+    """
     g = chi.g
     shifts = _beta_weight_exponents(g, vector(mu), rational(mu0))
-    return [
-        EigenMonomial.p_power(shift) * hecke_diagonal(chi, beta(g, g - i), w)
-        for i, shift in enumerate(shifts, 1)
-    ]
+    slot = {i: j for j, i in enumerate(w.nu, 1)}
+    exps = dict(hecke_diagonal(chi, beta(g, g), w).exponents)
+    shift, thetas = 0, []
+    for i in range(1, g):
+        j, step = slot[i], w.eps[i - 1]
+        exps["p"] = exps.get("p", 0) + shifts[i - 1] - shift - (g + 1 - j) * step
+        shift = shifts[i - 1]
+        for sym, e in chi.chi[j - 1].exponents:
+            exps[sym] = exps.get(sym, 0) + step * e
+        thetas.append(EigenMonomial.from_fractions(exps))
+    return thetas + [EigenMonomial.p_power(shifts[-1]) * hecke_diagonal(chi, beta(g, 0), w)]
 
 
 def recover_characters(

@@ -2,7 +2,7 @@
 and the full projection End(Sym^n V) -> Sym^{2k} V.
 
 The library keeps only the elimination it calls (`sl2rep._rref` and its
-forward Bareiss pass), which takes a matrix as a sequence of rows.  The tests
+fraction-free Gauss-Jordan pass), which takes a matrix as a sequence of rows.  The tests
 check `phin`'s closed forms and coordinate formulas against the plain
 definitions below, built on the same elimination: matrix arithmetic on row
 tuples, dense subspaces, and a module's N and Fil^0 built from the paper's
@@ -124,7 +124,7 @@ def mul(a: Rows, b: Rows) -> Rows:
 
 
 def integer_rank(rows: list[list[int]]) -> int:
-    """Pivot count of the forward Bareiss pass; `rows` is consumed."""
+    """Pivot count of the fraction-free Gauss-Jordan pass; `rows` is consumed."""
     return len(_bareiss_echelon(rows)[1])
 
 

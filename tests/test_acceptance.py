@@ -57,7 +57,7 @@ def test_criterion_1_closed_form_equals_recurrence():
 
 def test_criterion_2_brute_force_oracle():
     ok = True
-    for n in range(1, 17):
+    for n in range(1, 21):
         for k in range(n + 1):
             scalars = set()
             for _ in range(3):
@@ -81,7 +81,7 @@ def test_criterion_2_brute_force_oracle():
             upper = sl2rep.EndoElement(n, tuple(tuple(row) for row in grid))
             image = project_endomorphism(upper, k)
             ok = ok and not any(image.coeffs[k + 1 :])
-    report(2, ok, "diagonal projection matches the brute-force oracle, n <= 16")
+    report(2, ok, "diagonal projection matches the brute-force oracle, n <= 20")
 
 
 def test_criterion_3_special_values():

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernel_oracles import fraction_b_coefficient, fraction_cg_table, fraction_hecke_diagonal
+from linvariants import weylhecke
 from linvariants.cli import main, parse_args
 from linvariants.cg import valid_triple
 from linvariants.plethysm import (
@@ -23,6 +24,7 @@ from linvariants.plethysm import (
     cg_table,
     project_endomorphism_diagonal,
 )
+from linvariants.monomial import EigenMonomial, monomial_product
 from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement, hecke_table
 
 rng = random.Random(16)
@@ -629,6 +631,42 @@ def test_recover_chi_round_trip(capsys):
     assert code == 0
     assert payload["chi"] == [{}, {}]
     assert payload["sigma"] == {}
+
+
+def test_recover_chi_at_the_cap_from_a_file(tmp_path, capsys, monkeypatch):
+    # g = 500 random characters x_j^a p^{b/2}: the eigenvalues are 1.8 MB of
+    # JSON, so the argument vector is read from a file.  The round trip steps
+    # the torus beta(g, g-i) one slot at a time: two closed-form evaluations,
+    # not g; with one per i the request took 1.9 to 2.5 s
+    g, rng = 500, random.Random(500)
+    chis = tuple(
+        EigenMonomial.from_dict({f"x_{j}": rng.randint(-3, 3), "p": Fraction(rng.randint(-5, 5), 2)})
+        for j in range(1, g + 1)
+    )
+    mu0 = Fraction(rng.randint(-6, 6))
+    sigma = EigenMonomial.p_power(mu0 / 2) * monomial_product(chis).inverse() ** Fraction(1, 2)
+    mu = [rng.randint(-5, 5) for _ in range(g)]
+    nu = rng.sample(range(1, g + 1), g)
+    w = WeylElement(tuple(nu), tuple(rng.choice((1, -1)) for _ in range(g)))
+    thetas = weylhecke.normalized_eigenvalues(CharacterData(chis, sigma), mu, mu0, w)
+    path = tmp_path / "argv.json"
+    path.write_text(json.dumps([
+        "recover-chi", "--g", str(g),
+        "--eigs", json.dumps([{sym: str(e) for sym, e in theta.exponents} for theta in thetas]),
+        "--weights", json.dumps({"mu": mu, "mu0": str(mu0)}),
+        "--weyl", json.dumps(w.to_json()),
+    ]))
+    evaluations = []
+    closed_form = weylhecke.hecke_diagonal
+    monkeypatch.setattr(weylhecke, "hecke_diagonal", lambda *a: evaluations.append(a) or closed_form(*a))
+    start = time.perf_counter()
+    code, payload = run_json(capsys, *json.loads(path.read_text()))
+    seconds = time.perf_counter() - start
+    assert seconds < 1.75, seconds
+    assert code == 0
+    assert len(evaluations) == 2
+    assert payload["chi"] == [{sym: str(e) for sym, e in chi.exponents} for chi in chis]
+    assert payload["sigma"] == {sym: str(e) for sym, e in sigma.exponents}
 
 
 def test_slope_hilbert(tmp_path, capsys):

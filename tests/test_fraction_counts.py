@@ -1,30 +1,35 @@
-"""The table commands print from integer kernels, not one `Fraction` per entry.
+"""The integer kernels build no `Fraction` per entry.
 
-Each request runs through `main()` twice, at a small size and at a large
-one, while every `Fraction` construction is counted.  A few come from
-reading the input (a torus exponent, the generic characters), so the count
-may grow with the rank, but not with the number of printed entries: a
-handler that built one `Fraction` per entry adds as many as it prints.
+The table commands print from integer kernels: each request runs through
+`main()` twice, at a small size and at a large one, while every `Fraction`
+construction is counted.  A few come from reading the input (a torus
+exponent, the generic characters), so the count may grow with the rank, but
+not with the number of printed entries: a handler that built one `Fraction`
+per entry adds as many as it prints.
+
+The brute-force oracle builds its weight blocks and eliminates them in
+integers; only the reduced rows become `Fraction`s, one per entry.
 """
 
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+from linvariants import sl2rep
 from linvariants.cli import main
 
 
-def counted_run(monkeypatch, argv) -> tuple[int, dict]:
-    """(Fractions constructed, the JSON payload) of one request."""
-    count = 0
+@contextmanager
+def counting_fractions(monkeypatch):
+    """Yield a one-item list that counts the `Fraction`s constructed inside."""
+    count = [0]
     original = Fraction.__new__
 
     def counting_new(cls, *args, **kwargs):
-        nonlocal count
-        count += 1
+        count[0] += 1
         return original(cls, *args, **kwargs)
 
     with monkeypatch.context() as patch:
@@ -34,15 +39,19 @@ def counted_run(monkeypatch, argv) -> tuple[int, dict]:
             from_ints = Fraction._from_coprime_ints.__func__
 
             def counting_from_ints(cls, *args):
-                nonlocal count
-                count += 1
+                count[0] += 1
                 return from_ints(cls, *args)
 
             patch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_from_ints))
-        out = io.StringIO()
-        with redirect_stdout(out):
-            assert main(list(argv)) == 0
-    return count, json.loads(out.getvalue())
+        yield count
+
+
+def counted_run(monkeypatch, argv) -> tuple[int, dict]:
+    """(Fractions constructed, the JSON payload) of one request."""
+    out = io.StringIO()
+    with counting_fractions(monkeypatch) as count, redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return count[0], json.loads(out.getvalue())
 
 
 def hecke_all(g):
@@ -74,3 +83,13 @@ def test_fraction_count_does_not_grow_with_the_printed_entries(monkeypatch, smal
     more_entries = printed(large_payload) - printed(small_payload)
     assert more_entries > 150
     assert large_count - small_count < more_entries / 100, (small_count, large_count)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_oracle_block_builds_one_fraction_per_reduced_entry(monkeypatch, n):
+    # the weight-0 block is (n+1) x (n+1), augmented by the identity
+    size = n + 1
+    with counting_fractions(monkeypatch) as count:
+        inverse = sl2rep._brute_force_data.__wrapped__(n, 0)
+    assert len(inverse) == size
+    assert count[0] <= 2 * size * size, count[0]

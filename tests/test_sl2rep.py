@@ -268,7 +268,7 @@ def with_zero_diagonals(t, weights):
     )
 
 
-@pytest.mark.parametrize("n", range(0, 6))
+@pytest.mark.parametrize("n", range(0, 7))
 def test_graded_coordinates_match_the_ungraded_solve(n):
     for _ in range(2):
         t = random_endo(n)
@@ -316,7 +316,7 @@ def test_singular_block_raises(monkeypatch):
         sl2rep._brute_force_data.__wrapped__(2, 0)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 15))
 def test_brute_force_basis_projects_basis_elements(n):
     for k in range(n + 1):
         coords = brute_force_project(highest_weight_vector(n, k), k)
@@ -331,7 +331,7 @@ def test_brute_force_identity_has_no_higher_component():
             assert not any(brute_force_project(identity, k))
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 15))
 def test_brute_force_reconstructs(n):
     # coordinates against {L^i v_{2j}} reassemble the input
     t = random_endo(n)
