@@ -32,11 +32,6 @@ class EigenMonomial:
         return cls(tuple(sorted(item for item in items if item[1])))
 
     @classmethod
-    def from_fractions(cls, exps: dict) -> "EigenMonomial":
-        """`from_dict` for a map whose exponents are Fractions already."""
-        return cls(tuple(sorted(item for item in exps.items() if item[1])))
-
-    @classmethod
     def symbol(cls, name: str, exponent=1) -> "EigenMonomial":
         return cls.from_dict({name: rational(exponent)})
 
@@ -49,16 +44,13 @@ class EigenMonomial:
 
     def __pow__(self, e) -> "EigenMonomial":
         e = rational(e)
-        return EigenMonomial(tuple((s, x * e) for s, x in self.exponents) if e else ())
+        return EigenMonomial.from_dict({s: x * e for s, x in self.exponents})
 
     def inverse(self) -> "EigenMonomial":
         return self ** -1
 
     def __truediv__(self, other: "EigenMonomial") -> "EigenMonomial":
-        exps = dict(self.exponents)
-        for sym, e in other.exponents:
-            exps[sym] = exps[sym] - e if sym in exps else -e
-        return EigenMonomial.from_fractions(exps)
+        return self * other.inverse()
 
     def is_one(self) -> bool:
         return not self.exponents
@@ -75,4 +67,4 @@ def monomial_product(factors) -> EigenMonomial:
     for factor in factors:
         for sym, e in factor.exponents:
             exps[sym] = exps[sym] + e if sym in exps else e
-    return EigenMonomial.from_fractions(exps)
+    return EigenMonomial.from_dict(exps)

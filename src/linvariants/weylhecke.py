@@ -214,7 +214,7 @@ def normalized_eigenvalues(chi: CharacterData, mu: Sequence, mu0, w: WeylElement
         shift = shifts[i - 1]
         for sym, e in chi.chi[j - 1].exponents:
             exps[sym] = exps.get(sym, 0) + step * e
-        thetas.append(EigenMonomial.from_fractions(exps))
+        thetas.append(EigenMonomial.from_dict(exps))
     return thetas + [EigenMonomial.p_power(shifts[-1]) * hecke_diagonal(chi, beta(g, 0), w)]
 
 

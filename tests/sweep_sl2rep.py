@@ -5,11 +5,11 @@ BENCH_layers.json.
 
 Each row is [n, seconds, MB, bits] for `sl2rep._brute_force_data.__wrapped__(n, 0)`,
 the weight-0 block, (n+1) x (n+1) and augmented by the identity: seconds is the
-median of --reps timed calls, MB the tracemalloc peak of one more call, bits the
+median of REPS timed calls, MB the tracemalloc peak of one more call, bits the
 bit length of the largest entry of the integer rows `_bareiss_echelon` returns.
 `slope` is the least-squares slope of log seconds against log n.  The record
-names the commit of the checkout `linvariants` was imported from, with
-"-dirty" when its `src/` differs from that commit.
+names the commit of the checkout `linvariants` was imported from; the sweep
+refuses to run when that checkout's `src/` differs from its commit.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from linvariants import sl2rep
 
 FUNCTION = "sl2rep._brute_force_data"
 SIZES = range(6, 17)
+REPS = 7
 
 
 def commit_of(checkout: Path) -> str:
@@ -38,13 +39,15 @@ def commit_of(checkout: Path) -> str:
         return subprocess.run(["git", "-C", str(checkout), *argv], capture_output=True,
                               text=True, check=True).stdout.strip()
 
-    return git("rev-parse", "--short", "HEAD") + ("-dirty" if git("status", "--porcelain", "--", "src") else "")
+    if git("status", "--porcelain", "--", "src"):
+        raise SystemExit(f"{checkout}/src differs from its commit; commit it before sweeping")
+    return git("rev-parse", "--short", "HEAD")
 
 
-def point(n: int, reps: int) -> list:
+def point(n: int) -> list:
     solve = sl2rep._brute_force_data.__wrapped__
     times = []
-    for _ in range(reps):
+    for _ in range(REPS):
         start = time.perf_counter()
         solve(n, 0)
         times.append(time.perf_counter() - start)
@@ -77,19 +80,17 @@ def log_log_slope(rows: list) -> float:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="sweep_sl2rep")
     parser.add_argument("--out", default="BENCH_layers.json")
-    parser.add_argument("--reps", type=int, default=7)
     parser.add_argument("--note", default="", help="the machine, as a reader should know it")
     args = parser.parse_args(argv)
-    if args.reps < 5:
-        parser.error("--reps must be at least 5")
-    rows = [point(n, args.reps) for n in SIZES]
+    commit = commit_of(Path(sl2rep.__file__).resolve().parents[2])
+    rows = [point(n) for n in SIZES]
     record = {
-        "commit": commit_of(Path(sl2rep.__file__).resolve().parents[2]),
+        "commit": commit,
         "date": datetime.date.today().isoformat(),
         "machine": f"{args.note}; {platform.machine()}, {os.cpu_count()} CPUs, "
                    f"{platform.system()} {platform.release()}".lstrip("; "),
         "python": platform.python_version(),
-        "reps": args.reps,
+        "reps": REPS,
         "layers": {FUNCTION: {"columns": ["n", "seconds", "MB", "bits"], "rows": rows,
                               "slope": round(log_log_slope(rows), 3)}},
     }
