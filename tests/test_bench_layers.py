@@ -23,7 +23,7 @@ def test_every_record_names_its_commit_date_machine_and_python():
     assert records()
     for record in records():
         assert set(record) == RECORD_KEYS
-        assert re.fullmatch(r"[0-9a-f]{7,40}(-dirty)?", record["commit"])
+        assert re.fullmatch(r"[0-9a-f]{7,40}", record["commit"])
         assert re.fullmatch(r"\d{4}-\d\d-\d\d", record["date"])
         assert record["machine"].strip()
         assert re.fullmatch(r"3\.\d+\.\d+", record["python"])
