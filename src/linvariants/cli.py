@@ -17,26 +17,34 @@ import json
 import re
 import sys
 from importlib import import_module
+from itertools import islice
 from types import SimpleNamespace
 
 from . import CASES, FAMILIES, THEOREMS
 from .cliargs import CliError, _int
 
 
-def _emit(payload, fmt: str, csv_header: str | None = None, csv_rows=None) -> str:
-    """`payload` in `fmt`; a payload that is a string is already compact, key-sorted JSON text."""
+def _emit(fmt: str, payload, csv_header: str | None = None, csv_rows=None) -> None:
+    """Print `payload` (a tree, or compact key-sorted JSON text) in `fmt`.
+
+    The compact text comes first, so an int past the digit limit is refused
+    before any byte is written; pretty output is streamed in runs of tokens.
+    """
     if fmt == "csv":
         if csv_header is None or csv_rows is None:
             raise CliError("csv output is only available for table commands")
-        return "\n".join([csv_header, *(",".join(str(x) for x in row) for row in csv_rows)])
-    if isinstance(payload, str):
-        if fmt == "json":
-            return payload
-        payload = json.loads(payload)
-    if fmt == "json":
-        # every payload is a tree built for this request, so no cycle check
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)
-    return json.dumps(payload, sort_keys=True, indent=2)
+        text = "\n".join([csv_header, *(",".join(str(x) for x in row) for row in csv_rows)])
+    else:  # every payload is a tree built for this request, so no cycle check
+        text = payload if isinstance(payload, str) else json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), check_circular=False)
+    if fmt != "pretty":
+        print(text)
+        return
+    tree = json.loads(text) if isinstance(payload, str) else payload
+    tokens = json.JSONEncoder(sort_keys=True, indent=2).iterencode(tree)
+    while run := "".join(islice(tokens, 1 << 16)):
+        sys.stdout.write(run)
+    print()
 
 
 #: subcommand -> ("module._cmd_handler", option -> (type, required)); the type is int, str, a
@@ -132,8 +140,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is not None:
-            payload, csv_header, csv_rows = args.func(args)
-            print(_emit(payload, args.format, csv_header, csv_rows))
+            _emit(args.format, *args.func(args))
         return 0
     except CliError as err:
         error, code = err.error, err.exit_code
@@ -143,7 +150,7 @@ def main(argv=None) -> int:
             limit = sys.get_int_max_str_digits()
             error = {"code": "output", "message": f"the result holds an int past Python's "
                      f"limit of {limit} digits for printing; refused"}
-    print(_emit({"error": error}, "json"))
+    _emit("json", {"error": error})
     return code
 
 

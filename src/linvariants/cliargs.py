@@ -64,19 +64,14 @@ def _json_keys(text: str, label: str, *keys: str) -> dict:
 
 def _load_input(args) -> dict:
     if args.input == "-":
-        obj = _parse_json_arg(sys.stdin.read(), "--input")
+        text = sys.stdin.read()
     else:
         try:
-            with open(args.input, "r", encoding="utf-8") as handle:
-                obj = json.load(handle)
-        except OSError as err:
+            with open(args.input, encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as err:
             raise CliError(f"cannot read input file: {err}") from err
-        except (json.JSONDecodeError, RecursionError) as err:
-            raise CliError(f"malformed JSON in input file: {err}") from err
-        except ValueError as err:
-            limit = sys.get_int_max_str_digits()
-            raise CliError(f"--input holds an int past Python's limit of {limit} digits") from err
-    return _json_object(obj, "--input")
+    return _json_object(_parse_json_arg(text, "--input"), "--input")
 
 
 def _cap(value: int, cap: int, what: str) -> None:

@@ -267,10 +267,9 @@ def recover_characters(
     return recovered
 
 
-#: `hecke --all` prints 2^g g! rows, at g = 6 in about 0.2 s and 45 MB; indented
-#: they take over 250 MB to print, so pretty stops at g = 5 (costs in the README)
+#: `hecke --all` prints 2^g g! rows, at g = 6 in about 0.2 s and 41 MB, and
+#: 1.6 s and 80 MB indented (the cost table is in the README)
 HECKE_ALL_MAX_G = 6
-HECKE_ALL_PRETTY_MAX_G = 5
 #: largest `recover-chi` g, about 10 s and 100 MB (the cost table is in the README)
 RECOVER_CHI_MAX_G = 500
 
@@ -331,8 +330,6 @@ def _cmd_hecke(args) -> tuple[dict | str, str | None, list | None]:
     g = args.g
     if args.all and g > HECKE_ALL_MAX_G:
         raise CliError(f"--all lists 2^g g! Weyl elements; g > {HECKE_ALL_MAX_G} is refused")
-    if args.all and args.format == "pretty" and g > HECKE_ALL_PRETTY_MAX_G:
-        raise CliError(f"--all with --format pretty at g > {HECKE_ALL_PRETTY_MAX_G} is refused")
     t_obj = _json_keys(args.t, "--t", "a", "a0")
     t = TorusExponent.make(t_obj["a"], t_obj["a0"])
     if t.g != g:

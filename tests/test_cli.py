@@ -214,7 +214,7 @@ def test_exponential_listing_past_its_cap_exits_2_at_once(capsys, argv):
         ("bcoeff", "--n", "601", "--k", "300"),
         ("bcoeff", "--n", "1000000", "--k", "1", "--i", "0"),
         ("cg", "--m", "151", "--n", "151", "--p", "150", "--table"),
-        ("--format", "pretty", "hecke", "--g", "6", "--t", json.dumps({"a": [1] * 6, "a0": 0}), "--all"),
+        ("--format", "pretty", "hecke", "--g", "7", "--t", json.dumps({"a": [1] * 7, "a0": 0}), "--all"),
         ("cg", "--m", "1", "--n", "1000", "--p", "1000", "--u", "0", "--v", "0", "--w", "0"),
         ("project-endo", "--n", "251", "--k", "1", "--diag", "[1]"),
         ("recover-chi", "--g", "501", "--eigs", json.dumps([{"p": "0"}] * 501),
@@ -269,6 +269,31 @@ def test_input_file_integer_past_the_digit_limit_is_refused_by_name(tmp_path, ca
     (line,) = out.splitlines()
     message = json.loads(line)["error"]["message"]
     assert message == f"--input holds an int past Python's limit of {sys.get_int_max_str_digits()} digits"
+
+
+def test_input_file_that_is_no_utf8_cannot_be_read(tmp_path, capsys):
+    # a decoding error is no int past the digit limit
+    path = tmp_path / "slope.json"
+    path.write_bytes(b'{"k":[2],"w":0,"slopes":["\xff"]}')
+    code, payload = run_json(capsys, "slope", "--family", "hilbert", "--input", str(path))
+    assert code == 2
+    assert payload["error"]["code"] == "input"
+    assert payload["error"]["message"].startswith("cannot read input file: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_result_past_the_digit_limit_prints_only_the_error(capsys, monkeypatch, fmt):
+    # the twist holds an int of over 4300 digits, after other keys of the payload:
+    # nothing of the payload may be written before the refusal
+    slope = "9" * 4300
+    request = {"weights": [[0, 0], [0, 0]], "mu0": 0, "t": {"a": [0, 0], "a0": -1},
+               "slopes": [slope, slope], "find_twist": True}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    assert main(["--format", fmt, "slope", "--family", "gsp", "--input", "-"]) == 2
+    out = capsys.readouterr().out
+    (line,) = out.splitlines()
+    assert out == line + "\n"
+    assert json.loads(line)["error"]["code"] == "output"
 
 
 @pytest.mark.parametrize(
@@ -425,6 +450,34 @@ def test_hecke_all_pretty_stdout_equals_the_fraction_loop(capsys):
     assert main(argv) == 0
     payload = fraction_loop_payload(a, a0)
     assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_hecke_all_pretty_at_the_cap_is_the_compact_listing_indented(capsys):
+    # the one cap of `hecke --all` holds in both formats
+    argv = ["hecke", "--g", "6", "--t", json.dumps({"a": [1] * 6, "a0": 0}), "--all"]
+    assert main(argv) == 0
+    compact = capsys.readouterr().out
+    assert main(["--format", "pretty", *argv]) == 0
+    assert capsys.readouterr().out == json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n"
+
+
+def test_pretty_output_is_written_in_runs(capsys, monkeypatch):
+    # one write per token would be a system call each on a write-through stdout
+    argv = ["phin", "--case", "crystalline_split", "--n", "6", "--all-submodules"]
+    assert main(argv) == 0
+    compact = capsys.readouterr().out
+    writes = []
+
+    class CountingStdout(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", CountingStdout())
+    assert main(["--format", "pretty", *argv]) == 0
+    # 78012 tokens of indented JSON
+    assert 1 <= len(writes) <= 5
+    assert "".join(writes) == json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n"
 
 
 def test_hecke_all_at_g6_equals_the_fraction_loop_on_a_sample(capsys):
