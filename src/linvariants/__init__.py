@@ -6,9 +6,8 @@ Submodules:
 * monomial  -- the free monomial group of Frobenius and Hecke eigenvalues
 * sl2rep    -- the sl(2) action on End(Sym^n V), weight-graded brute-force oracle
   with its fraction-free row reduction
-* cg        -- single inverse Clebsch-Gordan coefficients and the `cg` subcommand
-* plethysm  -- the B_{n,k,i} rows, the diagonal projection and the whole
-  inverse Clebsch-Gordan table
+* plethysm  -- the inverse Clebsch-Gordan table with its weight-triple check,
+  the B_{n,k,i} rows and the diagonal projection
 * phin      -- (phi,N)-modules, N as a coordinate map, the 3-step filtration
 * weylhecke -- GSp(2g) Weyl combinatorics, Hecke eigenvalues, character recovery
 * slopes    -- slope bounds, the twist search and the obstruction orders
@@ -27,7 +26,6 @@ __all__ = [
     "exactlin",
     "monomial",
     "sl2rep",
-    "cg",
     "plethysm",
     "phin",
     "weylhecke",

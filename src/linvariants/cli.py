@@ -50,9 +50,9 @@ def _emit(fmt: str, payload, csv_header: str | None = None, csv_rows=None) -> No
 #: subcommand -> ("module._cmd_handler", option -> (type, required)); the type is int, str, a
 #: tuple of choices or None for a flag.  `--check-N` sets `args.check_N`; no name begins another.
 COMMANDS = {
-    "cg": ("cg._cmd_cg", {"m": (int, True), "n": (int, True), "p": (int, True),
-                          "table": (None, False), "u": (int, False), "v": (int, False),
-                          "w": (int, False)}),
+    "cg": ("plethysm._cmd_cg", {"m": (int, True), "n": (int, True), "p": (int, True),
+                                "table": (None, False), "u": (int, False), "v": (int, False),
+                                "w": (int, False)}),
     "bcoeff": ("plethysm._cmd_bcoeff", {"n": (int, True), "k": (int, True), "i": (int, False)}),
     "project-endo": ("plethysm._cmd_project_endo",
                      {"n": (int, True), "k": (int, True), "diag": (str, True)}),

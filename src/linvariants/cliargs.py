@@ -63,14 +63,14 @@ def _json_keys(text: str, label: str, *keys: str) -> dict:
 
 
 def _load_input(args) -> dict:
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:  # stdin's bytes are decoded as strictly as a file's, not with surrogate escapes
+        if args.input == "-":
+            text = sys.stdin.buffer.read().decode("utf-8")
+        else:
             with open(args.input, encoding="utf-8") as handle:
                 text = handle.read()
-        except (OSError, UnicodeDecodeError) as err:
-            raise CliError(f"cannot read input file: {err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise CliError(f"cannot read input file: {err}") from err
     return _json_object(_parse_json_arg(text, "--input"), "--input")
 
 

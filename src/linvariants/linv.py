@@ -337,12 +337,12 @@ LINV_RANK_CAPS = {"gsp_std": ("g", 200), "unitary": ("n", 100)}
 
 
 def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
-    from .cliargs import CliError, _cap, _json_object, _load_input
+    from .cliargs import CliError, _cap, _has_keys, _json_object, _load_input
     obj = _load_input(args)
     family = args.family
     params = _json_object(obj.get("params", {}), "params")
-    places_obj = obj["places"]
-    direction_obj = obj["direction"]
+    places_obj = _has_keys(obj, "--input", "places", "direction")["places"]
+    direction_obj = _has_keys(obj["direction"], "direction", "u")
     direction = Direction.make(direction_obj["u"], direction_obj.get("u0", 0))
     which = args.compare_theorem
     if which and THEOREMS[which][0] != family:
@@ -359,9 +359,11 @@ def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
     if which:
         data = theorem_row(which, data)
     assignments = []
+    keys = [f"a_{j}" for j in range(1, data.num_hecke + 1)]
     for place in places_obj:
-        gradients = place["gradients"]
-        assignments.append([rational(gradients[f"a_{j}"]) for j in range(1, data.num_hecke + 1)])
+        gradients = _has_keys(place, "each place", "gradients")["gradients"]
+        gradients = _has_keys(gradients, "gradients", *keys)
+        assignments.append([rational(gradients[key]) for key in keys])
     try:
         pairs = per_place_pairs(data, direction, assignments)
     except SingularDirectionError as err:

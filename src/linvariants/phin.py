@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 from . import CASES
 from .exactlin import rational
-from .monomial import EigenMonomial, monomial_product  # noqa: F401 (phin re-exports both)
+from .monomial import EigenMonomial
 
 STEINBERG, CRYSTALLINE_SPLIT, CRYSTALLINE_NONSPLIT = CASES
 

@@ -1,4 +1,26 @@
-"""The End(Sym^n V) projection rows B_{n,k,i} and the inverse Clebsch-Gordan table.
+"""Inverse Clebsch-Gordan coefficients and the End(Sym^n V) projection rows B_{n,k,i}.
+
+C_{m,n,p}^{u,v,w} are the coefficients of the equivariant projection
+psi_{m,n,p}: Sym^m V (x) Sym^n V -> Sym^p V in the monomial bases,
+
+    psi(g_{m,u} (x) g_{n,v}) = sum_w C_{m,n,p}^{u,v,w} g_{p,w}.
+
+They vanish off the weight stratum u + v - w = (m+n-p)/2.  On the w = 0
+layer of that stratum C^{u,v,0} = (-1)^u (m-u)! (n-v)!, and ascending in w
+the raising-operator recurrence
+
+    C^{u,v,w} = (u C^{u-1,v,w-1} + v C^{u,v-1,w-1}) / w        (w >= 1)
+
+fills the whole table (`cg_table`).  Unrolled down to w = 0 it gives
+C^{u,v,w} = sum_a (-1)^{u-a} C(u,a) C(v,w-a) (m-u+a)! (n-v+w-a)!, a of the w
+steps lowering u, since C(w,a) u!/(u-a)! v!/(v-w+a)! / w! = C(u,a) C(v,w-a):
+every C is an integer and the division by w is exact.  The unrolled sum is
+a test oracle.  The lowering-operator recurrence
+
+    (p-w) C^{u,v,w} = (m-u) C^{u+1,v,w+1} + (n-v) C^{u,v+1,w+1}
+
+is not used for generation and stays available as an independent check.
+One `cg` entry is read from the table.
 
 B_{n,k,i} is the coefficient of g_{2k,k} in the projection to Sym^{2k} V of
 the diagonal endomorphism g_{n,i} (x) g_{n,i}^v; for an upper-triangular
@@ -8,14 +30,10 @@ B_{n,k,i} sums T_i(a) = (-1)^a C(n,i) C(i,a) C(n-i,k-a) (n-i+a)! (i+k-a)! over
 max(0, i-n+k) <= a <= min(i, k).  T is hypergeometric in a and in i, so each
 term is the one before times a ratio of small integers, and swapping a with
 k-a and i with n-i gives B_{n,k,n-i} = (-1)^k B_{n,k,i}: a row sums i <= n/2.
+One `bcoeff --i` entry is read from the row.
 
-`cg_table` builds the whole table of inverse Clebsch-Gordan coefficients
-C_{m,n,p}^{u,v,w} by the raising recurrence stated in `cg`, which holds a
-single entry, the triple check and the `cg` subcommand.  The table stays
-here because the benchmark's tracer reads its cache counters as
-`plethysm.cg_table`.  The tables hold integers: B itself, and each C, by
-the integrality identity in `cg_table`.  Only the diagonal projection takes
-rationals, so only it imports `fractions` and `exactlin`, when it runs.
+Both tables hold integers.  Only the diagonal projection takes rationals,
+so only it imports `fractions` and `exactlin`, when it runs.
 """
 
 from __future__ import annotations
@@ -28,18 +46,27 @@ if TYPE_CHECKING:  # the integer requests load no `fractions`
     from fractions import Fraction
 
 
+class InvalidWeightTripleError(ValueError):
+    """p is not among m+n, m+n-2, ..., |m-n|."""
+
+
+def valid_triple(m: int, n: int, p: int) -> bool:
+    return (
+        m >= 0
+        and n >= 0
+        and abs(m - n) <= p <= m + n
+        and (m + n - p) % 2 == 0
+    )
+
+
 @lru_cache(maxsize=None)
 def cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], int]:
     """The nonzero C_{m,n,p}^{u,v,w} of one weight triple, keyed (u, v, w) in
-    sorted order.
+    sorted order, by the raising recurrence run on the integers themselves.
 
-    Each C is an integer: unrolled, the recurrence gives the sum over a of
-    (-1)^{u-a} C(u,a) C(v,w-a) (m-u+a)! (n-v+w-a)!, as C(w,a) u!/(u-a)!
-    v!/(v-w+a)! / w! = C(u,a) C(v,w-a).  So (u C^{u-1,v,w-1} + v C^{u,v-1,w-1})
-    // w is exact.  It needs column u - 1 and the entry below in column u, so
-    the columns are filled in turn, each up in w: on the stratum, key order.
+    It needs column u - 1 and the entry below in column u, so the columns are
+    filled in turn, each up in w: on the stratum, key order.
     """
-    from .cg import InvalidWeightTripleError, valid_triple
     if not valid_triple(m, n, p):
         raise InvalidWeightTripleError(f"V_{p} does not occur in V_{m} (x) V_{n}")
     s0 = (m + n - p) // 2
@@ -62,34 +89,21 @@ def cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], int]:
     return values
 
 
-def _b_sum(n: int, k: int, i: int, term: int) -> int:
-    """B_{n,k,i} from `term`, T_i at the first a, each next T_i by its ratio."""
-    total = 0
-    for a in range(max(0, i - n + k), min(i, k)):
-        total += term
-        num = -(i - a) * (k - a) * (n - i + a + 1)
-        term = term * num // ((a + 1) * (n - i - k + a + 1) * (i + k - a))
-    return total + term
-
-
-def b_coefficient(n: int, k: int, i: int) -> int:
-    """B_{n,k,i}, the first T_i in closed form."""
-    if not (0 <= k <= n and 0 <= i <= n):
-        raise ValueError(f"need 0 <= k, i <= n, got k={k}, i={i}, n={n}")
-    a = max(0, i - n + k)
-    return _b_sum(n, k, i, (-1) ** a * comb(n, i) * comb(i, a) * comb(n - i, k - a)
-                  * factorial(n - i + a) * factorial(i + k - a))
-
-
 def b_row(n: int, k: int) -> tuple[int, ...]:
-    """B_{n,k,0..n}: each first T_i by its ratio across i, the upper half by reflection."""
+    """B_{n,k,0..n}: each first T_i by its ratio across i, each next T_i by its
+    ratio across a, the upper half by reflection."""
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k, i <= n, got k={k}, i=0, n={n}")
     c, first, half = n - k, comb(n, k) * factorial(n) * factorial(k), []
     for i in range(n // 2 + 1):
-        half.append(_b_sum(n, k, i, first))
+        total, term = 0, first
+        for a in range(max(0, i - c), min(i, k)):
+            total += term
+            num = -(i - a) * (k - a) * (n - i + a + 1)
+            term = term * num // ((a + 1) * (n - i - k + a + 1) * (i + k - a))
+        half.append(total + term)
         if i < c:
             first = first * ((c - i) * (i + k + 1)) // ((i + 1) * (n - i))
         else:
@@ -124,25 +138,47 @@ def project_endomorphism_diagonal(n: int, k: int, diag) -> DiagonalProjection:
 
 
 #: largest sizes of the polynomial-cost tables, each about 10 s and 100 MB
-#: at most (the cost table is in the README): `bcoeff` n and `project-endo` n
+#: at most (the cost table is in the README): the `cg` indices, `bcoeff` n
+#: and `project-endo` n
+CG_MAX_INDEX = 150
 BCOEFF_MAX_N = 600
 PROJECT_ENDO_MAX_N = 250
 
 
+def _cmd_cg(args) -> tuple[dict, str | None, list | None]:
+    from .cliargs import CliError, _cap
+    m, n, p = args.m, args.n, args.p
+    _cap(max(m, n, p), CG_MAX_INDEX, "cg --m, --n or --p")
+    if args.table:
+        if (args.u, args.v, args.w) != (None, None, None):
+            raise CliError("--table and --u, --v, --w exclude each other")
+        rows = [(*key, str(x)) for key, x in cg_table(m, n, p).items()]
+        return {"m": m, "n": n, "p": p, "rows": rows}, "u,v,w,value", rows
+    if args.u is None or args.v is None or args.w is None:
+        raise CliError("either --table or all of --u --v --w are required")
+    table = cg_table(m, n, p)  # the weight triple is checked first
+    if not (0 <= args.u <= m and 0 <= args.v <= n and 0 <= args.w <= p):
+        raise ValueError(f"indices out of range for V_{m} x V_{n} -> V_{p}")
+    return {"value": str(table.get((args.u, args.v, args.w), 0))}, None, None
+
+
 def _cmd_bcoeff(args) -> tuple[dict, str | None, list | None]:
     from .cliargs import _cap
-    _cap(args.n, BCOEFF_MAX_N, "bcoeff --n")
-    if args.i is not None:
-        value = str(b_coefficient(args.n, args.k, args.i))
-        return {"value": value}, "n,k,i,value", [(args.n, args.k, args.i, value)]
+    n, k, i = args.n, args.k, args.i
+    _cap(n, BCOEFF_MAX_N, "bcoeff --n")
+    if i is not None:
+        if not (0 <= k <= n and 0 <= i <= n):
+            raise ValueError(f"need 0 <= k, i <= n, got k={k}, i={i}, n={n}")
+        value = str(b_row(n, k)[i])
+        return {"value": value}, "n,k,i,value", [(n, k, i, value)]
     # each value is converted to a string once, for the JSON and the CSV alike,
     # and only the lower half: B_{n,k,n-i} = (-1)^k B_{n,k,i}
-    half = [str(x) for x in b_row(args.n, args.k)[: args.n // 2 + 1]]
-    upper = half[: (args.n + 1) // 2][::-1]
-    if args.k % 2:
+    half = [str(x) for x in b_row(n, k)[: n // 2 + 1]]
+    upper = half[: (n + 1) // 2][::-1]
+    if k % 2:
         upper = [x[1:] if x[0] == "-" else x if x == "0" else "-" + x for x in upper]
     values = half + upper
-    rows = [(args.n, args.k, i, x) for i, x in enumerate(values)]
+    rows = [(n, k, i, x) for i, x in enumerate(values)]
     return {"values": values}, "n,k,i,value", rows
 
 

@@ -9,7 +9,9 @@ ratios.  The functions below compute the same values the plain way, one
 `Fraction` operation at a time: the Weyl group by nested loops, the Weyl
 action on torus exponents, the diagonal eigenvalue of one Weyl element from
 it, the recurrence on C with one `Fraction` division per entry, and every
-summand of B from its binomials and factorials.  `b_special`, the paper's special values
+summand of B from its binomials and factorials.  `unrolled_cg_coefficient`
+computes one C from the recurrence unrolled down to w = 0, an integer sum
+with no division.  `b_special`, the paper's special values
 of B for k >= n-2, is the second oracle of the B rows.
 """
 
@@ -17,8 +19,8 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
-from linvariants.phin import EigenMonomial
-from linvariants.cg import InvalidWeightTripleError, valid_triple
+from linvariants.monomial import EigenMonomial
+from linvariants.plethysm import InvalidWeightTripleError, valid_triple
 from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement
 
 
@@ -81,6 +83,28 @@ def fraction_cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], Frac
             if acc:
                 values[(u, v, w)] = acc / w
     return values
+
+
+def unrolled_cg_coefficient(m: int, n: int, p: int, u: int, v: int, w: int) -> int:
+    """One C_{m,n,p}^{u,v,w}: the raising recurrence unrolled down to w = 0,
+
+        C^{u,v,w} = sum_a (-1)^{u-a} C(u,a) C(v,w-a) (m-u+a)! (n-v+w-a)!,
+
+    a of the w steps lowering u, from C^{u',v',0} = (-1)^{u'} (m-u')! (n-v')!:
+    the a-th term's C(w,a) u!/(u-a)! v!/(v-w+a)! / w! is C(u,a) C(v,w-a).  It
+    is 0 off the stratum u + v - w = (m+n-p)/2.
+    """
+    if not valid_triple(m, n, p):
+        raise InvalidWeightTripleError(f"V_{p} does not occur in V_{m} (x) V_{n}")
+    if not (0 <= u <= m and 0 <= v <= n and 0 <= w <= p):
+        raise ValueError(f"indices out of range for V_{m} x V_{n} -> V_{p}")
+    if u + v - w != (m + n - p) // 2:
+        return 0
+    return sum(
+        (-1) ** (u - a) * comb(u, a) * comb(v, w - a)
+        * factorial(m - u + a) * factorial(n - v + w - a)
+        for a in range(max(0, w - v), min(u, w) + 1)
+    )
 
 
 def fraction_b_coefficient(n: int, k: int, i: int) -> Fraction:

@@ -9,10 +9,9 @@ attributes, and refuses what it refuses.
 import argparse
 
 from linvariants import CASES, FAMILIES, THEOREMS
-from linvariants.cg import _cmd_cg
 from linvariants.linv import _cmd_linv
 from linvariants.phin import _cmd_phin
-from linvariants.plethysm import _cmd_bcoeff, _cmd_project_endo
+from linvariants.plethysm import _cmd_bcoeff, _cmd_cg, _cmd_project_endo
 from linvariants.slopes import _cmd_obstruction, _cmd_slope
 from linvariants.weylhecke import _cmd_hecke, _cmd_recover_chi
 

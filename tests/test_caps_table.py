@@ -4,13 +4,13 @@ import re
 import sys
 from pathlib import Path
 
-from linvariants import cg, exactlin, linv, phin, plethysm, slopes, weylhecke
+from linvariants import exactlin, linv, phin, plethysm, slopes, weylhecke
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: the start of a caps row's argument cell -> the caps its cap cell shows, in order
 CAPS = {
-    "`cg --m`": [cg.CG_MAX_INDEX],
+    "`cg --m`": [plethysm.CG_MAX_INDEX],
     "`bcoeff --n`": [plethysm.BCOEFF_MAX_N],
     "`project-endo --n`": [plethysm.PROJECT_ENDO_MAX_N],
     "`phin --n`": [phin.PHIN_MAX_N],

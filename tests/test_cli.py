@@ -2,12 +2,16 @@
 
 import contextlib
 import functools
+import gc
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -17,17 +21,23 @@ from hypothesis import strategies as st
 from kernel_oracles import fraction_b_coefficient, fraction_cg_table, fraction_hecke_diagonal
 from linvariants import weylhecke
 from linvariants.cli import main, parse_args
-from linvariants.cg import valid_triple
 from linvariants.plethysm import (
     BCOEFF_MAX_N,
     PROJECT_ENDO_MAX_N,
     cg_table,
     project_endomorphism_diagonal,
+    valid_triple,
 )
 from linvariants.monomial import EigenMonomial, monomial_product
 from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement, hecke_table
 
 rng = random.Random(16)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def stdin_bytes(data: bytes) -> io.TextIOWrapper:
+    """A standard input holding `data`, with the byte buffer `--input -` reads."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 def run(capsys, *argv):
@@ -281,6 +291,25 @@ def test_input_file_that_is_no_utf8_cannot_be_read(tmp_path, capsys):
     assert payload["error"]["message"].startswith("cannot read input file: 'utf-8' codec can't decode")
 
 
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+def test_stdin_that_is_no_utf8_is_refused_as_a_file_is(tmp_path, capsys, locale):
+    # stdin used to be decoded with surrogate escapes, so the bad byte reached
+    # the rational reader and came back as a domain error naming '\udcff'
+    data = b'{"k":[2],"w":0,"slopes":["\xff"]}'
+    path = tmp_path / "slope.json"
+    path.write_bytes(data)
+    argv = ["slope", "--family", "hilbert", "--input"]
+    file_code, file_out = run(capsys, *argv, str(path))
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "linvariants.cli", *argv, "-"], input=data, capture_output=True,
+        env={**os.environ, "PYTHONPATH": path, "LC_ALL": locale},
+    )
+    assert (done.returncode, done.stderr) == (2, b"")
+    assert (file_code, json.loads(file_out)["error"]["code"]) == (2, "input")
+    assert done.stdout.decode() == file_out + "\n"
+
+
 @pytest.mark.parametrize("fmt", ["json", "pretty"])
 def test_result_past_the_digit_limit_prints_only_the_error(capsys, monkeypatch, fmt):
     # the twist holds an int of over 4300 digits, after other keys of the payload:
@@ -288,7 +317,7 @@ def test_result_past_the_digit_limit_prints_only_the_error(capsys, monkeypatch, 
     slope = "9" * 4300
     request = {"weights": [[0, 0], [0, 0]], "mu0": 0, "t": {"a": [0, 0], "a0": -1},
                "slopes": [slope, slope], "find_twist": True}
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    monkeypatch.setattr("sys.stdin", stdin_bytes(json.dumps(request).encode()))
     assert main(["--format", fmt, "slope", "--family", "gsp", "--input", "-"]) == 2
     out = capsys.readouterr().out
     (line,) = out.splitlines()
@@ -686,13 +715,28 @@ def test_recover_chi_round_trip(capsys):
     assert payload["sigma"] == {}
 
 
+def cpu_seconds(call):
+    """(CPU seconds, result) of call(), the cyclic collector off: its passes grow
+    with the whole test process's heap, not with the work of the call."""
+    gc.disable()
+    try:
+        start = time.process_time()
+        result = call()
+        return time.process_time() - start, result
+    finally:
+        gc.enable()
+
+
 def test_recover_chi_at_the_cap_from_a_file(tmp_path, capsys, monkeypatch):
     # g = 500 random characters x_j^a p^{b/2}: the eigenvalues are 1.8 MB of
     # JSON, so the argument vector is read from a file.  The round trip steps
     # the torus beta(g, g-i) one slot at a time: two closed-form evaluations,
     # not g, which the count below checks exactly.  The CPU-time bound only
-    # catches a gross slowdown: about 1.0 s here, 1.6 to 1.9 s with one
-    # evaluation per i, and half of it is reading the eigenvalues
+    # catches a gross slowdown.  It is a multiple of the forward eigenvalues of
+    # the same characters, timed just before and just after each request, so
+    # that it measures the code and not the load on the machine: the request
+    # takes 10 to 16 times as long, 20 to 30 with one evaluation per i in the
+    # round trip
     g, rng = 500, random.Random(500)
     chis = tuple(
         EigenMonomial.from_dict({f"x_{j}": rng.randint(-3, 3), "p": Fraction(rng.randint(-5, 5), 2)})
@@ -703,7 +747,11 @@ def test_recover_chi_at_the_cap_from_a_file(tmp_path, capsys, monkeypatch):
     mu = [rng.randint(-5, 5) for _ in range(g)]
     nu = rng.sample(range(1, g + 1), g)
     w = WeylElement(tuple(nu), tuple(rng.choice((1, -1)) for _ in range(g)))
-    thetas = weylhecke.normalized_eigenvalues(CharacterData(chis, sigma), mu, mu0, w)
+
+    def forward():
+        return weylhecke.normalized_eigenvalues(CharacterData(chis, sigma), mu, mu0, w)
+
+    thetas = forward()
     path = tmp_path / "argv.json"
     path.write_text(json.dumps([
         "recover-chi", "--g", str(g),
@@ -714,12 +762,20 @@ def test_recover_chi_at_the_cap_from_a_file(tmp_path, capsys, monkeypatch):
     evaluations = []
     closed_form = weylhecke.hecke_diagonal
     monkeypatch.setattr(weylhecke, "hecke_diagonal", lambda *a: evaluations.append(a) or closed_form(*a))
-    start = time.process_time()
-    code, payload = run_json(capsys, *json.loads(path.read_text()))
-    seconds = time.process_time() - start
-    assert code == 0
-    assert len(evaluations) == 2
-    assert seconds < 1.75, seconds
+
+    def yardstick():
+        return min(cpu_seconds(forward)[0] for _ in range(2))
+
+    before, ratios = yardstick(), []
+    for _ in range(2):
+        evaluations.clear()
+        seconds, (code, payload) = cpu_seconds(lambda: run_json(capsys, *json.loads(path.read_text())))
+        assert code == 0
+        assert len(evaluations) == 2
+        after = yardstick()
+        ratios.append(seconds / max(before, after))
+        before = after
+    assert min(ratios) < 20, ratios
     assert payload["chi"] == [{sym: str(e) for sym, e in chi.exponents} for chi in chis]
     assert payload["sigma"] == {sym: str(e) for sym, e in sigma.exponents}
 
@@ -1047,6 +1103,31 @@ def test_slope_input_refusals_name_the_field(tmp_path, capsys, family, obj, mess
     assert json.loads(line)["error"]["message"] == message
 
 
+LINV_INPUT = {"direction": {"u": [1, 2]}, "places": [{"gradients": {"a_1": "1", "a_2": "2"}}]}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        # a missing key used to print only its quoted name, as a domain error
+        ({}, "--input needs the key 'places'"),
+        ({"places": LINV_INPUT["places"]}, "--input needs the key 'direction'"),
+        ({**LINV_INPUT, "direction": {"u0": 1}}, "direction needs the key 'u'"),
+        ({**LINV_INPUT, "places": [{}]}, "each place needs the key 'gradients'"),
+        ({**LINV_INPUT, "places": [{"gradients": {"a_1": "1"}}]}, "gradients needs the key 'a_2'"),
+        # indexing a list by a key used to print Python's own complaint
+        ({**LINV_INPUT, "direction": [1, 2]}, "direction must be a JSON object, not [1, 2]"),
+        ({**LINV_INPUT, "places": [["1", "2"]]}, "each place must be a JSON object, not ['1', '2']"),
+    ],
+    ids=["missing-places", "missing-direction", "missing-u", "missing-gradients", "missing-a_j",
+         "direction-list", "place-list"],
+)
+def test_linv_input_refusals_name_the_key(tmp_path, capsys, obj, message):
+    path = write_json(tmp_path, obj)
+    code, payload = run_json(capsys, "linv", "--family", "gsp4_spin", "--input", path)
+    assert (code, payload) == (2, {"error": {"code": "input", "message": message}})
+
+
 def test_slope_find_twist_false_is_no_search(tmp_path, capsys):
     path = write_json(tmp_path, {**GSP_SLOPE, "find_twist": False})
     assert run_json(capsys, "slope", "--family", "gsp", "--input", path) == (0, {"noncritical": False})
@@ -1069,7 +1150,7 @@ def test_recover_chi_non_object_monomial_exit_2(capsys):
 
 
 def test_linv_non_object_input_exit_2(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("[]"))
+    monkeypatch.setattr("sys.stdin", stdin_bytes(b"[]"))
     code, payload = run_json(capsys, "linv", "--family", "hilbert", "--input", "-")
     assert code == 2
     assert payload["error"]["code"] == "input"

@@ -256,7 +256,7 @@ def test_every_accepted_argv_ends_in_one_json_line(case):
     argv, stdin = case
     out = io.StringIO()
     start = time.perf_counter()
-    with mock.patch("sys.stdin", io.StringIO(stdin or "")):
+    with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO((stdin or "").encode()), encoding="utf-8")):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert time.perf_counter() - start < EXAMPLE_SECONDS, (argv, stdin)

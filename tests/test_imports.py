@@ -2,13 +2,16 @@
 
 Every `linvariants` request is a fresh process, so what the CLI imports is
 paid on every request.  These checks run in fresh interpreters, since the
-test process itself has imported every module long before.
+test process itself has imported every module long before.  What each
+subcommand loads is read from the README's table "subcommand | modules", so
+the table cannot go stale.
 """
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +19,33 @@ from pathlib import Path
 import pytest
 
 import linvariants
+from linvariants.cli import COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
-MATHS = ("cg", "linv", "phin", "plethysm", "weylhecke", "slopes", "sl2rep")
+MATHS = ("linv", "phin", "plethysm", "weylhecke", "slopes", "sl2rep")
 #: what every request loads besides its maths: the parser and the handlers' readers
 CLI = ["linvariants.cli", "linvariants.cliargs"]
+
+
+def readme_modules() -> dict[str, list[str]]:
+    """subcommand -> the modules the README's table says it loads besides `cli` and `cliargs`."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| subcommand | modules |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        commands, modules = line.split("|")[1:3]
+        for command in re.findall(r"`([^`]+)`", commands):
+            table[command] = re.findall(r"`([^`]+)`", modules)
+    return table
+
+
+def documented(argv) -> list[str]:
+    """The sorted `linvariants` modules the README says the request `argv` loads."""
+    (command,) = [token for token in argv if token in COMMANDS]
+    return sorted([*CLI, *(f"linvariants.{m}" for m in readme_modules()[command])])
 
 
 def fresh(code: str):
@@ -49,7 +73,7 @@ def request(argv, stdin: str = ""):
     return fresh(
         "import contextlib, io, json, sys\n"
         "from linvariants.cli import main\n"
-        f"sys.stdin = io.StringIO({stdin!r})\n"
+        f"sys.stdin = io.TextIOWrapper(io.BytesIO({stdin.encode()!r}))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0\n"
         f"{LOADED}"
@@ -86,28 +110,26 @@ def test_help_and_parse_errors_load_no_maths(argv, code):
     assert heavy == []
 
 
-@pytest.mark.parametrize("module", ["plethysm", "linv", "cg", "slopes"])
+@pytest.mark.parametrize("module", ["plethysm", "linv", "slopes"])
 def test_library_import_loads_no_cli(module):
     # the oracle and `linv` import `plethysm` as a library; the handlers load the CLI only when run
     loaded, _ = fresh(f"import json, sys\nimport linvariants.{module}\n{LOADED}")
     assert not set(CLI) & set(loaded)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["bcoeff", "--n", "4", "--k", "2"],
-        ["bcoeff", "--n", "4", "--k", "2", "--i", "1"],
-        ["--format", "csv", "bcoeff", "--n", "3", "--k", "1"],
-        ["project-endo", "--n", "2", "--k", "1", "--diag", "[1, 2, 3]"],
-    ],
-)
+PLETHYSM_REQUESTS = [
+    ["bcoeff", "--n", "4", "--k", "2"],
+    ["bcoeff", "--n", "4", "--k", "2", "--i", "1"],
+    ["--format", "csv", "bcoeff", "--n", "3", "--k", "1"],
+    ["project-endo", "--n", "2", "--k", "1", "--diag", "[1, 2, 3]"],
+]
+
+
+@pytest.mark.parametrize("argv", PLETHYSM_REQUESTS)
 def test_plethysm_requests_load_only_plethysm(argv):
-    # no `cg`: the B rows need none of the Clebsch-Gordan code, and only the
-    # projection of a rational diagonal needs `exactlin`
+    # only the projection of a rational diagonal needs `exactlin`
     loaded, heavy = request(argv)
-    exact = ["linvariants.exactlin"] if "project-endo" in argv else []
-    assert loaded == [*CLI, *exact, "linvariants.plethysm"]
+    assert loaded == documented(argv)
     assert heavy == []
 
 
@@ -136,63 +158,52 @@ def test_integer_requests_load_no_fractions(argv):
     assert loaded == []
 
 
-#: `weylhecke` shares the monomial group with `phin` and loads no `phin`, nor `slopes`
-WEYLHECKE = [*CLI, "linvariants.exactlin", "linvariants.monomial", "linvariants.weylhecke"]
-#: the slope checks use no Weyl group and no monomial; the obstruction orders,
-#: integers alone, not even `exactlin`
-SLOPES = [*CLI, "linvariants.exactlin", "linvariants.slopes"]
+#: one request or more per subcommand besides `bcoeff` and `project-endo`, (argv, stdin)
+MATHS_REQUESTS = [
+    pytest.param(
+        ["phin", "--case", "steinberg", "--n", "2", "--all-submodules", "--benois", "--gr1"], "",
+        id="phin",
+    ),
+    pytest.param(["hecke", "--g", "2", "--t", '{"a": [1, 0], "a0": 0}', "--all"], "", id="hecke"),
+    pytest.param(
+        ["recover-chi", "--g", "2", "--eigs", '[{"p": "-2"}, {"p": "-3/2"}]',
+         "--weights", '{"mu": [0, 0], "mu0": 0}'], "", id="recover-chi",
+    ),
+    pytest.param(
+        ["slope", "--family", "hilbert", "--input", "-"], '{"k": [3], "w": 1, "slopes": ["0"]}',
+        id="slope",
+    ),
+    pytest.param(
+        ["slope", "--family", "gsp", "--input", "-"],
+        '{"weights": [[5, 3]], "mu0": 0, "t": {"a": [0, 0], "a0": -1}, "slopes": [0],'
+        ' "find_twist": true}', id="slope-gsp",
+    ),
+    pytest.param(["obstruction", "--exponents", "3,2,1,0", "--check-N", "6"], "", id="obstruction"),
+    pytest.param(
+        ["cg", "--m", "2", "--n", "2", "--p", "2", "--u", "1", "--v", "1", "--w", "1"], "", id="cg",
+    ),
+    pytest.param(["cg", "--m", "2", "--n", "2", "--p", "2", "--table"], "", id="cg-table"),
+    pytest.param(
+        ["linv", "--family", "gsp4_spin", "--input", "-", "--compare-theorem", "B"],
+        '{"places": [{"gradients": {"a_1": "1", "a_2": "2"}}], "direction": {"u": [1, 2]}}',
+        id="linv",
+    ),
+]
 
 
-@pytest.mark.parametrize(
-    "argv, stdin, modules",
-    [
-        pytest.param(
-            ["phin", "--case", "steinberg", "--n", "2", "--all-submodules", "--benois", "--gr1"],
-            "", [*CLI, "linvariants.exactlin", "linvariants.monomial", "linvariants.phin"],
-            id="phin",
-        ),
-        pytest.param(
-            ["hecke", "--g", "2", "--t", '{"a": [1, 0], "a0": 0}', "--all"], "", WEYLHECKE,
-            id="hecke",
-        ),
-        pytest.param(
-            ["recover-chi", "--g", "2", "--eigs", '[{"p": "-2"}, {"p": "-3/2"}]',
-             "--weights", '{"mu": [0, 0], "mu0": 0}'], "", WEYLHECKE, id="recover-chi",
-        ),
-        pytest.param(
-            ["slope", "--family", "hilbert", "--input", "-"],
-            '{"k": [3], "w": 1, "slopes": ["0"]}', SLOPES, id="slope",
-        ),
-        pytest.param(
-            ["slope", "--family", "gsp", "--input", "-"],
-            '{"weights": [[5, 3]], "mu0": 0, "t": {"a": [0, 0], "a0": -1}, "slopes": [0],'
-            ' "find_twist": true}', SLOPES, id="slope-gsp",
-        ),
-        pytest.param(
-            ["obstruction", "--exponents", "3,2,1,0", "--check-N", "6"], "",
-            [*CLI, "linvariants.slopes"], id="obstruction",
-        ),
-        pytest.param(
-            ["cg", "--m", "2", "--n", "2", "--p", "2", "--u", "1", "--v", "1", "--w", "1"], "",
-            ["linvariants.cg", *CLI], id="cg",
-        ),
-        pytest.param(
-            # the whole table is `plethysm.cg_table`, where the benchmark's tracer reads its cache
-            ["cg", "--m", "2", "--n", "2", "--p", "2", "--table"], "",
-            ["linvariants.cg", *CLI, "linvariants.plethysm"], id="cg-table",
-        ),
-        pytest.param(
-            ["linv", "--family", "gsp4_spin", "--input", "-", "--compare-theorem", "B"],
-            '{"places": [{"gradients": {"a_1": "1", "a_2": "2"}}], "direction": {"u": [1, 2]}}',
-            [*CLI, "linvariants.exactlin", "linvariants.linv", "linvariants.plethysm"],
-            id="linv",
-        ),
-    ],
-)
-def test_maths_requests_load_no_dataclasses(argv, stdin, modules):
+@pytest.mark.parametrize("argv, stdin", MATHS_REQUESTS)
+def test_maths_requests_load_no_dataclasses(argv, stdin):
     loaded, heavy = request(argv, stdin)
-    assert loaded == modules
+    assert loaded == documented(argv)
     assert heavy == []
+
+
+def test_the_readme_module_table_has_one_row_per_subcommand():
+    # and the requests above, whose loads the rows give, reach every subcommand
+    assert sorted(readme_modules()) == sorted(COMMANDS)
+    reached = {command for argv in [*PLETHYSM_REQUESTS, *(p.values[0] for p in MATHS_REQUESTS)]
+               for command in argv if command in COMMANDS}
+    assert reached == set(COMMANDS)
 
 
 @pytest.mark.parametrize(

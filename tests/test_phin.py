@@ -20,13 +20,13 @@ from linalg_oracle import (
     regular_by_rank,
     span_sum,
 )
+from linvariants.monomial import EigenMonomial
 from linvariants.phin import (
     CASES,
     CRYSTALLINE_NONSPLIT,
     CRYSTALLINE_SPLIT,
     P_INVERSE,
     STEINBERG,
-    EigenMonomial,
     PhiNModule,
     UnsupportedInputError,
     benois_filtration,

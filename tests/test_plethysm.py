@@ -1,5 +1,6 @@
 """Inverse Clebsch-Gordan recurrences, B-coefficient rows, projections."""
 
+import json
 import random
 from fractions import Fraction as F
 from math import comb, factorial
@@ -8,17 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linvariants.cg import InvalidWeightTripleError, cg_coefficient, valid_triple
+from linvariants.cli import main
 from linvariants.plethysm import (
     BCOEFF_MAX_N,
     PROJECT_ENDO_MAX_N,
     DiagonalProjection,
-    b_coefficient,
+    InvalidWeightTripleError,
     b_row,
     cg_table,
     project_endomorphism_diagonal,
+    valid_triple,
 )
-from kernel_oracles import b_special, fraction_cg_table
+from kernel_oracles import b_special, fraction_b_coefficient, fraction_cg_table, unrolled_cg_coefficient
 from linalg_oracle import project_endomorphism
 from linvariants.sl2rep import EndoElement, act_on_end
 from test_sl2rep import lower
@@ -75,32 +77,46 @@ def test_integer_table_equals_fraction_recurrence_at_large_sizes(m, n, p):
 
 @pytest.mark.parametrize("m", range(0, 13))
 def test_closed_coefficient_equals_table(m):
-    # every entry is an int, 0 off the stratum, for every p of V_m (x) V_n
+    # the unrolled sum, an integer with no division, is 0 exactly where the
+    # table holds no entry, for every p of V_m (x) V_n
     for n in range(13):
         for p in range(abs(m - n), m + n + 1, 2):
             table = cg_table(m, n, p)
             for u in range(m + 1):
                 for v in range(n + 1):
                     for w in range(p + 1):
-                        value = cg_coefficient(m, n, p, u, v, w)
-                        assert type(value) is int
-                        assert value == table.get((u, v, w), 0)
+                        assert unrolled_cg_coefficient(m, n, p, u, v, w) == table.get((u, v, w), 0)
 
 
-def test_closed_coefficient_errors():
-    with pytest.raises(InvalidWeightTripleError, match=r"V_3 does not occur in V_2 \(x\) V_2"):
-        cg_coefficient(2, 2, 3, 0, 0, 0)
+def cg_entry(capsys, *indices):
+    """(exit code, JSON) of `cg --m --n --p --u --v --w` at `indices`."""
+    argv = [f"--{name}={x}" for name, x in zip("mnpuvw", indices)]
+    code = main(["cg", *argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_closed_coefficient_errors(capsys):
+    # the weight triple is checked before the indices, as the unrolled sum does
+    for indices in ((2, 2, 3, 0, 0, 0), (2, 2, 3, 9, 0, 0)):
+        assert cg_entry(capsys, *indices) == (2, {"error": {
+            "code": "domain", "message": "V_3 does not occur in V_2 (x) V_2"}})
+        with pytest.raises(InvalidWeightTripleError, match=r"V_3 does not occur in V_2 \(x\) V_2"):
+            unrolled_cg_coefficient(*indices)
     for u, v, w in ((3, 0, 0), (0, -1, 0), (0, 0, 5)):
+        assert cg_entry(capsys, 2, 2, 4, u, v, w) == (2, {"error": {
+            "code": "domain", "message": "indices out of range for V_2 x V_2 -> V_4"}})
         with pytest.raises(ValueError, match="indices out of range for V_2 x V_2 -> V_4"):
-            cg_coefficient(2, 2, 4, u, v, w)
+            unrolled_cg_coefficient(2, 2, 4, u, v, w)
 
 
-def test_initial_value_example():
-    assert cg_coefficient(2, 2, 2, 1, 0, 0) == -2
+def test_initial_value_example(capsys):
+    assert cg_table(2, 2, 2)[(1, 0, 0)] == -2
+    assert cg_entry(capsys, 2, 2, 2, 1, 0, 0) == (0, {"value": "-2"})
 
 
-def test_one_recurrence_step_example():
-    assert cg_coefficient(2, 2, 2, 1, 1, 1) == 0
+def test_one_recurrence_step_example(capsys):
+    assert (1, 1, 1) not in cg_table(2, 2, 2)
+    assert cg_entry(capsys, 2, 2, 2, 1, 1, 1) == (0, {"value": "0"})
 
 
 @pytest.mark.parametrize(
@@ -131,13 +147,12 @@ def test_both_recurrences_hold(m, n, p):
 def test_closed_form_equals_recurrence(n):
     for k in range(n + 1):
         for i in range(n + 1):
-            recurrence = F((-1) ** i * comb(n, i)) * cg_coefficient(n, n, 2 * k, i, n - i, k)
-            assert b_coefficient(n, k, i) == recurrence
+            recurrence = (-1) ** i * comb(n, i) * cg_table(n, n, 2 * k).get((i, n - i, k), 0)
+            assert b_row(n, k)[i] == recurrence
 
 
 def test_printed_values():
-    assert b_coefficient(1, 1, 0) == 1
-    assert b_coefficient(1, 1, 1) == -1
+    assert b_row(1, 1) == (1, -1)
     assert b_row(3, 3) == (36, -108, 108, -36)
 
 
@@ -164,7 +179,7 @@ def test_b_special_domain():
 def test_b_special_matches_closed_form(n):
     for k in (n, n - 1, n - 2):
         for i in range(n + 1):
-            assert b_special(n, k, i) == b_coefficient(n, k, i)
+            assert b_special(n, k, i) == b_row(n, k)[i]
 
 
 @pytest.mark.parametrize("n", [100, 301, BCOEFF_MAX_N])
@@ -173,28 +188,30 @@ def test_b_row_equals_the_special_values_at_large_n(n):
         assert b_row(n, k) == tuple(b_special(n, k, i) for i in range(n + 1))
 
 
-def test_b_coefficient_range_errors():
-    with pytest.raises(ValueError):
-        b_coefficient(3, 4, 0)
-    with pytest.raises(ValueError):
-        b_coefficient(3, 0, 5)
+def test_b_coefficient_range_errors(capsys):
+    # `bcoeff --i` checks k and i at once, so an out-of-range k is not reported as i=0
+    for k, i in ((4, 0), (0, 5), (4, 9), (-1, 2)):
+        assert main(["bcoeff", "--n=3", f"--k={k}", f"--i={i}"]) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": {
+            "code": "domain", "message": f"need 0 <= k, i <= n, got k={k}, i={i}, n=3"}}
+    with pytest.raises(ValueError, match=r"^need 0 <= k, i <= n, got k=4, i=0, n=3$"):
+        b_row(3, 4)
 
 
 def test_b_row_uses_only_plain_ints():
     # no Fraction per entry: the rows are the integers themselves
     assert all(type(x) is int for n in range(12) for k in range(n + 1) for x in b_row(n, k))
-    assert type(b_coefficient(7, 3, 2)) is int
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 90).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n), st.integers(0, n))))
 def test_b_reflection_identity(nki):
     # B_{n,k,n-i} = (-1)^k B_{n,k,i}: swap a <-> b and i <-> n-i in the sum.
-    # b_coefficient walks each sum on its own, so this does not assume the
+    # The oracle sums each B term by term, so this does not assume the
     # reflection b_row uses for its upper half
     n, k, i = nki
-    assert b_coefficient(n, k, n - i) == (-1) ** k * b_coefficient(n, k, i)
-    assert b_row(n, k)[n - i] == b_coefficient(n, k, n - i)
+    assert fraction_b_coefficient(n, k, n - i) == (-1) ** k * fraction_b_coefficient(n, k, i)
+    assert b_row(n, k)[n - i] == fraction_b_coefficient(n, k, n - i)
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,10 +241,8 @@ def proportional(xs, ys):
 def test_difference_row_proportional_to_binomial_pattern(n):
     # proportionality only; the absolute constant is recorded in the
     # documentation, not pinned here
-    diffs = [
-        b_coefficient(2 * n, 2 * n - 1, n + i) - b_coefficient(2 * n, 2 * n - 1, n - i)
-        for i in range(1, n + 1)
-    ]
+    row = b_row(2 * n, 2 * n - 1)
+    diffs = [row[n + i] - row[n - i] for i in range(1, n + 1)]
     pattern = [F((-1) ** i * comb(2 * n, n + i) * i) for i in range(1, n + 1)]
     assert proportional(pattern, diffs)
 
@@ -235,7 +250,7 @@ def test_difference_row_proportional_to_binomial_pattern(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_cubic_row_proportional(n):
     m = 4 * n - 1
-    row = [b_coefficient(m, m - 2, i) for i in range(m + 1)]
+    row = b_row(m, m - 2)
     pattern = [
         F(
             (-1) ** i

@@ -63,7 +63,7 @@ def _load(name):
 
 
 def _run(main, argv, stdin, monkeypatch) -> tuple[int, str]:
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode()), encoding="utf-8"))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(argv))

@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 from linvariants import weylhecke
-from linvariants.phin import EigenMonomial, monomial_product
+from linvariants.monomial import EigenMonomial, monomial_product
 from linvariants.slopes import (
     OBSTRUCTION_MAX_SUMS,
     OBSTRUCTION_MAX_TRIALS,
