@@ -3,12 +3,13 @@
 Submodules:
 
 * exactlin  -- exact scalars and vectors
-* monomial  -- the free monomial group of Frobenius and Hecke eigenvalues
+* monomial  -- the free monomial group of Hecke eigenvalues
 * sl2rep    -- the sl(2) action on End(Sym^n V), weight-graded brute-force oracle
   with its fraction-free row reduction
 * plethysm  -- the inverse Clebsch-Gordan table with its weight-triple check,
   the B_{n,k,i} rows and the diagonal projection
-* phin      -- (phi,N)-modules, N as a coordinate map, the 3-step filtration
+* phin      -- the (phi,N)-module answers in closed form: stable and regular
+  submodules, the 3-step filtration, the rank-1 graded piece
 * weylhecke -- GSp(2g) Weyl combinatorics, Hecke eigenvalues, character recovery
 * slopes    -- slope bounds, the twist search and the obstruction orders
 * linv      -- triangulation rows, one pair of linear forms per place

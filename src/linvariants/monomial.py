@@ -1,6 +1,8 @@
-"""The free multiplicative monomial group of the Frobenius and Hecke eigenvalues.
+"""The free multiplicative monomial group of the Hecke eigenvalues.
 
-`phin` and `weylhecke` both build on it, and neither imports the other.
+`weylhecke` builds on it; `phin` prints its closed forms without it, and the
+(phi, N)-module search that checks them (`tests/phin_oracle.py`) writes its
+Frobenius eigenvalues in it.
 """
 
 from .exactlin import rational
@@ -51,9 +53,6 @@ class EigenMonomial:
 
     def __truediv__(self, other: "EigenMonomial") -> "EigenMonomial":
         return self * other.inverse()
-
-    def is_one(self) -> bool:
-        return not self.exponents
 
     def __repr__(self) -> str:
         if not self.exponents:

@@ -30,7 +30,7 @@ B_{n,k,i} sums T_i(a) = (-1)^a C(n,i) C(i,a) C(n-i,k-a) (n-i+a)! (i+k-a)! over
 max(0, i-n+k) <= a <= min(i, k).  T is hypergeometric in a and in i, so each
 term is the one before times a ratio of small integers, and swapping a with
 k-a and i with n-i gives B_{n,k,n-i} = (-1)^k B_{n,k,i}: a row sums i <= n/2.
-One `bcoeff --i` entry is read from the row.
+One `bcoeff --i` entry stops the half row at min(i, n-i).
 
 Both tables hold integers.  Only the diagonal projection takes rationals,
 so only it imports `fractions` and `exactlin`, when it runs.
@@ -39,6 +39,7 @@ so only it imports `fractions` and `exactlin`, when it runs.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from math import comb, factorial
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -89,25 +90,31 @@ def cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], int]:
     return values
 
 
-def b_row(n: int, k: int) -> tuple[int, ...]:
-    """B_{n,k,0..n}: each first T_i by its ratio across i, each next T_i by its
-    ratio across a, the upper half by reflection."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k, i <= n, got k={k}, i=0, n={n}")
-    c, first, half = n - k, comb(n, k) * factorial(n) * factorial(k), []
+def _b_half_row(n: int, k: int):
+    """B_{n,k,0}, B_{n,k,1}, ..., B_{n,k,n//2} for 0 <= k <= n, each first T_i
+    by its ratio across i, each next T_i by its ratio across a; a caller that
+    needs only B_{n,k,j} stops after it."""
+    c, first = n - k, comb(n, k) * factorial(n) * factorial(k)
     for i in range(n // 2 + 1):
         total, term = 0, first
         for a in range(max(0, i - c), min(i, k)):
             total += term
             num = -(i - a) * (k - a) * (n - i + a + 1)
             term = term * num // ((a + 1) * (n - i - k + a + 1) * (i + k - a))
-        half.append(total + term)
+        yield total + term
         if i < c:
             first = first * ((c - i) * (i + k + 1)) // ((i + 1) * (n - i))
         else:
             first = first * (i - n) // (i + 1 - c)
+
+
+def b_row(n: int, k: int) -> tuple[int, ...]:
+    """B_{n,k,0..n}: the lower half by `_b_half_row`, the upper half by reflection."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k, i <= n, got k={k}, i=0, n={n}")
+    half = list(_b_half_row(n, k))
     sign = (-1) ** k
     return (*half, *(sign * x for x in reversed(half[: (n + 1) // 2])))
 
@@ -169,7 +176,10 @@ def _cmd_bcoeff(args) -> tuple[dict, str | None, list | None]:
     if i is not None:
         if not (0 <= k <= n and 0 <= i <= n):
             raise ValueError(f"need 0 <= k, i <= n, got k={k}, i={i}, n={n}")
-        value = str(b_row(n, k)[i])
+        # B_{n,k,i} = (-1)^k B_{n,k,n-i}: the half row up to min(i, n - i) holds it
+        j = min(i, n - i)
+        b = next(islice(_b_half_row(n, k), j, None))
+        value = str(-b if i != j and k % 2 else b)
         return {"value": value}, "n,k,i,value", [(n, k, i, value)]
     # each value is converted to a string once, for the JSON and the CSV alike,
     # and only the lower half: B_{n,k,n-i} = (-1)^k B_{n,k,i}

@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from linvariants.exactlin import DimensionMismatchError, Vector, vector
-from linvariants.phin import CRYSTALLINE_NONSPLIT, CRYSTALLINE_SPLIT, STEINBERG
+from phin_oracle import CRYSTALLINE_NONSPLIT, CRYSTALLINE_SPLIT, STEINBERG
 from linvariants.plethysm import cg_table
 from linvariants.sl2rep import EndoElement, _bareiss_echelon, _rref, _to_integer_rows
 

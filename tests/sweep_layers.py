@@ -1,0 +1,170 @@
+"""Sweep each layer's entry point over its ladder of sizes and append the record
+to BENCH_layers.json.
+
+    PYTHONPATH=src python tests/sweep_layers.py --note "shared 2-core VM"
+
+`LADDERS` names each ladder with its sizes and the call it times:
+
+* `sl2rep._brute_force_data`: `_brute_force_data.__wrapped__(n, 0)`, the
+  brute-force oracle's weight-0 block, (n+1) x (n+1) and augmented by the
+  identity; bits is the bit length of the largest entry of the integer
+  rows `_bareiss_echelon` returns;
+* `phin._cmd_phin ...`: the `phin` handler on the parsed options of one
+  request, steinberg `--benois --gr1` up to the `--n` cap and each
+  crystalline case's `--all-submodules` listing up to its cap; bits is the
+  bit length of the largest integer the answer holds.
+
+Each row is [n, seconds, MB, bits]: seconds is the median of REPS timed
+calls, MB the tracemalloc peak of one more call.  `slope` is the
+least-squares slope of log seconds against log n.  The record names the
+commit of the checkout `linvariants` was imported from; the sweep refuses
+to run when that checkout's `src/` differs from its commit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import json
+import math
+import os
+import platform
+import re
+import statistics
+import subprocess
+import time
+import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
+
+from linvariants import phin, sl2rep
+
+REPS = 7
+
+
+def commit_of(checkout: Path) -> str:
+    def git(*argv: str) -> str:
+        return subprocess.run(["git", "-C", str(checkout), *argv], capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    if git("status", "--porcelain", "--", "src"):
+        raise SystemExit(f"{checkout}/src differs from its commit; commit it before sweeping")
+    return git("rev-parse", "--short", "HEAD")
+
+
+def block_solve(n: int):
+    """(the weight-0 block solve at n, the bits of one more solve)."""
+    solve = sl2rep._brute_force_data.__wrapped__
+
+    def bits() -> int:
+        largest, echelon = [0], sl2rep._bareiss_echelon
+
+        def measured(rows):
+            rows, pivots = echelon(rows)
+            largest[0] = max([largest[0]] + [abs(x).bit_length() for row in rows for x in row])
+            return rows, pivots
+
+        sl2rep._bareiss_echelon = measured
+        try:
+            solve(n, 0)
+        finally:
+            sl2rep._bareiss_echelon = echelon
+        return largest[0]
+
+    return lambda: solve(n, 0), bits
+
+
+def _largest_int_bits(value) -> int:
+    """The bit length of the largest integer in a JSON value, integer strings included."""
+    if isinstance(value, (list, tuple)):
+        return max(map(_largest_int_bits, value), default=0)
+    if isinstance(value, dict):
+        return max(map(_largest_int_bits, value.values()), default=0)
+    if isinstance(value, str):
+        return abs(int(value)).bit_length() if re.fullmatch(r"-?\d+", value) else 0
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value).bit_length()
+    return 0
+
+
+def phin_request(case: str, **flags):
+    """n -> (the `phin` handler on the request's options, the bits of its answer)."""
+    def ladder(n: int):
+        options = {"all_submodules": False, "benois": False, "gr1": False, **flags}
+        args = SimpleNamespace(case=case, n=n, L=None, weight=None, **options)
+
+        def call():
+            return phin._cmd_phin(args)
+
+        return call, lambda: _largest_int_bits(call()[0])
+
+    return ladder
+
+
+#: name -> (sizes, n -> (the call to time, a function giving its bits))
+LADDERS = {
+    "sl2rep._brute_force_data": (range(6, 17), block_solve),
+    "phin._cmd_phin steinberg --benois --gr1":
+        ((1000, 2000, 4000, 8000, 16000, 30000), phin_request("steinberg", benois=True, gr1=True)),
+    "phin._cmd_phin crystalline_split --all-submodules":
+        (range(4, 9), phin_request("crystalline_split", all_submodules=True)),
+    "phin._cmd_phin crystalline_nonsplit --all-submodules":
+        (range(4, 9), phin_request("crystalline_nonsplit", all_submodules=True)),
+}
+
+
+def point(n: int, ladder) -> list:
+    call, bits = ladder(n)
+    times = []
+    for _ in range(REPS):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return [n, round(statistics.median(times), 6), round(peak / 2**20, 3), bits()]
+
+
+def log_log_slope(rows: list) -> float:
+    xs = [math.log(row[0]) for row in rows]
+    ys = [math.log(row[1]) for row in rows]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="sweep_layers")
+    parser.add_argument("--out", default="BENCH_layers.json")
+    parser.add_argument("--note", default="", help="the machine, as a reader should know it")
+    args = parser.parse_args(argv)
+    commit = commit_of(Path(sl2rep.__file__).resolve().parents[2])
+    layers = {}
+    for name, (sizes, ladder) in LADDERS.items():
+        rows = [point(n, ladder) for n in sizes]
+        layers[name] = {"columns": ["n", "seconds", "MB", "bits"], "rows": rows,
+                        "slope": round(log_log_slope(rows), 3)}
+    record = {
+        "commit": commit,
+        "date": datetime.date.today().isoformat(),
+        "machine": f"{args.note}; {platform.machine()}, {os.cpu_count()} CPUs, "
+                   f"{platform.system()} {platform.release()}".lstrip("; "),
+        "python": platform.python_version(),
+        "reps": REPS,
+        "layers": layers,
+    }
+    out = Path(args.out)
+    bench = json.loads(out.read_text()) if out.exists() else {"records": []}
+    bench["records"].append(record)
+    # one line per row: the innermost lists are written flat
+    text = re.sub(r"\[\s+([^][{}]*?)\s+\]", lambda m: "[" + " ".join(m.group(1).split()) + "]",
+                  json.dumps(bench, indent=1))
+    out.write_text(text + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

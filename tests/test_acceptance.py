@@ -6,14 +6,17 @@ criteria themselves grant.  Run with `pytest tests/test_acceptance.py -v -s`
 to see the per-criterion lines.
 """
 
+import json
 import random
 from fractions import Fraction as F
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 
 from linvariants import linv, phin, plethysm, sl2rep, slopes, weylhecke
 from linvariants.monomial import EigenMonomial, monomial_product
+import phin_oracle
 from kernel_oracles import b_special
 from paper_displays import theorem_evaluator, upi_eigenvalue_display
 from linalg_oracle import Subspace, fil0_space, intersect, project_endomorphism
@@ -124,22 +127,28 @@ def test_criterion_5_theorem_coefficient_patterns():
 def test_criterion_6_phi_n_suite():
     ok = True
     for n in range(1, 7):
-        steinberg = phin.build_case(phin.STEINBERG, n, l_invariant=F(1))
-        regular = phin.regular_submodules(steinberg)
+        steinberg = phin_oracle.build_case(phin_oracle.STEINBERG, n, l_invariant=F(1))
+        regular = phin_oracle.regular_submodules(steinberg)
         ok = ok and regular == [steinberg.f_span(range(1, n + 1))]
-        filtration = phin.benois_filtration(steinberg, regular[0])
+        filtration = phin_oracle.benois_filtration(steinberg, regular[0])
         ok = ok and filtration.d_minus1 == steinberg.f_span(range(2, n + 1))
         ok = ok and filtration.d_1 == steinberg.f_span(range(0, n + 1))
-        ok = ok and phin.gr1_data(steinberg, regular[0]) == (1, EigenMonomial())
-        for case in (phin.CRYSTALLINE_SPLIT, phin.CRYSTALLINE_NONSPLIT):
-            module = phin.build_case(case, n)
-            d = phin.canonical_regular_submodule(module)
+        ok = ok and phin_oracle.gr1_data(steinberg, regular[0]) == (1, EigenMonomial())
+        for case in (phin_oracle.CRYSTALLINE_SPLIT, phin_oracle.CRYSTALLINE_NONSPLIT):
+            module = phin_oracle.build_case(case, n)
+            d = phin_oracle.canonical_regular_submodule(module)
             dense_d = Subspace.coordinate(module.dim, d)
             ok = ok and intersect(dense_d, fil0_space(module)).dim == 0 and len(d) == n
-            filtration = phin.benois_filtration(module, d)
+            filtration = phin_oracle.benois_filtration(module, d)
             ok = ok and filtration.d_minus1 == d and filtration.d_0 == d
             ok = ok and filtration.d_1 == module.f_span(range(0, n + 1))
-            ok = ok and phin.gr1_data(module, d) == (1, EigenMonomial())
+            ok = ok and phin_oracle.gr1_data(module, d) == (1, EigenMonomial())
+        # the CLI prints the closed forms, which must equal the search's answer
+        for case in phin_oracle.CASES:
+            args = SimpleNamespace(case=case, n=n, L=None, weight=None, all_submodules=True,
+                                   benois=True, gr1=True)
+            printed = json.loads(json.dumps(phin._cmd_phin(args)[0]))
+            ok = ok and printed == phin_oracle.phin_answer(args)
     report(6, ok, "regular submodules and Benois filtration per case, n <= 6")
 
 

@@ -1,6 +1,6 @@
 """The shape of BENCH_layers.json, the per-layer sweep records.
 
-`tests/sweep_sl2rep.py` appends one record per run; each perf change records
+`tests/sweep_layers.py` appends one record per run; each perf change records
 its parent next to itself, so the list is the trajectory.
 """
 
@@ -49,9 +49,22 @@ def test_every_layer_has_a_size_ladder_and_its_log_log_slope():
             assert abs(layer["slope"] - slope) < 1e-3
 
 
+def ladder_sizes(name: str) -> list[list[int]]:
+    """The sizes of every record's ladder `name`; some record must hold it."""
+    ladders = [r["layers"][name] for r in records() if name in r["layers"]]
+    assert ladders, name
+    return [[row[0] for row in ladder["rows"]] for ladder in ladders]
+
+
 def test_the_sl2rep_ladder_runs_from_6_to_16():
-    ladders = [r["layers"]["sl2rep._brute_force_data"] for r in records()
-               if "sl2rep._brute_force_data" in r["layers"]]
-    assert ladders
-    for ladder in ladders:
-        assert [row[0] for row in ladder["rows"]] == list(range(6, 17))
+    for sizes in ladder_sizes("sl2rep._brute_force_data"):
+        assert sizes == list(range(6, 17))
+
+
+def test_the_phin_ladders_run_up_to_their_caps():
+    # the steinberg --n cap is 30000, the crystalline --all-submodules cap 8
+    for sizes in ladder_sizes("phin._cmd_phin steinberg --benois --gr1"):
+        assert sizes == [1000, 2000, 4000, 8000, 16000, 30000]
+    for case in ("crystalline_split", "crystalline_nonsplit"):
+        for sizes in ladder_sizes(f"phin._cmd_phin {case} --all-submodules"):
+            assert sizes == list(range(4, 9))

@@ -8,6 +8,10 @@ listings (phin n <= 10, hecke g <= 8) and otherwise stay small (g <= 3
 elsewhere, at most 8 exponents, cg and bcoeff sizes <= 30); fixed examples
 step one past each table's size cap, the `recover-chi --g` cap and each
 `obstruction` budget.  Every example must finish within `EXAMPLE_SECONDS`.
+
+An exit-0 answer of a subcommand in `ORACLES` must also equal the value its
+oracle computes from the parsed options by a path of its own: `phin`'s
+closed forms against the (phi, N)-module search of `tests/phin_oracle.py`.
 """
 
 import contextlib
@@ -19,13 +23,16 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linvariants.cli import main
+from linvariants import CASES
+from linvariants.cli import main, parse_args
 from linvariants.linv import THEOREMS
-from linvariants.phin import CASES
+from phin_oracle import phin_answer
 
 #: wall-time bound per request; the slowest requests allowed here, phin
 #: --all-submodules in a crystalline case at n = 8, take about 1.5 s
 EXAMPLE_SECONDS = 5
+#: subcommand -> the JSON value of an accepted request, from its parsed options
+ORACLES = {"phin": phin_answer}
 
 anything = st.recursive(
     st.none()
@@ -237,6 +244,11 @@ argvs = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(argvs)
+# every phin case with every flag, so that each value is compared, whatever the draw
+@example((["phin", "--case=steinberg", "--n=3", "--L=-2/3", "--all-submodules", "--benois", "--gr1"], None))
+@example((["phin", "--case=crystalline_split", "--n=2", "--weight=5", "--all-submodules", "--benois",
+           "--gr1"], None))
+@example((["phin", "--case=crystalline_nonsplit", "--n=2", "--all-submodules", "--benois", "--gr1"], None))
 # both sides of each cap, whatever the draw
 @example((["phin", "--case=crystalline_nonsplit", "--n=8", "--all-submodules", "--gr1"], None))
 @example((["phin", "--case=crystalline_split", "--n=10", "--all-submodules"], None))
@@ -265,3 +277,6 @@ def test_every_accepted_argv_ends_in_one_json_line(case):
     assert text.endswith("\n") and text.count("\n") == 1, (argv, stdin, text)
     payload = json.loads(text)
     assert (code == 0) == ("error" not in payload), (argv, stdin, payload)
+    if code == 0 and argv[0] in ORACLES:
+        expected = ORACLES[argv[0]](parse_args(argv))
+        assert payload == json.loads(json.dumps(expected)), (argv, stdin)

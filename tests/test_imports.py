@@ -133,8 +133,12 @@ def test_plethysm_requests_load_only_plethysm(argv):
     assert heavy == []
 
 
-#: requests whose every value is an integer
+#: requests whose every value is an integer; `phin` reads `exactlin` only for a steinberg --L
 INTEGER_REQUESTS = [
+    ["phin", "--case", "crystalline_split", "--n", "3", "--weight", "5", "--all-submodules",
+     "--benois", "--gr1"],
+    ["phin", "--case", "crystalline_nonsplit", "--n", "3", "--all-submodules", "--benois", "--gr1"],
+    ["phin", "--case", "steinberg", "--n", "3", "--all-submodules", "--benois", "--gr1"],
     ["bcoeff", "--n", "4", "--k", "2"],
     ["bcoeff", "--n", "4", "--k", "2", "--i", "1"],
     ["--format", "csv", "bcoeff", "--n", "3", "--k", "1"],
@@ -161,7 +165,8 @@ def test_integer_requests_load_no_fractions(argv):
 #: one request or more per subcommand besides `bcoeff` and `project-endo`, (argv, stdin)
 MATHS_REQUESTS = [
     pytest.param(
-        ["phin", "--case", "steinberg", "--n", "2", "--all-submodules", "--benois", "--gr1"], "",
+        ["phin", "--case", "steinberg", "--n", "2", "--L=-3/4", "--all-submodules", "--benois",
+         "--gr1"], "",
         id="phin",
     ),
     pytest.param(["hecke", "--g", "2", "--t", '{"a": [1, 0], "a0": 0}', "--all"], "", id="hecke"),

@@ -1,10 +1,12 @@
 """Filtered (phi,N)-modules: cases, submodules, the three-step filtration."""
 
+import json
 import random
 import time
 from fractions import Fraction as F
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +23,8 @@ from linalg_oracle import (
     span_sum,
 )
 from linvariants.monomial import EigenMonomial
-from linvariants.phin import (
+from linvariants.phin import _cmd_phin
+from phin_oracle import (
     CASES,
     CRYSTALLINE_NONSPLIT,
     CRYSTALLINE_SPLIT,
@@ -34,6 +37,7 @@ from linvariants.phin import (
     canonical_regular_submodule,
     gr1_data,
     is_stable,
+    phin_answer,
     regular_submodules,
     stable_submodules,
 )
@@ -88,7 +92,7 @@ def tuple_lifted_d1(module, d):
     """D_1 of `benois_filtration`, looking each target up in the tuple (None, *d)."""
     lifted = {
         c for c in range(module.dim)
-        if module.phi[c].is_one() and module.monodromy[c] in (None, *d)
+        if module.phi[c] == EigenMonomial() and module.monodromy[c] in (None, *d)
     }
     return tuple(sorted(lifted.union(d)))
 
@@ -501,3 +505,73 @@ def test_steinberg_fil0_membership(n):
 def test_unknown_case_rejected():
     with pytest.raises(ValueError):
         build_case("ordinary", 2)
+
+
+# --- the CLI's closed forms against the search -----------------------------
+
+#: --L as a user may write it: fractions, signs, decimals, exponents, spaces, 256 bits
+L_TEXTS = (None, "1", "6/4", "-3", "1e3", "0.5", " 7 ", "-2/3", "+5", "1E-2",
+           str(F(2**256 - 189, 3**161)))
+WEIGHTS = (None, 2, 3, 12, 10**6)
+#: (--all-submodules, --benois, --gr1): with and without each flag
+FLAGS = tuple(product((False, True), repeat=3))
+
+
+def phin_args(case, n, l_text=None, weight=None, flags=(True, True, True)):
+    """The namespace `cli.parse_args` gives a `phin` request."""
+    all_submodules, benois, gr1 = flags
+    return SimpleNamespace(case=case, n=n, L=l_text, weight=weight,
+                           all_submodules=all_submodules, benois=benois, gr1=gr1)
+
+
+def printed(args):
+    """The JSON value the handler prints for `args`."""
+    return json.loads(json.dumps(_cmd_phin(args)[0]))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_handler_prints_the_searchs_answer(n):
+    requests = [phin_args(STEINBERG, n, l_text, None, flags) for l_text in L_TEXTS for flags in FLAGS]
+    requests += [phin_args(CRYSTALLINE_SPLIT, n, None, k, flags) for k in WEIGHTS for flags in FLAGS]
+    requests += [phin_args(CRYSTALLINE_NONSPLIT, n, None, None, flags) for flags in FLAGS]
+    for args in requests:
+        assert printed(args) == phin_answer(args), vars(args)
+
+
+@pytest.mark.parametrize("case, weight", [(CRYSTALLINE_SPLIT, 7), (CRYSTALLINE_NONSPLIT, None)])
+def test_the_crystalline_listing_at_its_cap_is_the_searchs(case, weight):
+    # n = 8: all 2^17 coordinate sets, and C(17, 8) regular ones in the nonsplit case
+    args = phin_args(case, 8, None, weight)
+    assert printed(args) == phin_answer(args)
+
+
+@pytest.mark.parametrize(
+    "case, n, l_text, weight",
+    [
+        (STEINBERG, 0, "0", 5),  # n is read first
+        (CRYSTALLINE_SPLIT, -1, None, None),
+        (STEINBERG, 2, "x", 4),  # then the weight's case, then L's
+        (CRYSTALLINE_NONSPLIT, 1, "1", 3),
+        (CRYSTALLINE_SPLIT, 1, "0", 1),
+        (CRYSTALLINE_NONSPLIT, 3, "", None),
+        (CRYSTALLINE_SPLIT, 2, None, 1),
+        (CRYSTALLINE_SPLIT, 2, None, -4),
+        (STEINBERG, 2, "0", None),
+        (STEINBERG, 2, "0/7", None),
+        (STEINBERG, 2, "-0.0", None),
+        (STEINBERG, 2, "1/0", None),
+        (STEINBERG, 2, "x", None),
+        (STEINBERG, 2, "", None),
+        (STEINBERG, 2, "1e100000", None),
+        (STEINBERG, 2, "1e5000", None),  # read, but too long to print
+        (STEINBERG, 2, "7" * 5000, None),
+    ],
+)
+def test_the_handler_refuses_as_the_search_does(case, n, l_text, weight):
+    for flags in FLAGS:
+        args = phin_args(case, n, l_text, weight, flags)
+        with pytest.raises(ValueError) as expected:
+            phin_answer(args)
+        with pytest.raises(ValueError) as refused:
+            _cmd_phin(args)
+        assert str(refused.value) == str(expected.value)

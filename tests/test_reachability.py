@@ -28,6 +28,9 @@ ALLOWED = {
     ("__init__.py", "__getattr__"): "the lazy submodule import of `linvariants.<name>`, "
     "which perfbench/traced.py and library users go through",
     ("monomial.py", "EigenMonomial.__repr__"): "the monomial in test failure messages",
+    ("monomial.py", "EigenMonomial.__hash__"): "monomials in sets, as the (phi, N) search "
+    "of tests/phin_oracle.py checks its eigenvalues distinct; `__eq__` alone would make "
+    "them unhashable",
 }
 
 #: requests beyond the benchmark passes, (argv, stdin): a hecke request without
