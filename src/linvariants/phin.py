@@ -52,12 +52,12 @@ from . import CASES
 STEINBERG, CRYSTALLINE_SPLIT, CRYSTALLINE_NONSPLIT = CASES
 
 #: largest n whose `--all-submodules` listing runs without monodromy: 2^(2n+1)
-#: stable sets; one step past the cap costs over 200 MB
+#: stable sets; one step past the cap takes about 100 MB
 ALL_SUBMODULES_MAX_N = 8
 #: largest n, and largest `--weight`, of any case (the module has 2n+1 eigenvalues,
 #: and the split case's p-exponents grow with the weight), and largest n of the
 #: steinberg listing, whose 2n+2 stable sets hold about n^2 coordinates; each
-#: under 1 s and 100 MB (the cost table is in the README)
+#: under 1 s and 50 MB (the cost table is in the README)
 PHIN_MAX_N = 30000
 PHIN_MAX_WEIGHT = 10**6
 STEINBERG_ALL_SUBMODULES_MAX_N = 500

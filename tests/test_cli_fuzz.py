@@ -28,8 +28,8 @@ from linvariants.cli import main, parse_args
 from linvariants.linv import THEOREMS
 from phin_oracle import phin_answer
 
-#: wall-time bound per request; the slowest requests allowed here, phin
-#: --all-submodules in a crystalline case at n = 8, take about 1.5 s
+#: wall-time bound per request, oracle not included; the slowest requests allowed
+#: here, phin --all-submodules in a crystalline case at n = 8, take about 0.3 s
 EXAMPLE_SECONDS = 5
 #: subcommand -> the JSON value of an accepted request, from its parsed options
 ORACLES = {"phin": phin_answer}
