@@ -3,14 +3,14 @@
 Submodules:
 
 * exactlin  -- exact scalars and vectors
-* monomial  -- the free monomial group of Hecke eigenvalues
 * sl2rep    -- the sl(2) action on End(Sym^n V), weight-graded brute-force oracle
-  with its fraction-free row reduction
+  with its fraction-free block inverse
 * plethysm  -- the inverse Clebsch-Gordan table with its weight-triple check,
   the B_{n,k,i} rows and the diagonal projection
 * phin      -- the (phi,N)-module answers in closed form: stable and regular
   submodules, the 3-step filtration, the rank-1 graded piece
-* weylhecke -- GSp(2g) Weyl combinatorics, Hecke eigenvalues, character recovery
+* weylhecke -- GSp(2g) Weyl combinatorics, Hecke eigenvalues in the free
+  monomial group `EigenMonomial`, character recovery
 * slopes    -- slope bounds, the twist search and the obstruction orders
 * linv      -- triangulation rows, one pair of linear forms per place
 * cli       -- JSON/CSV command-line interface; each subcommand's handler
@@ -25,7 +25,6 @@ import importlib
 
 __all__ = [
     "exactlin",
-    "monomial",
     "sl2rep",
     "plethysm",
     "phin",

@@ -28,10 +28,6 @@ def _int(text: str, label: str) -> int:
     return int(text)
 
 
-def _monomial_json(m) -> dict:
-    return {sym: str(e) for sym, e in m.exponents}
-
-
 def _json_object(value, label: str) -> dict:
     if not isinstance(value, dict):
         raise CliError(f"{label} must be a JSON object, not {value!r}")

@@ -1,7 +1,9 @@
 """Exact scalars and vectors over Q.
 
 Everything is computed with `fractions.Fraction`, so results are exact.
-The row reduction lives in `sl2rep`, beside its one caller.
+The one elimination, fraction-free on integer rows, lives in `sl2rep`
+beside its one caller; the tests' `Fraction` row reduction, `rref`, runs
+through it from `tests/linalg_oracle.py`.
 """
 
 from __future__ import annotations

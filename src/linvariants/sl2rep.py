@@ -24,18 +24,19 @@ weight.  Every entry of a block is an integer, so the block is built as ints
 and inverted by fraction-free Gauss-Jordan elimination: each pivot clears
 its column above and below by the two-term minor update, which keeps every
 entry a minor of the input instead of letting numerators and denominators
-blow up independently.  Only the reduced rows become Fractions, each entry
-once, over the last pivot.
+blow up independently.  The inverse stays integer rows over the last pivot,
+and a diagonal is scaled to integers once, so each coordinate is one integer
+dot product and one Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
-from typing import Sequence
+from math import comb, lcm
+from operator import mul
 
-from .exactlin import DimensionMismatchError, Vector, rational
+from .exactlin import DimensionMismatchError, rational
 
 LOWER = "L"
 RAISE = "R"
@@ -103,8 +104,9 @@ def highest_weight_vector(n: int, k: int) -> EndoElement:
 
 
 @lru_cache(maxsize=None)
-def _brute_force_data(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of the weight-2d block of the change of basis to {L^i v_{2j}}.
+def _brute_force_data(n: int, d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Inverse of the weight-2d block of the change of basis to {L^i v_{2j}},
+    as integer rows over one denominator, the last pivot.
 
     L^i v_{2j} has weight 2(j-i) and g_{n,a} (x) g_{n,b}^v has weight 2(b-a),
     so the change of basis is block diagonal.  The weight-2d block has the
@@ -123,10 +125,11 @@ def _brute_force_data(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
         list(row) + [int(r == c) for c in range(size)]
         for r, row in enumerate(zip(*columns))
     ]
-    reduced, pivots = _rref(augmented)
-    if pivots != tuple(range(size)):
+    reduced, pivots = _bareiss_echelon(augmented)
+    if pivots != list(range(size)):
         raise InternalConsistencyError(f"weight-{2 * d} block of {{L^i v_2j}} is singular")
-    return tuple(row[size:] for row in reduced)
+    # every pivot equals the last one, so the left half is that pivot times the identity
+    return tuple(tuple(row[size:]) for row in reduced), reduced[-1][size - 1]
 
 
 def _diagonal(t: EndoElement, d: int) -> list[Fraction]:
@@ -149,8 +152,10 @@ def brute_force_coordinates(t: EndoElement) -> dict[tuple[int, int], Fraction]:
         if not any(x):
             coords.update(dict.fromkeys(keys, Fraction(0)))
             continue
-        inverse = _brute_force_data(n, d)
-        coords.update(zip(keys, (sum(a * b for a, b in zip(row, x)) for row in inverse)))
+        inverse, pivot = _brute_force_data(n, d)
+        scale = lcm(*(a.denominator for a in x))
+        x = [a.numerator * (scale // a.denominator) for a in x]
+        coords.update(zip(keys, (Fraction(sum(map(mul, row, x)), pivot * scale) for row in inverse)))
     return coords
 
 
@@ -193,25 +198,3 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
             break
     return rows, pivots
 
-
-def _to_integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        scale = lcm(*(f.denominator for f in row)) if row else 1
-        ints = [int(f * scale) for f in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
-    return out
-
-
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Reduced row echelon form; zero rows are dropped."""
-    work, pivots = _bareiss_echelon(_to_integer_rows(rows))
-    # every pivot equals the last one, so each reduced row is its integer
-    # row over that one pivot: one Fraction per entry, no back-substitution
-    p = work[len(pivots) - 1][pivots[-1]] if pivots else 1
-    return tuple(tuple(Fraction(x, p) for x in work[r]) for r in range(len(pivots))), tuple(pivots)

@@ -21,8 +21,10 @@ Character recovery inverts these eigenvalue formulas (given the weight,
 whose similitude coordinate enters through the determinant relation
 chi_1...chi_g sigma^2 (p) = p^{mu_0}) and is contracted to round-trip.
 
-Half-integer p-exponents (the g(g+1)/4 term) are ordinary rational
-exponents of the EigenMonomial symbol 'p'; no square roots are adjoined.
+The eigenvalues are `EigenMonomial`s, Laurent monomials in the formal
+symbols p, chi_j and sigma.  Half-integer p-exponents (the g(g+1)/4 term)
+are ordinary rational exponents of the symbol 'p'; no square roots are
+adjoined.
 Both `hecke_diagonal` and the `hecke --all` sweep evaluate this closed form
 in integers over one denominator; the sweep adds up p's exponent by doubling.
 """
@@ -36,7 +38,70 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .exactlin import rational, vector
-from .monomial import EigenMonomial, monomial_product
+
+
+class EigenMonomial:
+    """Laurent monomial in formal symbols with exact rational exponents.
+
+    Two monomials are equal iff their exponent maps are equal: the symbols
+    satisfy no hidden multiplicative relations.  `exponents` is the one
+    canonical form of that map, the tuple of (symbol, Fraction) pairs with
+    nonzero exponents, sorted by symbol.
+    """
+
+    __slots__ = ("exponents",)
+
+    def __init__(self, exponents: tuple = ()):
+        self.exponents = exponents
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EigenMonomial) and self.exponents == other.exponents
+
+    def __hash__(self) -> int:
+        return hash(self.exponents)
+
+    @classmethod
+    def from_dict(cls, exps: dict) -> "EigenMonomial":
+        items = [(sym, rational(e)) for sym, e in exps.items()]
+        return cls(tuple(sorted(item for item in items if item[1])))
+
+    @classmethod
+    def symbol(cls, name: str, exponent=1) -> "EigenMonomial":
+        return cls.from_dict({name: rational(exponent)})
+
+    @classmethod
+    def p_power(cls, exponent) -> "EigenMonomial":
+        return cls.symbol("p", exponent)
+
+    def __mul__(self, other: "EigenMonomial") -> "EigenMonomial":
+        return monomial_product((self, other))
+
+    def __pow__(self, e) -> "EigenMonomial":
+        e = rational(e)
+        return EigenMonomial.from_dict({s: x * e for s, x in self.exponents})
+
+    def inverse(self) -> "EigenMonomial":
+        return self ** -1
+
+    def __truediv__(self, other: "EigenMonomial") -> "EigenMonomial":
+        return self * other.inverse()
+
+    def to_json(self) -> dict:
+        return {sym: str(e) for sym, e in self.exponents}
+
+    def __repr__(self) -> str:
+        if not self.exponents:
+            return "1"
+        return "*".join(f"{s}^{e}" for s, e in self.exponents)
+
+
+def monomial_product(factors) -> EigenMonomial:
+    """The product of `factors`, summed into one exponent map."""
+    exps: dict = {}
+    for factor in factors:
+        for sym, e in factor.exponents:
+            exps[sym] = exps[sym] + e if sym in exps else e
+    return EigenMonomial.from_dict(exps)
 
 
 class InversionError(ValueError):
@@ -59,14 +124,6 @@ class WeylElement(NamedTuple):
     @classmethod
     def identity(cls, g: int) -> "WeylElement":
         return cls(tuple(range(1, g + 1)), (1,) * g)
-
-    def permute(self, j: int) -> int:
-        """nu(j) for 1-based j."""
-        return self.nu[j - 1]
-
-    def sign(self, i: int) -> int:
-        """eps(i) for 1-based i."""
-        return self.eps[i - 1]
 
     def to_json(self) -> dict:
         return {"nu": list(self.nu), "eps": list(self.eps)}
@@ -174,12 +231,8 @@ def hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> Eige
 
 def c_g_constant(g: int, w: WeylElement) -> Fraction:
     """c_{g,nu,eps} = sum_{eps(nu(j))=-1}(g+1-j) - g(g+1)/4."""
-    total = sum(
-        Fraction(g + 1 - j)
-        for j in range(1, g + 1)
-        if w.sign(w.permute(j)) == -1
-    )
-    return total - Fraction(g * (g + 1), 4)
+    total = sum(g + 1 - j for j, i in enumerate(w.nu, 1) if w.eps[i - 1] == -1)
+    return Fraction(4 * total - g * (g + 1), 4)
 
 
 def _beta_weight_exponents(g: int, mu: Sequence[Fraction], mu0: Fraction) -> list[Fraction]:
@@ -326,7 +379,7 @@ def hecke_table(t: TorusExponent) -> str:
 
 
 def _cmd_hecke(args) -> tuple[dict | str, str | None, list | None]:
-    from .cliargs import CliError, _json_keys, _monomial_json
+    from .cliargs import CliError, _json_keys
     g = args.g
     if args.all and g > HECKE_ALL_MAX_G:
         raise CliError(f"--all lists 2^g g! Weyl elements; g > {HECKE_ALL_MAX_G} is refused")
@@ -341,11 +394,11 @@ def _cmd_hecke(args) -> tuple[dict | str, str | None, list | None]:
     chi = CharacterData.generic(g)
     w = _weyl_from_args(args, g)
     value = hecke_diagonal(chi, t, w)
-    return {"g": g, "weyl": w.to_json(), "value": _monomial_json(value)}, None, None
+    return {"g": g, "weyl": w.to_json(), "value": value.to_json()}, None, None
 
 
 def _cmd_recover_chi(args) -> tuple[dict, str | None, list | None]:
-    from .cliargs import _cap, _json_keys, _json_object, _monomial_json, _parse_json_arg
+    from .cliargs import _cap, _json_keys, _json_object, _parse_json_arg
     g = args.g
     _cap(g, RECOVER_CHI_MAX_G, "recover-chi --g")
     eigs = _parse_json_arg(args.eigs, "--eigs")
@@ -359,6 +412,6 @@ def _cmd_recover_chi(args) -> tuple[dict, str | None, list | None]:
         w,
     )
     return {
-        "chi": [_monomial_json(c) for c in recovered.chi],
-        "sigma": _monomial_json(recovered.sigma),
+        "chi": [c.to_json() for c in recovered.chi],
+        "sigma": recovered.sigma.to_json(),
     }, None, None

@@ -19,9 +19,8 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
-from linvariants.monomial import EigenMonomial
 from linvariants.plethysm import InvalidWeightTripleError, valid_triple
-from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement
+from linvariants.weylhecke import CharacterData, EigenMonomial, TorusExponent, WeylElement
 
 
 def nested_loop_weyl_group(g: int) -> tuple[WeylElement, ...]:

@@ -1,28 +1,54 @@
-"""Linear-algebra oracles for the tests: rank, kernel, the subspace lattice
-and the full projection End(Sym^n V) -> Sym^{2k} V.
+"""Linear-algebra oracles for the tests: row reduction, rank, kernel, the
+subspace lattice and the full projection End(Sym^n V) -> Sym^{2k} V.
 
-The library keeps only the elimination it calls (`sl2rep._rref` and its
-fraction-free Gauss-Jordan pass), which takes a matrix as a sequence of rows.  The tests
-check `phin`'s closed forms and coordinate formulas against the plain
-definitions below, built on the same elimination: matrix arithmetic on row
-tuples, dense subspaces, and a module's N and Fil^0 built from the paper's
-formulas rather than read from the module.  They check `plethysm`'s
-closed-form diagonal projection against `project_endomorphism`, which
-assembles the whole projection from the inverse Clebsch-Gordan table.
+The library keeps only the elimination its brute-force oracle calls,
+`sl2rep._bareiss_echelon`, a fraction-free Gauss-Jordan pass on integer
+rows.  `rref` below runs a matrix of Fractions through that same pass, as
+a sequence of rows.  The tests check `phin`'s closed forms and coordinate
+formulas against the plain definitions below, built on that elimination:
+matrix arithmetic on row tuples, dense subspaces, and a module's N and
+Fil^0 built from the paper's formulas rather than read from the module.
+They check `plethysm`'s closed-form diagonal projection against
+`project_endomorphism`, which assembles the whole projection from the
+inverse Clebsch-Gordan table.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from linvariants.exactlin import DimensionMismatchError, Vector, vector
 from phin_oracle import CRYSTALLINE_NONSPLIT, CRYSTALLINE_SPLIT, STEINBERG
 from linvariants.plethysm import cg_table
-from linvariants.sl2rep import EndoElement, _bareiss_echelon, _rref, _to_integer_rows
+from linvariants.sl2rep import EndoElement, _bareiss_echelon
 
-#: a matrix is a tuple of rows, as `sl2rep._rref` takes and returns them
+#: a matrix is a tuple of rows, as `rref` takes and returns them
 Rows = tuple[Vector, ...]
+
+
+def to_integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row scaled to integers by its denominators' lcm, then divided by its content."""
+    out = []
+    for row in rows:
+        scale = lcm(*(f.denominator for f in row)) if row else 1
+        ints = [int(f * scale) for f in row]
+        g = 0
+        for x in ints:
+            g = gcd(g, x)
+        if g > 1:
+            ints = [x // g for x in ints]
+        out.append(ints)
+    return out
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Rows, tuple[int, ...]]:
+    """Reduced row echelon form; zero rows are dropped."""
+    work, pivots = _bareiss_echelon(to_integer_rows(rows))
+    # every pivot equals the last one, so each reduced row is its integer
+    # row over that one pivot: one Fraction per entry, no back-substitution
+    p = work[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return tuple(tuple(Fraction(x, p) for x in work[r]) for r in range(len(pivots))), tuple(pivots)
 
 
 class Subspace:
@@ -48,7 +74,7 @@ class Subspace:
         for v in rows:
             if len(v) != ambient_dim:
                 raise DimensionMismatchError("spanning vector has wrong length")
-        basis, _ = _rref(rows)
+        basis, _ = rref(rows)
         return cls(ambient_dim, basis)
 
     @classmethod
@@ -129,12 +155,12 @@ def integer_rank(rows: list[list[int]]) -> int:
 
 
 def rank(a: Rows) -> int:
-    return integer_rank(_to_integer_rows(a))
+    return integer_rank(to_integer_rows(a))
 
 
 def kernel(a: Rows) -> list[Vector]:
     """Basis of the right kernel, one vector per free column."""
-    reduced, pivots = _rref(a)
+    reduced, pivots = rref(a)
     cols = columns(a)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
@@ -248,7 +274,7 @@ def regular_by_rank(module, stable) -> list[tuple[int, ...]]:
     D ^ Fil^0 is the kernel of the projection of Fil^0 onto the coordinates
     outside D, so it is zero exactly when that projection has full rank.
     """
-    fil0 = _to_integer_rows(fil0_space(module).basis)
+    fil0 = to_integer_rows(fil0_space(module).basis)
 
     def misses_fil0(span):
         outside = [c for c in range(module.dim) if c not in span]

@@ -13,8 +13,7 @@ from typing import Sequence
 
 from linvariants.exactlin import rational
 from linvariants.linv import Direction, _theorem_forms, rank1_combine
-from linvariants.monomial import EigenMonomial
-from linvariants.weylhecke import CharacterData, WeylElement, c_g_constant
+from linvariants.weylhecke import CharacterData, EigenMonomial, WeylElement, c_g_constant
 
 
 def c_constant(g: int, i: int, w: WeylElement) -> Fraction:
@@ -22,11 +21,10 @@ def c_constant(g: int, i: int, w: WeylElement) -> Fraction:
     if not 1 <= i <= g:
         raise ValueError("need 1 <= i <= g")
     total = Fraction(0)
-    for j in range(1, g + 1):
-        image = w.permute(j)
+    for j, image in enumerate(w.nu, 1):
         if image > i:
             total += g + 1 - j
-        elif w.sign(image) == -1:
+        elif w.eps[image - 1] == -1:
             total += 2 * (g + 1 - j)
     return total - Fraction(g * (g + 1), 2)
 
@@ -43,16 +41,15 @@ def upi_eigenvalue_display(chi: CharacterData, i: int, w: WeylElement) -> EigenM
         raise ValueError("need 1 <= i <= g")
     if i == g:
         value = EigenMonomial.p_power(c_g_constant(g, w)) * chi.sigma**-1
-        for j in range(1, g + 1):
-            if w.sign(w.permute(j)) == -1:
+        for j, image in enumerate(w.nu, 1):
+            if w.eps[image - 1] == -1:
                 value = value * chi.chi[j - 1] ** -1
         return value
     value = EigenMonomial.p_power(c_constant(g, i, w)) * chi.sigma**-2
-    for j in range(1, g + 1):
-        image = w.permute(j)
+    for j, image in enumerate(w.nu, 1):
         if image > i:
             value = value * chi.chi[j - 1] ** -1
-        elif w.sign(image) == -1:
+        elif w.eps[image - 1] == -1:
             value = value * chi.chi[j - 1] ** -2
     return value
 

@@ -17,7 +17,7 @@ Three local shapes occur:
   r = alpha/beta, N = 0.
 
 Frobenius eigenvalues live in a free multiplicative monomial group
-(`monomial.EigenMonomial`): equality against 1 or p^{-1} is exponent comparison,
+(`weylhecke.EigenMonomial`): equality against 1 or p^{-1} is exponent comparison,
 which is exactly the strength of the standing no-multiplicative-relations
 hypothesis on alpha/beta.  On top of this the oracle computes the stable
 and regular submodules and the filtration
@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 from linvariants import CASES
 from linvariants.exactlin import rational
-from linvariants.monomial import EigenMonomial
+from linvariants.weylhecke import EigenMonomial
 
 STEINBERG, CRYSTALLINE_SPLIT, CRYSTALLINE_NONSPLIT = CASES
 
@@ -213,10 +213,6 @@ def gr1_data(module: PhiNModule, d: tuple[int, ...]) -> tuple[int, EigenMonomial
     return 1, module.phi[position]
 
 
-def _monomial_json(m: EigenMonomial) -> dict:
-    return {sym: str(e) for sym, e in m.exponents}
-
-
 def phin_answer(args) -> dict:
     """The JSON value of a `phin` request whose caps `args` passes, by the search.
 
@@ -234,7 +230,7 @@ def phin_answer(args) -> dict:
         "n": module.n,
         "dim": module.dim,
         "fil0_dim": module.n + 1,
-        "phi": [_monomial_json(lam) for lam in module.phi],
+        "phi": [lam.to_json() for lam in module.phi],
     }
     if module.l_invariant is not None:
         answer["L"] = str(module.l_invariant)
@@ -255,6 +251,6 @@ def phin_answer(args) -> dict:
             rank, eigenvalue = gr1_data(module, d)
             answer["gr1"] = {
                 "rank": rank,
-                "eigenvalue": None if eigenvalue is None else _monomial_json(eigenvalue),
+                "eigenvalue": None if eigenvalue is None else eigenvalue.to_json(),
             }
     return answer

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from linvariants import linv, phin, plethysm, sl2rep, slopes, weylhecke
-from linvariants.monomial import EigenMonomial, monomial_product
+from linvariants.weylhecke import EigenMonomial, monomial_product
 import phin_oracle
 from kernel_oracles import b_special
 from paper_displays import theorem_evaluator, upi_eigenvalue_display

@@ -28,8 +28,14 @@ from linvariants.plethysm import (
     project_endomorphism_diagonal,
     valid_triple,
 )
-from linvariants.monomial import EigenMonomial, monomial_product
-from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement, hecke_table
+from linvariants.weylhecke import (
+    CharacterData,
+    EigenMonomial,
+    TorusExponent,
+    WeylElement,
+    hecke_table,
+    monomial_product,
+)
 
 rng = random.Random(16)
 SRC = str(Path(__file__).resolve().parent.parent / "src")

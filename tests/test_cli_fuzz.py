@@ -11,7 +11,10 @@ step one past each table's size cap, the `recover-chi --g` cap and each
 
 An exit-0 answer of a subcommand in `ORACLES` must also equal the value its
 oracle computes from the parsed options by a path of its own: `phin`'s
-closed forms against the (phi, N)-module search of `tests/phin_oracle.py`.
+closed forms against the (phi, N)-module search of `tests/phin_oracle.py`,
+`bcoeff`'s term ratios and reflection against the term-by-term sum
+`fraction_b_coefficient`, and `cg`'s raising recurrence against the
+unrolled sum `unrolled_cg_coefficient`, both in `tests/kernel_oracles.py`.
 """
 
 import contextlib
@@ -25,14 +28,38 @@ from hypothesis import strategies as st
 
 from linvariants import CASES
 from linvariants.cli import main, parse_args
+from kernel_oracles import fraction_b_coefficient, unrolled_cg_coefficient
 from linvariants.linv import THEOREMS
 from phin_oracle import phin_answer
 
 #: wall-time bound per request, oracle not included; the slowest requests allowed
 #: here, phin --all-submodules in a crystalline case at n = 8, take about 0.3 s
 EXAMPLE_SECONDS = 5
+
+
+def bcoeff_answer(args) -> dict:
+    """The B row, or its entry i, one term-by-term sum per entry."""
+    if args.i is not None:
+        return {"value": str(fraction_b_coefficient(args.n, args.k, args.i))}
+    return {"values": [str(fraction_b_coefficient(args.n, args.k, i)) for i in range(args.n + 1)]}
+
+
+def cg_answer(args) -> dict:
+    """The nonzero stratum entries in (u, v, w) order, or the entry (u, v, w), each unrolled."""
+    m, n, p = args.m, args.n, args.p
+    if not args.table:
+        return {"value": str(unrolled_cg_coefficient(m, n, p, args.u, args.v, args.w))}
+    rows = []
+    for u in range(m + 1):
+        for v in range(n + 1):
+            w = u + v - (m + n - p) // 2
+            if 0 <= w <= p and (c := unrolled_cg_coefficient(m, n, p, u, v, w)):
+                rows.append([u, v, w, str(c)])
+    return {"m": m, "n": n, "p": p, "rows": rows}
+
+
 #: subcommand -> the JSON value of an accepted request, from its parsed options
-ORACLES = {"phin": phin_answer}
+ORACLES = {"phin": phin_answer, "bcoeff": bcoeff_answer, "cg": cg_answer}
 
 anything = st.recursive(
     st.none()
@@ -254,6 +281,11 @@ argvs = st.one_of(
 @example((["phin", "--case=crystalline_split", "--n=10", "--all-submodules"], None))
 @example((["hecke", "--g=7", '--t={"a": [0, 0, 0, 0, 0, 0, 0], "a0": 1}', "--all"], None))
 @example((["hecke", "--g=8", '--t={"a": [1, 1, 1, 1, 1, 1, 1, 1], "a0": 0}', "--all"], None))
+# a B row and a cg table with their single entries, each from the upper half or an inner column
+@example((["bcoeff", "--n=7", "--k=3"], None))
+@example((["bcoeff", "--n=7", "--k=3", "--i=6"], None))
+@example((["cg", "--m=4", "--n=3", "--p=3", "--table"], None))
+@example((["cg", "--m=4", "--n=3", "--p=3", "--u=2", "--v=1", "--w=1"], None))
 # one past each table's size cap and the recover-chi cap
 @example((["bcoeff", "--n=601", "--k=300"], None))
 @example((["cg", "--m=151", "--n=151", "--p=150", "--table"], None))

@@ -18,12 +18,12 @@ from linalg_oracle import (
     matrix,
     preimage_under,
     rank,
+    rref,
     span_sum,
     zero_matrix,
     zero_space,
 )
 from linvariants.exactlin import MAX_DECIMAL_EXPONENT, DimensionMismatchError, rational
-from linvariants.sl2rep import _rref
 
 
 def subspace_sum_dim_identity(u: Subspace, w: Subspace) -> bool:
@@ -53,7 +53,7 @@ def matrices(rows, cols):
 
 def test_solve_identity():
     # A x = b is solved by the RREF of the augmented matrix [A | b]
-    assert _rref(matrix([[1, 5]])) == (((F(1), F(5)),), (0,))
+    assert rref(matrix([[1, 5]])) == (((F(1), F(5)),), (0,))
     assert kernel(identity(3)) == []
 
 
@@ -64,7 +64,7 @@ def test_solve_zero_map():
 
 
 def test_solve_two_by_two():
-    reduced, pivots = _rref(matrix([[1, 2, 5], [3, 4, 11]]))
+    reduced, pivots = rref(matrix([[1, 2, 5], [3, 4, 11]]))
     assert pivots == (0, 1)
     assert [row[-1] for row in reduced] == [F(1), F(2)]
     assert kernel(matrix([[1, 2], [3, 4]])) == []
@@ -72,7 +72,7 @@ def test_solve_two_by_two():
 
 def test_solve_inconsistent_pivots_on_rhs():
     # x + y = 0 and x + y = 1: the augmented RREF has a pivot in the rhs column
-    assert _rref(matrix([[1, 1, 0], [1, 1, 1]]))[1] == (0, 2)
+    assert rref(matrix([[1, 1, 0], [1, 1, 1]]))[1] == (0, 2)
 
 
 def test_solve_underdetermined_kernel():
@@ -81,7 +81,7 @@ def test_solve_underdetermined_kernel():
     assert len(basis) == 2
     for basis_vector in basis:
         assert apply(a, basis_vector) == (F(0),)
-    assert _rref(matrix([[1, 1, 0, 3]]))[1] == (0,)
+    assert rref(matrix([[1, 1, 0, 3]]))[1] == (0,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,7 +96,7 @@ def test_solve_then_substitute(data):
     b = apply(a, x)
     # a consistent system has no pivot in the rhs column
     augmented = [row + (rhs,) for row, rhs in zip(a, b)]
-    assert len(x) not in _rref(augmented)[1]
+    assert len(x) not in rref(augmented)[1]
     basis = kernel(a)
     assert rank(a) + len(basis) == len(x)
     for v in basis:
@@ -249,7 +249,7 @@ def test_elimination_matches_sympy(a):
         [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a]
     )
     expected, expected_pivots = reference.rref()
-    reduced, pivots = _rref(a)
+    reduced, pivots = rref(a)
     assert pivots == tuple(expected_pivots)
     assert reduced == tuple(
         tuple(_from_sympy(x) for x in expected.row(r)) for r in range(len(pivots))

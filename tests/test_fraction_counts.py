@@ -7,8 +7,9 @@ exponent, the generic characters), so the count may grow with the rank, but
 not with the number of printed entries: a handler that built one `Fraction`
 per entry adds as many as it prints.
 
-The brute-force oracle builds its weight blocks and eliminates them in
-integers; only the reduced rows become `Fraction`s, one per entry.
+The brute-force oracle builds its weight blocks, eliminates them and keeps
+their inverses in integers, over one denominator per block; a coordinate
+becomes a `Fraction` once, after the integer dot product.
 """
 
 import io
@@ -86,10 +87,22 @@ def test_fraction_count_does_not_grow_with_the_printed_entries(monkeypatch, smal
 
 
 @pytest.mark.parametrize("n", [8, 12])
-def test_oracle_block_builds_one_fraction_per_reduced_entry(monkeypatch, n):
+def test_oracle_block_builds_no_fraction(monkeypatch, n):
     # the weight-0 block is (n+1) x (n+1), augmented by the identity
     size = n + 1
     with counting_fractions(monkeypatch) as count:
-        inverse = sl2rep._brute_force_data.__wrapped__(n, 0)
+        inverse, _ = sl2rep._brute_force_data.__wrapped__(n, 0)
     assert len(inverse) == size
-    assert count[0] <= 2 * size * size, count[0]
+    assert count[0] == 0, count[0]
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_oracle_coordinates_build_one_fraction_each(monkeypatch, n):
+    # a rational diagonal has n+1 weight-0 coordinates, and each of the 2n
+    # zero blocks shares one Fraction(0)
+    t = sl2rep.EndoElement.diagonal([Fraction(a + 1, a + 2) for a in range(n + 1)])
+    sl2rep._brute_force_data(n, 0)
+    with counting_fractions(monkeypatch) as count:
+        coords = sl2rep.brute_force_coordinates(t)
+    assert len(coords) == (n + 1) ** 2
+    assert count[0] == (n + 1) + 2 * n, count[0]

@@ -4,7 +4,8 @@ Every `linvariants` request is a fresh process, so what the CLI imports is
 paid on every request.  These checks run in fresh interpreters, since the
 test process itself has imported every module long before.  What each
 subcommand loads is read from the README's table "subcommand | modules", so
-the table cannot go stale.
+the table cannot go stale; nor can its "Library layout" table, which must
+name the modules of `linvariants.__all__` and of `src/linvariants/*.py`.
 """
 
 import ast
@@ -40,6 +41,19 @@ def readme_modules() -> dict[str, list[str]]:
         for command in re.findall(r"`([^`]+)`", commands):
             table[command] = re.findall(r"`([^`]+)`", modules)
     return table
+
+
+def readme_layout() -> list[str]:
+    """The modules of the README's "Library layout" table, in its order."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| module      | contents |")
+    modules = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        (module,) = re.findall(r"`([^`]+)`", line.split("|")[1])
+        modules.append(module)
+    return modules
 
 
 def documented(argv) -> list[str]:
@@ -278,6 +292,13 @@ def test_every_submodule_is_an_attribute_of_the_package():
         "print(json.dumps([getattr(linvariants, n).__name__ for n in linvariants.__all__]))"
     )
     assert names == [f"linvariants.{n}" for n in linvariants.__all__]
+
+
+def test_the_layout_table_the_package_and_its_files_name_the_same_modules():
+    # a module deleted from one of the three would linger in the others
+    files = sorted(path.stem for path in (ROOT / "src" / "linvariants").glob("*.py"))
+    assert readme_layout() == linvariants.__all__
+    assert files == sorted(["__init__", *linvariants.__all__])
 
 
 def test_unknown_attribute_of_the_package_raises():

@@ -22,8 +22,8 @@ from linalg_oracle import (
     regular_by_rank,
     span_sum,
 )
-from linvariants.monomial import EigenMonomial
 from linvariants.phin import _cmd_phin
+from linvariants.weylhecke import EigenMonomial
 from phin_oracle import (
     CASES,
     CRYSTALLINE_NONSPLIT,

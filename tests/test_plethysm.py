@@ -263,10 +263,14 @@ def test_cubic_row_proportional(n):
 
 
 def test_diagonal_projection_identity_has_no_higher_component():
-    for n in range(1, 6):
-        for k in range(1, n + 1):
+    # the identity is invariant, so it lies in V_0: its projection to V_2k is
+    # sum_i B_{n,k,i}, which is 0 for k >= 1 and (n+1) n! at k = 0
+    for n in range(40):
+        for k in range(n + 1):
+            row_sum = 0 if k else factorial(n + 1)
+            assert sum(b_row(n, k)) == row_sum
             result = project_endomorphism_diagonal(n, k, [1] * (n + 1))
-            assert result.middle == 0
+            assert result.middle == row_sum
             assert not any(result.tail)
 
 

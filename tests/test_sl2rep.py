@@ -6,13 +6,12 @@ from math import comb
 
 import pytest
 
-from linalg_oracle import RepVector, apply, mul, sub, transpose
+from linalg_oracle import RepVector, apply, mul, rref, sub, transpose
 from linvariants import sl2rep
 from linvariants.exactlin import DimensionMismatchError
 from linvariants.sl2rep import (
     EndoElement,
     InternalConsistencyError,
-    _rref,
     act_on_end,
     brute_force_coordinates,
     brute_force_project,
@@ -251,7 +250,7 @@ def ungraded_coordinates(t):
         list(row) + [F(int(r == c)) for c in range(dim)]
         for r, row in enumerate(zip(*columns))
     ]
-    reduced, pivots = _rref(augmented)
+    reduced, pivots = rref(augmented)
     assert pivots == tuple(range(dim))
     inverse = tuple(row[dim:] for row in reduced)
     return dict(zip(keys, apply(inverse, [x for row in t.grid for x in row])))
@@ -303,9 +302,10 @@ def test_zero_diagonals_solve_no_block(monkeypatch):
 def test_brute_force_blocks_are_square_per_weight():
     for n in range(0, 7):
         for d in range(-n, n + 1):
-            inverse = sl2rep._brute_force_data(n, d)
+            inverse, pivot = sl2rep._brute_force_data(n, d)
             assert len(inverse) == n + 1 - abs(d)
             assert all(len(row) == n + 1 - abs(d) for row in inverse)
+            assert {type(x) for row in inverse for x in row} | {type(pivot)} == {int}
 
 
 def test_singular_block_raises(monkeypatch):

@@ -8,7 +8,6 @@ from math import factorial
 import pytest
 
 from linvariants import weylhecke
-from linvariants.monomial import EigenMonomial, monomial_product
 from linvariants.slopes import (
     OBSTRUCTION_MAX_SUMS,
     OBSTRUCTION_MAX_TRIALS,
@@ -22,11 +21,13 @@ from linvariants.slopes import (
 )
 from linvariants.weylhecke import (
     CharacterData,
+    EigenMonomial,
     TorusExponent,
     WeylElement,
     beta,
     c_g_constant,
     hecke_diagonal,
+    monomial_product,
     normalized_eigenvalues,
     recover_characters,
     weyl_group,
@@ -40,8 +41,8 @@ rng = random.Random(60)
 def compose(w1, w2):
     """Product w1 * w2 with (w1 * w2) . t = w1 . (w2 . t)."""
     g = w1.g
-    nu = tuple(w2.permute(w1.permute(j)) for j in range(1, g + 1))
-    eps = tuple(w2.sign(i) * w1.sign(w2.nu.index(i) + 1) for i in range(1, g + 1))
+    nu = tuple(w2.nu[i - 1] for i in w1.nu)
+    eps = tuple(w2.eps[i - 1] * w1.eps[w2.nu.index(i)] for i in range(1, g + 1))
     return WeylElement(nu, eps)
 
 
@@ -337,8 +338,8 @@ def test_constant_steps_are_one_term(g):
         c = [F(0)] + [c_constant(g, i, w) for i in range(1, g + 1)]
         q = [None] + [g + 1 - (w.nu.index(i) + 1) for i in range(1, g + 1)]
         for i in range(1, g):
-            assert c[i - 1] - c[i] == w.sign(i) * q[i]
-        assert c[g - 1] - 2 * c_g_constant(g, w) == w.sign(g) * q[g]
+            assert c[i - 1] - c[i] == w.eps[i - 1] * q[i]
+        assert c[g - 1] - 2 * c_g_constant(g, w) == w.eps[g - 1] * q[g]
 
 
 def test_recover_characters_computes_no_c_constant():
