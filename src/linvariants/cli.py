@@ -11,8 +11,17 @@ argparse.  Each subcommand's handler lives beside its maths (`_cmd_bcoeff`
 in `plethysm`, say) and is imported only once the table has accepted the
 command line, so a request compiles only its own handler and `--help`
 loads no maths module.
+
+`main()` with no argument list is the process's own command (the `__main__`
+block and the `linvariants` console script).  Once it has printed its line
+it freezes the heap with `gc.freeze()`: the interpreter's shutdown
+collections then have no object to traverse, and `atexit`, the flush of
+stdout and stderr and reference-count deallocation run as before.
+`main(argv)` with a list, as the tests and embedding callers use it, never
+freezes.
 """
 
+import gc
 import json
 import re
 import sys
@@ -137,8 +146,16 @@ def parse_args(argv):
 
 
 def main(argv=None) -> int:
+    code = _answer(sys.argv[1:] if argv is None else argv)
+    if argv is None:  # the process ends next: spare its shutdown collections the heap
+        gc.freeze()
+    return code
+
+
+def _answer(argv) -> int:
+    """Print the one line `argv` asks for and return the exit code."""
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
+        args = parse_args(argv)
         if args is not None:
             _emit(args.format, *args.func(args))
         return 0

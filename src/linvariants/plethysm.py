@@ -20,7 +20,7 @@ a test oracle.  The lowering-operator recurrence
     (p-w) C^{u,v,w} = (m-u) C^{u+1,v,w+1} + (n-v) C^{u,v+1,w+1}
 
 is not used for generation and stays available as an independent check.
-One `cg` entry is read from the table.
+One `cg` entry stops the column recurrence at its column u.
 
 B_{n,k,i} is the coefficient of g_{2k,k} in the projection to Sym^{2k} V of
 the diagonal endomorphism g_{n,i} (x) g_{n,i}^v; for an upper-triangular
@@ -60,19 +60,22 @@ def valid_triple(m: int, n: int, p: int) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
-def cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], int]:
-    """The nonzero C_{m,n,p}^{u,v,w} of one weight triple, keyed (u, v, w) in
-    sorted order, by the raising recurrence run on the integers themselves.
-
-    It needs column u - 1 and the entry below in column u, so the columns are
-    filled in turn, each up in w: on the stratum, key order.
-    """
+def _stratum(m: int, n: int, p: int) -> int:
+    """(m+n-p)/2, the u + v - w of every nonzero C_{m,n,p}^{u,v,w}, once the
+    weight triple is checked."""
     if not valid_triple(m, n, p):
         raise InvalidWeightTripleError(f"V_{p} does not occur in V_{m} (x) V_{n}")
-    s0 = (m + n - p) // 2
-    values: dict[tuple[int, int, int], int] = {}
-    # column[w] = C^{u, s0 + w - u, w} on the stratum, 0 elsewhere
+    return (m + n - p) // 2
+
+
+def _cg_columns(m: int, n: int, p: int, s0: int):
+    """Column u = 0, 1, ..., m of C_{m,n,p}: column[w] = C^{u, s0 + w - u, w} on
+    the stratum, 0 elsewhere, by the raising recurrence on the integers.
+
+    Column u needs column u - 1 and the entry below in column u, so each is
+    filled up in w; a caller that needs only column u stops after it, and
+    only two columns are alive at a time.
+    """
     column = [0] * (p + 1)
     for u in range(m + 1):
         left, column = column, [0] * (p + 1)
@@ -81,12 +84,23 @@ def cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], int]:
             # C^{u-1,v,w-1} is left[w-1] and C^{u,v-1,w-1} is column[w-1]; at
             # u = 0 or v = 0 the factor in front is 0
             if w:
-                c = (u * left[w - 1] + v * column[w - 1]) // w
+                column[w] = (u * left[w - 1] + v * column[w - 1]) // w
             else:
-                c = (-1) ** u * factorial(m - u) * factorial(n - v)
-            if c:
-                column[w] = c
-                values[(u, v, w)] = c
+                column[w] = (-1) ** u * factorial(m - u) * factorial(n - v)
+        yield column
+
+
+@lru_cache(maxsize=None)
+def cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], int]:
+    """The nonzero C_{m,n,p}^{u,v,w} of one weight triple, keyed (u, v, w) in
+    sorted order: the columns of `_cg_columns` in turn, each up in w, which on
+    the stratum is key order."""
+    s0 = _stratum(m, n, p)
+    values: dict[tuple[int, int, int], int] = {}
+    for u, column in enumerate(_cg_columns(m, n, p, s0)):
+        for w in range(max(0, u - s0), min(p, n + u - s0) + 1):
+            if c := column[w]:
+                values[(u, s0 + w - u, w)] = c
     return values
 
 
@@ -163,10 +177,14 @@ def _cmd_cg(args) -> tuple[dict, str | None, list | None]:
         return {"m": m, "n": n, "p": p, "rows": rows}, "u,v,w,value", rows
     if args.u is None or args.v is None or args.w is None:
         raise CliError("either --table or all of --u --v --w are required")
-    table = cg_table(m, n, p)  # the weight triple is checked first
-    if not (0 <= args.u <= m and 0 <= args.v <= n and 0 <= args.w <= p):
+    u, v, w = args.u, args.v, args.w
+    s0 = _stratum(m, n, p)  # the weight triple is checked first
+    if not (0 <= u <= m and 0 <= v <= n and 0 <= w <= p):
         raise ValueError(f"indices out of range for V_{m} x V_{n} -> V_{p}")
-    return {"value": str(table.get((args.u, args.v, args.w), 0))}, None, None
+    if u + v - w != s0:
+        return {"value": "0"}, None, None
+    column = next(islice(_cg_columns(m, n, p, s0), u, None))  # columns past u are not built
+    return {"value": str(column[w])}, None, None
 
 
 def _cmd_bcoeff(args) -> tuple[dict, str | None, list | None]:

@@ -12,7 +12,10 @@ it, the recurrence on C with one `Fraction` division per entry, and every
 summand of B from its binomials and factorials.  `unrolled_cg_coefficient`
 computes one C from the recurrence unrolled down to w = 0, an integer sum
 with no division.  `b_special`, the paper's special values
-of B for k >= n-2, is the second oracle of the B rows.
+of B for k >= n-2, is the second oracle of the B rows.  The obstruction
+orders of `slopes.refinement_obstruction_orders`, found there from one pass
+of subset sums, are found here by enumerating every subset and dividing
+each difference by every trial divisor.
 """
 
 import itertools
@@ -157,3 +160,28 @@ def b_special(n: int, k: int, i: int) -> Fraction:
         )
         return Fraction(sign * comb(n, i) * factorial(n - 2) * factorial(n - 1) * poly, 2)
     raise ValueError(f"special values exist only for k in {{n, n-1, n-2}}, got k={k}")
+
+
+def trial_divisors(n: int) -> set[int]:
+    """Every divisor of n >= 1, one trial division per d <= sqrt(n)."""
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return out
+
+
+def enumerated_obstruction_orders(exponents) -> set[int]:
+    """Every i-subset sum against the top-i sum, all 2^m subsets enumerated."""
+    exps = sorted(exponents, reverse=True)
+    orders = set()
+    for i in range(1, len(exps)):
+        top = sum(exps[:i])
+        for subset in itertools.combinations(exps, i):
+            diff = top - sum(subset)
+            if diff:
+                orders |= trial_divisors(diff)
+    return orders

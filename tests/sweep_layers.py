@@ -12,13 +12,21 @@ to BENCH_layers.json.
 * `phin._cmd_phin ...`: the `phin` handler on the parsed options of one
   request, steinberg `--benois --gr1` up to the `--n` cap and each
   crystalline case's `--all-submodules` listing up to its cap; bits is the
-  bit length of the largest integer the answer holds.
+  bit length of the largest integer the answer holds;
+* `plethysm.cg_table`: `cg_table.__wrapped__(n, n, n)`, the whole table
+  behind `cg --table` at m = n = p up to the cap; bits is the bit length
+  of its largest entry;
+* `plethysm._cmd_cg one entry at 150`: the `cg` handler on the top entry
+  of column u of m = n = p = 150, the size n being u, so that the
+  recurrence builds the columns 0..u and stops; bits is the bit length of
+  the entry.
 
 Each row is [n, seconds, MB, bits]: seconds is the median of REPS timed
 calls, MB the tracemalloc peak of one more call.  `slope` is the
-least-squares slope of log seconds against log n.  The record names the
-commit of the checkout `linvariants` was imported from; the sweep refuses
-to run when that checkout's `src/` differs from its commit.
+least-squares slope of log seconds against log n, over the sizes n > 0.
+The record names the commit of the checkout `linvariants` was imported
+from; the sweep refuses to run when that checkout's `src/` differs from
+its commit.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
-from linvariants import phin, sl2rep
+from linvariants import phin, plethysm, sl2rep
 
 REPS = 7
 
@@ -101,6 +109,27 @@ def phin_request(case: str, **flags):
     return ladder
 
 
+def whole_cg_table(n: int):
+    """(the uncached table of m = n = p, the bits of its largest entry)."""
+    def call():
+        return plethysm.cg_table.__wrapped__(n, n, n)
+
+    return call, lambda: max(abs(x).bit_length() for x in call().values())
+
+
+def one_cg_entry(u: int):
+    """(the `cg` handler on the top entry of column u at 150, the bits of the entry)."""
+    m = n = p = plethysm.CG_MAX_INDEX
+    s0 = (m + n - p) // 2
+    w = min(p, n + u - s0)
+    args = SimpleNamespace(m=m, n=n, p=p, table=False, u=u, v=s0 + w - u, w=w)
+
+    def call():
+        return plethysm._cmd_cg(args)
+
+    return call, lambda: _largest_int_bits(call()[0])
+
+
 #: name -> (sizes, n -> (the call to time, a function giving its bits))
 LADDERS = {
     "sl2rep._brute_force_data": (range(6, 17), block_solve),
@@ -110,6 +139,8 @@ LADDERS = {
         (range(4, 9), phin_request("crystalline_split", all_submodules=True)),
     "phin._cmd_phin crystalline_nonsplit --all-submodules":
         (range(4, 9), phin_request("crystalline_nonsplit", all_submodules=True)),
+    "plethysm.cg_table": ((20, 40, 60, 80, 100, 120, 150), whole_cg_table),
+    "plethysm._cmd_cg one entry at 150": ((0, 10, 25, 50, 75, 100, 125, 150), one_cg_entry),
 }
 
 
@@ -130,8 +161,9 @@ def point(n: int, ladder) -> list:
 
 
 def log_log_slope(rows: list) -> float:
-    xs = [math.log(row[0]) for row in rows]
-    ys = [math.log(row[1]) for row in rows]
+    """The least-squares slope of log seconds against log n; size 0 has no log."""
+    xs = [math.log(row[0]) for row in rows if row[0] > 0]
+    ys = [math.log(row[1]) for row in rows if row[0] > 0]
     mx, my = statistics.fmean(xs), statistics.fmean(ys)
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 

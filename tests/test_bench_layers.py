@@ -40,10 +40,11 @@ def test_every_layer_has_a_size_ladder_and_its_log_log_slope():
             sizes = [row[0] for row in rows]
             assert len(rows) >= 5 and sizes == sorted(set(sizes))
             for size, seconds, mb, bits in rows:
-                assert isinstance(size, int) and isinstance(bits, int) and bits > 0
+                assert isinstance(size, int) and size >= 0
+                assert isinstance(bits, int) and bits > 0
                 assert seconds > 0 and mb >= 0
-            xs = [math.log(row[0]) for row in rows]
-            ys = [math.log(row[1]) for row in rows]
+            xs = [math.log(row[0]) for row in rows if row[0] > 0]  # size 0 has no log
+            ys = [math.log(row[1]) for row in rows if row[0] > 0]
             mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
             slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
             assert abs(layer["slope"] - slope) < 1e-3
@@ -68,3 +69,12 @@ def test_the_phin_ladders_run_up_to_their_caps():
     for case in ("crystalline_split", "crystalline_nonsplit"):
         for sizes in ladder_sizes(f"phin._cmd_phin {case} --all-submodules"):
             assert sizes == list(range(4, 9))
+
+
+def test_the_cg_ladders_run_up_to_the_cap():
+    # the `cg` index cap is 150: the whole table at m = n = p, and one entry
+    # at 150 for columns u from 0 to the cap
+    for sizes in ladder_sizes("plethysm.cg_table"):
+        assert sizes == [20, 40, 60, 80, 100, 120, 150]
+    for sizes in ladder_sizes("plethysm._cmd_cg one entry at 150"):
+        assert sizes == [0, 10, 25, 50, 75, 100, 125, 150]

@@ -13,8 +13,11 @@ An exit-0 answer of a subcommand in `ORACLES` must also equal the value its
 oracle computes from the parsed options by a path of its own: `phin`'s
 closed forms against the (phi, N)-module search of `tests/phin_oracle.py`,
 `bcoeff`'s term ratios and reflection against the term-by-term sum
-`fraction_b_coefficient`, and `cg`'s raising recurrence against the
-unrolled sum `unrolled_cg_coefficient`, both in `tests/kernel_oracles.py`.
+`fraction_b_coefficient`, `cg`'s raising recurrence against the unrolled
+sum `unrolled_cg_coefficient`, `hecke`'s closed form (and the `--all`
+sweep's fragments) against `fraction_hecke_diagonal` over
+`nested_loop_weyl_group`, and `obstruction`'s subset-sum pass against
+`enumerated_obstruction_orders`, all in `tests/kernel_oracles.py`.
 """
 
 import contextlib
@@ -28,8 +31,15 @@ from hypothesis import strategies as st
 
 from linvariants import CASES
 from linvariants.cli import main, parse_args
-from kernel_oracles import fraction_b_coefficient, unrolled_cg_coefficient
+from kernel_oracles import (
+    enumerated_obstruction_orders,
+    fraction_b_coefficient,
+    fraction_hecke_diagonal,
+    nested_loop_weyl_group,
+    unrolled_cg_coefficient,
+)
 from linvariants.linv import THEOREMS
+from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement
 from phin_oracle import phin_answer
 
 #: wall-time bound per request, oracle not included; the slowest requests allowed
@@ -58,8 +68,37 @@ def cg_answer(args) -> dict:
     return {"m": m, "n": n, "p": p, "rows": rows}
 
 
+def hecke_answer(args) -> dict:
+    """The generic character's eigenvalue at the one Weyl element, or at each of
+    the nested-loop Weyl group for --all, each by the `Fraction` torus conjugation."""
+    t = json.loads(args.t)
+    chi, t = CharacterData.generic(args.g), TorusExponent.make(t["a"], t["a0"])
+
+    def entry(w: WeylElement) -> dict:
+        value = fraction_hecke_diagonal(chi, t, w)
+        return {"value": {sym: str(e) for sym, e in value.exponents},
+                "weyl": {"eps": list(w.eps), "nu": list(w.nu)}}
+
+    if args.all:
+        return {"eigenvalues": [entry(w) for w in nested_loop_weyl_group(args.g)], "g": args.g}
+    weyl = json.loads(args.weyl) if args.weyl else {"nu": range(1, args.g + 1), "eps": [1] * args.g}
+    return {"g": args.g, **entry(WeylElement(tuple(weyl["nu"]), tuple(weyl["eps"])))}
+
+
+def obstruction_answer(args) -> dict:
+    """The orders of every subset-sum difference, all subsets enumerated, and
+    whether N is a multiple of each."""
+    orders = sorted(enumerated_obstruction_orders(
+        [int(x) for x in args.exponents.split(",") if x.strip()]))
+    if args.check_N is None:
+        return {"orders": orders}
+    sufficient = all(args.check_N % d == 0 for d in orders)
+    return {"orders": orders, "check_N": {"N": args.check_N, "sufficient": sufficient}}
+
+
 #: subcommand -> the JSON value of an accepted request, from its parsed options
-ORACLES = {"phin": phin_answer, "bcoeff": bcoeff_answer, "cg": cg_answer}
+ORACLES = {"phin": phin_answer, "bcoeff": bcoeff_answer, "cg": cg_answer, "hecke": hecke_answer,
+           "obstruction": obstruction_answer}
 
 anything = st.recursive(
     st.none()
@@ -286,6 +325,13 @@ argvs = st.one_of(
 @example((["bcoeff", "--n=7", "--k=3", "--i=6"], None))
 @example((["cg", "--m=4", "--n=3", "--p=3", "--table"], None))
 @example((["cg", "--m=4", "--n=3", "--p=3", "--u=2", "--v=1", "--w=1"], None))
+# one Hecke eigenvalue at a Weyl element and a whole --all listing, and an
+# obstruction with each answer of --check-N
+@example((["hecke", "--g=3", '--t={"a": [4, "3/2", 1], "a0": -1}',
+           '--weyl={"nu": [2, 3, 1], "eps": [-1, 1, -1]}'], None))
+@example((["hecke", "--g=3", '--t={"a": [4, "3/2", 1], "a0": -1}', "--all"], None))
+@example((["obstruction", "--exponents=7,-3,2,0,11", "--check-N=5040"], None))
+@example((["obstruction", "--exponents=2,1,0", "--check-N=4"], None))
 # one past each table's size cap and the recover-chi cap
 @example((["bcoeff", "--n=601", "--k=300"], None))
 @example((["cg", "--m=151", "--n=151", "--p=150", "--table"], None))

@@ -10,6 +10,7 @@ values, "--", and `--format` before and after the subcommand.
 
 import argparse
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -207,8 +208,13 @@ def test_help_comes_before_a_missing_option(capsys):
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
-    # the path of the `linvariants` console script in pyproject.toml
+    # the path of the `linvariants` console script in pyproject.toml; as the
+    # process's own command, main freezes the heap once it has answered
     argv = ["linvariants", "--format", "csv", "bcoeff", "--n=1", "--k", "1"]
     monkeypatch.setattr(sys, "argv", argv)
-    assert main() == 0
+    try:
+        assert main() == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
     assert capsys.readouterr().out == "n,k,i,value\n1,1,0,1\n1,1,1,-1\n"

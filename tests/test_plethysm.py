@@ -4,17 +4,20 @@ import json
 import random
 from fractions import Fraction as F
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linvariants import plethysm
 from linvariants.cli import main
 from linvariants.plethysm import (
     BCOEFF_MAX_N,
     PROJECT_ENDO_MAX_N,
     DiagonalProjection,
     InvalidWeightTripleError,
+    _cmd_cg,
     b_row,
     cg_table,
     project_endomorphism_diagonal,
@@ -75,17 +78,49 @@ def test_integer_table_equals_fraction_recurrence_at_large_sizes(m, n, p):
     assert_same_table(m, n, p)
 
 
+def one_entry(m, n, p, u, v, w) -> int:
+    """The `cg --u --v --w` handler's answer, which stops the columns at u."""
+    args = SimpleNamespace(m=m, n=n, p=p, u=u, v=v, w=w, table=False)
+    return int(_cmd_cg(args)[0]["value"])
+
+
 @pytest.mark.parametrize("m", range(0, 13))
 def test_closed_coefficient_equals_table(m):
     # the unrolled sum, an integer with no division, is 0 exactly where the
-    # table holds no entry, for every p of V_m (x) V_n
+    # table holds no entry, for every p of V_m (x) V_n, and the one-entry
+    # handler, which builds no table, answers the same
     for n in range(13):
         for p in range(abs(m - n), m + n + 1, 2):
             table = cg_table(m, n, p)
             for u in range(m + 1):
                 for v in range(n + 1):
                     for w in range(p + 1):
-                        assert unrolled_cg_coefficient(m, n, p, u, v, w) == table.get((u, v, w), 0)
+                        expected = table.get((u, v, w), 0)
+                        assert unrolled_cg_coefficient(m, n, p, u, v, w) == expected
+                        assert one_entry(m, n, p, u, v, w) == expected
+
+
+@pytest.mark.parametrize("m, n, p", [(150, 150, 150), (150, 150, 0), (150, 0, 150),
+                                     (1, 150, 149), (150, 149, 1), (150, 150, 2)])
+def test_one_entry_at_the_stratum_corners_of_the_cap(m, n, p):
+    # the first and last two columns u, each at both ends of its w range
+    table, s0 = cg_table(m, n, p), (m + n - p) // 2
+    for u in sorted({0, 1, m - 1, m} & set(range(m + 1))):
+        for w in {max(0, u - s0), min(p, n + u - s0)}:
+            v = s0 + w - u
+            expected = unrolled_cg_coefficient(m, n, p, u, v, w)
+            assert table.get((u, v, w), 0) == expected != 0
+            assert one_entry(m, n, p, u, v, w) == expected
+
+
+def test_one_entry_off_the_stratum_builds_no_column(monkeypatch):
+    def refused(*args):
+        raise AssertionError("an off-stratum entry built a column")
+
+    monkeypatch.setattr(plethysm, "_cg_columns", refused)
+    monkeypatch.setattr(plethysm, "cg_table", refused)
+    assert one_entry(150, 150, 150, 150, 0, 0) == 0
+    assert one_entry(150, 150, 150, 0, 150, 150) == 0
 
 
 def cg_entry(capsys, *indices):

@@ -32,7 +32,12 @@ from linvariants.weylhecke import (
     recover_characters,
     weyl_group,
 )
-from kernel_oracles import fraction_hecke_diagonal, nested_loop_weyl_group, weyl_conjugate
+from kernel_oracles import (
+    enumerated_obstruction_orders,
+    fraction_hecke_diagonal,
+    nested_loop_weyl_group,
+    weyl_conjugate,
+)
 from paper_displays import c_constant, upi_eigenvalue_display
 
 rng = random.Random(60)
@@ -487,30 +492,6 @@ def test_obstruction_standard_finite(n):
     orders = refinement_obstruction_orders(range(-n, n + 1))
     assert orders
     assert all(d > 0 for d in orders)
-
-
-def trial_divisors(n):
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return out
-
-
-def enumerated_obstruction_orders(exponents):
-    """Every i-subset sum against the top-i sum, all 2^m subsets enumerated."""
-    exps = sorted(exponents, reverse=True)
-    orders = set()
-    for i in range(1, len(exps)):
-        top = sum(exps[:i])
-        for subset in itertools.combinations(exps, i):
-            diff = top - sum(subset)
-            if diff:
-                orders |= trial_divisors(diff)
-    return orders
 
 
 @pytest.mark.parametrize("m", range(0, 15))
