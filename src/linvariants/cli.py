@@ -12,13 +12,9 @@ in `plethysm`, say) and is imported only once the table has accepted the
 command line, so a request compiles only its own handler and `--help`
 loads no maths module.
 
-`main()` with no argument list is the process's own command (the `__main__`
-block and the `linvariants` console script).  Once it has printed its line
-it freezes the heap with `gc.freeze()`: the interpreter's shutdown
-collections then have no object to traverse, and `atexit`, the flush of
-stdout and stderr and reference-count deallocation run as before.
-`main(argv)` with a list, as the tests and embedding callers use it, never
-freezes.
+`main()` with no argument list, the process's own command, freezes the heap
+(`gc.freeze()`) once its line is printed, so the interpreter's shutdown
+collections traverse nothing; `main(argv)` with a list never freezes.
 """
 
 import gc

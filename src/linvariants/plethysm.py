@@ -98,9 +98,10 @@ def cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], int]:
     s0 = _stratum(m, n, p)
     values: dict[tuple[int, int, int], int] = {}
     for u, column in enumerate(_cg_columns(m, n, p, s0)):
-        for w in range(max(0, u - s0), min(p, n + u - s0) + 1):
+        v = s0 - u  # at w = 0; v rises with w
+        for w in range(max(0, -v), min(p, n - v) + 1):
             if c := column[w]:
-                values[(u, s0 + w - u, w)] = c
+                values[(u, v + w, w)] = c
     return values
 
 
