@@ -12,13 +12,17 @@ in `plethysm`, say) and is imported only once the table has accepted the
 command line, so a request compiles only its own handler and `--help`
 loads no maths module.
 
-`main()` with no argument list, the process's own command, freezes the heap
-(`gc.freeze()`) once its line is printed, so the interpreter's shutdown
-collections traverse nothing; `main(argv)` with a list never freezes.
+`main()` with no argument list, the process's own command, ends the process
+once its line is printed: it runs the `atexit` handlers, flushes stdout and
+stderr, as the interpreter's own exit does, and then skips the teardown
+with `os._exit`.  `main(argv)` with a list returns its code.  When a reader
+closes stdout early, the rest of the line goes to `os.devnull`, with no
+traceback, and the exit code stays the request's own.
 """
 
-import gc
+import atexit
 import json
+import os
 import re
 import sys
 from importlib import import_module
@@ -42,14 +46,17 @@ def _emit(fmt: str, payload, csv_header: str | None = None, csv_rows=None) -> No
     else:  # every payload is a tree built for this request, so no cycle check
         text = payload if isinstance(payload, str) else json.dumps(
             payload, sort_keys=True, separators=(",", ":"), check_circular=False)
-    if fmt != "pretty":
-        print(text)
-        return
-    tree = json.loads(text) if isinstance(payload, str) else payload
-    tokens = json.JSONEncoder(sort_keys=True, indent=2).iterencode(tree)
-    while run := "".join(islice(tokens, 1 << 16)):
-        sys.stdout.write(run)
-    print()
+    try:
+        if fmt != "pretty":
+            print(text)
+            return
+        tree = json.loads(text) if isinstance(payload, str) else payload
+        tokens = json.JSONEncoder(sort_keys=True, indent=2).iterencode(tree)
+        while run := "".join(islice(tokens, 1 << 16)):
+            sys.stdout.write(run)
+        print()
+    except BrokenPipeError:  # the reader has closed stdout: what is left goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 #: subcommand -> ("module._cmd_handler", option -> (type, required)); the type is int, str, a
@@ -143,8 +150,14 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     code = _answer(sys.argv[1:] if argv is None else argv)
-    if argv is None:  # the process ends next: spare its shutdown collections the heap
-        gc.freeze()
+    if argv is None:  # the process's own command: exit as the interpreter does, minus teardown
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.flush()
+        os._exit(code)
     return code
 
 

@@ -45,7 +45,9 @@ The (phi, N)-module search these closed forms replace is the test oracle
 `tests/phin_oracle.py`.
 """
 
+import sys
 from itertools import combinations
+from math import gcd
 
 from . import CASES
 
@@ -61,6 +63,23 @@ ALL_SUBMODULES_MAX_N = 8
 PHIN_MAX_N = 30000
 PHIN_MAX_WEIGHT = 10**6
 STEINBERG_ALL_SUBMODULES_MAX_N = 500
+
+
+def _l_text(text: str) -> str:
+    """str(exactlin.rational(text)), refused if 0; a plain a or a/b is read in integers."""
+    num, slash, den = text.strip().partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if (digits.isdecimal() and (den.isdecimal() or not slash)
+            and len(text) <= sys.get_int_max_str_digits() and int(den or 1)):
+        a, b = int(num), int(den or 1)
+        g = gcd(a, b)
+        value = str(a // g) if b == g else f"{a // g}/{b // g}"
+    else:  # a decimal point, an exponent, underscores, a zero denominator or no number
+        from .exactlin import rational
+        value = str(rational(text))
+    if value == "0":
+        raise ValueError("steinberg case requires a nonzero L-parameter")
+    return value
 
 
 def _cmd_phin(args) -> tuple[dict, str | None, list | None]:
@@ -86,14 +105,7 @@ def _cmd_phin(args) -> tuple[dict, str | None, list | None]:
     payload: dict = {"case": case, "n": n, "dim": 2 * n + 1, "fil0_dim": n + 1}
     # phi(f_i) as {symbol: exponent}; f_0, at position n, has eigenvalue 1
     if case == STEINBERG:
-        if args.L is None:
-            payload["L"] = "1"
-        else:
-            from .exactlin import rational
-            l_value = rational(args.L)
-            if l_value == 0:
-                raise ValueError("steinberg case requires a nonzero L-parameter")
-            payload["L"] = str(l_value)
+        payload["L"] = "1" if args.L is None else _l_text(args.L)
         phi = [{"p": str(-i)} for i in f]
     elif case == CRYSTALLINE_SPLIT:
         k = 2 if args.weight is None else args.weight

@@ -17,7 +17,9 @@ closed forms against the (phi, N)-module search of `tests/phin_oracle.py`,
 sum `unrolled_cg_coefficient`, `hecke`'s closed form (and the `--all`
 sweep's fragments) against `fraction_hecke_diagonal` over
 `nested_loop_weyl_group`, and `obstruction`'s subset-sum pass against
-`enumerated_obstruction_orders`, all in `tests/kernel_oracles.py`.
+`enumerated_obstruction_orders`, all in `tests/kernel_oracles.py`, and
+`project-endo`'s closed-form diagonal projection against the full
+projection `project_endomorphism` of `tests/linalg_oracle.py`.
 """
 
 import contextlib
@@ -38,7 +40,9 @@ from kernel_oracles import (
     nested_loop_weyl_group,
     unrolled_cg_coefficient,
 )
+from linalg_oracle import project_endomorphism
 from linvariants.linv import THEOREMS
+from linvariants.sl2rep import EndoElement
 from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement
 from phin_oracle import phin_answer
 
@@ -96,9 +100,15 @@ def obstruction_answer(args) -> dict:
     return {"orders": orders, "check_N": {"N": args.check_N, "sufficient": sufficient}}
 
 
+def project_endo_answer(args) -> dict:
+    """The g_{2k,k} coefficient and the tail of the whole projection of the diagonal."""
+    coeffs = project_endomorphism(EndoElement.diagonal(json.loads(args.diag)), args.k).coeffs
+    return {"middle": str(coeffs[args.k]), "tail": [str(x) for x in coeffs[args.k + 1:]]}
+
+
 #: subcommand -> the JSON value of an accepted request, from its parsed options
 ORACLES = {"phin": phin_answer, "bcoeff": bcoeff_answer, "cg": cg_answer, "hecke": hecke_answer,
-           "obstruction": obstruction_answer}
+           "obstruction": obstruction_answer, "project-endo": project_endo_answer}
 
 anything = st.recursive(
     st.none()
@@ -283,7 +293,8 @@ argvs = st.one_of(
         "phin",
         ("case", st.sampled_from(CASES)),
         ("n", st.integers(-1, 10)),
-        ("L", maybe(st.sampled_from(["1", "-2/3", "0", "1/0", "x", ""]))),
+        ("L", maybe(st.sampled_from(["1", "-2/3", "0", "1/0", "x", "", "6/4", "-0", "\u0663/\u0664",
+                                      "1.5"]))),
         ("weight", maybe(st.integers(-1, 6))),
         ("all-submodules", flag),
         ("benois", flag),
@@ -332,6 +343,8 @@ argvs = st.one_of(
 @example((["hecke", "--g=3", '--t={"a": [4, "3/2", 1], "a0": -1}', "--all"], None))
 @example((["obstruction", "--exponents=7,-3,2,0,11", "--check-N=5040"], None))
 @example((["obstruction", "--exponents=2,1,0", "--check-N=4"], None))
+# a projection whose diagonal is nonzero at every entry, so that each B entry counts
+@example((["project-endo", "--n=4", "--k=2", '--diag=[1, "1/2", -2, 5, "-7/3"]'], None))
 # one past each table's size cap and the recover-chi cap
 @example((["bcoeff", "--n=601", "--k=300"], None))
 @example((["cg", "--m=151", "--n=151", "--p=150", "--table"], None))

@@ -10,11 +10,13 @@ values, "--", and `--format` before and after the subcommand.
 
 import argparse
 import contextlib
-import gc
 import importlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -207,14 +209,17 @@ def test_help_comes_before_a_missing_option(capsys):
     assert "--k int  (required)" in capsys.readouterr().out
 
 
-def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+def test_main_without_argv_reads_sys_argv():
     # the path of the `linvariants` console script in pyproject.toml; as the
-    # process's own command, main freezes the heap once it has answered
+    # process's own command, main ends the process once it has answered, so
+    # it runs in a process of its own and the line after it never runs
     argv = ["linvariants", "--format", "csv", "bcoeff", "--n=1", "--k", "1"]
-    monkeypatch.setattr(sys, "argv", argv)
-    try:
-        assert main() == 0
-        assert gc.get_freeze_count() > 0
-    finally:
-        gc.unfreeze()
-    assert capsys.readouterr().out == "n,k,i,value\n1,1,0,1\n1,1,1,-1\n"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom linvariants.cli import main\n"
+         f"sys.argv = {argv!r}\nmain()\nraise SystemExit(7)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "n,k,i,value\n1,1,0,1\n1,1,1,-1\n"

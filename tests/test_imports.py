@@ -147,12 +147,16 @@ def test_plethysm_requests_load_only_plethysm(argv):
     assert heavy == []
 
 
-#: requests whose every value is an integer; `phin` reads `exactlin` only for a steinberg --L
+#: requests whose every value is an integer, or a plain a/b steinberg --L, which `phin` reads
+#: in integers; only a decimal point or an exponent in --L needs `exactlin`
 INTEGER_REQUESTS = [
     ["phin", "--case", "crystalline_split", "--n", "3", "--weight", "5", "--all-submodules",
      "--benois", "--gr1"],
     ["phin", "--case", "crystalline_nonsplit", "--n", "3", "--all-submodules", "--benois", "--gr1"],
     ["phin", "--case", "steinberg", "--n", "3", "--all-submodules", "--benois", "--gr1"],
+    ["phin", "--case", "steinberg", "--n", "3", "--L=-3/4", "--all-submodules", "--benois",
+     "--gr1"],
+    ["phin", "--case", "steinberg", "--n", "3", "--L=6"],
     ["bcoeff", "--n", "4", "--k", "2"],
     ["bcoeff", "--n", "4", "--k", "2", "--i", "1"],
     ["--format", "csv", "bcoeff", "--n", "3", "--k", "1"],
@@ -162,10 +166,9 @@ INTEGER_REQUESTS = [
 ]
 
 
-@pytest.mark.parametrize("argv", INTEGER_REQUESTS)
-def test_integer_requests_load_no_fractions(argv):
-    # `fractions` imports `decimal` and `numbers`, which a fresh interpreter has not loaded
-    loaded = fresh(
+def fraction_modules(argv) -> list[str]:
+    """Which of `fractions`, `decimal`, `numbers` and `exactlin` the request `argv` loads."""
+    return fresh(
         "import contextlib, io, json, sys\n"
         "from linvariants.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -173,7 +176,17 @@ def test_integer_requests_load_no_fractions(argv):
         "print(json.dumps(sorted({'fractions', 'decimal', 'numbers', 'linvariants.exactlin'}"
         " & set(sys.modules))))"
     )
-    assert loaded == []
+
+
+@pytest.mark.parametrize("argv", INTEGER_REQUESTS)
+def test_integer_requests_load_no_fractions(argv):
+    # `fractions` imports `decimal` and `numbers`, which a fresh interpreter has not loaded
+    assert fraction_modules(argv) == []
+
+
+def test_a_decimal_l_loads_exactlin():
+    argv = ["phin", "--case", "steinberg", "--n", "3", "--L=0.5"]
+    assert fraction_modules(argv) == ["decimal", "fractions", "linvariants.exactlin", "numbers"]
 
 
 #: one request or more per subcommand besides `bcoeff` and `project-endo`, (argv, stdin)

@@ -9,6 +9,8 @@ from math import comb
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from linalg_oracle import (
     Subspace,
@@ -22,7 +24,8 @@ from linalg_oracle import (
     regular_by_rank,
     span_sum,
 )
-from linvariants.phin import _cmd_phin
+from linvariants.exactlin import rational
+from linvariants.phin import _cmd_phin, _l_text
 from linvariants.weylhecke import EigenMonomial
 from phin_oracle import (
     CASES,
@@ -509,9 +512,11 @@ def test_unknown_case_rejected():
 
 # --- the CLI's closed forms against the search -----------------------------
 
-#: --L as a user may write it: fractions, signs, decimals, exponents, spaces, 256 bits
+#: --L as a user may write it: fractions, signs, decimals, exponents, spaces, 256 bits,
+#: other decimal digits, underscores and the longest digit run Python reads
 L_TEXTS = (None, "1", "6/4", "-3", "1e3", "0.5", " 7 ", "-2/3", "+5", "1E-2",
-           str(F(2**256 - 189, 3**161)))
+           str(F(2**256 - 189, 3**161)), "+7", "-12/3", "\u0663/\u0664", "1_000", "1.5",
+           "7" * 4300)
 WEIGHTS = (None, 2, 3, 12, 10**6)
 #: (--all-submodules, --benois, --gr1): with and without each flag
 FLAGS = tuple(product((False, True), repeat=3))
@@ -565,6 +570,12 @@ def test_the_crystalline_listing_at_its_cap_is_the_searchs(case, weight):
         (STEINBERG, 2, "1e100000", None),
         (STEINBERG, 2, "1e5000", None),  # read, but too long to print
         (STEINBERG, 2, "7" * 5000, None),
+        (STEINBERG, 2, "7" * 4301, None),
+        (STEINBERG, 2, "-0", None),
+        (STEINBERG, 2, "0/5", None),
+        (STEINBERG, 2, "-12/-3", None),
+        (STEINBERG, 2, "12/+3", None),
+        (STEINBERG, 2, "1 / 2", None),
     ],
 )
 def test_the_handler_refuses_as_the_search_does(case, n, l_text, weight):
@@ -575,3 +586,25 @@ def test_the_handler_refuses_as_the_search_does(case, n, l_text, weight):
         with pytest.raises(ValueError) as refused:
             _cmd_phin(args)
         assert str(refused.value) == str(expected.value)
+
+
+#: a written L: short strings over the characters `exactlin.rational` treats
+#: apart, and signed or padded digit runs about Python's digit limit (4300)
+written_l = (st.text(st.sampled_from([*"0123456789/+-_.eE \t\u0663x"]), max_size=10)
+             | st.builds("{}{}{}".format, st.sampled_from(["", "-", "+", " "]),
+                         st.integers(4298, 4302).map("7".__mul__), st.sampled_from(["", "/3", " "])))
+
+
+@given(written_l)
+def test_the_l_reader_reads_as_exactlin(text):
+    # a plain a or a/b is read in integers, every other spelling by `exactlin`
+    try:
+        expected = str(rational(text))
+        if expected == "0":
+            raise ValueError("steinberg case requires a nonzero L-parameter")
+    except ValueError as err:
+        with pytest.raises(ValueError) as refused:
+            _l_text(text)
+        assert str(refused.value) == str(err)
+    else:
+        assert _l_text(text) == expected
