@@ -17,9 +17,11 @@ conjugated element:
 Specializing t to the standard elements beta_j reproduces the two closed
 U_{p,i} eigenvalue families with their combinatorial constants
 c_{i,nu,eps}; the test suite checks that equality over every Weyl element.
-Character recovery inverts these eigenvalue formulas (given the weight,
+Character recovery inverts these eigenvalue formulas, given the weight,
 whose similitude coordinate enters through the determinant relation
-chi_1...chi_g sigma^2 (p) = p^{mu_0}) and is contracted to round-trip.
+chi_1...chi_g sigma^2 (p) = p^{mu_0}.  It is their exact inverse, so it
+checks nothing at run time; the forward map is the test oracle in
+`tests/kernel_oracles.py`.
 
 The eigenvalues are `EigenMonomial`s, Laurent monomials in the formal
 symbols p, chi_j and sigma.  Half-integer p-exponents (the g(g+1)/4 term)
@@ -104,10 +106,6 @@ def monomial_product(factors) -> EigenMonomial:
     return EigenMonomial.from_dict(exps)
 
 
-class InversionError(ValueError):
-    """Character recovery failed its round trip: inconsistent eigenvalues."""
-
-
 class WeylElement(NamedTuple):
     """(nu, eps) with nu in one-line notation on {1..g} and eps: {1..g} -> {-1,1}.
 
@@ -168,15 +166,6 @@ class TorusExponent(NamedTuple):
         return len(self.a)
 
 
-def beta(g: int, j: int) -> TorusExponent:
-    """beta_0 = (1,...,1; p^-1); beta_j has p^-1 in the last j slots and p^-2 center."""
-    if not 0 <= j <= g:
-        raise ValueError("need 0 <= j <= g")
-    if j == 0:
-        return TorusExponent.make([0] * g, -1)
-    return TorusExponent.make([0] * (g - j) + [-1] * j, -2)
-
-
 class CharacterData(NamedTuple):
     """Values chi_j(p) and sigma(p) of an unramified character of the torus."""
 
@@ -193,10 +182,6 @@ class CharacterData(NamedTuple):
             tuple(EigenMonomial.symbol(f"chi_{j}") for j in range(1, g + 1)),
             EigenMonomial.symbol("sigma"),
         )
-
-    def determinant(self) -> EigenMonomial:
-        """chi_1 ... chi_g sigma^2 (p)."""
-        return monomial_product((*self.chi, self.sigma**2))
 
 
 def _torus_numerators(t: TorusExponent, d: int) -> tuple[int, list[tuple[int, int]]]:
@@ -236,39 +221,14 @@ def c_g_constant(g: int, w: WeylElement) -> Fraction:
 
 
 def _beta_weight_exponents(g: int, mu: Sequence[Fraction], mu0: Fraction) -> list[Fraction]:
-    """`slopes.weight_exponent`(mu, mu0, beta(g, g-i)), i = 1..g, in O(g): beta(g, j) is -1 in
+    """`slopes.weight_exponent`(mu, mu0, beta_{g-i}), i = 1..g, in O(g): beta_j is -1 in
     its last j slots with a_0 = -2, which gives sum(mu) - mu_0 - (the last j of mu
-    summed), and beta(g, 0) is 0 with a_0 = -1, which gives half of sum(mu) - mu_0."""
+    summed), and beta_0 is 0 with a_0 = -1, which gives half of sum(mu) - mu_0."""
     if len(mu) != g:
         raise ValueError("weight length must equal g")
     suffix = list(itertools.accumulate(reversed(mu)))
     excess = suffix[-1] - mu0
     return [excess - suffix[g - i - 1] for i in range(1, g)] + [excess / 2]
-
-
-def normalized_eigenvalues(chi: CharacterData, mu: Sequence, mu0, w: WeylElement) -> list:
-    """theta(U_{p,i}) for i = 1..g: the raw eigenvalues rescaled by
-    |lambda(beta_{g-i})|_p^{-1}.
-
-    One pass over i, from beta(g, g), which is -1 in every slot: beta(g, g-i)
-    is 0 in slots 1..i and -1 after them, with a_0 = -2, so from i-1 to i only
-    slot i changes, and only s_j with nu(j) = i moves, by eps(i).  That moves
-    p's exponent by -(g+1-j) eps(i) and chi_j's by eps(i) times chi_j's.
-    beta(g, 0) has a_0 = -1 and is evaluated apart.
-    """
-    g = chi.g
-    shifts = _beta_weight_exponents(g, vector(mu), rational(mu0))
-    slot = {i: j for j, i in enumerate(w.nu, 1)}
-    exps = dict(hecke_diagonal(chi, beta(g, g), w).exponents)
-    shift, thetas = 0, []
-    for i in range(1, g):
-        j, step = slot[i], w.eps[i - 1]
-        exps["p"] = exps.get("p", 0) + shifts[i - 1] - shift - (g + 1 - j) * step
-        shift = shifts[i - 1]
-        for sym, e in chi.chi[j - 1].exponents:
-            exps[sym] = exps.get(sym, 0) + step * e
-        thetas.append(EigenMonomial.from_dict(exps))
-    return thetas + [EigenMonomial.p_power(shifts[-1]) * hecke_diagonal(chi, beta(g, 0), w)]
 
 
 def recover_characters(
@@ -280,11 +240,14 @@ def recover_characters(
 ) -> CharacterData:
     """Solve the U_{p,i} eigenvalue system thetas for (chi_1..chi_g, sigma).
 
-    Successive eigenvalue ratios isolate chi_{nu^{-1}(i)}^{eps(i)} for
-    i = 2..g, the determinant relation det = p^{mu_0} pins the i = 1
-    character, and the i = g eigenvalue pins sigma.  The recovered data is
-    round-tripped through the eigenvalue formulas; any mismatch (inputs not
-    of Hecke-eigenvalue shape for these weights) raises InversionError.
+    With alpha_i the eigenvalue at beta_{g-i} without its weight factor and
+    alpha_0 = p^{-mu_0}, the value at beta_g when det = p^{mu_0}, the ratio
+    alpha_i / alpha_{i-1} (alpha_g^2 / alpha_{g-1} at i = g) moves one slot of
+    the torus, so it is p^{-eps(i)(g+1-j)} chi_j^{eps(i)} for j = nu^{-1}(i),
+    and alpha_g pins sigma.  Each step is solved for its one unknown: this is
+    the exact inverse of a bijection on rational exponent vectors, so every
+    thetas has one answer, whose eigenvalues are thetas and whose determinant
+    chi_1...chi_g sigma^2 (p) is p^{mu_0}.
     """
     if g < 2:
         raise ValueError("character recovery needs g >= 2")
@@ -296,6 +259,8 @@ def recover_characters(
         EigenMonomial.p_power(-shift) * theta
         for shift, theta in zip(_beta_weight_exponents(g, mu, mu0), thetas)
     ]
+    if w.g != g:
+        raise ValueError("ranks differ")
 
     # with alpha_0 = p^{-mu_0} and i = nu(j), chi_j = (p^{eps(i)(g+1-j)} r_i)^{eps(i)},
     # where r_i = alpha_i / alpha_{i-1}, with alpha_g squared at i = g; eps(i)(g+1-j)
@@ -310,14 +275,7 @@ def recover_characters(
         EigenMonomial.p_power(c_g_constant(g, w)), alphas[g].inverse(),
         *(chi.inverse() for chi, i in zip(chi_values, w.nu) if w.eps[i - 1] == -1),
     ])
-    recovered = CharacterData(tuple(chi_values), sigma)
-
-    for i, (theta, given) in enumerate(zip(normalized_eigenvalues(recovered, mu, mu0, w), thetas)):
-        if theta != given:
-            raise InversionError(f"eigenvalue {i + 1} does not round-trip")
-    if recovered.determinant() != EigenMonomial.p_power(mu0):
-        raise InversionError("determinant relation fails for the recovered data")
-    return recovered
+    return CharacterData(tuple(chi_values), sigma)
 
 
 #: `hecke --all` prints 2^g g! rows, at g = 6 in about 0.2 s and 41 MB, and

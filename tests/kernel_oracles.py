@@ -11,8 +11,12 @@ action on torus exponents, the diagonal eigenvalue of one Weyl element from
 it, the recurrence on C with one `Fraction` division per entry, and every
 summand of B from its binomials and factorials.  `unrolled_cg_coefficient`
 computes one C from the recurrence unrolled down to w = 0, an integer sum
-with no division.  `b_special`, the paper's special values
-of B for k >= n-2, is the second oracle of the B rows.  The obstruction
+with no division.  `weylhecke.recover_characters` solves the U_{p,i}
+eigenvalue system by one-term steps; `normalized_eigenvalues` is the forward
+map it inverts, one closed-form evaluation at each torus `beta(g, g-i)`
+times the weight factor that `slopes.weight_exponent` gives there.
+`b_special`, the paper's special values of B for k >= n-2, is the second
+oracle of the B rows.  The obstruction
 orders of `slopes.refinement_obstruction_orders`, found there from one pass
 of subset sums, are found here by enumerating every subset and dividing
 each difference by every trial divisor.
@@ -23,7 +27,14 @@ from fractions import Fraction
 from math import comb, factorial
 
 from linvariants.plethysm import InvalidWeightTripleError, valid_triple
-from linvariants.weylhecke import CharacterData, EigenMonomial, TorusExponent, WeylElement
+from linvariants.slopes import weight_exponent
+from linvariants.weylhecke import (
+    CharacterData,
+    EigenMonomial,
+    TorusExponent,
+    WeylElement,
+    hecke_diagonal,
+)
 
 
 def nested_loop_weyl_group(g: int) -> tuple[WeylElement, ...]:
@@ -56,6 +67,26 @@ def fraction_hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement
         for sym, e in value.exponents:
             exps[sym] = exps.get(sym, 0) + e * power
     return EigenMonomial.from_dict(exps)
+
+
+def beta(g: int, j: int) -> TorusExponent:
+    """beta_0 = (1,...,1; p^-1); beta_j has p^-1 in the last j slots and p^-2 center."""
+    if not 0 <= j <= g:
+        raise ValueError("need 0 <= j <= g")
+    if j == 0:
+        return TorusExponent.make([0] * g, -1)
+    return TorusExponent.make([0] * (g - j) + [-1] * j, -2)
+
+
+def normalized_eigenvalues(chi: CharacterData, mu, mu0, w: WeylElement) -> list[EigenMonomial]:
+    """theta(U_{p,i}) for i = 1..g: the eigenvalue at beta(g, g-i) rescaled by
+    |lambda(beta_{g-i})|_p^{-1}, that is p^{weight_exponent(mu, mu0, beta(g, g-i))}."""
+    g = chi.g
+    return [
+        EigenMonomial.p_power(weight_exponent(mu, mu0, beta(g, g - i)))
+        * hecke_diagonal(chi, beta(g, g - i), w)
+        for i in range(1, g + 1)
+    ]
 
 
 def fraction_cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], Fraction]:

@@ -19,7 +19,12 @@ to BENCH_layers.json.
 * `plethysm._cmd_cg one entry at 150`: the `cg` handler on the top entry
   of column u of m = n = p = 150, the size n being u, so that the
   recurrence builds the columns 0..u and stops; bits is the bit length of
-  the entry.
+  the entry;
+* `weylhecke.recover_characters`: the solve on the g eigenvalues of random
+  characters `x_j^a p^{b/2}` at a random Weyl element, as the `recover-chi`
+  cap row of the README draws them, up to the `--g` cap of 500; bits is the
+  bit length of the largest numerator or denominator of an exponent it
+  returns.
 
 Each row is [n, seconds, MB, bits]: seconds is the median of REPS timed
 calls, MB the tracemalloc peak of one more call.  `slope` is the
@@ -37,15 +42,18 @@ import json
 import math
 import os
 import platform
+import random
 import re
 import statistics
 import subprocess
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
-from linvariants import phin, plethysm, sl2rep
+from kernel_oracles import normalized_eigenvalues
+from linvariants import phin, plethysm, sl2rep, weylhecke
 
 REPS = 7
 
@@ -130,6 +138,31 @@ def one_cg_entry(u: int):
     return call, lambda: _largest_int_bits(call()[0])
 
 
+def recover_request(g: int):
+    """(`recover_characters` on the eigenvalues of g random characters, the bits of its answer)."""
+    rng = random.Random(g)
+    chis = tuple(weylhecke.EigenMonomial.from_dict({f"x_{j}": rng.randint(-3, 3),
+                                                    "p": Fraction(rng.randint(-5, 5), 2)})
+                 for j in range(1, g + 1))
+    mu0 = Fraction(rng.randint(-6, 6))
+    sigma = (weylhecke.EigenMonomial.p_power(mu0 / 2)
+             * weylhecke.monomial_product(chis).inverse() ** Fraction(1, 2))
+    mu = [rng.randint(-5, 5) for _ in range(g)]
+    w = weylhecke.WeylElement(tuple(rng.sample(range(1, g + 1), g)),
+                              tuple(rng.choice((1, -1)) for _ in range(g)))
+    thetas = normalized_eigenvalues(weylhecke.CharacterData(chis, sigma), mu, mu0, w)
+
+    def call():
+        return weylhecke.recover_characters(g, thetas, mu, mu0, w)
+
+    def bits() -> int:
+        chi = call()
+        return max(max(abs(e.numerator).bit_length(), e.denominator.bit_length())
+                   for value in (*chi.chi, chi.sigma) for _, e in value.exponents)
+
+    return call, bits
+
+
 #: name -> (sizes, n -> (the call to time, a function giving its bits))
 LADDERS = {
     "sl2rep._brute_force_data": (range(6, 17), block_solve),
@@ -141,6 +174,7 @@ LADDERS = {
         (range(4, 9), phin_request("crystalline_nonsplit", all_submodules=True)),
     "plethysm.cg_table": ((20, 40, 60, 80, 100, 120, 150), whole_cg_table),
     "plethysm._cmd_cg one entry at 150": ((0, 10, 25, 50, 75, 100, 125, 150), one_cg_entry),
+    "weylhecke.recover_characters": ((50, 100, 200, 300, 500), recover_request),
 }
 
 

@@ -17,7 +17,7 @@ import pytest
 from linvariants import linv, phin, plethysm, sl2rep, slopes, weylhecke
 from linvariants.weylhecke import EigenMonomial, monomial_product
 import phin_oracle
-from kernel_oracles import b_special
+from kernel_oracles import b_special, beta, normalized_eigenvalues
 from paper_displays import theorem_evaluator, upi_eigenvalue_display
 from linalg_oracle import Subspace, fil0_space, intersect, project_endomorphism
 
@@ -160,7 +160,7 @@ def test_criterion_7_hecke_suite():
         chi = weylhecke.CharacterData.generic(g)
         for w in weylhecke.weyl_group(g):
             for i in range(1, g + 1):
-                direct = weylhecke.hecke_diagonal(chi, weylhecke.beta(g, g - i), w)
+                direct = weylhecke.hecke_diagonal(chi, beta(g, g - i), w)
                 ok = ok and direct == upi_eigenvalue_display(chi, i, w)
     trials = 0
     for g in (2, 3):
@@ -180,7 +180,7 @@ def test_criterion_7_hecke_suite():
             )
             character = weylhecke.CharacterData(chis, sigma)
             mu = [F(rng.randint(-5, 5)) for _ in range(g)]
-            thetas = weylhecke.normalized_eigenvalues(character, mu, mu0, w)
+            thetas = normalized_eigenvalues(character, mu, mu0, w)
             recovered = weylhecke.recover_characters(g, thetas, mu, mu0, w)
             ok = ok and recovered == character
             trials += 1

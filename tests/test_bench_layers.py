@@ -78,3 +78,9 @@ def test_the_cg_ladders_run_up_to_the_cap():
         assert sizes == [20, 40, 60, 80, 100, 120, 150]
     for sizes in ladder_sizes("plethysm._cmd_cg one entry at 150"):
         assert sizes == [0, 10, 25, 50, 75, 100, 125, 150]
+
+
+def test_the_recover_characters_ladder_runs_up_to_the_cap():
+    # the `recover-chi --g` cap is 500
+    for sizes in ladder_sizes("weylhecke.recover_characters"):
+        assert sizes == [50, 100, 200, 300, 500]

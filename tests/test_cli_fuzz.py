@@ -17,15 +17,20 @@ closed forms against the (phi, N)-module search of `tests/phin_oracle.py`,
 sum `unrolled_cg_coefficient`, `hecke`'s closed form (and the `--all`
 sweep's fragments) against `fraction_hecke_diagonal` over
 `nested_loop_weyl_group`, and `obstruction`'s subset-sum pass against
-`enumerated_obstruction_orders`, all in `tests/kernel_oracles.py`, and
+`enumerated_obstruction_orders`, all in `tests/kernel_oracles.py`,
 `project-endo`'s closed-form diagonal projection against the full
-projection `project_endomorphism` of `tests/linalg_oracle.py`.
+projection `project_endomorphism` of `tests/linalg_oracle.py`, and
+`recover-chi`'s one-term steps against a linear solve of the forward map
+built from `fraction_hecke_diagonal`, by the elimination `rref` of
+`tests/linalg_oracle.py`.  A `--weyl` is now and then of rank `g - 1` or
+`g + 1`, which `hecke` and `recover-chi` refuse.
 """
 
 import contextlib
 import io
 import json
 import time
+from fractions import Fraction
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -34,13 +39,15 @@ from hypothesis import strategies as st
 from linvariants import CASES
 from linvariants.cli import main, parse_args
 from kernel_oracles import (
+    beta,
     enumerated_obstruction_orders,
     fraction_b_coefficient,
     fraction_hecke_diagonal,
     nested_loop_weyl_group,
     unrolled_cg_coefficient,
 )
-from linalg_oracle import project_endomorphism
+from linalg_oracle import project_endomorphism, rref
+from linvariants.exactlin import rational
 from linvariants.linv import THEOREMS
 from linvariants.sl2rep import EndoElement
 from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement
@@ -106,9 +113,41 @@ def project_endo_answer(args) -> dict:
     return {"middle": str(coeffs[args.k]), "tail": [str(x) for x in coeffs[args.k + 1:]]}
 
 
+def recover_chi_answer(args) -> dict:
+    """The characters whose normalized eigenvalues are --eigs, one linear solve
+    for all the symbols.
+
+    The unknowns are the exponents of one symbol in chi_1..chi_g and sigma.
+    Row i < g is the generic character's eigenvalue at beta(g, g-i), by the
+    `Fraction` torus conjugation: its exponents of chi_1..chi_g and sigma, and
+    for each symbol, that symbol's exponent in theta_i, less the weight
+    factor and the closed form's p-power for p.  Row g is the determinant
+    relation chi_1...chi_g sigma^2 = p^{mu_0}.
+    """
+    g, zero = args.g, Fraction(0)
+    thetas = [{sym: rational(e) for sym, e in theta.items()} for theta in json.loads(args.eigs)]
+    weights = json.loads(args.weights)
+    mu, mu0 = [rational(m) for m in weights["mu"]], rational(weights["mu0"])
+    weyl = json.loads(args.weyl) if args.weyl else {"nu": range(1, g + 1), "eps": [1] * g}
+    w = WeylElement(tuple(weyl["nu"]), tuple(weyl["eps"]))
+    generic, symbols, rows = CharacterData.generic(g), sorted({"p"}.union(*thetas)), []
+    for i, theta in enumerate(thetas, 1):
+        t = beta(g, g - i)
+        value = dict(fraction_hecke_diagonal(generic, t, w).exponents)
+        p_power = value.get("p", zero) + sum(m * a for m, a in zip(mu, t.a)) + (mu0 - sum(mu)) * t.a0 / 2
+        rows.append([value.get(f"chi_{j}", zero) for j in range(1, g + 1)] + [value.get("sigma", zero)]
+                    + [theta.get(sym, zero) - (p_power if sym == "p" else 0) for sym in symbols])
+    rows.append([Fraction(1)] * g + [Fraction(2)] + [mu0 if sym == "p" else zero for sym in symbols])
+    reduced, pivots = rref(rows)
+    assert pivots == tuple(range(g + 1)), "the forward map is not invertible"
+    values = [{sym: str(x) for sym, x in zip(symbols, row[g + 1:]) if x} for row in reduced]
+    return {"chi": values[:g], "sigma": values[g]}
+
+
 #: subcommand -> the JSON value of an accepted request, from its parsed options
 ORACLES = {"phin": phin_answer, "bcoeff": bcoeff_answer, "cg": cg_answer, "hecke": hecke_answer,
-           "obstruction": obstruction_answer, "project-endo": project_endo_answer}
+           "obstruction": obstruction_answer, "project-endo": project_endo_answer,
+           "recover-chi": recover_chi_answer}
 
 anything = st.recursive(
     st.none()
@@ -178,10 +217,11 @@ def maybe(values):
 
 
 def weyl(g):
-    return obj(
-        nu=mostly(st.permutations(range(1, g + 1))),
-        eps=mostly(st.lists(st.sampled_from([-1, 1]), min_size=g, max_size=g)),
-    )
+    """A Weyl element of rank g, now and then of rank g - 1 or g + 1; shrinks towards g."""
+    return st.sampled_from((g,) * 8 + (max(g - 1, 0), g + 1)).flatmap(lambda rank: obj(
+        nu=mostly(st.permutations(range(1, rank + 1))),
+        eps=mostly(st.lists(st.sampled_from([-1, 1]), min_size=rank, max_size=rank)),
+    ))
 
 
 def torus(g):
@@ -345,6 +385,15 @@ argvs = st.one_of(
 @example((["obstruction", "--exponents=2,1,0", "--check-N=4"], None))
 # a projection whose diagonal is nonzero at every entry, so that each B entry counts
 @example((["project-endo", "--n=4", "--k=2", '--diag=[1, "1/2", -2, 5, "-7/3"]'], None))
+# recovered characters in foreign symbols with rational exponents, whatever the
+# draw, and a --weyl of rank one above and one below --g
+@example((["recover-chi", "--g=3", '--eigs=[{"p": "1/2", "x": 2}, {"sigma": "-3/4"}, {"chi_1": 5, "p": -1}]',
+           '--weights={"mu": [3, "1/2", -1], "mu0": "5/3"}', '--weyl={"nu": [2, 3, 1], "eps": [-1, 1, -1]}'],
+          None))
+@example((["recover-chi", "--g=2", '--eigs=[{"p": 1}, {"p": 1}]', '--weights={"mu": [0, 0], "mu0": 0}',
+           '--weyl={"nu": [1, 2, 3], "eps": [1, 1, 1]}'], None))
+@example((["recover-chi", "--g=2", '--eigs=[{"p": 1}, {"p": 1}]', '--weights={"mu": [0, 0], "mu0": 0}',
+           '--weyl={"nu": [1], "eps": [1]}'], None))
 # one past each table's size cap and the recover-chi cap
 @example((["bcoeff", "--n=601", "--k=300"], None))
 @example((["cg", "--m=151", "--n=151", "--p=150", "--table"], None))

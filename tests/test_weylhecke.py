@@ -24,18 +24,18 @@ from linvariants.weylhecke import (
     EigenMonomial,
     TorusExponent,
     WeylElement,
-    beta,
     c_g_constant,
     hecke_diagonal,
     monomial_product,
-    normalized_eigenvalues,
     recover_characters,
     weyl_group,
 )
 from kernel_oracles import (
+    beta,
     enumerated_obstruction_orders,
     fraction_hecke_diagonal,
     nested_loop_weyl_group,
+    normalized_eigenvalues,
     weyl_conjugate,
 )
 from paper_displays import c_constant, upi_eigenvalue_display
@@ -319,20 +319,49 @@ def test_recover_characters_round_trip(g):
 
 @pytest.mark.parametrize("g", range(1, 7))
 def test_normalized_eigenvalues_equal_the_weight_exponent_at_each_beta(g):
+    # the normalizing p-exponents recover_characters strips off the eigenvalues:
     # the suffix sums of mu against weight_exponent at beta(g, g - i), one i at a time
     for _ in range(20):
-        chi = CharacterData.generic(g)
-        w = rng.choice(weyl_group(g)) if g <= 4 else WeylElement.identity(g)
         mu = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(g)]
         mu0 = F(rng.randint(-9, 9), rng.randint(1, 3))
-        expected = [
-            EigenMonomial.p_power(weight_exponent(mu, mu0, beta(g, g - i)))
-            * hecke_diagonal(chi, beta(g, g - i), w)
-            for i in range(1, g + 1)
-        ]
-        assert normalized_eigenvalues(chi, mu, mu0, w) == expected
+        expected = [weight_exponent(mu, mu0, beta(g, g - i)) for i in range(1, g + 1)]
+        assert weylhecke._beta_weight_exponents(g, tuple(mu), mu0) == expected
     with pytest.raises(ValueError, match="^weight length must equal g$"):
-        normalized_eigenvalues(CharacterData.generic(g), [0] * (g + 1), 0, WeylElement.identity(g))
+        weylhecke._beta_weight_exponents(g, (F(0),) * (g + 1), F(0))
+
+
+def random_eigenvalues(g):
+    """g random monomials in p, foreign symbols and chi_1, with rational exponents:
+    mostly the eigenvalues of no character consistent with the weights."""
+    symbols = ("p", "x", "y", "chi_1")
+    return [
+        EigenMonomial.from_dict({s: F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for s in symbols})
+        for _ in range(g)
+    ]
+
+
+@pytest.mark.parametrize("g", range(2, 6))
+def test_recover_characters_inverts_the_forward_map(g):
+    # forward(recover(theta)) = theta and det = p^{mu_0} for any theta, mu,
+    # mu_0 and Weyl element: recover_characters checks neither at run time
+    elements = weyl_group(g) if g <= 4 else None
+    for _ in range(40):
+        w = rng.choice(elements) if elements else WeylElement(
+            tuple(rng.sample(range(1, g + 1), g)), tuple(rng.choice((1, -1)) for _ in range(g)))
+        mu = [F(rng.randint(-9, 9), rng.choice((1, 2, 5))) for _ in range(g)]
+        mu0 = F(rng.randint(-9, 9), rng.choice((1, 3)))
+        thetas = random_eigenvalues(g)
+        chi = recover_characters(g, thetas, mu, mu0, w)
+        assert chi.g == g
+        assert normalized_eigenvalues(chi, mu, mu0, w) == thetas
+        assert monomial_product((*chi.chi, chi.sigma**2)) == EigenMonomial.p_power(mu0)
+
+
+@pytest.mark.parametrize("rank", (1, 3))
+def test_recover_characters_refuses_a_weyl_element_of_another_rank(rank):
+    thetas = normalized_eigenvalues(CharacterData.generic(2), [0, 0], 0, WeylElement.identity(2))
+    with pytest.raises(ValueError, match="^ranks differ$"):
+        recover_characters(2, thetas, [0, 0], 0, WeylElement.identity(rank))
 
 
 @pytest.mark.parametrize("g", range(1, 5))
