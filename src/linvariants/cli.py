@@ -21,7 +21,6 @@ traceback, and the exit code stays the request's own.
 """
 
 import atexit
-import json
 import os
 import re
 import sys
@@ -38,18 +37,24 @@ def _emit(fmt: str, payload, csv_header: str | None = None, csv_rows=None) -> No
 
     The compact text comes first, so an int past the digit limit is refused
     before any byte is written; pretty output is streamed in runs of tokens.
+    `json` is imported only to encode a tree or to indent: the text that the
+    integer handlers (`phin`, `cg`, `bcoeff`, `obstruction`, `hecke --all`)
+    write themselves is printed as it is.
     """
     if fmt == "csv":
         if csv_header is None or csv_rows is None:
             raise CliError("csv output is only available for table commands")
         text = "\n".join([csv_header, *(",".join(str(x) for x in row) for row in csv_rows)])
+    elif isinstance(payload, str):
+        text = payload
     else:  # every payload is a tree built for this request, so no cycle check
-        text = payload if isinstance(payload, str) else json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), check_circular=False)
+        import json
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)
     try:
         if fmt != "pretty":
             print(text)
             return
+        import json
         tree = json.loads(text) if isinstance(payload, str) else payload
         tokens = json.JSONEncoder(sort_keys=True, indent=2).iterencode(tree)
         while run := "".join(islice(tokens, 1 << 16)):

@@ -6,7 +6,6 @@ The handlers live beside their maths and import this module when they run;
 copy of it, whose refusals `main` would not catch.
 """
 
-import json
 import re
 import sys
 
@@ -35,6 +34,7 @@ def _json_object(value, label: str) -> dict:
 
 
 def _parse_json_arg(text: str, label: str):
+    import json  # only the requests that read a JSON argument load it
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as err:

@@ -41,12 +41,14 @@ conventions give the proofs):
   otherwise, D_1 = <f_n..f_0>, and gr_1 is the line of f_0: rank 1 with
   trivial Frobenius.
 
-The (phi, N)-module search these closed forms replace is the test oracle
-`tests/phin_oracle.py`.
+The handler writes its answer as compact JSON text, keys in `sort_keys`
+order, with each coordinate set the join of the coordinates' decimal
+strings, so a `phin` request imports no `json`.  The (phi, N)-module search
+these closed forms replace is the test oracle `tests/phin_oracle.py`.
 """
 
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 
 from . import CASES
@@ -82,7 +84,7 @@ def _l_text(text: str) -> str:
     return value
 
 
-def _cmd_phin(args) -> tuple[dict, str | None, list | None]:
+def _cmd_phin(args) -> tuple[str, None, None]:
     from .cliargs import CliError, _cap
     case, n = args.case, args.n
     if args.all_submodules and case != STEINBERG and n > ALL_SUBMODULES_MAX_N:
@@ -102,33 +104,40 @@ def _cmd_phin(args) -> tuple[dict, str | None, list | None]:
     if args.L is not None and case != STEINBERG:
         raise ValueError("L-parameter only applies to the steinberg case")
     f = range(n, -n - 1, -1)
-    payload: dict = {"case": case, "n": n, "dim": 2 * n + 1, "fil0_dim": n + 1}
+    fs = [str(i) for i in f]
     # phi(f_i) as {symbol: exponent}; f_0, at position n, has eigenvalue 1
     if case == STEINBERG:
-        payload["L"] = "1" if args.L is None else _l_text(args.L)
-        phi = [{"p": str(-i)} for i in f]
+        l_value = "1" if args.L is None else _l_text(args.L)
+        phi = ['{"p":"%d"}' % -i for i in f]
     elif case == CRYSTALLINE_SPLIT:
         k = 2 if args.weight is None else args.weight
         if k < 2:
             raise ValueError("weight must be at least 2")
-        phi = [{"alpha": str(2 * i), "p": str(i * (k - 1))} for i in f]
+        phi = ['{"alpha":"%d","p":"%d"}' % (2 * i, i * (k - 1)) for i in f]
     else:
-        phi = [{"r": str(i)} for i in f]
-    phi[n] = {}
-    payload["phi"] = phi
-    d = list(range(n, 0, -1))
+        phi = ['{"r":"%s"}' % i for i in fs]
+    phi[n] = "{}"
+    # the keys in `sort_keys` order; a coordinate set is the join of its decimal strings
+    d = ",".join(fs[:n])
+    parts = []
+    if args.benois or args.gr1:
+        parts.append(f'"D":[{d}]')
+    if case == STEINBERG:
+        parts.append(f'"L":"{l_value}"')
+    if args.benois:
+        d_minus1 = ",".join(fs[:n - 1]) if case == STEINBERG else d
+        parts.append(f'"benois":{{"D_0":[{d}],"D_1":[{d},0],"D_minus1":[{d_minus1}]}}')
+    parts.append(f'"case":"{case}","dim":{2 * n + 1},"fil0_dim":{n + 1}')
+    if args.gr1:
+        parts.append('"gr1":{"eigenvalue":{},"rank":1}')
+    parts.append('"n":%d,"phi":[%s]' % (n, ",".join(phi)))
     if args.all_submodules:
         if case == STEINBERG:
-            payload["stable_submodules"] = [list(range(n, j, -1)) for j in range(n, -n - 2, -1)]
+            stable = [",".join(fs[:j]) for j in range(2 * n + 2)]
         else:
-            payload["stable_submodules"] = [s for r in range(2 * n + 2) for s in combinations(f, r)]
-        payload["regular_submodules"] = (
-            list(combinations(f, n)) if case == CRYSTALLINE_NONSPLIT else [d])
-    if args.benois or args.gr1:
-        payload["D"] = d
-        if args.benois:
-            d_minus1 = d[:-1] if case == STEINBERG else d
-            payload["benois"] = {"D_minus1": d_minus1, "D_0": d, "D_1": [*d, 0]}
-        if args.gr1:
-            payload["gr1"] = {"rank": 1, "eigenvalue": {}}
-    return payload, None, None
+            sets = chain.from_iterable(combinations(fs, r) for r in range(2 * n + 2))
+            stable = map(",".join, sets)
+        regular = map(",".join, combinations(fs, n)) if case == CRYSTALLINE_NONSPLIT else [d]
+        parts.append('"regular_submodules":[[%s]]' % "],[".join(regular))
+        parts.append('"stable_submodules":[[%s]]' % "],[".join(stable))
+    return "{%s}" % ",".join(parts), None, None

@@ -32,8 +32,10 @@ term is the one before times a ratio of small integers, and swapping a with
 k-a and i with n-i gives B_{n,k,n-i} = (-1)^k B_{n,k,i}: a row sums i <= n/2.
 One `bcoeff --i` entry stops the half row at min(i, n-i).
 
-Both tables hold integers.  Only the diagonal projection takes rationals,
-so only it imports `fractions` and `exactlin`, when it runs.
+Both tables hold integers, and their handlers write their answers as
+compact JSON text, so a `cg` or `bcoeff` request imports no `json`.  Only
+the diagonal projection takes rationals, so only it imports `fractions` and
+`exactlin`, when it runs.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ BCOEFF_MAX_N = 600
 PROJECT_ENDO_MAX_N = 250
 
 
-def _cmd_cg(args) -> tuple[dict, str | None, list | None]:
+def _cmd_cg(args) -> tuple[str, str | None, list | None]:
     from .cliargs import CliError, _cap
     m, n, p = args.m, args.n, args.p
     _cap(max(m, n, p), CG_MAX_INDEX, "cg --m, --n or --p")
@@ -175,7 +177,8 @@ def _cmd_cg(args) -> tuple[dict, str | None, list | None]:
         if (args.u, args.v, args.w) != (None, None, None):
             raise CliError("--table and --u, --v, --w exclude each other")
         rows = [(*key, str(x)) for key, x in cg_table(m, n, p).items()]
-        return {"m": m, "n": n, "p": p, "rows": rows}, "u,v,w,value", rows
+        text = ",".join(['[%d,%d,%d,"%s"]' % row for row in rows])
+        return '{"m":%d,"n":%d,"p":%d,"rows":[%s]}' % (m, n, p, text), "u,v,w,value", rows
     if args.u is None or args.v is None or args.w is None:
         raise CliError("either --table or all of --u --v --w are required")
     u, v, w = args.u, args.v, args.w
@@ -183,12 +186,12 @@ def _cmd_cg(args) -> tuple[dict, str | None, list | None]:
     if not (0 <= u <= m and 0 <= v <= n and 0 <= w <= p):
         raise ValueError(f"indices out of range for V_{m} x V_{n} -> V_{p}")
     if u + v - w != s0:
-        return {"value": "0"}, None, None
+        return '{"value":"0"}', None, None
     column = next(islice(_cg_columns(m, n, p, s0), u, None))  # columns past u are not built
-    return {"value": str(column[w])}, None, None
+    return '{"value":"%d"}' % column[w], None, None
 
 
-def _cmd_bcoeff(args) -> tuple[dict, str | None, list | None]:
+def _cmd_bcoeff(args) -> tuple[str, str, list]:
     from .cliargs import _cap
     n, k, i = args.n, args.k, args.i
     _cap(n, BCOEFF_MAX_N, "bcoeff --n")
@@ -199,7 +202,7 @@ def _cmd_bcoeff(args) -> tuple[dict, str | None, list | None]:
         j = min(i, n - i)
         b = next(islice(_b_half_row(n, k), j, None))
         value = str(-b if i != j and k % 2 else b)
-        return {"value": value}, "n,k,i,value", [(n, k, i, value)]
+        return '{"value":"%s"}' % value, "n,k,i,value", [(n, k, i, value)]
     # each value is converted to a string once, for the JSON and the CSV alike,
     # and only the lower half: B_{n,k,n-i} = (-1)^k B_{n,k,i}
     half = [str(x) for x in b_row(n, k)[: n // 2 + 1]]
@@ -208,7 +211,7 @@ def _cmd_bcoeff(args) -> tuple[dict, str | None, list | None]:
         upper = [x[1:] if x[0] == "-" else x if x == "0" else "-" + x for x in upper]
     values = half + upper
     rows = [(n, k, i, x) for i, x in enumerate(values)]
-    return {"values": values}, "n,k,i,value", rows
+    return '{"values":["%s"]}' % '","'.join(values), "n,k,i,value", rows
 
 
 def _cmd_project_endo(args) -> tuple[dict, str | None, list | None]:

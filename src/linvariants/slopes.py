@@ -6,6 +6,8 @@ reads the torus exponent t = (p^{a_1}, ..., p^{a_g}; p^{a_0}) as the pair
 the obstruction orders read integer exponents.  So a `slope` request
 compiles this module and `exactlin` only, and an `obstruction` request this
 module alone: the slope functions import `fractions` and `exactlin` when they run.
+The obstruction handler writes its answer as compact JSON text, so that
+request imports no `json` either.
 """
 
 from __future__ import annotations
@@ -211,16 +213,14 @@ def _cmd_slope(args) -> tuple[dict, str | None, list | None]:
     return payload, None, None
 
 
-def _cmd_obstruction(args) -> tuple[dict, str | None, list | None]:
+def _cmd_obstruction(args) -> tuple[str, None, None]:
     from .cliargs import CliError, _int
     exponents = [_int(x, "--exponents") for x in args.exponents.split(",") if x.strip() != ""]
     if not exponents:
         raise CliError("--exponents needs at least one exponent")
-    orders = refinement_obstruction_orders(exponents)
-    payload: dict = {"orders": sorted(orders)}
-    if args.check_N is not None:
-        payload["check_N"] = {
-            "N": args.check_N,
-            "sufficient": exclusion_sufficient(orders, args.check_N),
-        }
-    return payload, None, None
+    orders = sorted(refinement_obstruction_orders(exponents))
+    text = '"orders":[%s]' % ",".join(map(str, orders))
+    if args.check_N is not None:  # "check_N" sorts before "orders"
+        sufficient = "true" if exclusion_sufficient(orders, args.check_N) else "false"
+        text = '"check_N":{"N":%d,"sufficient":%s},' % (args.check_N, sufficient) + text
+    return "{%s}" % text, None, None

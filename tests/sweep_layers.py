@@ -20,6 +20,12 @@ to BENCH_layers.json.
   of column u of m = n = p = 150, the size n being u, so that the
   recurrence builds the columns 0..u and stops; bits is the bit length of
   the entry;
+* `cli._answer ...`: one whole request in-process, parsed, answered and
+  printed as compact JSON to a null stream, so that a handler that builds
+  its own text and one that leaves the text to `_emit` are timed over the
+  same work: `phin crystalline_split --all-submodules` up to its cap, and
+  `cg --table` at m = n = p up to the cap, its `cg_table` cache cleared
+  before each call; bits is the bit length of the largest integer printed;
 * `weylhecke.recover_characters`: the solve on the g eigenvalues of random
   characters `x_j^a p^{b/2}` at a random Weyl element, as the `recover-chi`
   cap row of the README draws them, up to the `--g` cap of 500; bits is the
@@ -37,7 +43,9 @@ its commit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
+import io
 import json
 import math
 import os
@@ -53,7 +61,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from kernel_oracles import normalized_eigenvalues
-from linvariants import phin, plethysm, sl2rep, weylhecke
+from linvariants import cli, phin, plethysm, sl2rep, weylhecke
 
 REPS = 7
 
@@ -112,7 +120,34 @@ def phin_request(case: str, **flags):
         def call():
             return phin._cmd_phin(args)
 
-        return call, lambda: _largest_int_bits(call()[0])
+        return call, lambda: _answer_bits(call()[0])
+
+    return ladder
+
+
+def _answer_bits(answer) -> int:
+    """The bits of a handler's answer, a JSON value or its compact text."""
+    return _largest_int_bits(json.loads(answer) if isinstance(answer, str) else answer)
+
+
+def whole_request(*argv: str):
+    """n -> (`cli._answer` on argv with each "{n}" filled in, printing to a null
+    stream, the bits of what it prints)."""
+    def ladder(n: int):
+        filled = [token.format(n=n) for token in argv]
+
+        def call():
+            plethysm.cg_table.cache_clear()
+            with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+                assert cli._answer(filled) == 0
+
+        def bits() -> int:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli._answer(filled)
+            return _largest_int_bits(json.loads(out.getvalue()))
+
+        return call, bits
 
     return ladder
 
@@ -135,7 +170,7 @@ def one_cg_entry(u: int):
     def call():
         return plethysm._cmd_cg(args)
 
-    return call, lambda: _largest_int_bits(call()[0])
+    return call, lambda: _answer_bits(call()[0])
 
 
 def recover_request(g: int):
@@ -175,6 +210,11 @@ LADDERS = {
     "plethysm.cg_table": ((20, 40, 60, 80, 100, 120, 150), whole_cg_table),
     "plethysm._cmd_cg one entry at 150": ((0, 10, 25, 50, 75, 100, 125, 150), one_cg_entry),
     "weylhecke.recover_characters": ((50, 100, 200, 300, 500), recover_request),
+    "cli._answer phin crystalline_split --all-submodules":
+        (range(4, 9), whole_request("phin", "--case=crystalline_split", "--n={n}",
+                                    "--all-submodules")),
+    "cli._answer cg --table": ((20, 40, 60, 80, 100, 120, 150),
+                               whole_request("cg", "--m={n}", "--n={n}", "--p={n}", "--table")),
 }
 
 

@@ -84,3 +84,12 @@ def test_the_recover_characters_ladder_runs_up_to_the_cap():
     # the `recover-chi --g` cap is 500
     for sizes in ladder_sizes("weylhecke.recover_characters"):
         assert sizes == [50, 100, 200, 300, 500]
+
+
+def test_the_whole_request_ladders_run_up_to_their_caps():
+    # `cli._answer` times the handler with its compact printing, the same work
+    # on a commit whose handler writes the text and on one whose `_emit` does
+    for sizes in ladder_sizes("cli._answer phin crystalline_split --all-submodules"):
+        assert sizes == list(range(4, 9))
+    for sizes in ladder_sizes("cli._answer cg --table"):
+        assert sizes == [20, 40, 60, 80, 100, 120, 150]

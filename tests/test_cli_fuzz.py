@@ -23,7 +23,14 @@ projection `project_endomorphism` of `tests/linalg_oracle.py`, and
 `recover-chi`'s one-term steps against a linear solve of the forward map
 built from `fraction_hecke_diagonal`, by the elimination `rref` of
 `tests/linalg_oracle.py`.  A `--weyl` is now and then of rank `g - 1` or
-`g + 1`, which `hecke` and `recover-chi` refuse.
+`g + 1`, which `hecke` and `recover-chi` refuse.  Besides those draws,
+`recover-chi` gets the eigenvalues of a random character at random weights
+and Weyl element, made by the forward map `normalized_eigenvalues`, so that
+most of them reach its oracle.
+
+Every exit-0 line must be compact, key-sorted JSON, byte for byte what
+`json.dumps(sort_keys=True, separators=(",", ":"))` makes of it: `phin`,
+`cg`, `bcoeff`, `obstruction` and `hecke --all` write that text themselves.
 """
 
 import contextlib
@@ -44,13 +51,14 @@ from kernel_oracles import (
     fraction_b_coefficient,
     fraction_hecke_diagonal,
     nested_loop_weyl_group,
+    normalized_eigenvalues,
     unrolled_cg_coefficient,
 )
 from linalg_oracle import project_endomorphism, rref
 from linvariants.exactlin import rational
 from linvariants.linv import THEOREMS
 from linvariants.sl2rep import EndoElement
-from linvariants.weylhecke import CharacterData, TorusExponent, WeylElement
+from linvariants.weylhecke import CharacterData, EigenMonomial, TorusExponent, WeylElement
 from phin_oracle import phin_answer
 
 #: wall-time bound per request, oracle not included; the slowest requests allowed
@@ -257,6 +265,27 @@ def recover_chi(g):
     )
 
 
+def eigenvalues_of_characters(g):
+    """`recover-chi` on the normalized eigenvalues of a random character at random
+    weights and Weyl element, by the forward map `normalized_eigenvalues`: well
+    formed, so that nearly every draw reaches the oracle."""
+    exponent = st.fractions(-4, 4, max_denominator=3)
+    monomials = st.dictionaries(st.sampled_from(["p", "x", "y"]), exponent, max_size=2).map(
+        EigenMonomial.from_dict)
+    chi = st.builds(CharacterData, st.tuples(*[monomials] * g), monomials)
+    w = st.builds(WeylElement, st.permutations(range(1, g + 1)).map(tuple),
+                  st.tuples(*[st.sampled_from([-1, 1])] * g))
+
+    def argv(drawn):
+        chi, mu, mu0, w = drawn
+        eigs = [theta.to_json() for theta in normalized_eigenvalues(chi, mu, mu0, w)]
+        weights = {"mu": [str(m) for m in mu], "mu0": str(mu0)}
+        return ["recover-chi", f"--g={g}", f"--eigs={json.dumps(eigs)}",
+                f"--weights={json.dumps(weights)}", f"--weyl={json.dumps(w.to_json())}"], None
+
+    return st.tuples(chi, st.lists(exponent, min_size=g, max_size=g), exponent, w).map(argv)
+
+
 def slope_hilbert(places):
     return command(
         "slope",
@@ -344,6 +373,7 @@ argvs = st.one_of(
     # 10 s, which the cost table in CHANGES.md records
     (st.integers(-1, 5) | st.integers(7, 8)).flatmap(hecke),
     st.integers(-1, 3).flatmap(recover_chi),
+    st.integers(2, 4).flatmap(eigenvalues_of_characters),
     st.integers(1, 3).flatmap(slope_hilbert),
     st.tuples(st.integers(1, 3), st.integers(1, 2)).flatmap(lambda gp: slope_gsp(*gp)),
     command(
@@ -417,6 +447,9 @@ def test_every_accepted_argv_ends_in_one_json_line(case):
     assert text.endswith("\n") and text.count("\n") == 1, (argv, stdin, text)
     payload = json.loads(text)
     assert (code == 0) == ("error" not in payload), (argv, stdin, payload)
+    # every answer is compact, key-sorted JSON, whether a handler or `_emit` wrote it
+    if code == 0:
+        assert text[:-1] == json.dumps(payload, sort_keys=True, separators=(",", ":")), argv
     if code == 0 and argv[0] in ORACLES:
         expected = ORACLES[argv[0]](parse_args(argv))
         assert payload == json.loads(json.dumps(expected)), (argv, stdin)

@@ -189,6 +189,76 @@ def test_a_decimal_l_loads_exactlin():
     assert fraction_modules(argv) == ["decimal", "fractions", "linvariants.exactlin", "numbers"]
 
 
+#: the standard library's JSON reader and writer, which `_emit` and `cliargs` import when they run
+JSON = ("json", "json.decoder", "json.encoder", "json.scanner", "_json")
+
+
+def json_modules(argv=None, code=0):
+    """(which of `JSON` are loaded, stdout) after `import linvariants.cli` and the request `argv`.
+
+    The set is taken before `fresh`'s own `import json`, which prints it."""
+    request = "" if argv is None else (
+        f"with contextlib.redirect_stdout(out):\n    assert main({argv!r}) == {code}\n")
+    return fresh(
+        "import contextlib, io, sys\n"
+        "from linvariants.cli import main\n"
+        "out = io.StringIO()\n"
+        f"{request}"
+        f"loaded = sorted(set({JSON!r}) & set(sys.modules))\n"
+        "import json\n"
+        "print(json.dumps([loaded, out.getvalue()]))"
+    )
+
+
+#: the requests whose handler writes its own compact JSON text: each `phin` case with and
+#: without its listing, a `cg` table and entry, a `bcoeff` row and entry, and `obstruction`
+TEXT_REQUESTS = [
+    *(["phin", "--case", case, "--n", "3", *flags]
+      for case in ("crystalline_split", "crystalline_nonsplit")
+      for flags in ([], ["--all-submodules", "--benois", "--gr1"])),
+    ["phin", "--case", "steinberg", "--n", "3", "--L=-3/4"],
+    ["phin", "--case", "steinberg", "--n", "3", "--L=6", "--all-submodules", "--benois", "--gr1"],
+    ["cg", "--m", "2", "--n", "2", "--p", "2", "--table"],
+    ["cg", "--m", "2", "--n", "2", "--p", "2", "--u", "1", "--v", "1", "--w", "1"],
+    ["bcoeff", "--n", "4", "--k", "2"],
+    ["bcoeff", "--n", "4", "--k", "2", "--i", "1"],
+    ["obstruction", "--exponents", "3,2,1,0"],
+    ["obstruction", "--exponents", "3,2,1,0", "--check-N", "6"],
+]
+
+
+def test_cli_import_loads_no_json():
+    assert json_modules() == [[], ""]
+
+
+@pytest.mark.parametrize("argv", TEXT_REQUESTS)
+def test_integer_requests_load_no_json(argv):
+    loaded, out = json_modules(argv)
+    assert loaded == []
+    assert json.loads(out)  # the line is JSON all the same
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["phin", "--case", "steinberg", "--n", "0"], 2),
+        (["--format", "pretty", "phin", "--case", "steinberg", "--n", "2", "--all-submodules"], 0),
+        (["--format", "pretty", "cg", "--m", "2", "--n", "2", "--p", "2", "--table"], 0),
+        (["hecke", "--g", "2", "--t", '{"a": [1, 0], "a0": 0}'], 0),
+    ],
+    ids=["refusal", "pretty-phin", "pretty-cg", "json-argument"],
+)
+def test_refusals_pretty_output_and_json_arguments_load_json(argv, code):
+    # a refusal is a tree that `_emit` encodes, and pretty output is indented from the parsed text
+    loaded, out = json_modules(argv, code)
+    assert loaded == sorted(JSON)
+    value = json.loads(out)
+    indented = "pretty" in argv
+    assert out == json.dumps(value, sort_keys=True, indent=2 if indented else None,
+                             separators=None if indented else (",", ":")) + "\n"
+    assert ("error" in value) == bool(code)
+
+
 #: one request or more per subcommand besides `bcoeff` and `project-endo`, (argv, stdin)
 MATHS_REQUESTS = [
     pytest.param(

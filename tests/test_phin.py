@@ -530,8 +530,8 @@ def phin_args(case, n, l_text=None, weight=None, flags=(True, True, True)):
 
 
 def printed(args):
-    """The JSON value the handler prints for `args`."""
-    return json.loads(json.dumps(_cmd_phin(args)[0]))
+    """The JSON value the handler prints for `args`: its compact text, read back."""
+    return json.loads(_cmd_phin(args)[0])
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -81,7 +81,7 @@ def test_integer_table_equals_fraction_recurrence_at_large_sizes(m, n, p):
 def one_entry(m, n, p, u, v, w) -> int:
     """The `cg --u --v --w` handler's answer, which stops the columns at u."""
     args = SimpleNamespace(m=m, n=n, p=p, u=u, v=v, w=w, table=False)
-    return int(_cmd_cg(args)[0]["value"])
+    return int(json.loads(_cmd_cg(args)[0])["value"])
 
 
 @pytest.mark.parametrize("m", range(0, 13))
