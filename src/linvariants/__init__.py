@@ -41,14 +41,17 @@ __version__ = "0.1.0"
 CASES = ("steinberg", "crystalline_split", "crystalline_nonsplit")
 #: the triangulated families of `linv`
 FAMILIES = ("hilbert", "gsp4_spin", "gsp_std", "unitary")
-#: theorem -> (family, B-row rule); the rule maps the family's row (n, k)
-#: to the theorem's when the theorem does not use the family's own row
+#: theorem -> (family, B-row rule, scalar).  The rule maps the family's row
+#: (n, k) to the theorem's when the theorem does not use the family's own
+#: row.  The scalar is the displayed closed form over the generic formula,
+#: the same at every rank: 1 prints `exact` and -1 `sign_flip`
+#: (tests/test_theorem_proof.py proves each one)
 THEOREMS = {
-    "A": ("hilbert", None),
-    "B": ("gsp4_spin", None),
-    "C": ("gsp_std", None),
-    "D1": ("unitary", None),
-    "D2": ("unitary", lambda n, k: (n, n - 2)),
+    "A": ("hilbert", None, 1),
+    "B": ("gsp4_spin", None, -1),
+    "C": ("gsp_std", None, 1),
+    "D1": ("unitary", None, -1),
+    "D2": ("unitary", lambda n, k: (n, n - 2), -1),
 }
 
 

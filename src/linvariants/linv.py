@@ -17,21 +17,20 @@ per-place symbols grad~ a_{v,1..r}.  Every place has the same pieces.
 Once the B-row is fixed, a place's factor is a ratio of two linear forms,
 `PlaceForms(num, den)`: `place_forms` contracts the pieces with the B-row
 once per request, and `PlaceForms.pair` evaluates (a_v, b_v) at each
-place's gradient assignment and the direction.  The generic formula and
-the symbolic comparison with the theorem displays go through that pair,
-and so does the literal evaluation of the displays in
-`tests/paper_displays.py`.
+place's gradient assignment and the direction.
 
-The closed forms of the sym^2 / sym^6 / sym^{4n-2} / sym^{8n-2} /
-sym^{8n-6} theorems are compared against the generic formula, reporting
-{exact, sign_flip, proportional, mismatch} rather than assuming either
-sign convention; the README records the classifications.
+`--compare-theorem` reads the theorem's B-row through `theorem_row` and
+prints the theorem's classification from the `THEOREMS` registry.  Each
+displayed closed form (sym^2, sym^6, sym^{4n-2}, sym^{8n-2}, sym^{8n-6})
+is the generic formula times one scalar at every rank, 1 (exact) or -1
+(sign_flip); `tests/test_theorem_proof.py` proves it in the rank, and
+the numeric comparison and the literal displays stay as test oracles in
+`tests/paper_displays.py`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 from . import FAMILIES, THEOREMS
@@ -221,114 +220,10 @@ def rank1_combine(pairs: Sequence[tuple]) -> Fraction:
     return result
 
 
-def thm_c_coefficient(n: int, i: int) -> Fraction:
-    """B_i = (-1)^i C(2n, n+i) i from the sym^{4n-2} closed form."""
-    return Fraction((-1) ** i * comb(2 * n, n + i) * i)
-
-
-def thm_d2_coefficient(size_minus1: int, i: int) -> Fraction:
-    """(-1)^i C(m, i)(m^3 - (4i+1)m^2 + (4i^2+2i)m - 2i^2) with m = 4n-1."""
-    m = size_minus1
-    poly = m**3 - (4 * i + 1) * m**2 + (4 * i**2 + 2 * i) * m - 2 * i**2
-    return Fraction((-1) ** i * comb(m, i) * poly)
-
-
-def _display(num: Iterable, den: Iterable) -> PlaceForms:
-    """The per-place display -(num . grads) / (den . u), with a zero u_0 slot."""
-    return PlaceForms(
-        tuple(-Fraction(x) for x in num), tuple(Fraction(x) for x in den) + (Fraction(0),)
-    )
-
-
-def _theorem_forms(which: str, n: int | None) -> PlaceForms:
-    """The per-place forms of the displayed closed form of theorem `which`."""
-    if which == "B":
-        return _display((-3, 4), (1, -2))
-    if which == "C":
-        if n is None or n < 2:
-            raise ValueError("theorem C needs n >= 2")
-        num = [Fraction(0)] * n
-        num[0] += thm_c_coefficient(n, n)  # B_n grad~ a_1
-        num[n - 2] += thm_c_coefficient(n, 1)  # B_1 (grad~ a_{n-1} - 2 grad~ a_n)
-        num[n - 1] += -2 * thm_c_coefficient(n, 1)
-        for i in range(2, n):
-            # index pairing as in the generic formula: B_{n+1-i} on the
-            # difference grad~ a_{i-1} - grad~ a_i (the printed boundary
-            # terms follow this rule; for n <= 3 it matches the printed
-            # middle sum verbatim)
-            num[i - 2] += thm_c_coefficient(n, n + 1 - i)
-            num[i - 1] += -thm_c_coefficient(n, n + 1 - i)
-        return _display(num, [thm_c_coefficient(n, n + 1 - i) for i in range(1, n + 1)])
-    if which in ("D1", "D2"):
-        if n is None or n < 1:
-            raise ValueError(f"theorem {which} needs n >= 1")
-        m = 4 * n - 1
-        coeffs = [
-            (-1) ** i * comb(m, i) if which == "D1" else thm_d2_coefficient(m, i)
-            for i in range(m + 1)
-        ]
-        return _display(coeffs, coeffs)
-    raise ValueError(f"no closed form registered for theorem {which!r}")
-
-
-class TheoremComparison(NamedTuple):
-    kind: str  # exact | sign_flip | proportional | mismatch
-    scalar: Fraction | None
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.scalar is not None:
-            out["scalar"] = str(self.scalar)
-        return out
-
-
-def _parallel_scalar(reference: Sequence[Fraction], candidate: Sequence[Fraction]):
-    """c with candidate = c * reference, or None."""
-    if any((r == 0) != (c == 0) for r, c in zip(reference, candidate)):
-        return None
-    ratios = {c / r for r, c in zip(reference, candidate) if r}
-    return ratios.pop() if len(ratios) == 1 else None
-
-
-def compare_to_theorem(which: str, n: int | None = None) -> TheoremComparison:
-    """Classify the theorem's closed form against the generic expansion.
-
-    exact: identical rational functions of (grad~ a, u); sign_flip: equal
-    up to a global -1; proportional: equal up to another global scalar;
-    mismatch: not proportional.
-    """
-    data = data_for_theorem(which, n)
-    generic = place_forms(data, b_row(*data.b_row))
-    if which == "A":
-        # pin the direction (1; -1) the sym^2 statement uses
-        den_value = generic.den[0] - generic.den[1]
-        if den_value == 0:
-            return TheoremComparison("mismatch", None)
-        return _classify(_parallel_scalar((generic.num[0] / den_value,), (Fraction(-2),)))
-    theorem = _theorem_forms(which, n)
-    s_num = _parallel_scalar(generic.num, theorem.num)
-    s_den = _parallel_scalar(generic.den, theorem.den)
-    if s_num is None or s_den is None or s_den == 0:
-        return TheoremComparison("mismatch", None)
-    return _classify(s_num / s_den)
-
-
-def _classify(scalar: Fraction | None) -> TheoremComparison:
-    if scalar is None:
-        return TheoremComparison("mismatch", None)
-    return TheoremComparison({1: "exact", -1: "sign_flip"}.get(scalar, "proportional"), scalar)
-
-
 def theorem_row(which: str, data: TriangulationData) -> TriangulationData:
     """`data` with theorem `which`'s B-row in place of the family's own."""
     rule = THEOREMS[which][1]
     return data if rule is None else data._replace(b_row=rule(*data.b_row))
-
-
-def data_for_theorem(which: str, n: int | None = None) -> TriangulationData:
-    """TriangulationData whose generic evaluation matches theorem `which`."""
-    family = THEOREMS[which][0]
-    return theorem_row(which, family_data(family, g=n, n=n))
 
 
 #: per family, the `params` key of its rank and that rank's cap, each about
@@ -347,7 +242,6 @@ def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
     which = args.compare_theorem
     if which and THEOREMS[which][0] != family:
         raise CliError(f"theorem {which} belongs to family {THEOREMS[which][0]}, not {family}")
-    rank = None
     if family in LINV_RANK_CAPS:
         key, cap = LINV_RANK_CAPS[family]
         rank = params.get(key)
@@ -373,5 +267,7 @@ def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
         "per_place": [{"a": str(a), "b": str(b), "value": str(a / b)} for a, b in pairs],
     }
     if which:
-        payload["classification"] = compare_to_theorem(which, n=rank).to_json()
+        scalar = THEOREMS[which][2]
+        payload["classification"] = {"kind": "exact" if scalar == 1 else "sign_flip",
+                                     "scalar": str(scalar)}
     return payload, None, None

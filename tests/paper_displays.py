@@ -6,13 +6,34 @@ it against `weylhecke.hecke_diagonal` over every Weyl element, and the
 constants against the one-term steps that `recover_characters` reads.
 `theorem_evaluator` evaluates the published closed forms literally; the
 tests check it against the generic L-invariant formula.
+
+`compare_to_theorem` is the numeric comparison: it contracts the
+theorem's B-row with the family's pieces and classifies the display
+against that generic expansion.  `linv --compare-theorem` prints the
+scalar of the `THEOREMS` registry, which `tests/test_theorem_proof.py`
+proves for every rank; this comparison checks the registry numerically
+at the ranks the tests run.
+`display_ratios` records the proof's per-coordinate ratios of the
+display to the generic expansion, so that an oracle can scale a display
+back to the generic pair (a_v, b_v).
 """
 
 from fractions import Fraction
-from typing import Sequence
+from math import comb, factorial
+from typing import Iterable, NamedTuple, Sequence
 
+from linvariants import THEOREMS
 from linvariants.exactlin import rational
-from linvariants.linv import Direction, _theorem_forms, rank1_combine
+from linvariants.linv import (
+    Direction,
+    PlaceForms,
+    TriangulationData,
+    family_data,
+    place_forms,
+    rank1_combine,
+    theorem_row,
+)
+from linvariants.plethysm import b_row
 from linvariants.weylhecke import CharacterData, EigenMonomial, WeylElement, c_g_constant
 
 
@@ -72,3 +93,129 @@ def theorem_evaluator(
         return result
     forms = _theorem_forms(which, n)
     return rank1_combine([forms.pair(v, a, direction) for v, a in enumerate(assignments)])
+
+
+def thm_c_coefficient(n: int, i: int) -> Fraction:
+    """B_i = (-1)^i C(2n, n+i) i from the sym^{4n-2} closed form."""
+    return Fraction((-1) ** i * comb(2 * n, n + i) * i)
+
+
+def thm_d2_coefficient(size_minus1: int, i: int) -> Fraction:
+    """(-1)^i C(m, i)(m^3 - (4i+1)m^2 + (4i^2+2i)m - 2i^2) with m = 4n-1."""
+    m = size_minus1
+    poly = m**3 - (4 * i + 1) * m**2 + (4 * i**2 + 2 * i) * m - 2 * i**2
+    return Fraction((-1) ** i * comb(m, i) * poly)
+
+
+def _display(num: Iterable, den: Iterable) -> PlaceForms:
+    """The per-place display -(num . grads) / (den . u), with a zero u_0 slot."""
+    return PlaceForms(
+        tuple(-Fraction(x) for x in num), tuple(Fraction(x) for x in den) + (Fraction(0),)
+    )
+
+
+def _theorem_forms(which: str, n: int | None) -> PlaceForms:
+    """The per-place forms of the displayed closed form of theorem `which`."""
+    if which == "B":
+        return _display((-3, 4), (1, -2))
+    if which == "C":
+        if n is None or n < 2:
+            raise ValueError("theorem C needs n >= 2")
+        num = [Fraction(0)] * n
+        num[0] += thm_c_coefficient(n, n)  # B_n grad~ a_1
+        num[n - 2] += thm_c_coefficient(n, 1)  # B_1 (grad~ a_{n-1} - 2 grad~ a_n)
+        num[n - 1] += -2 * thm_c_coefficient(n, 1)
+        for i in range(2, n):
+            # index pairing as in the generic formula: B_{n+1-i} on the
+            # difference grad~ a_{i-1} - grad~ a_i (the printed boundary
+            # terms follow this rule; for n <= 3 it matches the printed
+            # middle sum verbatim)
+            num[i - 2] += thm_c_coefficient(n, n + 1 - i)
+            num[i - 1] += -thm_c_coefficient(n, n + 1 - i)
+        return _display(num, [thm_c_coefficient(n, n + 1 - i) for i in range(1, n + 1)])
+    if which in ("D1", "D2"):
+        if n is None or n < 1:
+            raise ValueError(f"theorem {which} needs n >= 1")
+        m = 4 * n - 1
+        coeffs = [
+            (-1) ** i * comb(m, i) if which == "D1" else thm_d2_coefficient(m, i)
+            for i in range(m + 1)
+        ]
+        return _display(coeffs, coeffs)
+    raise ValueError(f"no closed form registered for theorem {which!r}")
+
+
+class TheoremComparison(NamedTuple):
+    kind: str  # exact | sign_flip | proportional | mismatch
+    scalar: Fraction | None
+
+    def to_json(self) -> dict:
+        out: dict = {"kind": self.kind}
+        if self.scalar is not None:
+            out["scalar"] = str(self.scalar)
+        return out
+
+
+def _parallel_scalar(reference: Sequence[Fraction], candidate: Sequence[Fraction]):
+    """c with candidate = c * reference, or None."""
+    if any((r == 0) != (c == 0) for r, c in zip(reference, candidate)):
+        return None
+    ratios = {c / r for r, c in zip(reference, candidate) if r}
+    return ratios.pop() if len(ratios) == 1 else None
+
+
+def compare_to_theorem(which: str, n: int | None = None) -> TheoremComparison:
+    """Classify the theorem's closed form against the generic expansion.
+
+    exact: identical rational functions of (grad~ a, u); sign_flip: equal
+    up to a global -1; proportional: equal up to another global scalar;
+    mismatch: not proportional.
+    """
+    data = data_for_theorem(which, n)
+    generic = place_forms(data, b_row(*data.b_row))
+    if which == "A":
+        # pin the direction (1; -1) the sym^2 statement uses
+        den_value = generic.den[0] - generic.den[1]
+        if den_value == 0:
+            return TheoremComparison("mismatch", None)
+        return _classify(_parallel_scalar((generic.num[0] / den_value,), (Fraction(-2),)))
+    theorem = _theorem_forms(which, n)
+    s_num = _parallel_scalar(generic.num, theorem.num)
+    s_den = _parallel_scalar(generic.den, theorem.den)
+    if s_num is None or s_den is None or s_den == 0:
+        return TheoremComparison("mismatch", None)
+    return _classify(s_num / s_den)
+
+
+def _classify(scalar: Fraction | None) -> TheoremComparison:
+    if scalar is None:
+        return TheoremComparison("mismatch", None)
+    return TheoremComparison({1: "exact", -1: "sign_flip"}.get(scalar, "proportional"), scalar)
+
+
+def data_for_theorem(which: str, n: int | None = None) -> TriangulationData:
+    """TriangulationData whose generic evaluation matches theorem `which`."""
+    family = THEOREMS[which][0]
+    return theorem_row(which, family_data(family, g=n, n=n))
+
+
+def display_ratios(which: str, n: int | None = None) -> tuple[Fraction, Fraction]:
+    """(display num / generic num, display den / generic den) of theorem `which`.
+
+    Each is one number per rank, the same at every nonzero coordinate
+    (`tests/test_theorem_proof.py` derives them); their quotient is the
+    theorem's `THEOREMS` scalar.  B: -1/72 and 1/72.  C at rank g: both
+    1/K with K = (-1)^(g+1) 4 (2g)! (2g-1)!.  D1 at rank n, N = 4n-1:
+    1/N!^2 and -1/N!^2.  D2: 2/((N-2)! (N-1)!) and its negative.
+    """
+    if which == "B":
+        return Fraction(-1, 72), Fraction(1, 72)
+    if which == "C":
+        ratio = Fraction(1, (-1) ** (n + 1) * 4 * factorial(2 * n) * factorial(2 * n - 1))
+        return ratio, ratio
+    size_minus1 = 4 * n - 1
+    if which == "D1":
+        ratio = Fraction(1, factorial(size_minus1) ** 2)
+    else:
+        ratio = Fraction(2, factorial(size_minus1 - 2) * factorial(size_minus1 - 1))
+    return ratio, -ratio

@@ -91,14 +91,13 @@ class PhiNModule:
             raise ValueError(f"f-index out of range: {f_index}")
         return self.n - f_index
 
-    def f_index(self, coordinate: int) -> int:
-        return self.n - coordinate
-
     def f_span(self, f_indices) -> tuple[int, ...]:
         return tuple(sorted(self.coordinate(i) for i in f_indices))
 
-    def f_indices_of(self, span: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted((self.f_index(c) for c in span), reverse=True))
+    def f_indices_of(self, span: tuple[int, ...]) -> list[int]:
+        """The f-indices of a sorted span, descending: coordinate c holds f_{n-c}."""
+        n = self.n
+        return [n - c for c in span]
 
 
 def build_case(case: str, n: int, l_invariant=None, weight: int | None = None) -> PhiNModule:
@@ -221,10 +220,7 @@ def phin_answer(args) -> dict:
     `build_case` raises.
     """
     module = build_case(args.case, args.n, l_invariant=args.L, weight=args.weight)
-
-    def f_indices(span):
-        return list(module.f_indices_of(span))
-
+    f_indices = module.f_indices_of
     answer: dict = {
         "case": module.case,
         "n": module.n,

@@ -18,7 +18,12 @@ from linvariants import linv, phin, plethysm, sl2rep, slopes, weylhecke
 from linvariants.weylhecke import EigenMonomial, monomial_product
 import phin_oracle
 from kernel_oracles import b_special, beta, normalized_eigenvalues
-from paper_displays import theorem_evaluator, upi_eigenvalue_display
+from paper_displays import (
+    compare_to_theorem,
+    data_for_theorem,
+    theorem_evaluator,
+    upi_eigenvalue_display,
+)
 from linalg_oracle import Subspace, fil0_space, intersect, project_endomorphism
 
 rng = random.Random(0xACCE)
@@ -224,16 +229,16 @@ def test_criterion_9_l_invariant_consistency():
         + [("D2", n) for n in (1, 2, 3)]
     )
     for which, n in cases:
-        first = linv.compare_to_theorem(which, n=n)
-        second = linv.compare_to_theorem(which, n=n)
+        first = compare_to_theorem(which, n=n)
+        second = compare_to_theorem(which, n=n)
         ok = ok and first == second  # stable across runs
         if which == "A":
             ok = ok and first.kind == "exact"
         else:
             ok = ok and first.kind in allowed and first.scalar in (F(1), F(-1))
     for which, n in [("A", None), ("B", None), ("C", 2), ("C", 4), ("D1", 1), ("D2", 1)]:
-        comparison = linv.compare_to_theorem(which, n=n)
-        data = linv.data_for_theorem(which, n=n)
+        comparison = compare_to_theorem(which, n=n)
+        data = data_for_theorem(which, n=n)
         hits = 0
         while hits < 100:
             assignments = [

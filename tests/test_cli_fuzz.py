@@ -22,11 +22,12 @@ sweep's fragments) against `fraction_hecke_diagonal` over
 projection `project_endomorphism` of `tests/linalg_oracle.py`, and
 `recover-chi`'s one-term steps against a linear solve of the forward map
 built from `fraction_hecke_diagonal`, by the elimination `rref` of
-`tests/linalg_oracle.py`.  A `--weyl` is now and then of rank `g - 1` or
-`g + 1`, which `hecke` and `recover-chi` refuse.  Besides those draws,
-`recover-chi` gets the eigenvalues of a random character at random weights
-and Weyl element, made by the forward map `normalized_eigenvalues`, so that
-most of them reach its oracle.
+`tests/linalg_oracle.py`, and `linv`'s generic formula against its
+theorem's display in `tests/paper_displays.py`.  A `--weyl` is now and
+then of rank `g - 1` or `g + 1`, which `hecke` and `recover-chi` refuse.
+Besides those draws, `recover-chi` gets the eigenvalues of a random
+character at random weights and Weyl element, made by the forward map
+`normalized_eigenvalues`, so that most of them reach its oracle.
 
 Every exit-0 line must be compact, key-sorted JSON, byte for byte what
 `json.dumps(sort_keys=True, separators=(",", ":"))` makes of it: `phin`,
@@ -38,12 +39,13 @@ import io
 import json
 import time
 from fractions import Fraction
+from math import prod
 from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linvariants import CASES
+from linvariants import CASES, THEOREMS
 from linvariants.cli import main, parse_args
 from kernel_oracles import (
     beta,
@@ -56,9 +58,10 @@ from kernel_oracles import (
 )
 from linalg_oracle import project_endomorphism, rref
 from linvariants.exactlin import rational
-from linvariants.linv import THEOREMS
+from linvariants.linv import Direction
 from linvariants.sl2rep import EndoElement
 from linvariants.weylhecke import CharacterData, EigenMonomial, TorusExponent, WeylElement
+from paper_displays import _theorem_forms, compare_to_theorem, display_ratios, theorem_evaluator
 from phin_oracle import phin_answer
 
 #: wall-time bound per request, oracle not included; the slowest requests allowed
@@ -152,10 +155,55 @@ def recover_chi_answer(args) -> dict:
     return {"chi": values[:g], "sigma": values[g]}
 
 
+def linv_answer(args, request: dict) -> dict:
+    """The product and per-place pairs of a `linv` request from its theorem's display.
+
+    The request reads the row of `--compare-theorem`, or else of its
+    family's own theorem (A, B, C or D1).  Each pair (a_v, b_v) is the
+    display's pair divided by `display_ratios`, whose quotient is the
+    theorem's scalar.  The value is the literal `theorem_evaluator` over
+    scalar^places, and each place's value the evaluator at that place over
+    the scalar.  Theorem A is stated only at (1, ..., 1; -1): a hilbert
+    place pairs as (2 grad~ a_v, -u_v) by hand, and away from that
+    direction the values are a_v / b_v.  The classification is the numeric
+    comparison at the drawn rank.
+    """
+    family = args.family
+    which = args.compare_theorem or {"hilbert": "A", "gsp4_spin": "B", "gsp_std": "C",
+                                     "unitary": "D1"}[family]
+    rank = request.get("params", {}).get({"gsp_std": "g", "unitary": "n"}.get(family))
+    symbols = {"hilbert": 1, "gsp4_spin": 2, "gsp_std": rank, "unitary": 4 * (rank or 0)}[family]
+    direction = Direction.make(request["direction"]["u"], request["direction"].get("u0", 0))
+    assignments = [[rational(place["gradients"][f"a_{j}"]) for j in range(1, symbols + 1)]
+                   for place in request["places"]]
+    if family == "hilbert":
+        scalar, pairs = 1, [(2 * x, -u) for (x,), u in zip(assignments, direction.u)]
+    else:
+        forms, (to_num, to_den) = _theorem_forms(which, rank), display_ratios(which, rank)
+        scalar = to_num / to_den
+        pairs = [(a / to_num, b / to_den)
+                 for a, b in (forms.pair(v, x, direction) for v, x in enumerate(assignments))]
+
+    def value(xs, pairs) -> Fraction:
+        if family == "hilbert" and direction != Direction.make([1] * len(pairs), -1):
+            return prod((a / b for a, b in pairs), start=Fraction(1))
+        return theorem_evaluator(which, direction, xs, n=rank) / scalar ** len(xs)
+
+    answer = {
+        "value": str(value(assignments, pairs)),
+        "per_place": [{"a": str(a), "b": str(b), "value": str(value([x], [(a, b)]))}
+                      for x, (a, b) in zip(assignments, pairs)],
+    }
+    if args.compare_theorem:
+        answer["classification"] = compare_to_theorem(which, rank).to_json()
+    return answer
+
+
 #: subcommand -> the JSON value of an accepted request, from its parsed options
+#: and, for a subcommand that reads `--input -`, its JSON request
 ORACLES = {"phin": phin_answer, "bcoeff": bcoeff_answer, "cg": cg_answer, "hecke": hecke_answer,
            "obstruction": obstruction_answer, "project-endo": project_endo_answer,
-           "recover-chi": recover_chi_answer}
+           "recover-chi": recover_chi_answer, "linv": linv_answer}
 
 anything = st.recursive(
     st.none()
@@ -322,7 +370,7 @@ linv_shapes = st.one_of(
 
 
 def linv(family, params, places, length, symbols):
-    own_theorems = st.sampled_from([t for t, (f, _) in THEOREMS.items() if f == family])
+    own_theorems = st.sampled_from([t for t, (f, *_) in THEOREMS.items() if f == family])
     gradients = st.fixed_dictionaries({f"a_{j}": scalar for j in range(1, symbols + 1)})
     return command(
         "linv",
@@ -434,6 +482,26 @@ argvs = st.one_of(
 # 262135 with 257 on top) and the trial divisions of a gap (4 isqrt(gap) > 10^8)
 @example((["obstruction", "--exponents=" + ",".join(map(str, [*range(144), 258]))], None))
 @example((["obstruction", f"--exponents={25_000_001**2},0"], None))
+# each theorem's request, so that each linv answer is compared, whatever the draw: theorem A at
+# its direction (1, 1; -1) and hilbert away from it, then B, C, D1 and D2
+@example((["linv", "--family=hilbert", "--compare-theorem=A", "--input=-"], json.dumps(
+    {"direction": {"u": [1, 1], "u0": -1}, "places": [{"gradients": {"a_1": "3/2"}},
+                                                      {"gradients": {"a_1": -5}}]})))
+@example((["linv", "--family=hilbert", "--input=-"], json.dumps(
+    {"direction": {"u": ["2", "-1/3"], "u0": 4}, "places": [{"gradients": {"a_1": "3/2"}},
+                                                            {"gradients": {"a_1": 7}}]})))
+@example((["linv", "--family=gsp4_spin", "--compare-theorem=B", "--input=-"], json.dumps(
+    {"direction": {"u": [3, "1/2"], "u0": 1}, "places": [{"gradients": {"a_1": 2, "a_2": "-7/2"}},
+                                                         {"gradients": {"a_1": 1, "a_2": 3}}]})))
+@example((["linv", "--family=gsp_std", "--compare-theorem=C", "--input=-"], json.dumps(
+    {"params": {"g": 3}, "direction": {"u": [5, -2, "1/3"], "u0": 2},
+     "places": [{"gradients": {"a_1": 1, "a_2": "-4/3", "a_3": 2}}]})))
+@example((["linv", "--family=unitary", "--compare-theorem=D1", "--input=-"], json.dumps(
+    {"params": {"n": 1}, "direction": {"u": [1, 2, -3, "1/2"], "u0": 0},
+     "places": [{"gradients": {"a_1": 1, "a_2": 2, "a_3": "-1/2", "a_4": 3}}]})))
+@example((["linv", "--family=unitary", "--compare-theorem=D2", "--input=-"], json.dumps(
+    {"params": {"n": 1}, "direction": {"u": [1, 2, -3, "1/2"], "u0": 0},
+     "places": [{"gradients": {"a_1": 1, "a_2": 2, "a_3": "-1/2", "a_4": 3}}]})))
 def test_every_accepted_argv_ends_in_one_json_line(case):
     argv, stdin = case
     out = io.StringIO()
@@ -451,5 +519,6 @@ def test_every_accepted_argv_ends_in_one_json_line(case):
     if code == 0:
         assert text[:-1] == json.dumps(payload, sort_keys=True, separators=(",", ":")), argv
     if code == 0 and argv[0] in ORACLES:
-        expected = ORACLES[argv[0]](parse_args(argv))
+        args = parse_args(argv)
+        expected = ORACLES[argv[0]](*[args] if stdin is None else [args, json.loads(stdin)])
         assert payload == json.loads(json.dumps(expected)), (argv, stdin)

@@ -1,27 +1,31 @@
 """Triangulation data, the generic L-invariant, theorem comparisons."""
 
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from linvariants import linv
+from linvariants import THEOREMS, linv, plethysm
+from linvariants.cli import main
 from linvariants.exactlin import DimensionMismatchError
 from linvariants.linv import (
     Direction,
     PlaceForms,
     SingularDirectionError,
     TriangulationData,
-    compare_to_theorem,
-    data_for_theorem,
     family_data,
     per_place_pairs,
     place_forms,
     rank1_combine,
-    thm_c_coefficient,
 )
 from linvariants.plethysm import b_row
-from paper_displays import theorem_evaluator
+from paper_displays import (
+    compare_to_theorem,
+    data_for_theorem,
+    theorem_evaluator,
+    thm_c_coefficient,
+)
 
 rng = random.Random(1009)
 
@@ -226,13 +230,14 @@ def test_singular_direction_names_place():
 
 
 def test_classifications():
+    # the numeric oracle meets the proven registry up to 40 and at the caps
     assert compare_to_theorem("A").kind == "exact"
     assert compare_to_theorem("B").kind == "sign_flip"
-    for n in range(2, 41):
-        assert compare_to_theorem("C", n=n).kind == "exact"
-    for n in range(1, 41):
-        assert compare_to_theorem("D1", n=n).kind == "sign_flip"
-        assert compare_to_theorem("D2", n=n).kind == "sign_flip"
+    for n in [*range(2, 41), 199, 200]:
+        assert compare_to_theorem("C", n=n) == ("exact", THEOREMS["C"][2])
+    for n in [*range(1, 41), 99, 100]:
+        assert compare_to_theorem("D1", n=n) == ("sign_flip", THEOREMS["D1"][2])
+        assert compare_to_theorem("D2", n=n) == ("sign_flip", THEOREMS["D2"][2])
 
 
 def test_classification_scalars_are_units():
@@ -327,6 +332,24 @@ def test_per_place_pairs_computes_the_b_row_once(monkeypatch):
     data = family_data("gsp_std", g=2)
     per_place_pairs(data, Direction.make([3, 1], 2), [[1, 2], [3, 4], [5, 6]])
     assert calls == [(4, 3)]
+
+
+def test_compare_theorem_builds_one_b_row(monkeypatch, tmp_path, capsys):
+    # the classification is the registry's, so the request's own row is the only one
+    calls = []
+
+    def counting_b_row(n, k):
+        calls.append((n, k))
+        return b_row(n, k)
+
+    monkeypatch.setattr(plethysm, "b_row", counting_b_row)
+    monkeypatch.setattr(linv, "b_row", counting_b_row)
+    path = tmp_path / "linv.json"
+    path.write_text(json.dumps({"params": {"g": 3}, "direction": {"u": [5, 2, 1], "u0": 1},
+                                "places": [{"gradients": {"a_1": 1, "a_2": 2, "a_3": 3}}]}))
+    code = main(["linv", "--family", "gsp_std", "--input", str(path), "--compare-theorem", "C"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["classification"]["kind"] == "exact"
+    assert calls == [(6, 5)]
 
 
 @pytest.mark.parametrize("family, direction", [("hilbert", [3, 1, 2]), ("gsp_std", [3, 1])])
