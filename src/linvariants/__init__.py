@@ -15,7 +15,8 @@ Submodules:
 * linv      -- triangulation rows, one pair of linear forms per place
 * cli       -- JSON/CSV command-line interface; each subcommand's handler
   lives in its maths module above
-* cliargs   -- the CLI's refusal and JSON argument readers
+* cliargs   -- the CLI's refusal and scalar argument readers
+* jsonargs  -- the CLI's JSON argument readers, plain JSON read without `json`
 
 `linvariants.<name>` imports a submodule on first use.  The registries
 live here so that the CLI's parser reads them without importing the maths.
@@ -33,6 +34,7 @@ __all__ = [
     "linv",
     "cli",
     "cliargs",
+    "jsonargs",
 ]
 
 __version__ = "0.1.0"

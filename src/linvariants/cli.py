@@ -38,8 +38,8 @@ def _emit(fmt: str, payload, csv_header: str | None = None, csv_rows=None) -> No
     The compact text comes first, so an int past the digit limit is refused
     before any byte is written; pretty output is streamed in runs of tokens.
     `json` is imported only to encode a tree or to indent: the text that the
-    integer handlers (`phin`, `cg`, `bcoeff`, `obstruction`, `hecke --all`)
-    write themselves is printed as it is.
+    integer handlers (`phin`, `cg`, `bcoeff`, `obstruction`, `hecke`,
+    `project-endo`) write themselves is printed as it is.
     """
     if fmt == "csv":
         if csv_header is None or csv_rows is None:
@@ -78,8 +78,9 @@ COMMANDS = {
                                 "benois": (None, False), "gr1": (None, False)}),
     "hecke": ("weylhecke._cmd_hecke", {"g": (int, True), "t": (str, True), "weyl": (str, False),
                                        "all": (None, False)}),
-    "recover-chi": ("weylhecke._cmd_recover_chi", {"g": (int, True), "eigs": (str, True),
-                                                   "weights": (str, True), "weyl": (str, False)}),
+    "recover-chi": ("weylhecke._cmd_recover_chi", {"g": (int, True), "eigs": (str, False),
+                                                   "weights": (str, False), "weyl": (str, False),
+                                                   "input": (str, False)}),
     "slope": ("slopes._cmd_slope", {"family": (("hilbert", "gsp"), True), "input": (str, True)}),
     "obstruction": ("slopes._cmd_obstruction", {"exponents": (str, True), "check-N": (int, False)}),
     "linv": ("linv._cmd_linv", {"family": (FAMILIES, True), "input": (str, True),

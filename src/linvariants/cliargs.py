@@ -1,9 +1,12 @@
-"""The CLI's refusal and its readers of JSON arguments, shared by every handler.
+"""The CLI's refusal and its readers of scalar arguments.
 
-The handlers live beside their maths and import this module when they run;
-`cli` imports it too.  Run as `python -m linvariants.cli`, `cli` is
-`__main__`, so a handler importing `CliError` from `cli` would load a second
-copy of it, whose refusals `main` would not catch.
+`cli` imports this module on every request, so it holds only what any
+request may need: `CliError`, `_int`, `_plain_ratio` and `_cap`.  The
+readers of JSON arguments are `jsonargs`, which only a request that reads
+one imports.  Run as `python -m linvariants.cli`, `cli` is `__main__`, so a
+handler importing `CliError` from `cli` would load a second copy of it,
+whose refusals `main` would not catch: the handlers import it from here,
+when they run, so importing a maths module as a library compiles no CLI code.
 """
 
 import re
@@ -27,47 +30,19 @@ def _int(text: str, label: str) -> int:
     return int(text)
 
 
-def _json_object(value, label: str) -> dict:
-    if not isinstance(value, dict):
-        raise CliError(f"{label} must be a JSON object, not {value!r}")
-    return value
+def _plain_ratio(text: str) -> tuple[int, int] | None:
+    """(a, b) of a text spelled as a plain `a` or `a/b`, else None.
 
-
-def _parse_json_arg(text: str, label: str):
-    import json  # only the requests that read a JSON argument load it
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as err:
-        raise CliError(f"malformed JSON for {label}: {err}") from err
-    except ValueError as err:  # the one other: an int past Python's digit limit
-        limit = sys.get_int_max_str_digits()
-        raise CliError(f"{label} holds an int past Python's limit of {limit} digits") from err
-
-
-def _has_keys(value, label: str, *keys: str) -> dict:
-    """`value`, which must be a JSON object holding every one of `keys`."""
-    obj = _json_object(value, label)
-    for key in keys:
-        if key not in obj:
-            raise CliError(f"{label} needs the key {key!r}")
-    return obj
-
-
-def _json_keys(text: str, label: str, *keys: str) -> dict:
-    """The JSON object argument `label`, which must hold every one of `keys`."""
-    return _has_keys(_parse_json_arg(text, label), label, *keys)
-
-
-def _load_input(args) -> dict:
-    try:  # stdin's bytes are decoded as strictly as a file's, not with surrogate escapes
-        if args.input == "-":
-            text = sys.stdin.buffer.read().decode("utf-8")
-        else:
-            with open(args.input, encoding="utf-8") as handle:
-                text = handle.read()
-    except (OSError, UnicodeDecodeError) as err:
-        raise CliError(f"cannot read input file: {err}") from err
-    return _json_object(_parse_json_arg(text, "--input"), "--input")
+    Plain means a sign or none, decimal digits, a nonzero b, no more characters
+    than Python's int digit limit, and whitespace only around it.  Such a text
+    is a/b to `exactlin.rational` too, which reads every other spelling.
+    """
+    num, slash, den = text.strip().partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if (digits.isdecimal() and (den.isdecimal() or not slash)
+            and len(text) <= sys.get_int_max_str_digits() and int(den or 1)):
+        return int(num), int(den or 1)
+    return None
 
 
 def _cap(value: int, cap: int, what: str) -> None:

@@ -232,7 +232,8 @@ LINV_RANK_CAPS = {"gsp_std": ("g", 200), "unitary": ("n", 100)}
 
 
 def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
-    from .cliargs import CliError, _cap, _has_keys, _json_object, _load_input
+    from .cliargs import CliError, _cap
+    from .jsonargs import _has_keys, _json_object, _load_input
     obj = _load_input(args)
     family = args.family
     params = _json_object(obj.get("params", {}), "params")

@@ -47,7 +47,6 @@ strings, so a `phin` request imports no `json`.  The (phi, N)-module search
 these closed forms replace is the test oracle `tests/phin_oracle.py`.
 """
 
-import sys
 from itertools import chain, combinations
 from math import gcd
 
@@ -69,11 +68,10 @@ STEINBERG_ALL_SUBMODULES_MAX_N = 500
 
 def _l_text(text: str) -> str:
     """str(exactlin.rational(text)), refused if 0; a plain a or a/b is read in integers."""
-    num, slash, den = text.strip().partition("/")
-    digits = num[1:] if num[:1] in ("+", "-") else num
-    if (digits.isdecimal() and (den.isdecimal() or not slash)
-            and len(text) <= sys.get_int_max_str_digits() and int(den or 1)):
-        a, b = int(num), int(den or 1)
+    from .cliargs import _plain_ratio
+    ratio = _plain_ratio(text)
+    if ratio:
+        a, b = ratio
         g = gcd(a, b)
         value = str(a // g) if b == g else f"{a // g}/{b // g}"
     else:  # a decimal point, an exponent, underscores, a zero denominator or no number

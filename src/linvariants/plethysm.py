@@ -32,10 +32,10 @@ term is the one before times a ratio of small integers, and swapping a with
 k-a and i with n-i gives B_{n,k,n-i} = (-1)^k B_{n,k,i}: a row sums i <= n/2.
 One `bcoeff --i` entry stops the half row at min(i, n-i).
 
-Both tables hold integers, and their handlers write their answers as
-compact JSON text, so a `cg` or `bcoeff` request imports no `json`.  Only
-the diagonal projection takes rationals, so only it imports `fractions` and
-`exactlin`, when it runs.
+Both tables hold integers, and the handlers write their answers as
+compact JSON text, so a `cg`, `bcoeff` or `project-endo` request imports
+no `json`.  Only the diagonal projection takes rationals, and it imports
+`fractions` and `exactlin` only for a diagonal entry that is no integer.
 """
 
 from __future__ import annotations
@@ -139,8 +139,8 @@ def b_row(n: int, k: int) -> tuple[int, ...]:
 class DiagonalProjection(NamedTuple):
     """g_{2k,k} coefficient plus the (always-zero) past-the-middle tail."""
 
-    middle: Fraction
-    tail: tuple[Fraction, ...]
+    middle: int | Fraction
+    tail: tuple[int, ...]
 
 
 def project_endomorphism_diagonal(n: int, k: int, diag) -> DiagonalProjection:
@@ -148,17 +148,21 @@ def project_endomorphism_diagonal(n: int, k: int, diag) -> DiagonalProjection:
 
     A diagonal endomorphism has weight 0, so its projection is the g_{2k,k}
     coefficient sum_i B_{n,k,i} diag_i, and the k coefficients of g_{2k,u},
-    u > k, are 0.  The tests check this against the full projection.
+    u > k, are 0.  The tests check this against the full projection.  Int
+    entries stay ints, and so does the sum of a diagonal of ints: only another
+    entry goes through `exactlin.rational`, which imports `fractions`.
     """
-    from fractions import Fraction
-    from .exactlin import DimensionMismatchError, rational
-    diag = [rational(d) for d in diag]
+    diag = list(diag)
+    if not all(type(d) is int for d in diag):
+        from .exactlin import rational
+        diag = [d if type(d) is int else rational(d) for d in diag]
     if len(diag) != n + 1:
+        from .exactlin import DimensionMismatchError
         raise DimensionMismatchError(f"diagonal must have length {n + 1}")
     if n < 0:  # n = -1, the one negative n the length check lets through
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    middle = sum((b * d for b, d in zip(b_row(n, k), diag)), Fraction(0))
-    return DiagonalProjection(middle, (Fraction(0),) * k)
+    middle = sum(b * d for b, d in zip(b_row(n, k), diag))
+    return DiagonalProjection(middle, (0,) * k)
 
 
 #: largest sizes of the polynomial-cost tables, each about 10 s and 100 MB
@@ -176,8 +180,9 @@ def _cmd_cg(args) -> tuple[str, str | None, list | None]:
     if args.table:
         if (args.u, args.v, args.w) != (None, None, None):
             raise CliError("--table and --u, --v, --w exclude each other")
-        rows = [(*key, str(x)) for key, x in cg_table(m, n, p).items()]
-        text = ",".join(['[%d,%d,%d,"%s"]' % row for row in rows])
+        table = cg_table(m, n, p)
+        text = ",".join(['[%d,%d,%d,"%d"]' % (u, v, w, x) for (u, v, w), x in table.items()])
+        rows = ((*key, x) for key, x in table.items())  # read only by `--format csv`
         return '{"m":%d,"n":%d,"p":%d,"rows":[%s]}' % (m, n, p, text), "u,v,w,value", rows
     if args.u is None or args.v is None or args.w is None:
         raise CliError("either --table or all of --u --v --w are required")
@@ -214,12 +219,16 @@ def _cmd_bcoeff(args) -> tuple[str, str, list]:
     return '{"values":["%s"]}' % '","'.join(values), "n,k,i,value", rows
 
 
-def _cmd_project_endo(args) -> tuple[dict, str | None, list | None]:
-    from .cliargs import CliError, _cap, _parse_json_arg
-    from .exactlin import rational
+def _cmd_project_endo(args) -> tuple[str, None, None]:
+    from .cliargs import CliError, _cap, _plain_ratio
+    from .jsonargs import _parse_json_arg
     _cap(args.n, PROJECT_ENDO_MAX_N, "project-endo --n")
     diag = _parse_json_arg(args.diag, "--diag")
     if not isinstance(diag, list):
         raise CliError("--diag must be a JSON array of rationals")
-    result = project_endomorphism_diagonal(args.n, args.k, [rational(x) for x in diag])
-    return {"middle": str(result.middle), "tail": [str(x) for x in result.tail]}, None, None
+    # a plain integer string is read as an int, so a diagonal of them needs no `fractions`
+    ratios = [isinstance(x, str) and _plain_ratio(x) for x in diag]
+    diag = [r[0] if r and r[1] == 1 else x for x, r in zip(diag, ratios)]
+    result = project_endomorphism_diagonal(args.n, args.k, diag)
+    tail = ",".join('"%s"' % x for x in result.tail)
+    return '{"middle":"%s","tail":[%s]}' % (result.middle, tail), None, None

@@ -184,7 +184,8 @@ def exclusion_sufficient(orders: Iterable[int], n: int) -> bool:
 
 
 def _cmd_slope(args) -> tuple[dict, str | None, list | None]:
-    from .cliargs import CliError, _has_keys, _load_input
+    from .cliargs import CliError
+    from .jsonargs import _has_keys, _load_input
     from .exactlin import rational, vector
 
     def array(value, label: str) -> list:  # a domain error, as vector() gives for a string

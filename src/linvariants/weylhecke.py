@@ -27,19 +27,23 @@ The eigenvalues are `EigenMonomial`s, Laurent monomials in the formal
 symbols p, chi_j and sigma.  Half-integer p-exponents (the g(g+1)/4 term)
 are ordinary rational exponents of the symbol 'p'; no square roots are
 adjoined.
-Both `hecke_diagonal` and the `hecke --all` sweep evaluate this closed form
-in integers over one denominator; the sweep adds up p's exponent by doubling.
+`hecke` evaluates this closed form for the generic character, one element
+(`hecke_entry`) or the whole sweep (`hecke_table`), in integers over one
+denominator, and writes the answer as compact JSON text: an integer request
+imports neither `fractions` nor `json`.  The sweep adds up p's exponent by
+doubling.  The evaluation for any character, `hecke_diagonal`, is a test
+oracle in `tests/kernel_oracles.py`.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .exactlin import rational, vector
+if TYPE_CHECKING:  # the integer requests load no `fractions`
+    from fractions import Fraction
 
 
 class EigenMonomial:
@@ -64,12 +68,13 @@ class EigenMonomial:
 
     @classmethod
     def from_dict(cls, exps: dict) -> "EigenMonomial":
+        from .exactlin import rational
         items = [(sym, rational(e)) for sym, e in exps.items()]
         return cls(tuple(sorted(item for item in items if item[1])))
 
     @classmethod
     def symbol(cls, name: str, exponent=1) -> "EigenMonomial":
-        return cls.from_dict({name: rational(exponent)})
+        return cls.from_dict({name: exponent})
 
     @classmethod
     def p_power(cls, exponent) -> "EigenMonomial":
@@ -79,6 +84,7 @@ class EigenMonomial:
         return monomial_product((self, other))
 
     def __pow__(self, e) -> "EigenMonomial":
+        from .exactlin import rational
         e = rational(e)
         return EigenMonomial.from_dict({s: x * e for s, x in self.exponents})
 
@@ -123,9 +129,6 @@ class WeylElement(NamedTuple):
     def identity(cls, g: int) -> "WeylElement":
         return cls(tuple(range(1, g + 1)), (1,) * g)
 
-    def to_json(self) -> dict:
-        return {"nu": list(self.nu), "eps": list(self.eps)}
-
     @classmethod
     def from_json(cls, obj: dict) -> "WeylElement":
         nu, eps = tuple(obj["nu"]), tuple(obj["eps"])
@@ -151,15 +154,22 @@ def weyl_group(g: int) -> tuple[WeylElement, ...]:
 class TorusExponent(NamedTuple):
     """t = (p^{a_1}, ..., p^{a_g}; p^{a_0}) stored by its exponents."""
 
-    a: tuple[Fraction, ...]
-    a0: Fraction
+    a: tuple[int | Fraction, ...]
+    a0: int | Fraction
 
     @classmethod
     def make(cls, a: Iterable, a0) -> "TorusExponent":
-        a = vector(a)
+        """JSON ints stay ints, which `hecke_table` reads as n/1 with no `fractions`;
+        any other entry goes through `exactlin.rational`."""
+        ints = isinstance(a, (list, tuple)) and all(type(x) is int for x in (*a, a0))
+        if ints:
+            a = tuple(a)
+        else:
+            from .exactlin import rational, vector
+            a = vector(a)
         if not a:
             raise ValueError("torus exponent needs g >= 1 entries a_1..a_g")
-        return cls(a, rational(a0))
+        return cls(a, a0 if ints else rational(a0))
 
     @property
     def g(self) -> int:
@@ -172,17 +182,6 @@ class CharacterData(NamedTuple):
     chi: tuple[EigenMonomial, ...]
     sigma: EigenMonomial
 
-    @property
-    def g(self) -> int:
-        return len(self.chi)
-
-    @classmethod
-    def generic(cls, g: int) -> "CharacterData":
-        return cls(
-            tuple(EigenMonomial.symbol(f"chi_{j}") for j in range(1, g + 1)),
-            EigenMonomial.symbol("sigma"),
-        )
-
 
 def _torus_numerators(t: TorusExponent, d: int) -> tuple[int, list[tuple[int, int]]]:
     """a_0 and, for each i, the pair (a_i, a_0 - a_i) that eps(i) = 1, -1 picks,
@@ -192,30 +191,16 @@ def _torus_numerators(t: TorusExponent, d: int) -> tuple[int, list[tuple[int, in
     return a0, [(x, a0 - x) for x in (a.numerator * (d // a.denominator) for a in t.a)]
 
 
-def hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> EigenMonomial:
-    """Diagonal eigenvalue of U_t on the basis vector indexed by w.
-
-    The closed form's exponent vector (s_1..s_g, a_0 and the p-exponent) is
-    taken over d = 4 lcm(every denominator in t, chi and sigma), and chi and
-    sigma, over d too, carry it onto their symbols as numerators over d^2.
-    """
-    g = chi.g
-    if t.g != g or w.g != g:
-        raise ValueError("ranks differ")
-    exponents = [e for value in (chi.sigma, *chi.chi) for _, e in value.exponents]
-    d = 4 * lcm(*(x.denominator for x in (*t.a, t.a0, *exponents)))
-    a0, pairs = _torus_numerators(t, d)
-    s = [pairs[i - 1][w.eps[i - 1] < 0] for i in w.nu]
-    exps = {"p": (g * (g + 1) * (a0 // 4) - sum(q * x for q, x in zip(range(g, 0, -1), s))) * d}
-    for value, power in ((chi.sigma, a0), *zip(chi.chi, s)):
-        for sym, e in value.exponents:
-            exps[sym] = exps.get(sym, 0) + e.numerator * (d // e.denominator) * power
-    exponent = lru_cache(maxsize=None)(lambda x: Fraction(x, d * d))
-    return EigenMonomial(tuple(sorted((sym, exponent(x)) for sym, x in exps.items() if x)))
+def _fragment(key: str, x: int, d: int) -> str:
+    """`,"key":"value"` with the value str(Fraction(x, d)), or "" when x = 0."""
+    common = gcd(x, d)
+    text = f"{x // common}/{d // common}" if common < d else str(x // common)
+    return f',"{key}":"{text}"' if x else ""
 
 
 def c_g_constant(g: int, w: WeylElement) -> Fraction:
     """c_{g,nu,eps} = sum_{eps(nu(j))=-1}(g+1-j) - g(g+1)/4."""
+    from fractions import Fraction
     total = sum(g + 1 - j for j, i in enumerate(w.nu, 1) if w.eps[i - 1] == -1)
     return Fraction(4 * total - g * (g + 1), 4)
 
@@ -249,6 +234,7 @@ def recover_characters(
     thetas has one answer, whose eigenvalues are thetas and whose determinant
     chi_1...chi_g sigma^2 (p) is p^{mu_0}.
     """
+    from .exactlin import rational, vector
     if g < 2:
         raise ValueError("character recovery needs g >= 2")
     if len(thetas) != g:
@@ -286,7 +272,7 @@ RECOVER_CHI_MAX_G = 500
 
 
 def _weyl_from_args(args, g: int) -> WeylElement:
-    from .cliargs import _json_keys
+    from .jsonargs import _json_keys
     if args.weyl is None:
         return WeylElement.identity(g)
     return WeylElement.from_json(_json_keys(args.weyl, "--weyl", "nu", "eps"))
@@ -307,17 +293,13 @@ def hecke_table(t: TorusExponent) -> str:
     d = 4 * lcm(*(x.denominator for x in (*t.a, t.a0)))
     a0, pairs = _torus_numerators(t, d)
 
-    def fragment(key: str, x: int) -> str:  # its value is str(Fraction(x, d))
-        common = gcd(x, d)
-        text = f"{x // common}/{d // common}" if common < d else str(x // common)
-        return f',"{key}":"{text}"' if x else ""
-
     # chi[j][i - 1]: slot j's fragments when it holds sign i, for eps(i) = 1 and -1
-    chi = {j: [[fragment(f"chi_{j}", x) for x in pair] for pair in pairs] for j in range(1, g + 1)}
+    chi = {j: [[_fragment(f"chi_{j}", x, d) for x in pair] for pair in pairs]
+           for j in range(1, g + 1)}
     keys = sorted(chi, key=str)  # the slots in the string order of their keys
     bit = {j: 2 ** (g - 1 - k) for k, j in enumerate(keys)}  # slot j's bit when doubled in that order
-    p_fragment = lru_cache(maxsize=None)(partial(fragment, "p"))
-    sigma = fragment("sigma", a0)
+    p_fragment = lru_cache(maxsize=None)(lambda x: _fragment("p", x, d))
+    sigma = _fragment("sigma", a0, d)
     eps_json = ["[%s]" % ",".join(map(str, eps)) for eps in itertools.product((1, -1), repeat=g)]
     elements, entries = weyl_group(g), []
     for start in range(0, len(elements), 2**g):
@@ -336,8 +318,26 @@ def hecke_table(t: TorusExponent) -> str:
     return "[%s]" % ",".join(entries)
 
 
-def _cmd_hecke(args) -> tuple[dict | str, str | None, list | None]:
-    from .cliargs import CliError, _json_keys
+def hecke_entry(t: TorusExponent, w: WeylElement) -> str:
+    """The `hecke_table` entry of w alone, by the same closed form: slot j holds
+    s_j = a_i or a_0 - a_i as eps(i) = 1 or -1, i = nu(j), every exponent a
+    numerator over d = 4 lcm(denominators of t)."""
+    g = t.g
+    if w.g != g:
+        raise ValueError("ranks differ")
+    d = 4 * lcm(*(x.denominator for x in (*t.a, t.a0)))
+    a0, pairs = _torus_numerators(t, d)
+    s = [pairs[i - 1][w.eps[i - 1] < 0] for i in w.nu]
+    p = g * (g + 1) * (a0 // 4) - sum(q * x for q, x in zip(range(g, 0, -1), s))
+    chis = "".join(_fragment(f"chi_{j}", s[j - 1], d) for j in sorted(range(1, g + 1), key=str))
+    value = chis + _fragment("p", p, d) + _fragment("sigma", a0, d)
+    eps, nu = (",".join(map(str, x)) for x in (w.eps, w.nu))
+    return f'{{"value":{{{value[1:]}}},"weyl":{{"eps":[{eps}],"nu":[{nu}]}}}}'
+
+
+def _cmd_hecke(args) -> tuple[str, None, None]:
+    from .cliargs import CliError
+    from .jsonargs import _json_keys
     g = args.g
     if args.all and g > HECKE_ALL_MAX_G:
         raise CliError(f"--all lists 2^g g! Weyl elements; g > {HECKE_ALL_MAX_G} is refused")
@@ -349,19 +349,32 @@ def _cmd_hecke(args) -> tuple[dict | str, str | None, list | None]:
         if args.weyl is not None:
             raise CliError("--weyl and --all exclude each other")
         return f'{{"eigenvalues":{hecke_table(t)},"g":{g}}}', None, None
-    chi = CharacterData.generic(g)
-    w = _weyl_from_args(args, g)
-    value = hecke_diagonal(chi, t, w)
-    return {"g": g, "weyl": w.to_json(), "value": value.to_json()}, None, None
+    return '{"g":%d,%s' % (g, hecke_entry(t, _weyl_from_args(args, g))[1:]), None, None
 
 
 def _cmd_recover_chi(args) -> tuple[dict, str | None, list | None]:
-    from .cliargs import _cap, _json_keys, _json_object, _parse_json_arg
+    """`--eigs`, `--weights` and `--weyl`, or one `--input` object with the keys
+    `eigs`, `weights` and, optionally, `weyl`: at the cap the eigenvalues are
+    megabytes of JSON, past what one command-line argument may hold."""
+    from .cliargs import CliError, _cap
+    from .jsonargs import _has_keys, _json_keys, _json_object, _load_input, _parse_json_arg
     g = args.g
+    if args.input is None:
+        for option in ("eigs", "weights"):
+            if getattr(args, option) is None:
+                raise CliError(f"recover-chi needs --{option}")
+    elif (args.eigs, args.weights, args.weyl) != (None, None, None):
+        raise CliError("--input and --eigs, --weights or --weyl exclude each other")
     _cap(g, RECOVER_CHI_MAX_G, "recover-chi --g")
-    eigs = _parse_json_arg(args.eigs, "--eigs")
-    weights = _json_keys(args.weights, "--weights", "mu", "mu0")
-    w = _weyl_from_args(args, g)
+    if args.input is None:
+        eigs = _parse_json_arg(args.eigs, "--eigs")
+        weights = _json_keys(args.weights, "--weights", "mu", "mu0")
+        w = _weyl_from_args(args, g)
+    else:
+        obj = _has_keys(_load_input(args), "--input", "eigs", "weights")
+        eigs, weights = obj["eigs"], _has_keys(obj["weights"], "weights", "mu", "mu0")
+        w = (WeylElement.from_json(_has_keys(obj["weyl"], "weyl", "nu", "eps")) if "weyl" in obj
+             else WeylElement.identity(g))
     recovered = recover_characters(
         g,
         [EigenMonomial.from_dict(_json_object(e, "a monomial")) for e in eigs],

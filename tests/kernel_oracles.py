@@ -1,8 +1,9 @@
 """The `Fraction` loops the integer kernels replaced, kept as test oracles.
 
 `weylhecke.weyl_group` builds its elements from one product of iterators,
-`weylhecke.hecke_diagonal` and `hecke --all` sum integer numerators over one
-common denominator (the sweep doubling its p-exponents once per sign),
+`hecke` and `hecke --all` sum integer numerators over one common
+denominator (the sweep doubling its p-exponents once per sign), and so does
+`hecke_diagonal` below for any character,
 `plethysm.cg_table` runs the raising recurrence on C in integers with exact
 floor divisions, and `plethysm.b_row` walks the B_{n,k,i} sum by its term
 ratios.  The functions below compute the same values the plain way, one
@@ -26,14 +27,18 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
+from linvariants.exactlin import rational, vector
 from linvariants.plethysm import InvalidWeightTripleError, valid_triple
 from linvariants.slopes import weight_exponent
+from functools import lru_cache
+from math import lcm
+
 from linvariants.weylhecke import (
     CharacterData,
     EigenMonomial,
     TorusExponent,
     WeylElement,
-    hecke_diagonal,
+    _torus_numerators,
 )
 
 
@@ -57,7 +62,7 @@ def weyl_conjugate(w: WeylElement, t: TorusExponent) -> TorusExponent:
 
 def fraction_hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> EigenMonomial:
     """p^{g(g+1)/4 a_0 - sum_j (g+1-j) a'_{nu(j)}} sigma^{a_0} prod_j chi_j^{a'_{nu(j)}}."""
-    g = chi.g
+    g = len(chi.chi)
     if t.g != g or w.g != g:
         raise ValueError("ranks differ")
     s = weyl_conjugate(w, t)
@@ -69,19 +74,59 @@ def fraction_hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement
     return EigenMonomial.from_dict(exps)
 
 
+def weyl_json(w: WeylElement) -> dict:
+    """w as `--weyl` takes it."""
+    return {"nu": list(w.nu), "eps": list(w.eps)}
+
+
+def generic_character(g: int) -> CharacterData:
+    """chi_j(p) = chi_j and sigma(p) = sigma, the formal symbols `hecke` prints."""
+    return CharacterData(
+        tuple(EigenMonomial.symbol(f"chi_{j}") for j in range(1, g + 1)),
+        EigenMonomial.symbol("sigma"),
+    )
+
+
+def hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> EigenMonomial:
+    """The diagonal eigenvalue of U_t at w for any character, in integers.
+
+    The closed form's exponent vector (s_1..s_g, a_0 and the p-exponent) is
+    taken over d = 4 lcm(every denominator in t, chi and sigma), and chi and
+    sigma, over d too, carry it onto their symbols as numerators over d^2.
+    `recover-chi`'s forward map evaluates it, far faster than the `Fraction`
+    loop above at g = 500.
+    """
+    g = len(chi.chi)
+    if t.g != g or w.g != g:
+        raise ValueError("ranks differ")
+    exponents = [e for value in (chi.sigma, *chi.chi) for _, e in value.exponents]
+    d = 4 * lcm(*(x.denominator for x in (*t.a, t.a0, *exponents)))
+    a0, pairs = _torus_numerators(t, d)
+    s = [pairs[i - 1][w.eps[i - 1] < 0] for i in w.nu]
+    exps = {"p": (g * (g + 1) * (a0 // 4) - sum(q * x for q, x in zip(range(g, 0, -1), s))) * d}
+    for value, power in ((chi.sigma, a0), *zip(chi.chi, s)):
+        for sym, e in value.exponents:
+            exps[sym] = exps.get(sym, 0) + e.numerator * (d // e.denominator) * power
+    exponent = lru_cache(maxsize=None)(lambda x: Fraction(x, d * d))
+    return EigenMonomial(tuple(sorted((sym, exponent(x)) for sym, x in exps.items() if x)))
+
+
 def beta(g: int, j: int) -> TorusExponent:
-    """beta_0 = (1,...,1; p^-1); beta_j has p^-1 in the last j slots and p^-2 center."""
+    """beta_0 = (1,...,1; p^-1); beta_j has p^-1 in the last j slots and p^-2 center.
+
+    Its exponents are `Fraction`s made by `exactlin`, as `TorusExponent.make`
+    made them before it kept ints, so the forward map's cost is unchanged.
+    """
     if not 0 <= j <= g:
         raise ValueError("need 0 <= j <= g")
-    if j == 0:
-        return TorusExponent.make([0] * g, -1)
-    return TorusExponent.make([0] * (g - j) + [-1] * j, -2)
+    a, a0 = ([0] * g, -1) if j == 0 else ([0] * (g - j) + [-1] * j, -2)
+    return TorusExponent(vector(a), rational(a0))
 
 
 def normalized_eigenvalues(chi: CharacterData, mu, mu0, w: WeylElement) -> list[EigenMonomial]:
     """theta(U_{p,i}) for i = 1..g: the eigenvalue at beta(g, g-i) rescaled by
     |lambda(beta_{g-i})|_p^{-1}, that is p^{weight_exponent(mu, mu0, beta(g, g-i))}."""
-    g = chi.g
+    g = len(chi.chi)
     return [
         EigenMonomial.p_power(weight_exponent(mu, mu0, beta(g, g - i)))
         * hecke_diagonal(chi, beta(g, g - i), w)

@@ -2,7 +2,7 @@
 
 `upi_eigenvalue_display` is the closed U_{p,i} eigenvalue families with
 their combinatorial constants c_{i,nu,eps} (`c_constant`); the tests check
-it against `weylhecke.hecke_diagonal` over every Weyl element, and the
+it against `weylhecke.hecke_entry` over every Weyl element, and the
 constants against the one-term steps that `recover_characters` reads.
 `theorem_evaluator` evaluates the published closed forms literally; the
 tests check it against the generic L-invariant formula.
@@ -57,7 +57,7 @@ def upi_eigenvalue_display(chi: CharacterData, i: int, w: WeylElement) -> EigenM
                 prod_{nu(j)<=i, eps(nu(j))=-1} chi_j^{-2};
     for i = g:  p^{c_g} sigma^{-1} prod_{eps(nu(j))=-1} chi_j^{-1}.
     """
-    g = chi.g
+    g = len(chi.chi)
     if not 1 <= i <= g:
         raise ValueError("need 1 <= i <= g")
     if i == g:

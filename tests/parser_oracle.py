@@ -69,9 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     recover = sub.add_parser("recover-chi", help="Satake character recovery")
     recover.add_argument("--g", type=int, required=True)
-    recover.add_argument("--eigs", required=True, help="JSON list of monomials")
-    recover.add_argument("--weights", required=True, help='JSON {"mu": [...], "mu0": ...}')
+    recover.add_argument("--eigs", help="JSON list of monomials")
+    recover.add_argument("--weights", help='JSON {"mu": [...], "mu0": ...}')
     recover.add_argument("--weyl")
+    recover.add_argument("--input", help="JSON file path or - for stdin")
     recover.set_defaults(func=_cmd_recover_chi)
 
     slope = sub.add_parser("slope", help="noncritical slope checks")

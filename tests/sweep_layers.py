@@ -24,7 +24,9 @@ to BENCH_layers.json.
   printed as compact JSON to a null stream, so that a handler that builds
   its own text and one that leaves the text to `_emit` are timed over the
   same work: `phin crystalline_split --all-submodules` up to its cap, and
-  `cg --table` at m = n = p up to the cap, its `cg_table` cache cleared
+  `cg --table` at m = n = p up to the cap, and `hecke --all` of an integer
+  torus at g = 2..6 (the cap is 6; the shape test wants 5 sizes) in compact
+  and in pretty output, the `cg_table` and `weyl_group` caches cleared
   before each call; bits is the bit length of the largest integer printed;
 * `weylhecke.recover_characters`: the solve on the g eigenvalues of random
   characters `x_j^a p^{b/2}` at a random Weyl element, as the `recover-chi`
@@ -130,14 +132,15 @@ def _answer_bits(answer) -> int:
     return _largest_int_bits(json.loads(answer) if isinstance(answer, str) else answer)
 
 
-def whole_request(*argv: str):
-    """n -> (`cli._answer` on argv with each "{n}" filled in, printing to a null
-    stream, the bits of what it prints)."""
+def whole_request(argv_of):
+    """n -> (`cli._answer` on argv_of(n), printing to a null stream, the bits of
+    what it prints); the `cg_table` and `weyl_group` caches are cleared first."""
     def ladder(n: int):
-        filled = [token.format(n=n) for token in argv]
+        filled = argv_of(n)
 
         def call():
             plethysm.cg_table.cache_clear()
+            weylhecke.weyl_group.cache_clear()
             with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
                 assert cli._answer(filled) == 0
 
@@ -150,6 +153,11 @@ def whole_request(*argv: str):
         return call, bits
 
     return ladder
+
+
+def hecke_all(g: int) -> list[str]:
+    """`hecke --all` at rank g, of the integer torus (g, g-1, ..., 1; p^-1)."""
+    return ["hecke", f"--g={g}", "--t", json.dumps({"a": list(range(g, 0, -1)), "a0": -1}), "--all"]
 
 
 def whole_cg_table(n: int):
@@ -211,10 +219,14 @@ LADDERS = {
     "plethysm._cmd_cg one entry at 150": ((0, 10, 25, 50, 75, 100, 125, 150), one_cg_entry),
     "weylhecke.recover_characters": ((50, 100, 200, 300, 500), recover_request),
     "cli._answer phin crystalline_split --all-submodules":
-        (range(4, 9), whole_request("phin", "--case=crystalline_split", "--n={n}",
-                                    "--all-submodules")),
-    "cli._answer cg --table": ((20, 40, 60, 80, 100, 120, 150),
-                               whole_request("cg", "--m={n}", "--n={n}", "--p={n}", "--table")),
+        (range(4, 9), whole_request(lambda n: ["phin", "--case=crystalline_split", f"--n={n}",
+                                               "--all-submodules"])),
+    "cli._answer cg --table":
+        ((20, 40, 60, 80, 100, 120, 150),
+         whole_request(lambda n: ["cg", f"--m={n}", f"--n={n}", f"--p={n}", "--table"])),
+    "cli._answer hecke --all": (range(2, 7), whole_request(hecke_all)),
+    "cli._answer --format pretty hecke --all":
+        (range(2, 7), whole_request(lambda g: ["--format", "pretty", *hecke_all(g)])),
 }
 
 

@@ -17,7 +17,7 @@ import pytest
 from linvariants import linv, phin, plethysm, sl2rep, slopes, weylhecke
 from linvariants.weylhecke import EigenMonomial, monomial_product
 import phin_oracle
-from kernel_oracles import b_special, beta, normalized_eigenvalues
+from kernel_oracles import b_special, beta, generic_character, normalized_eigenvalues
 from paper_displays import (
     compare_to_theorem,
     data_for_theorem,
@@ -162,10 +162,11 @@ def test_criterion_7_hecke_suite():
     for g in range(1, 5):
         ok = ok and len(weylhecke.weyl_group(g)) == 2**g * factorial(g)
     for g in (2, 3):
-        chi = weylhecke.CharacterData.generic(g)
+        chi = generic_character(g)
         for w in weylhecke.weyl_group(g):
             for i in range(1, g + 1):
-                direct = weylhecke.hecke_diagonal(chi, beta(g, g - i), w)
+                entry = json.loads(weylhecke.hecke_entry(beta(g, g - i), w))
+                direct = EigenMonomial.from_dict(entry["value"])
                 ok = ok and direct == upi_eigenvalue_display(chi, i, w)
     trials = 0
     for g in (2, 3):

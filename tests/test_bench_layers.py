@@ -93,3 +93,7 @@ def test_the_whole_request_ladders_run_up_to_their_caps():
         assert sizes == list(range(4, 9))
     for sizes in ladder_sizes("cli._answer cg --table"):
         assert sizes == [20, 40, 60, 80, 100, 120, 150]
+    # the `hecke --all` cap is 6
+    for name in ("cli._answer hecke --all", "cli._answer --format pretty hecke --all"):
+        for sizes in ladder_sizes(name):
+            assert sizes == list(range(2, 7))

@@ -23,7 +23,10 @@ from kernel_oracles import (
     fraction_b_coefficient,
     fraction_cg_table,
     fraction_hecke_diagonal,
+    generic_character,
+    hecke_diagonal,
     normalized_eigenvalues,
+    weyl_json,
 )
 from linvariants import weylhecke
 from linvariants.cli import main, parse_args
@@ -123,6 +126,7 @@ def test_cg_table_rows_equal_cube_scan():
                 assert valid_triple(m, n, p)
                 args = parse_args(["cg", f"--m={m}", f"--n={n}", f"--p={p}", "--table"])
                 text, _, rows = args.func(args)
+                rows = [(u, v, w, str(x)) for u, v, w, x in rows]  # made only for --format csv
                 assert rows == cube_scan_rows(m, n, p), (m, n, p)
                 assert json.loads(text)["rows"] == [list(row) for row in rows], (m, n, p)
 
@@ -466,7 +470,7 @@ HECKE_ALL_TORI["g5-rational"] = (["9/4", "-5/6", "1/3", "0", "7/10"], "-3/5")
 def fraction_loop_payload(a, a0) -> dict:
     """The `hecke --all` payload, one `fraction_hecke_diagonal` per Weyl element."""
     g = len(a)
-    chi, t = CharacterData.generic(g), TorusExponent.make(a, a0)
+    chi, t = generic_character(g), TorusExponent.make(a, a0)
     rows = []
     for nu in itertools.permutations(range(1, g + 1)):
         for eps in itertools.product((1, -1), repeat=g):
@@ -532,11 +536,26 @@ def test_hecke_all_at_g6_equals_the_fraction_loop_on_a_sample(capsys):
     signs = list(itertools.product((1, -1), repeat=g))
     elements = [(nu, eps) for nu in itertools.permutations(range(1, g + 1)) for eps in signs]
     assert [(tuple(r["weyl"]["nu"]), tuple(r["weyl"]["eps"])) for r in rows] == elements
-    chi, t = CharacterData.generic(g), TorusExponent.make(a, a0)
+    chi, t = generic_character(g), TorusExponent.make(a, a0)
     sample = [k * 64 + rng.randrange(64) for k in range(720)] + [*range(64), *range(719 * 64, 720 * 64)]
     for k in sample:
         value = fraction_hecke_diagonal(chi, t, WeylElement(*elements[k]))
         assert rows[k]["value"] == {sym: str(e) for sym, e in value.exponents}
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [("true", "not an exact scalar: True"), ("1.5", "not an exact scalar: 1.5"),
+     ('"x"', "Invalid literal for Fraction: 'x'"), ("null", "not an exact scalar: None")],
+)
+def test_a_json_value_that_is_no_rational_is_refused(capsys, entry, message):
+    # a JSON int is read as an int and any other value by `exactlin.rational`, so
+    # true, which Python counts as an int, is refused as before
+    for argv in (["hecke", "--g", "2", "--t", '{"a": [%s, 0], "a0": 0}' % entry],
+                 ["hecke", "--g", "2", "--all", "--t", '{"a": [1, 0], "a0": %s}' % entry],
+                 ["project-endo", "--n", "1", "--k", "1", "--diag", "[1, %s]" % entry]):
+        code, payload = run_json(capsys, *argv)
+        assert (code, payload) == (2, {"error": {"code": "domain", "message": message}}), argv
 
 
 #: a torus entry as the JSON text of --t takes it: zero, a small or a past-2^64
@@ -740,15 +759,9 @@ def cpu_seconds(call):
         gc.enable()
 
 
-def test_recover_chi_at_the_cap_from_a_file(tmp_path, capsys, monkeypatch):
-    # g = 500 random characters x_j^a p^{b/2}: the eigenvalues are 1.8 MB of
-    # JSON, so the argument vector is read from a file.  The solve evaluates
-    # no closed form, which the count below checks exactly.  The CPU-time
-    # bound only catches a gross slowdown.  It is a multiple of the closed-form
-    # eigenvalues of the same characters at every tenth torus beta(g, g-i), 50
-    # evaluations, timed just before and just after each request, so that it
-    # measures the code and not the load on the machine: the request takes 11
-    # to 12 times as long
+def cap_characters():
+    """(g, character, w, `--eigs`, `--weights`, `--weyl`) of g = 500 random characters
+    x_j^a p^{b/2} and a random Weyl element, the JSON arguments as texts."""
     g, rng = 500, random.Random(500)
     chis = tuple(
         EigenMonomial.from_dict({f"x_{j}": rng.randint(-3, 3), "p": Fraction(rng.randint(-5, 5), 2)})
@@ -761,19 +774,36 @@ def test_recover_chi_at_the_cap_from_a_file(tmp_path, capsys, monkeypatch):
     w = WeylElement(tuple(nu), tuple(rng.choice((1, -1)) for _ in range(g)))
     character = CharacterData(chis, sigma)
     thetas = normalized_eigenvalues(character, mu, mu0, w)
+    eigs = [{sym: str(e) for sym, e in theta.exponents} for theta in thetas]
+    return g, character, w, json.dumps(eigs), json.dumps({"mu": mu, "mu0": str(mu0)}), \
+        json.dumps(weyl_json(w))
+
+
+def chi_json(character) -> dict:
+    """The `recover-chi` answer that names `character`."""
+    return {"chi": [{sym: str(e) for sym, e in chi.exponents} for chi in character.chi],
+            "sigma": {sym: str(e) for sym, e in character.sigma.exponents}}
+
+
+def test_recover_chi_at_the_cap_from_a_file(tmp_path, capsys, monkeypatch):
+    # g = 500 random characters x_j^a p^{b/2}: the eigenvalues are 1.8 MB of
+    # JSON, so the argument vector is read from a file.  The solve evaluates
+    # no closed form, which the count below checks exactly.  The CPU-time
+    # bound only catches a gross slowdown.  It is a multiple of the closed-form
+    # eigenvalues of the same characters at every tenth torus beta(g, g-i), 50
+    # evaluations, timed just before and just after each request, so that it
+    # measures the code and not the load on the machine: the request takes 11
+    # to 12 times as long
+    g, character, w, eigs, weights, weyl = cap_characters()
     path = tmp_path / "argv.json"
-    path.write_text(json.dumps([
-        "recover-chi", "--g", str(g),
-        "--eigs", json.dumps([{sym: str(e) for sym, e in theta.exponents} for theta in thetas]),
-        "--weights", json.dumps({"mu": mu, "mu0": str(mu0)}),
-        "--weyl", json.dumps(w.to_json()),
-    ]))
+    path.write_text(json.dumps(["recover-chi", "--g", str(g), "--eigs", eigs, "--weights", weights,
+                                "--weyl", weyl]))
     evaluations = []
-    closed_form = weylhecke.hecke_diagonal
-    monkeypatch.setattr(weylhecke, "hecke_diagonal", lambda *a: evaluations.append(a) or closed_form(*a))
+    closed_form = weylhecke.hecke_entry
+    monkeypatch.setattr(weylhecke, "hecke_entry", lambda *a: evaluations.append(a) or closed_form(*a))
 
     def forward():
-        return [closed_form(character, beta(g, g - i), w) for i in range(1, g + 1, 10)]
+        return [hecke_diagonal(character, beta(g, g - i), w) for i in range(1, g + 1, 10)]
 
     def yardstick():
         return min(cpu_seconds(forward)[0] for _ in range(2))
@@ -788,8 +818,57 @@ def test_recover_chi_at_the_cap_from_a_file(tmp_path, capsys, monkeypatch):
         ratios.append(seconds / max(before, after))
         before = after
     assert min(ratios) < 16, ratios
-    assert payload["chi"] == [{sym: str(e) for sym, e in chi.exponents} for chi in chis]
-    assert payload["sigma"] == {sym: str(e) for sym, e in sigma.exponents}
+    assert payload == chi_json(character)
+
+
+def test_recover_chi_at_the_cap_through_the_input_option(tmp_path):
+    # a shell cannot pass 1.8 MB of `--eigs` (Linux caps one argument at 128 KiB),
+    # so a process reaches the cap by `--input`, and one step past it is refused
+    g, character, w, eigs, weights, weyl = cap_characters()
+    path = tmp_path / "recover.json"
+    path.write_text('{"eigs": %s, "weights": %s, "weyl": %s}' % (eigs, weights, weyl))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    for size, code in ((g, 0), (g + 1, 2)):
+        done = subprocess.run([sys.executable, "-m", "linvariants.cli", "recover-chi", "--g", str(size),
+                               "--input", str(path)], env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (code, "")
+        payload = json.loads(done.stdout)
+        assert payload == (chi_json(character) if code == 0 else
+                           {"error": {"code": "input", "message": "recover-chi --g > 500 is refused"}})
+
+
+def test_recover_chi_input_from_stdin_equals_the_arguments(capsys, monkeypatch):
+    argv = ["recover-chi", "--g", "2", "--eigs", '[{"p": "-2"}, {"p": "-3/2", "x": 1}]',
+            "--weights", '{"mu": [1, 0], "mu0": 1}', "--weyl", '{"nu": [2, 1], "eps": [1, -1]}']
+    assert main(argv) == 0
+    by_arguments = capsys.readouterr().out
+    document = '{"eigs": %s, "weights": %s, "weyl": %s}' % tuple(argv[4::2])
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(document.encode())))
+    assert main(["recover-chi", "--g", "2", "--input", "-"]) == 0
+    assert capsys.readouterr().out == by_arguments
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["--g", "2"], "", "recover-chi needs --eigs"),
+        (["--g", "2", "--eigs", "[]"], "", "recover-chi needs --weights"),
+        (["--g", "2", "--input", "-", "--eigs", "[]"], "{}",
+         "--input and --eigs, --weights or --weyl exclude each other"),
+        (["--g", "2", "--input", "-", "--weyl", "{}"], "{}",
+         "--input and --eigs, --weights or --weyl exclude each other"),
+        (["--g", "2", "--input", "-"], '{"eigs": []}', "--input needs the key 'weights'"),
+        (["--g", "2", "--input", "-"], '{"eigs": [], "weights": {"mu": []}}',
+         "weights needs the key 'mu0'"),
+        (["--g", "2", "--input", "-"], '{"eigs": [], "weights": {"mu": [], "mu0": 0}, "weyl": []}',
+         "weyl must be a JSON object, not []"),
+        (["--g", "2", "--input", "-"], "[]", "--input must be a JSON object, not []"),
+    ],
+)
+def test_recover_chi_input_refusals(capsys, monkeypatch, argv, stdin, message):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
+    code, payload = run_json(capsys, "recover-chi", *argv)
+    assert (code, payload) == (2, {"error": {"code": "input", "message": message}})
 
 
 def test_slope_hilbert(tmp_path, capsys):

@@ -27,7 +27,8 @@ theorem's display in `tests/paper_displays.py`.  A `--weyl` is now and
 then of rank `g - 1` or `g + 1`, which `hecke` and `recover-chi` refuse.
 Besides those draws, `recover-chi` gets the eigenvalues of a random
 character at random weights and Weyl element, made by the forward map
-`normalized_eigenvalues`, so that most of them reach its oracle.
+`normalized_eigenvalues`, and `linv` a request whose every node is well
+formed with no direction entry zero, so that most of them reach their oracles.
 
 Every exit-0 line must be compact, key-sorted JSON, byte for byte what
 `json.dumps(sort_keys=True, separators=(",", ":"))` makes of it: `phin`,
@@ -52,8 +53,10 @@ from kernel_oracles import (
     enumerated_obstruction_orders,
     fraction_b_coefficient,
     fraction_hecke_diagonal,
+    generic_character,
     nested_loop_weyl_group,
     normalized_eigenvalues,
+    weyl_json,
     unrolled_cg_coefficient,
 )
 from linalg_oracle import project_endomorphism, rref
@@ -94,7 +97,7 @@ def hecke_answer(args) -> dict:
     """The generic character's eigenvalue at the one Weyl element, or at each of
     the nested-loop Weyl group for --all, each by the `Fraction` torus conjugation."""
     t = json.loads(args.t)
-    chi, t = CharacterData.generic(args.g), TorusExponent.make(t["a"], t["a0"])
+    chi, t = generic_character(args.g), TorusExponent.make(t["a"], t["a0"])
 
     def entry(w: WeylElement) -> dict:
         value = fraction_hecke_diagonal(chi, t, w)
@@ -141,7 +144,7 @@ def recover_chi_answer(args) -> dict:
     mu, mu0 = [rational(m) for m in weights["mu"]], rational(weights["mu0"])
     weyl = json.loads(args.weyl) if args.weyl else {"nu": range(1, g + 1), "eps": [1] * g}
     w = WeylElement(tuple(weyl["nu"]), tuple(weyl["eps"]))
-    generic, symbols, rows = CharacterData.generic(g), sorted({"p"}.union(*thetas)), []
+    generic, symbols, rows = generic_character(g), sorted({"p"}.union(*thetas)), []
     for i, theta in enumerate(thetas, 1):
         t = beta(g, g - i)
         value = dict(fraction_hecke_diagonal(generic, t, w).exponents)
@@ -223,7 +226,8 @@ def mostly(valid):
     return st.integers(0, 4).flatmap(lambda i: anything if i == 4 else valid)
 
 
-scalar = mostly(st.integers(-4, 4) | st.sampled_from(["1/2", "-3", "5/3"]))
+scalar_values = st.integers(-4, 4) | st.sampled_from(["1/2", "-3", "5/3"])
+scalar = mostly(scalar_values)
 
 
 def vector(length):
@@ -329,7 +333,7 @@ def eigenvalues_of_characters(g):
         eigs = [theta.to_json() for theta in normalized_eigenvalues(chi, mu, mu0, w)]
         weights = {"mu": [str(m) for m in mu], "mu0": str(mu0)}
         return ["recover-chi", f"--g={g}", f"--eigs={json.dumps(eigs)}",
-                f"--weights={json.dumps(weights)}", f"--weyl={json.dumps(w.to_json())}"], None
+                f"--weights={json.dumps(weights)}", f"--weyl={json.dumps(weyl_json(w))}"], None
 
     return st.tuples(chi, st.lists(exponent, min_size=g, max_size=g), exponent, w).map(argv)
 
@@ -386,6 +390,24 @@ def linv(family, params, places, length, symbols):
     )
 
 
+def well_formed_linv(family, params, places, length, symbols):
+    """`linv` with every JSON node well formed and no direction entry zero, so
+    that nearly every draw reaches the oracle."""
+    nonzero = st.sampled_from([1, 2, 3, -1, -2, "1/2", "-5/3", "7/4"])
+    gradients = st.fixed_dictionaries({f"a_{j}": scalar_values for j in range(1, symbols + 1)})
+    request = st.fixed_dictionaries({
+        "params": st.just(params),
+        "direction": st.fixed_dictionaries({"u": st.lists(nonzero, min_size=length, max_size=length),
+                                            "u0": nonzero}),
+        "places": st.lists(st.fixed_dictionaries({"gradients": gradients}),
+                           min_size=places, max_size=places),
+    })
+    theorem = maybe(st.sampled_from([t for t, (f, *_) in THEOREMS.items() if f == family]))
+    return st.tuples(theorem, request).map(lambda drawn: (
+        ["linv", f"--family={family}", *[f"--compare-theorem={drawn[0]}"] * bool(drawn[0]),
+         "--input=-"], json.dumps(drawn[1])))
+
+
 argvs = st.one_of(
     command(
         "cg",
@@ -434,6 +456,7 @@ argvs = st.one_of(
         ("check-N", maybe(st.integers(-3, 60))),
     ),
     linv_shapes.flatmap(lambda shape: linv(*shape)),
+    linv_shapes.flatmap(lambda shape: well_formed_linv(*shape)),
 )
 
 

@@ -25,7 +25,8 @@ from linvariants.cli import COMMANDS
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 MATHS = ("linv", "phin", "plethysm", "weylhecke", "slopes", "sl2rep")
-#: what every request loads besides its maths: the parser and the handlers' readers
+#: what every request loads besides its maths: the parser and the handlers' scalar readers;
+#: a request that reads a JSON argument loads `jsonargs` too, as its README row says
 CLI = ["linvariants.cli", "linvariants.cliargs"]
 
 
@@ -128,7 +129,7 @@ def test_help_and_parse_errors_load_no_maths(argv, code):
 def test_library_import_loads_no_cli(module):
     # the oracle and `linv` import `plethysm` as a library; the handlers load the CLI only when run
     loaded, _ = fresh(f"import json, sys\nimport linvariants.{module}\n{LOADED}")
-    assert not set(CLI) & set(loaded)
+    assert not {*CLI, "linvariants.jsonargs"} & set(loaded)
 
 
 PLETHYSM_REQUESTS = [
@@ -147,6 +148,17 @@ def test_plethysm_requests_load_only_plethysm(argv):
     assert heavy == []
 
 
+#: the integer requests that read a JSON argument: `hecke` at one Weyl element, at the
+#: identity and at all of them, and `project-endo` of JSON ints and of integer strings
+JSON_INTEGER_REQUESTS = [
+    ["hecke", "--g", "3", "--t", '{"a": [4, 3, 0], "a0": -1}', "--weyl",
+     '{"nu": [2, 3, 1], "eps": [1, -1, -1]}'],
+    ["hecke", "--g", "2", "--t", '{"a":[1,0],"a0":-2}'],
+    ["hecke", "--g", "3", "--t", '{"a":[4,4,0],"a0":-1}', "--all"],
+    ["project-endo", "--n", "2", "--k", "1", "--diag", "[1, -2, 3]"],
+    ["project-endo", "--n", "3", "--k", "2", "--diag", '["8", "-3", "0", " +5 "]'],
+]
+
 #: requests whose every value is an integer, or a plain a/b steinberg --L, which `phin` reads
 #: in integers; only a decimal point or an exponent in --L needs `exactlin`
 INTEGER_REQUESTS = [
@@ -163,16 +175,17 @@ INTEGER_REQUESTS = [
     ["obstruction", "--exponents", "3,2,1,0", "--check-N", "6"],
     ["cg", "--m", "2", "--n", "2", "--p", "2", "--u", "1", "--v", "1", "--w", "1"],
     ["cg", "--m", "2", "--n", "2", "--p", "2", "--table"],
+    *JSON_INTEGER_REQUESTS,
 ]
 
 
-def fraction_modules(argv) -> list[str]:
+def fraction_modules(argv, code=0) -> list[str]:
     """Which of `fractions`, `decimal`, `numbers` and `exactlin` the request `argv` loads."""
     return fresh(
         "import contextlib, io, json, sys\n"
         "from linvariants.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0\n"
+        f"    assert main({argv!r}) == {code}\n"
         "print(json.dumps(sorted({'fractions', 'decimal', 'numbers', 'linvariants.exactlin'}"
         " & set(sys.modules))))"
     )
@@ -189,7 +202,7 @@ def test_a_decimal_l_loads_exactlin():
     assert fraction_modules(argv) == ["decimal", "fractions", "linvariants.exactlin", "numbers"]
 
 
-#: the standard library's JSON reader and writer, which `_emit` and `cliargs` import when they run
+#: the standard library's JSON reader and writer, which `_emit` and `jsonargs` import when they run
 JSON = ("json", "json.decoder", "json.encoder", "json.scanner", "_json")
 
 
@@ -224,6 +237,7 @@ TEXT_REQUESTS = [
     ["bcoeff", "--n", "4", "--k", "2", "--i", "1"],
     ["obstruction", "--exponents", "3,2,1,0"],
     ["obstruction", "--exponents", "3,2,1,0", "--check-N", "6"],
+    *JSON_INTEGER_REQUESTS,
 ]
 
 
@@ -244,12 +258,14 @@ def test_integer_requests_load_no_json(argv):
         (["phin", "--case", "steinberg", "--n", "0"], 2),
         (["--format", "pretty", "phin", "--case", "steinberg", "--n", "2", "--all-submodules"], 0),
         (["--format", "pretty", "cg", "--m", "2", "--n", "2", "--p", "2", "--table"], 0),
-        (["hecke", "--g", "2", "--t", '{"a": [1, 0], "a0": 0}'], 0),
+        (["hecke", "--g", "2", "--t", '{"a": ["1\\/2", 0], "a0": 0}'], 0),
     ],
     ids=["refusal", "pretty-phin", "pretty-cg", "json-argument"],
 )
 def test_refusals_pretty_output_and_json_arguments_load_json(argv, code):
-    # a refusal is a tree that `_emit` encodes, and pretty output is indented from the parsed text
+    # a refusal is a tree that `_emit` encodes, pretty output is indented from the parsed
+    # text, and `jsonargs` hands a JSON argument with an escape, as any outside the plain
+    # subset, to `json`
     loaded, out = json_modules(argv, code)
     assert loaded == sorted(JSON)
     value = json.loads(out)
@@ -257,6 +273,28 @@ def test_refusals_pretty_output_and_json_arguments_load_json(argv, code):
     assert out == json.dumps(value, sort_keys=True, indent=2 if indented else None,
                              separators=None if indented else (",", ":")) + "\n"
     assert ("error" in value) == bool(code)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["hecke", "--g", "2", "--t", '{"a": [1.5, 0], "a0": 0}'], 2),
+        (["hecke", "--g", "2", "--t", '{"a": [1, 0], "a0": 0.0}', "--all"], 2),
+        (["project-endo", "--n", "2", "--k", "1", "--diag", "[1, 2.0, 3]"], 2),
+    ],
+    ids=["hecke", "hecke-all", "project-endo"],
+)
+def test_a_float_argument_loads_json_and_fractions(argv, code):
+    # the plain reader hands a float to `json`, and `exactlin.rational` refuses it
+    assert json_modules(argv, code)[0] == sorted(JSON)
+    assert fraction_modules(argv, code) == ["decimal", "fractions", "linvariants.exactlin",
+                                            "numbers"]
+
+
+def test_a_rational_argument_loads_fractions_but_no_json():
+    argv = ["hecke", "--g", "2", "--t", '{"a": ["3/2", 0], "a0": -1}']
+    assert json_modules(argv)[0] == []
+    assert fraction_modules(argv) == ["decimal", "fractions", "linvariants.exactlin", "numbers"]
 
 
 #: one request or more per subcommand besides `bcoeff` and `project-endo`, (argv, stdin)
