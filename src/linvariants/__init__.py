@@ -9,8 +9,8 @@ Submodules:
   the B_{n,k,i} rows and the diagonal projection
 * phin      -- the (phi,N)-module answers in closed form: stable and regular
   submodules, the 3-step filtration, the rank-1 graded piece
-* weylhecke -- GSp(2g) Weyl combinatorics, Hecke eigenvalues in the free
-  monomial group `EigenMonomial`, character recovery
+* weylhecke -- GSp(2g) Weyl combinatorics, Hecke eigenvalues as exponent
+  maps of Laurent monomials, character recovery
 * slopes    -- slope bounds, the twist search and the obstruction orders
 * linv      -- triangulation rows, one pair of linear forms per place
 * cli       -- JSON/CSV command-line interface; each subcommand's handler

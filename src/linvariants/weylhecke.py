@@ -23,10 +23,11 @@ chi_1...chi_g sigma^2 (p) = p^{mu_0}.  It is their exact inverse, so it
 checks nothing at run time; the forward map is the test oracle in
 `tests/kernel_oracles.py`.
 
-The eigenvalues are `EigenMonomial`s, Laurent monomials in the formal
-symbols p, chi_j and sigma.  Half-integer p-exponents (the g(g+1)/4 term)
-are ordinary rational exponents of the symbol 'p'; no square roots are
-adjoined.
+An eigenvalue is a Laurent monomial in formal symbols (p, chi_j and sigma,
+or whatever symbols `recover-chi` is given), held as its exponent map
+{symbol: Fraction} with zero exponents dropped; `_monomial` multiplies
+them.  Half-integer p-exponents (the g(g+1)/4 term) are ordinary rational
+exponents of the symbol 'p'; no square roots are adjoined.
 `hecke` evaluates this closed form for the generic character, one element
 (`hecke_entry`) or the whole sweep (`hecke_table`), in integers over one
 denominator, and writes the answer as compact JSON text: an integer request
@@ -46,70 +47,15 @@ if TYPE_CHECKING:  # the integer requests load no `fractions`
     from fractions import Fraction
 
 
-class EigenMonomial:
-    """Laurent monomial in formal symbols with exact rational exponents.
-
-    Two monomials are equal iff their exponent maps are equal: the symbols
-    satisfy no hidden multiplicative relations.  `exponents` is the one
-    canonical form of that map, the tuple of (symbol, Fraction) pairs with
-    nonzero exponents, sorted by symbol.
-    """
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents: tuple = ()):
-        self.exponents = exponents
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EigenMonomial) and self.exponents == other.exponents
-
-    def __hash__(self) -> int:
-        return hash(self.exponents)
-
-    @classmethod
-    def from_dict(cls, exps: dict) -> "EigenMonomial":
-        from .exactlin import rational
-        items = [(sym, rational(e)) for sym, e in exps.items()]
-        return cls(tuple(sorted(item for item in items if item[1])))
-
-    @classmethod
-    def symbol(cls, name: str, exponent=1) -> "EigenMonomial":
-        return cls.from_dict({name: exponent})
-
-    @classmethod
-    def p_power(cls, exponent) -> "EigenMonomial":
-        return cls.symbol("p", exponent)
-
-    def __mul__(self, other: "EigenMonomial") -> "EigenMonomial":
-        return monomial_product((self, other))
-
-    def __pow__(self, e) -> "EigenMonomial":
-        from .exactlin import rational
-        e = rational(e)
-        return EigenMonomial.from_dict({s: x * e for s, x in self.exponents})
-
-    def inverse(self) -> "EigenMonomial":
-        return self ** -1
-
-    def __truediv__(self, other: "EigenMonomial") -> "EigenMonomial":
-        return self * other.inverse()
-
-    def to_json(self) -> dict:
-        return {sym: str(e) for sym, e in self.exponents}
-
-    def __repr__(self) -> str:
-        if not self.exponents:
-            return "1"
-        return "*".join(f"{s}^{e}" for s, e in self.exponents)
-
-
-def monomial_product(factors) -> EigenMonomial:
-    """The product of `factors`, summed into one exponent map."""
+def _monomial(*factors) -> dict:
+    """The product of (exponent map, power) factors as one exponent map {symbol:
+    exponent}, zero exponents dropped.  A power of 1 or -1 multiplies nothing."""
     exps: dict = {}
-    for factor in factors:
-        for sym, e in factor.exponents:
+    for factor, power in factors:
+        for sym, e in factor.items():
+            e = e if power == 1 else -e if power == -1 else e * power
             exps[sym] = exps[sym] + e if sym in exps else e
-    return EigenMonomial.from_dict(exps)
+    return {sym: e for sym, e in exps.items() if e}
 
 
 class WeylElement(NamedTuple):
@@ -176,13 +122,6 @@ class TorusExponent(NamedTuple):
         return len(self.a)
 
 
-class CharacterData(NamedTuple):
-    """Values chi_j(p) and sigma(p) of an unramified character of the torus."""
-
-    chi: tuple[EigenMonomial, ...]
-    sigma: EigenMonomial
-
-
 def _torus_numerators(t: TorusExponent, d: int) -> tuple[int, list[tuple[int, int]]]:
     """a_0 and, for each i, the pair (a_i, a_0 - a_i) that eps(i) = 1, -1 picks,
     as numerators over d: slot j of (nu, eps) . t holds one of them, i = nu(j).
@@ -216,14 +155,10 @@ def _beta_weight_exponents(g: int, mu: Sequence[Fraction], mu0: Fraction) -> lis
     return [excess - suffix[g - i - 1] for i in range(1, g)] + [excess / 2]
 
 
-def recover_characters(
-    g: int,
-    thetas: Sequence[EigenMonomial],
-    mu: Sequence,
-    mu0,
-    w: WeylElement,
-) -> CharacterData:
-    """Solve the U_{p,i} eigenvalue system thetas for (chi_1..chi_g, sigma).
+def recover_characters(g: int, thetas: Sequence[dict], mu: Sequence, mu0,
+                       w: WeylElement) -> tuple[list[dict], dict]:
+    """Solve the U_{p,i} eigenvalue system thetas for (chi_1..chi_g, sigma), each
+    eigenvalue and each answer an exponent map {symbol: Fraction}.
 
     With alpha_i the eigenvalue at beta_{g-i} without its weight factor and
     alpha_0 = p^{-mu_0}, the value at beta_g when det = p^{mu_0}, the ratio
@@ -241,27 +176,23 @@ def recover_characters(
         raise ValueError("need exactly g eigenvalues")
     mu = vector(mu)
     mu0 = rational(mu0)
-    alphas = [
-        EigenMonomial.p_power(-shift) * theta
-        for shift, theta in zip(_beta_weight_exponents(g, mu, mu0), thetas)
-    ]
+    alphas = [_monomial(({"p": -shift}, 1), (theta, 1))
+              for shift, theta in zip(_beta_weight_exponents(g, mu, mu0), thetas)]
     if w.g != g:
         raise ValueError("ranks differ")
 
     # with alpha_0 = p^{-mu_0} and i = nu(j), chi_j = (p^{eps(i)(g+1-j)} r_i)^{eps(i)},
     # where r_i = alpha_i / alpha_{i-1}, with alpha_g squared at i = g; eps(i)(g+1-j)
     # is the step c_{i-1} - c_i of the eigenvalue constants (c_0 = 0), or c_{g-1} - 2 c_g
-    alphas.insert(0, EigenMonomial.p_power(-mu0))
-    chi_values = []
+    alphas.insert(0, {"p": -mu0})
+    chi = []
     for j, i in enumerate(w.nu, 1):
-        r = (alphas[i] ** 2 if i == g else alphas[i]) / alphas[i - 1]
         e = w.eps[i - 1]
-        chi_values.append((EigenMonomial.p_power(e * (g + 1 - j)) * r) ** e)
-    sigma = monomial_product([
-        EigenMonomial.p_power(c_g_constant(g, w)), alphas[g].inverse(),
-        *(chi.inverse() for chi, i in zip(chi_values, w.nu) if w.eps[i - 1] == -1),
-    ])
-    return CharacterData(tuple(chi_values), sigma)
+        chi.append(_monomial(({"p": g + 1 - j}, 1), (alphas[i], 2 * e if i == g else e),
+                             (alphas[i - 1], -e)))
+    sigma = _monomial(({"p": c_g_constant(g, w)}, 1), (alphas[g], -1),
+                      *((x, -1) for x, i in zip(chi, w.nu) if w.eps[i - 1] == -1))
+    return chi, sigma
 
 
 #: `hecke --all` prints 2^g g! rows, at g = 6 in about 0.2 s and 41 MB, and
@@ -357,6 +288,7 @@ def _cmd_recover_chi(args) -> tuple[dict, str | None, list | None]:
     `eigs`, `weights` and, optionally, `weyl`: at the cap the eigenvalues are
     megabytes of JSON, past what one command-line argument may hold."""
     from .cliargs import CliError, _cap
+    from .exactlin import rational
     from .jsonargs import _has_keys, _json_keys, _json_object, _load_input, _parse_json_arg
     g = args.g
     if args.input is None:
@@ -375,14 +307,7 @@ def _cmd_recover_chi(args) -> tuple[dict, str | None, list | None]:
         eigs, weights = obj["eigs"], _has_keys(obj["weights"], "weights", "mu", "mu0")
         w = (WeylElement.from_json(_has_keys(obj["weyl"], "weyl", "nu", "eps")) if "weyl" in obj
              else WeylElement.identity(g))
-    recovered = recover_characters(
-        g,
-        [EigenMonomial.from_dict(_json_object(e, "a monomial")) for e in eigs],
-        weights["mu"],
-        weights["mu0"],
-        w,
-    )
-    return {
-        "chi": [c.to_json() for c in recovered.chi],
-        "sigma": recovered.sigma.to_json(),
-    }, None, None
+    eigs = [{sym: rational(x) for sym, x in _json_object(e, "a monomial").items()} for e in eigs]
+    chi, sigma = recover_characters(g, eigs, weights["mu"], weights["mu0"], w)
+    return {"chi": [{sym: str(x) for sym, x in c.items()} for c in chi],
+            "sigma": {sym: str(x) for sym, x in sigma.items()}}, None, None

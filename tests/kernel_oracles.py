@@ -16,6 +16,9 @@ with no division.  `weylhecke.recover_characters` solves the U_{p,i}
 eigenvalue system by one-term steps; `normalized_eigenvalues` is the forward
 map it inverts, one closed-form evaluation at each torus `beta(g, g-i)`
 times the weight factor that `slopes.weight_exponent` gives there.
+`recovered_character` runs that solve on `Monomial`s, the tests' own
+Laurent monomials, through the exponent maps it takes and returns; every
+oracle here multiplies monomials with that class, none with code of `src/`.
 `b_special`, the paper's special values of B for k >= n-2, is the second
 oracle of the B rows.  The obstruction
 orders of `slopes.refinement_obstruction_orders`, found there from one pass
@@ -26,6 +29,7 @@ each difference by every trial divisor.
 import itertools
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from linvariants.exactlin import rational, vector
 from linvariants.plethysm import InvalidWeightTripleError, valid_triple
@@ -33,13 +37,84 @@ from linvariants.slopes import weight_exponent
 from functools import lru_cache
 from math import lcm
 
-from linvariants.weylhecke import (
-    CharacterData,
-    EigenMonomial,
-    TorusExponent,
-    WeylElement,
-    _torus_numerators,
-)
+from linvariants.weylhecke import TorusExponent, WeylElement, _torus_numerators, recover_characters
+
+
+class Monomial:
+    """Laurent monomial in formal symbols with exact rational exponents.
+
+    Two monomials are equal iff their exponent maps are equal: the symbols
+    satisfy no hidden multiplicative relations.  `exponents` is the one
+    canonical form of that map, the tuple of (symbol, exponent) pairs with
+    nonzero exponents, sorted by symbol.  An exponent is a Fraction, or an
+    int where a caller builds the form directly: equal values of the two
+    compare, hash and print alike.
+    """
+
+    __slots__ = ("exponents",)
+
+    def __init__(self, exponents: tuple = ()):
+        self.exponents = exponents
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Monomial) and self.exponents == other.exponents
+
+    def __hash__(self) -> int:
+        return hash(self.exponents)
+
+    def __repr__(self) -> str:
+        return "*".join(f"{s}^{e}" for s, e in self.exponents) or "1"
+
+    @classmethod
+    def from_dict(cls, exps: dict) -> "Monomial":
+        items = ((sym, Fraction(e)) for sym, e in exps.items())
+        return cls(tuple(sorted(item for item in items if item[1])))
+
+    @classmethod
+    def symbol(cls, name: str, exponent=1) -> "Monomial":
+        return cls.from_dict({name: exponent})
+
+    @classmethod
+    def p_power(cls, exponent) -> "Monomial":
+        return cls.symbol("p", exponent)
+
+    def __mul__(self, other: "Monomial") -> "Monomial":
+        return monomial_product((self, other))
+
+    def __pow__(self, e) -> "Monomial":
+        e = Fraction(e)
+        return Monomial(tuple((s, x * e) for s, x in self.exponents if e))
+
+    def inverse(self) -> "Monomial":
+        return self ** -1
+
+    def __truediv__(self, other: "Monomial") -> "Monomial":
+        return self * other.inverse()
+
+    def to_json(self) -> dict:
+        return {sym: str(e) for sym, e in self.exponents}
+
+
+def monomial_product(factors) -> Monomial:
+    """The product of `factors`, summed into one exponent map."""
+    exps: dict = {}
+    for factor in factors:
+        for sym, e in factor.exponents:
+            exps[sym] = exps[sym] + e if sym in exps else e
+    return Monomial(tuple(sorted((sym, e) for sym, e in exps.items() if e)))
+
+
+class CharacterData(NamedTuple):
+    """Values chi_j(p) and sigma(p) of an unramified character of the torus."""
+
+    chi: tuple[Monomial, ...]
+    sigma: Monomial
+
+
+def recovered_character(g: int, thetas, mu, mu0, w: WeylElement) -> CharacterData:
+    """`weylhecke.recover_characters` on the exponent maps of the monomials thetas."""
+    chi, sigma = recover_characters(g, [dict(theta.exponents) for theta in thetas], mu, mu0, w)
+    return CharacterData(tuple(map(Monomial.from_dict, chi)), Monomial.from_dict(sigma))
 
 
 def nested_loop_weyl_group(g: int) -> tuple[WeylElement, ...]:
@@ -60,7 +135,7 @@ def weyl_conjugate(w: WeylElement, t: TorusExponent) -> TorusExponent:
     return TorusExponent(tuple(flipped[i - 1] for i in w.nu), t.a0)
 
 
-def fraction_hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> EigenMonomial:
+def fraction_hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> Monomial:
     """p^{g(g+1)/4 a_0 - sum_j (g+1-j) a'_{nu(j)}} sigma^{a_0} prod_j chi_j^{a'_{nu(j)}}."""
     g = len(chi.chi)
     if t.g != g or w.g != g:
@@ -71,7 +146,7 @@ def fraction_hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement
     for value, power in ((chi.sigma, t.a0), *zip(chi.chi, s.a)):
         for sym, e in value.exponents:
             exps[sym] = exps.get(sym, 0) + e * power
-    return EigenMonomial.from_dict(exps)
+    return Monomial.from_dict(exps)
 
 
 def weyl_json(w: WeylElement) -> dict:
@@ -82,12 +157,12 @@ def weyl_json(w: WeylElement) -> dict:
 def generic_character(g: int) -> CharacterData:
     """chi_j(p) = chi_j and sigma(p) = sigma, the formal symbols `hecke` prints."""
     return CharacterData(
-        tuple(EigenMonomial.symbol(f"chi_{j}") for j in range(1, g + 1)),
-        EigenMonomial.symbol("sigma"),
+        tuple(Monomial.symbol(f"chi_{j}") for j in range(1, g + 1)),
+        Monomial.symbol("sigma"),
     )
 
 
-def hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> EigenMonomial:
+def hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> Monomial:
     """The diagonal eigenvalue of U_t at w for any character, in integers.
 
     The closed form's exponent vector (s_1..s_g, a_0 and the p-exponent) is
@@ -108,7 +183,7 @@ def hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> Eige
         for sym, e in value.exponents:
             exps[sym] = exps.get(sym, 0) + e.numerator * (d // e.denominator) * power
     exponent = lru_cache(maxsize=None)(lambda x: Fraction(x, d * d))
-    return EigenMonomial(tuple(sorted((sym, exponent(x)) for sym, x in exps.items() if x)))
+    return Monomial(tuple(sorted((sym, exponent(x)) for sym, x in exps.items() if x)))
 
 
 def beta(g: int, j: int) -> TorusExponent:
@@ -123,12 +198,12 @@ def beta(g: int, j: int) -> TorusExponent:
     return TorusExponent(vector(a), rational(a0))
 
 
-def normalized_eigenvalues(chi: CharacterData, mu, mu0, w: WeylElement) -> list[EigenMonomial]:
+def normalized_eigenvalues(chi: CharacterData, mu, mu0, w: WeylElement) -> list[Monomial]:
     """theta(U_{p,i}) for i = 1..g: the eigenvalue at beta(g, g-i) rescaled by
     |lambda(beta_{g-i})|_p^{-1}, that is p^{weight_exponent(mu, mu0, beta(g, g-i))}."""
     g = len(chi.chi)
     return [
-        EigenMonomial.p_power(weight_exponent(mu, mu0, beta(g, g - i)))
+        Monomial.p_power(weight_exponent(mu, mu0, beta(g, g - i)))
         * hecke_diagonal(chi, beta(g, g - i), w)
         for i in range(1, g + 1)
     ]

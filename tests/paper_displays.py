@@ -34,7 +34,8 @@ from linvariants.linv import (
     theorem_row,
 )
 from linvariants.plethysm import b_row
-from linvariants.weylhecke import CharacterData, EigenMonomial, WeylElement, c_g_constant
+from linvariants.weylhecke import WeylElement, c_g_constant
+from kernel_oracles import CharacterData, Monomial
 
 
 def c_constant(g: int, i: int, w: WeylElement) -> Fraction:
@@ -50,7 +51,7 @@ def c_constant(g: int, i: int, w: WeylElement) -> Fraction:
     return total - Fraction(g * (g + 1), 2)
 
 
-def upi_eigenvalue_display(chi: CharacterData, i: int, w: WeylElement) -> EigenMonomial:
+def upi_eigenvalue_display(chi: CharacterData, i: int, w: WeylElement) -> Monomial:
     """The closed U_{p,i} = [Iw beta_{g-i} Iw] eigenvalue families.
 
     For i < g:  p^{c_i} sigma^{-2} prod_{nu(j)>i} chi_j^{-1}
@@ -61,12 +62,12 @@ def upi_eigenvalue_display(chi: CharacterData, i: int, w: WeylElement) -> EigenM
     if not 1 <= i <= g:
         raise ValueError("need 1 <= i <= g")
     if i == g:
-        value = EigenMonomial.p_power(c_g_constant(g, w)) * chi.sigma**-1
+        value = Monomial.p_power(c_g_constant(g, w)) * chi.sigma**-1
         for j, image in enumerate(w.nu, 1):
             if w.eps[image - 1] == -1:
                 value = value * chi.chi[j - 1] ** -1
         return value
-    value = EigenMonomial.p_power(c_constant(g, i, w)) * chi.sigma**-2
+    value = Monomial.p_power(c_constant(g, i, w)) * chi.sigma**-2
     for j, image in enumerate(w.nu, 1):
         if image > i:
             value = value * chi.chi[j - 1] ** -1

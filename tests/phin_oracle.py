@@ -17,7 +17,7 @@ Three local shapes occur:
   r = alpha/beta, N = 0.
 
 Frobenius eigenvalues live in a free multiplicative monomial group
-(`weylhecke.EigenMonomial`): equality against 1 or p^{-1} is exponent comparison,
+(`kernel_oracles.Monomial`): equality against 1 or p^{-1} is exponent comparison,
 which is exactly the strength of the standing no-multiplicative-relations
 hypothesis on alpha/beta.  On top of this the oracle computes the stable
 and regular submodules and the filtration
@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 from linvariants import CASES
 from linvariants.exactlin import rational
-from linvariants.weylhecke import EigenMonomial
+from kernel_oracles import Monomial
 
 STEINBERG, CRYSTALLINE_SPLIT, CRYSTALLINE_NONSPLIT = CASES
 
@@ -56,8 +56,8 @@ class UnsupportedInputError(ValueError):
     """Input outside the standing hypotheses (e.g. repeated eigenvalues)."""
 
 
-ONE = EigenMonomial()
-P_INVERSE = EigenMonomial.p_power(-1)
+ONE = Monomial()
+P_INVERSE = Monomial((("p", -1),))
 
 
 class PhiNModule:
@@ -66,17 +66,19 @@ class PhiNModule:
     Coordinates follow the descending index order f_n, ..., f_{-n}; the
     f-index i sits at coordinate n - i.  `phi[c]` is the eigenvalue of f at
     coordinate c, and `monodromy[c]` the coordinate N sends c onto, or None
-    where N kills it.
+    where N kills it.  `line_of` maps each eigenvalue to the one coordinate
+    where phi takes it.
     """
 
-    __slots__ = ("case", "n", "phi", "monodromy", "l_invariant")
+    __slots__ = ("case", "n", "phi", "monodromy", "l_invariant", "line_of")
 
     def __init__(self, case: str, n: int, phi: tuple, monodromy: tuple, l_invariant=None):
         self.case, self.n, self.phi, self.monodromy = case, n, phi, monodromy
         self.l_invariant: Fraction | None = l_invariant
         # The standing hypotheses.  With distinct eigenvalues, N phi = p phi N
         # leaves no two coordinates with the same target.
-        if len(set(phi)) != self.dim:
+        self.line_of = {lam: c for c, lam in enumerate(phi)}
+        if len(self.line_of) != self.dim:
             raise UnsupportedInputError("repeated Frobenius eigenvalues")
         for col, row in enumerate(monodromy):
             if row is not None and not (0 <= row < col and phi[row] == P_INVERSE * phi[col]):
@@ -112,23 +114,24 @@ def build_case(case: str, n: int, l_invariant=None, weight: int | None = None) -
         raise ValueError("weight only applies to the crystalline_split case")
     if l_invariant is not None and case != STEINBERG:
         raise ValueError("L-parameter only applies to the steinberg case")
+    # each eigenvalue is built in the canonical form of `Monomial`, with int exponents
     indices = range(n, -n - 1, -1)
     killed = (None,) * (2 * n + 1)
     if case == STEINBERG:
         l_value = rational(1 if l_invariant is None else l_invariant)
         if l_value == 0:
             raise ValueError("steinberg case requires a nonzero L-parameter")
-        phi = tuple(EigenMonomial.p_power(-i) for i in indices)
+        phi = tuple(Monomial((("p", -i),) if i else ()) for i in indices)
         # N f_i = (n - i) f_{i+1}: coordinate c goes onto c - 1, f_n is killed
         return PhiNModule(case, n, phi, (None, *range(2 * n)), l_invariant=l_value)
     if case == CRYSTALLINE_SPLIT:
         k = 2 if weight is None else weight
         if k < 2:
             raise ValueError("weight must be at least 2")
-        phi = tuple(EigenMonomial.from_dict({"alpha": 2 * i, "p": i * (k - 1)}) for i in indices)
+        phi = tuple(Monomial((("alpha", 2 * i), ("p", i * (k - 1))) if i else ()) for i in indices)
         return PhiNModule(case, n, phi, killed)
     if case == CRYSTALLINE_NONSPLIT:
-        return PhiNModule(case, n, tuple(EigenMonomial.symbol("r", i) for i in indices), killed)
+        return PhiNModule(case, n, tuple(Monomial((("r", i),) if i else ()) for i in indices), killed)
     raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
 
 
@@ -188,21 +191,20 @@ def benois_filtration(module: PhiNModule, d: tuple[int, ...]) -> BenoisFiltratio
     """The three-step filtration attached to a stable submodule D.
 
     1 - p^{-1} phi^{-1} kills exactly the phi = p^{-1} line; N maps the
-    phi = 1 line onto a phi = p^{-1} line or kills it.
+    phi = 1 line onto a phi = p^{-1} line or kills it.  The eigenvalues are
+    distinct, so each of those lines is one coordinate or none.
     """
     if not is_stable(module, d):
         raise UnsupportedInputError("D must be phi- and N-stable")
-    kept = {c for c in d if module.phi[c] != P_INVERSE}
-    images = {module.monodromy[c] for c in d if module.phi[c] == ONE} - {None}
+    ones = {module.line_of[ONE]} if ONE in module.line_of else set()
+    kept = set(d) - {module.line_of.get(P_INVERSE)}
+    images = {module.monodromy[c] for c in ones.intersection(d)} - {None}
     members = {None, *d}
-    lifted = {
-        c for c in range(module.dim)
-        if module.phi[c] == ONE and module.monodromy[c] in members
-    }
+    lifted = {c for c in ones if module.monodromy[c] in members}
     return BenoisFiltration(tuple(sorted(kept | images)), d, tuple(sorted(lifted.union(d))))
 
 
-def gr1_data(module: PhiNModule, d: tuple[int, ...]) -> tuple[int, EigenMonomial | None]:
+def gr1_data(module: PhiNModule, d: tuple[int, ...]) -> tuple[int, Monomial | None]:
     """(dim D_1/D_0, Frobenius eigenvalue on the quotient line when rank 1)."""
     filtration = benois_filtration(module, d)
     new = set(filtration.d_1) - set(filtration.d_0)

@@ -28,11 +28,11 @@ to BENCH_layers.json.
   torus at g = 2..6 (the cap is 6; the shape test wants 5 sizes) in compact
   and in pretty output, the `cg_table` and `weyl_group` caches cleared
   before each call; bits is the bit length of the largest integer printed;
-* `weylhecke.recover_characters`: the solve on the g eigenvalues of random
-  characters `x_j^a p^{b/2}` at a random Weyl element, as the `recover-chi`
-  cap row of the README draws them, up to the `--g` cap of 500; bits is the
-  bit length of the largest numerator or denominator of an exponent it
-  returns.
+* `weylhecke.recover_characters`: the solve on the exponent maps of the g
+  eigenvalues of random characters `x_j^a p^{b/2}` at a random Weyl
+  element, as the `recover-chi` cap row of the README draws them, up to the
+  `--g` cap of 500; bits is the bit length of the largest numerator or
+  denominator of an exponent it returns.
 
 Each row is [n, seconds, MB, bits]: seconds is the median of REPS timed
 calls, MB the tracemalloc peak of one more call.  `slope` is the
@@ -62,7 +62,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
-from kernel_oracles import normalized_eigenvalues
+from kernel_oracles import CharacterData, Monomial, monomial_product, normalized_eigenvalues
 from linvariants import cli, phin, plethysm, sl2rep, weylhecke
 
 REPS = 7
@@ -182,26 +182,26 @@ def one_cg_entry(u: int):
 
 
 def recover_request(g: int):
-    """(`recover_characters` on the eigenvalues of g random characters, the bits of its answer)."""
+    """(`recover_characters` on the exponent maps of the eigenvalues of g random
+    characters, the bits of its answer)."""
     rng = random.Random(g)
-    chis = tuple(weylhecke.EigenMonomial.from_dict({f"x_{j}": rng.randint(-3, 3),
-                                                    "p": Fraction(rng.randint(-5, 5), 2)})
+    chis = tuple(Monomial.from_dict({f"x_{j}": rng.randint(-3, 3), "p": Fraction(rng.randint(-5, 5), 2)})
                  for j in range(1, g + 1))
     mu0 = Fraction(rng.randint(-6, 6))
-    sigma = (weylhecke.EigenMonomial.p_power(mu0 / 2)
-             * weylhecke.monomial_product(chis).inverse() ** Fraction(1, 2))
+    sigma = Monomial.p_power(mu0 / 2) * monomial_product(chis).inverse() ** Fraction(1, 2)
     mu = [rng.randint(-5, 5) for _ in range(g)]
     w = weylhecke.WeylElement(tuple(rng.sample(range(1, g + 1), g)),
                               tuple(rng.choice((1, -1)) for _ in range(g)))
-    thetas = normalized_eigenvalues(weylhecke.CharacterData(chis, sigma), mu, mu0, w)
+    thetas = [dict(theta.exponents)
+              for theta in normalized_eigenvalues(CharacterData(chis, sigma), mu, mu0, w)]
 
     def call():
         return weylhecke.recover_characters(g, thetas, mu, mu0, w)
 
     def bits() -> int:
-        chi = call()
+        chi, sigma = call()
         return max(max(abs(e.numerator).bit_length(), e.denominator.bit_length())
-                   for value in (*chi.chi, chi.sigma) for _, e in value.exponents)
+                   for value in (*chi, sigma) for e in value.values())
 
     return call, bits
 

