@@ -88,9 +88,6 @@ class Monomial:
     def inverse(self) -> "Monomial":
         return self ** -1
 
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        return self * other.inverse()
-
     def to_json(self) -> dict:
         return {sym: str(e) for sym, e in self.exponents}
 

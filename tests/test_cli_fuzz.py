@@ -188,6 +188,7 @@ def slope_answer(args, request: dict) -> dict:
 
     answer = {"noncritical": noncritical(0)}
     if request.get("find_twist"):
+        # bounded, so that a wrong exit 0 at a_0 = 0, where no twist helps, still ends
         tries = (m for size in range(10**4) for m in ((size, -size) if size else (0,)))
         answer["twist"] = next((m for m in tries if noncritical(m)), None)
     return answer
