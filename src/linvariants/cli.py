@@ -5,6 +5,10 @@ output).  Rationals are serialized as "num/den" strings so no consumer
 ever sees a rounded value.  Exit codes: 0 success, 2 malformed input or
 domain/precondition error, 3 mathematical singularity (zero denominator
 at the chosen direction); every error, a parse error too, prints one JSON line.
+Every handler returns its answer as compact, key-sorted JSON text, so a
+request loads `json` only to escape a string from outside (`recover-chi`'s
+symbols, a refusal's message), to read a JSON argument outside the plain
+subset `jsonargs` reads itself, or to indent.
 
 Each request is a fresh process, so options are read from one table, not
 argparse.  Each subcommand's handler lives beside its maths (`_cmd_bcoeff`
@@ -29,34 +33,26 @@ from itertools import islice
 from types import SimpleNamespace
 
 from . import CASES, FAMILIES, THEOREMS
-from .cliargs import CliError, _int
+from .cliargs import CliError, _int, _json_text
 
 
-def _emit(fmt: str, payload, csv_header: str | None = None, csv_rows=None) -> None:
-    """Print `payload` (a tree, or compact key-sorted JSON text) in `fmt`.
+def _emit(fmt: str, text: str, csv_header: str | None = None, csv_rows=None) -> None:
+    """Print `text`, a handler's answer as compact key-sorted JSON, in `fmt`.
 
-    The compact text comes first, so an int past the digit limit is refused
-    before any byte is written; pretty output is streamed in runs of tokens.
-    `json` is imported only to encode a tree or to indent: the text that the
-    integer handlers (`phin`, `cg`, `bcoeff`, `obstruction`, `hecke`,
-    `project-endo`) write themselves is printed as it is.
+    Every handler writes that text itself, so an int past the digit limit is
+    refused before any byte is written.  `json` is imported here only to
+    indent the text for pretty output, which is streamed in runs of tokens.
     """
     if fmt == "csv":
         if csv_header is None or csv_rows is None:
             raise CliError("csv output is only available for table commands")
         text = "\n".join([csv_header, *(",".join(str(x) for x in row) for row in csv_rows)])
-    elif isinstance(payload, str):
-        text = payload
-    else:  # every payload is a tree built for this request, so no cycle check
-        import json
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)
     try:
         if fmt != "pretty":
             print(text)
             return
         import json
-        tree = json.loads(text) if isinstance(payload, str) else payload
-        tokens = json.JSONEncoder(sort_keys=True, indent=2).iterencode(tree)
+        tokens = json.JSONEncoder(sort_keys=True, indent=2).iterencode(json.loads(text))
         while run := "".join(islice(tokens, 1 << 16)):
             sys.stdout.write(run)
         print()
@@ -182,7 +178,7 @@ def _answer(argv) -> int:
             limit = sys.get_int_max_str_digits()
             error = {"code": "output", "message": f"the result holds an int past Python's "
                      f"limit of {limit} digits for printing; refused"}
-    _emit("json", {"error": error})
+    _emit("json", _json_text({"error": error}))
     return code
 
 

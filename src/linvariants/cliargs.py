@@ -1,12 +1,14 @@
 """The CLI's refusal and its readers of scalar arguments.
 
 `cli` imports this module on every request, so it holds only what any
-request may need: `CliError`, `_int`, `_plain_ratio` and `_cap`.  The
-readers of JSON arguments are `jsonargs`, which only a request that reads
-one imports.  Run as `python -m linvariants.cli`, `cli` is `__main__`, so a
-handler importing `CliError` from `cli` would load a second copy of it,
-whose refusals `main` would not catch: the handlers import it from here,
-when they run, so importing a maths module as a library compiles no CLI code.
+request may need: `CliError`, `_int`, `_plain_ratio`, `_cap` and
+`_json_text`, the one `json.dumps`, for the answers that hold a string from
+outside.  The readers of JSON arguments are `jsonargs`, which only a
+request that reads one imports.  Run as `python -m linvariants.cli`, `cli`
+is `__main__`, so a handler importing `CliError` from `cli` would load a
+second copy of it, whose refusals `main` would not catch: the handlers
+import it from here, when they run, so importing a maths module as a
+library compiles no CLI code.
 """
 
 import re
@@ -48,3 +50,10 @@ def _plain_ratio(text: str) -> tuple[int, int] | None:
 def _cap(value: int, cap: int, what: str) -> None:
     if value > cap:
         raise CliError(f"{what} > {cap} is refused")
+
+
+def _json_text(tree) -> str:
+    """`tree` as compact, key-sorted JSON text: the answers that hold a string from outside,
+    `recover-chi`'s symbols and a refusal's message, which need `json` to escape them."""
+    import json
+    return json.dumps(tree, sort_keys=True, separators=(",", ":"))

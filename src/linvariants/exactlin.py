@@ -50,6 +50,7 @@ def rational(value) -> Fraction:
 
 
 def vector(values: Iterable) -> Vector:
-    if isinstance(values, str):
+    """The exact scalars of a sequence; a str or a dict, iterable as it is, is refused."""
+    if isinstance(values, (str, dict)):
         raise TypeError(f"not a sequence of exact scalars: {values!r}")
     return tuple(rational(v) for v in values)

@@ -231,7 +231,7 @@ def theorem_row(which: str, data: TriangulationData) -> TriangulationData:
 LINV_RANK_CAPS = {"gsp_std": ("g", 200), "unitary": ("n", 100)}
 
 
-def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
+def _cmd_linv(args) -> tuple[str, None, None]:
     from .cliargs import CliError, _cap
     from .jsonargs import _has_keys, _json_object, _load_input
     obj = _load_input(args)
@@ -263,12 +263,11 @@ def _cmd_linv(args) -> tuple[dict, str | None, list | None]:
         pairs = per_place_pairs(data, direction, assignments)
     except SingularDirectionError as err:
         raise CliError(str(err), 3, code="singular_direction", place=err.place) from err
-    payload: dict = {
-        "value": str(rank1_combine(pairs)),
-        "per_place": [{"a": str(a), "b": str(b), "value": str(a / b)} for a, b in pairs],
-    }
-    if which:
+    value = str(rank1_combine(pairs))  # first, as the likeliest to pass the digit limit
+    places = ",".join('{"a":"%s","b":"%s","value":"%s"}' % (a, b, a / b) for a, b in pairs)
+    text = '"per_place":[%s],"value":"%s"}' % (places, value)
+    if which:  # "classification" sorts first
         scalar = THEOREMS[which][2]
-        payload["classification"] = {"kind": "exact" if scalar == 1 else "sign_flip",
-                                     "scalar": str(scalar)}
-    return payload, None, None
+        kind = "exact" if scalar == 1 else "sign_flip"
+        return '{"classification":{"kind":"%s","scalar":"%s"},%s' % (kind, scalar, text), None, None
+    return "{" + text, None, None

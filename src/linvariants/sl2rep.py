@@ -14,7 +14,9 @@ the duality isomorphism from these formulas.  An endomorphism of Sym^n V
 is a coefficient grid on g_{n,i} (x) g_{n,j}^v; that tensor has weight 2(j-i),
 and the grid is literally the matrix of the endomorphism in the g-basis,
 so the Leibniz action on tensors must agree with the matrix commutator
-[rho(X), T] -- the test suite pins the sign conventions that way.
+[rho(X), T] -- the test suite pins the sign conventions that way.  Only L
+acts here (`act_on_end`), since the oracle only lowers; the tests raise by
+the commutator.
 
 The module also carries the decomposition machinery that everything else
 is checked against: the highest-weight vectors v_{2k} of the Sym^{2k}
@@ -37,9 +39,6 @@ from math import comb, lcm
 from operator import mul
 
 from .exactlin import DimensionMismatchError, rational
-
-LOWER = "L"
-RAISE = "R"
 
 
 class InternalConsistencyError(RuntimeError):
@@ -69,10 +68,8 @@ class EndoElement:
         )
 
 
-def act_on_end(x: str, t: EndoElement) -> EndoElement:
-    """Leibniz action of L or R on End(Sym^n V) = Sym^n V (x) dual."""
-    if x not in (LOWER, RAISE):
-        raise ValueError(f"operator must be {LOWER!r} or {RAISE!r}")
+def act_on_end(t: EndoElement) -> EndoElement:
+    """Leibniz action of L on End(Sym^n V) = Sym^n V (x) dual."""
     n = t.n
     out = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(n + 1):
@@ -80,16 +77,10 @@ def act_on_end(x: str, t: EndoElement) -> EndoElement:
             c = t.grid[i][j]
             if not c:
                 continue
-            if x == LOWER:
-                if i + 1 <= n:
-                    out[i + 1][j] += c * (n - i)
-                if j - 1 >= 0:
-                    out[i][j - 1] += -c * (n + 1 - j)
-            else:
-                if i - 1 >= 0:
-                    out[i - 1][j] += c * i
-                if j + 1 <= n:
-                    out[i][j + 1] += -c * (j + 1)
+            if i + 1 <= n:
+                out[i + 1][j] += c * (n - i)
+            if j - 1 >= 0:
+                out[i][j - 1] += -c * (n + 1 - j)
     return EndoElement(n, tuple(tuple(row) for row in out))
 
 
@@ -119,7 +110,7 @@ def _brute_force_data(n: int, d: int) -> tuple[tuple[tuple[int, ...], ...], int]
     for j in range(abs(d), n + 1):
         v = highest_weight_vector(n, j)
         for _ in range(j - d):
-            v = act_on_end(LOWER, v)
+            v = act_on_end(v)
         columns.append(_diagonal(v, d))
     augmented = [
         list(row) + [int(r == c) for c in range(size)]

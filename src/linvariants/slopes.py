@@ -6,8 +6,9 @@ reads the torus exponent t = (p^{a_1}, ..., p^{a_g}; p^{a_0}) as the pair
 the obstruction orders read integer exponents.  So a `slope` request
 compiles this module and `exactlin` only, and an `obstruction` request this
 module alone: the slope functions import `fractions` and `exactlin` when they run.
-The obstruction handler writes its answer as compact JSON text, so that
-request imports no `json` either.
+Both handlers write their answers as compact JSON text, so neither an
+`obstruction` request nor a `slope` request with plain JSON input imports
+`json`.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def exclusion_sufficient(orders: Iterable[int], n: int) -> bool:
     return all(n % d == 0 for d in orders)
 
 
-def _cmd_slope(args) -> tuple[dict, str | None, list | None]:
+def _cmd_slope(args) -> tuple[str, None, None]:
     from .cliargs import CliError
     from .jsonargs import _has_keys, _load_input
     from .exactlin import rational, vector
@@ -196,7 +197,8 @@ def _cmd_slope(args) -> tuple[dict, str | None, list | None]:
     if args.family == "hilbert":
         obj = _has_keys(_load_input(args), "--input", "k", "w", "slopes")
         k, slopes = array(obj["k"], "k"), array(obj["slopes"], "slopes")
-        return {"noncritical": slope_check_hilbert(k, obj["w"], slopes)}, None, None
+        noncritical = slope_check_hilbert(k, obj["w"], slopes)
+        return '{"noncritical":%s}' % str(noncritical).lower(), None, None
     obj = _has_keys(_load_input(args), "--input", "weights", "mu0", "t", "slopes")
     find_twist = obj.get("find_twist", False)
     if not isinstance(find_twist, bool):
@@ -208,10 +210,10 @@ def _cmd_slope(args) -> tuple[dict, str | None, list | None]:
     if not a:
         raise ValueError("torus exponent needs g >= 1 entries a_1..a_g")
     t = (a, rational(t_obj["a0"]))
-    payload: dict = {"noncritical": slope_check_gsp(weights, obj["mu0"], t, slopes)}
-    if find_twist:
-        payload["twist"] = twist_search(weights, obj["mu0"], t, slopes)
-    return payload, None, None
+    text = '{"noncritical":%s' % str(slope_check_gsp(weights, obj["mu0"], t, slopes)).lower()
+    if find_twist:  # "twist" sorts after "noncritical"
+        text += ',"twist":%d' % twist_search(weights, obj["mu0"], t, slopes)
+    return text + "}", None, None
 
 
 def _cmd_obstruction(args) -> tuple[str, None, None]:

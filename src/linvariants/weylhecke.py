@@ -283,11 +283,12 @@ def _cmd_hecke(args) -> tuple[str, None, None]:
     return '{"g":%d,%s' % (g, hecke_entry(t, _weyl_from_args(args, g))[1:]), None, None
 
 
-def _cmd_recover_chi(args) -> tuple[dict, str | None, list | None]:
+def _cmd_recover_chi(args) -> tuple[str, None, None]:
     """`--eigs`, `--weights` and `--weyl`, or one `--input` object with the keys
     `eigs`, `weights` and, optionally, `weyl`: at the cap the eigenvalues are
-    megabytes of JSON, past what one command-line argument may hold."""
-    from .cliargs import CliError, _cap
+    megabytes of JSON, past what one command-line argument may hold.  The symbols are
+    text from outside, so the answer is written by `json`, which escapes them."""
+    from .cliargs import CliError, _cap, _json_text
     from .exactlin import rational
     from .jsonargs import _has_keys, _json_keys, _json_object, _load_input, _parse_json_arg
     g = args.g
@@ -309,5 +310,5 @@ def _cmd_recover_chi(args) -> tuple[dict, str | None, list | None]:
              else WeylElement.identity(g))
     eigs = [{sym: rational(x) for sym, x in _json_object(e, "a monomial").items()} for e in eigs]
     chi, sigma = recover_characters(g, eigs, weights["mu"], weights["mu0"], w)
-    return {"chi": [{sym: str(x) for sym, x in c.items()} for c in chi],
-            "sigma": {sym: str(x) for sym, x in sigma.items()}}, None, None
+    return _json_text({"chi": [{sym: str(x) for sym, x in c.items()} for c in chi],
+                       "sigma": {sym: str(x) for sym, x in sigma.items()}}), None, None

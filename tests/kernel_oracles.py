@@ -18,7 +18,13 @@ map it inverts, one closed-form evaluation at each torus `beta(g, g-i)`
 times the weight factor that `slopes.weight_exponent` gives there.
 `recovered_character` runs that solve on `Monomial`s, the tests' own
 Laurent monomials, through the exponent maps it takes and returns; every
-oracle here multiplies monomials with that class, none with code of `src/`.
+oracle here multiplies monomials with that class, and `hecke_diagonal`
+takes the torus numerators itself, not from the helper that `hecke` and
+`hecke --all` share.  From `src/` the oracles take only the readers
+`exactlin.rational` and `vector`, the records `TorusExponent` and
+`WeylElement`, `plethysm.valid_triple` with its error, and the weight
+factor `slopes.weight_exponent`; `recovered_character` wraps the solve
+under test and checks nothing itself.
 `b_special`, the paper's special values of B for k >= n-2, is the second
 oracle of the B rows.  The obstruction
 orders of `slopes.refinement_obstruction_orders`, found there from one pass
@@ -37,7 +43,7 @@ from linvariants.slopes import weight_exponent
 from functools import lru_cache
 from math import lcm
 
-from linvariants.weylhecke import TorusExponent, WeylElement, _torus_numerators, recover_characters
+from linvariants.weylhecke import TorusExponent, WeylElement, recover_characters
 
 
 class Monomial:
@@ -173,8 +179,8 @@ def hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> Mono
         raise ValueError("ranks differ")
     exponents = [e for value in (chi.sigma, *chi.chi) for _, e in value.exponents]
     d = 4 * lcm(*(x.denominator for x in (*t.a, t.a0, *exponents)))
-    a0, pairs = _torus_numerators(t, d)
-    s = [pairs[i - 1][w.eps[i - 1] < 0] for i in w.nu]
+    a0, *a = (x.numerator * (d // x.denominator) for x in (t.a0, *t.a))
+    s = [a[i - 1] if w.eps[i - 1] > 0 else a0 - a[i - 1] for i in w.nu]
     exps = {"p": (g * (g + 1) * (a0 // 4) - sum(q * x for q, x in zip(range(g, 0, -1), s))) * d}
     for value, power in ((chi.sigma, a0), *zip(chi.chi, s)):
         for sym, e in value.exponents:

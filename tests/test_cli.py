@@ -1244,6 +1244,38 @@ def test_linv_string_direction_exit_2(tmp_path, capsys):
     assert payload["error"]["code"] == "domain"
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (("hecke", "--g", "1", "--t", '{"a": {"5": "x"}, "a0": 0}'), "{'5': 'x'}"),
+        (
+            (
+                "recover-chi", "--g", "2",
+                "--eigs", '[{"p": "-2"}, {"p": "-3/2"}]',
+                "--weights", '{"mu": {"1": 0, "0": 1}, "mu0": 1}',
+            ),
+            "{'1': 0, '0': 1}",
+        ),
+    ],
+    ids=["hecke-t", "recover-chi-weights"],
+)
+def test_object_as_vector_argument_exit_2(capsys, argv, shown):
+    # a JSON object used to be read as the list of its keys, and the request exited 0
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert payload["error"] == {"code": "domain",
+                                "message": f"not a sequence of exact scalars: {shown}"}
+
+
+def test_linv_object_direction_exit_2(tmp_path, capsys):
+    # "u": {"3": 1} used to be read as u = (3)
+    path = linv_input(tmp_path, {"3": 1}, "1", [["1", "2"]])
+    code, payload = run_json(capsys, "linv", "--family", "hilbert", "--input", path)
+    assert code == 2
+    assert payload["error"] == {"code": "domain",
+                                "message": "not a sequence of exact scalars: {'3': 1}"}
+
+
 def test_recover_chi_non_object_monomial_exit_2(capsys):
     code, payload = run_json(
         capsys, "recover-chi", "--g", "2",

@@ -610,7 +610,7 @@ def test_every_accepted_argv_ends_in_one_json_line(case):
     assert text.endswith("\n") and text.count("\n") == 1, (argv, stdin, text)
     payload = json.loads(text)
     assert (code == 0) == ("error" not in payload), (argv, stdin, payload)
-    # every answer is compact, key-sorted JSON, whether a handler or `_emit` wrote it
+    # every answer is compact, key-sorted JSON text, which each handler writes itself
     if code == 0:
         assert text[:-1] == json.dumps(payload, sort_keys=True, separators=(",", ":")), argv
     if code == 0 and argv[0] in ORACLES:

@@ -23,7 +23,7 @@ from linalg_oracle import (
     zero_matrix,
     zero_space,
 )
-from linvariants.exactlin import MAX_DECIMAL_EXPONENT, DimensionMismatchError, rational
+from linvariants.exactlin import MAX_DECIMAL_EXPONENT, DimensionMismatchError, rational, vector
 
 
 def subspace_sum_dim_identity(u: Subspace, w: Subspace) -> bool:
@@ -212,6 +212,13 @@ def test_rational_refuses_bool():
     for value in (True, False):
         with pytest.raises(TypeError):
             rational(value)
+
+
+@pytest.mark.parametrize("values", ["12", {"5": "x"}, {}])
+def test_vector_refuses_a_string_and_a_mapping(values):
+    # each is iterable, over its characters or its keys, but holds no scalars
+    with pytest.raises(TypeError, match="not a sequence of exact scalars"):
+        vector(values)
 
 
 def test_rational_zero_denominator_names_the_input():

@@ -10,6 +10,7 @@ name the modules of `linvariants.__all__` and of `src/linvariants/*.py`.
 
 import ast
 import importlib
+import io
 import json
 import os
 import re
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import linvariants
-from linvariants.cli import COMMANDS
+from linvariants.cli import COMMANDS, parse_args
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -202,11 +203,12 @@ def test_a_decimal_l_loads_exactlin():
     assert fraction_modules(argv) == ["decimal", "fractions", "linvariants.exactlin", "numbers"]
 
 
-#: the standard library's JSON reader and writer, which `_emit` and `jsonargs` import when they run
+#: the standard library's JSON reader and writer, which `cliargs._json_text`, `_emit` (to indent)
+#: and `jsonargs` import when they run
 JSON = ("json", "json.decoder", "json.encoder", "json.scanner", "_json")
 
 
-def json_modules(argv=None, code=0):
+def json_modules(argv=None, code=0, stdin: str = ""):
     """(which of `JSON` are loaded, stdout) after `import linvariants.cli` and the request `argv`.
 
     The set is taken before `fresh`'s own `import json`, which prints it."""
@@ -215,6 +217,7 @@ def json_modules(argv=None, code=0):
     return fresh(
         "import contextlib, io, sys\n"
         "from linvariants.cli import main\n"
+        f"sys.stdin = io.TextIOWrapper(io.BytesIO({stdin.encode()!r}))\n"
         "out = io.StringIO()\n"
         f"{request}"
         f"loaded = sorted(set({JSON!r}) & set(sys.modules))\n"
@@ -252,6 +255,90 @@ def test_integer_requests_load_no_json(argv):
     assert json.loads(out)  # the line is JSON all the same
 
 
+#: a `linv` request per family and a `slope` request per family, each reading plain JSON
+#: from stdin: their handlers write the answer as text, so these load no `json` either
+PLAIN_INPUT_REQUESTS = [
+    pytest.param(
+        ["linv", "--family", "hilbert", "--input", "-", "--compare-theorem", "A"],
+        '{"places": [{"gradients": {"a_1": "1"}}, {"gradients": {"a_1": "-2/3"}}],'
+        ' "direction": {"u": [1, 2], "u0": 1}}', id="linv-hilbert",
+    ),
+    pytest.param(
+        ["linv", "--family", "gsp4_spin", "--input", "-"],
+        '{"places": [{"gradients": {"a_1": "1", "a_2": "2"}}], "direction": {"u": [1, 2]}}',
+        id="linv-gsp4_spin",
+    ),
+    pytest.param(
+        ["linv", "--family", "gsp_std", "--input", "-", "--compare-theorem", "C"],
+        '{"params": {"g": 2}, "places": [{"gradients": {"a_1": "1", "a_2": "3"}}],'
+        ' "direction": {"u": [1, 2], "u0": 0}}', id="linv-gsp_std",
+    ),
+    pytest.param(
+        ["linv", "--family", "unitary", "--input", "-", "--compare-theorem", "D2"],
+        '{"params": {"n": 1}, "places": [{"gradients": {"a_1": "1", "a_2": "3", "a_3": 0,'
+        ' "a_4": -1}}], "direction": {"u": [1, 2, 5, 7], "u0": 0}}', id="linv-unitary",
+    ),
+    pytest.param(["slope", "--family", "hilbert", "--input", "-"],
+                 '{"k": [3, 5], "w": 1, "slopes": ["0", "1/2"]}', id="slope-hilbert"),
+    pytest.param(
+        ["slope", "--family", "gsp", "--input", "-"],
+        '{"weights": [[5, 3]], "mu0": 0, "t": {"a": [0, 0], "a0": -1}, "slopes": [0],'
+        ' "find_twist": true}', id="slope-gsp",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stdin", PLAIN_INPUT_REQUESTS)
+def test_linv_and_slope_requests_of_plain_input_load_no_json(argv, stdin):
+    loaded, out = json_modules(argv, stdin=stdin)
+    assert loaded == []
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+#: one refusal per handler module, each through its own handler
+HANDLER_REFUSALS = [
+    pytest.param(["bcoeff", "--n", "601", "--k", "1"], id="plethysm"),
+    pytest.param(["phin", "--case", "crystalline_split", "--n", "9", "--all-submodules"], id="phin"),
+    pytest.param(["hecke", "--all", "--g", "7", "--t", '{"a": [0, 0, 0, 0, 0, 0, 0], "a0": 0}'],
+                 id="weylhecke"),
+    pytest.param(["linv", "--family", "hilbert", "--input", "no-such-file.json"], id="linv"),
+    pytest.param(["cg", "--m", "151", "--n", "1", "--p", "1", "--u", "0", "--v", "0", "--w", "0"],
+                 id="cg"),
+    pytest.param(["obstruction", "--exponents", ","], id="slopes"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(
+            ["recover-chi", "--g", "2", "--eigs", '[{"p": "-2"}, {"p": "-3/2"}]',
+             "--weights", '{"mu": [0, 0], "mu0": 0}'], 0, id="recover-chi",
+        ),
+        *(pytest.param(*p.values, 2, id=f"refusal-{p.id}") for p in HANDLER_REFUSALS),
+    ],
+)
+def test_recover_chi_and_refusals_load_json(argv, code):
+    # `recover-chi`'s symbols and a refusal's message are text from outside, which `json` escapes
+    loaded, out = json_modules(argv, code)
+    assert loaded == sorted(JSON)
+    assert ("error" in json.loads(out)) == bool(code)
+
+
+def test_every_handler_answers_in_text(monkeypatch):
+    # one answer type: every handler returns compact, key-sorted JSON text for `_emit` to print
+    answered = set()
+    for argv, stdin in [*((argv, "") for argv in PLETHYSM_REQUESTS),
+                        *(p.values for p in [*MATHS_REQUESTS, *PLAIN_INPUT_REQUESTS])]:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
+        args = parse_args(argv)
+        text = args.func(args)[0]
+        assert isinstance(text, str), argv
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        answered.add(args.command)
+    assert answered == set(COMMANDS)
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -263,7 +350,7 @@ def test_integer_requests_load_no_json(argv):
     ids=["refusal", "pretty-phin", "pretty-cg", "json-argument"],
 )
 def test_refusals_pretty_output_and_json_arguments_load_json(argv, code):
-    # a refusal is a tree that `_emit` encodes, pretty output is indented from the parsed
+    # a refusal's message is escaped by `json`, pretty output is indented from the parsed
     # text, and `jsonargs` hands a JSON argument with an escape, as any outside the plain
     # subset, to `json`
     loaded, out = json_modules(argv, code)
@@ -346,18 +433,7 @@ def test_the_readme_module_table_has_one_row_per_subcommand():
     assert reached == set(COMMANDS)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["bcoeff", "--n", "601", "--k", "1"],
-        ["phin", "--case", "crystalline_split", "--n", "9", "--all-submodules"],
-        ["hecke", "--all", "--g", "7", "--t", '{"a": [0, 0, 0, 0, 0, 0, 0], "a0": 0}'],
-        ["linv", "--family", "hilbert", "--input", "no-such-file.json"],
-        ["cg", "--m", "151", "--n", "1", "--p", "1", "--u", "0", "--v", "0", "--w", "0"],
-        ["obstruction", "--exponents", ","],
-    ],
-    ids=["plethysm", "phin", "weylhecke", "linv", "cg", "slopes"],
-)
+@pytest.mark.parametrize("argv", HANDLER_REFUSALS)
 def test_handler_refusals_exit_2_through_the_entry_point(tmp_path, argv):
     # run as `__main__`, cli must catch the CliError its handlers raise: one
     # copy of the class, from `cliargs`, not a second one from a re-imported cli

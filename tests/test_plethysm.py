@@ -358,7 +358,7 @@ def test_projection_map_is_equivariant(n):
                 tuple(F(rng.randint(-5, 5)) for _ in range(n + 1)) for _ in range(n + 1)
             ),
         )
-        assert project_endomorphism(act_on_end("L", t), k) == lower(
+        assert project_endomorphism(act_on_end(t), k) == lower(
             project_endomorphism(t, k)
         )
 

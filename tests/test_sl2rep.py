@@ -171,20 +171,24 @@ def test_duality_intertwines(m):
     assert duality_iso(raise_(v)) == raise_dual(duality_iso(v))
 
 
+def commutator(x, t):
+    """[rho(x), t] for x = L or R: the test-side action on End(Sym^n V)."""
+    rho = rep_action_matrix(x, t.n)
+    return EndoElement(t.n, sub(mul(rho, t.grid), mul(t.grid, rho)))
+
+
 def test_act_on_end_kills_identity():
     for n in range(1, 6):
         identity = EndoElement.diagonal([1] * (n + 1))
-        for x in "LR":
-            assert not any(any(row) for row in act_on_end(x, identity).grid)
+        assert not any(any(row) for row in act_on_end(identity).grid)
+        assert not any(any(row) for row in commutator("R", identity).grid)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_act_on_end_matches_matrix_commutator(n):
-    rho = {x: rep_action_matrix(x, n) for x in "LR"}
     for _ in range(3):
         t = random_endo(n)
-        for x in "LR":
-            assert act_on_end(x, t).grid == sub(mul(rho[x], t.grid), mul(t.grid, rho[x]))
+        assert act_on_end(t).grid == commutator("L", t).grid
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -192,9 +196,9 @@ def test_act_on_end_shifts_weight(n):
     t = random_endo(n)
     for w in range(-2 * n, 2 * n + 1, 2):
         piece = weight_component(t, w)
-        lowered = act_on_end("L", piece)
+        lowered = act_on_end(piece)
         assert weight_component(lowered, w - 2).grid == lowered.grid
-        raised = act_on_end("R", piece)
+        raised = commutator("R", piece)
         assert weight_component(raised, w + 2).grid == raised.grid
 
 
@@ -212,7 +216,7 @@ def test_highest_weight_vector_k0_is_diagonal_ones():
 def test_highest_weight_vectors_killed_by_raising(n):
     for k in range(n + 1):
         v = highest_weight_vector(n, k)
-        assert not any(any(row) for row in act_on_end("R", v).grid)
+        assert not any(any(row) for row in commutator("R", v).grid)
         assert weight_component(v, 2 * k).grid == v.grid
 
 
@@ -244,7 +248,7 @@ def ungraded_coordinates(t):
         for i in range(2 * j + 1):
             columns.append([x for row in v.grid for x in row])
             keys.append((j, i))
-            v = act_on_end("L", v)
+            v = act_on_end(v)
     dim = (n + 1) ** 2
     augmented = [
         list(row) + [F(int(r == c)) for c in range(dim)]
@@ -311,7 +315,7 @@ def test_brute_force_blocks_are_square_per_weight():
 def test_singular_block_raises(monkeypatch):
     # with L acting as zero, every member L^i v_2j with i > 0 vanishes
     zero = EndoElement(2, ((F(0),) * 3,) * 3)
-    monkeypatch.setattr(sl2rep, "act_on_end", lambda x, t: zero)
+    monkeypatch.setattr(sl2rep, "act_on_end", lambda t: zero)
     with pytest.raises(InternalConsistencyError, match="weight-0 block"):
         sl2rep._brute_force_data.__wrapped__(2, 0)
 
@@ -340,7 +344,7 @@ def test_brute_force_reconstructs(n):
     for (j, i), c in coords.items():
         term = highest_weight_vector(n, j)
         for _ in range(i):
-            term = act_on_end("L", term)
+            term = act_on_end(term)
         for a, row in enumerate(term.grid):
             for b, x in enumerate(row):
                 rebuilt[a][b] += c * x
