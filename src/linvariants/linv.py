@@ -17,7 +17,8 @@ per-place symbols grad~ a_{v,1..r}.  Every place has the same pieces.
 Once the B-row is fixed, a place's factor is a ratio of two linear forms,
 `PlaceForms(num, den)`: `place_forms` contracts the pieces with the B-row
 once per request, and `PlaceForms.pair` evaluates (a_v, b_v) at each
-place's gradient assignment and the direction.
+place's gradient assignment and the direction.  Off `hilbert` every place
+reads the same direction, so b_v is evaluated once, at place 0.
 
 `--compare-theorem` reads the theorem's B-row through `theorem_row` and
 prints the theorem's classification from the `THEOREMS` registry.  Each
@@ -75,15 +76,20 @@ class PlaceForms(NamedTuple):
         self, place: int, gradients: Sequence, direction: Direction
     ) -> tuple[Fraction, Fraction]:
         """(a_v, b_v); raises SingularDirectionError(place) when b_v = 0."""
-        gradients = [rational(x) for x in gradients]
-        if len(gradients) != len(self.num):
-            raise DimensionMismatchError("gradient assignment has wrong length")
+        a = self._a(gradients)
         if len(direction.u) + 1 != len(self.den):
             raise DimensionMismatchError("direction has wrong length")
         b = _dot(self.den, direction.u + (direction.u0,))
         if b == 0:
             raise SingularDirectionError(place)
-        return _dot(self.num, gradients), b
+        return a, b
+
+    def _a(self, gradients: Sequence) -> Fraction:
+        """a_v at one place's gradient assignment, whose length is checked first."""
+        gradients = [rational(x) for x in gradients]
+        if len(gradients) != len(self.num):
+            raise DimensionMismatchError("gradient assignment has wrong length")
+        return _dot(self.num, gradients)
 
 
 #: one graded piece: (grad_u kappa_i over (u; u_0), grad~ F_i over grad~ a_1..a_r)
@@ -201,7 +207,10 @@ def per_place_pairs(
     """
     forms = place_forms(data, b_row(*data.b_row))
     if data.family != "hilbert":
-        return [forms.pair(v, a, direction) for v, a in enumerate(assignments)]
+        # every place reads the whole direction, so place 0 finds the one b_v, after its
+        # own gradient check, and the other places take their a_v alone
+        pairs = [forms.pair(0, assignments[0], direction)] if assignments else []
+        return pairs + [(forms._a(a), pairs[0][1]) for a in assignments[1:]]
     fits = len(direction.u) == len(assignments)
     return [
         forms.pair(v, a, Direction(direction.u[v : v + 1] if fits else (), direction.u0))

@@ -3,43 +3,59 @@
 None of this needs the Weyl group or a Hecke eigenvalue.  A slope check
 reads the torus exponent t = (p^{a_1}, ..., p^{a_g}; p^{a_0}) as the pair
 (a, a_0) of its exponents, which a `weylhecke.TorusExponent` is too, and
-the obstruction orders read integer exponents.  So a `slope` request
-compiles this module and `exactlin` only, and an `obstruction` request this
-module alone: the slope functions import `fractions` and `exactlin` when they run.
-Both handlers write their answers as compact JSON text, so neither an
-`obstruction` request nor a `slope` request with plain JSON input imports
-`json`.
+the obstruction orders read integer exponents.  The slope checks read each
+scalar as a pair (numerator, denominator > 0) and decide their inequality
+in integers, both sides scaled by one common denominator: a JSON int and a
+plain `a` or `a/b` string are read with no `fractions`, and only another
+spelling, or a `Fraction` a library caller passes, goes through
+`exactlin.rational`.  So a `slope` request of plain JSON input compiles
+this module and `jsonargs` only, and an `obstruction` request this module
+alone.  Both handlers write their answers as compact JSON text, so neither
+request imports `fractions` or `json`.
 """
 
-from __future__ import annotations
-
 import itertools
-from math import ceil, comb, floor, isqrt
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:  # the integer requests load no `fractions`
-    from fractions import Fraction
+from math import comb, isqrt, lcm
+from typing import Iterable, Sequence
 
 
 class NonDominantError(ValueError):
     """The torus exponent is not dominant (a_1 >= ... >= a_g >= a_0/2)."""
 
 
-def weight_exponent(mu: Sequence[Fraction], mu0: Fraction, t) -> Fraction:
-    """v_p of the highest-weight character (mu_1..mu_g; mu_0) at t = (a, a_0)."""
-    from .exactlin import rational, vector
-    a, a0 = t
-    mu = vector(mu)
-    if len(mu) != len(a):
-        raise ValueError("weight length must equal g")
-    mu0 = rational(mu0)
-    return sum(m * x for m, x in zip(mu, a)) + (mu0 - sum(mu)) * a0 / 2
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an exact scalar, as `exactlin.rational` reads it:
+    an int and a plain `a` or `a/b` text directly, anything else through `rational`,
+    which also refuses what is no exact scalar."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, str):
+        from .cliargs import _plain_ratio
+        pair = _plain_ratio(value)
+        if pair:
+            return pair
+    from .exactlin import rational
+    value = rational(value)
+    return value.numerator, value.denominator
+
+
+def _ratios(values) -> list[tuple[int, int]]:
+    """`_ratio` of each of `values`, a sequence that `exactlin.vector` would take."""
+    if isinstance(values, (str, dict)):
+        from .exactlin import vector
+        vector(values)  # refuses them by name
+    return [_ratio(value) for value in values]
+
+
+def _common(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """The numerators of `pairs` over the lcm of their denominators, and that lcm."""
+    den = lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
 
 
 def slope_check_hilbert(k_weights: Sequence[int], w_weight: int, slopes: Sequence) -> bool:
-    """sum_i ((w + k_i - 2)/2 + v_p(alpha_i)) < min(k_i) - 1, evaluated exactly."""
-    from fractions import Fraction
-    from .exactlin import vector
+    """sum_i ((w + k_i - 2)/2 + v_p(alpha_i)) < min(k_i) - 1, decided in integers:
+    both sides times 2S, S the lcm of the slope denominators."""
     if len(k_weights) != len(slopes):
         raise ValueError("one slope per infinite place is required")
     if not k_weights:
@@ -53,37 +69,48 @@ def slope_check_hilbert(k_weights: Sequence[int], w_weight: int, slopes: Sequenc
             raise ValueError("weights must be at least 2")
         if (k - w_weight) % 2:
             raise ValueError("weights must be congruent to w mod 2")
-    lhs = sum(
-        (Fraction(w_weight + k - 2, 2) + s for k, s in zip(k_weights, vector(slopes))),
-        Fraction(0),
-    )
-    return lhs < min(k_weights) - 1
+    slopes, s_den = _common(_ratios(slopes))
+    lhs = sum((w_weight + k - 2) * s_den + 2 * x for k, x in zip(k_weights, slopes))
+    return lhs < 2 * s_den * (min(k_weights) - 1)
 
 
 def _slope_sides(
     mu_per_place: Sequence[Sequence], mu0, t, slopes: Sequence
-) -> tuple[Fraction, Fraction]:
-    """(LHS, RHS) of the GSp(2g) noncritical-slope inequality; validates the input."""
-    from fractions import Fraction
-    from .exactlin import rational, vector
+) -> tuple[int, int, int]:
+    """(LHS, RHS) of the GSp(2g) noncritical-slope inequality times 2MAS, with M, A
+    and S the lcms of the weight, torus and slope denominators, and what a twist
+    by |.|^1 takes off that LHS; validates the input."""
     a, a0 = t
-    if not (all(x >= y for x, y in zip(a, a[1:])) and a[-1] >= a0 / 2):
+    a = _ratios(a)
+    if not a:
+        raise ValueError("torus exponent needs g >= 1 entries a_1..a_g")
+    (*a, a0), a_den = _common([*a, _ratio(a0)])
+    if not (all(x >= y for x, y in zip(a, a[1:])) and 2 * a[-1] >= a0):
         raise NonDominantError("need a_1 >= ... >= a_g >= a_0/2")
     if len(mu_per_place) != len(slopes):
         raise ValueError("one slope per place is required")
     if not mu_per_place:
         raise ValueError("at least one place is required")
     g = len(a)
-    mu0 = rational(mu0)
-    lhs = Fraction(0)
-    bounds = []
-    for mu, slope in zip(mu_per_place, vector(slopes)):
-        mu = vector(mu)
-        lhs += weight_exponent(mu, mu0, t) + slope
-        for i in range(g - 1):
-            bounds.append((mu[i] - mu[i + 1] + 1) * (a[i] - a[i + 1]))
-        bounds.append(2 * (2 * mu[g - 1] + 1) * a[g - 1])
-    return lhs, min(bounds)
+    mu0 = _ratio(mu0)
+    slopes, s_den = _common(_ratios(slopes))
+    weights = []
+    for mu in mu_per_place:
+        mu = _ratios(mu)
+        if len(mu) != g:
+            raise ValueError("weight length must equal g")
+        weights += mu
+    (mu0, *weights), mu_den = _common([mu0, *weights])
+    lhs, bounds = 0, []
+    for start, slope in zip(range(0, len(weights), g), slopes):
+        mu = weights[start : start + g]
+        # v_p(lambda_v(t)) = sum_i mu_i a_i + (mu_0 - sum_i mu_i) a_0 / 2, plus the slope
+        lhs += (2 * s_den * sum(x * y for x, y in zip(mu, a)) + s_den * (mu0 - sum(mu)) * a0
+                + 2 * mu_den * a_den * slope)
+        bounds += [2 * s_den * (mu[i] - mu[i + 1] + mu_den) * (a[i] - a[i + 1])
+                   for i in range(g - 1)]
+        bounds.append(4 * s_den * (2 * mu[-1] + mu_den) * a[-1])
+    return lhs, min(bounds), mu_den * s_den * len(slopes) * a0
 
 
 def slope_check_gsp(mu_per_place: Sequence[Sequence], mu0, t, slopes: Sequence) -> bool:
@@ -93,7 +120,7 @@ def slope_check_gsp(mu_per_place: Sequence[Sequence], mu0, t, slopes: Sequence) 
     (mu_{v,i} - mu_{v,i+1} + 1)(a_i - a_{i+1}) over i < g and places, and
     2(2 mu_{v,g} + 1) a_g.  t = (a, a_0) must be dominant.
     """
-    lhs, rhs = _slope_sides(mu_per_place, mu0, t, slopes)
+    lhs, rhs, _ = _slope_sides(mu_per_place, mu0, t, slopes)
     return lhs < rhs
 
 
@@ -103,17 +130,17 @@ def twist_search(mu_per_place: Sequence[Sequence], mu0, t, slopes: Sequence) -> 
     Twisting shifts the similitude weight mu_0 by m and every slope by
     -m a_0, so each place's left-hand side moves by -m a_0 / 2 while the
     right-hand side stays fixed.  The twist succeeds exactly when
-    m (places a_0 / 2) > LHS - RHS, which one division solves.
+    m (places a_0 / 2) > LHS - RHS, which one floor division solves on the
+    sides scaled to integers.
     """
-    lhs, rhs = _slope_sides(mu_per_place, mu0, t, slopes)
+    lhs, rhs, step = _slope_sides(mu_per_place, mu0, t, slopes)
     if lhs < rhs:
         return 0
-    _, a0 = t
-    if a0 == 0:
+    if step == 0:
         raise ValueError("a_0 = 0: twisting cannot change the slope")
-    ratio = (lhs - rhs) / (len(slopes) * a0 / 2)
-    # branch on the sign of a_0: at LHS = RHS the ratio is 0 and m is still +-1
-    return floor(ratio) + 1 if a0 > 0 else ceil(ratio) - 1
+    # at LHS = RHS the twist is still one step, in the sign of a_0
+    steps = (lhs - rhs) // abs(step) + 1
+    return steps if step > 0 else -steps
 
 
 #: budget of `refinement_obstruction_orders`, about 4 s and 60 MB at most
@@ -187,7 +214,6 @@ def exclusion_sufficient(orders: Iterable[int], n: int) -> bool:
 def _cmd_slope(args) -> tuple[str, None, None]:
     from .cliargs import CliError
     from .jsonargs import _has_keys, _load_input
-    from .exactlin import rational, vector
 
     def array(value, label: str) -> list:  # a domain error, as vector() gives for a string
         if not isinstance(value, list):
@@ -206,10 +232,7 @@ def _cmd_slope(args) -> tuple[str, None, None]:
     weights = [array(mu, "each entry of weights") for mu in array(obj["weights"], "weights")]
     slopes = array(obj["slopes"], "slopes")
     t_obj = _has_keys(obj["t"], "t", "a", "a0")
-    a = vector(array(t_obj["a"], "t.a"))
-    if not a:
-        raise ValueError("torus exponent needs g >= 1 entries a_1..a_g")
-    t = (a, rational(t_obj["a0"]))
+    t = (array(t_obj["a"], "t.a"), t_obj["a0"])
     text = '{"noncritical":%s' % str(slope_check_gsp(weights, obj["mu0"], t, slopes)).lower()
     if find_twist:  # "twist" sorts after "noncritical"
         text += ',"twist":%d' % twist_search(weights, obj["mu0"], t, slopes)

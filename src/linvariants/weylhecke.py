@@ -145,9 +145,10 @@ def c_g_constant(g: int, w: WeylElement) -> Fraction:
 
 
 def _beta_weight_exponents(g: int, mu: Sequence[Fraction], mu0: Fraction) -> list[Fraction]:
-    """`slopes.weight_exponent`(mu, mu0, beta_{g-i}), i = 1..g, in O(g): beta_j is -1 in
-    its last j slots with a_0 = -2, which gives sum(mu) - mu_0 - (the last j of mu
-    summed), and beta_0 is 0 with a_0 = -1, which gives half of sum(mu) - mu_0."""
+    """v_p of the weight (mu; mu0) at beta_{g-i}, sum_j mu_j a_j + (mu0 - sum(mu)) a_0 / 2,
+    for i = 1..g, in O(g): beta_j is -1 in its last j slots with a_0 = -2, which gives
+    sum(mu) - mu_0 - (the last j of mu summed), and beta_0 is 0 with a_0 = -1, which
+    gives half of sum(mu) - mu_0."""
     if len(mu) != g:
         raise ValueError("weight length must equal g")
     suffix = list(itertools.accumulate(reversed(mu)))

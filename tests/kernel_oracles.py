@@ -15,16 +15,22 @@ computes one C from the recurrence unrolled down to w = 0, an integer sum
 with no division.  `weylhecke.recover_characters` solves the U_{p,i}
 eigenvalue system by one-term steps; `normalized_eigenvalues` is the forward
 map it inverts, one closed-form evaluation at each torus `beta(g, g-i)`
-times the weight factor that `slopes.weight_exponent` gives there.
+times the weight factor that `weight_exponent` gives there, the valuation
+of the highest-weight character at a torus exponent in `Fraction`s (the
+slope checks of `slopes` take the same sum in integers, over one common
+denominator).
 `recovered_character` runs that solve on `Monomial`s, the tests' own
 Laurent monomials, through the exponent maps it takes and returns; every
 oracle here multiplies monomials with that class, and `hecke_diagonal`
 takes the torus numerators itself, not from the helper that `hecke` and
 `hecke --all` share.  From `src/` the oracles take only the readers
 `exactlin.rational` and `vector`, the records `TorusExponent` and
-`WeylElement`, `plethysm.valid_triple` with its error, and the weight
-factor `slopes.weight_exponent`; `recovered_character` wraps the solve
-under test and checks nothing itself.
+`WeylElement`, and `plethysm.valid_triple` with its error;
+`recovered_character` wraps the solve under test and checks nothing itself.
+`slopes` decides the noncritical-slope inequalities and the twist in
+integers over one common denominator; `fraction_slope_hilbert`,
+`fraction_slope_sides` and `fraction_twist` take them one `Fraction` at a
+time, with the same refusals in the same order.
 `b_special`, the paper's special values of B for k >= n-2, is the second
 oracle of the B rows.  The obstruction
 orders of `slopes.refinement_obstruction_orders`, found there from one pass
@@ -34,12 +40,11 @@ each difference by every trial divisor.
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import ceil, comb, factorial, floor
 from typing import NamedTuple
 
 from linvariants.exactlin import rational, vector
 from linvariants.plethysm import InvalidWeightTripleError, valid_triple
-from linvariants.slopes import weight_exponent
 from functools import lru_cache
 from math import lcm
 
@@ -199,6 +204,78 @@ def beta(g: int, j: int) -> TorusExponent:
         raise ValueError("need 0 <= j <= g")
     a, a0 = ([0] * g, -1) if j == 0 else ([0] * (g - j) + [-1] * j, -2)
     return TorusExponent(vector(a), rational(a0))
+
+
+def weight_exponent(mu, mu0, t) -> Fraction:
+    """v_p of the highest-weight character (mu_1..mu_g; mu_0) at t = (a, a_0)."""
+    a, a0 = t
+    mu = vector(mu)
+    if len(mu) != len(a):
+        raise ValueError("weight length must equal g")
+    mu0 = rational(mu0)
+    return sum(m * x for m, x in zip(mu, a)) + (mu0 - sum(mu)) * a0 / 2
+
+
+class NonDominantError(ValueError):
+    """The oracles' own refusal of a torus exponent that is not dominant."""
+
+
+def fraction_slope_hilbert(k_weights, w_weight, slopes) -> bool:
+    """sum_i ((w + k_i - 2)/2 + v_p(alpha_i)) < min(k_i) - 1 in `Fraction`s, with the
+    refusals of `slopes.slope_check_hilbert` in their order."""
+    if len(k_weights) != len(slopes):
+        raise ValueError("one slope per infinite place is required")
+    if not k_weights:
+        raise ValueError("at least one place is required")
+    if not isinstance(w_weight, int) or isinstance(w_weight, bool):
+        raise ValueError(f"w must be an integer, not {w_weight!r}")
+    for k in k_weights:
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ValueError(f"k must hold integers, not {k!r}")
+        if k < 2:
+            raise ValueError("weights must be at least 2")
+        if (k - w_weight) % 2:
+            raise ValueError("weights must be congruent to w mod 2")
+    lhs = sum((Fraction(w_weight + k - 2, 2) + s for k, s in zip(k_weights, vector(slopes))),
+              Fraction(0))
+    return lhs < min(k_weights) - 1
+
+
+def fraction_slope_sides(mu_per_place, mu0, t, slopes) -> tuple[Fraction, Fraction]:
+    """(LHS, RHS) of the GSp(2g) slope inequality in `Fraction`s, with the refusals of
+    `slopes.slope_check_gsp` in their order: reading t, dominance, the lengths, mu_0,
+    the slopes, then each place's weight."""
+    a = vector(t[0])
+    if not a:
+        raise ValueError("torus exponent needs g >= 1 entries a_1..a_g")
+    a0 = rational(t[1])
+    if not (all(x >= y for x, y in zip(a, a[1:])) and a[-1] >= a0 / 2):
+        raise NonDominantError("need a_1 >= ... >= a_g >= a_0/2")
+    if len(mu_per_place) != len(slopes):
+        raise ValueError("one slope per place is required")
+    if not mu_per_place:
+        raise ValueError("at least one place is required")
+    mu0 = rational(mu0)
+    lhs, bounds, g = Fraction(0), [], len(a)
+    for mu, slope in zip(mu_per_place, vector(slopes)):
+        mu = vector(mu)
+        lhs += weight_exponent(mu, mu0, (a, a0)) + slope
+        bounds += [(mu[i] - mu[i + 1] + 1) * (a[i] - a[i + 1]) for i in range(g - 1)]
+        bounds.append(2 * (2 * mu[g - 1] + 1) * a[g - 1])
+    return lhs, min(bounds)
+
+
+def fraction_twist(mu_per_place, mu0, t, slopes) -> int:
+    """The smallest twist from the rational ratio r = (LHS - RHS) / (places a_0 / 2):
+    floor(r) + 1 for a_0 > 0 and ceil(r) - 1 for a_0 < 0."""
+    lhs, rhs = fraction_slope_sides(mu_per_place, mu0, t, slopes)
+    if lhs < rhs:
+        return 0
+    a0 = rational(t[1])
+    if a0 == 0:
+        raise ValueError("a_0 = 0: twisting cannot change the slope")
+    ratio = (lhs - rhs) / (len(slopes) * a0 / 2)
+    return floor(ratio) + 1 if a0 > 0 else ceil(ratio) - 1
 
 
 def normalized_eigenvalues(chi: CharacterData, mu, mu0, w: WeylElement) -> list[Monomial]:

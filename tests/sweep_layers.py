@@ -32,7 +32,11 @@ to BENCH_layers.json.
   eigenvalues of random characters `x_j^a p^{b/2}` at a random Weyl
   element, as the `recover-chi` cap row of the README draws them, up to the
   `--g` cap of 500; bits is the bit length of the largest numerator or
-  denominator of an exponent it returns.
+  denominator of an exponent it returns;
+* `linv.per_place_pairs ...`: the per-place pairs of `gsp_std` at random
+  a/b gradients and direction, |a| and b at most 999, by places at the
+  rank cap g = 200 and by g at 300 places; bits is the bit length of the
+  largest numerator or denominator of a pair.
 
 Each row is [n, seconds, MB, bits]: seconds is the median of REPS timed
 calls, MB the tracemalloc peak of one more call.  `slope` is the
@@ -63,7 +67,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from kernel_oracles import CharacterData, Monomial, monomial_product, normalized_eigenvalues
-from linvariants import cli, phin, plethysm, sl2rep, weylhecke
+from linvariants import cli, linv, phin, plethysm, sl2rep, weylhecke
 
 REPS = 7
 
@@ -206,6 +210,27 @@ def recover_request(g: int):
     return call, bits
 
 
+def place_pairs(g: int, places: int):
+    """(`per_place_pairs` of `gsp_std` at rank g over `places` places, the bits of its pairs)."""
+    rng = random.Random(1000 * g + places)
+
+    def ratio() -> Fraction:
+        return Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+
+    data = linv.family_data("gsp_std", g=g)
+    direction = linv.Direction.make([ratio() for _ in range(g)], ratio())
+    assignments = [[ratio() for _ in range(g)] for _ in range(places)]
+
+    def call():
+        return linv.per_place_pairs(data, direction, assignments)
+
+    def bits() -> int:
+        return max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+                   for pair in call() for x in pair)
+
+    return call, bits
+
+
 #: name -> (sizes, n -> (the call to time, a function giving its bits))
 LADDERS = {
     "sl2rep._brute_force_data": (range(6, 17), block_solve),
@@ -227,6 +252,10 @@ LADDERS = {
     "cli._answer hecke --all": (range(2, 7), whole_request(hecke_all)),
     "cli._answer --format pretty hecke --all":
         (range(2, 7), whole_request(lambda g: ["--format", "pretty", *hecke_all(g)])),
+    "linv.per_place_pairs gsp_std g = 200, by places":
+        ((25, 50, 100, 200, 300), lambda places: place_pairs(200, places)),
+    "linv.per_place_pairs gsp_std 300 places, by g":
+        ((2, 25, 50, 100, 200), lambda g: place_pairs(g, 300)),
 }
 
 

@@ -97,3 +97,11 @@ def test_the_whole_request_ladders_run_up_to_their_caps():
     for name in ("cli._answer hecke --all", "cli._answer --format pretty hecke --all"):
         for sizes in ladder_sizes(name):
             assert sizes == list(range(2, 7))
+
+
+def test_the_per_place_pairs_ladders_run_up_to_the_caps():
+    # `gsp_std` by places at the rank cap g = 200, and by g up to that cap at 300 places
+    for sizes in ladder_sizes("linv.per_place_pairs gsp_std g = 200, by places"):
+        assert sizes == [25, 50, 100, 200, 300]
+    for sizes in ladder_sizes("linv.per_place_pairs gsp_std 300 places, by g"):
+        assert sizes == [2, 25, 50, 100, 200]

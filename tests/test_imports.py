@@ -180,15 +180,17 @@ INTEGER_REQUESTS = [
 ]
 
 
-def fraction_modules(argv, code=0) -> list[str]:
-    """Which of `fractions`, `decimal`, `numbers` and `exactlin` the request `argv` loads."""
+def fraction_modules(argv, code=0, stdin: str = "", also=()) -> list[str]:
+    """Which of `fractions`, `decimal`, `numbers`, `exactlin` and the modules `also`
+    the request `argv` loads."""
+    watched = {"fractions", "decimal", "numbers", "linvariants.exactlin", *also}
     return fresh(
         "import contextlib, io, json, sys\n"
         "from linvariants.cli import main\n"
+        f"sys.stdin = io.TextIOWrapper(io.BytesIO({stdin.encode()!r}))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == {code}\n"
-        "print(json.dumps(sorted({'fractions', 'decimal', 'numbers', 'linvariants.exactlin'}"
-        " & set(sys.modules))))"
+        f"print(json.dumps(sorted({watched!r} & set(sys.modules))))"
     )
 
 
@@ -201,6 +203,38 @@ def test_integer_requests_load_no_fractions(argv):
 def test_a_decimal_l_loads_exactlin():
     argv = ["phin", "--case", "steinberg", "--n", "3", "--L=0.5"]
     assert fraction_modules(argv) == ["decimal", "fractions", "linvariants.exactlin", "numbers"]
+
+
+#: `slope` requests of plain JSON input, which `slopes` decides in integers: a hilbert
+#: request with `a/b` slopes, and gsp twist searches of int and of `a/b` values
+PLAIN_SLOPE_REQUESTS = [
+    pytest.param(["slope", "--family", "hilbert", "--input", "-"],
+                 '{"k": [4, 6, 2], "w": 0, "slopes": ["1/2", " -7/3 ", "+4"]}', id="hilbert"),
+    pytest.param(
+        ["slope", "--family", "gsp", "--input", "-"],
+        '{"weights": [[5, 3], [4, 4]], "mu0": 0, "t": {"a": [2, 1], "a0": -1},'
+        ' "slopes": [300, 7], "find_twist": true}', id="gsp-int",
+    ),
+    pytest.param(
+        ["slope", "--family", "gsp", "--input", "-"],
+        '{"weights": [["5/2", 3]], "mu0": "1/3", "t": {"a": ["3/2", "1/2"], "a0": "1/3"},'
+        ' "slopes": ["401/3"], "find_twist": true}', id="gsp-ratio",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stdin", PLAIN_SLOPE_REQUESTS)
+def test_plain_slope_requests_load_no_fractions(argv, stdin):
+    # nor `__future__`, which `slopes` no longer imports
+    assert fraction_modules(argv, stdin=stdin, also=["__future__"]) == []
+
+
+def test_a_decimal_slope_loads_exactlin():
+    # a spelling past plain `a` or `a/b` goes through `exactlin.rational`
+    argv = ["slope", "--family", "hilbert", "--input", "-"]
+    stdin = '{"k": [3], "w": 1, "slopes": ["0.5"]}'
+    assert fraction_modules(argv, stdin=stdin) == ["decimal", "fractions",
+                                                   "linvariants.exactlin", "numbers"]
 
 
 #: the standard library's JSON reader and writer, which `cliargs._json_text`, `_emit` (to indent)

@@ -334,6 +334,43 @@ def test_per_place_pairs_computes_the_b_row_once(monkeypatch):
     assert calls == [(4, 3)]
 
 
+def test_per_place_pairs_evaluates_b_once_off_hilbert(monkeypatch):
+    # one direction for every place: one dot with `den`, and one dot with `num` per place
+    dots = []
+
+    def counting_dot(coeffs, values):
+        dots.append(len(values))
+        return linv_dot(coeffs, values)
+
+    linv_dot = linv._dot
+    monkeypatch.setattr(linv, "_dot", counting_dot)
+    data = family_data("gsp_std", g=3)
+    direction = Direction.make([5, 2, 1], 1)
+    assignments = [[1, 2, 3], [5, -1, 2], ["1/2", 0, 7], [3, 3, 3]]
+    pairs = per_place_pairs(data, direction, assignments)
+    assert sorted(dots) == [3] * 4 + [4]
+    forms = place_forms(data, b_row(*data.b_row))
+    assert pairs == [forms.pair(v, a, direction) for v, a in enumerate(assignments)]
+
+
+def test_per_place_pairs_off_hilbert_refuses_in_place_order():
+    # place 0's gradient check comes before a singular direction, which place 0 reports
+    # before any later place's gradients are read
+    data = family_data("gsp_std", g=2)
+    den = place_forms(data, b_row(*data.b_row)).den
+    singular = Direction.make([den[1], -den[0]], 0)
+    with pytest.raises(DimensionMismatchError, match="gradient assignment has wrong length"):
+        per_place_pairs(data, singular, [[1], [1, 2]])
+    with pytest.raises(SingularDirectionError) as err:
+        per_place_pairs(data, singular, [[1, 2], [1]])
+    assert err.value.place == 0
+    with pytest.raises(DimensionMismatchError, match="direction has wrong length"):
+        per_place_pairs(data, Direction.make([1], 0), [[1, 2], [1]])
+    with pytest.raises(DimensionMismatchError, match="gradient assignment has wrong length"):
+        per_place_pairs(data, Direction.make([1, 2], 0), [[1, 2], [1]])
+    assert per_place_pairs(data, singular, []) == []
+
+
 def test_compare_theorem_builds_one_b_row(monkeypatch, tmp_path, capsys):
     # the classification is the registry's, so the request's own row is the only one
     calls = []

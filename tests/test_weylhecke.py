@@ -18,7 +18,6 @@ from linvariants.slopes import (
     slope_check_gsp,
     slope_check_hilbert,
     twist_search,
-    weight_exponent,
 )
 from linvariants.weylhecke import (
     TorusExponent,
@@ -40,6 +39,7 @@ from kernel_oracles import (
     nested_loop_weyl_group,
     normalized_eigenvalues,
     recovered_character,
+    weight_exponent,
     weyl_conjugate,
     weyl_json,
 )
