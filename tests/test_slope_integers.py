@@ -36,6 +36,11 @@ def outcome(func, *args):
         return type(err).__name__, str(err)
 
 
+def fraction_slope_gsp(*case) -> bool:
+    lhs, rhs = fraction_slope_sides(*case)
+    return lhs < rhs
+
+
 small = st.integers(-12, 12)
 ratios = st.builds(F, small, st.sampled_from([1, 2, 3, 4, 6]))
 
@@ -132,8 +137,7 @@ def test_hilbert_at_equality_is_critical(case):
 @example(([[9, 2]], 0, ([3, 1], 0), [50]))
 @example(([[3, 2]], 0, ([1, 2], 0), [0]))
 def test_gsp_and_the_twist_match_the_fraction_oracle(case):
-    assert outcome(slope_check_gsp, *case) == outcome(
-        lambda *args: (lambda lhs, rhs: lhs < rhs)(*fraction_slope_sides(*args)), *case)
+    assert outcome(slope_check_gsp, *case) == outcome(fraction_slope_gsp, *case)
     assert outcome(twist_search, *case) == outcome(fraction_twist, *case)
 
 
