@@ -2,7 +2,7 @@
 
 Submodules:
 
-* exactlin  -- exact scalars and vectors
+* exactlin  -- exact scalars and vectors as Fractions
 * sl2rep    -- the sl(2) action on End(Sym^n V), weight-graded brute-force oracle
   with its fraction-free block inverse
 * plethysm  -- the inverse Clebsch-Gordan table with its weight-triple check,
@@ -15,14 +15,20 @@ Submodules:
 * linv      -- triangulation rows, one pair of linear forms per place
 * cli       -- JSON/CSV command-line interface; each subcommand's handler
   lives in its maths module above
-* cliargs   -- the CLI's refusal and scalar argument readers
+* cliargs   -- the CLI's refusal and integer argument reader
 * jsonargs  -- the CLI's JSON argument readers, plain JSON read without `json`
 
 `linvariants.<name>` imports a submodule on first use.  The registries
-live here so that the CLI's parser reads them without importing the maths.
+live here so that the CLI's parser reads them without importing the maths,
+and so do `ratio`, the one reader of exact scalars, `ratios` and the digit
+guard `_digit_limit`, which every request that reads a scalar needs: `ratio`
+imports `exactlin` only for a value it does not read in integers.
 """
 
 import importlib
+import re
+import sys
+from math import gcd
 
 __all__ = [
     "exactlin",
@@ -55,6 +61,40 @@ THEOREMS = {
     "D1": ("unitary", None, -1),
     "D2": ("unitary", lambda n, k: (n, n - 2), -1),
 }
+
+
+def _digit_limit(text: str) -> int:
+    """Python's int digit limit if `text` is longer and holds a longer run of digits
+    (underscores join runs, as in an int literal), else 0: one linear scan."""
+    limit = sys.get_int_max_str_digits()
+    runs = len(text) > limit > 0 and re.findall(r"\d+", text.replace("_", ""))
+    return limit if runs and max(map(len, runs)) > limit else 0
+
+
+def ratio(value) -> tuple[int, int]:
+    """(num, den > 0), reduced, of an exact scalar: a JSON int and a plain `a` or `a/b`
+    text (a sign or none, digit runs within Python's limit, a nonzero b, space around it)
+    in integers, any other value through `exactlin._fraction`, which keeps every refusal."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, str):
+        num, slash, den = value.strip().partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if (digits.isdecimal() and (den.isdecimal() or not slash)
+                and max(len(digits), len(den)) <= sys.get_int_max_str_digits() and int(den or 1)):
+            num, den = int(num), int(den or 1)
+            common = gcd(num, den)
+            return num // common, den // common
+    from .exactlin import _fraction
+    value = _fraction(value)
+    return value.numerator, value.denominator
+
+
+def ratios(values) -> list[tuple[int, int]]:
+    """`ratio` of each of `values`; a str or a dict, iterable as it is, is refused."""
+    if isinstance(values, (str, dict)):
+        raise TypeError(f"not a sequence of exact scalars: {values!r}")
+    return [ratio(value) for value in values]
 
 
 def __getattr__(name: str):

@@ -1,18 +1,17 @@
-"""The CLI's refusal and its readers of scalar arguments.
+"""The CLI's refusal and its reader of integer arguments.
 
 `cli` imports this module on every request, so it holds only what any
-request may need: `CliError`, `_int`, `_plain_ratio`, `_cap` and
-`_json_text`, the one `json.dumps`, for the answers that hold a string from
-outside.  The readers of JSON arguments are `jsonargs`, which only a
-request that reads one imports.  Run as `python -m linvariants.cli`, `cli`
-is `__main__`, so a handler importing `CliError` from `cli` would load a
-second copy of it, whose refusals `main` would not catch: the handlers
-import it from here, when they run, so importing a maths module as a
-library compiles no CLI code.
+request may need: `CliError`, `_int`, `_cap` and `_json_text`, the one
+`json.dumps`, for the answers that hold a string from outside.  Exact
+scalars are read by the package's `ratio`, and JSON arguments by
+`jsonargs`, which only a request that reads one imports.  Run as
+`python -m linvariants.cli`, `cli` is `__main__`, so a handler importing
+`CliError` from `cli` would load a second copy of it, whose refusals `main`
+would not catch: the handlers import it from here, when they run, so
+importing a maths module as a library compiles no CLI code.
 """
 
-import re
-import sys
+from . import _digit_limit
 
 
 class CliError(Exception):
@@ -26,25 +25,9 @@ class CliError(Exception):
 
 def _int(text: str, label: str) -> int:
     """int(text); a digit run past Python's limit is refused by name, other ValueErrors pass."""
-    limit = sys.get_int_max_str_digits()
-    if len(text) > limit > 0 and re.search(r"\d{%d}" % (limit + 1), text.replace("_", "")):
+    if limit := _digit_limit(text):
         raise CliError(f"{label} {text[:20]}... holds an int past Python's limit of {limit} digits")
     return int(text)
-
-
-def _plain_ratio(text: str) -> tuple[int, int] | None:
-    """(a, b) of a text spelled as a plain `a` or `a/b`, else None.
-
-    Plain means a sign or none, decimal digits, a nonzero b, no more characters
-    than Python's int digit limit, and whitespace only around it.  Such a text
-    is a/b to `exactlin.rational` too, which reads every other spelling.
-    """
-    num, slash, den = text.strip().partition("/")
-    digits = num[1:] if num[:1] in ("+", "-") else num
-    if (digits.isdecimal() and (den.isdecimal() or not slash)
-            and len(text) <= sys.get_int_max_str_digits() and int(den or 1)):
-        return int(num), int(den or 1)
-    return None
 
 
 def _cap(value: int, cap: int, what: str) -> None:

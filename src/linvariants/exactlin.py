@@ -1,17 +1,14 @@
-"""Exact scalars and vectors over Q.
+"""Exact scalars and vectors over Q as `fractions.Fraction`s.
 
-Everything is computed with `fractions.Fraction`, so results are exact.
-The one elimination, fraction-free on integer rows, lives in `sl2rep`
-beside its one caller; the tests' `Fraction` row reduction, `rref`, runs
-through it from `tests/linalg_oracle.py`.
+`rational` and `vector` are the `Fraction` front of `linvariants.ratio`, the one
+reader of exact scalars, and `_fraction` reads for it what it does not read
+in integers.  The eliminations are in `sl2rep` and `tests/linalg_oracle.py`.
 """
 
-from __future__ import annotations
-
-import re
-import sys
 from fractions import Fraction
 from typing import Iterable
+
+from . import _digit_limit, ratio, ratios
 
 Vector = tuple[Fraction, ...]
 
@@ -26,18 +23,25 @@ MAX_DECIMAL_EXPONENT = 10**4
 
 
 def rational(value) -> Fraction:
-    """Coerce ints, strings like '3/4' or '1.5e-3' and Fractions to Fraction.
-
-    bool is refused although it is an int: a JSON true is not a scalar.
-    """
+    """A Fraction as it is; an int or a text like '3/4' or '1.5e-3' as `linvariants.ratio` reads it."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    return Fraction(*ratio(value))
+
+
+def vector(values: Iterable) -> Vector:
+    """The exact scalars of a sequence; a str or a dict, iterable as it is, is refused."""
+    return tuple(Fraction(*pair) for pair in ratios(values))
+
+
+def _fraction(value) -> Fraction:
+    """A Fraction, an int or a string that `linvariants.ratio` does not read in integers;
+    bool is refused although it is an int: a JSON true is not a scalar."""
+    if isinstance(value, Fraction) or isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         # Python reads no int of more digits: reading one takes quadratic time
-        limit = sys.get_int_max_str_digits()
-        if len(value) > limit > 0 and re.search(r"\d{%d}" % (limit + 1), value.replace("_", "")):
+        if limit := _digit_limit(value):
             raise ValueError(f"{value[:20]}... holds an int past Python's limit of {limit} digits")
         digits = value.upper().partition("E")[2].strip().lstrip("+-").replace("_", "")
         if digits.isdigit() and int(digits) > MAX_DECIMAL_EXPONENT:
@@ -47,10 +51,3 @@ def rational(value) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact scalar: {value!r}")
-
-
-def vector(values: Iterable) -> Vector:
-    """The exact scalars of a sequence; a str or a dict, iterable as it is, is refused."""
-    if isinstance(values, (str, dict)):
-        raise TypeError(f"not a sequence of exact scalars: {values!r}")
-    return tuple(rational(v) for v in values)

@@ -10,33 +10,34 @@ where grad~ F = (grad_u F)/F is a logarithmic directional derivative,
 grad_u kappa is the directional derivative of the weight form (constant
 terms drop), and B is the plethysm projection row.  Pure p-power factors
 inside F_i never survive grad~, so each graded piece is stored as two
-rows: grad_u kappa_i over the direction coordinates (u_1..u_g; u_0), or
-(u_v; u_0) at a hilbert place v, and grad~ F_i as integers over the
-per-place symbols grad~ a_{v,1..r}.  Every place has the same pieces.
+integer rows: grad_u kappa_i times the family's `kappa_den` (2 where the
+weights hold halves) over the direction coordinates (u_1..u_g; u_0), or
+(u_v; u_0) at a hilbert place v, and grad~ F_i over the per-place symbols
+grad~ a_{v,1..r}.  Every place has the same pieces.
 
 Once the B-row is fixed, a place's factor is a ratio of two linear forms,
-`PlaceForms(num, den)`: `place_forms` contracts the pieces with the B-row
-once per request, and `PlaceForms.pair` evaluates (a_v, b_v) at each
-place's gradient assignment and the direction.  Off `hilbert` every place
-reads the same direction, so b_v is evaluated once, at place 0.
+`PlaceForms`: `place_forms` contracts the pieces with the B-row once per
+request, and `PlaceForms.pair` evaluates (a_v, b_v) at each place's
+gradient assignment and the direction; off `hilbert`, b_v once, at place 0.
+Every scalar is a reduced pair (num, den > 0), as `linvariants.ratio` reads it:
+a dot product adds one term at a time and the product cancels crosswise,
+in integers as `Fraction` does, so no common denominator of many long ones
+is built.  A request of ints and plain `a/b` texts loads no `fractions`.
 
 `--compare-theorem` reads the theorem's B-row through `theorem_row` and
-prints the theorem's classification from the `THEOREMS` registry.  Each
-displayed closed form (sym^2, sym^6, sym^{4n-2}, sym^{8n-2}, sym^{8n-6})
-is the generic formula times one scalar at every rank, 1 (exact) or -1
-(sign_flip); `tests/test_theorem_proof.py` proves it in the rank, and
-the numeric comparison and the literal displays stay as test oracles in
-`tests/paper_displays.py`.
+prints the classification of the `THEOREMS` registry: each displayed closed
+form is the generic formula times 1 (exact) or -1 (sign_flip) at every
+rank, which `tests/test_theorem_proof.py` proves; the numeric comparison
+and the literal displays are test oracles in `tests/paper_displays.py`.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from . import FAMILIES, THEOREMS
-from .exactlin import DimensionMismatchError, rational, vector
+from . import FAMILIES, THEOREMS, ratio, ratios
 from .plethysm import b_row
+
+Ratio = tuple[int, int]  # (numerator, denominator > 0), reduced, as `linvariants.ratio` reads it
 
 
 class SingularDirectionError(ValueError):
@@ -50,50 +51,74 @@ class SingularDirectionError(ValueError):
 class Direction(NamedTuple):
     """Direction (u_1..u_g; u_0) in the weight space."""
 
-    u: tuple[Fraction, ...]
-    u0: Fraction
+    u: tuple[Ratio, ...]
+    u0: Ratio
 
     @classmethod
     def make(cls, u: Iterable, u0) -> "Direction":
-        return cls(vector(u), rational(u0))
+        return cls(tuple(ratios(u)), ratio(u0))
 
 
-def _dot(coeffs: Sequence, values: Sequence[Fraction]) -> Fraction:
-    return sum((c * x for c, x in zip(coeffs, values) if c), Fraction(0))
+def _dot(coeffs: Sequence[int], values: Sequence[Ratio]) -> Ratio:
+    """coeffs . values, one term at a time as `Fraction` adds them."""
+    num, den = 0, 1
+    for c, value in zip(coeffs, values):
+        if c and value[0]:
+            p, q = _times((c, 1), value)
+            g = gcd(den, q)
+            num = num * (q // g) + p * (den // g)
+            h = gcd(num, g)
+            num, den = num // h, den // g * (q // h)
+    return num, den
+
+
+def _times(x: Ratio, y: Ratio) -> Ratio:
+    """x * y, cancelling crosswise as `Fraction` multiplies."""
+    (p, q), (r, s) = x, y
+    g, h = gcd(p, s), gcd(r, q)
+    return (p // g) * (r // h), (q // h) * (s // g)
+
+
+def _quotient(x: Ratio, y: Ratio) -> Ratio:
+    """x / y for y != 0."""
+    return _times(x, (y[1], y[0]) if y[0] > 0 else (-y[1], -y[0]))
+
+
+def _text(x: Ratio) -> str:
+    """x as `str(Fraction)` writes it."""
+    return str(x[0]) if x[1] == 1 else "%d/%d" % x
 
 
 class PlaceForms(NamedTuple):
-    """One place's factor a_v / b_v as two linear forms.
+    """One place's factor a_v / b_v: a_v = num_scale * num . (grad~ a_1..grad~ a_r), the
+    formula's leading minus folded into num, and b_v = den_scale * den . (u_1..u_g, u_0)."""
 
-    a_v = num . (grad~ a_1..grad~ a_r), with the formula's leading minus
-    sign folded into num, and b_v = den . (u_1..u_g, u_0).
-    """
+    num: tuple[int, ...]
+    den: tuple[int, ...]
+    num_scale: Ratio = (1, 1)
+    den_scale: Ratio = (1, 1)
 
-    num: tuple[Fraction, ...]
-    den: tuple[Fraction, ...]
-
-    def pair(
-        self, place: int, gradients: Sequence, direction: Direction
-    ) -> tuple[Fraction, Fraction]:
+    def pair(self, place: int, gradients: Sequence[Ratio], direction: Direction) -> tuple:
         """(a_v, b_v); raises SingularDirectionError(place) when b_v = 0."""
         a = self._a(gradients)
         if len(direction.u) + 1 != len(self.den):
+            from .exactlin import DimensionMismatchError  # only to refuse
             raise DimensionMismatchError("direction has wrong length")
-        b = _dot(self.den, direction.u + (direction.u0,))
-        if b == 0:
+        b = _times(_dot(self.den, direction.u + (direction.u0,)), self.den_scale)
+        if b[0] == 0:
             raise SingularDirectionError(place)
         return a, b
 
-    def _a(self, gradients: Sequence) -> Fraction:
+    def _a(self, gradients: Sequence[Ratio]) -> Ratio:
         """a_v at one place's gradient assignment, whose length is checked first."""
-        gradients = [rational(x) for x in gradients]
         if len(gradients) != len(self.num):
+            from .exactlin import DimensionMismatchError
             raise DimensionMismatchError("gradient assignment has wrong length")
-        return _dot(self.num, gradients)
+        return _times(_dot(self.num, gradients), self.num_scale)
 
 
-#: one graded piece: (grad_u kappa_i over (u; u_0), grad~ F_i over grad~ a_1..a_r)
-Piece = tuple[tuple[Fraction, ...], tuple[int, ...]]
+#: one graded piece: (grad_u kappa_i times `kappa_den` over (u; u_0), grad~ F_i over grad~ a)
+Piece = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class TriangulationData(NamedTuple):
@@ -102,34 +127,17 @@ class TriangulationData(NamedTuple):
     family: str
     b_row: tuple[int, int]
     pieces: tuple[Piece, ...]
+    kappa_den: int = 1
 
     @property
     def num_hecke(self) -> int:
         return len(self.pieces[0][1])
 
 
-def _unit(length: int, pos: int, scale) -> tuple[Fraction, ...]:
-    row = [Fraction(0)] * length  # one shared zero: the rows are sparse
-    row[pos] = Fraction(scale)
-    return tuple(row)
-
-
-def _hilbert_pieces() -> tuple[Piece, ...]:
-    half = Fraction(1, 2)
-    return tuple(((s * half, half), (s,)) for s in (-1, 1))
-
-
-def _gsp4_spin_pieces() -> tuple[Piece, ...]:
-    half = Fraction(1, 2)
-    signs = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-    logfs = [(0, -1), (-1, 1), (1, -1), (0, 1)]
-    return tuple(((s1 * half, s2 * half, half), f) for (s1, s2), f in zip(signs, logfs))
-
-
 def _gsp_std_pieces(g: int) -> tuple[Piece, ...]:
     pieces: list[Piece | None] = [None] * (2 * g + 1)
     mid = g  # 0-based middle index
-    pieces[mid] = ((Fraction(0),) * (g + 1), (0,) * g)
+    pieces[mid] = ((0,) * (g + 1), (0,) * g)
     for s in range(1, g + 1):
         i = g + 1 - s  # the Hecke index paired with graded slots mid +- s
         coeffs = [0] * g  # grad~ a_1, or grad~ a_{i-1} - grad~ a_i (- 2 grad~ a_g at i = g)
@@ -137,16 +145,15 @@ def _gsp_std_pieces(g: int) -> tuple[Piece, ...]:
             coeffs[0] = 1
         else:
             coeffs[i - 2], coeffs[i - 1] = 1, (-2 if i == g else -1)
-        pieces[mid + s] = (_unit(g + 1, i - 1, 1), tuple(coeffs))
-        pieces[mid - s] = (_unit(g + 1, i - 1, -1), tuple(-c for c in coeffs))
+        kappa = tuple(int(j == i - 1) for j in range(g + 1))
+        pieces[mid + s] = (kappa, tuple(coeffs))
+        pieces[mid - s] = (tuple(-x for x in kappa), tuple(-c for c in coeffs))
     return tuple(pieces)
 
 
 def _unitary_pieces(size: int) -> tuple[Piece, ...]:
-    return tuple(
-        (_unit(size + 1, i, -1), tuple(int(j == i) for j in range(size)))
-        for i in range(size)
-    )
+    return tuple((tuple(-int(j == i) for j in range(size + 1)),
+                  tuple(int(j == i) for j in range(size))) for i in range(size))
 
 
 def _rank(family: str, name: str, value, least: int) -> int:
@@ -167,9 +174,11 @@ def family_data(family: str, *, g: int | None = None, n: int | None = None) -> T
     4n pieces with grad~ F_i = grad~ a_{v,i}.
     """
     if family == "hilbert":
-        return TriangulationData("hilbert", (1, 1), _hilbert_pieces())
+        return TriangulationData("hilbert", (1, 1), (((-1, 1), (-1,)), ((1, 1), (1,))), 2)
     if family == "gsp4_spin":
-        return TriangulationData("gsp4_spin", (3, 3), _gsp4_spin_pieces())
+        pieces = [((-1, -1, 1), (0, -1)), ((-1, 1, 1), (-1, 1)), ((1, -1, 1), (1, -1)),
+                  ((1, 1, 1), (0, 1))]
+        return TriangulationData("gsp4_spin", (3, 3), tuple(pieces), 2)
     if family == "gsp_std":
         g = _rank("gsp_std", "g", g, 2)
         return TriangulationData("gsp_std", (2 * g, 2 * g - 1), _gsp_std_pieces(g))
@@ -179,13 +188,14 @@ def family_data(family: str, *, g: int | None = None, n: int | None = None) -> T
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def place_forms(data: TriangulationData, row: Sequence) -> PlaceForms:
+def place_forms(data: TriangulationData, row: Sequence[int]) -> PlaceForms:
     """Contract the graded pieces with the B-row `row`: the forms of every place."""
     pieces = data.pieces
     if len(row) != len(pieces):
+        from .exactlin import DimensionMismatchError
         raise DimensionMismatchError("B-row length must match the graded pieces")
-    num = [Fraction(0)] * len(pieces[0][1])
-    den = [Fraction(0)] * len(pieces[0][0])
+    num = [0] * len(pieces[0][1])
+    den = [0] * len(pieces[0][0])
     for coeff, (kappa, logf) in zip(row, pieces):
         for j, c in enumerate(logf):
             if c:
@@ -193,14 +203,17 @@ def place_forms(data: TriangulationData, row: Sequence) -> PlaceForms:
         for j, c in enumerate(kappa):
             if c:
                 den[j] += coeff * c
-    return PlaceForms(tuple(num), tuple(den))
+    # a row's content goes to its scalar: 1738 of 1856 digits at `gsp_std` g = 200
+    g, h = gcd(*num) or 1, gcd(*den) or 1
+    return PlaceForms(tuple(x // g for x in num), tuple(x // h for x in den), (g, 1),
+                      _times((h, 1), (1, data.kappa_den)))
 
 
 def per_place_pairs(
-    data: TriangulationData, direction: Direction, assignments: Sequence[Sequence]
-) -> list[tuple[Fraction, Fraction]]:
+    data: TriangulationData, direction: Direction, assignments: Sequence[Sequence[Ratio]]
+) -> list[tuple[Ratio, Ratio]]:
     """Per-place (a_v, b_v) with a_v/b_v the place's L-invariant factor, one place per
-    gradient assignment; the pieces are contracted once for all places.
+    gradient assignment of pairs that `linvariants.ratio` read; the pieces are contracted once.
 
     A hilbert place v reads (u_v; u_0), so the direction needs one u per
     place; with any other length place 0 fails as the wrong length.
@@ -218,14 +231,13 @@ def per_place_pairs(
     ]
 
 
-def rank1_combine(pairs: Sequence[tuple]) -> Fraction:
+def rank1_combine(pairs: Sequence[tuple[Ratio, Ratio]]) -> Ratio:
     """prod_v a_v / b_v for rank-one graded pieces."""
-    result = Fraction(1)
+    result = (1, 1)
     for v, (a, b) in enumerate(pairs):
-        a, b = rational(a), rational(b)
-        if b == 0:
+        if b[0] == 0:
             raise ZeroDivisionError(f"b_{v} = 0 at place {v}")
-        result *= a / b
+        result = _times(result, _quotient(a, b))
     return result
 
 
@@ -267,13 +279,14 @@ def _cmd_linv(args) -> tuple[str, None, None]:
     for place in places_obj:
         gradients = _has_keys(place, "each place", "gradients")["gradients"]
         gradients = _has_keys(gradients, "gradients", *keys)
-        assignments.append([rational(gradients[key]) for key in keys])
+        assignments.append([ratio(gradients[key]) for key in keys])
     try:
         pairs = per_place_pairs(data, direction, assignments)
     except SingularDirectionError as err:
         raise CliError(str(err), 3, code="singular_direction", place=err.place) from err
-    value = str(rank1_combine(pairs))  # first, as the likeliest to pass the digit limit
-    places = ",".join('{"a":"%s","b":"%s","value":"%s"}' % (a, b, a / b) for a, b in pairs)
+    value = _text(rank1_combine(pairs))  # first, as the likeliest to pass the digit limit
+    place = '{"a":"%s","b":"%s","value":"%s"}'
+    places = ",".join(place % tuple(map(_text, (a, b, _quotient(a, b)))) for a, b in pairs)
     text = '"per_place":[%s],"value":"%s"}' % (places, value)
     if which:  # "classification" sorts first
         scalar = THEOREMS[which][2]

@@ -48,9 +48,8 @@ these closed forms replace is the test oracle `tests/phin_oracle.py`.
 """
 
 from itertools import chain, combinations
-from math import gcd
 
-from . import CASES
+from . import CASES, ratio
 
 STEINBERG, CRYSTALLINE_SPLIT, CRYSTALLINE_NONSPLIT = CASES
 
@@ -68,18 +67,10 @@ STEINBERG_ALL_SUBMODULES_MAX_N = 500
 
 def _l_text(text: str) -> str:
     """str(exactlin.rational(text)), refused if 0; a plain a or a/b is read in integers."""
-    from .cliargs import _plain_ratio
-    ratio = _plain_ratio(text)
-    if ratio:
-        a, b = ratio
-        g = gcd(a, b)
-        value = str(a // g) if b == g else f"{a // g}/{b // g}"
-    else:  # a decimal point, an exponent, underscores, a zero denominator or no number
-        from .exactlin import rational
-        value = str(rational(text))
-    if value == "0":
+    a, b = ratio(text)
+    if a == 0:
         raise ValueError("steinberg case requires a nonzero L-parameter")
-    return value
+    return str(a) if b == 1 else f"{a}/{b}"
 
 
 def _cmd_phin(args) -> tuple[str, None, None]:

@@ -38,12 +38,12 @@ no `json`.  Only the diagonal projection takes rationals, and it imports
 `fractions` and `exactlin` only for a diagonal entry that is no integer.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import islice
 from math import comb, factorial
 from typing import TYPE_CHECKING, NamedTuple
+
+from . import ratio
 
 if TYPE_CHECKING:  # the integer requests load no `fractions`
     from fractions import Fraction
@@ -139,7 +139,7 @@ def b_row(n: int, k: int) -> tuple[int, ...]:
 class DiagonalProjection(NamedTuple):
     """g_{2k,k} coefficient plus the (always-zero) past-the-middle tail."""
 
-    middle: int | Fraction
+    middle: "int | Fraction"
     tail: tuple[int, ...]
 
 
@@ -220,15 +220,14 @@ def _cmd_bcoeff(args) -> tuple[str, str, list]:
 
 
 def _cmd_project_endo(args) -> tuple[str, None, None]:
-    from .cliargs import CliError, _cap, _plain_ratio
+    from .cliargs import CliError, _cap
     from .jsonargs import _parse_json_arg
     _cap(args.n, PROJECT_ENDO_MAX_N, "project-endo --n")
     diag = _parse_json_arg(args.diag, "--diag")
     if not isinstance(diag, list):
         raise CliError("--diag must be a JSON array of rationals")
-    # a plain integer string is read as an int, so a diagonal of them needs no `fractions`
-    ratios = [isinstance(x, str) and _plain_ratio(x) for x in diag]
-    diag = [r[0] if r and r[1] == 1 else x for x, r in zip(diag, ratios)]
+    # an integer entry is read as an int, so a diagonal of them needs no `fractions`
+    diag = [a if b == 1 else x for x, (a, b) in zip(diag, map(ratio, diag))]
     result = project_endomorphism_diagonal(args.n, args.k, diag)
     tail = ",".join('"%s"' % x for x in result.tail)
     return '{"middle":"%s","tail":[%s]}' % (result.middle, tail), None, None

@@ -4,47 +4,23 @@ None of this needs the Weyl group or a Hecke eigenvalue.  A slope check
 reads the torus exponent t = (p^{a_1}, ..., p^{a_g}; p^{a_0}) as the pair
 (a, a_0) of its exponents, which a `weylhecke.TorusExponent` is too, and
 the obstruction orders read integer exponents.  The slope checks read each
-scalar as a pair (numerator, denominator > 0) and decide their inequality
-in integers, both sides scaled by one common denominator: a JSON int and a
-plain `a` or `a/b` string are read with no `fractions`, and only another
-spelling, or a `Fraction` a library caller passes, goes through
-`exactlin.rational`.  So a `slope` request of plain JSON input compiles
-this module and `jsonargs` only, and an `obstruction` request this module
-alone.  Both handlers write their answers as compact JSON text, so neither
-request imports `fractions` or `json`.
+scalar as a pair (numerator, denominator > 0) with `linvariants.ratio` and
+decide their inequality in integers, both sides scaled by one common
+denominator.  So a `slope` request of plain JSON input compiles this module
+and `jsonargs` only, and an `obstruction` request this module alone.  Both
+handlers write their answers as compact JSON text, so neither request
+imports `fractions` or `json`.
 """
 
 import itertools
 from math import comb, isqrt, lcm
 from typing import Iterable, Sequence
 
+from . import ratio, ratios
+
 
 class NonDominantError(ValueError):
     """The torus exponent is not dominant (a_1 >= ... >= a_g >= a_0/2)."""
-
-
-def _ratio(value) -> tuple[int, int]:
-    """(numerator, denominator > 0) of an exact scalar, as `exactlin.rational` reads it:
-    an int and a plain `a` or `a/b` text directly, anything else through `rational`,
-    which also refuses what is no exact scalar."""
-    if type(value) is int:
-        return value, 1
-    if isinstance(value, str):
-        from .cliargs import _plain_ratio
-        pair = _plain_ratio(value)
-        if pair:
-            return pair
-    from .exactlin import rational
-    value = rational(value)
-    return value.numerator, value.denominator
-
-
-def _ratios(values) -> list[tuple[int, int]]:
-    """`_ratio` of each of `values`, a sequence that `exactlin.vector` would take."""
-    if isinstance(values, (str, dict)):
-        from .exactlin import vector
-        vector(values)  # refuses them by name
-    return [_ratio(value) for value in values]
 
 
 def _common(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
@@ -69,7 +45,7 @@ def slope_check_hilbert(k_weights: Sequence[int], w_weight: int, slopes: Sequenc
             raise ValueError("weights must be at least 2")
         if (k - w_weight) % 2:
             raise ValueError("weights must be congruent to w mod 2")
-    slopes, s_den = _common(_ratios(slopes))
+    slopes, s_den = _common(ratios(slopes))
     lhs = sum((w_weight + k - 2) * s_den + 2 * x for k, x in zip(k_weights, slopes))
     return lhs < 2 * s_den * (min(k_weights) - 1)
 
@@ -81,10 +57,10 @@ def _slope_sides(
     and S the lcms of the weight, torus and slope denominators, and what a twist
     by |.|^1 takes off that LHS; validates the input."""
     a, a0 = t
-    a = _ratios(a)
+    a = ratios(a)
     if not a:
         raise ValueError("torus exponent needs g >= 1 entries a_1..a_g")
-    (*a, a0), a_den = _common([*a, _ratio(a0)])
+    (*a, a0), a_den = _common([*a, ratio(a0)])
     if not (all(x >= y for x, y in zip(a, a[1:])) and 2 * a[-1] >= a0):
         raise NonDominantError("need a_1 >= ... >= a_g >= a_0/2")
     if len(mu_per_place) != len(slopes):
@@ -92,11 +68,11 @@ def _slope_sides(
     if not mu_per_place:
         raise ValueError("at least one place is required")
     g = len(a)
-    mu0 = _ratio(mu0)
-    slopes, s_den = _common(_ratios(slopes))
+    mu0 = ratio(mu0)
+    slopes, s_den = _common(ratios(slopes))
     weights = []
     for mu in mu_per_place:
-        mu = _ratios(mu)
+        mu = ratios(mu)
         if len(mu) != g:
             raise ValueError("weight length must equal g")
         weights += mu

@@ -23,6 +23,7 @@ from math import comb, factorial
 from typing import Iterable, NamedTuple, Sequence
 
 from linvariants import THEOREMS
+from linvariants import ratio
 from linvariants.exactlin import rational
 from linvariants.linv import (
     Direction,
@@ -93,7 +94,8 @@ def theorem_evaluator(
             result *= -2 * grad
         return result
     forms = _theorem_forms(which, n)
-    return rank1_combine([forms.pair(v, a, direction) for v, a in enumerate(assignments)])
+    pairs = [forms.pair(v, [ratio(x) for x in a], direction) for v, a in enumerate(assignments)]
+    return Fraction(*rank1_combine(pairs))
 
 
 def thm_c_coefficient(n: int, i: int) -> Fraction:
@@ -109,10 +111,15 @@ def thm_d2_coefficient(size_minus1: int, i: int) -> Fraction:
 
 
 def _display(num: Iterable, den: Iterable) -> PlaceForms:
-    """The per-place display -(num . grads) / (den . u), with a zero u_0 slot."""
-    return PlaceForms(
-        tuple(-Fraction(x) for x in num), tuple(Fraction(x) for x in den) + (Fraction(0),)
-    )
+    """The per-place display -(num . grads) / (den . u), with a zero u_0 slot; every
+    displayed coefficient is an integer."""
+    return PlaceForms(tuple(-int(x) for x in num), tuple(int(x) for x in den) + (0,))
+
+
+def exact_rows(forms: PlaceForms) -> tuple[list[Fraction], list[Fraction]]:
+    """The two linear forms of `forms` as rows of Fractions, each row times its scalar."""
+    return tuple([Fraction(x) * Fraction(*scale) for x in row]
+                 for row, scale in ((forms.num, forms.num_scale), (forms.den, forms.den_scale)))
 
 
 def _theorem_forms(which: str, n: int | None) -> PlaceForms:
@@ -173,16 +180,16 @@ def compare_to_theorem(which: str, n: int | None = None) -> TheoremComparison:
     mismatch: not proportional.
     """
     data = data_for_theorem(which, n)
-    generic = place_forms(data, b_row(*data.b_row))
+    generic_num, generic_den = exact_rows(place_forms(data, b_row(*data.b_row)))
     if which == "A":
         # pin the direction (1; -1) the sym^2 statement uses
-        den_value = generic.den[0] - generic.den[1]
+        den_value = generic_den[0] - generic_den[1]
         if den_value == 0:
             return TheoremComparison("mismatch", None)
-        return _classify(_parallel_scalar((generic.num[0] / den_value,), (Fraction(-2),)))
-    theorem = _theorem_forms(which, n)
-    s_num = _parallel_scalar(generic.num, theorem.num)
-    s_den = _parallel_scalar(generic.den, theorem.den)
+        return _classify(_parallel_scalar((generic_num[0] / den_value,), (Fraction(-2),)))
+    theorem_num, theorem_den = exact_rows(_theorem_forms(which, n))
+    s_num = _parallel_scalar(generic_num, theorem_num)
+    s_den = _parallel_scalar(generic_den, theorem_den)
     if s_num is None or s_den is None or s_den == 0:
         return TheoremComparison("mismatch", None)
     return _classify(s_num / s_den)

@@ -34,9 +34,17 @@ to BENCH_layers.json.
   `--g` cap of 500; bits is the bit length of the largest numerator or
   denominator of an exponent it returns;
 * `linv.per_place_pairs ...`: the per-place pairs of `gsp_std` at random
-  a/b gradients and direction, |a| and b at most 999, by places at the
+  a/b gradients and direction, |a| and b at most 999, read as the pairs
+  (numerator, denominator) that `linvariants.ratio` returns, by places at the
   rank cap g = 200 and by g at 300 places; bits is the bit length of the
-  largest numerator or denominator of a pair.
+  largest numerator or denominator of a pair;
+* `cli._answer linv ...`: one whole `linv --input -` request in-process,
+  its JSON text on stdin, as `cli._answer ...` above: `gsp_std` at g = 200
+  by places, with random a/b entries of 3 digits, and `hilbert` by places
+  up to 100, with gradients of 4000 digits and a direction of 3; past a
+  few places the product passes the digit limit and the request is
+  refused, so bits is the bit length of the largest numerator or
+  denominator of the input.
 
 Each row is [n, seconds, MB, bits]: seconds is the median of REPS timed
 calls, MB the tracemalloc peak of one more call.  `slope` is the
@@ -60,6 +68,7 @@ import random
 import re
 import statistics
 import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -214,21 +223,64 @@ def place_pairs(g: int, places: int):
     """(`per_place_pairs` of `gsp_std` at rank g over `places` places, the bits of its pairs)."""
     rng = random.Random(1000 * g + places)
 
-    def ratio() -> Fraction:
-        return Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+    def ratio() -> tuple[int, int]:
+        value = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+        return value.numerator, value.denominator
 
     data = linv.family_data("gsp_std", g=g)
-    direction = linv.Direction.make([ratio() for _ in range(g)], ratio())
+    direction = linv.Direction(tuple(ratio() for _ in range(g)), ratio())
     assignments = [[ratio() for _ in range(g)] for _ in range(places)]
 
     def call():
         return linv.per_place_pairs(data, direction, assignments)
 
     def bits() -> int:
-        return max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
-                   for pair in call() for x in pair)
+        return max(max(abs(x[0]).bit_length(), x[1].bit_length()) for pair in call() for x in pair)
 
     return call, bits
+
+
+def linv_request(family: str, digits: int):
+    """places -> (`cli._answer` on a `linv` request of `family` over that many places, its
+    gradients random a/b of `digits` digits and its direction of 3, the bits of its
+    largest input entry); `gsp_std` is at its rank cap g = 200."""
+    def ladder(places: int):
+        rng = random.Random(places)
+
+        def entry(size: int) -> str:
+            top = 10**size - 1
+            return f"{rng.randint(-top, top)}/{rng.randint(1, top)}"
+
+        symbols, dims = (1, places) if family == "hilbert" else (200, 200)
+        text = json.dumps({
+            "params": {} if family == "hilbert" else {"g": 200},
+            "direction": {"u": [entry(3) for _ in range(dims)], "u0": entry(3)},
+            "places": [{"gradients": {f"a_{j}": entry(digits) for j in range(1, symbols + 1)}}
+                       for _ in range(places)],
+        }).encode()
+        argv = ["linv", f"--family={family}", "--input=-"]
+
+        def answer(out) -> int:
+            sys.stdin = io.TextIOWrapper(io.BytesIO(text))
+            try:
+                with contextlib.redirect_stdout(out):
+                    return cli._answer(argv)
+            finally:
+                sys.stdin = sys.__stdin__
+
+        def call():
+            with open(os.devnull, "w") as null:
+                assert answer(null) in (0, 2)
+
+        def bits() -> int:
+            out = io.StringIO()
+            if answer(out):  # only the digit limit of the printed product may refuse it
+                assert json.loads(out.getvalue())["error"]["code"] == "output", out.getvalue()
+            return max(abs(int(x)).bit_length() for x in re.findall(rb"-?\d+", text))
+
+        return call, bits
+
+    return ladder
 
 
 #: name -> (sizes, n -> (the call to time, a function giving its bits))
@@ -256,6 +308,10 @@ LADDERS = {
         ((25, 50, 100, 200, 300), lambda places: place_pairs(200, places)),
     "linv.per_place_pairs gsp_std 300 places, by g":
         ((2, 25, 50, 100, 200), lambda g: place_pairs(g, 300)),
+    "cli._answer linv gsp_std g = 200, 3-digit entries, by places":
+        ((25, 50, 100, 200, 300), linv_request("gsp_std", 3)),
+    "cli._answer linv hilbert, 4000-digit gradients, by places":
+        ((10, 25, 50, 75, 100), linv_request("hilbert", 4000)),
 }
 
 
@@ -287,10 +343,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="sweep_layers")
     parser.add_argument("--out", default="BENCH_layers.json")
     parser.add_argument("--note", default="", help="the machine, as a reader should know it")
+    parser.add_argument("--only", default="", help="sweep only the ladders this regex finds")
     args = parser.parse_args(argv)
     commit = commit_of(Path(sl2rep.__file__).resolve().parents[2])
     layers = {}
     for name, (sizes, ladder) in LADDERS.items():
+        if not re.search(args.only, name):
+            continue
         rows = [point(n, ladder) for n in sizes]
         layers[name] = {"columns": ["n", "seconds", "MB", "bits"], "rows": rows,
                         "slope": round(log_log_slope(rows), 3)}

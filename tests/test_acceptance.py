@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from linvariants import linv, phin, plethysm, sl2rep, slopes, weylhecke
+from linvariants import ratio
 import phin_oracle
 from kernel_oracles import (
     CharacterData,
@@ -261,7 +262,8 @@ def test_criterion_9_l_invariant_consistency():
                     [F(rng.randint(-7, 7)) for _ in range(dim_u)], F(rng.randint(-7, 7))
                 )
             try:
-                generic = linv.rank1_combine(linv.per_place_pairs(data, direction, assignments))
+                read = [[ratio(x) for x in a] for a in assignments]
+                generic = F(*linv.rank1_combine(linv.per_place_pairs(data, direction, read)))
             except linv.SingularDirectionError:
                 if which != "A":
                     # denominator forms are proportional, so the literal
@@ -277,7 +279,7 @@ def test_criterion_9_l_invariant_consistency():
             hits += 1
     hilbert = linv.family_data("hilbert")
     try:
-        linv.per_place_pairs(hilbert, linv.Direction.make([0], 1), [[F(1)]])
+        linv.per_place_pairs(hilbert, linv.Direction.make([0], 1), [[ratio(F(1))]])
         ok = False
     except linv.SingularDirectionError:
         pass

@@ -65,6 +65,7 @@ from kernel_oracles import (
     unrolled_cg_coefficient,
 )
 from linalg_oracle import project_endomorphism, rref
+from linvariants import ratio
 from linvariants.exactlin import rational
 from linvariants.linv import Direction
 from linvariants.sl2rep import EndoElement
@@ -216,12 +217,13 @@ def linv_answer(args, request: dict) -> dict:
     assignments = [[rational(place["gradients"][f"a_{j}"]) for j in range(1, symbols + 1)]
                    for place in request["places"]]
     if family == "hilbert":
-        scalar, pairs = 1, [(2 * x, -u) for (x,), u in zip(assignments, direction.u)]
+        scalar, pairs = 1, [(2 * x, -Fraction(*u)) for (x,), u in zip(assignments, direction.u)]
     else:
         forms, (to_num, to_den) = _theorem_forms(which, rank), display_ratios(which, rank)
         scalar = to_num / to_den
-        pairs = [(a / to_num, b / to_den)
-                 for a, b in (forms.pair(v, x, direction) for v, x in enumerate(assignments))]
+        read = ([ratio(y) for y in x] for x in assignments)
+        pairs = [(Fraction(*a) / to_num, Fraction(*b) / to_den)
+                 for a, b in (forms.pair(v, x, direction) for v, x in enumerate(read))]
 
     def value(xs, pairs) -> Fraction:
         if family == "hilbert" and direction != Direction.make([1] * len(pairs), -1):

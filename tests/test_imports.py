@@ -329,6 +329,21 @@ def test_linv_and_slope_requests_of_plain_input_load_no_json(argv, stdin):
     assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@pytest.mark.parametrize("argv, stdin", [p for p in PLAIN_INPUT_REQUESTS if p.id.startswith("linv")])
+def test_plain_linv_requests_load_no_fractions(argv, stdin):
+    # `linv` reads each scalar as an integer pair and computes in integers; nor does it load
+    # `__future__`, which neither `linv` nor `exactlin` imports any more
+    assert fraction_modules(argv, stdin=stdin, also=["__future__"]) == []
+
+
+def test_a_decimal_linv_gradient_loads_fractions():
+    # a spelling past plain `a` or `a/b` goes through `exactlin`, which reads it as a Fraction
+    argv = ["linv", "--family", "hilbert", "--input", "-"]
+    stdin = '{"places": [{"gradients": {"a_1": "0.5e1"}}], "direction": {"u": [1], "u0": 1}}'
+    assert fraction_modules(argv, stdin=stdin) == ["decimal", "fractions",
+                                                   "linvariants.exactlin", "numbers"]
+
+
 #: one refusal per handler module, each through its own handler
 HANDLER_REFUSALS = [
     pytest.param(["bcoeff", "--n", "601", "--k", "1"], id="plethysm"),

@@ -8,6 +8,7 @@ import pytest
 
 from linvariants import THEOREMS, linv, plethysm
 from linvariants.cli import main
+from linvariants import ratio
 from linvariants.exactlin import DimensionMismatchError
 from linvariants.linv import (
     Direction,
@@ -23,6 +24,7 @@ from linvariants.plethysm import b_row
 from paper_displays import (
     compare_to_theorem,
     data_for_theorem,
+    exact_rows,
     theorem_evaluator,
     thm_c_coefficient,
 )
@@ -42,20 +44,26 @@ def dot(row, values):
     return sum((F(c) * F(x) for c, x in zip(row, values)), F(0))
 
 
+def read(assignments):
+    """The gradient assignments as `per_place_pairs` takes them, each scalar read by `ratio`."""
+    return [[ratio(x) for x in assignment] for assignment in assignments]
+
+
 def generic_l_invariant(data, direction, assignments):
-    """The product formula through the library's per-place forms."""
-    return rank1_combine(per_place_pairs(data, direction, assignments))
+    """The product formula through the library's per-place forms, as a Fraction."""
+    return F(*rank1_combine(per_place_pairs(data, direction, read(assignments))))
 
 
 def per_place_pieces(data, places):
-    """Each place's graded pieces, built place by place over the whole direction.
+    """Each place's graded pieces in Fractions, built place by place over the whole direction.
 
     A hilbert place v gets rows places + 1 wide, -+1/2 at u_v and 1/2 at
     u_0, so the oracle checks that the library's 2-wide rows read u_v;
-    every other family repeats its pieces.
+    every other family repeats its pieces, their weight rows over `kappa_den`.
     """
     if data.family != "hilbert":
-        return (data.pieces,) * places
+        return (tuple((tuple(F(x, data.kappa_den) for x in kappa), logf)
+                      for kappa, logf in data.pieces),) * places
     half = F(1, 2)
     return tuple(
         tuple((tuple(s * half if j == v else F(0) for j in range(places)) + (half,), (s,))
@@ -77,7 +85,7 @@ def generic_by_pieces(data, direction, assignments, row=None):
     a denominator vanishes.
     """
     row = b_row(*data.b_row) if row is None else row
-    coords = direction.u + (direction.u0,)
+    coords = [F(*x) for x in direction.u + (direction.u0,)]
     value = F(1)
     for pieces, assignment in zip(per_place_pieces(data, len(assignments)), assignments):
         num = sum(c * dot(logf, assignment) for c, (_, logf) in zip(row, pieces))
@@ -89,7 +97,7 @@ def generic_by_pieces(data, direction, assignments, row=None):
 
 
 def scaled(direction, c):
-    return Direction(tuple(c * x for x in direction.u), c * direction.u0)
+    return Direction.make([c * F(*x) for x in direction.u], c * F(*direction.u0))
 
 
 def test_family_shapes():
@@ -118,7 +126,7 @@ def test_hilbert_log_forms():
     assert f1 == (-1,) and f2 == (1,)
     # kappa_2 - kappa_1 = k_v - 1: gradient difference is u_v
     coords = (F(5), F(3))
-    assert dot(kappa2, coords) - dot(kappa1, coords) == 5
+    assert (dot(kappa2, coords) - dot(kappa1, coords)) / data.kappa_den == 5
 
 
 def test_gsp4_log_forms_match_proof():
@@ -153,20 +161,22 @@ def test_generic_gsp4_example_up_to_recorded_sign():
 
 
 def test_rank1_combine():
-    assert rank1_combine([(1, 1)]) == 1
-    assert rank1_combine([(2, 1), (3, 1)]) == 6
+    one = (1, 1)
+    assert rank1_combine([(one, one)]) == one
+    assert rank1_combine([((2, 1), one), ((3, 1), one)]) == (6, 1)
+    assert rank1_combine([((2, 3), (-4, 9)), ((5, 7), (10, 21))]) == (-9, 4)
     with pytest.raises(ZeroDivisionError):
-        rank1_combine([(1, 0)])
+        rank1_combine([(one, (0, 1))])
 
 
 def test_per_place_pairs_consistent_with_value():
     data = family_data("gsp_std", g=3)
     direction = Direction.make([5, 2, 1], 1)
     assignments = [[1, 2, 3], [5, -1, 2]]
-    pairs = per_place_pairs(data, direction, assignments)
-    assert rank1_combine(pairs) == generic_by_pieces(data, direction, assignments)
+    pairs = per_place_pairs(data, direction, read(assignments))
+    assert F(*rank1_combine(pairs)) == generic_by_pieces(data, direction, assignments)
     for (a, b), assignment in zip(pairs, assignments):
-        assert a / b == generic_by_pieces(data, direction, [assignment])
+        assert F(*a) / F(*b) == generic_by_pieces(data, direction, [assignment])
 
 
 def test_scale_invariance_of_b_row():
@@ -180,8 +190,10 @@ def test_scale_invariance_of_b_row():
     for scale in (F(2), F(-5, 3)):
         scaled_row = tuple(scale * x for x in row)
         assert generic_by_pieces(data, direction, assignments, scaled_row) == base
-        a, b = place_forms(data, scaled_row).pair(0, assignments[0], direction)
-        assert a / b == base
+        # the library contracts integer rows: the row times the scale's numerator
+        integer_row = tuple(scale.numerator * x for x in row)
+        a, b = place_forms(data, integer_row).pair(0, read(assignments)[0], direction)
+        assert F(*a) / F(*b) == base
 
 
 def test_direction_homogeneity():
@@ -206,19 +218,19 @@ def test_multiplicative_over_places():
 def test_hilbert_place_reads_its_own_u():
     data = family_data("hilbert")
     direction = Direction.make([2, 3, 5], 1)
-    pairs = per_place_pairs(data, direction, [[1], [1], [1]])
+    pairs = per_place_pairs(data, direction, read([[1], [1], [1]]))
     # b_v = -u_v: the B-row (1, -1) against the rows (-+1/2, 1/2) over (u_v; u_0)
-    assert [b for _, b in pairs] == [-2, -3, -5]
+    assert [b for _, b in pairs] == [(-2, 1), (-3, 1), (-5, 1)]
 
 
 @pytest.mark.parametrize("u", [[], [1], [1, 2, 3]])
 def test_hilbert_direction_of_the_wrong_length_fails_at_place_0(u):
     data = family_data("hilbert")
     with pytest.raises(DimensionMismatchError, match="direction has wrong length"):
-        per_place_pairs(data, Direction.make(u, 0), [[1], [2]])
+        per_place_pairs(data, Direction.make(u, 0), read([[1], [2]]))
     # place 0's gradient check comes first
     with pytest.raises(DimensionMismatchError, match="gradient assignment has wrong length"):
-        per_place_pairs(data, Direction.make(u, 0), [[1, 2], [2]])
+        per_place_pairs(data, Direction.make(u, 0), read([[1, 2], [2]]))
 
 
 def test_singular_direction_names_place():
@@ -291,8 +303,11 @@ def test_evaluator_singular_direction():
 
 def test_place_forms_hilbert():
     forms = place_forms(family_data("hilbert"), b_row(1, 1))
-    assert forms.num == (F(2),)  # -(B_0(-1) + B_1(1)) = 2
-    assert forms.den == (F(-1), F(0))  # sum B grad kappa = -u_1
+    num, den = exact_rows(forms)
+    assert num == [2]  # -(B_0(-1) + B_1(1)) = 2
+    assert den == [-1, 0]  # sum B grad kappa = -u_1
+    # each row keeps only what its content leaves
+    assert forms == ((1,), (-1, 0), (2, 1), (1, 1))
 
 
 def test_data_for_theorem_d2_selects_lower_row():
@@ -305,20 +320,23 @@ def test_triangulation_data_validates_count():
     data = family_data("gsp4_spin")
     short = TriangulationData("gsp4_spin", (3, 3), data.pieces[:3])
     with pytest.raises(DimensionMismatchError, match="B-row length"):
-        per_place_pairs(short, Direction.make([1, 2], 0), [[1, 2]])
+        per_place_pairs(short, Direction.make([1, 2], 0), read([[1, 2]]))
 
 
 def test_pair_checks_in_order():
-    forms = PlaceForms((F(1), F(2)), (F(1), F(-1), F(0)))
+    forms = PlaceForms((1, 2), (1, -1, 0))
     singular = Direction.make([1, 1], 5)
     with pytest.raises(DimensionMismatchError, match="gradient assignment has wrong length"):
-        forms.pair(0, [1], Direction.make([1], 0))
+        forms.pair(0, read([[1]])[0], Direction.make([1], 0))
     with pytest.raises(DimensionMismatchError, match="direction has wrong length"):
-        forms.pair(0, [1, 1], Direction.make([1], 0))
+        forms.pair(0, read([[1, 1]])[0], Direction.make([1], 0))
     with pytest.raises(SingularDirectionError) as err:
-        forms.pair(4, [1, 1], singular)
+        forms.pair(4, read([[1, 1]])[0], singular)
     assert err.value.place == 4
-    assert forms.pair(0, ["1/2", 3], Direction.make([3, 1], 9)) == (F(13, 2), F(2))
+    assert forms.pair(0, read([["1/2", 3]])[0], Direction.make([3, 1], 9)) == ((13, 2), (2, 1))
+    # the scalars multiply each form
+    scaled = forms._replace(num_scale=(3, 4), den_scale=(-5, 1))
+    assert scaled.pair(0, read([["1/2", 3]])[0], Direction.make([3, 1], 9)) == ((39, 8), (-10, 1))
 
 
 def test_per_place_pairs_computes_the_b_row_once(monkeypatch):
@@ -330,7 +348,7 @@ def test_per_place_pairs_computes_the_b_row_once(monkeypatch):
 
     monkeypatch.setattr(linv, "b_row", counting_b_row)
     data = family_data("gsp_std", g=2)
-    per_place_pairs(data, Direction.make([3, 1], 2), [[1, 2], [3, 4], [5, 6]])
+    per_place_pairs(data, Direction.make([3, 1], 2), read([[1, 2], [3, 4], [5, 6]]))
     assert calls == [(4, 3)]
 
 
@@ -346,7 +364,7 @@ def test_per_place_pairs_evaluates_b_once_off_hilbert(monkeypatch):
     monkeypatch.setattr(linv, "_dot", counting_dot)
     data = family_data("gsp_std", g=3)
     direction = Direction.make([5, 2, 1], 1)
-    assignments = [[1, 2, 3], [5, -1, 2], ["1/2", 0, 7], [3, 3, 3]]
+    assignments = read([[1, 2, 3], [5, -1, 2], ["1/2", 0, 7], [3, 3, 3]])
     pairs = per_place_pairs(data, direction, assignments)
     assert sorted(dots) == [3] * 4 + [4]
     forms = place_forms(data, b_row(*data.b_row))
@@ -360,14 +378,14 @@ def test_per_place_pairs_off_hilbert_refuses_in_place_order():
     den = place_forms(data, b_row(*data.b_row)).den
     singular = Direction.make([den[1], -den[0]], 0)
     with pytest.raises(DimensionMismatchError, match="gradient assignment has wrong length"):
-        per_place_pairs(data, singular, [[1], [1, 2]])
+        per_place_pairs(data, singular, read([[1], [1, 2]]))
     with pytest.raises(SingularDirectionError) as err:
-        per_place_pairs(data, singular, [[1, 2], [1]])
+        per_place_pairs(data, singular, read([[1, 2], [1]]))
     assert err.value.place == 0
     with pytest.raises(DimensionMismatchError, match="direction has wrong length"):
-        per_place_pairs(data, Direction.make([1], 0), [[1, 2], [1]])
+        per_place_pairs(data, Direction.make([1], 0), read([[1, 2], [1]]))
     with pytest.raises(DimensionMismatchError, match="gradient assignment has wrong length"):
-        per_place_pairs(data, Direction.make([1, 2], 0), [[1, 2], [1]])
+        per_place_pairs(data, Direction.make([1, 2], 0), read([[1, 2], [1]]))
     assert per_place_pairs(data, singular, []) == []
 
 
@@ -400,7 +418,7 @@ def test_per_place_pairs_contracts_once(monkeypatch, family, direction):
     monkeypatch.setattr(linv, "place_forms", counting_place_forms)
     data = family_data(family, g=2)
     assignments = [[1, 2][: data.num_hecke], [3, 4][: data.num_hecke], [5, 6][: data.num_hecke]]
-    pairs = per_place_pairs(data, Direction.make(direction, 2), assignments)
+    pairs = per_place_pairs(data, Direction.make(direction, 2), read(assignments))
     assert len(pairs) == 3 and len(calls) == 1
 
 
@@ -427,7 +445,7 @@ def test_per_place_pairs_matches_the_piece_by_piece_oracle(data, places):
         expected = generic_by_pieces(data, direction, assignments)
         if expected is None:
             with pytest.raises(SingularDirectionError):
-                per_place_pairs(data, direction, assignments)
+                per_place_pairs(data, direction, read(assignments))
             continue
         assert generic_l_invariant(data, direction, assignments) == expected
         hits += 1

@@ -4,7 +4,8 @@ The benchmark's passes at seed 0 (`perfbench/workloads.py`, read only here)
 run in-process under `sys.settrace`: `modules`, `tables` and `quick` through
 `cli.main`, and `oracle` through `perfbench/oracle.py`'s `main`.  A few more
 requests add what the passes leave out: the error paths and a `hecke`
-request without `--weyl`.  Every function of `src/linvariants` that none of
+request without `--weyl` and a `linv` request whose gradient is a decimal
+string, which `linvariants.ratio` hands to `exactlin`.  Every function of `src/linvariants` that none of
 them enters fails the test unless `ALLOWED` names it with its reason.  The
 static guard in `test_no_test_only_code.py` counts a name used anywhere as
 used; this one counts only what runs.
@@ -30,7 +31,8 @@ ALLOWED = {
 }
 
 #: requests beyond the benchmark passes, (argv, stdin): a hecke request without
-#: --weyl (WeylElement.identity), usage, a parse refusal, and two domain refusals
+#: --weyl (WeylElement.identity), usage, a parse refusal, two domain refusals, and a
+#: linv request with a decimal gradient (exactlin._fraction)
 EXTRA = [
     (["hecke", "--g", "2", "--t", '{"a": [0, 0], "a0": 1}'], ""),
     (["--help"], ""),
@@ -39,6 +41,8 @@ EXTRA = [
       "--weights", '{"mu": [0], "mu0": 0}'], ""),
     (["slope", "--family", "gsp", "--input", "-"],
      '{"weights": [[0, 0]], "mu0": 0, "t": {"a": [0, 1], "a0": 0}, "slopes": [0]}'),
+    (["linv", "--family", "hilbert", "--input", "-"],
+     '{"places": [{"gradients": {"a_1": "0.5e1"}}], "direction": {"u": [1], "u0": 1}}'),
 ]
 
 COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
@@ -98,7 +102,7 @@ def test_every_src_function_runs_on_some_request(tmp_path, monkeypatch):
         sys.settrace(None)
     # the values are the benchmark's to check; here each request must end as it should
     assert [req.rid for req, code, out in runs if code != req.expect_code] == []
-    assert [code for code, _ in extra] == [0, 0, 2, 2, 2]
+    assert [code for code, _ in extra] == [0, 0, 2, 2, 2, 0]
     defined = set()
     for path in sorted(SRC.glob("*.py")):
         defined.update(_functions(compile(path.read_text(), str(path), "exec"), path))

@@ -268,9 +268,10 @@ def fixed_rank_forms(which):
     """The generic (num, den) of a rank-free theorem: the closed row and the family's pieces."""
     c, size, _ = THEOREM_ROWS[which]
     row = [ROWS[c][0](sp.Integer(size(None)), i) for i in range(size(None) + 1)]
-    pieces = family_data(THEOREMS[which][0]).pieces
+    data = family_data(THEOREMS[which][0])
+    pieces = data.pieces
     num = [-sum(b * f[j] for b, (_, f) in zip(row, pieces)) for j in range(len(pieces[0][1]))]
-    den = [sum(b * sp.Rational(str(k[j])) for b, (k, _) in zip(row, pieces))
+    den = [sum(b * sp.Rational(k[j], data.kappa_den) for b, (k, _) in zip(row, pieces))
            for j in range(len(pieces[0][0]))]
     return num, den
 
