@@ -105,3 +105,12 @@ def test_the_per_place_pairs_ladders_run_up_to_the_caps():
         assert sizes == [25, 50, 100, 200, 300]
     for sizes in ladder_sizes("linv.per_place_pairs gsp_std 300 places, by g"):
         assert sizes == [2, 25, 50, 100, 200]
+
+
+def test_the_linv_request_ladders_run_up_to_the_caps():
+    # whole `linv` requests: `gsp_std` at the rank cap g = 200 by places, and `hilbert`
+    # by places with 4000-digit gradients, the long-entry shape, up to 100 places
+    for sizes in ladder_sizes("cli._answer linv gsp_std g = 200, 3-digit entries, by places"):
+        assert sizes == [25, 50, 100, 200, 300]
+    for sizes in ladder_sizes("cli._answer linv hilbert, 4000-digit gradients, by places"):
+        assert sizes == [10, 25, 50, 75, 100]

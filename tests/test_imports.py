@@ -329,7 +329,8 @@ def test_linv_and_slope_requests_of_plain_input_load_no_json(argv, stdin):
     assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@pytest.mark.parametrize("argv, stdin", [p for p in PLAIN_INPUT_REQUESTS if p.id.startswith("linv")])
+@pytest.mark.parametrize("argv, stdin",
+                         [p for p in PLAIN_INPUT_REQUESTS if p.id.startswith("linv")])
 def test_plain_linv_requests_load_no_fractions(argv, stdin):
     # `linv` reads each scalar as an integer pair and computes in integers; nor does it load
     # `__future__`, which neither `linv` nor `exactlin` imports any more

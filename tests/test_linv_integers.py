@@ -88,7 +88,8 @@ def test_per_place_pairs_and_product_are_the_fraction_evaluation(request):
 def test_the_request_prints_the_fraction_text(request):
     family, rank, theorem, u, u0, assignments = request
     doc = {"params": {"g": rank, "n": rank} if rank else {}, "direction": {"u": u, "u0": u0},
-           "places": [{"gradients": {f"a_{j}": x for j, x in enumerate(a, 1)}} for a in assignments]}
+           "places": [{"gradients": {f"a_{j}": x for j, x in enumerate(a, 1)}}
+                      for a in assignments]}
     argv = ["linv", "--family", family, "--input", "-",
             *(["--compare-theorem", theorem] if theorem else [])]
     out = io.StringIO()

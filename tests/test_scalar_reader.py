@@ -1,4 +1,4 @@
-"""`linvariants.ratio`, the one reader of exact scalars, against the `Fraction` reader it replaced.
+"""`linvariants.ratio`, the one reader of exact scalars, against the `Fraction` reader before it.
 
 `ratio` reads a JSON int and a plain `a` or `a/b` text in integers and
 every other value through `exactlin`; `tests/scalar_oracle.py` keeps the
@@ -49,7 +49,8 @@ spellings = st.one_of(
     texts,
     st.builds(lambda a, b, pad: f"{pad}{a}/{b}{pad}", st.integers(-10**30, 10**30),
               st.integers(-3, 10**30), st.sampled_from(["", " ", "\t", "\n "])),
-    st.builds(lambda a, sign: f"{sign}{a}", st.integers(0, 10**40), st.sampled_from(["", "+", "-"])),
+    st.builds(lambda a, sign: f"{sign}{a}", st.integers(0, 10**40),
+              st.sampled_from(["", "+", "-"])),
 )
 values = st.one_of(
     spellings,
