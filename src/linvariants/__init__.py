@@ -2,7 +2,7 @@
 
 Submodules:
 
-* exactlin  -- exact scalars and vectors as Fractions
+* exactlin  -- the `Fraction` front of `ratio`, and what `ratio` reads through `Fraction`
 * sl2rep    -- the sl(2) action on End(Sym^n V), weight-graded brute-force oracle
   with its fraction-free block inverse
 * plethysm  -- the inverse Clebsch-Gordan table with its weight-triple check,
@@ -20,9 +20,10 @@ Submodules:
 
 `linvariants.<name>` imports a submodule on first use.  The registries
 live here so that the CLI's parser reads them without importing the maths,
-and so do `ratio`, the one reader of exact scalars, `ratios` and the digit
-guard `_digit_limit`, which every request that reads a scalar needs: `ratio`
-imports `exactlin` only for a value it does not read in integers.
+and so do `ratio`, the one reader of exact scalars, `ratios`, the one printer
+`ratio_text` and the digit guard `_digit_limit`, which every request that
+reads a scalar needs: `ratio` imports `exactlin` only for a value it does
+not read in integers.
 """
 
 import importlib
@@ -95,6 +96,11 @@ def ratios(values) -> list[tuple[int, int]]:
     if isinstance(values, (str, dict)):
         raise TypeError(f"not a sequence of exact scalars: {values!r}")
     return [ratio(value) for value in values]
+
+
+def ratio_text(x: tuple[int, int]) -> str:
+    """A reduced pair (num, den > 0) as `str(Fraction)` writes it: "num" or "num/den"."""
+    return str(x[0]) if x[1] == 1 else "%d/%d" % x
 
 
 def __getattr__(name: str):

@@ -102,6 +102,19 @@ def _parse_json_arg(text: str, label: str):
         raise CliError(f"{label} holds an int past Python's limit of {limit} digits") from err
 
 
+def _array(value, label: str) -> list:
+    """`value`, which must be a JSON array; a domain error, as `ratios` gives for a string."""
+    if not isinstance(value, list):
+        raise TypeError(f"{label} must be a JSON array, not {value!r}")
+    return value
+
+
+def _scalar_array(value, label: str):
+    """A vector of exact scalars for `ratios`, which refuses a str or a dict by its own
+    message; any other value that is no JSON array is refused by `label`."""
+    return value if isinstance(value, (str, dict)) else _array(value, label)
+
+
 def _has_keys(value, label: str, *keys: str) -> dict:
     """`value`, which must be a JSON object holding every one of `keys`."""
     obj = _json_object(value, label)

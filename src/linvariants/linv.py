@@ -34,7 +34,7 @@ and the literal displays are test oracles in `tests/paper_displays.py`.
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from . import FAMILIES, THEOREMS, ratio, ratios
+from . import FAMILIES, THEOREMS, ratio, ratio_text, ratios
 from .plethysm import b_row
 
 Ratio = tuple[int, int]  # (numerator, denominator > 0), reduced, as `linvariants.ratio` reads it
@@ -82,11 +82,6 @@ def _times(x: Ratio, y: Ratio) -> Ratio:
 def _quotient(x: Ratio, y: Ratio) -> Ratio:
     """x / y for y != 0."""
     return _times(x, (y[1], y[0]) if y[0] > 0 else (-y[1], -y[0]))
-
-
-def _text(x: Ratio) -> str:
-    """x as `str(Fraction)` writes it."""
-    return str(x[0]) if x[1] == 1 else "%d/%d" % x
 
 
 class PlaceForms(NamedTuple):
@@ -254,13 +249,14 @@ LINV_RANK_CAPS = {"gsp_std": ("g", 200), "unitary": ("n", 100)}
 
 def _cmd_linv(args) -> tuple[str, None, None]:
     from .cliargs import CliError, _cap
-    from .jsonargs import _has_keys, _json_object, _load_input
+    from .jsonargs import _array, _has_keys, _json_object, _load_input, _scalar_array
     obj = _load_input(args)
     family = args.family
     params = _json_object(obj.get("params", {}), "params")
     places_obj = _has_keys(obj, "--input", "places", "direction")["places"]
     direction_obj = _has_keys(obj["direction"], "direction", "u")
-    direction = Direction.make(direction_obj["u"], direction_obj.get("u0", 0))
+    u = _scalar_array(direction_obj["u"], "direction.u")
+    direction = Direction.make(u, direction_obj.get("u0", 0))
     which = args.compare_theorem
     if which and THEOREMS[which][0] != family:
         raise CliError(f"theorem {which} belongs to family {THEOREMS[which][0]}, not {family}")
@@ -269,7 +265,7 @@ def _cmd_linv(args) -> tuple[str, None, None]:
         rank = params.get(key)
         if isinstance(rank, int):
             _cap(rank, cap, f"linv --family {family} {key}")
-    if len(places_obj) < 1:
+    if len(_array(places_obj, "places")) < 1:
         raise ValueError("need at least one place")
     data = family_data(family, g=params.get("g"), n=params.get("n"))
     if which:
@@ -284,9 +280,9 @@ def _cmd_linv(args) -> tuple[str, None, None]:
         pairs = per_place_pairs(data, direction, assignments)
     except SingularDirectionError as err:
         raise CliError(str(err), 3, code="singular_direction", place=err.place) from err
-    value = _text(rank1_combine(pairs))  # first, as the likeliest to pass the digit limit
+    value = ratio_text(rank1_combine(pairs))  # first, as the likeliest to pass the digit limit
     place = '{"a":"%s","b":"%s","value":"%s"}'
-    places = ",".join(place % tuple(map(_text, (a, b, _quotient(a, b)))) for a, b in pairs)
+    places = ",".join(place % tuple(map(ratio_text, (a, b, _quotient(a, b)))) for a, b in pairs)
     text = '"per_place":[%s],"value":"%s"}' % (places, value)
     if which:  # "classification" sorts first
         scalar = THEOREMS[which][2]

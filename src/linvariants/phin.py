@@ -49,7 +49,7 @@ these closed forms replace is the test oracle `tests/phin_oracle.py`.
 
 from itertools import chain, combinations
 
-from . import CASES, ratio
+from . import CASES, ratio, ratio_text
 
 STEINBERG, CRYSTALLINE_SPLIT, CRYSTALLINE_NONSPLIT = CASES
 
@@ -67,10 +67,10 @@ STEINBERG_ALL_SUBMODULES_MAX_N = 500
 
 def _l_text(text: str) -> str:
     """str(exactlin.rational(text)), refused if 0; a plain a or a/b is read in integers."""
-    a, b = ratio(text)
-    if a == 0:
+    value = ratio(text)
+    if value[0] == 0:
         raise ValueError("steinberg case requires a nonzero L-parameter")
-    return str(a) if b == 1 else f"{a}/{b}"
+    return ratio_text(value)
 
 
 def _cmd_phin(args) -> tuple[str, None, None]:

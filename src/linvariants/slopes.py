@@ -2,8 +2,8 @@
 
 None of this needs the Weyl group or a Hecke eigenvalue.  A slope check
 reads the torus exponent t = (p^{a_1}, ..., p^{a_g}; p^{a_0}) as the pair
-(a, a_0) of its exponents, which a `weylhecke.TorusExponent` is too, and
-the obstruction orders read integer exponents.  The slope checks read each
+(a, a_0) of its exponents, as `hecke` reads it too, and the obstruction
+orders read integer exponents.  The slope checks read each
 scalar as a pair (numerator, denominator > 0) with `linvariants.ratio` and
 decide their inequality in integers, both sides scaled by one common
 denominator.  So a `slope` request of plain JSON input compiles this module
@@ -189,26 +189,20 @@ def exclusion_sufficient(orders: Iterable[int], n: int) -> bool:
 
 def _cmd_slope(args) -> tuple[str, None, None]:
     from .cliargs import CliError
-    from .jsonargs import _has_keys, _load_input
-
-    def array(value, label: str) -> list:  # a domain error, as vector() gives for a string
-        if not isinstance(value, list):
-            raise TypeError(f"{label} must be a JSON array, not {value!r}")
-        return value
-
+    from .jsonargs import _array, _has_keys, _load_input
     if args.family == "hilbert":
         obj = _has_keys(_load_input(args), "--input", "k", "w", "slopes")
-        k, slopes = array(obj["k"], "k"), array(obj["slopes"], "slopes")
+        k, slopes = _array(obj["k"], "k"), _array(obj["slopes"], "slopes")
         noncritical = slope_check_hilbert(k, obj["w"], slopes)
         return '{"noncritical":%s}' % str(noncritical).lower(), None, None
     obj = _has_keys(_load_input(args), "--input", "weights", "mu0", "t", "slopes")
     find_twist = obj.get("find_twist", False)
     if not isinstance(find_twist, bool):
         raise CliError(f"find_twist must be true or false, not {find_twist!r}")
-    weights = [array(mu, "each entry of weights") for mu in array(obj["weights"], "weights")]
-    slopes = array(obj["slopes"], "slopes")
+    weights = [_array(mu, "each entry of weights") for mu in _array(obj["weights"], "weights")]
+    slopes = _array(obj["slopes"], "slopes")
     t_obj = _has_keys(obj["t"], "t", "a", "a0")
-    t = (array(t_obj["a"], "t.a"), t_obj["a0"])
+    t = (_array(t_obj["a"], "t.a"), t_obj["a0"])
     text = '{"noncritical":%s' % str(slope_check_gsp(weights, obj["mu0"], t, slopes)).lower()
     if find_twist:  # "twist" sorts after "noncritical"
         text += ',"twist":%d' % twist_search(weights, obj["mu0"], t, slopes)

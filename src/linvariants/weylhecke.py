@@ -29,22 +29,30 @@ or whatever symbols `recover-chi` is given), held as its exponent map
 them.  Half-integer p-exponents (the g(g+1)/4 term) are ordinary rational
 exponents of the symbol 'p'; no square roots are adjoined.
 `hecke` evaluates this closed form for the generic character, one element
-(`hecke_entry`) or the whole sweep (`hecke_table`), in integers over one
-denominator, and writes the answer as compact JSON text: an integer request
-imports neither `fractions` nor `json`.  The sweep adds up p's exponent by
-doubling.  The evaluation for any character, `hecke_diagonal`, is a test
-oracle in `tests/kernel_oracles.py`.
+(`hecke_entry`) or the whole sweep (`hecke_table`), on the torus exponents
+as `linvariants.ratios` reads them, in integers over one denominator, and
+writes the answer as compact JSON text with `linvariants.ratio_text`: a
+request of ints and plain `a/b` texts imports neither `fractions` nor
+`json`.  The sweep adds up p's exponent by doubling; its length is known
+from the numerators before it runs, so `hecke --all` refuses a long one.
+The evaluation for any character, `hecke_diagonal`, is a test oracle in
+`tests/kernel_oracles.py`.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache, partial
-from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from math import factorial, gcd, lcm
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-if TYPE_CHECKING:  # the integer requests load no `fractions`
+from . import ratio, ratio_text, ratios
+
+if TYPE_CHECKING:  # `hecke` loads no `fractions`
     from fractions import Fraction
+
+#: t = (p^{a_1}, ..., p^{a_g}; p^{a_0}) as (a, a_0), each exponent a pair that `ratio` reads
+Torus = tuple[Sequence[tuple[int, int]], tuple[int, int]]
 
 
 def _monomial(*factors) -> dict:
@@ -97,44 +105,36 @@ def weyl_group(g: int) -> tuple[WeylElement, ...]:
     return tuple(map(partial(tuple.__new__, WeylElement), pairs))
 
 
-class TorusExponent(NamedTuple):
-    """t = (p^{a_1}, ..., p^{a_g}; p^{a_0}) stored by its exponents."""
-
-    a: tuple[int | Fraction, ...]
-    a0: int | Fraction
-
-    @classmethod
-    def make(cls, a: Iterable, a0) -> "TorusExponent":
-        """JSON ints stay ints, which `hecke_table` reads as n/1 with no `fractions`;
-        any other entry goes through `exactlin.rational`."""
-        ints = isinstance(a, (list, tuple)) and all(type(x) is int for x in (*a, a0))
-        if ints:
-            a = tuple(a)
-        else:
-            from .exactlin import rational, vector
-            a = vector(a)
-        if not a:
-            raise ValueError("torus exponent needs g >= 1 entries a_1..a_g")
-        return cls(a, a0 if ints else rational(a0))
-
-    @property
-    def g(self) -> int:
-        return len(self.a)
-
-
-def _torus_numerators(t: TorusExponent, d: int) -> tuple[int, list[tuple[int, int]]]:
-    """a_0 and, for each i, the pair (a_i, a_0 - a_i) that eps(i) = 1, -1 picks,
-    as numerators over d: slot j of (nu, eps) . t holds one of them, i = nu(j).
+def _torus_numerators(t: Torus) -> tuple[int, int, list[tuple[int, int]]]:
+    """d = 4 lcm(denominators of t), a_0 over d and, for each i, the pair (a_i, a_0 - a_i)
+    over d that eps(i) = 1, -1 picks: slot j of (nu, eps) . t holds one of them, i = nu(j).
     With 4 | a_0 the p-exponent g(g+1)/4 a_0 - sum_j (g+1-j) s_j is one too."""
-    a0 = t.a0.numerator * (d // t.a0.denominator)
-    return a0, [(x, a0 - x) for x in (a.numerator * (d // a.denominator) for a in t.a)]
+    a, (num, den) = t
+    d = 4 * lcm(den, *(q for _, q in a))
+    a0 = num * (d // den)
+    return d, a0, [(x, a0 - x) for x in (p * (d // q) for p, q in a)]
+
+
+def _text(x: int, d: int) -> str:
+    """x/d reduced, as `str(Fraction)` writes it."""
+    common = gcd(x, d)
+    return ratio_text((x // common, d // common))
 
 
 def _fragment(key: str, x: int, d: int) -> str:
-    """`,"key":"value"` with the value str(Fraction(x, d)), or "" when x = 0."""
-    common = gcd(x, d)
-    text = f"{x // common}/{d // common}" if common < d else str(x // common)
-    return f',"{key}":"{text}"' if x else ""
+    """`,"key":"value"` with the value `_text(x, d)`, or "" when x = 0."""
+    return f',"{key}":"{_text(x, d)}"' if x else ""
+
+
+def _listing_digits(d: int, a0: int, pairs: list[tuple[int, int]]) -> int:
+    """A bound on the digits of the exponents `hecke_table` prints: in each of its 2^g g! rows
+    slot by slot the longer text of a pair, sigma's text and p's, whose numerator is at most
+    g(g+1) times the largest of the pairs' (|a_0| is at most twice it) over a divisor of d."""
+    g, largest = len(pairs), max(abs(x) for pair in pairs for x in pair)
+    # 0.31 bits a digit bounds the digits of p's numerator and of d; 5 more, a sign and a slash
+    p = ((g * (g + 1) * largest).bit_length() + d.bit_length()) * 31 // 100 + 5
+    texts = sum(max(len(_text(x, d)) for x in pair) for pair in pairs) + len(_text(a0, d))
+    return 2**g * factorial(g) * (texts + p)
 
 
 def c_g_constant(g: int, w: WeylElement) -> Fraction:
@@ -199,6 +199,9 @@ def recover_characters(g: int, thetas: Sequence[dict], mu: Sequence, mu0,
 #: `hecke --all` prints 2^g g! rows, at g = 6 in about 0.2 s and 41 MB, and
 #: 1.6 s and 80 MB indented (the cost table is in the README)
 HECKE_ALL_MAX_G = 6
+#: the most digits of exponents that `hecke --all` may print, as `_listing_digits` counts
+#: them: at g = 6 about 0.2 s and 70 MB, 2 s and 110 MB indented (the cost table is in the README)
+HECKE_ALL_MAX_DIGITS = 10**7
 #: largest `recover-chi` g, about 10 s and 100 MB (the cost table is in the README)
 RECOVER_CHI_MAX_G = 500
 
@@ -210,7 +213,7 @@ def _weyl_from_args(args, g: int) -> WeylElement:
     return WeylElement.from_json(_json_keys(args.weyl, "--weyl", "nu", "eps"))
 
 
-def hecke_table(t: TorusExponent) -> str:
+def hecke_table(t: Torus) -> str:
     """The `hecke --all` entries of the generic character as compact JSON text, in
     `weyl_group` order, each object's keys sorted as `json.dumps(sort_keys=True)` sorts them.
 
@@ -221,9 +224,8 @@ def hecke_table(t: TorusExponent) -> str:
     sign, sigma's, and p's for each exponent.  An element joins its fragments
     and drops the first comma.
     """
-    g = t.g
-    d = 4 * lcm(*(x.denominator for x in (*t.a, t.a0)))
-    a0, pairs = _torus_numerators(t, d)
+    g = len(t[0])
+    d, a0, pairs = _torus_numerators(t)
 
     # chi[j][i - 1]: slot j's fragments when it holds sign i, for eps(i) = 1 and -1
     chi = {j: [[_fragment(f"chi_{j}", x, d) for x in pair] for pair in pairs]
@@ -250,15 +252,14 @@ def hecke_table(t: TorusExponent) -> str:
     return "[%s]" % ",".join(entries)
 
 
-def hecke_entry(t: TorusExponent, w: WeylElement) -> str:
+def hecke_entry(t: Torus, w: WeylElement) -> str:
     """The `hecke_table` entry of w alone, by the same closed form: slot j holds
     s_j = a_i or a_0 - a_i as eps(i) = 1 or -1, i = nu(j), every exponent a
     numerator over d = 4 lcm(denominators of t)."""
-    g = t.g
+    g = len(t[0])
     if w.g != g:
         raise ValueError("ranks differ")
-    d = 4 * lcm(*(x.denominator for x in (*t.a, t.a0)))
-    a0, pairs = _torus_numerators(t, d)
+    d, a0, pairs = _torus_numerators(t)
     s = [pairs[i - 1][w.eps[i - 1] < 0] for i in w.nu]
     p = g * (g + 1) * (a0 // 4) - sum(q * x for q, x in zip(range(g, 0, -1), s))
     chis = "".join(_fragment(f"chi_{j}", s[j - 1], d) for j in sorted(range(1, g + 1), key=str))
@@ -269,17 +270,23 @@ def hecke_entry(t: TorusExponent, w: WeylElement) -> str:
 
 def _cmd_hecke(args) -> tuple[str, None, None]:
     from .cliargs import CliError
-    from .jsonargs import _json_keys
+    from .jsonargs import _json_keys, _scalar_array
     g = args.g
     if args.all and g > HECKE_ALL_MAX_G:
         raise CliError(f"--all lists 2^g g! Weyl elements; g > {HECKE_ALL_MAX_G} is refused")
     t_obj = _json_keys(args.t, "--t", "a", "a0")
-    t = TorusExponent.make(t_obj["a"], t_obj["a0"])
-    if t.g != g:
+    a = ratios(_scalar_array(t_obj["a"], "t.a"))
+    if not a:
+        raise ValueError("torus exponent needs g >= 1 entries a_1..a_g")
+    t = a, ratio(t_obj["a0"])
+    if len(a) != g:
         raise CliError("torus exponent length differs from g")
     if args.all:
         if args.weyl is not None:
             raise CliError("--weyl and --all exclude each other")
+        if (digits := _listing_digits(*_torus_numerators(t))) > HECKE_ALL_MAX_DIGITS:
+            raise CliError(f"--all would print up to {digits} digits of exponents; "
+                           f"more than {HECKE_ALL_MAX_DIGITS} is refused")
         return f'{{"eigenvalues":{hecke_table(t)},"g":{g}}}', None, None
     return '{"g":%d,%s' % (g, hecke_entry(t, _weyl_from_args(args, g))[1:]), None, None
 
@@ -291,7 +298,8 @@ def _cmd_recover_chi(args) -> tuple[str, None, None]:
     text from outside, so the answer is written by `json`, which escapes them."""
     from .cliargs import CliError, _cap, _json_text
     from .exactlin import rational
-    from .jsonargs import _has_keys, _json_keys, _json_object, _load_input, _parse_json_arg
+    from .jsonargs import (_array, _has_keys, _json_keys, _json_object, _load_input,
+                           _parse_json_arg, _scalar_array)
     g = args.g
     if args.input is None:
         for option in ("eigs", "weights"):
@@ -309,7 +317,9 @@ def _cmd_recover_chi(args) -> tuple[str, None, None]:
         eigs, weights = obj["eigs"], _has_keys(obj["weights"], "weights", "mu", "mu0")
         w = (WeylElement.from_json(_has_keys(obj["weyl"], "weyl", "nu", "eps")) if "weyl" in obj
              else WeylElement.identity(g))
-    eigs = [{sym: rational(x) for sym, x in _json_object(e, "a monomial").items()} for e in eigs]
-    chi, sigma = recover_characters(g, eigs, weights["mu"], weights["mu0"], w)
+    eigs = [{sym: rational(x) for sym, x in _json_object(e, "a monomial").items()}
+            for e in _array(eigs, "eigs")]
+    mu = _scalar_array(weights["mu"], "weights.mu")
+    chi, sigma = recover_characters(g, eigs, mu, weights["mu0"], w)
     return _json_text({"chi": [{sym: str(x) for sym, x in c.items()} for c in chi],
                        "sigma": {sym: str(x) for sym, x in sigma.items()}}), None, None

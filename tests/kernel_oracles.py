@@ -24,8 +24,10 @@ Laurent monomials, through the exponent maps it takes and returns; every
 oracle here multiplies monomials with that class, and `hecke_diagonal`
 takes the torus numerators itself, not from the helper that `hecke` and
 `hecke --all` share.  From `src/` the oracles take only the readers
-`exactlin.rational` and `vector`, the records `TorusExponent` and
-`WeylElement`, and `plethysm.valid_triple` with its error;
+`exactlin.rational` and `vector`, the record `WeylElement`, and
+`plethysm.valid_triple` with its error; the torus is their own record
+`TorusExponent` of `Fraction`s, whose `pairs` are the exponents as `hecke`
+takes them;
 `recovered_character` wraps the solve under test and checks nothing itself.
 `slopes` decides the noncritical-slope inequalities and the twist in
 integers over one common denominator; `fraction_slope_hilbert`,
@@ -48,7 +50,7 @@ from linvariants.plethysm import InvalidWeightTripleError, valid_triple
 from functools import lru_cache
 from math import lcm
 
-from linvariants.weylhecke import TorusExponent, WeylElement, recover_characters
+from linvariants.weylhecke import WeylElement, recover_characters
 
 
 class Monomial:
@@ -110,6 +112,26 @@ def monomial_product(factors) -> Monomial:
         for sym, e in factor.exponents:
             exps[sym] = exps[sym] + e if sym in exps else e
     return Monomial(tuple(sorted((sym, e) for sym, e in exps.items() if e)))
+
+
+class TorusExponent(NamedTuple):
+    """t = (p^{a_1}, ..., p^{a_g}; p^{a_0}) stored by its exponents, as `Fraction`s."""
+
+    a: tuple[Fraction, ...]
+    a0: Fraction
+
+    @classmethod
+    def make(cls, a, a0) -> "TorusExponent":
+        return cls(vector(a), rational(a0))
+
+    @property
+    def g(self) -> int:
+        return len(self.a)
+
+    @property
+    def pairs(self) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+        """(a, a_0) as the (numerator, denominator) pairs `hecke_entry` and `hecke_table` take."""
+        return [(x.numerator, x.denominator) for x in self.a], (self.a0.numerator, self.a0.denominator)
 
 
 class CharacterData(NamedTuple):
@@ -195,15 +217,11 @@ def hecke_diagonal(chi: CharacterData, t: TorusExponent, w: WeylElement) -> Mono
 
 
 def beta(g: int, j: int) -> TorusExponent:
-    """beta_0 = (1,...,1; p^-1); beta_j has p^-1 in the last j slots and p^-2 center.
-
-    Its exponents are `Fraction`s made by `exactlin`, as `TorusExponent.make`
-    made them before it kept ints, so the forward map's cost is unchanged.
-    """
+    """beta_0 = (1,...,1; p^-1); beta_j has p^-1 in the last j slots and p^-2 center."""
     if not 0 <= j <= g:
         raise ValueError("need 0 <= j <= g")
     a, a0 = ([0] * g, -1) if j == 0 else ([0] * (g - j) + [-1] * j, -2)
-    return TorusExponent(vector(a), rational(a0))
+    return TorusExponent.make(a, a0)
 
 
 def weight_exponent(mu, mu0, t) -> Fraction:

@@ -20,6 +20,7 @@ import phin_oracle
 from kernel_oracles import (
     CharacterData,
     Monomial,
+    TorusExponent,
     b_special,
     beta,
     generic_character,
@@ -174,7 +175,7 @@ def test_criterion_7_hecke_suite():
         chi = generic_character(g)
         for w in weylhecke.weyl_group(g):
             for i in range(1, g + 1):
-                entry = json.loads(weylhecke.hecke_entry(beta(g, g - i), w))
+                entry = json.loads(weylhecke.hecke_entry(beta(g, g - i).pairs, w))
                 direct = Monomial.from_dict(entry["value"])
                 ok = ok and direct == upi_eigenvalue_display(chi, i, w)
     trials = 0
@@ -214,7 +215,7 @@ def test_criterion_8_slope_suite():
         a0 = rng.choice([-3, -2, -1, 1, 2, 3])
         low = max(0, -(-a0 // 2))
         a = sorted((rng.randint(low, low + 5) for _ in range(g)), reverse=True)
-        t = weylhecke.TorusExponent.make(a, a0)
+        t = TorusExponent.make(a, a0)
         places = rng.choice([1, 2])
         mus = [
             sorted((rng.randint(0, 8) for _ in range(g)), reverse=True)

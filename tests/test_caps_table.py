@@ -18,6 +18,7 @@ CAPS = {
     "`phin --all-submodules --n`, steinberg": [phin.STEINBERG_ALL_SUBMODULES_MAX_N],
     "`phin --all-submodules --n`, crystalline": [phin.ALL_SUBMODULES_MAX_N],
     "`hecke --all --g`": [weylhecke.HECKE_ALL_MAX_G],
+    "`hecke --all` exponent digits": [weylhecke.HECKE_ALL_MAX_DIGITS],
     "`recover-chi --g`": [weylhecke.RECOVER_CHI_MAX_G],
     "`obstruction --exponents`": [slopes.OBSTRUCTION_MAX_SUMS, slopes.OBSTRUCTION_MAX_TRIALS],
     **{f"`linv` rank `{key}` of `{family}`": [cap] for family, (key, cap) in linv.LINV_RANK_CAPS.items()},

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from kernel_oracles import (
     CharacterData,
     Monomial,
+    TorusExponent,
     beta,
     fraction_b_coefficient,
     fraction_cg_table,
@@ -31,7 +33,7 @@ from kernel_oracles import (
     normalized_eigenvalues,
     weyl_json,
 )
-from linvariants import weylhecke
+from linvariants import ratio, ratios, weylhecke
 from linvariants.cli import main, parse_args
 from linvariants.plethysm import (
     BCOEFF_MAX_N,
@@ -40,7 +42,7 @@ from linvariants.plethysm import (
     project_endomorphism_diagonal,
     valid_triple,
 )
-from linvariants.weylhecke import TorusExponent, WeylElement, hecke_table
+from linvariants.weylhecke import HECKE_ALL_MAX_DIGITS, WeylElement, hecke_table
 
 rng = random.Random(16)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -503,6 +505,54 @@ def test_hecke_all_pretty_at_the_cap_is_the_compact_listing_indented(capsys):
     assert capsys.readouterr().out == json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n"
 
 
+#: `main()` as the console script runs it, and an `atexit` handler, which `main` runs before
+#: it ends the process, that writes the process's peak RSS (`VmHWM`, in kB) to stderr: the
+#: peak `wait4` reports would include the forking test process's own
+PEAK_REPORTING_CLI = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: sys.stderr.write([line for line in open('/proc/self/status')\n"
+    "                                          if line.startswith('VmHWM:')][0]))\n"
+    "from linvariants.cli import main\n"
+    "main()\n"
+)
+
+
+def child_cost(argv) -> tuple[int, bytes, float, float]:
+    """(exit code, stdout, CPU seconds, peak RSS in MB) of the request `argv` as a process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        child = subprocess.Popen([sys.executable, "-c", PEAK_REPORTING_CLI, *argv], stdout=out,
+                                 stderr=err, env=env)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        peak = int(err.read().split()[-2]) / 1024
+        return child.returncode, out.read(), usage.ru_utime + usage.ru_stime, peak
+
+
+#: a g = 6 torus at the `hecke --all` digit budget: a_0 and each a_i of 26 digits, so every
+#: row holds g + 2 exponents of 26 to 29 digits, about 17 MB of compact JSON in all
+BUDGET_TORUS = {"a": [random.Random(6).randrange(10**25, 10**26) for _ in range(6)], "a0": 10**26 - 1}
+
+
+@pytest.mark.parametrize("fmt, megabytes", [("json", 100), ("pretty", 130)])
+def test_hecke_all_at_its_digit_budget(fmt, megabytes):
+    # on a 2-core Xeon VM the listing at the budget took 0.18 s and 68 MB compact, 1.6 to 2.0 s
+    # and 107 MB pretty; the torus with one digit more on each entry is refused before the sweep
+    argv = ["--format", fmt, "hecke", "--g", "6", "--t", json.dumps(BUDGET_TORUS), "--all"]
+    code, out, seconds, peak = child_cost(argv)
+    assert code == 0 and len(json.loads(out)["eigenvalues"]) == 2**6 * 720
+    assert seconds < 10 and peak < megabytes, (seconds, peak)
+    past = {"a": [10 * x for x in BUDGET_TORUS["a"]], "a0": 10 * BUDGET_TORUS["a0"]}
+    argv[argv.index("--t") + 1] = json.dumps(past)
+    code, out, seconds, peak = child_cost(argv)
+    assert (code, json.loads(out)) == (2, {"error": {"code": "input", "message": (
+        f"--all would print up to 10368000 digits of exponents; more than {HECKE_ALL_MAX_DIGITS} "
+        "is refused")}})
+    assert seconds < 1 and peak < 30, (seconds, peak)
+
+
 def test_pretty_output_is_written_in_runs(capsys, monkeypatch):
     # one write per token would be a system call each on a write-through stdout
     argv = ["phin", "--case", "crystalline_split", "--n", "6", "--all-submodules"]
@@ -581,9 +631,20 @@ def test_hecke_all_json_text_equals_the_fraction_loop(a, a0):
         assert out.getvalue() == expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda g: st.lists(TORUS_ENTRIES, min_size=g, max_size=g)),
+       TORUS_ENTRIES)
+@example([-202303174502], 889714505861)  # p's text holds a sign, 13 digits, a slash and a 2
+def test_the_digit_count_of_hecke_all_bounds_its_listing(a, a0):
+    # the budget of `hecke --all` is checked on this count, before the sweep
+    t = ratios(a), ratio(a0)
+    printed = sum(len(text) for row in json.loads(hecke_table(t)) for text in row["value"].values())
+    assert printed <= weylhecke._listing_digits(*weylhecke._torus_numerators(t))
+
+
 @pytest.mark.parametrize("g", (1, 3))
 def test_hecke_table_on_the_zero_and_the_sigma_torus(g):
-    zero, sigma = (hecke_table(TorusExponent.make([0] * g, a0)) for a0 in (0, 3))
+    zero, sigma = (hecke_table(TorusExponent.make([0] * g, a0).pairs) for a0 in (0, 3))
     assert all(entry["value"] == {} for entry in json.loads(zero))
     # at the identity only sigma^3 and the half-modulus power of p, no chi
     assert json.loads(sigma)[0]["value"] == {"p": str(Fraction(3 * g * (g + 1), 4)), "sigma": "3"}
@@ -1230,6 +1291,35 @@ def test_linv_input_refusals_name_the_key(tmp_path, capsys, obj, message):
     path = write_json(tmp_path, obj)
     code, payload = run_json(capsys, "linv", "--family", "gsp4_spin", "--input", path)
     assert (code, payload) == (2, {"error": {"code": "input", "message": message}})
+
+
+RECOVER_CHI_ARGS = ["recover-chi", "--g", "2", "--eigs", '[{"p": 1}, {"p": 1}]', "--weights"]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["hecke", "--g", "2", "--t", '{"a": 5, "a0": 0}'], "", "t.a must be a JSON array, not 5"),
+        (["hecke", "--g", "2", "--t", '{"a": null, "a0": 0}', "--all"], "",
+         "t.a must be a JSON array, not None"),
+        (["linv", "--family", "gsp4_spin", "--input", "-"], json.dumps({**LINV_INPUT, "places": 5}),
+         "places must be a JSON array, not 5"),
+        (["linv", "--family", "hilbert", "--input", "-"],
+         json.dumps({**LINV_INPUT, "direction": {"u": 5}}), "direction.u must be a JSON array, not 5"),
+        ([*RECOVER_CHI_ARGS, '{"mu": 5, "mu0": 0}'], "", "weights.mu must be a JSON array, not 5"),
+        (["recover-chi", "--g", "2", "--eigs", "true", "--weights", '{"mu": [0, 0], "mu0": 0}'], "",
+         "eigs must be a JSON array, not True"),
+        (["recover-chi", "--g", "2", "--input", "-"], '{"eigs": 5, "weights": {"mu": [0, 0], "mu0": 0}}',
+         "eigs must be a JSON array, not 5"),
+    ],
+    ids=["hecke-a", "hecke-all-a", "linv-places", "linv-u", "recover-chi-mu", "recover-chi-eigs",
+         "recover-chi-input-eigs"],
+)
+def test_a_vector_that_is_no_array_is_refused_by_name(capsys, monkeypatch, argv, stdin, message):
+    # Python's own complaint used to leak: "'int' object is not iterable" or, for linv's
+    # places, "object of type 'int' has no len()"
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(stdin.encode()))
+    assert run_json(capsys, *argv) == (2, {"error": {"code": "domain", "message": message}})
 
 
 def test_slope_find_twist_false_is_no_search(tmp_path, capsys):

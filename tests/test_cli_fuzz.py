@@ -36,6 +36,11 @@ formed with a dominant torus, so that most of them reach their oracles.
 Every exit-0 line must be compact, key-sorted JSON, byte for byte what
 `json.dumps(sort_keys=True, separators=(",", ":"))` makes of it: `phin`,
 `cg`, `bcoeff`, `obstruction` and `hecke --all` write that text themselves.
+
+An exit-0 `linv` answer must also pass the paper's metamorphic check: the
+L-invariant is homogeneous in the direction, of degree minus the number of
+places, so the request with the direction scaled by c answers c^-places
+times the value, each place's b_v times c and each place's value over c.
 """
 
 import contextlib
@@ -54,6 +59,7 @@ from linvariants.cli import main, parse_args
 from kernel_oracles import (
     CharacterData,
     Monomial,
+    TorusExponent,
     beta,
     enumerated_obstruction_orders,
     fraction_b_coefficient,
@@ -69,7 +75,7 @@ from linvariants import ratio
 from linvariants.exactlin import rational
 from linvariants.linv import Direction
 from linvariants.sl2rep import EndoElement
-from linvariants.weylhecke import TorusExponent, WeylElement
+from linvariants.weylhecke import WeylElement
 from paper_displays import _theorem_forms, compare_to_theorem, display_ratios, theorem_evaluator
 from phin_oracle import phin_answer
 
@@ -238,6 +244,34 @@ def linv_answer(args, request: dict) -> dict:
     if args.compare_theorem:
         answer["classification"] = compare_to_theorem(which, rank).to_json()
     return answer
+
+
+def run_main(argv, stdin) -> tuple[int, str]:
+    """(exit code, stdout) of `main(argv)` reading `stdin`."""
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO((stdin or "").encode()), encoding="utf-8")):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    return code, out.getvalue()
+
+
+#: the c of the homogeneity check: negative, so that a sign slip shows, and no integer
+DIRECTION_SCALE = Fraction(-3, 2)
+
+
+def assert_homogeneous_in_the_direction(argv, request: dict, payload: dict) -> None:
+    """The `linv` request with its direction (u; u_0) times c answers `payload` scaled:
+    the value times c^-places, each b_v times c and each place's value over c."""
+    c, direction = DIRECTION_SCALE, request["direction"]
+    scaled = {**request, "direction": {**direction, "u0": str(Fraction(*ratio(direction.get("u0", 0))) * c),
+                                       "u": [str(Fraction(*ratio(x)) * c) for x in direction["u"]]}}
+    code, text = run_main(argv, json.dumps(scaled))
+    assert code == 0, (argv, scaled, text)
+    answer = json.loads(text)
+    places = payload["per_place"]
+    assert Fraction(answer["value"]) == Fraction(payload["value"]) / c ** len(places), (argv, scaled)
+    assert [(p["a"], Fraction(p["b"]), Fraction(p["value"])) for p in answer["per_place"]] == [
+        (p["a"], Fraction(p["b"]) * c, Fraction(p["value"]) / c) for p in places], (argv, scaled)
 
 
 #: subcommand -> the JSON value of an accepted request, from its parsed options
@@ -601,14 +635,10 @@ argvs = st.one_of(
      "places": [{"gradients": {"a_1": 1, "a_2": 2, "a_3": "-1/2", "a_4": 3}}]})))
 def test_every_accepted_argv_ends_in_one_json_line(case):
     argv, stdin = case
-    out = io.StringIO()
     start = time.perf_counter()
-    with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO((stdin or "").encode()), encoding="utf-8")):
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
+    code, text = run_main(argv, stdin)
     assert time.perf_counter() - start < EXAMPLE_SECONDS, (argv, stdin)
     assert code in (0, 2, 3), (argv, stdin, code)
-    text = out.getvalue()
     assert text.endswith("\n") and text.count("\n") == 1, (argv, stdin, text)
     payload = json.loads(text)
     assert (code == 0) == ("error" not in payload), (argv, stdin, payload)
@@ -619,3 +649,5 @@ def test_every_accepted_argv_ends_in_one_json_line(case):
         args = parse_args(argv)
         expected = ORACLES[argv[0]](*[args] if stdin is None else [args, json.loads(stdin)])
         assert payload == json.loads(json.dumps(expected)), (argv, stdin)
+    if code == 0 and argv[0] == "linv":
+        assert_homogeneous_in_the_direction(argv, json.loads(stdin), payload)

@@ -428,10 +428,12 @@ def test_a_float_argument_loads_json_and_fractions(argv, code):
                                             "numbers"]
 
 
-def test_a_rational_argument_loads_fractions_but_no_json():
-    argv = ["hecke", "--g", "2", "--t", '{"a": ["3/2", 0], "a0": -1}']
-    assert json_modules(argv)[0] == []
-    assert fraction_modules(argv) == ["decimal", "fractions", "linvariants.exactlin", "numbers"]
+def test_a_rational_torus_loads_neither_fractions_nor_json():
+    # `hecke` reads its torus once, as `ratio` pairs, at one Weyl element and under --all
+    for extra in ([], ["--all"]):
+        argv = ["hecke", "--g", "2", "--t", '{"a": ["3/2", " -1/4 "], "a0": "-1/3"}', *extra]
+        assert json_modules(argv)[0] == []
+        assert fraction_modules(argv) == []
 
 
 #: one request or more per subcommand besides `bcoeff` and `project-endo`, (argv, stdin)

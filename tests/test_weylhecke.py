@@ -20,7 +20,6 @@ from linvariants.slopes import (
     twist_search,
 )
 from linvariants.weylhecke import (
-    TorusExponent,
     WeylElement,
     c_g_constant,
     hecke_entry,
@@ -30,6 +29,7 @@ from linvariants.weylhecke import (
 from kernel_oracles import (
     CharacterData,
     Monomial,
+    TorusExponent,
     beta,
     enumerated_obstruction_orders,
     fraction_hecke_diagonal,
@@ -65,7 +65,7 @@ def element_order(w):
 
 def entry(t, w):
     """The eigenvalue `hecke_entry` prints for the generic character, as an Monomial."""
-    return Monomial.from_dict(json.loads(hecke_entry(t, w))["value"])
+    return Monomial.from_dict(json.loads(hecke_entry(t.pairs, w))["value"])
 
 
 def random_torus(g, lo=-5, hi=5):
@@ -310,7 +310,7 @@ def test_hecke_diagonal_rank_checks():
     with pytest.raises(ValueError, match="ranks differ"):
         hecke_diagonal(chi, TorusExponent.make([0, 0], 0), WeylElement.identity(3))
     with pytest.raises(ValueError, match="ranks differ"):
-        hecke_entry(TorusExponent.make([0, 0], 0), WeylElement.identity(3))
+        hecke_entry(TorusExponent.make([0, 0], 0).pairs, WeylElement.identity(3))
 
 
 @pytest.mark.parametrize("g", (2, 3))
