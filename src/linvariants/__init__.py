@@ -2,7 +2,7 @@
 
 Submodules:
 
-* exactlin  -- the `Fraction` front of `ratio`, and what `ratio` reads through `Fraction`
+* exactlin  -- what `ratio` reads through `Fraction`, with its refusals
 * sl2rep    -- the sl(2) action on End(Sym^n V), weight-graded brute-force oracle
   with its fraction-free block inverse
 * plethysm  -- the inverse Clebsch-Gordan table with its weight-triple check,

@@ -44,8 +44,6 @@ def _emit(fmt: str, text: str, csv_header: str | None = None, csv_rows=None) -> 
     indent the text for pretty output, which is streamed in runs of tokens.
     """
     if fmt == "csv":
-        if csv_header is None or csv_rows is None:
-            raise CliError("csv output is only available for table commands")
         text = "\n".join([csv_header, *(",".join(str(x) for x in row) for row in csv_rows)])
     try:
         if fmt != "pretty":
@@ -144,6 +142,9 @@ def parse_args(argv):
         if required and option not in values:
             raise CliError(f"{command} needs --{option}")
         attrs[option.replace("-", "_")] = values.get(option, None if kind else False)
+    # only `bcoeff` and `cg --table` have a CSV form: any other is refused before it runs
+    if values["format"] == "csv" and not (command == "bcoeff" or values.get("table")):
+        raise CliError("csv output is only available for table commands")
     # the table has accepted argv: only now is the handler's maths module imported
     module, _, attr = handler.partition(".")
     func = getattr(import_module(f".{module}", __package__), attr)

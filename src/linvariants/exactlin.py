@@ -1,37 +1,18 @@
-"""Exact scalars and vectors over Q as `fractions.Fraction`s.
+"""What `linvariants.ratio` reads through `fractions.Fraction`.
 
-`rational` and `vector` are the `Fraction` front of `linvariants.ratio`, the one
-reader of exact scalars, and `_fraction` reads for it what it does not read
-in integers.  The eliminations are in `sl2rep` and `tests/linalg_oracle.py`.
+`ratio` reads a JSON int and a plain `a` or `a/b` text in integers and
+hands every other value to `_fraction` here, which keeps every refusal of
+the `Fraction` reader it replaced, the test oracle `tests/scalar_oracle.py`.
+A caller that needs a `Fraction` writes `Fraction(*ratio(value))`.
 """
 
 from fractions import Fraction
-from typing import Iterable
 
-from . import _digit_limit, ratio, ratios
-
-Vector = tuple[Fraction, ...]
-
-
-class DimensionMismatchError(ValueError):
-    """Operands live in different ambient dimensions."""
-
+from . import _digit_limit
 
 #: largest |e| of a decimal string 'xEe' (10^e has 33k bits at the cap);
 #: Fraction('1e100000000') would build 10^(10^8), which takes minutes
 MAX_DECIMAL_EXPONENT = 10**4
-
-
-def rational(value) -> Fraction:
-    """A Fraction as it is; an int or a text like '3/4' or '1.5e-3' as `linvariants.ratio` reads it."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(*ratio(value))
-
-
-def vector(values: Iterable) -> Vector:
-    """The exact scalars of a sequence; a str or a dict, iterable as it is, is refused."""
-    return tuple(Fraction(*pair) for pair in ratios(values))
 
 
 def _fraction(value) -> Fraction:

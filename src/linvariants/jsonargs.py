@@ -109,12 +109,6 @@ def _array(value, label: str) -> list:
     return value
 
 
-def _scalar_array(value, label: str):
-    """A vector of exact scalars for `ratios`, which refuses a str or a dict by its own
-    message; any other value that is no JSON array is refused by `label`."""
-    return value if isinstance(value, (str, dict)) else _array(value, label)
-
-
 def _has_keys(value, label: str, *keys: str) -> dict:
     """`value`, which must be a JSON object holding every one of `keys`."""
     obj = _json_object(value, label)

@@ -97,8 +97,7 @@ class PlaceForms(NamedTuple):
         """(a_v, b_v); raises SingularDirectionError(place) when b_v = 0."""
         a = self._a(gradients)
         if len(direction.u) + 1 != len(self.den):
-            from .exactlin import DimensionMismatchError  # only to refuse
-            raise DimensionMismatchError("direction has wrong length")
+            raise ValueError("direction has wrong length")
         b = _times(_dot(self.den, direction.u + (direction.u0,)), self.den_scale)
         if b[0] == 0:
             raise SingularDirectionError(place)
@@ -107,8 +106,7 @@ class PlaceForms(NamedTuple):
     def _a(self, gradients: Sequence[Ratio]) -> Ratio:
         """a_v at one place's gradient assignment, whose length is checked first."""
         if len(gradients) != len(self.num):
-            from .exactlin import DimensionMismatchError
-            raise DimensionMismatchError("gradient assignment has wrong length")
+            raise ValueError("gradient assignment has wrong length")
         return _times(_dot(self.num, gradients), self.num_scale)
 
 
@@ -187,8 +185,7 @@ def place_forms(data: TriangulationData, row: Sequence[int]) -> PlaceForms:
     """Contract the graded pieces with the B-row `row`: the forms of every place."""
     pieces = data.pieces
     if len(row) != len(pieces):
-        from .exactlin import DimensionMismatchError
-        raise DimensionMismatchError("B-row length must match the graded pieces")
+        raise ValueError("B-row length must match the graded pieces")
     num = [0] * len(pieces[0][1])
     den = [0] * len(pieces[0][0])
     for coeff, (kappa, logf) in zip(row, pieces):
@@ -249,13 +246,13 @@ LINV_RANK_CAPS = {"gsp_std": ("g", 200), "unitary": ("n", 100)}
 
 def _cmd_linv(args) -> tuple[str, None, None]:
     from .cliargs import CliError, _cap
-    from .jsonargs import _array, _has_keys, _json_object, _load_input, _scalar_array
+    from .jsonargs import _array, _has_keys, _json_object, _load_input
     obj = _load_input(args)
     family = args.family
     params = _json_object(obj.get("params", {}), "params")
     places_obj = _has_keys(obj, "--input", "places", "direction")["places"]
     direction_obj = _has_keys(obj["direction"], "direction", "u")
-    u = _scalar_array(direction_obj["u"], "direction.u")
+    u = _array(direction_obj["u"], "direction.u")
     direction = Direction.make(u, direction_obj.get("u0", 0))
     which = args.compare_theorem
     if which and THEOREMS[which][0] != family:

@@ -66,7 +66,7 @@ STEINBERG_ALL_SUBMODULES_MAX_N = 500
 
 
 def _l_text(text: str) -> str:
-    """str(exactlin.rational(text)), refused if 0; a plain a or a/b is read in integers."""
+    """str(Fraction(*ratio(text))), refused if 0; a plain a or a/b is read in integers."""
     value = ratio(text)
     if value[0] == 0:
         raise ValueError("steinberg case requires a nonzero L-parameter")

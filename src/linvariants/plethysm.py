@@ -35,22 +35,15 @@ One `bcoeff --i` entry stops the half row at min(i, n-i).
 Both tables hold integers, and the handlers write their answers as
 compact JSON text, so a `cg`, `bcoeff` or `project-endo` request imports
 no `json`.  Only the diagonal projection takes rationals, and it imports
-`fractions` and `exactlin` only for a diagonal entry that is no integer.
+`fractions` only for a diagonal entry that is no integer.
 """
 
 from functools import lru_cache
 from itertools import islice
 from math import comb, factorial
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import ratio
-
-if TYPE_CHECKING:  # the integer requests load no `fractions`
-    from fractions import Fraction
-
-
-class InvalidWeightTripleError(ValueError):
-    """p is not among m+n, m+n-2, ..., |m-n|."""
 
 
 def valid_triple(m: int, n: int, p: int) -> bool:
@@ -66,7 +59,7 @@ def _stratum(m: int, n: int, p: int) -> int:
     """(m+n-p)/2, the u + v - w of every nonzero C_{m,n,p}^{u,v,w}, once the
     weight triple is checked."""
     if not valid_triple(m, n, p):
-        raise InvalidWeightTripleError(f"V_{p} does not occur in V_{m} (x) V_{n}")
+        raise ValueError(f"V_{p} does not occur in V_{m} (x) V_{n}")
     return (m + n - p) // 2
 
 
@@ -150,15 +143,14 @@ def project_endomorphism_diagonal(n: int, k: int, diag) -> DiagonalProjection:
     coefficient sum_i B_{n,k,i} diag_i, and the k coefficients of g_{2k,u},
     u > k, are 0.  The tests check this against the full projection.  Int
     entries stay ints, and so does the sum of a diagonal of ints: only another
-    entry goes through `exactlin.rational`, which imports `fractions`.
+    entry is made a `Fraction`, which imports `fractions`.
     """
     diag = list(diag)
     if not all(type(d) is int for d in diag):
-        from .exactlin import rational
-        diag = [d if type(d) is int else rational(d) for d in diag]
+        from fractions import Fraction
+        diag = [d if type(d) is int else Fraction(*ratio(d)) for d in diag]
     if len(diag) != n + 1:
-        from .exactlin import DimensionMismatchError
-        raise DimensionMismatchError(f"diagonal must have length {n + 1}")
+        raise ValueError(f"diagonal must have length {n + 1}")
     if n < 0:  # n = -1, the one negative n the length check lets through
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     middle = sum(b * d for b, d in zip(b_row(n, k), diag))

@@ -31,14 +31,12 @@ and a diagonal is scaled to integers once, so each coordinate is one integer
 dot product and one Fraction.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from operator import mul
 
-from .exactlin import DimensionMismatchError, rational
+from . import ratio
 
 
 class InternalConsistencyError(RuntimeError):
@@ -52,12 +50,12 @@ class EndoElement:
 
     def __init__(self, n: int, grid: tuple[tuple[Fraction, ...], ...]):
         if len(grid) != n + 1 or any(len(r) != n + 1 for r in grid):
-            raise DimensionMismatchError("grid has wrong shape")
+            raise ValueError("grid has wrong shape")
         self.n, self.grid = n, grid
 
     @classmethod
     def diagonal(cls, diag) -> "EndoElement":
-        diag = [rational(d) for d in diag]
+        diag = [Fraction(*ratio(d)) for d in diag]
         n = len(diag) - 1
         return cls(
             n,

@@ -19,10 +19,6 @@ from typing import Iterable, Sequence
 from . import ratio, ratios
 
 
-class NonDominantError(ValueError):
-    """The torus exponent is not dominant (a_1 >= ... >= a_g >= a_0/2)."""
-
-
 def _common(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     """The numerators of `pairs` over the lcm of their denominators, and that lcm."""
     den = lcm(*(q for _, q in pairs))
@@ -62,7 +58,7 @@ def _slope_sides(
         raise ValueError("torus exponent needs g >= 1 entries a_1..a_g")
     (*a, a0), a_den = _common([*a, ratio(a0)])
     if not (all(x >= y for x, y in zip(a, a[1:])) and 2 * a[-1] >= a0):
-        raise NonDominantError("need a_1 >= ... >= a_g >= a_0/2")
+        raise ValueError("need a_1 >= ... >= a_g >= a_0/2")
     if len(mu_per_place) != len(slopes):
         raise ValueError("one slope per place is required")
     if not mu_per_place:

@@ -39,17 +39,12 @@ The evaluation for any character, `hecke_diagonal`, is a test oracle in
 `tests/kernel_oracles.py`.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import lru_cache, partial
 from math import factorial, gcd, lcm
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import ratio, ratio_text, ratios
-
-if TYPE_CHECKING:  # `hecke` loads no `fractions`
-    from fractions import Fraction
 
 #: t = (p^{a_1}, ..., p^{a_g}; p^{a_0}) as (a, a_0), each exponent a pair that `ratio` reads
 Torus = tuple[Sequence[tuple[int, int]], tuple[int, int]]
@@ -137,14 +132,14 @@ def _listing_digits(d: int, a0: int, pairs: list[tuple[int, int]]) -> int:
     return 2**g * factorial(g) * (texts + p)
 
 
-def c_g_constant(g: int, w: WeylElement) -> Fraction:
+def c_g_constant(g: int, w: WeylElement) -> "Fraction":
     """c_{g,nu,eps} = sum_{eps(nu(j))=-1}(g+1-j) - g(g+1)/4."""
     from fractions import Fraction
     total = sum(g + 1 - j for j, i in enumerate(w.nu, 1) if w.eps[i - 1] == -1)
     return Fraction(4 * total - g * (g + 1), 4)
 
 
-def _beta_weight_exponents(g: int, mu: Sequence[Fraction], mu0: Fraction) -> list[Fraction]:
+def _beta_weight_exponents(g: int, mu: Sequence, mu0) -> list:
     """v_p of the weight (mu; mu0) at beta_{g-i}, sum_j mu_j a_j + (mu0 - sum(mu)) a_0 / 2,
     for i = 1..g, in O(g): beta_j is -1 in its last j slots with a_0 = -2, which gives
     sum(mu) - mu_0 - (the last j of mu summed), and beta_0 is 0 with a_0 = -1, which
@@ -170,13 +165,13 @@ def recover_characters(g: int, thetas: Sequence[dict], mu: Sequence, mu0,
     thetas has one answer, whose eigenvalues are thetas and whose determinant
     chi_1...chi_g sigma^2 (p) is p^{mu_0}.
     """
-    from .exactlin import rational, vector
+    from fractions import Fraction
     if g < 2:
         raise ValueError("character recovery needs g >= 2")
     if len(thetas) != g:
         raise ValueError("need exactly g eigenvalues")
-    mu = vector(mu)
-    mu0 = rational(mu0)
+    mu = [Fraction(*x) for x in ratios(mu)]
+    mu0 = Fraction(*ratio(mu0))
     alphas = [_monomial(({"p": -shift}, 1), (theta, 1))
               for shift, theta in zip(_beta_weight_exponents(g, mu, mu0), thetas)]
     if w.g != g:
@@ -270,12 +265,12 @@ def hecke_entry(t: Torus, w: WeylElement) -> str:
 
 def _cmd_hecke(args) -> tuple[str, None, None]:
     from .cliargs import CliError
-    from .jsonargs import _json_keys, _scalar_array
+    from .jsonargs import _array, _json_keys
     g = args.g
     if args.all and g > HECKE_ALL_MAX_G:
         raise CliError(f"--all lists 2^g g! Weyl elements; g > {HECKE_ALL_MAX_G} is refused")
     t_obj = _json_keys(args.t, "--t", "a", "a0")
-    a = ratios(_scalar_array(t_obj["a"], "t.a"))
+    a = ratios(_array(t_obj["a"], "t.a"))
     if not a:
         raise ValueError("torus exponent needs g >= 1 entries a_1..a_g")
     t = a, ratio(t_obj["a0"])
@@ -296,10 +291,11 @@ def _cmd_recover_chi(args) -> tuple[str, None, None]:
     `eigs`, `weights` and, optionally, `weyl`: at the cap the eigenvalues are
     megabytes of JSON, past what one command-line argument may hold.  The symbols are
     text from outside, so the answer is written by `json`, which escapes them."""
+    from fractions import Fraction
+
     from .cliargs import CliError, _cap, _json_text
-    from .exactlin import rational
     from .jsonargs import (_array, _has_keys, _json_keys, _json_object, _load_input,
-                           _parse_json_arg, _scalar_array)
+                           _parse_json_arg)
     g = args.g
     if args.input is None:
         for option in ("eigs", "weights"):
@@ -317,9 +313,9 @@ def _cmd_recover_chi(args) -> tuple[str, None, None]:
         eigs, weights = obj["eigs"], _has_keys(obj["weights"], "weights", "mu", "mu0")
         w = (WeylElement.from_json(_has_keys(obj["weyl"], "weyl", "nu", "eps")) if "weyl" in obj
              else WeylElement.identity(g))
-    eigs = [{sym: rational(x) for sym, x in _json_object(e, "a monomial").items()}
+    eigs = [{sym: Fraction(*ratio(x)) for sym, x in _json_object(e, "a monomial").items()}
             for e in _array(eigs, "eigs")]
-    mu = _scalar_array(weights["mu"], "weights.mu")
+    mu = _array(weights["mu"], "weights.mu")
     chi, sigma = recover_characters(g, eigs, mu, weights["mu0"], w)
     return _json_text({"chi": [{sym: str(x) for sym, x in c.items()} for c in chi],
                        "sigma": {sym: str(x) for sym, x in sigma.items()}}), None, None

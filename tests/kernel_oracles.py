@@ -23,9 +23,11 @@ denominator).
 Laurent monomials, through the exponent maps it takes and returns; every
 oracle here multiplies monomials with that class, and `hecke_diagonal`
 takes the torus numerators itself, not from the helper that `hecke` and
-`hecke --all` share.  From `src/` the oracles take only the readers
-`exactlin.rational` and `vector`, the record `WeylElement`, and
-`plethysm.valid_triple` with its error; the torus is their own record
+`hecke --all` share.  From `src/` the oracles take only the record
+`WeylElement` and `plethysm.valid_triple`: they read their scalars with
+`fraction_rational` and `fraction_vector` of `tests/scalar_oracle.py`, not
+with the reader they check, and raise their own `ValueError`s with the
+messages of `src/`; the torus is their own record
 `TorusExponent` of `Fraction`s, whose `pairs` are the exponents as `hecke`
 takes them;
 `recovered_character` wraps the solve under test and checks nothing itself.
@@ -45,12 +47,12 @@ from fractions import Fraction
 from math import ceil, comb, factorial, floor
 from typing import NamedTuple
 
-from linvariants.exactlin import rational, vector
-from linvariants.plethysm import InvalidWeightTripleError, valid_triple
+from linvariants.plethysm import valid_triple
 from functools import lru_cache
 from math import lcm
 
 from linvariants.weylhecke import WeylElement, recover_characters
+from scalar_oracle import fraction_rational, fraction_vector
 
 
 class Monomial:
@@ -122,7 +124,7 @@ class TorusExponent(NamedTuple):
 
     @classmethod
     def make(cls, a, a0) -> "TorusExponent":
-        return cls(vector(a), rational(a0))
+        return cls(fraction_vector(a), fraction_rational(a0))
 
     @property
     def g(self) -> int:
@@ -227,15 +229,11 @@ def beta(g: int, j: int) -> TorusExponent:
 def weight_exponent(mu, mu0, t) -> Fraction:
     """v_p of the highest-weight character (mu_1..mu_g; mu_0) at t = (a, a_0)."""
     a, a0 = t
-    mu = vector(mu)
+    mu = fraction_vector(mu)
     if len(mu) != len(a):
         raise ValueError("weight length must equal g")
-    mu0 = rational(mu0)
+    mu0 = fraction_rational(mu0)
     return sum(m * x for m, x in zip(mu, a)) + (mu0 - sum(mu)) * a0 / 2
-
-
-class NonDominantError(ValueError):
-    """The oracles' own refusal of a torus exponent that is not dominant."""
 
 
 def fraction_slope_hilbert(k_weights, w_weight, slopes) -> bool:
@@ -254,7 +252,7 @@ def fraction_slope_hilbert(k_weights, w_weight, slopes) -> bool:
             raise ValueError("weights must be at least 2")
         if (k - w_weight) % 2:
             raise ValueError("weights must be congruent to w mod 2")
-    lhs = sum((Fraction(w_weight + k - 2, 2) + s for k, s in zip(k_weights, vector(slopes))),
+    lhs = sum((Fraction(w_weight + k - 2, 2) + s for k, s in zip(k_weights, fraction_vector(slopes))),
               Fraction(0))
     return lhs < min(k_weights) - 1
 
@@ -263,20 +261,20 @@ def fraction_slope_sides(mu_per_place, mu0, t, slopes) -> tuple[Fraction, Fracti
     """(LHS, RHS) of the GSp(2g) slope inequality in `Fraction`s, with the refusals of
     `slopes.slope_check_gsp` in their order: reading t, dominance, the lengths, mu_0,
     the slopes, then each place's weight."""
-    a = vector(t[0])
+    a = fraction_vector(t[0])
     if not a:
         raise ValueError("torus exponent needs g >= 1 entries a_1..a_g")
-    a0 = rational(t[1])
+    a0 = fraction_rational(t[1])
     if not (all(x >= y for x, y in zip(a, a[1:])) and a[-1] >= a0 / 2):
-        raise NonDominantError("need a_1 >= ... >= a_g >= a_0/2")
+        raise ValueError("need a_1 >= ... >= a_g >= a_0/2")
     if len(mu_per_place) != len(slopes):
         raise ValueError("one slope per place is required")
     if not mu_per_place:
         raise ValueError("at least one place is required")
-    mu0 = rational(mu0)
+    mu0 = fraction_rational(mu0)
     lhs, bounds, g = Fraction(0), [], len(a)
-    for mu, slope in zip(mu_per_place, vector(slopes)):
-        mu = vector(mu)
+    for mu, slope in zip(mu_per_place, fraction_vector(slopes)):
+        mu = fraction_vector(mu)
         lhs += weight_exponent(mu, mu0, (a, a0)) + slope
         bounds += [(mu[i] - mu[i + 1] + 1) * (a[i] - a[i + 1]) for i in range(g - 1)]
         bounds.append(2 * (2 * mu[g - 1] + 1) * a[g - 1])
@@ -289,7 +287,7 @@ def fraction_twist(mu_per_place, mu0, t, slopes) -> int:
     lhs, rhs = fraction_slope_sides(mu_per_place, mu0, t, slopes)
     if lhs < rhs:
         return 0
-    a0 = rational(t[1])
+    a0 = fraction_rational(t[1])
     if a0 == 0:
         raise ValueError("a_0 = 0: twisting cannot change the slope")
     ratio = (lhs - rhs) / (len(slopes) * a0 / 2)
@@ -313,7 +311,7 @@ def fraction_cg_table(m: int, n: int, p: int) -> dict[tuple[int, int, int], Frac
         C^{u,v,w} = (u C^{u-1,v,w-1} + v C^{u,v-1,w-1}) / w.
     """
     if not valid_triple(m, n, p):
-        raise InvalidWeightTripleError(f"V_{p} does not occur in V_{m} (x) V_{n}")
+        raise ValueError(f"V_{p} does not occur in V_{m} (x) V_{n}")
     s0 = (m + n - p) // 2
     values: dict[tuple[int, int, int], Fraction] = {}
     for u in range(m + 1):
@@ -346,7 +344,7 @@ def unrolled_cg_coefficient(m: int, n: int, p: int, u: int, v: int, w: int) -> i
     is 0 off the stratum u + v - w = (m+n-p)/2.
     """
     if not valid_triple(m, n, p):
-        raise InvalidWeightTripleError(f"V_{p} does not occur in V_{m} (x) V_{n}")
+        raise ValueError(f"V_{p} does not occur in V_{m} (x) V_{n}")
     if not (0 <= u <= m and 0 <= v <= n and 0 <= w <= p):
         raise ValueError(f"indices out of range for V_{m} x V_{n} -> V_{p}")
     if u + v - w != (m + n - p) // 2:

@@ -18,10 +18,13 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
-from linvariants.exactlin import DimensionMismatchError, Vector, vector
 from phin_oracle import CRYSTALLINE_NONSPLIT, CRYSTALLINE_SPLIT, STEINBERG
 from linvariants.plethysm import cg_table
 from linvariants.sl2rep import EndoElement, _bareiss_echelon
+from scalar_oracle import fraction_vector
+
+#: a vector of exact scalars, as `fraction_vector` reads it
+Vector = tuple[Fraction, ...]
 
 #: a matrix is a tuple of rows, as `rref` takes and returns them
 Rows = tuple[Vector, ...]
@@ -70,10 +73,10 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [vector(v) for v in vectors]
+        rows = [fraction_vector(v) for v in vectors]
         for v in rows:
             if len(v) != ambient_dim:
-                raise DimensionMismatchError("spanning vector has wrong length")
+                raise ValueError("spanning vector has wrong length")
         basis, _ = rref(rows)
         return cls(ambient_dim, basis)
 
@@ -83,7 +86,7 @@ class Subspace:
         basis = []
         for pos in sorted(set(positions)):
             if not 0 <= pos < ambient_dim:
-                raise DimensionMismatchError("coordinate position out of range")
+                raise ValueError("coordinate position out of range")
             basis.append(tuple(Fraction(int(j == pos)) for j in range(ambient_dim)))
         return cls(ambient_dim, tuple(basis))
 
@@ -107,9 +110,9 @@ class Subspace:
 
 def matrix(entries: Iterable[Iterable]) -> Rows:
     """A matrix as a tuple of rows of exact scalars; ragged rows are refused."""
-    rows = tuple(vector(row) for row in entries)
+    rows = tuple(fraction_vector(row) for row in entries)
     if rows and any(len(row) != len(rows[0]) for row in rows):
-        raise DimensionMismatchError("ragged rows")
+        raise ValueError("ragged rows")
     return rows
 
 
@@ -118,9 +121,9 @@ def columns(a: Rows) -> int:
 
 
 def apply(a: Rows, v: Sequence) -> Vector:
-    v = vector(v)
+    v = fraction_vector(v)
     if len(v) != columns(a):
-        raise DimensionMismatchError("vector length differs from cols")
+        raise ValueError("vector length differs from cols")
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
@@ -138,13 +141,13 @@ def transpose(a: Rows) -> Rows:
 
 def sub(a: Rows, b: Rows) -> Rows:
     if (len(a), columns(a)) != (len(b), columns(b)):
-        raise DimensionMismatchError("matrix shapes differ")
+        raise ValueError("matrix shapes differ")
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mul(a: Rows, b: Rows) -> Rows:
     if columns(a) != len(b):
-        raise DimensionMismatchError("inner dimensions differ")
+        raise ValueError("inner dimensions differ")
     cols = transpose(b)
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
@@ -184,7 +187,7 @@ def zero_space(ambient_dim: int) -> Subspace:
 
 def _same_ambient(u: Subspace, w: Subspace) -> None:
     if u.ambient_dim != w.ambient_dim:
-        raise DimensionMismatchError("ambient dimensions differ")
+        raise ValueError("ambient dimensions differ")
 
 
 def span_sum(u: Subspace, w: Subspace) -> Subspace:
@@ -209,14 +212,14 @@ def intersect(u: Subspace, w: Subspace) -> Subspace:
 
 def image_under(u: Subspace, t: Rows) -> Subspace:
     if columns(t) != u.ambient_dim:
-        raise DimensionMismatchError("map domain differs from ambient")
+        raise ValueError("map domain differs from ambient")
     return Subspace.from_vectors(len(t), [apply(t, v) for v in u.basis])
 
 
 def preimage_under(u: Subspace, t: Rows) -> Subspace:
     """{v : t(v) in u}."""
     if len(t) != u.ambient_dim:
-        raise DimensionMismatchError("map codomain differs from ambient")
+        raise ValueError("map codomain differs from ambient")
     transposed = transpose(t)
     constraints = [apply(transposed, f) for f in annihilator_rows(u)]
     return Subspace.from_vectors(columns(t), kernel_of_rows(constraints, columns(t)))
@@ -292,7 +295,7 @@ class RepVector:
 
     def __post_init__(self):
         if len(self.coeffs) != self.m + 1:
-            raise DimensionMismatchError("coefficient vector has wrong length")
+            raise ValueError("coefficient vector has wrong length")
 
 
 def project_endomorphism(t: EndoElement, k: int) -> RepVector:

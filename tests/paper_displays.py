@@ -24,7 +24,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from linvariants import THEOREMS
 from linvariants import ratio
-from linvariants.exactlin import rational
 from linvariants.linv import (
     Direction,
     PlaceForms,
@@ -37,6 +36,7 @@ from linvariants.linv import (
 from linvariants.plethysm import b_row
 from linvariants.weylhecke import WeylElement, c_g_constant
 from kernel_oracles import CharacterData, Monomial
+from scalar_oracle import fraction_rational
 
 
 def c_constant(g: int, i: int, w: WeylElement) -> Fraction:
@@ -90,7 +90,7 @@ def theorem_evaluator(
     if which == "A":
         result = Fraction(1)
         for assignment in assignments:
-            (grad,) = [rational(x) for x in assignment]
+            (grad,) = [fraction_rational(x) for x in assignment]
             result *= -2 * grad
         return result
     forms = _theorem_forms(which, n)

@@ -46,8 +46,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 from linvariants import CASES
-from linvariants.exactlin import rational
 from kernel_oracles import Monomial
+from scalar_oracle import fraction_rational
 
 STEINBERG, CRYSTALLINE_SPLIT, CRYSTALLINE_NONSPLIT = CASES
 
@@ -118,7 +118,7 @@ def build_case(case: str, n: int, l_invariant=None, weight: int | None = None) -
     indices = range(n, -n - 1, -1)
     killed = (None,) * (2 * n + 1)
     if case == STEINBERG:
-        l_value = rational(1 if l_invariant is None else l_invariant)
+        l_value = fraction_rational(1 if l_invariant is None else l_invariant)
         if l_value == 0:
             raise ValueError("steinberg case requires a nonzero L-parameter")
         phi = tuple(Monomial((("p", -i),) if i else ()) for i in indices)

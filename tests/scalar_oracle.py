@@ -1,12 +1,15 @@
 """The `Fraction` reader of exact scalars that `linvariants.ratio` replaced, kept as a test oracle.
 
 `linvariants.ratio` reads a JSON int and a plain `a` or `a/b` text in
-integers and hands every other value to `exactlin`; `exactlin.rational`
-and `vector` are now its `Fraction` front.  `fraction_rational` and
-`fraction_vector` below are the readers as they were before: every value
+integers and hands every other value to `exactlin._fraction`; where `src/`
+needs a `Fraction` it writes `Fraction(*ratio(value))`.  `fraction_rational`
+and `fraction_vector` below are the readers as they were before: every value
 through `Fraction`, with the digit guard of a regular-expression search
 for one run past Python's int digit limit.  They share no code with `src/`,
-so `tests/test_scalar_reader.py` compares the two on every spelling.
+so `tests/test_scalar_reader.py` compares the two on every spelling, and
+the test oracles (`kernel_oracles`, `linalg_oracle`, `linv_oracle`,
+`phin_oracle`, `paper_displays` and the fuzz test) read their scalars with
+them, not with the reader they check.
 """
 
 import re

@@ -595,7 +595,7 @@ def test_hecke_all_at_g6_equals_the_fraction_loop_on_a_sample(capsys):
      ('"x"', "Invalid literal for Fraction: 'x'"), ("null", "not an exact scalar: None")],
 )
 def test_a_json_value_that_is_no_rational_is_refused(capsys, entry, message):
-    # a JSON int is read as an int and any other value by `exactlin.rational`, so
+    # a JSON int is read as an int and any other value by `exactlin._fraction`, so
     # true, which Python counts as an int, is refused as before
     for argv in (["hecke", "--g", "2", "--t", '{"a": [%s, 0], "a0": 0}' % entry],
                  ["hecke", "--g", "2", "--all", "--t", '{"a": [1, 0], "a0": %s}' % entry],
@@ -1335,26 +1335,28 @@ def test_linv_string_direction_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, shown",
+    "argv, field, shown",
     [
-        (("hecke", "--g", "1", "--t", '{"a": {"5": "x"}, "a0": 0}'), "{'5': 'x'}"),
+        (("hecke", "--g", "1", "--t", '{"a": {"5": "x"}, "a0": 0}'), "t.a", "{'5': 'x'}"),
         (
             (
                 "recover-chi", "--g", "2",
                 "--eigs", '[{"p": "-2"}, {"p": "-3/2"}]',
                 "--weights", '{"mu": {"1": 0, "0": 1}, "mu0": 1}',
             ),
+            "weights.mu",
             "{'1': 0, '0': 1}",
         ),
     ],
     ids=["hecke-t", "recover-chi-weights"],
 )
-def test_object_as_vector_argument_exit_2(capsys, argv, shown):
-    # a JSON object used to be read as the list of its keys, and the request exited 0
+def test_object_as_vector_argument_exit_2(capsys, argv, field, shown):
+    # a JSON object used to be read as the list of its keys, and the request exited 0;
+    # it is refused by its field's name, as any other value that is no JSON array
     code, payload = run_json(capsys, *argv)
     assert code == 2
     assert payload["error"] == {"code": "domain",
-                                "message": f"not a sequence of exact scalars: {shown}"}
+                                "message": f"{field} must be a JSON array, not {shown}"}
 
 
 def test_linv_object_direction_exit_2(tmp_path, capsys):
@@ -1363,7 +1365,7 @@ def test_linv_object_direction_exit_2(tmp_path, capsys):
     code, payload = run_json(capsys, "linv", "--family", "hilbert", "--input", path)
     assert code == 2
     assert payload["error"] == {"code": "domain",
-                                "message": "not a sequence of exact scalars: {'3': 1}"}
+                                "message": "direction.u must be a JSON array, not {'3': 1}"}
 
 
 def test_recover_chi_non_object_monomial_exit_2(capsys):

@@ -72,12 +72,12 @@ from kernel_oracles import (
 )
 from linalg_oracle import project_endomorphism, rref
 from linvariants import ratio
-from linvariants.exactlin import rational
 from linvariants.linv import Direction
 from linvariants.sl2rep import EndoElement
 from linvariants.weylhecke import WeylElement
 from paper_displays import _theorem_forms, compare_to_theorem, display_ratios, theorem_evaluator
 from phin_oracle import phin_answer
+from scalar_oracle import fraction_rational
 
 #: wall-time bound per request, oracle not included; the slowest requests allowed
 #: here, phin --all-submodules in a crystalline case at n = 8, take about 0.3 s
@@ -151,9 +151,9 @@ def recover_chi_answer(args) -> dict:
     relation chi_1...chi_g sigma^2 = p^{mu_0}.
     """
     g, zero = args.g, Fraction(0)
-    thetas = [{sym: rational(e) for sym, e in theta.items()} for theta in json.loads(args.eigs)]
+    thetas = [{sym: fraction_rational(e) for sym, e in theta.items()} for theta in json.loads(args.eigs)]
     weights = json.loads(args.weights)
-    mu, mu0 = [rational(m) for m in weights["mu"]], rational(weights["mu0"])
+    mu, mu0 = [fraction_rational(m) for m in weights["mu"]], fraction_rational(weights["mu0"])
     weyl = json.loads(args.weyl) if args.weyl else {"nu": range(1, g + 1), "eps": [1] * g}
     w = WeylElement(tuple(weyl["nu"]), tuple(weyl["eps"]))
     generic, symbols, rows = generic_character(g), sorted({"p"}.union(*thetas)), []
@@ -220,7 +220,7 @@ def linv_answer(args, request: dict) -> dict:
     rank = request.get("params", {}).get({"gsp_std": "g", "unitary": "n"}.get(family))
     symbols = {"hilbert": 1, "gsp4_spin": 2, "gsp_std": rank, "unitary": 4 * (rank or 0)}[family]
     direction = Direction.make(request["direction"]["u"], request["direction"].get("u0", 0))
-    assignments = [[rational(place["gradients"][f"a_{j}"]) for j in range(1, symbols + 1)]
+    assignments = [[fraction_rational(place["gradients"][f"a_{j}"]) for j in range(1, symbols + 1)]
                    for place in request["places"]]
     if family == "hilbert":
         scalar, pairs = 1, [(2 * x, -Fraction(*u)) for (x,), u in zip(assignments, direction.u)]

@@ -38,7 +38,8 @@ SUBCOMMANDS = {
 
 
 def oracle(argv):
-    """The attributes argparse parses from `argv`, or None when it refuses `argv`.
+    """The attributes argparse parses from `argv`, or None when it refuses `argv` or asks
+    for CSV from a command with no CSV form, which the table refuses before any handler runs.
 
     argparse reads `--opt=--` as an empty list without checking it against
     the option's type or choices (`obstruction --exponents=--` then raised
@@ -52,6 +53,8 @@ def oracle(argv):
     except SystemExit as err:
         assert err.code == 2
         return None
+    if attrs["format"] == "csv" and not (attrs["command"] == "bcoeff" or attrs.get("table")):
+        return None  # argparse accepted it and the handler refused it: the table refuses it first
     return {dest: "--" if value == STAND_IN else value for dest, value in attrs.items()}
 
 

@@ -9,7 +9,6 @@ import pytest
 from linvariants import THEOREMS, linv, plethysm
 from linvariants.cli import main
 from linvariants import ratio
-from linvariants.exactlin import DimensionMismatchError
 from linvariants.linv import (
     Direction,
     PlaceForms,
@@ -226,10 +225,10 @@ def test_hilbert_place_reads_its_own_u():
 @pytest.mark.parametrize("u", [[], [1], [1, 2, 3]])
 def test_hilbert_direction_of_the_wrong_length_fails_at_place_0(u):
     data = family_data("hilbert")
-    with pytest.raises(DimensionMismatchError, match="direction has wrong length"):
+    with pytest.raises(ValueError, match="direction has wrong length"):
         per_place_pairs(data, Direction.make(u, 0), read([[1], [2]]))
     # place 0's gradient check comes first
-    with pytest.raises(DimensionMismatchError, match="gradient assignment has wrong length"):
+    with pytest.raises(ValueError, match="gradient assignment has wrong length"):
         per_place_pairs(data, Direction.make(u, 0), read([[1, 2], [2]]))
 
 
@@ -319,16 +318,16 @@ def test_triangulation_data_validates_count():
     # the B-row length check in the contraction refuses a short place
     data = family_data("gsp4_spin")
     short = TriangulationData("gsp4_spin", (3, 3), data.pieces[:3])
-    with pytest.raises(DimensionMismatchError, match="B-row length"):
+    with pytest.raises(ValueError, match="B-row length"):
         per_place_pairs(short, Direction.make([1, 2], 0), read([[1, 2]]))
 
 
 def test_pair_checks_in_order():
     forms = PlaceForms((1, 2), (1, -1, 0))
     singular = Direction.make([1, 1], 5)
-    with pytest.raises(DimensionMismatchError, match="gradient assignment has wrong length"):
+    with pytest.raises(ValueError, match="gradient assignment has wrong length"):
         forms.pair(0, read([[1]])[0], Direction.make([1], 0))
-    with pytest.raises(DimensionMismatchError, match="direction has wrong length"):
+    with pytest.raises(ValueError, match="direction has wrong length"):
         forms.pair(0, read([[1, 1]])[0], Direction.make([1], 0))
     with pytest.raises(SingularDirectionError) as err:
         forms.pair(4, read([[1, 1]])[0], singular)
@@ -377,14 +376,14 @@ def test_per_place_pairs_off_hilbert_refuses_in_place_order():
     data = family_data("gsp_std", g=2)
     den = place_forms(data, b_row(*data.b_row)).den
     singular = Direction.make([den[1], -den[0]], 0)
-    with pytest.raises(DimensionMismatchError, match="gradient assignment has wrong length"):
+    with pytest.raises(ValueError, match="gradient assignment has wrong length"):
         per_place_pairs(data, singular, read([[1], [1, 2]]))
     with pytest.raises(SingularDirectionError) as err:
         per_place_pairs(data, singular, read([[1, 2], [1]]))
     assert err.value.place == 0
-    with pytest.raises(DimensionMismatchError, match="direction has wrong length"):
+    with pytest.raises(ValueError, match="direction has wrong length"):
         per_place_pairs(data, Direction.make([1], 0), read([[1, 2], [1]]))
-    with pytest.raises(DimensionMismatchError, match="gradient assignment has wrong length"):
+    with pytest.raises(ValueError, match="gradient assignment has wrong length"):
         per_place_pairs(data, Direction.make([1, 2], 0), read([[1, 2], [1]]))
     assert per_place_pairs(data, singular, []) == []
 

@@ -10,6 +10,10 @@ Each public non-dunder method of a class in `src/` must likewise have an
 `ast.Attribute` use of its name outside its own definition.  The check goes
 by name, not by class: a method that shares its name with a used one (an
 `EndoElement.identity` beside the used `WeylElement.identity`) is not caught.
+
+Each exception class of `src/` must be named in some `except` clause of
+`src/` or `perfbench/*.py`, unless `UNCAUGHT` names it with its reason: a
+type that nothing catches adds nothing to the `ValueError` it derives from.
 """
 
 import ast
@@ -94,3 +98,33 @@ def test_guard_sees_through_docstrings():
     assert "lower" not in _used_names(tree, skip=lower)
     tree = ast.parse("def lower():\n    pass\n\n\ndef f():\n    return lower()\n")
     assert "lower" in _used_names(tree, skip=tree.body[0])
+
+
+#: exception classes of `src/` that nothing catches on purpose, with the reason
+UNCAUGHT = {
+    "InternalConsistencyError": "signals a bug in `sl2rep`, which no caller should handle",
+}
+
+
+def _caught_names(tree: ast.AST) -> set[str]:
+    """The names in the `except` clauses of `tree`, tuples included."""
+    caught = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught |= _used_names(node.type)
+    return caught
+
+
+def test_every_src_exception_type_is_caught_somewhere():
+    trees = [ast.parse(path.read_text(), str(path)) for path in SRC + BENCH]
+    caught = set().union(*map(_caught_names, trees))
+    defined = [
+        (path.name, node.name) for path, tree in zip(SRC, trees) for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id.endswith(("Error", "Exception"))
+                for base in node.bases)
+    ]
+    assert defined, "the guard finds no exception class in src/"
+    uncaught = [f"{name}:{cls}" for name, cls in defined if cls not in caught | set(UNCAUGHT)]
+    assert uncaught == [], "exception types that no except clause names: " + ", ".join(uncaught)
+    assert set(UNCAUGHT) <= {cls for _, cls in defined}, "a stale entry in UNCAUGHT"

@@ -25,7 +25,6 @@ from linalg_oracle import (
     span_sum,
 )
 from kernel_oracles import Monomial
-from linvariants.exactlin import rational
 from linvariants.phin import _cmd_phin, _l_text
 from phin_oracle import (
     CASES,
@@ -44,6 +43,7 @@ from phin_oracle import (
     regular_submodules,
     stable_submodules,
 )
+from scalar_oracle import fraction_rational
 
 rng = random.Random(313)
 
@@ -588,7 +588,7 @@ def test_the_handler_refuses_as_the_search_does(case, n, l_text, weight):
         assert str(refused.value) == str(expected.value)
 
 
-#: a written L: short strings over the characters `exactlin.rational` treats
+#: a written L: short strings over the characters the `Fraction` reader treats
 #: apart, and signed or padded digit runs about Python's digit limit (4300)
 written_l = (st.text(st.sampled_from([*"0123456789/+-_.eE \t\u0663x"]), max_size=10)
              | st.builds("{}{}{}".format, st.sampled_from(["", "-", "+", " "]),
@@ -597,9 +597,10 @@ written_l = (st.text(st.sampled_from([*"0123456789/+-_.eE \t\u0663x"]), max_size
 
 @given(written_l)
 def test_the_l_reader_reads_as_exactlin(text):
-    # a plain a or a/b is read in integers, every other spelling by `exactlin`
+    # a plain a or a/b is read in integers, every other spelling by `exactlin`; the oracle
+    # is the `Fraction` reader `ratio` replaced
     try:
-        expected = str(rational(text))
+        expected = str(fraction_rational(text))
         if expected == "0":
             raise ValueError("steinberg case requires a nonzero L-parameter")
     except ValueError as err:

@@ -16,7 +16,6 @@ from linvariants.plethysm import (
     BCOEFF_MAX_N,
     PROJECT_ENDO_MAX_N,
     DiagonalProjection,
-    InvalidWeightTripleError,
     _cmd_cg,
     b_row,
     cg_table,
@@ -33,9 +32,9 @@ rng = random.Random(97)
 
 def test_invalid_triple_rejected():
     assert not valid_triple(2, 2, 3)
-    with pytest.raises(InvalidWeightTripleError):
+    with pytest.raises(ValueError, match=r"V_3 does not occur in V_2 \(x\) V_2"):
         cg_table(2, 2, 3)
-    with pytest.raises(InvalidWeightTripleError):
+    with pytest.raises(ValueError, match=r"V_6 does not occur in V_2 \(x\) V_2"):
         cg_table(2, 2, 6)
 
 
@@ -135,7 +134,7 @@ def test_closed_coefficient_errors(capsys):
     for indices in ((2, 2, 3, 0, 0, 0), (2, 2, 3, 9, 0, 0)):
         assert cg_entry(capsys, *indices) == (2, {"error": {
             "code": "domain", "message": "V_3 does not occur in V_2 (x) V_2"}})
-        with pytest.raises(InvalidWeightTripleError, match=r"V_3 does not occur in V_2 \(x\) V_2"):
+        with pytest.raises(ValueError, match=r"V_3 does not occur in V_2 \(x\) V_2"):
             unrolled_cg_coefficient(*indices)
     for u, v, w in ((3, 0, 0), (0, -1, 0), (0, 0, 5)):
         assert cg_entry(capsys, 2, 2, 4, u, v, w) == (2, {"error": {

@@ -1,9 +1,12 @@
 """`linvariants.ratio`, the one reader of exact scalars, against the `Fraction` reader before it.
 
 `ratio` reads a JSON int and a plain `a` or `a/b` text in integers and
-every other value through `exactlin`; `tests/scalar_oracle.py` keeps the
-reader that read every value through `Fraction`.  Each value must give
-the same number, or the same exception type and message.  The digit guard
+every other value through `exactlin._fraction`; `tests/scalar_oracle.py`
+keeps the reader that read every value through `Fraction`.  Each value
+must give the same number, or the same exception type and message.  The
+cases the old tests of `exactlin.rational` and `vector` pinned are pinned
+here on `ratio` and `ratios`: decimal exponents up to the cap, a bool, a
+zero denominator, and a str or dict given as a vector.  The digit guard
 is one linear scan of the digit runs now: a text of many runs, each at the
 limit, used to take seconds in the search for one run past it.
 """
@@ -21,7 +24,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linvariants import ratio, ratios
-from linvariants.exactlin import rational, vector
 from scalar_oracle import MAX_DECIMAL_EXPONENT, fraction_rational, fraction_vector
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -80,7 +82,6 @@ values = st.one_of(
 @example({"1": 2})
 def test_ratio_reads_every_value_as_the_fraction_reader_did(value):
     assert outcome(read_ratio, value) == outcome(fraction_rational, value)
-    assert outcome(rational, value) == outcome(fraction_rational, value)
 
 
 @settings(max_examples=300, deadline=None)
@@ -93,12 +94,50 @@ def test_ratios_read_every_vector_as_the_fraction_reader_did(values):
         return tuple(Fraction(*pair) for pair in ratios(values))
 
     assert outcome(read, values) == outcome(fraction_vector, values)
-    assert outcome(vector, values) == outcome(fraction_vector, values)
 
 
-def test_a_fraction_passes_rational_unchanged():
-    value = Fraction(3, 4)
-    assert rational(value) is value
+def test_ratio_reads_an_int_a_text_and_a_fraction():
+    assert ratio(3) == (3, 1)
+    assert ratio("-6/8") == (-3, 4)
+    # so `Fraction(*ratio(x))`, where `src/` needs a `Fraction`, passes a `Fraction` through
+    value = Fraction(-3, 4)
+    assert ratio(value) == (-3, 4)
+    assert Fraction(*ratio(value)) == value
+
+
+def test_ratio_reads_decimal_exponents_up_to_the_cap():
+    assert ratio("1e3") == (1000, 1)
+    assert ratio("1.5e-3") == (3, 2000)
+    assert ratio(f"-2E+{MAX_DECIMAL_EXPONENT}") == (-2 * 10**MAX_DECIMAL_EXPONENT, 1)
+    assert ratio(f" 1e-{MAX_DECIMAL_EXPONENT} ") == (1, 10**MAX_DECIMAL_EXPONENT)
+
+
+@pytest.mark.parametrize(
+    "text", [f"1e{MAX_DECIMAL_EXPONENT + 1}", f"-2.5E-{MAX_DECIMAL_EXPONENT + 1}"]
+)
+def test_ratio_refuses_a_decimal_exponent_past_the_cap(text):
+    with pytest.raises(ValueError, match="decimal exponent over"):
+        ratio(text)
+
+
+def test_ratio_refuses_bool():
+    # bool is an int subclass; a JSON true must not pass as 1
+    for value in (True, False):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            ratio(value)
+
+
+def test_ratio_zero_denominator_names_the_input():
+    for text in ("1/0", " -3/00 ", "1_0/0"):
+        with pytest.raises(ValueError, match=f"zero denominator in {text!r}"):
+            ratio(text)
+
+
+@pytest.mark.parametrize("values", ["12", {"5": "x"}, {}])
+def test_ratios_refuse_a_string_and_a_mapping(values):
+    # each is iterable, over its characters or its keys, but holds no scalars
+    with pytest.raises(TypeError, match="not a sequence of exact scalars"):
+        ratios(values)
 
 
 #: many digit runs, each at the limit and none past it: the search for one run past the

@@ -8,7 +8,6 @@ import pytest
 
 from linalg_oracle import RepVector, apply, mul, rref, sub, transpose
 from linvariants import sl2rep
-from linvariants.exactlin import DimensionMismatchError
 from linvariants.sl2rep import (
     EndoElement,
     InternalConsistencyError,
@@ -224,7 +223,7 @@ def test_highest_weight_vectors_killed_by_raising(n):
     "grid", [((F(0),) * 3,) * 2, ((F(0),) * 2,) * 3, ((F(0),) * 3, (F(0),) * 3, (F(0),) * 2)]
 )
 def test_endo_element_refuses_a_wrong_shape(grid):
-    with pytest.raises(DimensionMismatchError, match="wrong shape"):
+    with pytest.raises(ValueError, match="grid has wrong shape"):
         EndoElement(2, grid)
 
 
