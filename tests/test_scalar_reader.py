@@ -96,9 +96,13 @@ def test_ratios_read_every_vector_as_the_fraction_reader_did(values):
     assert outcome(read, values) == outcome(fraction_vector, values)
 
 
-def test_ratio_reads_an_int_a_text_and_a_fraction():
+def test_ratio_reads_exact_scalars_in_lowest_terms():
     assert ratio(3) == (3, 1)
     assert ratio("-6/8") == (-3, 4)
+    assert ratio(Fraction(1, 2)) == (1, 2)
+
+
+def test_a_fraction_comes_back_from_its_ratio_unchanged():
     # so `Fraction(*ratio(x))`, where `src/` needs a `Fraction`, passes a `Fraction` through
     value = Fraction(-3, 4)
     assert ratio(value) == (-3, 4)
