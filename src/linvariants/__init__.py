@@ -15,7 +15,6 @@ Submodules:
 * linv      -- triangulation rows, one pair of linear forms per place
 * cli       -- JSON/CSV command-line interface; each subcommand's handler
   lives in its maths module above
-* cliargs   -- the CLI's refusal and integer argument reader
 * jsonargs  -- the CLI's JSON argument readers, plain JSON read without `json`
 
 `linvariants.<name>` imports a submodule on first use.  The registries
@@ -23,7 +22,9 @@ live here so that the CLI's parser reads them without importing the maths,
 and so do `ratio`, the one reader of exact scalars, `ratios`, the one printer
 `ratio_text` and the digit guard `_digit_limit`, which every request that
 reads a scalar needs: `ratio` imports `exactlin` only for a value it does
-not read in integers.
+not read in integers.  So does what the handlers share with `cli`, even
+run as `__main__`: `CliError`, `_int`, `_cap` and `_json_text`, the one
+`json.dumps`, for the answers that hold a string from outside.
 """
 
 import importlib
@@ -40,7 +41,6 @@ __all__ = [
     "slopes",
     "linv",
     "cli",
-    "cliargs",
     "jsonargs",
 ]
 
@@ -70,6 +70,34 @@ def _digit_limit(text: str) -> int:
     limit = sys.get_int_max_str_digits()
     runs = len(text) > limit > 0 and re.findall(r"\d+", text.replace("_", ""))
     return limit if runs and max(map(len, runs)) > limit else 0
+
+
+class CliError(Exception):
+    """A refused request; `error` is the JSON object printed for it."""
+
+    def __init__(self, message: str, exit_code: int = 2, **fields):
+        super().__init__(message)
+        self.exit_code = exit_code
+        self.error = {"code": "input", **fields, "message": message}
+
+
+def _int(text: str, label: str) -> int:
+    """int(text); a digit run past Python's limit is refused by name, other ValueErrors pass."""
+    if limit := _digit_limit(text):
+        raise CliError(f"{label} {text[:20]}... holds an int past Python's limit of {limit} digits")
+    return int(text)
+
+
+def _cap(value: int, cap: int, what: str) -> None:
+    if value > cap:
+        raise CliError(f"{what} > {cap} is refused")
+
+
+def _json_text(tree) -> str:
+    """`tree` as compact, key-sorted JSON text: the answers that hold a string from outside,
+    `recover-chi`'s symbols and a refusal's message, which need `json` to escape them."""
+    import json
+    return json.dumps(tree, sort_keys=True, separators=(",", ":"))
 
 
 def ratio(value) -> tuple[int, int]:

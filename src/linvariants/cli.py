@@ -5,10 +5,10 @@ output).  Rationals are serialized as "num/den" strings so no consumer
 ever sees a rounded value.  Exit codes: 0 success, 2 malformed input or
 domain/precondition error, 3 mathematical singularity (zero denominator
 at the chosen direction); every error, a parse error too, prints one JSON line.
-Every handler returns its answer as compact, key-sorted JSON text, so a
-request loads `json` only to escape a string from outside (`recover-chi`'s
-symbols, a refusal's message), to read a JSON argument outside the plain
-subset `jsonargs` reads itself, or to indent.
+Every handler returns the one text it prints, compact key-sorted JSON or
+CSV, so a request loads `json` only to escape a string from outside
+(`recover-chi`'s symbols, a refusal's message), to read a JSON argument
+outside the plain subset `jsonargs` reads itself, or to indent.
 
 Each request is a fresh process, so options are read from one table, not
 argparse.  Each subcommand's handler lives beside its maths (`_cmd_bcoeff`
@@ -32,19 +32,14 @@ from importlib import import_module
 from itertools import islice
 from types import SimpleNamespace
 
-from . import CASES, FAMILIES, THEOREMS
-from .cliargs import CliError, _int, _json_text
+from . import CASES, FAMILIES, THEOREMS, CliError, _int, _json_text
 
 
-def _emit(fmt: str, text: str, csv_header: str | None = None, csv_rows=None) -> None:
-    """Print `text`, a handler's answer as compact key-sorted JSON, in `fmt`.
-
-    Every handler writes that text itself, so an int past the digit limit is
-    refused before any byte is written.  `json` is imported here only to
-    indent the text for pretty output, which is streamed in runs of tokens.
-    """
-    if fmt == "csv":
-        text = "\n".join([csv_header, *(",".join(str(x) for x in row) for row in csv_rows)])
+def _emit(fmt: str, text: str) -> None:
+    """Print `text`, a handler's compact key-sorted JSON or CSV, as it is or, for `pretty`,
+    indented: only then is `json` imported, and the indented text streamed in runs of tokens.
+    Every handler writes its text itself, so an int past the digit limit is refused before
+    any byte is written."""
     try:
         if fmt != "pretty":
             print(text)
@@ -169,7 +164,7 @@ def _answer(argv) -> int:
     try:
         args = parse_args(argv)
         if args is not None:
-            _emit(args.format, *args.func(args))
+            _emit(args.format, args.func(args))
         return 0
     except CliError as err:
         error, code = err.error, err.exit_code

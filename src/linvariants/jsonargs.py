@@ -6,13 +6,14 @@ control character, is read here, without `json`, into what `json.loads`
 returns.  Every other text, floats and escapes included, goes to
 `json.loads`, which reads or refuses it as it always has.  So an integer
 request loads no `json`, and a request that reads no JSON argument loads
-not even this module: `cli` imports only `cliargs`.
+not even this module: `cli` imports only the package root.
 """
 
 import re
 import sys
 
-from .cliargs import CliError
+from . import CliError
+
 
 
 def _json_object(value, label: str) -> dict:

@@ -34,7 +34,7 @@ and the literal displays are test oracles in `tests/paper_displays.py`.
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from . import FAMILIES, THEOREMS, ratio, ratio_text, ratios
+from . import CliError, FAMILIES, THEOREMS, _cap, ratio, ratio_text, ratios
 from .plethysm import b_row
 
 Ratio = tuple[int, int]  # (numerator, denominator > 0), reduced, as `linvariants.ratio` reads it
@@ -244,8 +244,7 @@ def theorem_row(which: str, data: TriangulationData) -> TriangulationData:
 LINV_RANK_CAPS = {"gsp_std": ("g", 200), "unitary": ("n", 100)}
 
 
-def _cmd_linv(args) -> tuple[str, None, None]:
-    from .cliargs import CliError, _cap
+def _cmd_linv(args) -> str:
     from .jsonargs import _array, _has_keys, _json_object, _load_input
     obj = _load_input(args)
     family = args.family
@@ -284,5 +283,5 @@ def _cmd_linv(args) -> tuple[str, None, None]:
     if which:  # "classification" sorts first
         scalar = THEOREMS[which][2]
         kind = "exact" if scalar == 1 else "sign_flip"
-        return '{"classification":{"kind":"%s","scalar":"%s"},%s' % (kind, scalar, text), None, None
-    return "{" + text, None, None
+        return '{"classification":{"kind":"%s","scalar":"%s"},%s' % (kind, scalar, text)
+    return "{" + text

@@ -49,7 +49,7 @@ these closed forms replace is the test oracle `tests/phin_oracle.py`.
 
 from itertools import chain, combinations
 
-from . import CASES, ratio, ratio_text
+from . import CASES, CliError, _cap, ratio, ratio_text
 
 STEINBERG, CRYSTALLINE_SPLIT, CRYSTALLINE_NONSPLIT = CASES
 
@@ -73,8 +73,7 @@ def _l_text(text: str) -> str:
     return ratio_text(value)
 
 
-def _cmd_phin(args) -> tuple[str, None, None]:
-    from .cliargs import CliError, _cap
+def _cmd_phin(args) -> str:
     case, n = args.case, args.n
     if args.all_submodules and case != STEINBERG and n > ALL_SUBMODULES_MAX_N:
         raise CliError(
@@ -129,4 +128,4 @@ def _cmd_phin(args) -> tuple[str, None, None]:
         regular = map(",".join, combinations(fs, n)) if case == CRYSTALLINE_NONSPLIT else [d]
         parts.append('"regular_submodules":[[%s]]' % "],[".join(regular))
         parts.append('"stable_submodules":[[%s]]' % "],[".join(stable))
-    return "{%s}" % ",".join(parts), None, None
+    return "{%s}" % ",".join(parts)

@@ -33,9 +33,9 @@ k-a and i with n-i gives B_{n,k,n-i} = (-1)^k B_{n,k,i}: a row sums i <= n/2.
 One `bcoeff --i` entry stops the half row at min(i, n-i).
 
 Both tables hold integers, and the handlers write their answers as
-compact JSON text, so a `cg`, `bcoeff` or `project-endo` request imports
-no `json`.  Only the diagonal projection takes rationals, and it imports
-`fractions` only for a diagonal entry that is no integer.
+compact JSON text, or CSV, so a `cg`, `bcoeff` or `project-endo` request
+imports no `json`.  Only the diagonal projection takes rationals, and it
+imports `fractions` only for a diagonal entry that is no integer.
 """
 
 from functools import lru_cache
@@ -43,7 +43,7 @@ from itertools import islice
 from math import comb, factorial
 from typing import NamedTuple
 
-from . import ratio
+from . import CliError, _cap, ratio
 
 
 def valid_triple(m: int, n: int, p: int) -> bool:
@@ -141,14 +141,15 @@ def project_endomorphism_diagonal(n: int, k: int, diag) -> DiagonalProjection:
 
     A diagonal endomorphism has weight 0, so its projection is the g_{2k,k}
     coefficient sum_i B_{n,k,i} diag_i, and the k coefficients of g_{2k,u},
-    u > k, are 0.  The tests check this against the full projection.  Int
-    entries stay ints, and so does the sum of a diagonal of ints: only another
-    entry is made a `Fraction`, which imports `fractions`.
+    u > k, are 0.  The tests check this against the full projection.  Each
+    entry is read once by `ratio`: a whole one is an int, and so is the sum of
+    a diagonal of them; only another is made a `Fraction`, which imports
+    `fractions`.
     """
-    diag = list(diag)
-    if not all(type(d) is int for d in diag):
+    pairs = list(map(ratio, diag))
+    if any(b != 1 for _, b in pairs):
         from fractions import Fraction
-        diag = [d if type(d) is int else Fraction(*ratio(d)) for d in diag]
+    diag = [a if b == 1 else Fraction(a, b) for a, b in pairs]
     if len(diag) != n + 1:
         raise ValueError(f"diagonal must have length {n + 1}")
     if n < 0:  # n = -1, the one negative n the length check lets through
@@ -165,17 +166,18 @@ BCOEFF_MAX_N = 600
 PROJECT_ENDO_MAX_N = 250
 
 
-def _cmd_cg(args) -> tuple[str, str | None, list | None]:
-    from .cliargs import CliError, _cap
+def _cmd_cg(args) -> str:
     m, n, p = args.m, args.n, args.p
     _cap(max(m, n, p), CG_MAX_INDEX, "cg --m, --n or --p")
     if args.table:
         if (args.u, args.v, args.w) != (None, None, None):
             raise CliError("--table and --u, --v, --w exclude each other")
         table = cg_table(m, n, p)
+        if args.format == "csv":
+            rows = (f"{u},{v},{w},{x}" for (u, v, w), x in table.items())
+            return "\n".join(["u,v,w,value", *rows])
         text = ",".join(['[%d,%d,%d,"%d"]' % (u, v, w, x) for (u, v, w), x in table.items()])
-        rows = ((*key, x) for key, x in table.items())  # read only by `--format csv`
-        return '{"m":%d,"n":%d,"p":%d,"rows":[%s]}' % (m, n, p, text), "u,v,w,value", rows
+        return '{"m":%d,"n":%d,"p":%d,"rows":[%s]}' % (m, n, p, text)
     if args.u is None or args.v is None or args.w is None:
         raise CliError("either --table or all of --u --v --w are required")
     u, v, w = args.u, args.v, args.w
@@ -183,13 +185,12 @@ def _cmd_cg(args) -> tuple[str, str | None, list | None]:
     if not (0 <= u <= m and 0 <= v <= n and 0 <= w <= p):
         raise ValueError(f"indices out of range for V_{m} x V_{n} -> V_{p}")
     if u + v - w != s0:
-        return '{"value":"0"}', None, None
+        return '{"value":"0"}'
     column = next(islice(_cg_columns(m, n, p, s0), u, None))  # columns past u are not built
-    return '{"value":"%d"}' % column[w], None, None
+    return '{"value":"%d"}' % column[w]
 
 
-def _cmd_bcoeff(args) -> tuple[str, str, list]:
-    from .cliargs import _cap
+def _cmd_bcoeff(args) -> str:
     n, k, i = args.n, args.k, args.i
     _cap(n, BCOEFF_MAX_N, "bcoeff --n")
     if i is not None:
@@ -199,27 +200,27 @@ def _cmd_bcoeff(args) -> tuple[str, str, list]:
         j = min(i, n - i)
         b = next(islice(_b_half_row(n, k), j, None))
         value = str(-b if i != j and k % 2 else b)
-        return '{"value":"%s"}' % value, "n,k,i,value", [(n, k, i, value)]
-    # each value is converted to a string once, for the JSON and the CSV alike,
-    # and only the lower half: B_{n,k,n-i} = (-1)^k B_{n,k,i}
+        if args.format == "csv":
+            return f"n,k,i,value\n{n},{k},{i},{value}"
+        return '{"value":"%s"}' % value
+    # each value is converted to a string once, and only the lower half:
+    # B_{n,k,n-i} = (-1)^k B_{n,k,i}
     half = [str(x) for x in b_row(n, k)[: n // 2 + 1]]
     upper = half[: (n + 1) // 2][::-1]
     if k % 2:
         upper = [x[1:] if x[0] == "-" else x if x == "0" else "-" + x for x in upper]
     values = half + upper
-    rows = [(n, k, i, x) for i, x in enumerate(values)]
-    return '{"values":["%s"]}' % '","'.join(values), "n,k,i,value", rows
+    if args.format == "csv":
+        return "\n".join(["n,k,i,value", *(f"{n},{k},{i},{x}" for i, x in enumerate(values))])
+    return '{"values":["%s"]}' % '","'.join(values)
 
 
-def _cmd_project_endo(args) -> tuple[str, None, None]:
-    from .cliargs import CliError, _cap
+def _cmd_project_endo(args) -> str:
     from .jsonargs import _parse_json_arg
     _cap(args.n, PROJECT_ENDO_MAX_N, "project-endo --n")
     diag = _parse_json_arg(args.diag, "--diag")
     if not isinstance(diag, list):
         raise CliError("--diag must be a JSON array of rationals")
-    # an integer entry is read as an int, so a diagonal of them needs no `fractions`
-    diag = [a if b == 1 else x for x, (a, b) in zip(diag, map(ratio, diag))]
     result = project_endomorphism_diagonal(args.n, args.k, diag)
     tail = ",".join('"%s"' % x for x in result.tail)
-    return '{"middle":"%s","tail":[%s]}' % (result.middle, tail), None, None
+    return '{"middle":"%s","tail":[%s]}' % (result.middle, tail)

@@ -16,7 +16,7 @@ import itertools
 from math import comb, isqrt, lcm
 from typing import Iterable, Sequence
 
-from . import ratio, ratios
+from . import CliError, _int, ratio, ratios
 
 
 def _common(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
@@ -183,14 +183,13 @@ def exclusion_sufficient(orders: Iterable[int], n: int) -> bool:
     return all(n % d == 0 for d in orders)
 
 
-def _cmd_slope(args) -> tuple[str, None, None]:
-    from .cliargs import CliError
+def _cmd_slope(args) -> str:
     from .jsonargs import _array, _has_keys, _load_input
     if args.family == "hilbert":
         obj = _has_keys(_load_input(args), "--input", "k", "w", "slopes")
         k, slopes = _array(obj["k"], "k"), _array(obj["slopes"], "slopes")
         noncritical = slope_check_hilbert(k, obj["w"], slopes)
-        return '{"noncritical":%s}' % str(noncritical).lower(), None, None
+        return '{"noncritical":%s}' % str(noncritical).lower()
     obj = _has_keys(_load_input(args), "--input", "weights", "mu0", "t", "slopes")
     find_twist = obj.get("find_twist", False)
     if not isinstance(find_twist, bool):
@@ -202,11 +201,10 @@ def _cmd_slope(args) -> tuple[str, None, None]:
     text = '{"noncritical":%s' % str(slope_check_gsp(weights, obj["mu0"], t, slopes)).lower()
     if find_twist:  # "twist" sorts after "noncritical"
         text += ',"twist":%d' % twist_search(weights, obj["mu0"], t, slopes)
-    return text + "}", None, None
+    return text + "}"
 
 
-def _cmd_obstruction(args) -> tuple[str, None, None]:
-    from .cliargs import CliError, _int
+def _cmd_obstruction(args) -> str:
     exponents = [_int(x, "--exponents") for x in args.exponents.split(",") if x.strip() != ""]
     if not exponents:
         raise CliError("--exponents needs at least one exponent")
@@ -215,4 +213,4 @@ def _cmd_obstruction(args) -> tuple[str, None, None]:
     if args.check_N is not None:  # "check_N" sorts before "orders"
         sufficient = "true" if exclusion_sufficient(orders, args.check_N) else "false"
         text = '"check_N":{"N":%d,"sufficient":%s},' % (args.check_N, sufficient) + text
-    return "{%s}" % text, None, None
+    return "{%s}" % text

@@ -44,7 +44,7 @@ from functools import lru_cache, partial
 from math import factorial, gcd, lcm
 from typing import NamedTuple, Sequence
 
-from . import ratio, ratio_text, ratios
+from . import CliError, _cap, _json_text, ratio, ratio_text, ratios
 
 #: t = (p^{a_1}, ..., p^{a_g}; p^{a_0}) as (a, a_0), each exponent a pair that `ratio` reads
 Torus = tuple[Sequence[tuple[int, int]], tuple[int, int]]
@@ -263,8 +263,7 @@ def hecke_entry(t: Torus, w: WeylElement) -> str:
     return f'{{"value":{{{value[1:]}}},"weyl":{{"eps":[{eps}],"nu":[{nu}]}}}}'
 
 
-def _cmd_hecke(args) -> tuple[str, None, None]:
-    from .cliargs import CliError
+def _cmd_hecke(args) -> str:
     from .jsonargs import _array, _json_keys
     g = args.g
     if args.all and g > HECKE_ALL_MAX_G:
@@ -282,18 +281,17 @@ def _cmd_hecke(args) -> tuple[str, None, None]:
         if (digits := _listing_digits(*_torus_numerators(t))) > HECKE_ALL_MAX_DIGITS:
             raise CliError(f"--all would print up to {digits} digits of exponents; "
                            f"more than {HECKE_ALL_MAX_DIGITS} is refused")
-        return f'{{"eigenvalues":{hecke_table(t)},"g":{g}}}', None, None
-    return '{"g":%d,%s' % (g, hecke_entry(t, _weyl_from_args(args, g))[1:]), None, None
+        return f'{{"eigenvalues":{hecke_table(t)},"g":{g}}}'
+    return '{"g":%d,%s' % (g, hecke_entry(t, _weyl_from_args(args, g))[1:])
 
 
-def _cmd_recover_chi(args) -> tuple[str, None, None]:
+def _cmd_recover_chi(args) -> str:
     """`--eigs`, `--weights` and `--weyl`, or one `--input` object with the keys
     `eigs`, `weights` and, optionally, `weyl`: at the cap the eigenvalues are
     megabytes of JSON, past what one command-line argument may hold.  The symbols are
     text from outside, so the answer is written by `json`, which escapes them."""
     from fractions import Fraction
 
-    from .cliargs import CliError, _cap, _json_text
     from .jsonargs import (_array, _has_keys, _json_keys, _json_object, _load_input,
                            _parse_json_arg)
     g = args.g
@@ -318,4 +316,4 @@ def _cmd_recover_chi(args) -> tuple[str, None, None]:
     mu = _array(weights["mu"], "weights.mu")
     chi, sigma = recover_characters(g, eigs, mu, weights["mu0"], w)
     return _json_text({"chi": [{sym: str(x) for sym, x in c.items()} for c in chi],
-                       "sigma": {sym: str(x) for sym, x in sigma.items()}}), None, None
+                       "sigma": {sym: str(x) for sym, x in sigma.items()}})

@@ -135,14 +135,14 @@ def phin_request(case: str, **flags):
         def call():
             return phin._cmd_phin(args)
 
-        return call, lambda: _answer_bits(call()[0])
+        return call, lambda: _answer_bits(call())
 
     return ladder
 
 
-def _answer_bits(answer) -> int:
-    """The bits of a handler's answer, a JSON value or its compact text."""
-    return _largest_int_bits(json.loads(answer) if isinstance(answer, str) else answer)
+def _answer_bits(text: str) -> int:
+    """The bits of a handler's answer, its compact JSON text."""
+    return _largest_int_bits(json.loads(text))
 
 
 def whole_request(argv_of):
@@ -191,7 +191,7 @@ def one_cg_entry(u: int):
     def call():
         return plethysm._cmd_cg(args)
 
-    return call, lambda: _answer_bits(call()[0])
+    return call, lambda: _answer_bits(call())
 
 
 def recover_request(g: int):

@@ -162,7 +162,7 @@ def test_criterion_6_phi_n_suite():
         for case in phin_oracle.CASES:
             args = SimpleNamespace(case=case, n=n, L=None, weight=None, all_submodules=True,
                                    benois=True, gr1=True)
-            printed = json.loads(phin._cmd_phin(args)[0])
+            printed = json.loads(phin._cmd_phin(args))
             ok = ok and printed == phin_oracle.phin_answer(args)
     report(6, ok, "regular submodules and Benois filtration per case, n <= 6")
 

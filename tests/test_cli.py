@@ -122,11 +122,12 @@ def test_cg_table_rows_equal_cube_scan():
         for n in range(11):
             for p in range(abs(m - n), m + n + 1, 2):
                 assert valid_triple(m, n, p)
-                args = parse_args(["cg", f"--m={m}", f"--n={n}", f"--p={p}", "--table"])
-                text, _, rows = args.func(args)
-                rows = [(u, v, w, str(x)) for u, v, w, x in rows]  # made only for --format csv
-                assert rows == cube_scan_rows(m, n, p), (m, n, p)
-                assert json.loads(text)["rows"] == [list(row) for row in rows], (m, n, p)
+                rows = cube_scan_rows(m, n, p)
+                argv = ["cg", f"--m={m}", f"--n={n}", f"--p={p}", "--table"]
+                args = parse_args(argv)
+                assert json.loads(args.func(args))["rows"] == [list(row) for row in rows], (m, n, p)
+                args = parse_args(["--format=csv", *argv])  # the CSV is made only for csv
+                assert args.func(args).split("\n")[1:] == [",".join(map(str, row)) for row in rows]
 
 
 @pytest.mark.parametrize(
@@ -350,7 +351,7 @@ def test_result_past_the_digit_limit_prints_only_the_error(capsys, monkeypatch, 
     ids=["obstruction-exponent", "int-option", "hecke-g"],
 )
 def test_integer_argument_past_the_digit_limit_is_refused_by_name(capsys, argv):
-    # the one integer reader of cliargs names the limit and echoes a short prefix
+    # the one integer reader, the package's `_int`, names the limit and echoes a short prefix
     start = time.perf_counter()
     code, out = run(capsys, *argv)
     assert time.perf_counter() - start < 0.2

@@ -21,18 +21,20 @@ from pathlib import Path
 import pytest
 
 import linvariants
+from linvariants import plethysm
 from linvariants.cli import COMMANDS, main, parse_args
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 MATHS = ("linv", "phin", "plethysm", "weylhecke", "slopes", "sl2rep")
-#: what every request loads besides its maths: the parser and the handlers' scalar readers;
-#: a request that reads a JSON argument loads `jsonargs` too, as its README row says
-CLI = ["linvariants.cli", "linvariants.cliargs"]
+#: what every request loads besides its maths and the package root, which holds the handlers'
+#: scalar readers and refusal; a request that reads a JSON argument loads `jsonargs` too, as
+#: its README row says
+CLI = ["linvariants.cli"]
 
 
 def readme_modules() -> dict[str, list[str]]:
-    """subcommand -> the modules the README's table says it loads besides `cli` and `cliargs`."""
+    """subcommand -> the modules the README's table says it loads besides `cli`."""
     lines = (ROOT / "README.md").read_text().splitlines()
     start = lines.index("| subcommand | modules |")
     table = {}
@@ -264,7 +266,7 @@ def test_a_decimal_slope_loads_exactlin():
                                                    "linvariants.exactlin", "numbers"]
 
 
-#: the standard library's JSON reader and writer, which `cliargs._json_text`, `_emit` (to indent)
+#: the standard library's JSON reader and writer, which `linvariants._json_text`, `_emit` (to indent)
 #: and `jsonargs` import when they run
 JSON = ("json", "json.decoder", "json.encoder", "json.scanner", "_json")
 
@@ -402,18 +404,71 @@ def test_recover_chi_and_refusals_load_json(argv, code):
     assert ("error" in json.loads(out)) == bool(code)
 
 
+def joined_csv(header: str, rows) -> str:
+    """The CSV text of `rows` under `header` as `_emit` joined it when handlers returned
+    (text, header, rows): the oracle of the CSV each handler now writes itself."""
+    return "\n".join([header, *(",".join(str(x) for x in row) for row in rows)])
+
+
+def csv_oracle(args) -> str:
+    """The CSV of a `bcoeff` or `cg --table` request, joined from the tables' own entries."""
+    if args.command == "cg":
+        return joined_csv("u,v,w,value", [(*key, x) for key, x in
+                                          plethysm.cg_table(args.m, args.n, args.p).items()])
+    row = plethysm.b_row(args.n, args.k)
+    indices = range(args.n + 1) if args.i is None else [args.i]
+    return joined_csv("n,k,i,value", [(args.n, args.k, i, row[i]) for i in indices])
+
+
 def test_every_handler_answers_in_text(monkeypatch):
-    # one answer type: every handler returns compact, key-sorted JSON text for `_emit` to print
+    # one answer type: every handler returns the one text `_emit` prints, compact,
+    # key-sorted JSON or, for `--format csv`, the CSV `_emit` once joined
     answered = set()
     for argv, stdin in [*((argv, "") for argv in PLETHYSM_REQUESTS),
                         *(p.values for p in [*MATHS_REQUESTS, *PLAIN_INPUT_REQUESTS])]:
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
         args = parse_args(argv)
-        text = args.func(args)[0]
+        text = args.func(args)
         assert isinstance(text, str), argv
-        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        if args.format == "csv":
+            assert text == csv_oracle(args), argv
+        else:
+            assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
         answered.add(args.command)
     assert answered == set(COMMANDS)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_bcoeff_csv_is_the_joined_rows(n, capsys):
+    # every row and every `--i` entry up to n = 8 prints the CSV `_emit` once joined
+    for k in range(n + 1):
+        for extra in [[], *(["--i", str(i)] for i in range(n + 1))]:
+            argv = ["--format", "csv", "bcoeff", "--n", str(n), "--k", str(k), *extra]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == csv_oracle(parse_args(argv)) + "\n", argv
+
+
+def test_cg_table_csv_is_the_joined_rows(capsys):
+    # every valid weight triple of m, n <= 5 prints the CSV `_emit` once joined
+    for m in range(6):
+        for n in range(6):
+            for p in range(abs(m - n), m + n + 1, 2):
+                argv = ["--format=csv", "cg", "--m", str(m), "--n", str(n), "--p", str(p), "--table"]
+                assert main(argv) == 0
+                assert capsys.readouterr().out == csv_oracle(parse_args(argv)) + "\n", argv
+
+
+def test_no_function_imports_from_the_package_root():
+    # what every request needs is imported once, at the top of each module; a function
+    # imports locally only what not every request needs (`jsonargs`, `fractions`, ...)
+    local = []
+    for path in sorted((ROOT / "src" / "linvariants").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local += [f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                          if isinstance(node, ast.ImportFrom) and (
+                              (node.level, node.module) in ((1, None), (0, "linvariants")))]
+    assert local == []
 
 
 @pytest.mark.parametrize(
@@ -515,7 +570,7 @@ def test_the_readme_module_table_has_one_row_per_subcommand():
 @pytest.mark.parametrize("argv", HANDLER_REFUSALS)
 def test_handler_refusals_exit_2_through_the_entry_point(tmp_path, argv):
     # run as `__main__`, cli must catch the CliError its handlers raise: one
-    # copy of the class, from `cliargs`, not a second one from a re-imported cli
+    # copy of the class, from the package root, not a second one from a re-imported cli
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
         [sys.executable, "-m", "linvariants.cli", *argv], cwd=tmp_path,

@@ -531,7 +531,7 @@ def phin_args(case, n, l_text=None, weight=None, flags=(True, True, True)):
 
 def printed(args):
     """The JSON value the handler prints for `args`: its compact text, read back."""
-    return json.loads(_cmd_phin(args)[0])
+    return json.loads(_cmd_phin(args))
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linvariants.cliargs import CliError
+from linvariants import CliError
 from linvariants.jsonargs import PLAIN_JSON_MAX_CHARS, PLAIN_JSON_MAX_DEPTH, _parse_json_arg, _plain_json
 
 
